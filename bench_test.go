@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"metaprep"
@@ -420,39 +421,119 @@ func BenchmarkStreamTriad(b *testing.B) {
 
 // --- ablation benchmarks (DESIGN.md "key design decisions") ---------------
 
-// BenchmarkAblationPrecomputedOffsets vs ...DynamicOffsets measures the
-// synchronization cost the index tables remove from KmerGen (§3.2.2).
-func BenchmarkAblationPrecomputedOffsets(b *testing.B) {
-	idx, ds := fx.index(b, "MM", 0.1, 27)
-	b.SetBytes(ds.Bases)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runPipeline(b, idx, 1, 2, 1, metaprep.Filter{}, nil)
+// BenchmarkAblationScatter measures the synchronization the index tables
+// remove from KmerGen (§3.2.2) at kernel level: four threads scatter keys
+// into four destination regions, each thread advancing its own precomputed
+// cursors into exclusive sub-regions (the pipeline's only write pattern)
+// against all threads bumping one atomic cursor per destination. Mirrors the
+// scatter rows of `mpbench -exp ablate`.
+func BenchmarkAblationScatter(b *testing.B) {
+	const n, threads, dsts = 1 << 21, 4, 4
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = rng.Uint64() & (1<<54 - 1)
 	}
+	dst := func(k uint64) int { return int(k>>20) % dsts }
+	// cursor[t*dsts+d]: where thread t's sub-region of destination d starts,
+	// counted ahead of the scatter like the index tables count tuples.
+	cursor := make([]int, threads*dsts)
+	cnt := make([]int, threads*dsts)
+	for t := 0; t < threads; t++ {
+		for _, k := range keys[t*n/threads : (t+1)*n/threads] {
+			cnt[t*dsts+dst(k)]++
+		}
+	}
+	dstOff := make([]int, dsts)
+	off := 0
+	for d := 0; d < dsts; d++ {
+		dstOff[d] = off
+		for t := 0; t < threads; t++ {
+			cursor[t*dsts+d] = off
+			off += cnt[t*dsts+d]
+		}
+	}
+	out := make([]uint64, n)
+	run := func(b *testing.B, reset func(), body func(t int, block []uint64)) {
+		b.SetBytes(8 * n)
+		for i := 0; i < b.N; i++ {
+			reset()
+			var wg sync.WaitGroup
+			for t := 0; t < threads; t++ {
+				wg.Add(1)
+				go func(t int) {
+					defer wg.Done()
+					body(t, keys[t*n/threads:(t+1)*n/threads])
+				}(t)
+			}
+			wg.Wait()
+		}
+	}
+	b.Run("PerThreadCursors", func(b *testing.B) {
+		run(b, func() {}, func(t int, block []uint64) {
+			cur := append([]int(nil), cursor[t*dsts:(t+1)*dsts]...)
+			for _, k := range block {
+				d := dst(k)
+				out[cur[d]] = k
+				cur[d]++
+			}
+		})
+	})
+	b.Run("SharedAtomicCursor", func(b *testing.B) {
+		shared := make([]atomic.Int64, dsts)
+		reset := func() {
+			for d := range shared {
+				shared[d].Store(int64(dstOff[d]))
+			}
+		}
+		run(b, reset, func(t int, block []uint64) {
+			for _, k := range block {
+				out[shared[dst(k)].Add(1)-1] = k
+			}
+		})
+	})
 }
 
-func BenchmarkAblationDynamicOffsets(b *testing.B) {
-	idx, ds := fx.index(b, "MM", 0.1, 27)
-	b.SetBytes(ds.Bases)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runPipeline(b, idx, 1, 2, 1, metaprep.Filter{}, func(c *metaprep.Config) {
-			c.DynamicOffsets = true
-		})
+// BenchmarkAblationKmerGen compares the 4-lane generator (§3.2.1, the
+// pipeline's only 64-bit generator) with the scalar rolling one on the same
+// reads, both feeding the same trivial consumer. Mirrors the KmerGen rows of
+// `mpbench -exp ablate`.
+func BenchmarkAblationKmerGen(b *testing.B) {
+	const k = 27
+	rng := rand.New(rand.NewSource(2))
+	seqs := make([][]byte, 2000)
+	var bases int64
+	for i := range seqs {
+		seqs[i] = make([]byte, 100)
+		for j := range seqs[i] {
+			seqs[i][j] = "ACGT"[rng.Intn(4)]
+		}
+		bases += int64(len(seqs[i]))
 	}
+	b.Run("Lane", func(b *testing.B) {
+		b.SetBytes(bases)
+		var buf []kmer.Kmer64
+		for i := 0; i < b.N; i++ {
+			for _, seq := range seqs {
+				buf = kmer.AppendCanonical64(buf[:0], seq, k)
+				for _, km := range buf {
+					kmerSink += uint64(km)
+				}
+			}
+		}
+	})
+	b.Run("Scalar", func(b *testing.B) {
+		b.SetBytes(bases)
+		for i := 0; i < b.N; i++ {
+			for _, seq := range seqs {
+				kmer.ForEach64(seq, k, func(_ int, km kmer.Kmer64) { kmerSink += uint64(km) })
+			}
+		}
+	})
 }
 
-// BenchmarkAblationScalarKmerGen disables the 4-lane generator (§3.2.1).
-func BenchmarkAblationScalarKmerGen(b *testing.B) {
-	idx, ds := fx.index(b, "MM", 0.1, 27)
-	b.SetBytes(ds.Bases)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runPipeline(b, idx, 1, 2, 1, metaprep.Filter{}, func(c *metaprep.Config) {
-			c.NoVectorKmerGen = true
-		})
-	}
-}
+// kmerSink keeps BenchmarkAblationKmerGen's consumer from being optimized away.
+var kmerSink uint64
 
 // BenchmarkAblationCCOptOn vs ...Off measures the §3.5.1 multi-pass
 // component-ID enumeration.
@@ -556,20 +637,11 @@ func BenchmarkDistributedCount(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineBackHalf vs BenchmarkPipelineBackHalfReference measures
-// the back-half overhaul: the pipelined delta tree merge plus the zero-copy
-// overlapped CC-I/O against the one-shot dense merge with the reader-based
-// output re-parse. Both write the full partitioned output (CC-I/O is the
-// step under test) over the Edison network model.
+// BenchmarkPipelineBackHalf measures the back half end to end: the
+// pipelined delta tree merge, the tree broadcast and the zero-copy
+// overlapped CC-I/O, writing the full partitioned output over the Edison
+// network model.
 func BenchmarkPipelineBackHalf(b *testing.B) {
-	benchBackHalf(b, true)
-}
-
-func BenchmarkPipelineBackHalfReference(b *testing.B) {
-	benchBackHalf(b, false)
-}
-
-func benchBackHalf(b *testing.B, backhalf bool) {
 	idx, ds := fx.index(b, "HG", 0.1, 27)
 	outDir := filepath.Join(fx.dir, "backhalf-bench")
 	b.SetBytes(ds.Bases)
@@ -578,8 +650,6 @@ func benchBackHalf(b *testing.B, backhalf bool) {
 		res := runPipeline(b, idx, 4, 2, 2, metaprep.Filter{}, func(c *metaprep.Config) {
 			c.Network = metaprep.EdisonNetwork()
 			c.OutDir = outDir
-			c.SparseDeltaMerge = backhalf
-			c.OverlapOutput = backhalf
 		})
 		if len(res.LCFiles) == 0 {
 			b.Fatal("no output written")

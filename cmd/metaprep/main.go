@@ -92,10 +92,9 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   metaprep index      [-k 27] [-m 8] [-chunk 4194304] [-paired] [-workers 1] -out FILE fastq...
   metaprep run        -index FILE [-tasks 1] [-threads 1] [-passes 1]
-                      [-kf-min 0] [-kf-max 0] [-split N] [-sparse-merge]
-                      [-sparse-delta] [-star-bcast] [-overlap-output]
+                      [-kf-min 0] [-kf-max 0] [-split N]
                       [-outdir DIR] [-edison-net] [-merge-output]
-                      [-exchange-chunk N] [-prefetch N] [-no-prefetch]
+                      [-exchange-chunk N] [-prefetch N]
                       [-spill-budget BYTES|auto] [-spill-dir DIR] [-spill-compress]
                       [-prefilter-bits N] [-prefilter-min N]
                       [-artifact-out FILE] [-artifact-in FILE] [-delta]
@@ -152,12 +151,7 @@ func cmdRun(args []string) error {
 	edisonNet := fs.Bool("edison-net", false, "charge Edison-like network costs to communication steps")
 	mergeOut := fs.Bool("merge-output", false, "also concatenate per-thread outputs into lc.fastq/other.fastq")
 	split := fs.Int("split", 0, "write the N largest components to separate file sets (0 = largest vs rest)")
-	sparseMerge := fs.Bool("sparse-merge", false, "use one-shot sparse MergeCC payloads instead of the pipelined delta merge")
-	sparseDelta := fs.Bool("sparse-delta", true, "stream MergeCC as pipelined per-round deltas over the merge tree (the default fast path)")
-	starBcast := fs.Bool("star-bcast", false, "broadcast the label array from rank 0 directly to every task instead of over the binomial tree (ablation)")
-	overlapOut := fs.Bool("overlap-output", true, "zero-copy CC-I/O with output chunks prefetched during the merge (false = reader-based reference path)")
-	prefetch := fs.Int("prefetch", 0, "per-thread chunk read-ahead depth (0 = default of 1)")
-	noPrefetch := fs.Bool("no-prefetch", false, "disable overlapped chunk I/O (ablation)")
+	prefetch := fs.Int("prefetch", 0, "per-thread chunk read-ahead depth (0 = default: 1, or serial reads on a single-CPU host)")
 	exchangeChunk := fs.Int("exchange-chunk", 0, "stream the tuple exchange in chunks of this many tuples, overlapping it with KmerGen (0 = bulk exchange after generation)")
 	spillBudget := fs.String("spill-budget", "", "per-rank tuple memory budget, e.g. 256M or 2G, or 'auto' to probe the cgroup/host memory limit; when the exchange would exceed it LocalSort spills sorted runs to disk and merges them as a stream (empty = all in RAM)")
 	spillDir := fs.String("spill-dir", "", "directory for spill run files (empty = the OS temp dir)")
@@ -194,16 +188,7 @@ func cmdRun(args []string) error {
 	cfg.Filter = metaprep.Filter{Min: uint32(*kfMin), Max: uint32(*kfMax)}
 	cfg.OutDir = *outdir
 	cfg.SplitComponents = *split
-	cfg.SparseDeltaMerge = *sparseDelta
-	cfg.SparseMerge = *sparseMerge
-	if *sparseMerge {
-		// -sparse-merge explicitly selects the one-shot sparse encoding.
-		cfg.SparseDeltaMerge = false
-	}
-	cfg.StarBroadcast = *starBcast
-	cfg.OverlapOutput = *overlapOut
 	cfg.PrefetchChunks = *prefetch
-	cfg.NoPrefetch = *noPrefetch
 	cfg.ExchangeChunkTuples = *exchangeChunk
 	switch {
 	case *spillBudget == "auto":

@@ -49,7 +49,7 @@ func TestCLIIndexRunStats(t *testing.T) {
 	}
 
 	if err := cmdRun([]string{
-		"-index", idxPath, "-split", "3", "-sparse-merge",
+		"-index", idxPath, "-split", "3",
 		"-outdir", filepath.Join(dir, "split"),
 	}); err != nil {
 		t.Fatalf("run -split: %v", err)

@@ -6,10 +6,14 @@ import (
 
 // TestExperimentsSmoke runs the cheap experiments end to end at a tiny
 // scale, verifying the harness plumbing (env caching, dataset reuse, table
-// rendering) without the cost of the full evaluation.
+// rendering) without the cost of the full evaluation. ablate and backhalf
+// are in the list because they are the experiments that set Config fields
+// per row: ablate sat broken on a Validate cross-check (SparseMerge on top of
+// Default's SparseDeltaMerge) that nothing ran, so a config interaction now
+// fails here.
 func TestExperimentsSmoke(t *testing.T) {
 	e := newEnv(t.TempDir(), 0.02)
-	for _, name := range []string{"tab2", "tab5", "stream"} {
+	for _, name := range []string{"tab2", "tab5", "stream", "ablate", "backhalf"} {
 		found := false
 		for _, x := range experiments() {
 			if x.name == name {
@@ -38,7 +42,7 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	for _, want := range []string{"tab2", "fig5", "fig6", "fig7", "fig8", "tab3",
 		"fig9", "sort", "tab4", "tab5", "tab6", "tab7", "tab8", "purity", "ablate",
-		"exchange", "extsort", "artifact", "serve", "stream", "calib"} {
+		"exchange", "extsort", "artifact", "backhalf", "serve", "stream", "calib"} {
 		if !seen[want] {
 			t.Errorf("experiment %q missing", want)
 		}

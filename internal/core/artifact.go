@@ -340,27 +340,14 @@ func checkLabels(r *artifact.Reader, labels []uint32, reads uint32) error {
 	return nil
 }
 
-// mergeResultFromLabels rebuilds what mergeCC's rank 0 derives — the
-// largest component (ties toward the smaller root, matching mergeCC) and
-// the split roots — from a stored label map. The sizes map is returned for
-// the Components count.
+// mergeResultFromLabels rebuilds what mergeCC's rank 0 derives from a stored
+// label map. The sizes map is returned for the Components count.
 func mergeResultFromLabels(labels []uint32, split int) (mergeResult, map[uint32]int) {
 	sizes := make(map[uint32]int, 1024)
 	for _, l := range labels {
 		sizes[l]++
 	}
-	var root uint32
-	var size int
-	for r, s := range sizes {
-		if s > size || (s == size && r < root) {
-			root, size = r, s
-		}
-	}
-	mr := mergeResult{labels: labels, largestRoot: root, largestSize: size}
-	if split > 0 {
-		mr.topRoots = topComponents(sizes, split)
-	}
-	return mr, sizes
+	return newMergeResult(labels, sizes, split), sizes
 }
 
 // outputOnlyRun spins up a world that performs only the CC-I/O step: the
@@ -383,15 +370,12 @@ func outputOnlyRun(ctx context.Context, cfg Config, pl *plan, mr mergeResult) ([
 			return err
 		}
 		st.files = files
-		var fetchers []*chunkFetcher
-		if cfg.OverlapOutput {
-			fetchers = st.startOutputFetchers()
-			defer func() {
-				for _, f := range fetchers {
-					f.close()
-				}
-			}()
-		}
+		fetchers := st.startOutputFetchers()
+		defer func() {
+			for _, f := range fetchers {
+				f.close()
+			}
+		}()
 		paths, err := st.writeOutput(mr, fetchers)
 		if err != nil {
 			return err

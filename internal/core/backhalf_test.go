@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,102 +14,197 @@ import (
 	"testing"
 	"time"
 
+	"metaprep/internal/fastq"
 	"metaprep/internal/index"
+	"metaprep/internal/obsv"
 )
 
-// backhalf_test.go covers the pipelined delta tree merge, the broadcast
-// ablation and the zero-copy overlapped CC-I/O: bit-identical results and
-// output files against the pre-existing reference paths, the bounded
+// backhalf_test.go covers the pipelined delta tree merge and the zero-copy
+// overlapped CC-I/O against oracles that share no code with them: labels
+// against naiveLabels, merge traffic against the dense tree's closed form,
+// partitioned FASTQ bytes against a reader→writer splitter. Also the bounded
 // top-component selection, concatFiles error handling, and clean mid-output
 // cancellation.
 
 // TestDeltaMergeMatchesDense asserts the pipelined delta merge reaches the
-// same global components as the one-shot dense merge across task counts
-// (powers of two and not) and multiple passes.
+// global components a dense fold of every rank's parent array would — by
+// definition the components of the union of all ranks' edges, which
+// naiveLabels computes directly — across task counts (powers of two and
+// not) and multiple passes.
 func TestDeltaMergeMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	td := overlappingDataset(t, rng, smallOpts(), 4, 300, 220, 35)
+	want := naiveLabels(td, 11, false, Filter{})
+	wantSizes := map[uint32]int{}
+	for _, l := range want {
+		wantSizes[l]++
+	}
+	wantLargest := 0
+	for _, n := range wantSizes {
+		wantLargest = max(wantLargest, n)
+	}
 	for _, tasks := range []int{1, 2, 3, 4, 8} {
 		for _, passes := range []int{1, 2} {
 			t.Run(fmt.Sprintf("P%d/S%d", tasks, passes), func(t *testing.T) {
-				dense := Default(td.idx)
-				dense.Tasks = tasks
-				dense.Passes = passes
-				dense.SparseDeltaMerge = false
-				want, err := Run(dense)
+				cfg := Default(td.idx)
+				cfg.Tasks = tasks
+				cfg.Passes = passes
+				got, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				delta := dense
-				delta.SparseDeltaMerge = true
-				got, err := Run(delta)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameLabels(t, canonLabels(want.Labels), got.Labels)
-				if want.Components != got.Components ||
-					want.LargestSize != got.LargestSize {
-					t.Fatalf("dense %d/%d vs delta %d/%d",
-						want.Components, want.LargestSize,
-						got.Components, got.LargestSize)
+				assertSameLabels(t, want, got.Labels)
+				if got.Components != len(wantSizes) || got.LargestSize != wantLargest {
+					t.Fatalf("components/largest %d/%d, want %d/%d",
+						got.Components, got.LargestSize, len(wantSizes), wantLargest)
 				}
 			})
 		}
 	}
 }
 
-// TestDeltaMergeReducesTraffic pins the wire-byte claim: on mostly-singleton
-// data the delta schedule's sparse baselines plus change-only rounds must
-// ship fewer MergeCC bytes than the dense 4R-per-hop tree.
+// TestDeltaMergeReducesTraffic pins the wire-byte claim against the dense
+// tree's closed form: a dense merge ships every non-root rank's 4R-byte
+// parent array once (P−1 sends), and the label broadcast costs another 4R
+// per tree hop whatever the merge encoding. On mostly-singleton data the
+// delta schedule's sparse baselines plus change-only rounds must come in
+// under the dense merge volume.
 func TestDeltaMergeReducesTraffic(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	td := genDataset(t, rng, smallOpts(), 2, 200, 50)
-	run := func(deltaMerge bool) int64 {
-		cfg := Default(td.idx)
-		cfg.Tasks = 4
-		cfg.SparseDeltaMerge = deltaMerge
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var bytes int64
-		for _, rep := range res.PerTask {
-			bytes += rep.MergeBytes
-		}
-		return bytes
-	}
-	denseBytes := run(false)
-	deltaBytes := run(true)
-	if deltaBytes >= denseBytes {
-		t.Errorf("delta merge sent %d MergeCC bytes, dense %d", deltaBytes, denseBytes)
-	}
-}
-
-// readOutDir returns the contents of every .fastq file in dir keyed by file
-// name — the comparison unit for byte-for-byte output parity.
-func readOutDir(t *testing.T, dir string) map[string][]byte {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
+	cfg := Default(td.idx)
+	cfg.Tasks = 4
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := make(map[string][]byte)
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+	var mergeBytes int64
+	for _, rep := range res.PerTask {
+		mergeBytes += rep.MergeBytes
+	}
+	hops := int64(cfg.Tasks - 1)
+	bcast := hops * 4 * int64(td.idx.Reads)
+	denseMerge := hops * 4 * int64(td.idx.Reads)
+	if mergeBytes < bcast {
+		t.Fatalf("MergeBytes %d below the label broadcast's %d", mergeBytes, bcast)
+	}
+	if delta := mergeBytes - bcast; delta >= denseMerge {
+		t.Errorf("delta merge sent %d bytes, the dense tree's closed form is %d", delta, denseMerge)
+	}
+}
+
+// splitByLabel is the independent CC-I/O oracle: it streams every input
+// file through fastq.Reader in order and re-serializes each record with
+// fastq.Writer into its component's group — the n largest components
+// (largest first, ties toward the smaller root; n = split, or 1 for the
+// paper's largest-vs-rest), then the remainder. Single-ended inputs only.
+// It shares nothing with writeOutput but the record codec.
+func splitByLabel(t *testing.T, idx *index.Index, labels []uint32, split int) [][]byte {
+	t.Helper()
+	sizes := map[uint32]int{}
+	for _, l := range labels {
+		sizes[l]++
+	}
+	roots := make([]uint32, 0, len(sizes))
+	for r := range sizes {
+		roots = append(roots, r)
+	}
+	sort.Slice(roots, func(i, j int) bool {
+		if sizes[roots[i]] != sizes[roots[j]] {
+			return sizes[roots[i]] > sizes[roots[j]]
+		}
+		return roots[i] < roots[j]
+	})
+	n := min(max(split, 1), len(roots))
+	groupOf := map[uint32]int{}
+	for g, r := range roots[:n] {
+		groupOf[r] = g
+	}
+	bufs := make([]bytes.Buffer, n+1)
+	ws := make([]*fastq.Writer, n+1)
+	for g := range ws {
+		ws[g] = fastq.NewWriter(&bufs[g])
+	}
+	readID := 0
+	for _, path := range idx.Files {
+		f, err := os.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		files[e.Name()] = data
+		for r := fastq.NewReader(f); ; readID++ {
+			rec, err := r.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, ok := groupOf[labels[readID]]
+			if !ok {
+				g = n
+			}
+			if err := ws[g].Write(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.Close()
 	}
-	return files
+	out := make([][]byte, n+1)
+	for g, w := range ws {
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		out[g] = bufs[g].Bytes()
+	}
+	return out
 }
 
-// TestBackHalfOutputParity is the bit-identical output suite: for every
+// assertOutputMatchesSplitter compares a run's partitioned FASTQ with
+// splitByLabel's. Threads own contiguous ascending chunk ranges, so each
+// group's per-thread files concatenated in (rank, thread) order — the order
+// Result lists them — must be the oracle's bytes for that group exactly, and
+// OutDir must hold nothing else.
+func assertOutputMatchesSplitter(t *testing.T, cfg Config, res *Result) {
+	t.Helper()
+	groups := res.SplitFiles
+	if groups == nil {
+		groups = [][]string{res.LCFiles, res.OtherFiles}
+	}
+	want := splitByLabel(t, cfg.Index, res.Labels, cfg.SplitComponents)
+	if len(groups) != len(want) {
+		t.Fatalf("%d output groups, the splitter has %d", len(groups), len(want))
+	}
+	files := 0
+	for g, paths := range groups {
+		if len(paths) != cfg.Tasks*cfg.Threads {
+			t.Fatalf("group %d: %d files, want one per (rank, thread) = %d", g, len(paths), cfg.Tasks*cfg.Threads)
+		}
+		var got []byte
+		for _, p := range paths {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, data...)
+		}
+		if !bytes.Equal(got, want[g]) {
+			t.Fatalf("group %d: %d bytes, the splitter wrote %d (or contents differ)", g, len(got), len(want[g]))
+		}
+		files += len(paths)
+	}
+	entries, err := os.ReadDir(cfg.OutDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != files {
+		t.Fatalf("OutDir holds %d entries, Result lists %d files", len(entries), files)
+	}
+}
+
+// TestBackHalfOutputParity is the byte-exact output suite: for every
 // combination of key width, task count, component splitting and filter mode,
-// the full back-half (pipelined delta merge + zero-copy overlapped CC-I/O)
-// must write byte-for-byte the same files as the reference back-half (dense
-// one-shot merge + reader-based re-parse output), and the star-broadcast
-// ablation must change nothing either.
+// the labels must match naiveLabels and the partitioned FASTQ must be
+// byte-for-byte what the reader→writer splitter produces from those labels.
 func TestBackHalfOutputParity(t *testing.T) {
 	modes := []struct {
 		name string
@@ -127,62 +223,28 @@ func TestBackHalfOutputParity(t *testing.T) {
 	for mi, mode := range modes {
 		rng := rand.New(rand.NewSource(int64(300 + mi)))
 		td := overlappingDataset(t, rng, mode.opts, 4, 260, 160, 60)
-		for _, tasks := range []int{1, 2, 4} {
-			for _, split := range []int{0, 3} {
-				for _, flt := range filters {
+		for _, flt := range filters {
+			want := naiveLabels(td, mode.opts.K, false, flt.f)
+			for _, tasks := range []int{1, 2, 4} {
+				for _, split := range []int{0, 3} {
 					name := fmt.Sprintf("%s/P%d/split%d/%s", mode.name, tasks, split, flt.name)
 					t.Run(name, func(t *testing.T) {
-						base := Default(td.idx)
-						base.Tasks = tasks
-						base.Threads = 2
-						base.SplitComponents = split
-						base.Filter = flt.f
+						cfg := Default(td.idx)
+						cfg.Tasks = tasks
+						cfg.Threads = 2
+						cfg.SplitComponents = split
+						cfg.Filter = flt.f
 						// Force the prefetch goroutines on even on a
 						// single-CPU host, so parity covers the overlapped
 						// ring path everywhere.
-						base.PrefetchChunks = 2
-
-						ref := base
-						ref.SparseDeltaMerge = false
-						ref.OverlapOutput = false
-						ref.OutDir = t.TempDir()
-						wantRes, err := Run(ref)
+						cfg.PrefetchChunks = 2
+						cfg.OutDir = t.TempDir()
+						res, err := Run(cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
-						want := readOutDir(t, ref.OutDir)
-
-						bh := base
-						bh.OutDir = t.TempDir()
-						gotRes, err := Run(bh)
-						if err != nil {
-							t.Fatal(err)
-						}
-						assertSameLabels(t, canonLabels(wantRes.Labels), gotRes.Labels)
-
-						star := base
-						star.StarBroadcast = true
-						star.OutDir = t.TempDir()
-						if _, err := Run(star); err != nil {
-							t.Fatal(err)
-						}
-
-						for variant, dir := range map[string]string{"backhalf": bh.OutDir, "star": star.OutDir} {
-							got := readOutDir(t, dir)
-							if len(got) != len(want) {
-								t.Fatalf("%s: %d output files, reference has %d", variant, len(got), len(want))
-							}
-							for name, wantData := range want {
-								gotData, ok := got[name]
-								if !ok {
-									t.Fatalf("%s: missing output file %s", variant, name)
-								}
-								if !bytes.Equal(gotData, wantData) {
-									t.Fatalf("%s: %s differs from the reference path (%d vs %d bytes)",
-										variant, name, len(gotData), len(wantData))
-								}
-							}
-						}
+						assertSameLabels(t, want, res.Labels)
+						assertOutputMatchesSplitter(t, cfg, res)
 					})
 				}
 			}
@@ -192,8 +254,8 @@ func TestBackHalfOutputParity(t *testing.T) {
 
 // TestZeroCopyReencodesNonCanonicalInput feeds the pipeline CRLF input —
 // which NextRaw must flag non-verbatim — and checks the partitioned output
-// matches the reader-based path byte for byte (both re-encode to canonical
-// form).
+// is byte for byte the splitter's: every record re-encoded to canonical
+// form, none blitted.
 func TestZeroCopyReencodesNonCanonicalInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	dir := t.TempDir()
@@ -216,27 +278,18 @@ func TestZeroCopyReencodesNonCanonicalInput(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref := Default(idx)
-	ref.Tasks = 2
-	ref.OverlapOutput = false
-	ref.OutDir = t.TempDir()
-	if _, err := Run(ref); err != nil {
+	cfg := Default(idx)
+	cfg.Tasks = 2
+	cfg.OutDir = t.TempDir()
+	cfg.Obs = obsv.New()
+	res, err := Run(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	zc := Default(idx)
-	zc.Tasks = 2
-	zc.OutDir = t.TempDir()
-	if _, err := Run(zc); err != nil {
-		t.Fatal(err)
-	}
-	want := readOutDir(t, ref.OutDir)
-	got := readOutDir(t, zc.OutDir)
-	if len(got) != len(want) {
-		t.Fatalf("%d output files, reference has %d", len(got), len(want))
-	}
-	for name, wantData := range want {
-		if !bytes.Equal(got[name], wantData) {
-			t.Fatalf("%s differs between zero-copy and reader paths", name)
+	assertOutputMatchesSplitter(t, cfg, res)
+	for _, c := range cfg.Obs.Counters() {
+		if c.Name == "ccio/verbatim_records" && c.Value != 0 {
+			t.Errorf("%d CRLF records were blitted verbatim", c.Value)
 		}
 	}
 }

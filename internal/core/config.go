@@ -121,36 +121,6 @@ type Config struct {
 	// and one remainder file per thread, §3.6). Empty skips the output
 	// step, producing component labels only.
 	OutDir string
-	// SparseMerge transmits MergeCC payloads as sparse (vertex, parent)
-	// pairs instead of the dense 4R-byte array — the direction of the
-	// component-contraction methods the paper's conclusion proposes for
-	// the MergeCC bottleneck. It pays off when most reads are singletons
-	// (diverse metagenomes); the dense encoding is smaller once more than
-	// half the reads are in components.
-	SparseMerge bool
-	// SparseDeltaMerge replaces the one-shot tree merge with the pipelined
-	// delta schedule: every non-root rank ships, in each round of the §3.6
-	// merge tree, only the parent entries that changed since its previous
-	// snapshot (round 0 is the full sparse baseline), over nonblocking sends
-	// so a round's transfer overlaps the parent's absorb of the previous
-	// round. Results are identical to the dense and sparse one-shot paths;
-	// Default turns it on. Takes precedence over SparseMerge (setting both
-	// explicitly is a validation error).
-	SparseDeltaMerge bool
-	// StarBroadcast replaces the binomial-tree broadcast of the global label
-	// array with rank 0 sending to every task directly — the flat schedule
-	// the tree replaces, kept as an ablation knob for the modeled Merge-Comm
-	// comparison. Default leaves it off.
-	StarBroadcast bool
-	// OverlapOutput switches the CC-I/O step to the zero-copy overlapped
-	// path: output chunks are prefetched through the same per-thread chunk
-	// machinery KmerGen uses — with the prefetchers started while the merge
-	// and broadcast are still in flight — and records whose raw bytes are
-	// already in canonical form are blitted verbatim into the group writers
-	// instead of being re-parsed through fastq.Reader and re-serialized.
-	// Outputs are bit-identical to the reader-based path (the parity suite
-	// checks); Default turns it on.
-	OverlapOutput bool
 	// SplitComponents, when > 0, writes the N largest components to
 	// separate output file sets (component 0, 1, …) plus a remainder set,
 	// instead of the paper's largest-vs-rest split — the "alternate
@@ -160,22 +130,12 @@ type Config struct {
 	// PrefetchChunks is the per-thread read-ahead depth of KmerGen's chunk
 	// prefetcher: while a thread enumerates tuples from one chunk, an
 	// asynchronous reader fills up to PrefetchChunks further chunk buffers,
-	// overlapping input I/O with k-mer enumeration. 0 means the default
-	// depth of 1 (classic double buffering). Each thread holds
-	// 1+PrefetchChunks chunk buffers, which the §3.7 memory accounting
-	// charges accordingly.
+	// overlapping input I/O with k-mer enumeration (the CC-I/O output
+	// re-read rides the same prefetcher). 0 means the default: depth 1
+	// (classic double buffering), or serial reads on the enumerating thread
+	// when the host has a single CPU. Each thread holds 1+depth chunk
+	// buffers, which the §3.7 memory accounting charges accordingly.
 	PrefetchChunks int
-	// NoPrefetch disables the overlapped chunk I/O entirely (the ablation
-	// for the prefetcher): chunks are read serially on the enumerating
-	// thread, with the full read time charged to KmerGen-I/O, and each
-	// thread holds a single chunk buffer. Results are bit-identical either
-	// way.
-	NoPrefetch bool
-	// DynamicOffsets disables the precomputed-offset KmerGen buffers and
-	// uses an atomic shared cursor instead. This is the ablation for the
-	// paper's claim that the index tables remove synchronization overhead;
-	// production runs leave it false.
-	DynamicOffsets bool
 	// ExchangeChunkTuples, when > 0, switches the §3.3 tuple exchange to
 	// the streaming chunked schedule: each (pass, destination) send region
 	// is split into fixed-size chunks of this many tuples, KmerGen
@@ -185,9 +145,7 @@ type Config struct {
 	// still running — overlapping compute with communication, so the
 	// modeled KmerGen+Comm wall time approaches max(T_gen, T_comm) instead
 	// of their sum. 0 keeps the bulk-synchronous reference path. Results
-	// are bit-identical either way. Incompatible with DynamicOffsets, whose
-	// shared cursors interleave threads within a destination region and
-	// destroy the chunk-fill accounting.
+	// are bit-identical either way.
 	ExchangeChunkTuples int
 	// SpillBudgetBytes, when > 0, caps the sort/union phase's resident
 	// tuple memory per task. When a pass's received partition would exceed
@@ -236,19 +194,14 @@ type Config struct {
 	ArtifactDelta bool
 	// Prefilter, when enabled (BitsPerKmer > 0), runs the two-pass
 	// probabilistic singleton prefilter before tuple generation. See the
-	// Prefilter type for semantics. Incompatible with DynamicOffsets (the
-	// shared-cursor ablation needs the index's exact fill counts) and with
-	// the artifact paths (a filtered tuple stream would not round-trip).
+	// Prefilter type for semantics. Incompatible with the artifact paths (a
+	// filtered tuple stream would not round-trip).
 	Prefilter Prefilter
 	// Pool, when non-nil, supplies and reclaims the two per-task tuple
 	// buffers (kmerOut/kmerIn) so back-to-back runs — the daemon's jobs —
 	// reuse multi-GB slices instead of reallocating them. Never affects
 	// results and is excluded from CanonicalHash.
 	Pool *TuplePool
-	// NoVectorKmerGen disables the 4-lane "vectorized" k-mer generator
-	// (§3.2.1, used for k ≤ 31), falling back to the scalar rolling
-	// generator; the ablation benchmark compares the two.
-	NoVectorKmerGen bool
 	// Obs, when non-nil, collects per-step spans (exported as a
 	// Perfetto-loadable Chrome trace) and typed counters (bytes read,
 	// tuples exchanged per rank pair, radix passes, union–find operation
@@ -271,12 +224,9 @@ type Config struct {
 }
 
 // Default returns a single-task configuration with sensible defaults for
-// the given index: one pass, one thread, the multi-pass optimization on,
-// and the back-half fast paths (pipelined delta merge, zero-copy overlapped
-// output) enabled.
+// the given index: one pass, one thread, and the multi-pass optimization on.
 func Default(idx *index.Index) Config {
-	return Config{Index: idx, Tasks: 1, Threads: 1, Passes: 1, CCOpt: true,
-		SparseDeltaMerge: true, OverlapOutput: true}
+	return Config{Index: idx, Tasks: 1, Threads: 1, Passes: 1, CCOpt: true}
 }
 
 // ErrInvalidConfig is the sentinel every Config validation error wraps, so
@@ -343,14 +293,6 @@ func (c Config) Validate() error {
 	if c.ExchangeChunkTuples < 0 {
 		return &ConfigError{Field: "ExchangeChunkTuples", Reason: fmt.Sprintf("%d < 0", c.ExchangeChunkTuples)}
 	}
-	if c.ExchangeChunkTuples > 0 && c.DynamicOffsets {
-		return &ConfigError{Field: "ExchangeChunkTuples",
-			Reason: "streaming exchange requires precomputed offsets (incompatible with DynamicOffsets)"}
-	}
-	if c.SparseDeltaMerge && c.SparseMerge {
-		return &ConfigError{Field: "SparseDeltaMerge",
-			Reason: "pick one merge payload encoding: SparseDeltaMerge (pipelined deltas) or SparseMerge (one-shot sparse)"}
-	}
 	if c.SpillBudgetBytes < 0 {
 		return &ConfigError{Field: "SpillBudgetBytes", Reason: fmt.Sprintf("%d < 0", c.SpillBudgetBytes)}
 	}
@@ -403,10 +345,6 @@ func (c Config) Validate() error {
 		return &ConfigError{Field: "Prefilter.MinCount",
 			Reason: fmt.Sprintf("%d outside 2..8 (1 drops nothing; the ladder caps at 8 levels)", mc)}
 	}
-	if c.Prefilter.Enabled() && c.DynamicOffsets {
-		return &ConfigError{Field: "Prefilter",
-			Reason: "incompatible with DynamicOffsets: the prefilter's compaction needs per-thread sub-regions, which shared cursors interleave"}
-	}
 	if c.Prefilter.Enabled() && (c.ArtifactOut != "" || c.ArtifactIn != "") {
 		return &ConfigError{Field: "Prefilter",
 			Reason: "incompatible with partition artifacts: a prefiltered tuple stream is not the exact sorted stream the artifact format stores"}
@@ -443,16 +381,13 @@ func checkSpillDir(dir string) error {
 	return nil
 }
 
-// prefetchDepth returns the effective chunk read-ahead depth: 0 when the
-// prefetcher is ablated away or the host has a single schedulable CPU (a
-// reader goroutine cannot overlap anything there — it only adds two context
-// switches per chunk), otherwise PrefetchChunks with 0 defaulting to 1
-// (double buffering). An explicit PrefetchChunks overrides the single-CPU
+// prefetchDepth returns the effective chunk read-ahead depth: 0 (serial
+// reads on the consuming thread) when the host has a single schedulable CPU
+// — a reader goroutine cannot overlap anything there, it only adds two
+// context switches per chunk — otherwise PrefetchChunks with 0 defaulting to
+// 1 (double buffering). An explicit PrefetchChunks overrides the single-CPU
 // gate so the overlap machinery stays testable everywhere.
 func (c Config) prefetchDepth() int {
-	if c.NoPrefetch {
-		return 0
-	}
 	if c.PrefetchChunks > 0 {
 		return c.PrefetchChunks
 	}

@@ -327,34 +327,6 @@ func TestPairedMode(t *testing.T) {
 	assertSameLabels(t, naiveLabels(td, 11, true, Filter{}), res.Labels)
 }
 
-func TestDynamicOffsetsAblationMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	td := overlappingDataset(t, rng, smallOpts(), 3, 300, 150, 40)
-	want := naiveLabels(td, 11, false, Filter{})
-	cfg := Default(td.idx)
-	cfg.Tasks = 2
-	cfg.Threads = 3
-	cfg.DynamicOffsets = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameLabels(t, want, res.Labels)
-}
-
-func TestScalarKmerGenMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	td := overlappingDataset(t, rng, smallOpts(), 3, 300, 150, 40)
-	want := naiveLabels(td, 11, false, Filter{})
-	cfg := Default(td.idx)
-	cfg.NoVectorKmerGen = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameLabels(t, want, res.Labels)
-}
-
 func TestLargeKPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	opts := index.Options{K: 35, M: 4, ChunkSize: 2000}
@@ -708,59 +680,6 @@ func TestManyPassesFewKmers(t *testing.T) {
 	assertSameLabels(t, want, res.Labels)
 }
 
-func TestSparseMergeMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	td := overlappingDataset(t, rng, smallOpts(), 4, 300, 200, 35)
-	dense := Default(td.idx)
-	dense.Tasks = 4
-	dense.SparseDeltaMerge = false // one-shot dense baseline
-	denseRes, err := Run(dense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparse := dense
-	sparse.SparseMerge = true
-	sparseRes, err := Run(sparse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameLabels(t, canonLabels(denseRes.Labels), sparseRes.Labels)
-	// Both runs must agree on everything observable.
-	if denseRes.Components != sparseRes.Components ||
-		denseRes.LargestSize != sparseRes.LargestSize {
-		t.Fatalf("dense %d/%d vs sparse %d/%d",
-			denseRes.Components, denseRes.LargestSize,
-			sparseRes.Components, sparseRes.LargestSize)
-	}
-}
-
-func TestSparseMergeReducesTrafficOnSparseGraphs(t *testing.T) {
-	// Mostly-singleton data (random reads): the sparse payload must be
-	// smaller than the dense 4R-byte arrays.
-	rng := rand.New(rand.NewSource(21))
-	td := genDataset(t, rng, smallOpts(), 2, 200, 50)
-	run := func(sparse bool) int64 {
-		cfg := Default(td.idx)
-		cfg.Tasks = 4
-		cfg.SparseDeltaMerge = false
-		cfg.SparseMerge = sparse
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var bytes int64
-		for _, rep := range res.PerTask {
-			bytes += rep.BytesSent
-		}
-		return bytes
-	}
-	denseBytes := run(false)
-	sparseBytes := run(true)
-	if sparseBytes >= denseBytes {
-		t.Errorf("sparse merge sent %d bytes, dense %d", sparseBytes, denseBytes)
-	}
-}
-
 func TestSplitComponents(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	td := overlappingDataset(t, rng, smallOpts(), 5, 350, 250, 35)
@@ -862,13 +781,22 @@ func TestKmerFreqHist(t *testing.T) {
 }
 
 func TestPipelineRandomizedConfigs(t *testing.T) {
-	// Fuzz-ish sweep: random datasets and random (P, T, S, filter, flags)
-	// must always match the naive reference.
+	// Fuzz-ish sweep: random datasets and random (P, T, S, filter, exchange
+	// schedule, spill budget) must always match the naive reference.
 	rng := rand.New(rand.NewSource(99))
+	spilled, streamed := 0, 0
 	for trial := 0; trial < 12; trial++ {
 		genomes := 2 + rng.Intn(4)
 		reads := 60 + rng.Intn(150)
 		readLen := 25 + rng.Intn(30)
+		// A third of the trials run under the minimum spill budget, on ten
+		// times the reads so a (rank, pass) partition can exceed it; whether
+		// one does still depends on the drawn (P, S), so both sides of the
+		// spill decision are exercised.
+		spill := rng.Intn(3) == 0
+		if spill {
+			reads *= 10
+		}
 		td := overlappingDataset(t, rng, smallOpts(), genomes, 250+rng.Intn(200), reads, readLen)
 		filter := Filter{}
 		switch rng.Intn(3) {
@@ -883,15 +811,10 @@ func TestPipelineRandomizedConfigs(t *testing.T) {
 		cfg.Passes = 1 + rng.Intn(5)
 		cfg.Filter = filter
 		cfg.CCOpt = rng.Intn(2) == 0
-		switch rng.Intn(3) { // merge payload encoding: delta (default) / sparse / dense
-		case 1:
-			cfg.SparseDeltaMerge, cfg.SparseMerge = false, true
-		case 2:
-			cfg.SparseDeltaMerge = false
+		cfg.ExchangeChunkTuples = []int{0, 1, 7, 512}[rng.Intn(4)]
+		if spill {
+			cfg.SpillBudgetBytes = MinSpillBudgetBytes
 		}
-		cfg.StarBroadcast = rng.Intn(2) == 0
-		cfg.DynamicOffsets = rng.Intn(4) == 0
-		cfg.NoVectorKmerGen = rng.Intn(4) == 0
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("trial %d (%+v): %v", trial, cfg, err)
@@ -900,11 +823,25 @@ func TestPipelineRandomizedConfigs(t *testing.T) {
 		g := canonLabels(res.Labels)
 		for i := range want {
 			if g[i] != want[i] {
-				t.Fatalf("trial %d (P=%d T=%d S=%d %v ccopt=%v sparse=%v): read %d got %d want %d",
-					trial, cfg.Tasks, cfg.Threads, cfg.Passes, filter, cfg.CCOpt, cfg.SparseMerge,
-					i, g[i], want[i])
+				t.Fatalf("trial %d (P=%d T=%d S=%d %v ccopt=%v chunk=%d spill=%d): read %d got %d want %d",
+					trial, cfg.Tasks, cfg.Threads, cfg.Passes, filter, cfg.CCOpt,
+					cfg.ExchangeChunkTuples, cfg.SpillBudgetBytes, i, g[i], want[i])
 			}
 		}
+		if cfg.ExchangeChunkTuples > 0 {
+			streamed++
+		}
+		for _, rep := range res.PerTask {
+			if rep.SpillBytes > 0 {
+				spilled++
+				break
+			}
+		}
+	}
+	// A reseed that stops drawing either dimension should fail, not pass
+	// with silently narrower coverage.
+	if spilled == 0 || streamed == 0 {
+		t.Fatalf("sweep drew %d spilling and %d streaming trials, want both > 0", spilled, streamed)
 	}
 }
 

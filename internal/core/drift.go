@@ -33,15 +33,17 @@ func driftCalibration(name string) (model.Calibration, bool, error) {
 }
 
 // modelCluster maps the run configuration onto the model's cluster shape.
+// The back-half parameters are constants: the pipelined delta merge, the
+// tree broadcast and the overlapped output are the only paths the pipeline
+// has; the model keeps the alternatives as analytic predictions only.
 func (c Config) modelCluster() model.Cluster {
 	m := model.Cluster{
 		P:                c.Tasks,
 		T:                c.Threads,
 		S:                c.Passes,
 		ChunkTuples:      c.ExchangeChunkTuples,
-		SparseDeltaMerge: c.SparseDeltaMerge,
-		StarBroadcast:    c.StarBroadcast,
-		OverlapOutput:    c.OverlapOutput,
+		SparseDeltaMerge: true,
+		OverlapOutput:    true,
 		SpillBudgetBytes: c.SpillBudgetBytes,
 		SpillCompress:    c.SpillCompress,
 	}

@@ -16,7 +16,7 @@ import (
 // canonicalHashVersion is bumped whenever the set of hashed fields or their
 // normalization changes, invalidating every previously cached result rather
 // than silently aliasing old entries.
-const canonicalHashVersion = 6
+const canonicalHashVersion = 7
 
 // CanonicalHash returns a stable hex digest of the run-defining
 // configuration. The encoding is canonical:
@@ -39,28 +39,13 @@ func (c Config) CanonicalHash() string {
 	field("filter.min", c.Filter.Min)
 	field("filter.max", c.Filter.Max)
 	field("ccopt", c.CCOpt)
-	field("sparse_merge", c.SparseMerge)
-	// The back-half knobs never change results, but — like the exchange
-	// schedule — they are distinct runs for caching purposes: step timings,
-	// traces and wire-byte counters all differ.
-	field("sparse_delta_merge", c.SparseDeltaMerge)
-	field("star_broadcast", c.StarBroadcast)
-	field("overlap_output", c.OverlapOutput)
 	field("split_components", c.SplitComponents)
 	field("out_dir", c.OutDir)
-	// Normalized prefetch depth: 0 (NoPrefetch), or the requested
-	// read-ahead with 0 and 1 both meaning double buffering. Deliberately
-	// NOT prefetchDepth(): that folds in the host's CPU count, and a cache
-	// key must hash identically on every machine.
-	depth := c.PrefetchChunks
-	if depth < 1 {
-		depth = 1
-	}
-	if c.NoPrefetch {
-		depth = 0
-	}
-	field("prefetch_depth", depth)
-	field("dynamic_offsets", c.DynamicOffsets)
+	// Normalized prefetch depth: the requested read-ahead with 0 and 1 both
+	// meaning double buffering. Deliberately NOT prefetchDepth(): that folds
+	// in the host's CPU count, and a cache key must hash identically on
+	// every machine.
+	field("prefetch_depth", max(c.PrefetchChunks, 1))
 	// 0 is the bulk reference path; any positive value is a distinct
 	// schedule knob even though results are bit-identical, because cached
 	// step timings and traces differ. (Pool is excluded: buffer reuse can
@@ -89,7 +74,6 @@ func (c Config) CanonicalHash() string {
 	// always hashes as (0, 0).
 	field("prefilter.bits_per_kmer", c.Prefilter.BitsPerKmer)
 	field("prefilter.min_count", c.Prefilter.minCount())
-	field("no_vector_kmergen", c.NoVectorKmerGen)
 	if c.Network == nil || (c.Network.Latency == 0 && c.Network.BandwidthBytesPerSec == 0) {
 		field("network", "none")
 	} else {

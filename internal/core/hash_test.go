@@ -14,28 +14,23 @@ import (
 // and re-pin — never let old cached results alias the new scheme silently.
 func TestCanonicalHashGolden(t *testing.T) {
 	def := Config{Tasks: 1, Threads: 1, Passes: 1, CCOpt: true}
-	const wantDef = "2b25dc53ba4605aeff3d2f7b8c81915163792c704c5be3d32efb7e4142ba5844"
+	const wantDef = "d672172a288f71c0664497c2c7a47eb14d5ccde35d1ca77603437c7f9e315830"
 	if got := def.CanonicalHash(); got != wantDef {
 		t.Errorf("CanonicalHash(default) = %s, want %s", got, wantDef)
 	}
 
 	full := Config{
-		Tasks:            4,
-		Threads:          8,
-		Passes:           2,
-		Filter:           Filter{Min: 2, Max: 1000},
-		CCOpt:            true,
-		SparseDeltaMerge: true,
-		StarBroadcast:    true,
-		OverlapOutput:    true,
-		SplitComponents:  3,
-		OutDir:           "out",
-		PrefetchChunks:   4,
-		DynamicOffsets:   true,
-		NoVectorKmerGen:  true,
-		Network:          &mpirt.NetworkModel{Latency: time.Microsecond, BandwidthBytesPerSec: 8e9},
+		Tasks:           4,
+		Threads:         8,
+		Passes:          2,
+		Filter:          Filter{Min: 2, Max: 1000},
+		CCOpt:           true,
+		SplitComponents: 3,
+		OutDir:          "out",
+		PrefetchChunks:  4,
+		Network:         &mpirt.NetworkModel{Latency: time.Microsecond, BandwidthBytesPerSec: 8e9},
 	}
-	const wantFull = "714155b18b08772aea078ee6d80c74aa69c174d6658956047ab5721f96c10e7a"
+	const wantFull = "11029e7795169d5c8930b9a80d1d6c40991629e493e09153ff51786f512828fb"
 	if got := full.CanonicalHash(); got != wantFull {
 		t.Errorf("CanonicalHash(full) = %s, want %s", got, wantFull)
 	}
@@ -60,19 +55,6 @@ func TestCanonicalHashEquivalentSpellings(t *testing.T) {
 	zeroNet.Network = &mpirt.NetworkModel{}
 	if got := zeroNet.CanonicalHash(); got != want {
 		t.Errorf("nil vs zero NetworkModel hash differently: %s vs %s", want, got)
-	}
-
-	// With prefetch ablated, the configured depth is irrelevant.
-	noPre := base
-	noPre.NoPrefetch = true
-	noPre.PrefetchChunks = 7
-	noPre2 := base
-	noPre2.NoPrefetch = true
-	if noPre.CanonicalHash() != noPre2.CanonicalHash() {
-		t.Errorf("NoPrefetch configs with different depths hash differently")
-	}
-	if noPre.CanonicalHash() == want {
-		t.Errorf("NoPrefetch did not change the hash")
 	}
 
 	// Where spill scratch lives can never change a result: SpillDir is
@@ -130,15 +112,9 @@ func TestCanonicalHashSensitivity(t *testing.T) {
 		"filter.min":            func(c *Config) { c.Filter.Min = 2 },
 		"filter.max":            func(c *Config) { c.Filter.Max = 50 },
 		"ccopt":                 func(c *Config) { c.CCOpt = false },
-		"sparse_merge":          func(c *Config) { c.SparseMerge = true },
-		"sparse_delta_merge":    func(c *Config) { c.SparseDeltaMerge = true },
-		"star_broadcast":        func(c *Config) { c.StarBroadcast = true },
-		"overlap_output":        func(c *Config) { c.OverlapOutput = true },
 		"split_components":      func(c *Config) { c.SplitComponents = 2 },
 		"out_dir":               func(c *Config) { c.OutDir = "d" },
 		"prefetch_depth":        func(c *Config) { c.PrefetchChunks = 3 },
-		"dynamic_offsets":       func(c *Config) { c.DynamicOffsets = true },
-		"no_vector_kmergen":     func(c *Config) { c.NoVectorKmerGen = true },
 		"exchange_chunk_tuples": func(c *Config) { c.ExchangeChunkTuples = 1 << 16 },
 		"spill_budget_bytes":    func(c *Config) { c.SpillBudgetBytes = 1 << 20 },
 		"spill_compress": func(c *Config) {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"metaprep/internal/fastq"
@@ -17,18 +16,17 @@ import (
 // kmergen.go implements the KmerGen step (§3.2): each thread reads its
 // FASTQ chunks and enumerates (canonical k-mer, read ID) tuples for the
 // current pass directly into its precomputed sub-regions of the task's
-// kmerOut buffer — no locks, no atomics (unless the DynamicOffsets ablation
-// is enabled).
+// kmerOut buffer — no locks, no atomics.
 //
 // Chunk input is overlapped with enumeration: each thread owns a small ring
 // of chunk buffers and an asynchronous reader goroutine that fills buffer
 // i+1 while the thread parses buffer i (depth controlled by
-// Config.PrefetchChunks, ablated by Config.NoPrefetch). Records are parsed
+// Config.PrefetchChunks). Records are parsed
 // in place by fastq.ChunkScanner — ID/Seq/Qual are sub-slices of the
 // resident chunk buffer, so the hot loop performs no per-record copies.
 // KmerGen-I/O therefore accounts only the *non-overlapped* read time: the
 // wait for a chunk that the prefetcher has not finished yet (the serial
-// ablation path still charges full read time).
+// single-CPU path still charges full read time).
 
 // kmerGen runs one pass of tuple enumeration on this task. On return,
 // kmerOut holds gl.total tuples grouped by destination task.
@@ -48,14 +46,6 @@ func (st *taskState) kmerGen(s int, gl genLayout) error {
 		}
 	}
 
-	// The DynamicOffsets ablation replaces per-thread cursors with one
-	// shared atomic cursor per destination region.
-	var sharedCur []uint64
-	if cfg.DynamicOffsets {
-		sharedCur = make([]uint64, cfg.Tasks)
-		copy(sharedCur, gl.dstOff)
-	}
-
 	if st.keep != nil {
 		// Prefiltered passes fill only a prefix of each (dst, thread)
 		// sub-region; the end cursors land here for the compaction and the
@@ -68,8 +58,7 @@ func (st *taskState) kmerGen(s int, gl genLayout) error {
 	errs := make([]error, T)
 	phaseStart := time.Now()
 	par.Run(T, func(t int) {
-		errs[t] = st.kmerGenThread(s, t, gl, owner, passLo, passHi, sharedCur,
-			&ioTimes[t], &genTimes[t])
+		errs[t] = st.kmerGenThread(s, t, gl, owner, passLo, passHi, &ioTimes[t], &genTimes[t])
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -100,7 +89,7 @@ func (st *taskState) kmerGen(s int, gl genLayout) error {
 }
 
 func (st *taskState) kmerGenThread(s, t int, gl genLayout, owner []uint16,
-	passLo, passHi int, sharedCur []uint64, ioTime, genTime *time.Duration) error {
+	passLo, passHi int, ioTime, genTime *time.Duration) error {
 
 	cfg := st.p.cfg
 	idx := st.p.idx
@@ -126,21 +115,12 @@ func (st *taskState) kmerGenThread(s, t int, gl genLayout, owner []uint16,
 	overflow := false
 	emit := func(bin int, hi, lo uint64, val uint32) {
 		dst := int(owner[bin-passLo])
-		var i uint64
-		if sharedCur != nil {
-			i = atomic.AddUint64(&sharedCur[dst], 1) - 1
-			if i >= gl.dstOff[dst]+gl.dstCnt[dst] {
-				overflow = true
-				return
-			}
-		} else {
-			i = cur[dst]
-			if i >= lim[dst] {
-				overflow = true
-				return
-			}
-			cur[dst]++
+		i := cur[dst]
+		if i >= lim[dst] {
+			overflow = true
+			return
 		}
+		cur[dst]++
 		st.out.set(i, hi, lo, val)
 	}
 	if tr := st.pfTracker; tr != nil {
@@ -240,7 +220,7 @@ func (st *taskState) kmerGenThread(s, t int, gl genLayout, owner []uint16,
 		}
 		// KmerGen-I/O: obtain the next chunk. With the prefetcher running,
 		// only the time spent *waiting* on an unfinished read is exposed
-		// I/O; the serial ablation path charges the whole ReadAt here.
+		// I/O; the serial single-CPU path charges the whole ReadAt here.
 		t0 := time.Now()
 		ci, buf, err := fetch.next()
 		wait := time.Since(t0)
@@ -274,20 +254,11 @@ func (st *taskState) kmerGenThread(s, t int, gl genLayout, owner []uint16,
 				val = st.dsu.Find(readID)
 			}
 			if use64 {
-				if cfg.NoVectorKmerGen {
-					kmer.ForEach64(rec.Seq, k, func(_ int, km kmer.Kmer64) {
-						bin := int(kmer.Prefix64(km, k, m))
-						if bin >= passLo && bin < passHi {
-							emit(bin, 0, uint64(km), val)
-						}
-					})
-				} else {
-					laneBuf = kmer.AppendCanonical64(laneBuf[:0], rec.Seq, k)
-					for _, km := range laneBuf {
-						bin := int(kmer.Prefix64(km, k, m))
-						if bin >= passLo && bin < passHi {
-							emit(bin, 0, uint64(km), val)
-						}
+				laneBuf = kmer.AppendCanonical64(laneBuf[:0], rec.Seq, k)
+				for _, km := range laneBuf {
+					bin := int(kmer.Prefix64(km, k, m))
+					if bin >= passLo && bin < passHi {
+						emit(bin, 0, uint64(km), val)
 					}
 				}
 			} else {
@@ -318,7 +289,7 @@ func (st *taskState) kmerGenThread(s, t int, gl genLayout, owner []uint16,
 		for dst := 0; dst < cfg.Tasks; dst++ {
 			st.genKept[dst*T+t] = cur[dst]
 		}
-	} else if sharedCur == nil {
+	} else {
 		for dst := 0; dst < cfg.Tasks; dst++ {
 			if cur[dst] != lim[dst] {
 				return fmt.Errorf("core: task %d thread %d: wrote %d tuples for task %d, index predicts %d — input changed since IndexCreate?",

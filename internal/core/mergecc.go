@@ -35,88 +35,46 @@ type mergeResult struct {
 // component to every task. All tasks return the same mergeResult (the
 // labels slice is shared read-only across tasks).
 //
-// Three merge payload encodings exist: the default pipelined delta schedule
-// (SparseDeltaMerge — each non-root rank streams only the parent entries
-// that changed since its previous snapshot, round 0 being the full sparse
-// baseline), the one-shot sparse pairs (SparseMerge), and the one-shot
-// dense 4R-byte array. The label broadcast runs over the binomial tree by
-// default, or rank 0's flat star under the StarBroadcast ablation knob.
+// The merge is the pipelined delta schedule: each non-root rank streams, per
+// round of the §3.6 tree, only the parent entries that changed since its
+// previous snapshot (round 0 is the full sparse baseline) over nonblocking
+// sends, so a round's transfer overlaps the parent's absorb of the previous
+// one. The label broadcast runs over the binomial tree.
 func (st *taskState) mergeCC() mergeResult {
 	T := st.p.cfg.Threads
 
-	// Tree merge: senders snapshot their parent array (the transfer's
-	// payload: 4R bytes dense, 8 bytes per non-singleton entry sparse, or 8
-	// bytes per changed entry in the delta schedule); receivers absorb the
-	// payload as implicit edges.
+	// Tree merge: senders snapshot their changed parent entries (the
+	// transfer's payload, 8 bytes per entry); receivers absorb the pairs as
+	// implicit edges.
 	var mergeTime time.Duration
 	tm0 := time.Now()
-	switch {
-	case st.p.cfg.SparseDeltaMerge:
-		st.t.PipelinedTreeMerge(tagDelta,
-			func(round int) (any, int) {
-				// Ownership of the pairs slice transfers to the receiver, so
-				// each round snapshots into a fresh slice; rounds after the
-				// baseline carry only what the previous round's absorbs
-				// changed, which is where the wire-byte saving comes from.
-				t0 := time.Now()
-				pairs := st.dsu.SnapshotDelta(nil)
-				mergeTime += time.Since(t0)
-				return pairs, 4 * len(pairs)
-			},
-			func(src, round int, payload any) {
-				t0 := time.Now()
-				st.dsu.AbsorbPairs(payload.([]uint32), T)
-				mergeTime += time.Since(t0)
-			},
-		)
-	case st.p.cfg.SparseMerge:
-		st.t.TreeMerge(tagMerge,
-			func(dst int) (any, int) {
-				pairs := st.dsu.SnapshotSparse(nil)
-				return pairs, 4 * len(pairs)
-			},
-			func(src int, payload any) {
-				t0 := time.Now()
-				st.dsu.AbsorbPairs(payload.([]uint32), T)
-				mergeTime += time.Since(t0)
-			},
-		)
-	default:
-		st.t.TreeMerge(tagMerge,
-			func(dst int) (any, int) {
-				snap := st.dsu.Snapshot(nil)
-				return snap, 4 * len(snap)
-			},
-			func(src int, payload any) {
-				t0 := time.Now()
-				st.dsu.Absorb(payload.([]uint32), T)
-				mergeTime += time.Since(t0)
-			},
-		)
-	}
+	st.t.PipelinedTreeMerge(tagDelta,
+		func(round int) (any, int) {
+			// Ownership of the pairs slice transfers to the receiver, so
+			// each round snapshots into a fresh slice; rounds after the
+			// baseline carry only what the previous round's absorbs
+			// changed, which is where the wire-byte saving comes from.
+			t0 := time.Now()
+			pairs := st.dsu.SnapshotDelta(nil)
+			mergeTime += time.Since(t0)
+			return pairs, 4 * len(pairs)
+		},
+		func(src, round int, payload any) {
+			t0 := time.Now()
+			st.dsu.AbsorbPairs(payload.([]uint32), T)
+			mergeTime += time.Since(t0)
+		},
+	)
 	commDur := st.t.TakeCommTime()
 	st.rep.Steps.MergeComm += commDur
 	st.stepSpan("Merge-Comm", tm0, commDur)
 
-	// Rank 0 flattens, sizes the components once (in parallel), and derives
-	// the largest component plus — for component splitting — the N largest
-	// roots from that single count.
+	// Rank 0 flattens and sizes the components once (in parallel).
 	var res mergeResult
 	if st.rank == 0 {
 		t0 := time.Now()
 		labels := st.dsu.Flatten(T)
-		sizes := st.dsu.ComponentSizesPar(T)
-		var root uint32
-		var size int
-		for r, s := range sizes {
-			if s > size || (s == size && r < root) {
-				root, size = r, s
-			}
-		}
-		res = mergeResult{labels: labels, largestRoot: root, largestSize: size}
-		if n := st.p.cfg.SplitComponents; n > 0 {
-			res.topRoots = topComponents(sizes, n)
-		}
+		res = newMergeResult(labels, st.dsu.ComponentSizesPar(T), st.p.cfg.SplitComponents)
 		mergeTime += time.Since(t0)
 	}
 	st.rep.Steps.MergeCC += mergeTime
@@ -125,17 +83,29 @@ func (st *taskState) mergeCC() mergeResult {
 	// Broadcast the global component list (§3.6: "The global components
 	// list in Rank 0 is broadcast to all other tasks").
 	tb0 := time.Now()
-	bcast := st.t.TreeBroadcast
-	if st.p.cfg.StarBroadcast {
-		bcast = st.t.StarBroadcast
-	}
-	bcast(tagBcast,
+	st.t.TreeBroadcast(tagBcast,
 		func(dst int) (any, int) { return res, 4 * len(res.labels) },
 		func(src int, payload any) { res = payload.(mergeResult) },
 	)
 	bcastDur := st.t.TakeCommTime()
 	st.rep.Steps.MergeComm += bcastDur
 	st.stepSpan("Merge-Comm", tb0, bcastDur)
+	return res
+}
+
+// newMergeResult derives the largest component (ties toward the smaller
+// root) and — for component splitting — the split largest roots from one
+// component-size count.
+func newMergeResult(labels []uint32, sizes map[uint32]int, split int) mergeResult {
+	res := mergeResult{labels: labels}
+	for r, s := range sizes {
+		if s > res.largestSize || (s == res.largestSize && r < res.largestRoot) {
+			res.largestRoot, res.largestSize = r, s
+		}
+	}
+	if split > 0 {
+		res.topRoots = topComponents(sizes, split)
+	}
 	return res
 }
 
@@ -213,11 +183,10 @@ func topComponents(sizes map[uint32]int, n int) []uint32 {
 // there is one group per top component plus the rest. The returned slice is
 // indexed [group][thread].
 //
-// fetchers, when non-nil, holds one per-thread chunk prefetcher (already
-// streaming — the pipeline starts them before the merge so output reads
-// overlap Merge-Comm/MergeCC) and selects the zero-copy path: records whose
-// raw bytes are already canonical are blitted verbatim into the group
-// writers. A nil fetchers slice is the reader-based reference path.
+// fetchers holds one per-thread chunk prefetcher, already streaming — the
+// pipeline starts them before the merge so output reads overlap
+// Merge-Comm/MergeCC. Records whose raw bytes are already canonical are
+// blitted verbatim into the group writers.
 func (st *taskState) writeOutput(res mergeResult, fetchers []*chunkFetcher) ([][]string, error) {
 	cfg := st.p.cfg
 	T := cfg.Threads
@@ -243,20 +212,17 @@ func (st *taskState) writeOutput(res mergeResult, fetchers []*chunkFetcher) ([][
 	}
 
 	t0 := time.Now()
-	// The zero-copy path resolves each read's output group through a flat
-	// array instead of a per-record map probe; built in parallel once, it
-	// costs 4R transient bytes and removes the lookup from the blit loop.
-	var groupArr []int32
-	if fetchers != nil {
-		groupArr = make([]int32, len(res.labels))
-		par.For(T, len(res.labels), func(i int) {
-			if g, ok := groupOf[res.labels[i]]; ok {
-				groupArr[i] = int32(g)
-			} else {
-				groupArr[i] = int32(other)
-			}
-		})
-	}
+	// Each read's output group resolves through a flat array instead of a
+	// per-record map probe; built in parallel once, it costs 4R transient
+	// bytes and removes the lookup from the blit loop.
+	groupArr := make([]int32, len(res.labels))
+	par.For(T, len(res.labels), func(i int) {
+		if g, ok := groupOf[res.labels[i]]; ok {
+			groupArr[i] = int32(g)
+		} else {
+			groupArr[i] = int32(other)
+		}
+	})
 	paths := make([][]string, other+1)
 	for g := range paths {
 		paths[g] = make([]string, T)
@@ -291,11 +257,7 @@ func (st *taskState) writeOutput(res mergeResult, fetchers []*chunkFetcher) ([][
 			writers[g] = fastq.NewWriter(f)
 		}
 		var err error
-		if fetchers != nil {
-			rawRecs[t], reencRecs[t], err = st.writeChunksZeroCopy(fetchers[t], groupArr, writers, t)
-		} else {
-			err = st.writeChunksReader(groupOf, other, res.labels, writers, t)
-		}
+		rawRecs[t], reencRecs[t], err = st.writeChunksZeroCopy(fetchers[t], groupArr, writers, t)
 		if err != nil {
 			errs[t] = err
 			return
@@ -344,8 +306,8 @@ func (st *taskState) writeOutput(res mergeResult, fetchers []*chunkFetcher) ([][
 // writeChunksZeroCopy drains one thread's prefetched chunks, blitting each
 // record's raw byte span straight into its group writer when the span is
 // already in canonical form and re-encoding the rare rest (CRLF input,
-// '+ID' separator lines, a missing final newline) so the output is
-// bit-identical to the reader-based path. Because NextRaw's spans tile the
+// '+ID' separator lines, a missing final newline) so every output record is
+// in fastq.Writer's canonical form. Because NextRaw's spans tile the
 // chunk buffer, adjacent verbatim records bound for the same group coalesce
 // into one run and ship as a single write — on clustered components (the
 // common case: long stretches of a chunk belong to the largest component)
@@ -450,35 +412,6 @@ func (st *taskState) writeChunksZeroCopy(fetch *chunkFetcher, groupArr []int32,
 		}
 		fetch.release(buf)
 	}
-}
-
-// writeChunksReader is the reference CC-I/O path: re-parse every record
-// through fastq.Reader over a section reader and re-serialize it. Kept for
-// the zero-copy parity suite and the OverlapOutput=false fallback.
-func (st *taskState) writeChunksReader(groupOf map[uint32]int, other int,
-	labels []uint32, writers []*fastq.Writer, t int) error {
-	idx := st.p.idx
-	for _, ci := range st.p.threadChunks[st.rank][t] {
-		if err := st.ctx.Err(); err != nil {
-			return err
-		}
-		c := &idx.Chunks[ci]
-		r := fastq.NewReader(io.NewSectionReader(st.files[c.File], c.Offset, c.Size))
-		for n := int32(0); n < c.Records; n++ {
-			rec, err := r.Next()
-			if err != nil {
-				return fmt.Errorf("core: output re-read chunk %d: %w", ci, err)
-			}
-			g, ok := groupOf[labels[idx.ReadIDOf(c, n)]]
-			if !ok {
-				g = other
-			}
-			if err := writers[g].Write(rec); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // concatFiles concatenates src files into dst (a convenience for callers

@@ -19,7 +19,6 @@ import (
 // never confuse two passes' messages.
 const (
 	tagTuples = 100 // +pass number
-	tagMerge  = 1
 	tagBcast  = 2
 	tagDelta  = 10 // +merge round (pipelined delta merge; rounds ≤ log₂P keep it below tagTuples)
 )
@@ -118,9 +117,7 @@ func newTaskState(ctx context.Context, pl *plan, task *mpirt.Task) *taskState {
 		}
 		for t := 0; t < pl.cfg.Threads; t++ {
 			st.obs.SetThreadName(st.rank, obsv.TidWorker+t, fmt.Sprintf("worker %d", t))
-			if !pl.cfg.NoPrefetch {
-				st.obs.SetThreadName(st.rank, obsv.TidPrefetch+t, fmt.Sprintf("prefetch %d", t))
-			}
+			st.obs.SetThreadName(st.rank, obsv.TidPrefetch+t, fmt.Sprintf("prefetch %d", t))
 		}
 	}
 	return st
@@ -193,10 +190,9 @@ type TaskReport struct {
 	Tuples    uint64
 	Edges     uint64
 	BytesSent int64
-	// MergeBytes is the portion of BytesSent spent in the MergeCC tree and
-	// label broadcast (dense: 4R per send; sparse: 8 bytes per non-singleton
-	// read; delta: 8 bytes per entry changed since the sender's previous
-	// round).
+	// MergeBytes is the portion of BytesSent spent in the MergeCC tree (8
+	// bytes per parent entry changed since the sender's previous round) and
+	// the label broadcast (4R per hop).
 	MergeBytes int64
 	// CCIters is the largest Algorithm 1 iteration count across this
 	// task's passes (§3.5 observes the first iteration dominates).
@@ -444,12 +440,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			task.Barrier()
 		}
 
-		// With OverlapOutput, the CC-I/O chunk prefetchers start before the
-		// merge so the output re-read streams from disk while Merge-Comm and
-		// MergeCC are still in flight. The deferred close covers the abort
-		// paths (close is idempotent; writeOutput closes them itself).
+		// The CC-I/O chunk prefetchers start before the merge so the output
+		// re-read streams from disk while Merge-Comm and MergeCC are still in
+		// flight. The deferred close covers the abort paths (close is
+		// idempotent; writeOutput closes them itself).
 		var outFetchers []*chunkFetcher
-		if cfg.OutDir != "" && cfg.OverlapOutput {
+		if cfg.OutDir != "" {
 			outFetchers = st.startOutputFetchers()
 			defer func() {
 				for _, f := range outFetchers {
@@ -584,10 +580,8 @@ func (st *taskState) memoryBytes() int64 {
 	mem += 2 * 4 * int64(idx.Reads)
 	buffersPerThread := int64(1 + st.p.cfg.prefetchDepth())
 	mem += int64(st.p.cfg.Threads) * buffersPerThread * st.maxChunkBytes
-	if st.p.cfg.SparseDeltaMerge {
-		// SnapshotDelta's shadow baseline (lazily allocated on senders).
-		mem += 4 * int64(idx.Reads)
-	}
+	// SnapshotDelta's shadow baseline (lazily allocated on senders).
+	mem += 4 * int64(idx.Reads)
 	// The prefilter ladder (pass-1 peak; the broadcast keep bitmap is one
 	// of its levels).
 	mem += st.filterBytes
@@ -595,9 +589,9 @@ func (st *taskState) memoryBytes() int64 {
 }
 
 // startOutputFetchers spins up one chunk prefetcher per thread over that
-// thread's CC-I/O chunk list. Called before mergeCC when OverlapOutput is
-// on, so the first prefetch-depth chunks are read while the merge tree and
-// label broadcast run. The fetchers reuse the KmerGen prefetch tracks in
+// thread's CC-I/O chunk list. Called before mergeCC, so the first
+// prefetch-depth chunks are read while the merge tree and label broadcast
+// run. The fetchers reuse the KmerGen prefetch tracks in
 // the trace (the KmerGen readers are finished by now).
 func (st *taskState) startOutputFetchers() []*chunkFetcher {
 	cfg := st.p.cfg

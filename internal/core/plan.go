@@ -304,16 +304,10 @@ type sortLayout struct {
 func (p *plan) sortLayout(s, rank int, rl recvLayout) sortLayout {
 	P, T := p.cfg.Tasks, p.cfg.Threads
 	idx := p.idx
-	// Normally the scatter's work units are the P×T (source task, source
-	// thread) sub-regions of kmerIn, because the precomputed-offset KmerGen
-	// keeps each sender thread's tuples contiguous inside a message. The
-	// DynamicOffsets ablation interleaves sender threads within a message,
-	// so only whole source messages remain well-defined regions.
-	perThread := !p.cfg.DynamicOffsets
-	nr := P
-	if perThread {
-		nr = P * T
-	}
+	// The scatter's work units are the P×T (source task, source thread)
+	// sub-regions of kmerIn: the precomputed-offset KmerGen keeps each sender
+	// thread's tuples contiguous inside a message.
+	nr := P * T
 	l := sortLayout{
 		partOff:   make([]uint64, T),
 		partCnt:   make([]uint64, T),
@@ -330,10 +324,7 @@ func (p *plan) sortLayout(s, rank int, rl recvLayout) sortLayout {
 	cnt := make([]uint64, nr*T)
 	for src := 0; src < P; src++ {
 		for t := 0; t < T; t++ {
-			r := src
-			if perThread {
-				r = src*T + t
-			}
+			r := src*T + t
 			for _, ci := range p.threadChunks[src][t] {
 				hist := idx.Chunks[ci].Hist
 				for d := 0; d < T; d++ {
@@ -345,22 +336,10 @@ func (p *plan) sortLayout(s, rank int, rl recvLayout) sortLayout {
 	}
 	// Region extents in kmerIn follow the receive layout.
 	var off uint64
-	for src := 0; src < P; src++ {
-		for t := 0; t < T; t++ {
-			r := src
-			if perThread {
-				r = src*T + t
-			}
-			l.regionOff[r] = off
-			if perThread {
-				l.regionCnt[r] = rl.threadCnt[src*T+t]
-				off += rl.threadCnt[src*T+t]
-			}
-		}
-		if !perThread {
-			l.regionCnt[src] = rl.srcCnt[src]
-			off += rl.srcCnt[src]
-		}
+	for r := 0; r < nr; r++ {
+		l.regionOff[r] = off
+		l.regionCnt[r] = rl.threadCnt[r]
+		off += rl.threadCnt[r]
 	}
 	// Partition extents and scatter cursors: partition-major, then region
 	// order (matching the order regions are scanned).

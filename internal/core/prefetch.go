@@ -26,7 +26,8 @@ type fetchedChunk struct {
 }
 
 // chunkFetcher yields a thread's chunks in order. With depth 0 it is a
-// plain serial loop (the NoPrefetch ablation): next() reads synchronously.
+// plain serial loop (what prefetchDepth selects on a single-CPU host):
+// next() reads synchronously.
 // With depth ≥ 1 an async reader keeps up to depth chunks in flight.
 type chunkFetcher struct {
 	chunks []int

@@ -214,17 +214,10 @@ func (st *taskState) prefilterScanThread(t int, f *sketch.RepeatFilter,
 				return fmt.Errorf("core: chunk %d record %d: %w", ci, n, err)
 			}
 			if use64 {
-				if cfg.NoVectorKmerGen {
-					kmer.ForEach64(rec.Seq, k, func(_ int, km kmer.Kmer64) {
-						h1, h2 := sketch.Hash(0, uint64(km))
-						f.Insert(h1, h2)
-					})
-				} else {
-					laneBuf = kmer.AppendCanonical64(laneBuf[:0], rec.Seq, k)
-					for _, km := range laneBuf {
-						h1, h2 := sketch.Hash(0, uint64(km))
-						f.Insert(h1, h2)
-					}
+				laneBuf = kmer.AppendCanonical64(laneBuf[:0], rec.Seq, k)
+				for _, km := range laneBuf {
+					h1, h2 := sketch.Hash(0, uint64(km))
+					f.Insert(h1, h2)
 				}
 			} else {
 				kmer.ForEach128(rec.Seq, k, func(_ int, km kmer.Kmer128) {

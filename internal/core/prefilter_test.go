@@ -131,10 +131,6 @@ func TestPrefilterValidate(t *testing.T) {
 		{"mincount without bits", func(c *Config) { c.Prefilter.MinCount = 2 }, "Prefilter.MinCount"},
 		{"mincount too low", func(c *Config) { c.Prefilter = Prefilter{BitsPerKmer: 8, MinCount: 1} }, "Prefilter.MinCount"},
 		{"mincount too high", func(c *Config) { c.Prefilter = Prefilter{BitsPerKmer: 8, MinCount: 9} }, "Prefilter.MinCount"},
-		{"dynamic offsets", func(c *Config) {
-			c.Prefilter = Prefilter{BitsPerKmer: 8}
-			c.DynamicOffsets = true
-		}, "Prefilter"},
 		{"artifact out", func(c *Config) {
 			c.Prefilter = Prefilter{BitsPerKmer: 8}
 			c.ArtifactOut = "x.mpa"

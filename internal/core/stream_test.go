@@ -94,8 +94,8 @@ func TestStreamingParity(t *testing.T) {
 }
 
 // TestStreamingParityWithNetworkAndFilter layers the remaining production
-// knobs — a modeled network, a frequency filter, and the sparse merge — on
-// top of the streaming path and checks parity still holds, and that the
+// knobs — a modeled network and a frequency filter — on top of the
+// streaming path and checks parity still holds, and that the
 // exchange step time is accounted (nonzero under the network model).
 func TestStreamingParityWithNetworkAndFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -105,8 +105,6 @@ func TestStreamingParityWithNetworkAndFilter(t *testing.T) {
 	cfg.Threads = 2
 	cfg.Passes = 2
 	cfg.Filter = Filter{Min: 2, Max: 100}
-	cfg.SparseDeltaMerge = false
-	cfg.SparseMerge = true
 	cfg.Network = mpirt.EdisonNetwork()
 	want, err := Run(cfg)
 	if err != nil {
@@ -188,17 +186,4 @@ func TestStreamingCancelMidKmerGen(t *testing.T) {
 		t.Fatalf("cancellation latency %v, want <= 1s", lat)
 	}
 	waitGoroutines(t, base, 2, 5*time.Second)
-}
-
-// TestStreamingRejectsDynamicOffsets pins the config constraint: the
-// chunk-fill accounting requires per-thread precomputed cursors.
-func TestStreamingRejectsDynamicOffsets(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	td := genDataset(t, rng, smallOpts(), 1, 20, 40)
-	cfg := Default(td.idx)
-	cfg.ExchangeChunkTuples = 64
-	cfg.DynamicOffsets = true
-	if _, err := Run(cfg); !errors.Is(err, ErrInvalidConfig) {
-		t.Fatalf("streaming+DynamicOffsets: err = %v, want ErrInvalidConfig", err)
-	}
 }

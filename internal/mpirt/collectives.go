@@ -4,8 +4,8 @@ import "metaprep/internal/obsv"
 
 // This file adds the back-half collectives: the pipelined delta tree merge
 // (MergeCC's §3.6 reduction restructured so rounds stream sparse deltas over
-// the nonblocking primitives) and the tree/star broadcasts used to return
-// the global component array.
+// the nonblocking primitives) and the tree broadcast used to return the
+// global component array.
 
 // PipelinedTreeMerge runs the §3.6 merge tree as a multi-round pipeline of
 // incremental payloads instead of one shot per rank.
@@ -144,21 +144,4 @@ func (t *Task) TreeBroadcast(tag int, send func(dst int) (any, int), recv func(s
 		top <<= 1
 	}
 	relay(top >> 1)
-}
-
-// StarBroadcast distributes rank 0's state with P−1 direct sends — the flat
-// schedule TreeBroadcast replaces, kept as an ablation path. All transfer
-// cost lands on rank 0's communication clock.
-func (t *Task) StarBroadcast(tag int, send func(dst int) (any, int), recv func(src int, payload any)) {
-	p := t.world.p
-	if t.rank != 0 {
-		recv(0, t.Recv(0, tag))
-		return
-	}
-	reqs := make([]*Request, 0, p-1)
-	for dst := 1; dst < p; dst++ {
-		payload, bytes := send(dst)
-		reqs = append(reqs, t.ISend(dst, tag, payload, bytes))
-	}
-	t.WaitAll(reqs)
 }

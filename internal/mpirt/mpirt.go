@@ -400,38 +400,3 @@ func (t *Task) TreeMerge(tag int, send func(dst int) (any, int), recv func(src i
 	}
 	return t.rank == 0
 }
-
-// Broadcast distributes rank 0's state to every task along a binomial tree
-// (the reverse of TreeMerge's schedule). On rank 0, send must produce the
-// payload for each destination; on other ranks recv first consumes the
-// payload, after which the task relays it onward using send. size gives the
-// wire size of the relayed payload.
-func (t *Task) Broadcast(tag int, send func(dst int) (any, int), recv func(src int, payload any)) {
-	p := t.world.p
-	// Find the highest step at which this rank receives: rank r (> 0)
-	// receives from r with its lowest set bit cleared.
-	if t.rank != 0 {
-		low := t.rank & -t.rank
-		src := t.rank ^ low
-		recv(src, t.Recv(src, tag))
-		// Relay to ranks below the lowest set bit.
-		for step := low >> 1; step >= 1; step >>= 1 {
-			if dst := t.rank + step; dst < p {
-				payload, bytes := send(dst)
-				t.Send(dst, tag, payload, bytes)
-			}
-		}
-		return
-	}
-	// Rank 0 seeds the tree from the top bit down.
-	top := 1
-	for top < p {
-		top <<= 1
-	}
-	for step := top >> 1; step >= 1; step >>= 1 {
-		if dst := t.rank + step; dst < p {
-			payload, bytes := send(dst)
-			t.Send(dst, tag, payload, bytes)
-		}
-	}
-}

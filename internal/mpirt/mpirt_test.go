@@ -133,29 +133,6 @@ func TestTreeMerge(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 6, 8, 16, 17} {
-		w := NewWorld(p, nil)
-		err := w.Run(func(task *Task) error {
-			value := -1
-			if task.Rank() == 0 {
-				value = 12345
-			}
-			task.Broadcast(3,
-				func(dst int) (any, int) { return value, 8 },
-				func(src int, payload any) { value = payload.(int) },
-			)
-			if value != 12345 {
-				return fmt.Errorf("p=%d rank %d: value %d after broadcast", p, task.Rank(), value)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestNetworkModelCost(t *testing.T) {
 	m := &NetworkModel{Latency: time.Microsecond, BandwidthBytesPerSec: 1e9}
 	if got := m.Cost(0); got != time.Microsecond {

@@ -148,25 +148,17 @@ func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 // default to a single-task, single-pass run with CCOpt on, like
 // core.Default).
 type SubmitRequest struct {
-	Index       string `json:"index"`
-	Tasks       int    `json:"tasks"`
-	Threads     int    `json:"threads"`
-	Passes      int    `json:"passes"`
-	KFMin       uint32 `json:"kf_min"`
-	KFMax       uint32 `json:"kf_max"`
-	CCOpt       *bool  `json:"ccopt"`
-	SparseMerge bool   `json:"sparse_merge"`
-	// SparseDeltaMerge and OverlapOutput default to on (core.Default);
-	// pointers distinguish "unset" from an explicit false, so clients can
-	// select the one-shot/reader-based reference paths.
-	SparseDeltaMerge *bool  `json:"sparse_delta_merge"`
-	StarBroadcast    bool   `json:"star_broadcast"`
-	OverlapOutput    *bool  `json:"overlap_output"`
-	SplitComponents  int    `json:"split_components"`
-	OutDir           string `json:"out_dir"`
-	EdisonNet        bool   `json:"edison_net"`
-	PrefetchChunks   int    `json:"prefetch_chunks"`
-	NoPrefetch       bool   `json:"no_prefetch"`
+	Index           string `json:"index"`
+	Tasks           int    `json:"tasks"`
+	Threads         int    `json:"threads"`
+	Passes          int    `json:"passes"`
+	KFMin           uint32 `json:"kf_min"`
+	KFMax           uint32 `json:"kf_max"`
+	CCOpt           *bool  `json:"ccopt"`
+	SplitComponents int    `json:"split_components"`
+	OutDir          string `json:"out_dir"`
+	EdisonNet       bool   `json:"edison_net"`
+	PrefetchChunks  int    `json:"prefetch_chunks"`
 	// SpillBudgetBytes caps resident tuple memory per rank; when the
 	// exchange would exceed it, LocalSort runs out of core via sorted runs
 	// on disk. Scratch placement is the daemon's concern (-spill-dir), so
@@ -244,22 +236,9 @@ func (s *Server) configFor(req SubmitRequest) (core.Config, error) {
 	if req.CCOpt != nil {
 		cfg.CCOpt = *req.CCOpt
 	}
-	cfg.SparseMerge = req.SparseMerge
-	if req.SparseDeltaMerge != nil {
-		cfg.SparseDeltaMerge = *req.SparseDeltaMerge
-	}
-	if req.SparseMerge && req.SparseDeltaMerge == nil {
-		// An explicit sparse-merge request selects the one-shot encoding.
-		cfg.SparseDeltaMerge = false
-	}
-	cfg.StarBroadcast = req.StarBroadcast
-	if req.OverlapOutput != nil {
-		cfg.OverlapOutput = *req.OverlapOutput
-	}
 	cfg.SplitComponents = req.SplitComponents
 	cfg.OutDir = req.OutDir
 	cfg.PrefetchChunks = req.PrefetchChunks
-	cfg.NoPrefetch = req.NoPrefetch
 	cfg.SpillBudgetBytes = req.SpillBudgetBytes
 	cfg.SpillCompress = req.SpillCompress
 	switch {

@@ -414,13 +414,20 @@ func TestErrorMapping(t *testing.T) {
 		name string
 		body string
 		want int
+		// names, when set, must appear in the error message.
+		names string
 	}{
-		{"malformed json", `{"index":`, http.StatusBadRequest},
-		{"unknown field", `{"index": "x", "bogus": 1}`, http.StatusBadRequest},
-		{"missing index", `{"tasks": 2}`, http.StatusBadRequest},
-		{"nonexistent index", `{"index": "/nope/missing.idx"}`, http.StatusBadRequest},
-		{"invalid filter", fmt.Sprintf(`{"index": %q, "kf_min": 9, "kf_max": 3}`, idxPath), http.StatusBadRequest},
-		{"negative split", fmt.Sprintf(`{"index": %q, "split_components": -1}`, idxPath), http.StatusBadRequest},
+		{"malformed json", `{"index":`, http.StatusBadRequest, ""},
+		{"unknown field", `{"index": "x", "bogus": 1}`, http.StatusBadRequest, "bogus"},
+		// A path-selection field removed in PR 14 must be rejected by name,
+		// not silently ignored: a client that asked for the reference merge
+		// would otherwise get the default path and never know.
+		{"removed field", fmt.Sprintf(`{"index": %q, "sparse_merge": true}`, idxPath), http.StatusBadRequest, "sparse_merge"},
+		{"removed pointer field", fmt.Sprintf(`{"index": %q, "overlap_output": false}`, idxPath), http.StatusBadRequest, "overlap_output"},
+		{"missing index", `{"tasks": 2}`, http.StatusBadRequest, ""},
+		{"nonexistent index", `{"index": "/nope/missing.idx"}`, http.StatusBadRequest, ""},
+		{"invalid filter", fmt.Sprintf(`{"index": %q, "kf_min": 9, "kf_max": 3}`, idxPath), http.StatusBadRequest, ""},
+		{"negative split", fmt.Sprintf(`{"index": %q, "split_components": -1}`, idxPath), http.StatusBadRequest, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -433,6 +440,9 @@ func TestErrorMapping(t *testing.T) {
 			}
 			if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 				t.Fatalf("error body %q not {error: ...}", body)
+			}
+			if !strings.Contains(e.Error, c.names) {
+				t.Fatalf("error %q does not name %q", e.Error, c.names)
 			}
 		})
 	}

@@ -52,7 +52,6 @@ type DSU struct {
 	// SnapshotDelta so DSUs that never ship deltas pay nothing, and it is
 	// never touched by the hot Find/Union path.
 	shadow []uint32
-	epoch  int
 }
 
 // SetStats attaches an operation-count recorder (nil detaches). Attach
@@ -235,20 +234,6 @@ func (d *DSU) Absorb(p []uint32, workers int) {
 	}
 }
 
-// Snapshot copies the parent array into dst (allocating if nil) for
-// transmission to another task in MergeCC. The copy is taken with atomic
-// loads so it is safe even if other goroutines are still quiescing.
-func (d *DSU) Snapshot(dst []uint32) []uint32 {
-	if cap(dst) < len(d.parent) {
-		dst = make([]uint32, len(d.parent))
-	}
-	dst = dst[:len(d.parent)]
-	for i := range d.parent {
-		dst[i] = atomic.LoadUint32(&d.parent[i])
-	}
-	return dst
-}
-
 // Flatten fully compresses every path so parent[i] is i's component root,
 // then returns the parent slice. Call only after all concurrent work is
 // done; the result is the component label array ("p" in the paper).
@@ -269,38 +254,11 @@ func (d *DSU) ComponentSizes() map[uint32]int {
 	return sizes
 }
 
-// LargestComponent returns the root and size of the largest component, with
-// ties broken toward the smaller root. It returns (0, 0) for an empty DSU.
-func (d *DSU) LargestComponent() (root uint32, size int) {
-	sizes := d.ComponentSizes()
-	for r, s := range sizes {
-		if s > size || (s == size && r < root) {
-			root, size = r, s
-		}
-	}
-	return root, size
-}
-
-// SnapshotSparse encodes the non-trivial parent entries as interleaved
-// (vertex, parent) pairs — the sparse MergeCC payload. When most reads are
-// singletons (highly diverse metagenomes), the pairs are much smaller than
-// the dense 4R-byte array; this is the direction of the component-
-// contraction methods the paper's future work points at.
-func (d *DSU) SnapshotSparse(dst []uint32) []uint32 {
-	dst = dst[:0]
-	for i := range d.parent {
-		p := atomic.LoadUint32(&d.parent[i])
-		if p != uint32(i) {
-			dst = append(dst, uint32(i), p)
-		}
-	}
-	return dst
-}
-
 // SnapshotDelta encodes, as interleaved (vertex, parent) pairs, exactly the
 // entries whose parent changed since the previous SnapshotDelta on this DSU.
 // The first call is the epoch-0 baseline and returns every non-trivial entry
-// (identical to SnapshotSparse). Each call advances the delta epoch: entries
+// — when most reads are singletons (highly diverse metagenomes) far smaller
+// than the dense 4R-byte array. Each call advances the delta epoch: entries
 // reported once are not reported again unless they change again, so the
 // union of all deltas ever returned reconstructs the DSU's partition at the
 // time of the last call. This is the pipelined MergeCC wire payload: a task
@@ -319,7 +277,6 @@ func (d *DSU) SnapshotDelta(dst []uint32) []uint32 {
 				dst = append(dst, uint32(i), p)
 			}
 		}
-		d.epoch = 1
 		return dst
 	}
 	for i := range d.parent {
@@ -329,13 +286,8 @@ func (d *DSU) SnapshotDelta(dst []uint32) []uint32 {
 			dst = append(dst, uint32(i), p)
 		}
 	}
-	d.epoch++
 	return dst
 }
-
-// DeltaEpoch returns the number of SnapshotDelta calls taken so far (0 means
-// delta tracking has not started and the next delta is the full baseline).
-func (d *DSU) DeltaEpoch() int { return d.epoch }
 
 // ComponentSizesPar is ComponentSizes split across workers: each worker
 // counts a block of vertices into a private map and the maps are merged.
@@ -366,8 +318,9 @@ func (d *DSU) ComponentSizesPar(workers int) map[uint32]int {
 	return sizes
 }
 
-// LargestComponentPar is LargestComponent computed over a parallel size
-// count. Ties break toward the smaller root, matching the serial method.
+// LargestComponentPar returns the root and size of the largest component
+// over a parallel size count, ties broken toward the smaller root. It
+// returns (0, 0) for an empty DSU.
 func (d *DSU) LargestComponentPar(workers int) (root uint32, size int) {
 	for r, s := range d.ComponentSizesPar(workers) {
 		if s > size || (s == size && r < root) {
@@ -377,8 +330,9 @@ func (d *DSU) LargestComponentPar(workers int) (root uint32, size int) {
 	return root, size
 }
 
-// AbsorbPairs folds a sparse snapshot (interleaved vertex/parent pairs)
-// into d, splitting the work across workers with Algorithm 1 buffering.
+// AbsorbPairs folds a SnapshotDelta payload (interleaved vertex/parent
+// pairs) into d, splitting the work across workers with Algorithm 1
+// buffering.
 func (d *DSU) AbsorbPairs(pairs []uint32, workers int) {
 	if workers < 1 {
 		workers = 1

@@ -180,7 +180,7 @@ func TestAbsorbEquivalentToUnionOfEdgeSets(t *testing.T) {
 		d0, d1 := New(n), New(n)
 		d0.ProcessEdges(e1, 4)
 		d1.ProcessEdges(e2, 4)
-		d0.Absorb(d1.Snapshot(nil), 4)
+		d0.Absorb(append([]uint32(nil), d1.parent...), 4)
 
 		want := canon(ref.Flatten(1))
 		got := canon(d0.Flatten(1))
@@ -189,21 +189,6 @@ func TestAbsorbEquivalentToUnionOfEdgeSets(t *testing.T) {
 				t.Fatalf("n=%d vertex %d: got %d want %d", n, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-func TestSnapshotIsCopy(t *testing.T) {
-	d := New(4)
-	s := d.Snapshot(nil)
-	d.Connect(0, 1)
-	if s[0] != 0 {
-		t.Error("Snapshot aliased live parent array")
-	}
-	// Snapshot into a provided buffer reuses it.
-	buf := make([]uint32, 4)
-	s2 := d.Snapshot(buf)
-	if &s2[0] != &buf[0] {
-		t.Error("Snapshot did not reuse the provided buffer")
 	}
 }
 
@@ -237,7 +222,7 @@ func TestComponentSizes(t *testing.T) {
 	if len(sizes) != 3 || total != 6 {
 		t.Fatalf("sizes = %v", sizes)
 	}
-	root, size := d.LargestComponent()
+	root, size := largestComponent(d)
 	if size != 3 || d.Find(0) != root {
 		t.Fatalf("largest = %d (size %d)", root, size)
 	}
@@ -245,7 +230,7 @@ func TestComponentSizes(t *testing.T) {
 
 func TestLargestComponentEmpty(t *testing.T) {
 	d := New(0)
-	if r, s := d.LargestComponent(); r != 0 || s != 0 {
+	if r, s := largestComponent(d); r != 0 || s != 0 {
 		t.Fatalf("empty largest = %d,%d", r, s)
 	}
 }
@@ -305,6 +290,29 @@ func BenchmarkProcessEdges1M(b *testing.B) {
 	}
 }
 
+// snapshotSparse is the test oracle for SnapshotDelta's baseline: every
+// non-trivial parent entry as interleaved (vertex, parent) pairs, scanned
+// independently of the shadow array.
+func snapshotSparse(d *DSU) []uint32 {
+	var pairs []uint32
+	for i, p := range d.parent {
+		if p != uint32(i) {
+			pairs = append(pairs, uint32(i), p)
+		}
+	}
+	return pairs
+}
+
+// largestComponent is the serial oracle for LargestComponentPar.
+func largestComponent(d *DSU) (root uint32, size int) {
+	for r, s := range d.ComponentSizes() {
+		if s > size || (s == size && r < root) {
+			root, size = r, s
+		}
+	}
+	return root, size
+}
+
 func TestSparseSnapshotAbsorb(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	for trial := 0; trial < 20; trial++ {
@@ -318,7 +326,7 @@ func TestSparseSnapshotAbsorb(t *testing.T) {
 		d0, d1 := New(n), New(n)
 		d0.ProcessEdges(e1, 4)
 		d1.ProcessEdges(e2, 4)
-		pairs := d1.SnapshotSparse(nil)
+		pairs := snapshotSparse(d1)
 		// Sparse payload must be smaller than dense for sparse graphs.
 		if len(pairs) > 2*n {
 			t.Fatalf("sparse snapshot has %d entries for %d vertices", len(pairs), n)
@@ -337,7 +345,7 @@ func TestSparseSnapshotAbsorb(t *testing.T) {
 
 func TestSparseSnapshotEmpty(t *testing.T) {
 	d := New(10)
-	if pairs := d.SnapshotSparse(nil); len(pairs) != 0 {
+	if pairs := snapshotSparse(d); len(pairs) != 0 {
 		t.Fatalf("fresh DSU sparse snapshot = %v", pairs)
 	}
 	d.AbsorbPairs(nil, 2) // must not panic
@@ -351,21 +359,15 @@ func TestSnapshotDeltaIncremental(t *testing.T) {
 		var all []Edge
 		sender := New(n)
 		sink := New(n)
-		if sender.DeltaEpoch() != 0 {
-			t.Fatalf("fresh DSU epoch = %d", sender.DeltaEpoch())
-		}
 		var buf []uint32
 		for r := 0; r < rounds; r++ {
 			e := randEdges(rng, n, n/4)
 			all = append(all, e...)
 			sender.ProcessEdges(e, 4)
 			buf = sender.SnapshotDelta(buf)
-			if sender.DeltaEpoch() != r+1 {
-				t.Fatalf("epoch after %d deltas = %d", r+1, sender.DeltaEpoch())
-			}
 			if r == 0 {
 				// Baseline delta must equal the sparse snapshot of the same state.
-				if got, want := len(buf), len(sender.SnapshotSparse(nil)); got != want {
+				if got, want := len(buf), len(snapshotSparse(sender)); got != want {
 					t.Fatalf("baseline delta %d pairs, sparse snapshot %d", got, want)
 				}
 			}
@@ -422,7 +424,7 @@ func TestComponentSizesParMatchesSerial(t *testing.T) {
 				}
 			}
 		}
-		wr, ws := d.LargestComponent()
+		wr, ws := largestComponent(d)
 		gr, gs := d.LargestComponentPar(4)
 		if wr != gr || ws != gs {
 			t.Fatalf("LargestComponentPar = (%d,%d), serial (%d,%d)", gr, gs, wr, ws)

@@ -2,10 +2,138 @@ package unionfind
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"metaprep/internal/par"
 )
+
+// variants_test.go implements, for the tests and benchmarks below only, the
+// alternative disjoint-set designs the paper's §3.5 discussion weighs
+// against its choice (union-by-index + path splitting + lock-free CAS):
+//
+//   - SizeDSU is Cybenko et al.'s serial structure: union-by-size with full
+//     path compression — the serial reference point.
+//   - LockedDSU is the "treat union operations as critical sections"
+//     concurrent variant Cybenko et al. use to avoid lost updates: the same
+//     operations under a mutex. It is the ablation counterpart of the
+//     lock-free DSU (benchmarked head-to-head below); the paper's design
+//     exists precisely to avoid this serialization.
+
+// SizeDSU is a serial union-find with union-by-size and path compression.
+type SizeDSU struct {
+	parent []uint32
+	size   []uint32
+}
+
+// NewSize returns a SizeDSU over n singleton vertices.
+func NewSize(n int) *SizeDSU {
+	d := &SizeDSU{
+		parent: make([]uint32, n),
+		size:   make([]uint32, n),
+	}
+	for i := range d.parent {
+		d.parent[i] = uint32(i)
+		d.size[i] = 1
+	}
+	return d
+}
+
+// Find returns x's root, fully compressing the path.
+func (d *SizeDSU) Find(x uint32) uint32 {
+	root := x
+	for d.parent[root] != root {
+		root = d.parent[root]
+	}
+	for d.parent[x] != root {
+		d.parent[x], x = root, d.parent[x]
+	}
+	return root
+}
+
+// Union merges the components of u and v, attaching the smaller tree under
+// the larger, and reports whether a merge happened.
+func (d *SizeDSU) Union(u, v uint32) bool {
+	ru, rv := d.Find(u), d.Find(v)
+	if ru == rv {
+		return false
+	}
+	if d.size[ru] < d.size[rv] {
+		ru, rv = rv, ru
+	}
+	d.parent[rv] = ru
+	d.size[ru] += d.size[rv]
+	return true
+}
+
+// Labels returns the component root of every vertex.
+func (d *SizeDSU) Labels() []uint32 {
+	out := make([]uint32, len(d.parent))
+	for i := range out {
+		out[i] = d.Find(uint32(i))
+	}
+	return out
+}
+
+// LockedDSU is the concurrent union-find with unions as critical sections.
+type LockedDSU struct {
+	mu     sync.Mutex
+	parent []uint32
+	size   []uint32
+}
+
+// NewLocked returns a LockedDSU over n singleton vertices.
+func NewLocked(n int) *LockedDSU {
+	d := &LockedDSU{
+		parent: make([]uint32, n),
+		size:   make([]uint32, n),
+	}
+	for i := range d.parent {
+		d.parent[i] = uint32(i)
+		d.size[i] = 1
+	}
+	return d
+}
+
+// Connect processes one edge inside the critical section, reporting
+// whether it merged two components.
+func (d *LockedDSU) Connect(u, v uint32) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	ru := d.findLocked(u)
+	rv := d.findLocked(v)
+	if ru == rv {
+		return false
+	}
+	if d.size[ru] < d.size[rv] {
+		ru, rv = rv, ru
+	}
+	d.parent[rv] = ru
+	d.size[ru] += d.size[rv]
+	return true
+}
+
+func (d *LockedDSU) findLocked(x uint32) uint32 {
+	root := x
+	for d.parent[root] != root {
+		root = d.parent[root]
+	}
+	for d.parent[x] != root {
+		d.parent[x], x = root, d.parent[x]
+	}
+	return root
+}
+
+// Labels returns the component root of every vertex.
+func (d *LockedDSU) Labels() []uint32 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := make([]uint32, len(d.parent))
+	for i := range out {
+		out[i] = d.findLocked(uint32(i))
+	}
+	return out
+}
 
 func TestSizeDSUMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
