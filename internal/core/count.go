@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"metaprep/internal/mpirt"
-	"metaprep/internal/obsv"
-	"metaprep/internal/radix"
 )
 
 // count.go runs the pipeline as a distributed k-mer counter — the reuse the
@@ -81,16 +79,6 @@ func RunCountContext(ctx context.Context, cfg Config) (*CountResult, error) {
 
 	world := mpirt.NewWorld(cfg.Tasks, cfg.Network)
 	world.SetCollector(cfg.Obs)
-	if cfg.Obs != nil {
-		radix.EnablePassStats()
-		radix.TakePassStats() // discard tallies from earlier, unobserved sorts
-		defer func() {
-			ex, sk := radix.TakePassStats()
-			cfg.Obs.Counter(obsv.RankGlobal, "radix/passes_executed").Add(ex)
-			cfg.Obs.Counter(obsv.RankGlobal, "radix/passes_skipped").Add(sk)
-			radix.DisablePassStats()
-		}()
-	}
 	perPass := make([][]taskCounts, cfg.Passes)
 	for s := range perPass {
 		perPass[s] = make([]taskCounts, cfg.Tasks)

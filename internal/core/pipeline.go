@@ -10,7 +10,6 @@ import (
 	"metaprep/internal/model"
 	"metaprep/internal/mpirt"
 	"metaprep/internal/obsv"
-	"metaprep/internal/radix"
 	"metaprep/internal/sketch"
 	"metaprep/internal/unionfind"
 )
@@ -333,16 +332,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 	world := mpirt.NewWorld(cfg.Tasks, cfg.Network)
 	world.SetCollector(cfg.Obs)
-	if cfg.Obs != nil {
-		radix.EnablePassStats()
-		radix.TakePassStats() // discard tallies from earlier, unobserved sorts
-		defer func() {
-			ex, sk := radix.TakePassStats()
-			cfg.Obs.Counter(obsv.RankGlobal, "radix/passes_executed").Add(ex)
-			cfg.Obs.Counter(obsv.RankGlobal, "radix/passes_skipped").Add(sk)
-			radix.DisablePassStats()
-		}()
-	}
 	reports := make([]TaskReport, cfg.Tasks)
 	freqHists := make([][freqHistSize]uint64, cfg.Tasks)
 	outFiles := make([][][]string, cfg.Tasks) // [rank][group][thread]

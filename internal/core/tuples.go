@@ -92,10 +92,12 @@ type keyRange struct {
 // out-of-place radix sort of §3.4, with the corresponding range of scratch
 // as the ping-pong buffer (the pipeline passes kmerIn here, reusing the
 // exchange buffer exactly as the paper does). kr bounds the keys in the
-// range: the sort runs only the passes the partitioning has not already
+// range: the sort works only on the bits the partitioning has not already
 // decided (a canonical k-mer has 2k significant bits, and the partition's
-// bin range pins the high-order ones), and with exact per-bin counts it
-// replaces the high-bit passes with a single scatter into bin order.
+// bin range pins the high-order ones). With exact per-bin counts (the in-RAM
+// partition) one count-free scatter puts the keys in bin order and the
+// MSD-first kernel finishes each bin; without them (a spill run) that kernel
+// sorts the whole range, most-significant digit first.
 func (b *tupleBuf) sortRange(off, cnt uint64, kr keyRange, scratch *tupleBuf) {
 	if cnt < 2 {
 		return

@@ -51,21 +51,53 @@ func benchmarkWriteRun(b *testing.B, compress bool) {
 func BenchmarkWriteRunRaw(b *testing.B)        { benchmarkWriteRun(b, false) }
 func BenchmarkWriteRunCompressed(b *testing.B) { benchmarkWriteRun(b, true) }
 
-func benchmarkMerge(b *testing.B, runs int, compress bool) {
-	const perRun = 1 << 14
+// dup7Runs cuts the traffic batch-bounded merges into runs: every distinct
+// key seven times, the copies landing in whichever runs arrival order put
+// them, each run then sorted.
+func dup7Runs(runs, perRun int) (los [][]uint64, vals [][]uint32) {
+	rng := rand.New(rand.NewSource(7))
+	n := runs * perRun
+	all := make([]uint64, n)
+	for i := 0; i < n; i += 7 {
+		k := rng.Uint64() >> 11 // a 27-mer task partition: 53 significant bits
+		for j := i; j < i+7 && j < n; j++ {
+			all[j] = k
+		}
+	}
+	rng.Shuffle(n, func(i, j int) { all[i], all[j] = all[j], all[i] })
+	for r := 0; r < runs; r++ {
+		lo := all[r*perRun : (r+1)*perRun]
+		sort.Slice(lo, func(i, j int) bool { return lo[i] < lo[j] })
+		los = append(los, lo)
+		vals = append(vals, make([]uint32, perRun))
+	}
+	return los, vals
+}
+
+// uniqueRuns is the older benchmark shape: independent runs of unique keys.
+func uniqueRuns(runs, perRun int) (los [][]uint64, vals [][]uint32) {
+	for r := 0; r < runs; r++ {
+		lo, val := benchTuples(perRun)
+		los, vals = append(los, lo), append(vals, val)
+	}
+	return los, vals
+}
+
+func benchmarkMerge(b *testing.B, los [][]uint64, vals [][]uint32, blockTuples int, compress bool) {
+	runs, total := len(los), 0
 	path := filepath.Join(b.TempDir(), "bench.run")
 	f, err := os.Create(path)
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, err := NewWriter(f, false, compress, 1024)
+	w, err := NewWriter(f, false, compress, blockTuples)
 	if err != nil {
 		b.Fatal(err)
 	}
 	infos := make([]RunInfo, runs)
 	for r := range infos {
-		lo, val := benchTuples(perRun)
-		if infos[r], err = w.WriteRun(lo, nil, val, []uint64{0, perRun}); err != nil {
+		total += len(los[r])
+		if infos[r], err = w.WriteRun(los[r], nil, vals[r], []uint64{0, uint64(len(los[r]))}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -74,7 +106,7 @@ func benchmarkMerge(b *testing.B, runs int, compress bool) {
 	}
 	f.Close()
 
-	b.SetBytes(int64(runs * perRun * 12))
+	b.SetBytes(int64(total * 12))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rf, err := os.Open(path)
@@ -83,7 +115,7 @@ func benchmarkMerge(b *testing.B, runs int, compress bool) {
 		}
 		srs := make([]*SegReader, runs)
 		for r := range srs {
-			srs[r] = NewSegReader(rf, infos[r].Segs[0], false, compress, 1024)
+			srs[r] = NewSegReader(rf, infos[r].Segs[0], false, compress, blockTuples)
 		}
 		mg, err := NewMerger(srs)
 		if err != nil {
@@ -102,8 +134,8 @@ func benchmarkMerge(b *testing.B, runs int, compress bool) {
 		}
 		mg.Close()
 		rf.Close()
-		if n != runs*perRun {
-			b.Fatalf("merged %d tuples, want %d", n, runs*perRun)
+		if n != total {
+			b.Fatalf("merged %d tuples, want %d", n, total)
 		}
 	}
 }
@@ -115,7 +147,15 @@ func BenchmarkMerge(b *testing.B) {
 			if compress {
 				name = fmt.Sprintf("runs=%d/zip", runs)
 			}
-			b.Run(name, func(b *testing.B) { benchmarkMerge(b, runs, compress) })
+			b.Run(name, func(b *testing.B) {
+				los, vals := uniqueRuns(runs, 1<<14)
+				benchmarkMerge(b, los, vals, 1024, compress)
+			})
 		}
 	}
+	// What batch-bounded executes: 24 runs, 4 096-tuple blocks, raw.
+	b.Run("runs=24/dup7", func(b *testing.B) {
+		los, vals := dup7Runs(24, 1<<15)
+		benchmarkMerge(b, los, vals, 4096, false)
+	})
 }

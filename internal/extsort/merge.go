@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"io"
+	"math/bits"
 	"os"
 )
 
@@ -140,20 +141,34 @@ func (r *SegReader) Close() {
 // subtree's match, so replacing the winner after each pull replays exactly
 // one leaf-to-root path (⌈log₂k⌉ comparisons) instead of re-scanning all k
 // heads. Ties break on run index, making the merged order deterministic.
+//
+// The tree is flat: node n's loser is stored as its key and its rank in
+// parallel arrays, so a replay step compares the climbing tuple, held in
+// locals, against two array loads and never visits a leaf. A live leaf's
+// rank is its run index; an exhausted leaf takes rank k+leaf under an
+// all-ones key, which orders it after every live tuple — a live all-ones
+// key included, its rank being below k — without a separate "done" probe.
 type Merger struct {
-	rs  []*SegReader
-	cur []*Block // current block per leaf (nil once exhausted)
-	pos []int    // cursor within cur
+	rs    []*SegReader
+	heads []head
+	k     int
+	wide  bool // 128-bit keys: treeHi and winHi take part in comparisons
 
-	// Cached head tuple per leaf, so comparisons never chase block slices.
-	hi, lo []uint64
-	val    []uint32
-	done   []bool
+	// tree[1..k-1]: the loser at each internal node. Leaf j hangs below
+	// node (k+j)/2, which lays out a complete tournament for any k ≥ 1.
+	treeHi, treeLo []uint64
+	treeRank       []int32
 
-	tree   []int // tree[1..k-1]: loser leaf of each internal node
-	winner int
-	src    int // leaf index of the last tuple returned by Next
-	k      int
+	winHi, winLo uint64
+	winRank      int32
+	src          int // leaf index of the last tuple returned by Next
+}
+
+// head is one leaf's read cursor: its current block (nil once exhausted)
+// and the position of its head tuple, the one entered in the tournament.
+type head struct {
+	b   *Block
+	pos int
 }
 
 // NewMerger primes every reader and builds the initial tournament. The
@@ -162,105 +177,142 @@ type Merger struct {
 func NewMerger(rs []*SegReader) (*Merger, error) {
 	k := len(rs)
 	m := &Merger{
-		rs: rs, cur: make([]*Block, k), pos: make([]int, k),
-		hi: make([]uint64, k), lo: make([]uint64, k), val: make([]uint32, k),
-		done: make([]bool, k), tree: make([]int, k), k: k,
+		rs: rs, heads: make([]head, k), k: k,
+		treeHi: make([]uint64, k), treeLo: make([]uint64, k), treeRank: make([]int32, k),
 	}
-	for i := range rs {
-		if err := m.advance(i); err != nil {
+	// Play the tournament bottom-up over every node's winner; node k+j is
+	// leaf j. Only the losers are kept.
+	hi, lo, rank := make([]uint64, 2*k), make([]uint64, 2*k), make([]int32, 2*k)
+	for j := range rs {
+		var err error
+		if hi[k+j], lo[k+j], rank[k+j], err = m.refill(j); err != nil {
 			return nil, err
 		}
+		m.wide = m.wide || (m.heads[j].b != nil && m.heads[j].b.Hi != nil)
+	}
+	for n := k - 1; n >= 1; n-- {
+		w, l := 2*n, 2*n+1
+		if tupleLess(hi[l], lo[l], rank[l], hi[w], lo[w], rank[w]) {
+			w, l = l, w
+		}
+		hi[n], lo[n], rank[n] = hi[w], lo[w], rank[w]
+		m.treeHi[n], m.treeLo[n], m.treeRank[n] = hi[l], lo[l], rank[l]
 	}
 	if k > 0 {
-		m.winner = m.build(1)
+		m.winHi, m.winLo, m.winRank = hi[1], lo[1], rank[1]
 	}
 	return m, nil
 }
 
-// build computes the winner of the subtree rooted at node, recording losers
-// on the way up. Leaves live at nodes k..2k-1 (leaf j at node k+j), which
-// lays out a complete tournament for any k ≥ 1.
-func (m *Merger) build(node int) int {
-	if node >= m.k {
-		return node - m.k
+// tupleLess orders tournament entries by (hi, lo, rank).
+func tupleLess(aHi, aLo uint64, aRank int32, bHi, bLo uint64, bRank int32) bool {
+	if aHi != bHi {
+		return aHi < bHi
 	}
-	l := m.build(2 * node)
-	r := m.build(2*node + 1)
-	if m.leafLess(l, r) {
-		m.tree[node] = r
-		return l
+	if aLo != bLo {
+		return aLo < bLo
 	}
-	m.tree[node] = l
-	return r
+	return aRank < bRank
 }
 
-// leafLess orders leaves by current key, exhausted leaves last, ties by
-// leaf index.
-func (m *Merger) leafLess(a, b int) bool {
-	if m.done[a] || m.done[b] {
-		return !m.done[a]
+// refill moves leaf j to its reader's next block and returns the leaf's new
+// tournament entry: the block's first tuple under rank j, or the exhausted
+// sentinel. A reader error exhausts the leaf.
+func (m *Merger) refill(j int) (hi, lo uint64, rank int32, err error) {
+	h := &m.heads[j]
+	m.rs[j].Release(h.b)
+	h.b, err = m.rs[j].Next()
+	h.pos = 0
+	if err != nil {
+		h.b = nil
 	}
-	if m.hi[a] != m.hi[b] {
-		return m.hi[a] < m.hi[b]
+	if h.b == nil {
+		return ^uint64(0), ^uint64(0), int32(m.k + j), err
 	}
-	if m.lo[a] != m.lo[b] {
-		return m.lo[a] < m.lo[b]
+	if h.b.Hi != nil {
+		hi = h.b.Hi[0]
 	}
-	return a < b
-}
-
-// advance loads leaf i's next tuple, fetching the next block when the
-// current one is drained.
-func (m *Merger) advance(i int) error {
-	r := m.rs[i]
-	if m.cur[i] == nil || m.pos[i] >= m.cur[i].Len() {
-		r.Release(m.cur[i])
-		b, err := r.Next()
-		if err != nil {
-			m.cur[i] = nil
-			m.done[i] = true
-			return err
-		}
-		m.cur[i] = b
-		m.pos[i] = 0
-		if b == nil {
-			m.done[i] = true
-			return nil
-		}
-	}
-	b, p := m.cur[i], m.pos[i]
-	m.lo[i] = b.Lo[p]
-	if b.Hi != nil {
-		m.hi[i] = b.Hi[p]
-	} else {
-		m.hi[i] = 0
-	}
-	m.val[i] = b.Val[p]
-	m.pos[i]++
-	return nil
+	return hi, h.b.Lo[0], int32(j), nil
 }
 
 // Next pulls the smallest remaining tuple. ok is false once every segment
 // is exhausted.
 func (m *Merger) Next() (hi, lo uint64, val uint32, ok bool, err error) {
-	if m.k == 0 || m.done[m.winner] {
-		return 0, 0, 0, false, nil
+	j := int(m.winRank)
+	if j >= m.k {
+		return 0, 0, 0, false, nil // k == 0, or the winner is a sentinel
 	}
-	w := m.winner
-	m.src = w
-	hi, lo, val = m.hi[w], m.lo[w], m.val[w]
-	if err := m.advance(w); err != nil {
-		return 0, 0, 0, false, err
+	m.src = j
+	h := &m.heads[j]
+	b, p := h.b, h.pos
+	hi, lo, val = m.winHi, m.winLo, b.Val[p]
+
+	// The leaf's successor enters the tournament.
+	var nHi, nLo uint64
+	nRank := int32(j)
+	if p++; p < len(b.Lo) {
+		h.pos = p
+		nLo = b.Lo[p]
+		if m.wide {
+			nHi = b.Hi[p]
+		}
+		if nLo == lo && nHi == hi {
+			// Same key from the same run: the leaf won with the lowest
+			// rank among that key's holders and every other head is no
+			// smaller, so it wins again and no node changes.
+			return hi, lo, val, true, nil
+		}
+	} else {
+		// A reader error surfaces after the replay, which retires the
+		// leaf like any exhausted one and keeps the tree consistent.
+		nHi, nLo, nRank, err = m.refill(j)
 	}
-	// Replay w's path to the root: at each node, the smaller of the
-	// incoming leaf and the stored loser advances, the other stays.
-	for n := (m.k + w) / 2; n >= 1; n /= 2 {
-		if m.leafLess(m.tree[n], w) {
-			m.tree[n], w = w, m.tree[n]
+
+	// Replay the leaf's path to the root: at each node the smaller of the
+	// climbing tuple and the stored loser goes on, the other stays. Which
+	// one is smaller is a coin toss on merged k-mer runs, so the step is
+	// branch-free: the borrow out of (loser) − (climber), taken word by word
+	// from rank up to the key's top word, is 1 exactly when the loser is
+	// the smaller, and becomes the mask of a conditional swap.
+	tLo, tRank := m.treeLo, m.treeRank
+	if !m.wide {
+		for n := (m.k + j) / 2; n >= 1; n /= 2 {
+			l, r := tLo[n], tRank[n]
+			_, lt := bits.Sub64(uint64(r), uint64(nRank), 0)
+			_, lt = bits.Sub64(l, nLo, lt)
+			tLo[n], nLo = swapIf(-lt, l, nLo)
+			tRank[n], nRank = swapRankIf(-lt, r, nRank)
+		}
+		nHi = 0 // a sentinel's hi word never climbs in 64-bit mode
+	} else {
+		tHi := m.treeHi
+		for n := (m.k + j) / 2; n >= 1; n /= 2 {
+			h, l, r := tHi[n], tLo[n], tRank[n]
+			_, lt := bits.Sub64(uint64(r), uint64(nRank), 0)
+			_, lt = bits.Sub64(l, nLo, lt)
+			_, lt = bits.Sub64(h, nHi, lt)
+			tHi[n], nHi = swapIf(-lt, h, nHi)
+			tLo[n], nLo = swapIf(-lt, l, nLo)
+			tRank[n], nRank = swapRankIf(-lt, r, nRank)
 		}
 	}
-	m.winner = w
+	m.winHi, m.winLo, m.winRank = nHi, nLo, nRank
+	if err != nil {
+		return 0, 0, 0, false, err
+	}
 	return hi, lo, val, true, nil
+}
+
+// swapIf returns (b, a) when mask is all ones and (a, b) when it is zero.
+func swapIf(mask, a, b uint64) (uint64, uint64) {
+	x := (a ^ b) & mask
+	return a ^ x, b ^ x
+}
+
+// swapRankIf is swapIf for ranks.
+func swapRankIf(mask uint64, a, b int32) (int32, int32) {
+	x := (a ^ b) & int32(mask)
+	return a ^ x, b ^ x
 }
 
 // Src returns the leaf (reader) index that produced the last tuple Next

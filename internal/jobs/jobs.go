@@ -424,6 +424,18 @@ func (m *Manager) runJob(j *Job) {
 			"queue_wait", j.started.Sub(j.submitted), "key", j.Key)
 	}
 
+	// Per-job scratch (spill directory, artifact staging file) is removed
+	// before the terminal state is published — a client that sees the job
+	// finished must not find its scratch — and again by defer, as the net
+	// under a panicking Runner.
+	var scratch []string
+	removeScratch := func() {
+		for _, p := range scratch {
+			os.RemoveAll(p)
+		}
+	}
+	defer removeScratch()
+
 	// Spill scratch is an executor concern too (SpillDir is excluded from
 	// the cache key): give a spilling job a private directory under the
 	// manager's spill root and remove it on every exit path, so cancelled
@@ -432,7 +444,7 @@ func (m *Manager) runJob(j *Job) {
 		dir := filepath.Join(m.opts.SpillDir, "job-"+j.ID)
 		if mkErr := os.MkdirAll(dir, 0o755); mkErr == nil {
 			cfg.SpillDir = dir
-			defer os.RemoveAll(dir)
+			scratch = append(scratch, dir)
 		}
 	}
 
@@ -459,7 +471,7 @@ func (m *Manager) runJob(j *Job) {
 			}
 		}
 		// No-op after a successful commit (the rename moved it away).
-		defer os.Remove(st.staging(j.ID))
+		scratch = append(scratch, st.staging(j.ID))
 	}
 
 	var res *core.Result
@@ -503,6 +515,7 @@ func (m *Manager) runJob(j *Job) {
 		}
 	}
 
+	removeScratch()
 	m.mu.Lock()
 	j.finished = time.Now()
 	delete(m.inflight, j.Key)

@@ -1,73 +1,30 @@
-// Package radix implements the out-of-place LSD radix sorts used by the
+// Package radix implements the out-of-place radix sorts used by the
 // METAPREP LocalSort step (§3.4) and the baseline it is compared against
 // (§4.2.2).
 //
 // The pipeline's tuples are stored structure-of-arrays: a key slice (the
 // packed canonical k-mer) and a parallel 32-bit payload slice (the global
 // read ID, or the component ID under the multi-pass optimization). The
-// paper's choice of 8-bit digits — 8 passes over a 64-bit key rather than 4
-// passes of 16 bits — is implemented here exactly, along with the 16-bit
-// variant so the locality claim can be re-measured (see the package
-// benchmarks).
+// paper's choice of 8-bit digits — 8 LSD passes over a 64-bit key rather
+// than 4 passes of 16 bits — is implemented here exactly (SortPairs64,
+// SortPairs128), along with the 16-bit variant so the locality claim can be
+// re-measured (see the package benchmarks).
 //
 // On top of the fixed-pass sorts, the package provides key-range-aware
 // entry points: a canonical k-mer has only 2k significant bits, and each
 // LocalSort thread partition owns a contiguous m-mer bin range that pins
-// the high-order bits besides. SortPairs64Range and SortPairs128Range
-// derive the pass count from the [min, max] key interval instead of always
-// sweeping all 8 (or 16) bytes, and SortPairs64Binned goes further: given
+// the high-order bits besides. SortPairs128Range derives the LSD pass count
+// from the [min, max] key interval instead of always sweeping all 16 bytes.
+// SortPairs64Range sorts the undetermined bits most-significant digit
+// first, so that everything after the first scatter happens inside one
+// cache-resident bucket (sorter64). SortPairs64Binned goes further: given
 // exact per-bin tuple counts (the index's merHist slice), it scatters the
-// keys into bin order without any counting scan and then finishes only the
-// low-order bits the binning left unsorted.
+// keys into bin order without any counting scan and then finishes each bin
+// with the same MSD-first kernel over the low-order bits the binning left
+// unsorted.
 package radix
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
-
-// Pass accounting. The key-range-aware entry points' whole value
-// proposition is the radix passes they avoid; these process-wide tallies
-// make that visible ("radix/passes_executed" vs "radix/passes_skipped" in
-// the pipeline's counter snapshot). Counting is gated behind an atomic
-// flag so the default path pays one relaxed load per sort call and the
-// per-pass loops stay untouched: each sort accumulates plain local ints
-// and publishes them once on return.
-var (
-	passStatsOn    atomic.Bool
-	passesExecuted atomic.Uint64
-	passesSkipped  atomic.Uint64
-)
-
-// EnablePassStats turns on process-wide pass counting. Concurrent
-// pipelines share the tallies; callers that want per-run numbers should
-// not run instrumented sorts concurrently with unrelated ones.
-func EnablePassStats() { passStatsOn.Store(true) }
-
-// DisablePassStats turns pass counting off again.
-func DisablePassStats() { passStatsOn.Store(false) }
-
-// TakePassStats returns the executed and skipped pass tallies accumulated
-// since the last call, resetting them.
-func TakePassStats() (executed, skipped uint64) {
-	return passesExecuted.Swap(0), passesSkipped.Swap(0)
-}
-
-// notePasses publishes one sort call's local pass tallies. "Skipped"
-// covers both the passes a range- or bin-aware entry point pruned up
-// front and the all-keys-share-this-byte passes the loops detect at run
-// time.
-func notePasses(executed, skipped int) {
-	if !passStatsOn.Load() {
-		return
-	}
-	if executed > 0 {
-		passesExecuted.Add(uint64(executed))
-	}
-	if skipped > 0 {
-		passesSkipped.Add(uint64(skipped))
-	}
-}
+import "math/bits"
 
 // SignificantBytes64 returns the number of low-order 8-bit digits in which
 // keys drawn from the contiguous interval [min, max] can differ — the pass
@@ -88,37 +45,115 @@ func SignificantBytes128(minHi, minLo, maxHi, maxLo uint64) int {
 	return (bits.Len64(minLo^maxLo) + 7) / 8
 }
 
-// Digit16MinLen and Digit16MaxLen bound the element counts for which
-// SortPairs64Range picks 16-bit digits over 8-bit ones. Below the window
-// the 65 536-entry count array costs more to clear and prefix-scan than
-// the halved pass count saves; above it the array's temporal locality
-// degrades, which is the paper's §3.4 argument for 8-bit digits (and
-// BenchmarkAblationRadixDigits re-measures it per host).
-const (
-	Digit16MinLen = 1 << 16
-	Digit16MaxLen = 1 << 21
-)
-
 // SortPairs64Range sorts keys known to lie in the contiguous interval
-// [min, max], running only the radix passes that interval leaves
-// undetermined and choosing the digit width from the element count: 16-bit
-// digits when they at least halve the passes and the input sits in the
-// window where the larger count array pays for itself, 8-bit digits
-// otherwise. Scratch requirements are those of SortPairs64.
+// [min, max] with the MSD-first kernel (sorter64), which touches only the
+// bits that interval leaves undetermined. The result is that of a stable
+// sort by key, identical to SortPairs64's. Scratch requirements are those
+// of SortPairs64.
 func SortPairs64Range(keys []uint64, vals []uint32, tmpK []uint64, tmpV []uint32, min, max uint64) {
 	n := len(keys)
 	if n < 2 {
 		return
 	}
-	sig := bits.Len64(min ^ max)
-	passes8 := (sig + 7) / 8
-	passes16 := (sig + 15) / 16
-	notePasses(0, 8-passes8) // pruned up front by the key interval
-	if 2*passes16 <= passes8 && n >= Digit16MinLen && n <= Digit16MaxLen {
-		SortPairs64Digit16(keys, vals, tmpK, tmpV, passes16)
+	var s sorter64
+	s.sort(keys, vals[:n], tmpK[:n], tmpV[:n], uint(bits.Len64(min^max)), 0, true)
+}
+
+// msdInsertionMax is the bucket length at or below which sorter64 stops
+// scattering and finishes with a stable insertion sort. Pipeline keys are
+// k-mers seen ~7 times each, so a bucket this small holds a handful of
+// distinct keys and insertion over it is near-linear.
+const msdInsertionMax = 64
+
+// msdTopLen is the length above which a scatter level uses a plain 8-bit
+// digit: the level's source and destination no longer sit in cache
+// together, and an out-of-cache scatter is cheapest with few live output
+// streams (DESIGN.md, ablation note 7, has the measured cost curve).
+const msdTopLen = 1 << 15
+
+// msdMaxDigit is the widest in-cache digit: 2 048 buckets.
+const msdMaxDigit = 11
+
+// sorter64 is the MSD-first hybrid sort of (key, payload) pairs: a stable
+// scatter on the top undetermined digit, then each bucket again on the next
+// digit — sized to the bucket so buckets average ~8 tuples — until a bucket
+// is short enough for insertion. Working top-down keeps everything below
+// the first level inside one bucket, which fits in cache, where an LSD sort
+// streams the whole input through every pass. Levels ping-pong between the
+// input and the scratch; a flag carried down the recursion says which side
+// each bucket's result belongs on, so there is no copy-back pass.
+//
+// The value holds one bucket-boundary array per recursion level, grown on
+// first use, so a caller that sorts many ranges (SortPairs64Binned's bins)
+// allocates for the first few and never again. Not safe for concurrent use.
+type sorter64 struct {
+	// ≤ 16 scatter levels: each consumes at least 4 of 64 bits.
+	bounds [16][]int
+}
+
+// sort orders the pairs in (k, v) by their low sig bits — the bits above
+// are equal across k. tk and tv are scratch of the same length. The result
+// lands in (k, v) when inPlace, in (tk, tv) otherwise. level indexes the
+// per-level boundary arrays.
+func (s *sorter64) sort(k []uint64, v []uint32, tk []uint64, tv []uint32, sig uint, level int, inPlace bool) {
+	n := len(k)
+	for n > msdInsertionMax && sig > 0 {
+		b := uint(8)
+		if n <= msdTopLen {
+			// ⌈log₂ n⌉ − 3 bits, so buckets average ~8 tuples; at least
+			// 4 because n > 64.
+			b = uint(bits.Len(uint(n-1))) - 3
+			if b > msdMaxDigit {
+				b = msdMaxDigit
+			}
+		}
+		if b > sig {
+			b = sig
+		}
+		shift := sig - b
+		mask := uint64(1)<<b - 1
+		cnt := s.bounds[level]
+		if len(cnt) < 1<<b {
+			cnt = make([]int, 1<<msdMaxDigit)
+			s.bounds[level] = cnt
+		}
+		cnt = cnt[:1<<b]
+		clear(cnt)
+		for _, x := range k {
+			cnt[x>>shift&mask]++
+		}
+		sig = shift
+		if cnt[k[0]>>shift&mask] == n {
+			continue // every key shares this digit: nothing to move
+		}
+		sum := 0
+		for i, c := range cnt {
+			cnt[i] = sum
+			sum += c
+		}
+		for i, x := range k {
+			d := x >> shift & mask
+			j := cnt[d]
+			cnt[d] = j + 1
+			tk[j] = x
+			tv[j] = v[i]
+		}
+		// cnt[d] is now the end of bucket d. The data moved to the scratch
+		// side, so each bucket sorts from there and its "in place" flips.
+		lo := 0
+		for _, hi := range cnt {
+			if hi > lo {
+				s.sort(tk[lo:hi], tv[lo:hi], k[lo:hi], v[lo:hi], sig, level+1, !inPlace)
+				lo = hi
+			}
+		}
 		return
 	}
-	SortPairs64(keys, vals, tmpK, tmpV, passes8)
+	if inPlace {
+		insertionPairs64(k, v)
+	} else {
+		insertionInto64(tk, tv, k, v)
+	}
 }
 
 // SortPairs128Range is SortPairs64Range for 128-bit keys: it derives the
@@ -126,15 +161,8 @@ func SortPairs64Range(keys []uint64, vals []uint32, tmpK []uint64, tmpV []uint32
 func SortPairs128Range(hi, lo []uint64, vals []uint32, tmpHi, tmpLo []uint64, tmpV []uint32,
 	minHi, minLo, maxHi, maxLo uint64) {
 	passes := SignificantBytes128(minHi, minLo, maxHi, maxLo)
-	notePasses(0, 16-passes)
 	SortPairs128(hi, lo, vals, tmpHi, tmpLo, tmpV, passes)
 }
-
-// binnedInsertionMax is the run length below which SortPairs64Binned
-// finishes a bin with a stable insertion sort instead of radix passes. At
-// typical pipeline scales most bins hold only a handful of tuples, where
-// per-run radix setup would dominate.
-const binnedInsertionMax = 32
 
 // SortPairs64Binned sorts keys whose high field key>>shift is an m-mer bin
 // in [binLo, binLo+len(binCounts)) with exactly binCounts[b-binLo] keys per
@@ -173,9 +201,6 @@ func SortPairs64Binned(keys []uint64, vals []uint32, tmpK []uint64, tmpV []uint3
 		off += c
 	}
 	start[len(binCounts)] = off
-	// The count-free scatter stands in for the high-bit passes a plain
-	// LSD sort would need: one executed pass, however many bins.
-	notePasses(1, 0)
 	dstK, dstV := tmpK[:n], tmpV[:n]
 	for i, k := range keys {
 		b := int(k>>shift) - binLo
@@ -191,22 +216,15 @@ func SortPairs64Binned(keys []uint64, vals []uint32, tmpK []uint64, tmpV []uint3
 		dstK[j] = k
 		dstV[j] = vals[i]
 	}
-	// Finish each bin's run over the low shift bits, writing back into
-	// keys/vals. Both finishing paths are stable, so the overall order
-	// matches a full stable LSD sort.
+	// Finish each bin's run over the low shift bits, from the scatter's
+	// side back into keys/vals. The kernel is stable, so the overall order
+	// matches a full stable LSD sort; one sorter serves every bin, so the
+	// loop does not allocate per bin.
+	var s sorter64
 	for b := range binCounts {
 		lo, hi := start[b], start[b+1]
-		cnt := hi - lo
-		if cnt == 0 {
-			continue
-		}
-		runK, runV := keys[lo:hi], vals[lo:hi]
-		copy(runK, dstK[lo:hi])
-		copy(runV, dstV[lo:hi])
-		if cnt <= binnedInsertionMax {
-			insertionPairs64(runK, runV)
-		} else {
-			SortPairs64Range(runK, runV, dstK[lo:hi], dstV[lo:hi], 0, uint64(1)<<shift-1)
+		if hi > lo {
+			s.sort(dstK[lo:hi], dstV[lo:hi], keys[lo:hi], vals[lo:hi], shift, 0, false)
 		}
 	}
 	return true
@@ -227,6 +245,22 @@ func insertionPairs64(keys []uint64, vals []uint32) {
 	}
 }
 
+// insertionInto64 is insertionPairs64 reading the run from (srcK, srcV) and
+// building the sorted result in (dstK, dstV), so a run that sits on the
+// wrong side of a ping-pong is moved and sorted in the same pass.
+func insertionInto64(dstK []uint64, dstV []uint32, srcK []uint64, srcV []uint32) {
+	for i, k := range srcK {
+		j := i - 1
+		for j >= 0 && dstK[j] > k {
+			dstK[j+1] = dstK[j]
+			dstV[j+1] = dstV[j]
+			j--
+		}
+		dstK[j+1] = k
+		dstV[j+1] = srcV[i]
+	}
+}
+
 // SortPairs64 sorts keys (and vals along with it) ascending using a stable
 // LSD radix sort with 8-bit digits. tmpK and tmpV are scratch buffers of at
 // least len(keys); passes selects how many low-order bytes of the key
@@ -242,7 +276,6 @@ func SortPairs64(keys []uint64, vals []uint32, tmpK []uint64, tmpV []uint32, pas
 	srcK, srcV := keys, vals
 	dstK, dstV := tmpK[:n], tmpV[:n]
 	var count [256]int
-	executed, skipped := 0, 0
 	for p := 0; p < passes; p++ {
 		shift := uint(8 * p)
 		for i := range count {
@@ -253,10 +286,8 @@ func SortPairs64(keys []uint64, vals []uint32, tmpK []uint64, tmpV []uint32, pas
 		}
 		// Skip passes where all keys share this byte.
 		if count[srcK[0]>>shift&0xFF] == n {
-			skipped++
 			continue
 		}
-		executed++
 		sum := 0
 		for i := range count {
 			c := count[i]
@@ -272,7 +303,6 @@ func SortPairs64(keys []uint64, vals []uint32, tmpK []uint64, tmpV []uint32, pas
 		}
 		srcK, srcV, dstK, dstV = dstK, dstV, srcK, srcV
 	}
-	notePasses(executed, skipped)
 	if &srcK[0] != &keys[0] {
 		copy(keys, srcK)
 		copy(vals, srcV)
@@ -291,7 +321,6 @@ func SortPairs64Digit16(keys []uint64, vals []uint32, tmpK []uint64, tmpV []uint
 	srcK, srcV := keys, vals
 	dstK, dstV := tmpK[:n], tmpV[:n]
 	count := make([]int, 1<<16)
-	executed, skipped := 0, 0
 	for p := 0; p < passes; p++ {
 		shift := uint(16 * p)
 		for i := range count {
@@ -301,10 +330,8 @@ func SortPairs64Digit16(keys []uint64, vals []uint32, tmpK []uint64, tmpV []uint
 			count[k>>shift&0xFFFF]++
 		}
 		if count[srcK[0]>>shift&0xFFFF] == n {
-			skipped++
 			continue
 		}
-		executed++
 		sum := 0
 		for i := range count {
 			c := count[i]
@@ -320,7 +347,6 @@ func SortPairs64Digit16(keys []uint64, vals []uint32, tmpK []uint64, tmpV []uint
 		}
 		srcK, srcV, dstK, dstV = dstK, dstV, srcK, srcV
 	}
-	notePasses(executed, skipped)
 	if &srcK[0] != &keys[0] {
 		copy(keys, srcK)
 		copy(vals, srcV)
@@ -345,7 +371,6 @@ func SortPairs128(hi, lo []uint64, vals []uint32, tmpHi, tmpLo []uint64, tmpV []
 	srcH, srcL, srcV := hi, lo, vals
 	dstH, dstL, dstV := tmpHi[:n], tmpLo[:n], tmpV[:n]
 	var count [256]int
-	executed, skipped := 0, 0
 	for p := 0; p < passes; p++ {
 		shift := uint(8 * (p % 8))
 		word := srcL
@@ -359,10 +384,8 @@ func SortPairs128(hi, lo []uint64, vals []uint32, tmpHi, tmpLo []uint64, tmpV []
 			count[k>>shift&0xFF]++
 		}
 		if count[word[0]>>shift&0xFF] == n {
-			skipped++
 			continue
 		}
-		executed++
 		sum := 0
 		for i := range count {
 			c := count[i]
@@ -379,7 +402,6 @@ func SortPairs128(hi, lo []uint64, vals []uint32, tmpHi, tmpLo []uint64, tmpV []
 		}
 		srcH, srcL, srcV, dstH, dstL, dstV = dstH, dstL, dstV, srcH, srcL, srcV
 	}
-	notePasses(executed, skipped)
 	if &srcL[0] != &lo[0] {
 		copy(hi, srcH)
 		copy(lo, srcL)
@@ -397,7 +419,6 @@ func SortKeys64(keys, tmp []uint64, passes int) {
 	}
 	src, dst := keys, tmp[:n]
 	var count [256]int
-	executed, skipped := 0, 0
 	for p := 0; p < passes; p++ {
 		shift := uint(8 * p)
 		for i := range count {
@@ -407,10 +428,8 @@ func SortKeys64(keys, tmp []uint64, passes int) {
 			count[k>>shift&0xFF]++
 		}
 		if count[src[0]>>shift&0xFF] == n {
-			skipped++
 			continue
 		}
-		executed++
 		sum := 0
 		for i := range count {
 			c := count[i]
@@ -424,7 +443,6 @@ func SortKeys64(keys, tmp []uint64, passes int) {
 		}
 		src, dst = dst, src
 	}
-	notePasses(executed, skipped)
 	if &src[0] != &keys[0] {
 		copy(keys, src)
 	}

@@ -365,7 +365,7 @@ func TestSignificantBytes128(t *testing.T) {
 
 func TestSortPairs64Range(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	for _, n := range []int{0, 1, 2, 100, 3000, Digit16MinLen + 1} {
+	for _, n := range []int{0, 1, 2, 100, 3000, 1<<16 + 1} {
 		for _, bits := range []uint{1, 16, 38, 54, 64} {
 			keys, vals := randPairs(rng, n, bits)
 			origK := append([]uint64(nil), keys...)

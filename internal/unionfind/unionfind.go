@@ -244,16 +244,6 @@ func (d *DSU) Flatten(workers int) []uint32 {
 	return d.parent
 }
 
-// ComponentSizes returns, for each root, the number of vertices in its
-// component. Call after concurrent work is done.
-func (d *DSU) ComponentSizes() map[uint32]int {
-	sizes := make(map[uint32]int)
-	for i := range d.parent {
-		sizes[d.Find(uint32(i))]++
-	}
-	return sizes
-}
-
 // SnapshotDelta encodes, as interleaved (vertex, parent) pairs, exactly the
 // entries whose parent changed since the previous SnapshotDelta on this DSU.
 // The first call is the epoch-0 baseline and returns every non-trivial entry
@@ -289,8 +279,9 @@ func (d *DSU) SnapshotDelta(dst []uint32) []uint32 {
 	return dst
 }
 
-// ComponentSizesPar is ComponentSizes split across workers: each worker
-// counts a block of vertices into a private map and the maps are merged.
+// ComponentSizesPar returns, for each root, the number of vertices in its
+// component: each worker counts a block of vertices into a private map and
+// the maps are merged.
 // Call after concurrent mutation is done (concurrent Finds from the workers
 // themselves are safe — path splitting is CAS-based).
 func (d *DSU) ComponentSizesPar(workers int) map[uint32]int {
@@ -316,18 +307,6 @@ func (d *DSU) ComponentSizesPar(workers int) map[uint32]int {
 		}
 	}
 	return sizes
-}
-
-// LargestComponentPar returns the root and size of the largest component
-// over a parallel size count, ties broken toward the smaller root. It
-// returns (0, 0) for an empty DSU.
-func (d *DSU) LargestComponentPar(workers int) (root uint32, size int) {
-	for r, s := range d.ComponentSizesPar(workers) {
-		if s > size || (s == size && r < root) {
-			root, size = r, s
-		}
-	}
-	return root, size
 }
 
 // AbsorbPairs folds a SnapshotDelta payload (interleaved vertex/parent

@@ -210,7 +210,7 @@ func TestComponentSizes(t *testing.T) {
 	d.Connect(0, 1)
 	d.Connect(1, 2)
 	d.Connect(4, 5)
-	sizes := d.ComponentSizes()
+	sizes := componentSizes(d)
 	var got []int
 	for _, s := range sizes {
 		got = append(got, s)
@@ -251,7 +251,7 @@ func TestComponentsProperty(t *testing.T) {
 				return false
 			}
 		}
-		return len(d.ComponentSizes()) == len(canonSet(naiveComponents(n, edges)))
+		return len(componentSizes(d)) == len(canonSet(naiveComponents(n, edges)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -303,9 +303,19 @@ func snapshotSparse(d *DSU) []uint32 {
 	return pairs
 }
 
-// largestComponent is the serial oracle for LargestComponentPar.
+// componentSizes is the serial oracle for ComponentSizesPar.
+func componentSizes(d *DSU) map[uint32]int {
+	sizes := make(map[uint32]int)
+	for i := 0; i < d.Len(); i++ {
+		sizes[d.Find(uint32(i))]++
+	}
+	return sizes
+}
+
+// largestComponent picks the largest component, ties toward the smaller
+// root, from the serial count.
 func largestComponent(d *DSU) (root uint32, size int) {
-	for r, s := range d.ComponentSizes() {
+	for r, s := range componentSizes(d) {
 		if s > size || (s == size && r < root) {
 			root, size = r, s
 		}
@@ -412,7 +422,7 @@ func TestComponentSizesParMatchesSerial(t *testing.T) {
 		n := 50 + rng.Intn(500)
 		d := New(n)
 		d.ProcessEdges(randEdges(rng, n, n), 4)
-		want := d.ComponentSizes()
+		want := componentSizes(d)
 		for _, w := range []int{1, 3, 8} {
 			got := d.ComponentSizesPar(w)
 			if len(got) != len(want) {
@@ -424,17 +434,5 @@ func TestComponentSizesParMatchesSerial(t *testing.T) {
 				}
 			}
 		}
-		wr, ws := largestComponent(d)
-		gr, gs := d.LargestComponentPar(4)
-		if wr != gr || ws != gs {
-			t.Fatalf("LargestComponentPar = (%d,%d), serial (%d,%d)", gr, gs, wr, ws)
-		}
-	}
-}
-
-func TestLargestComponentParEmpty(t *testing.T) {
-	d := New(0)
-	if r, s := d.LargestComponentPar(4); r != 0 || s != 0 {
-		t.Fatalf("empty DSU largest = (%d,%d)", r, s)
 	}
 }
