@@ -593,27 +593,16 @@ func benchDigits(b *testing.B, sortFn func([]uint64, []uint32, []uint64, []uint3
 	}
 }
 
-// BenchmarkPipelineBulkExchange vs BenchmarkPipelineStreamingExchange
-// measures the compute–communication overlap of the streaming chunked
-// all-to-all (Config.ExchangeChunkTuples) against the bulk exchange that
-// waits for KmerGen to finish. Both run the full multi-task pipeline under
-// the Edison network model so the exchange has a modeled cost to hide.
+// BenchmarkPipelineBulkExchange runs the full multi-task pipeline under the
+// Edison network model, so the §3.3 bulk all-to-all carries a modeled cost
+// in its KmerGen-Comm step.
 func BenchmarkPipelineBulkExchange(b *testing.B) {
-	benchExchange(b, 0)
-}
-
-func BenchmarkPipelineStreamingExchange(b *testing.B) {
-	benchExchange(b, 4096)
-}
-
-func benchExchange(b *testing.B, chunkTuples int) {
 	idx, ds := fx.index(b, "HG", 0.1, 27)
 	b.SetBytes(ds.Bases)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := runPipeline(b, idx, 4, 1, 2, metaprep.Filter{}, func(c *metaprep.Config) {
 			c.Network = metaprep.EdisonNetwork()
-			c.ExchangeChunkTuples = chunkTuples
 		})
 		if res.Steps.KmerGenComm < 0 {
 			b.Fatal("negative exchange step")

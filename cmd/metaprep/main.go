@@ -94,8 +94,8 @@ func usage() {
   metaprep run        -index FILE [-tasks 1] [-threads 1] [-passes 1]
                       [-kf-min 0] [-kf-max 0] [-split N]
                       [-outdir DIR] [-edison-net] [-merge-output]
-                      [-exchange-chunk N] [-prefetch N]
-                      [-spill-budget BYTES|auto] [-spill-dir DIR] [-spill-compress]
+                      [-prefetch N]
+                      [-spill-budget BYTES|auto] [-spill-dir DIR]
                       [-prefilter-bits N] [-prefilter-min N]
                       [-artifact-out FILE] [-artifact-in FILE] [-delta]
                       [-trace FILE] [-metrics FILE] [-counters FILE|-]
@@ -152,10 +152,8 @@ func cmdRun(args []string) error {
 	mergeOut := fs.Bool("merge-output", false, "also concatenate per-thread outputs into lc.fastq/other.fastq")
 	split := fs.Int("split", 0, "write the N largest components to separate file sets (0 = largest vs rest)")
 	prefetch := fs.Int("prefetch", 0, "per-thread chunk read-ahead depth (0 = default: 1, or serial reads on a single-CPU host)")
-	exchangeChunk := fs.Int("exchange-chunk", 0, "stream the tuple exchange in chunks of this many tuples, overlapping it with KmerGen (0 = bulk exchange after generation)")
 	spillBudget := fs.String("spill-budget", "", "per-rank tuple memory budget, e.g. 256M or 2G, or 'auto' to probe the cgroup/host memory limit; when the exchange would exceed it LocalSort spills sorted runs to disk and merges them as a stream (empty = all in RAM)")
 	spillDir := fs.String("spill-dir", "", "directory for spill run files (empty = the OS temp dir)")
-	spillCompress := fs.Bool("spill-compress", false, "varint/delta-compress spill runs (64-bit keys only): less disk bandwidth for more CPU")
 	prefilterBits := fs.Int("prefilter-bits", 0, "enable the two-pass Bloom singleton prefilter, sized at this many bits per k-mer (8 is a good default; 0 = off): a cheap extra scan drops tuples for k-mers seen fewer than -prefilter-min times, cutting wire, sort and spill volume")
 	prefilterMin := fs.Int("prefilter-min", 0, "prefilter count threshold (default 2 = drop only singletons, which is lossless; requires -prefilter-bits)")
 	artifactOut := fs.String("artifact-out", "", "persist the partitioning (sorted k-mer runs, labels, histogram, provenance) as a .mpa artifact here")
@@ -189,7 +187,6 @@ func cmdRun(args []string) error {
 	cfg.OutDir = *outdir
 	cfg.SplitComponents = *split
 	cfg.PrefetchChunks = *prefetch
-	cfg.ExchangeChunkTuples = *exchangeChunk
 	switch {
 	case *spillBudget == "auto":
 		b := metaprep.AutoSpillBudget(*tasks)
@@ -207,7 +204,6 @@ func cmdRun(args []string) error {
 		cfg.SpillBudgetBytes = b
 	}
 	cfg.SpillDir = *spillDir
-	cfg.SpillCompress = *spillCompress
 	cfg.Prefilter = metaprep.Prefilter{BitsPerKmer: *prefilterBits, MinCount: *prefilterMin}
 	cfg.ArtifactOut = *artifactOut
 	cfg.ArtifactIn = *artifactIn

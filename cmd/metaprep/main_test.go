@@ -158,7 +158,7 @@ func TestCLISpillFlags(t *testing.T) {
 
 	if err := cmdRun([]string{
 		"-index", idxPath, "-threads", "2",
-		"-spill-budget", "64K", "-spill-dir", t.TempDir(), "-spill-compress",
+		"-spill-budget", "64K", "-spill-dir", t.TempDir(),
 	}); err != nil {
 		t.Fatalf("spill run: %v", err)
 	}

@@ -12,7 +12,6 @@ import (
 type extsortRow struct {
 	Variant        string  `json:"variant"`
 	BudgetBytes    int64   `json:"budget_bytes"`
-	Compress       bool    `json:"compress"`
 	LocalSortMS    float64 `json:"local_sort_ms"`
 	LocalCCMS      float64 `json:"local_cc_ms"`
 	TotalMS        float64 `json:"total_ms"`
@@ -43,38 +42,35 @@ func expExtsort(e *env) error {
 	const tasks, threads = 2, 2
 	const tupleBytes = 12 // k = 27
 
-	run := func(budget int64, compress bool) (*metaprep.Result, *metaprep.Collector, error) {
+	run := func(budget int64) (*metaprep.Result, *metaprep.Collector, error) {
 		cfg := metaprep.DefaultConfig(idx)
 		cfg.Tasks = tasks
 		cfg.Threads = threads
 		cfg.SpillBudgetBytes = budget
-		cfg.SpillCompress = compress
 		obs := metaprep.NewCollector()
 		cfg.Obs = obs
 		res, err := metaprep.Partition(cfg)
 		return res, obs, err
 	}
 
-	ref, _, err := run(0, false)
+	ref, _, err := run(0)
 	if err != nil {
 		return err
 	}
 	perRank := int64(ref.Tuples) / tasks * tupleBytes
 
 	type variant struct {
-		name     string
-		budget   int64
-		compress bool
+		name   string
+		budget int64
 	}
-	variants := []variant{{"in-RAM", 0, false}}
+	variants := []variant{{"in-RAM", 0}}
 	for _, div := range []int64{2, 4, 8} {
 		b := perRank / div
 		if b < metaprep.MinSpillBudgetBytes {
 			b = metaprep.MinSpillBudgetBytes
 		}
-		variants = append(variants, variant{fmt.Sprintf("spill/%d", div), b, false})
+		variants = append(variants, variant{fmt.Sprintf("spill/%d", div), b})
 	}
-	variants = append(variants, variant{"spill/8+zip", variants[3].budget, true})
 
 	t := stats.NewTable("Variant", "Budget(MB)", "LocalSort", "LocalCC", "Total",
 		"Runs", "Spilled(MB)", "PeakTuple(MB)", "Overhead")
@@ -83,14 +79,13 @@ func expExtsort(e *env) error {
 	for _, v := range variants {
 		res, obs := ref, (*metaprep.Collector)(nil)
 		if v.budget > 0 {
-			if res, obs, err = run(v.budget, v.compress); err != nil {
+			if res, obs, err = run(v.budget); err != nil {
 				return fmt.Errorf("%s: %w", v.name, err)
 			}
 		}
 		row := extsortRow{
 			Variant:     v.name,
 			BudgetBytes: v.budget,
-			Compress:    v.compress,
 			LocalSortMS: float64(res.Steps.LocalSort.Microseconds()) / 1e3,
 			LocalCCMS:   float64(res.Steps.LocalCC.Microseconds()) / 1e3,
 			TotalMS:     float64(res.Steps.Total().Microseconds()) / 1e3,
@@ -141,17 +136,16 @@ func expExtsort(e *env) error {
 	}
 
 	// The model's view at paper scale: MM on 4 nodes with an eighth of the
-	// per-rank working set resident, raw and compressed.
+	// per-rank working set resident.
 	w := metaprep.PaperWorkload("MM")
 	passBytes := w.Tuples / 4 * int64(w.TupleBytes)
 	mt := stats.NewTable("Model (MM, P=4, T=24, S=1)", "LocalSort", "LocalCC", "Total", "Mem/task(GB)")
 	for _, mv := range []struct {
-		name     string
-		budget   int64
-		compress bool
-	}{{"in-RAM", 0, false}, {"spill/8", passBytes / 8, false}, {"spill/8+zip", passBytes / 8, true}} {
+		name   string
+		budget int64
+	}{{"in-RAM", 0}, {"spill/8", passBytes / 8}} {
 		c := metaprep.ClusterSpec{P: 4, T: 24, S: 1, SparseDeltaMerge: true, OverlapOutput: true,
-			SpillBudgetBytes: mv.budget, SpillCompress: mv.compress}
+			SpillBudgetBytes: mv.budget}
 		p := metaprep.Predict(metaprep.EdisonCalibration(), w, c)
 		mt.AddRow(mv.name, p.LocalSort, p.LocalCC, p.Total(),
 			float64(metaprep.PredictMemory(w, c))/float64(1<<30))

@@ -10,7 +10,7 @@
 //	mpbench -list                    # list experiments
 //
 // Experiments: tab2 fig5 fig6 fig7 fig8 tab3 fig9 sort tab4 tab5 tab6 tab7
-// tab8 tab9 purity ablate exchange extsort artifact prefilter backhalf
+// tab8 tab9 purity ablate extsort artifact prefilter backhalf
 // pipeline serve stream calib.
 package main
 
@@ -45,7 +45,6 @@ func experiments() []experiment {
 		{"tab9", "alias of tab8 (quality prints with timing)", expTables8and9},
 		{"purity", "extension: partition purity vs ground truth", expPurity},
 		{"ablate", "DESIGN.md design-decision ablations", expAblation},
-		{"exchange", "extension: bulk vs streaming chunked exchange (overlap)", expExchange},
 		{"extsort", "extension: out-of-core LocalSort (spill budget sweep, parity-checked)", expExtsort},
 		{"artifact", "extension: persistent partition artifacts (reload >=5x, incremental parity)", expArtifact},
 		{"prefilter", "extension: Bloom singleton prefilter (bits sweep, purity vs exact, wire cut)", expPrefilter},

@@ -136,22 +136,11 @@ type Config struct {
 	// when the host has a single CPU. Each thread holds 1+depth chunk
 	// buffers, which the §3.7 memory accounting charges accordingly.
 	PrefetchChunks int
-	// ExchangeChunkTuples, when > 0, switches the §3.3 tuple exchange to
-	// the streaming chunked schedule: each (pass, destination) send region
-	// is split into fixed-size chunks of this many tuples, KmerGen
-	// publishes a chunk the moment its region fills, and a per-task
-	// exchange goroutine pair drains published chunks through the P-stage
-	// schedule (with double buffering) while enumeration of later chunks is
-	// still running — overlapping compute with communication, so the
-	// modeled KmerGen+Comm wall time approaches max(T_gen, T_comm) instead
-	// of their sum. 0 keeps the bulk-synchronous reference path. Results
-	// are bit-identical either way.
-	ExchangeChunkTuples int
 	// SpillBudgetBytes, when > 0, caps the sort/union phase's resident
 	// tuple memory per task. When a pass's received partition would exceed
 	// the cap, LocalSort goes out-of-core: the exchange lands tuples into
 	// fixed-size run builders, each full run is radix-sorted in RAM and
-	// spilled to a per-rank temp file (write-behind), and LocalCC consumes
+	// spilled raw to a per-rank temp file (write-behind), and LocalCC consumes
 	// a loser-tree k-way merge of the spilled runs as a stream instead of a
 	// materialized partition. Results are bit-identical to the in-RAM path
 	// (the spill parity suite pins this). 0 disables spilling. Budgets
@@ -163,11 +152,6 @@ type Config struct {
 	// error. Like Pool, it never affects results and is excluded from
 	// CanonicalHash.
 	SpillDir string
-	// SpillCompress delta-encodes the sorted tuple keys of each spilled
-	// block as varints, shrinking spill I/O at some encode/decode cost.
-	// Only the 64-bit key path (k ≤ 31) supports it; combining it with
-	// 128-bit keys is a validation error.
-	SpillCompress bool
 	// ArtifactOut, when set, writes a persistent partition artifact
 	// (internal/artifact format v1) to this path: the globally sorted
 	// canonical k-mer tuple stream, the component label map, the frequency
@@ -290,9 +274,6 @@ func (c Config) Validate() error {
 	if c.PrefetchChunks < 0 {
 		return &ConfigError{Field: "PrefetchChunks", Reason: fmt.Sprintf("%d < 0", c.PrefetchChunks)}
 	}
-	if c.ExchangeChunkTuples < 0 {
-		return &ConfigError{Field: "ExchangeChunkTuples", Reason: fmt.Sprintf("%d < 0", c.ExchangeChunkTuples)}
-	}
 	if c.SpillBudgetBytes < 0 {
 		return &ConfigError{Field: "SpillBudgetBytes", Reason: fmt.Sprintf("%d < 0", c.SpillBudgetBytes)}
 	}
@@ -300,13 +281,6 @@ func (c Config) Validate() error {
 		return &ConfigError{Field: "SpillBudgetBytes",
 			Reason: fmt.Sprintf("%d below the %d-byte minimum (run builders and merge read buffers cannot fit a smaller cap)",
 				c.SpillBudgetBytes, MinSpillBudgetBytes)}
-	}
-	if c.SpillCompress && c.SpillBudgetBytes == 0 {
-		return &ConfigError{Field: "SpillCompress", Reason: "requires SpillBudgetBytes > 0 (nothing is spilled otherwise)"}
-	}
-	if c.SpillCompress && !opts.Use64() {
-		return &ConfigError{Field: "SpillCompress",
-			Reason: fmt.Sprintf("varint/delta key compression supports 64-bit keys only (k=%d uses the 128-bit path)", opts.K)}
 	}
 	if c.SpillDir != "" {
 		if c.SpillBudgetBytes == 0 {

@@ -195,6 +195,39 @@ func assertSameLabels(t *testing.T, want, got []uint32) {
 	}
 }
 
+// assertSameResult asserts the paper-visible outputs of two runs are
+// bit-identical: labels, component census, edge and tuple counts, and the
+// k-mer frequency spectrum.
+func assertSameResult(t *testing.T, want, got *Result) {
+	t.Helper()
+	if len(want.Labels) != len(got.Labels) {
+		t.Fatalf("label lengths differ: %d vs %d", len(want.Labels), len(got.Labels))
+	}
+	for i := range want.Labels {
+		if want.Labels[i] != got.Labels[i] {
+			t.Fatalf("labels diverge at read %d: %d vs %d", i, got.Labels[i], want.Labels[i])
+		}
+	}
+	if want.Components != got.Components {
+		t.Errorf("Components = %d, want %d", got.Components, want.Components)
+	}
+	if want.LargestRoot != got.LargestRoot || want.LargestSize != got.LargestSize {
+		t.Errorf("largest component (%d, %d), want (%d, %d)",
+			got.LargestRoot, got.LargestSize, want.LargestRoot, want.LargestSize)
+	}
+	if want.Edges != got.Edges {
+		t.Errorf("Edges = %d, want %d", got.Edges, want.Edges)
+	}
+	if want.Tuples != got.Tuples {
+		t.Errorf("Tuples = %d, want %d", got.Tuples, want.Tuples)
+	}
+	for f := range want.KmerFreqHist {
+		if want.KmerFreqHist[f] != got.KmerFreqHist[f] {
+			t.Errorf("KmerFreqHist[%d] = %d, want %d", f, got.KmerFreqHist[f], want.KmerFreqHist[f])
+		}
+	}
+}
+
 func smallOpts() index.Options {
 	return index.Options{K: 11, M: 4, ChunkSize: 1500}
 }
@@ -781,10 +814,10 @@ func TestKmerFreqHist(t *testing.T) {
 }
 
 func TestPipelineRandomizedConfigs(t *testing.T) {
-	// Fuzz-ish sweep: random datasets and random (P, T, S, filter, exchange
-	// schedule, spill budget) must always match the naive reference.
+	// Fuzz-ish sweep: random datasets and random (P, T, S, filter, ccopt,
+	// prefilter, spill budget) must always match the naive reference.
 	rng := rand.New(rand.NewSource(99))
-	spilled, streamed := 0, 0
+	spilled, prefiltered := 0, 0
 	for trial := 0; trial < 12; trial++ {
 		genomes := 2 + rng.Intn(4)
 		reads := 60 + rng.Intn(150)
@@ -811,7 +844,13 @@ func TestPipelineRandomizedConfigs(t *testing.T) {
 		cfg.Passes = 1 + rng.Intn(5)
 		cfg.Filter = filter
 		cfg.CCOpt = rng.Intn(2) == 0
-		cfg.ExchangeChunkTuples = []int{0, 1, 7, 512}[rng.Intn(4)]
+		// About half the trials run the Bloom prefilter at MinCount 2: it
+		// only drops k-mers seen once, whose runs of length 1 form no edge
+		// under any filter, so the naive labels still hold exactly.
+		if rng.Intn(2) == 0 {
+			cfg.Prefilter = Prefilter{BitsPerKmer: 8, MinCount: 2}
+			prefiltered++
+		}
 		if spill {
 			cfg.SpillBudgetBytes = MinSpillBudgetBytes
 		}
@@ -823,13 +862,10 @@ func TestPipelineRandomizedConfigs(t *testing.T) {
 		g := canonLabels(res.Labels)
 		for i := range want {
 			if g[i] != want[i] {
-				t.Fatalf("trial %d (P=%d T=%d S=%d %v ccopt=%v chunk=%d spill=%d): read %d got %d want %d",
+				t.Fatalf("trial %d (P=%d T=%d S=%d %v ccopt=%v prefilter=%v spill=%d): read %d got %d want %d",
 					trial, cfg.Tasks, cfg.Threads, cfg.Passes, filter, cfg.CCOpt,
-					cfg.ExchangeChunkTuples, cfg.SpillBudgetBytes, i, g[i], want[i])
+					cfg.Prefilter.Enabled(), cfg.SpillBudgetBytes, i, g[i], want[i])
 			}
-		}
-		if cfg.ExchangeChunkTuples > 0 {
-			streamed++
 		}
 		for _, rep := range res.PerTask {
 			if rep.SpillBytes > 0 {
@@ -840,8 +876,8 @@ func TestPipelineRandomizedConfigs(t *testing.T) {
 	}
 	// A reseed that stops drawing either dimension should fail, not pass
 	// with silently narrower coverage.
-	if spilled == 0 || streamed == 0 {
-		t.Fatalf("sweep drew %d spilling and %d streaming trials, want both > 0", spilled, streamed)
+	if spilled == 0 || prefiltered == 0 {
+		t.Fatalf("sweep drew %d spilling and %d prefiltered trials, want both > 0", spilled, prefiltered)
 	}
 }
 

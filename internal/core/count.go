@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"metaprep/internal/mpirt"
@@ -60,9 +61,12 @@ type taskCounts struct {
 	counts []uint32
 }
 
-// RunCount executes the counting pipeline. The Filter, CCOpt, OutDir and
-// SplitComponents fields of cfg are ignored; everything else (tasks,
-// threads, passes, network model, ablation flags) applies as in Run.
+// RunCount executes the counting pipeline. The counter runs in RAM only: a
+// SpillBudgetBytes that would make the plan spill is rejected with a
+// *ConfigError (Passes is the counter's memory knob). The Filter, CCOpt,
+// OutDir, SplitComponents and Prefilter fields of cfg are ignored (every
+// k-mer is counted); everything else (tasks, threads, passes, network
+// model) applies as in Run.
 func RunCount(cfg Config) (*CountResult, error) {
 	return RunCountContext(context.Background(), cfg)
 }
@@ -75,6 +79,12 @@ func RunCountContext(ctx context.Context, cfg Config) (*CountResult, error) {
 	pl, err := newPlan(cfg)
 	if err != nil {
 		return nil, err
+	}
+	if pl.spill {
+		// A spilling plan sizes no kmerIn (bufTuples drops the receive
+		// term), and the counter has no run-builder path to land in.
+		return nil, &ConfigError{Field: "SpillBudgetBytes",
+			Reason: fmt.Sprintf("%d would spill, but the k-mer counter runs in RAM only (raise the budget or add Passes)", cfg.SpillBudgetBytes)}
 	}
 
 	world := mpirt.NewWorld(cfg.Tasks, cfg.Network)

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"metaprep/internal/kmc"
 	"metaprep/internal/kmer"
 )
 
@@ -90,5 +93,60 @@ func TestRunCount128(t *testing.T) {
 		if want[km] != res.Counts[i] {
 			t.Fatalf("k-mer %d count %d, want %d", i, res.Counts[i], want[km])
 		}
+	}
+}
+
+// TestRunCountMatchesKMC checks the distributed counter k-mer by k-mer
+// against internal/kmc, the independent KMC 2-style counter the paper's
+// Fig. 9 compares KmerGen with, over every P × T × S shape.
+func TestRunCountMatchesKMC(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	td := overlappingDataset(t, rng, smallOpts(), 3, 300, 150, 40)
+	opts := kmc.Defaults()
+	opts.K = td.idx.Opts.K
+	want, _, err := kmc.CountFiles(td.paths, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tasks := range []int{1, 2, 4} {
+		for _, threads := range []int{1, 2} {
+			for _, passes := range []int{1, 3} {
+				shape := fmt.Sprintf("P%d/T%d/S%d", tasks, threads, passes)
+				cfg := Default(td.idx)
+				cfg.Tasks, cfg.Threads, cfg.Passes = tasks, threads, passes
+				got, err := RunCount(cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", shape, err)
+				}
+				if got.Len() != want.Len() {
+					t.Fatalf("%s: %d distinct k-mers, kmc %d", shape, got.Len(), want.Len())
+				}
+				for i := range want.Kmers {
+					if got.KmersLo[i] != want.Kmers[i] || got.Counts[i] != want.Counts[i] {
+						t.Fatalf("%s: entry %d is (%x, %d), kmc (%x, %d)", shape, i,
+							got.KmersLo[i], got.Counts[i], want.Kmers[i], want.Counts[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRunCountRejectsSpillBudget: the counter has no out-of-core path, so a
+// budget that makes the plan spill is a typed config error, not a panic in
+// the receive path.
+func TestRunCountRejectsSpillBudget(t *testing.T) {
+	td := spillDataset(t, 91, smallOpts())
+	cfg := Default(td.idx)
+	cfg.Tasks = 2
+	cfg.SpillBudgetBytes = MinSpillBudgetBytes
+	requireSpill(t, cfg)
+	res, err := RunCount(cfg)
+	if res != nil || !errors.Is(err, ErrInvalidConfig) {
+		t.Fatalf("RunCount under a spilling budget: res=%v err=%v, want ErrInvalidConfig", res != nil, err)
+	}
+	var ce *ConfigError
+	if !errors.As(err, &ce) || ce.Field != "SpillBudgetBytes" {
+		t.Fatalf("err = %v, want a *ConfigError for SpillBudgetBytes", err)
 	}
 }

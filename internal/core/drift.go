@@ -41,11 +41,9 @@ func (c Config) modelCluster() model.Cluster {
 		P:                c.Tasks,
 		T:                c.Threads,
 		S:                c.Passes,
-		ChunkTuples:      c.ExchangeChunkTuples,
 		SparseDeltaMerge: true,
 		OverlapOutput:    true,
 		SpillBudgetBytes: c.SpillBudgetBytes,
-		SpillCompress:    c.SpillCompress,
 	}
 	if c.Prefilter.Enabled() {
 		m.PrefilterBits = c.Prefilter.BitsPerKmer

@@ -16,7 +16,7 @@ import (
 // canonicalHashVersion is bumped whenever the set of hashed fields or their
 // normalization changes, invalidating every previously cached result rather
 // than silently aliasing old entries.
-const canonicalHashVersion = 7
+const canonicalHashVersion = 8
 
 // CanonicalHash returns a stable hex digest of the run-defining
 // configuration. The encoding is canonical:
@@ -46,17 +46,11 @@ func (c Config) CanonicalHash() string {
 	// in the host's CPU count, and a cache key must hash identically on
 	// every machine.
 	field("prefetch_depth", max(c.PrefetchChunks, 1))
-	// 0 is the bulk reference path; any positive value is a distinct
-	// schedule knob even though results are bit-identical, because cached
-	// step timings and traces differ. (Pool is excluded: buffer reuse can
-	// never change a result.)
-	field("exchange_chunk_tuples", c.ExchangeChunkTuples)
-	// The out-of-core knobs are distinct runs for caching purposes even
+	// The spill budget makes a distinct run for caching purposes even
 	// though results are bit-identical: step timings, spill counters and
-	// traces differ. SpillDir is excluded like Pool — where the scratch
-	// files live can never change a result.
+	// traces differ. SpillDir and Pool are excluded — where the scratch
+	// files live and whether buffers are recycled can never change a result.
 	field("spill_budget_bytes", c.SpillBudgetBytes)
-	field("spill_compress", c.SpillCompress)
 	// Incremental repartitioning computes a different result (labels over
 	// base∪delta reads), so the mode and the base artifact's identity are
 	// run-defining. A plain reload (ArtifactIn without ArtifactDelta)

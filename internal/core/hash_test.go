@@ -14,7 +14,7 @@ import (
 // and re-pin — never let old cached results alias the new scheme silently.
 func TestCanonicalHashGolden(t *testing.T) {
 	def := Config{Tasks: 1, Threads: 1, Passes: 1, CCOpt: true}
-	const wantDef = "d672172a288f71c0664497c2c7a47eb14d5ccde35d1ca77603437c7f9e315830"
+	const wantDef = "9779a715c629aa488d5b47a8fa96fbc52b7d425e5a45839b5392b6cd9016acde"
 	if got := def.CanonicalHash(); got != wantDef {
 		t.Errorf("CanonicalHash(default) = %s, want %s", got, wantDef)
 	}
@@ -30,7 +30,7 @@ func TestCanonicalHashGolden(t *testing.T) {
 		PrefetchChunks:  4,
 		Network:         &mpirt.NetworkModel{Latency: time.Microsecond, BandwidthBytesPerSec: 8e9},
 	}
-	const wantFull = "11029e7795169d5c8930b9a80d1d6c40991629e493e09153ff51786f512828fb"
+	const wantFull = "76851a9a6ee5826f5e8e6890c0861844ed465581931248f17851ed2d4872298e"
 	if got := full.CanonicalHash(); got != wantFull {
 		t.Errorf("CanonicalHash(full) = %s, want %s", got, wantFull)
 	}
@@ -58,7 +58,7 @@ func TestCanonicalHashEquivalentSpellings(t *testing.T) {
 	}
 
 	// Where spill scratch lives can never change a result: SpillDir is
-	// excluded from the hash (the budget and compression knobs are not).
+	// excluded from the hash (the budget is not).
 	spillA := base
 	spillA.SpillBudgetBytes = 1 << 20
 	spillB := spillA
@@ -106,21 +106,16 @@ func TestCanonicalHashEquivalentSpellings(t *testing.T) {
 func TestCanonicalHashSensitivity(t *testing.T) {
 	base := Config{Tasks: 2, Threads: 2, Passes: 1, CCOpt: true}
 	mutations := map[string]func(*Config){
-		"tasks":                 func(c *Config) { c.Tasks = 3 },
-		"threads":               func(c *Config) { c.Threads = 4 },
-		"passes":                func(c *Config) { c.Passes = 2 },
-		"filter.min":            func(c *Config) { c.Filter.Min = 2 },
-		"filter.max":            func(c *Config) { c.Filter.Max = 50 },
-		"ccopt":                 func(c *Config) { c.CCOpt = false },
-		"split_components":      func(c *Config) { c.SplitComponents = 2 },
-		"out_dir":               func(c *Config) { c.OutDir = "d" },
-		"prefetch_depth":        func(c *Config) { c.PrefetchChunks = 3 },
-		"exchange_chunk_tuples": func(c *Config) { c.ExchangeChunkTuples = 1 << 16 },
-		"spill_budget_bytes":    func(c *Config) { c.SpillBudgetBytes = 1 << 20 },
-		"spill_compress": func(c *Config) {
-			c.SpillBudgetBytes = 1 << 20
-			c.SpillCompress = true
-		},
+		"tasks":                   func(c *Config) { c.Tasks = 3 },
+		"threads":                 func(c *Config) { c.Threads = 4 },
+		"passes":                  func(c *Config) { c.Passes = 2 },
+		"filter.min":              func(c *Config) { c.Filter.Min = 2 },
+		"filter.max":              func(c *Config) { c.Filter.Max = 50 },
+		"ccopt":                   func(c *Config) { c.CCOpt = false },
+		"split_components":        func(c *Config) { c.SplitComponents = 2 },
+		"out_dir":                 func(c *Config) { c.OutDir = "d" },
+		"prefetch_depth":          func(c *Config) { c.PrefetchChunks = 3 },
+		"spill_budget_bytes":      func(c *Config) { c.SpillBudgetBytes = 1 << 20 },
 		"prefilter.bits_per_kmer": func(c *Config) { c.Prefilter.BitsPerKmer = 8 },
 		"prefilter.min_count": func(c *Config) {
 			c.Prefilter.BitsPerKmer = 8

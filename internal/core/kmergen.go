@@ -123,71 +123,11 @@ func (st *taskState) kmerGenThread(s, t int, gl genLayout, owner []uint16,
 		cur[dst]++
 		st.out.set(i, hi, lo, val)
 	}
-	if tr := st.pfTracker; tr != nil {
-		// Prefiltered streaming exchange: each thread publishes its kept
-		// ranges at chunk-size boundaries and, on return, a last-flagged
-		// final per destination (pub is sized so neither ever blocks). The
-		// exact path's fill-count tracker cannot be used — under filtering
-		// a chunk's planned fill count is never reached.
-		mark := make([]uint64, cfg.Tasks)
-		copy(mark, cur)
-		emit = func(bin int, hi, lo uint64, val uint32) {
-			dst := int(owner[bin-passLo])
-			i := cur[dst]
-			if i >= lim[dst] {
-				overflow = true
-				return
-			}
-			st.out.set(i, hi, lo, val)
-			i++
-			cur[dst] = i
-			if i-mark[dst] == tr.chunkTuples {
-				tr.pub <- pfChunk{dst: dst, off: mark[dst], cnt: tr.chunkTuples}
-				mark[dst] = i
-			}
-		}
-		defer func() {
-			for dst := 0; dst < cfg.Tasks; dst++ {
-				tr.pub <- pfChunk{dst: dst, off: mark[dst], cnt: cur[dst] - mark[dst], last: true}
-			}
-		}()
-	}
-	if tr := st.exchTracker; tr != nil {
-		// Streaming exchange: track chunk fills. Each thread flushes its
-		// contribution [mark, cur) to the tracker at every chunk boundary
-		// inside its sub-region, and at the sub-region's end (bound is
-		// clamped to lim — a sub-region ending mid-chunk flushes a partial
-		// contribution and the next thread completes the chunk). The hot
-		// path gains one predictable compare per tuple; the tracker's
-		// atomic is touched once per contribution, not per tuple.
-		mark := make([]uint64, cfg.Tasks)
-		bound := make([]uint64, cfg.Tasks)
-		copy(mark, cur)
-		for dst := range bound {
-			bound[dst] = tr.nextBound(dst, cur[dst], lim[dst])
-		}
-		emit = func(bin int, hi, lo uint64, val uint32) {
-			dst := int(owner[bin-passLo])
-			i := cur[dst]
-			if i >= lim[dst] {
-				overflow = true
-				return
-			}
-			st.out.set(i, hi, lo, val)
-			i++
-			cur[dst] = i
-			if i == bound[dst] {
-				tr.add(dst, mark[dst], i)
-				mark[dst] = i
-				bound[dst] = tr.nextBound(dst, i, lim[dst])
-			}
-		}
-	}
 	if keep := st.keep; keep != nil {
-		// Prefilter gate, wrapped around whichever emit variant applies: a
-		// k-mer outside the global keep set generates no tuple — it never
-		// crosses the wire, enters LocalSort, or spills. One blocked-Bloom
-		// probe (a single cache line) per enumerated k-mer.
+		// Prefilter gate, wrapped around the emit: a k-mer outside the
+		// global keep set generates no tuple — it never crosses the wire,
+		// enters LocalSort, or spills. One blocked-Bloom probe (a single
+		// cache line) per enumerated k-mer.
 		write := emit
 		emit = func(bin int, hi, lo uint64, val uint32) {
 			h1, h2 := sketch.Hash(hi, lo)

@@ -55,13 +55,6 @@ type taskState struct {
 	// extsort/peak_tuple_bytes counter the budget-compliance test checks.
 	spillCur, spillPeak atomic.Int64
 
-	// exchTracker, non-nil only while a streaming exchange pass runs,
-	// receives chunk-fill notifications from the KmerGen worker threads.
-	exchTracker *chunkTracker
-	// pfTracker is exchTracker's prefiltered twin: explicit chunk
-	// publication instead of fill counting (see prefilter.go).
-	pfTracker *pfTracker
-
 	// keep, non-nil when the prefilter is enabled, is the global "seen ≥
 	// MinCount times" Bloom every KmerGen emit consults; filterBytes is the
 	// pass-1 ladder's memory charge. genKept[dst*T+t] records thread t's
@@ -96,10 +89,6 @@ func newTaskState(ctx context.Context, pl *plan, task *mpirt.Task) *taskState {
 		st.obs.SetProcessName(st.rank, fmt.Sprintf("task %d", st.rank))
 		st.obs.SetThreadName(st.rank, obsv.TidSteps, "steps")
 		st.obs.SetThreadName(st.rank, obsv.TidComm, "mpirt comm")
-		if pl.cfg.ExchangeChunkTuples > 0 {
-			st.obs.SetThreadName(st.rank, obsv.TidExchange, "exchange send")
-			st.obs.SetThreadName(st.rank, obsv.TidExchRecv, "exchange recv")
-		}
 		if pl.spill {
 			st.obs.SetThreadName(st.rank, obsv.TidSpill, "spill writer")
 		}

@@ -165,24 +165,6 @@ type genLayout struct {
 	cursor []uint64
 	// total is the number of tuples task rank generates this pass.
 	total uint64
-
-	// Streaming-exchange chunk accounting (zero when ExchangeChunkTuples
-	// is 0). Each destination region is cut into ⌈dstCnt/chunkTuples⌉
-	// fixed-size chunks; chunkBase[dst] is the first flat chunk index of
-	// dst's region, and chunkTotal the flat chunk count across all
-	// destinations. Chunk c of dst covers tuples
-	// [dstOff+c·chunkTuples, min(dstOff+(c+1)·chunkTuples, dstOff+dstCnt)).
-	chunkTuples uint64
-	chunkBase   []int
-	chunkTotal  int
-}
-
-// chunksFor returns the number of exchange chunks in dst's send region.
-func (l genLayout) chunksFor(dst int) int {
-	if l.chunkTuples == 0 {
-		return 0
-	}
-	return int((l.dstCnt[dst] + l.chunkTuples - 1) / l.chunkTuples)
 }
 
 func (p *plan) genLayout(s, rank int) genLayout {
@@ -214,14 +196,6 @@ func (p *plan) genLayout(s, rank int) genLayout {
 		}
 	}
 	l.total = off
-	if c := p.cfg.ExchangeChunkTuples; c > 0 {
-		l.chunkTuples = uint64(c)
-		l.chunkBase = make([]int, P)
-		for dst := 0; dst < P; dst++ {
-			l.chunkBase[dst] = l.chunkTotal
-			l.chunkTotal += l.chunksFor(dst)
-		}
-	}
 	return l
 }
 
@@ -236,21 +210,6 @@ type recvLayout struct {
 	// locate scatter work regions for LocalSort.
 	threadCnt []uint64
 	total     uint64
-
-	// chunkTuples mirrors genLayout's chunk accounting on the receive
-	// side: source src ships ⌈srcCnt/chunkTuples⌉ chunks, chunk c landing
-	// at srcOff[src]+c·chunkTuples. Both sides derive the counts from the
-	// same index tables, so no control messages are needed — not even for
-	// empty regions, which ship zero chunks.
-	chunkTuples uint64
-}
-
-// chunksFrom returns the number of exchange chunks source src will send.
-func (l recvLayout) chunksFrom(src int) int {
-	if l.chunkTuples == 0 {
-		return 0
-	}
-	return int((l.srcCnt[src] + l.chunkTuples - 1) / l.chunkTuples)
 }
 
 func (p *plan) recvLayout(s, rank int) recvLayout {
@@ -275,7 +234,6 @@ func (p *plan) recvLayout(s, rank int) recvLayout {
 		}
 	}
 	l.total = off
-	l.chunkTuples = uint64(p.cfg.ExchangeChunkTuples)
 	return l
 }
 

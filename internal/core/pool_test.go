@@ -69,13 +69,4 @@ func TestTuplePoolRunParity(t *testing.T) {
 		t.Fatalf("second pooled run recorded no hits: buffers were not reused")
 	}
 	assertSameResult(t, want, got)
-
-	// Streaming exchange on recycled buffers, for good measure.
-	scfg := pcfg
-	scfg.ExchangeChunkTuples = 64
-	sgot, err := Run(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, want, sgot)
 }

@@ -6,7 +6,6 @@ import (
 
 	"metaprep/internal/fastq"
 	"metaprep/internal/kmer"
-	"metaprep/internal/mpirt"
 	"metaprep/internal/obsv"
 	"metaprep/internal/par"
 	"metaprep/internal/sketch"
@@ -35,18 +34,12 @@ import (
 //   - KmerGen threads keep their exclusive per-(dst, thread) sub-regions
 //     but fill only a prefix of each; the end cursors are recorded in
 //     genKept instead of being validated against the index's counts.
-//   - The bulk exchange first compacts each destination region in place
-//     (a forward copy — writes trail reads) and ships actual counts; the
-//     receiver lands regions at their planned offsets and records actual
-//     counts in recvGot, erroring only when a region exceeds its exact
-//     prediction (the filter can only shrink counts).
-//   - The streaming exchange replaces the fill-count chunk tracker (whose
-//     "chunk full" condition never fires under filtering) with explicit
-//     per-thread chunk publication: each worker publishes its kept ranges
-//     at chunk-size boundaries and a last-flagged final per destination,
-//     and the sender walks the same P-stage schedule shipping them as
-//     they appear, closing each destination with one last-flagged
-//     message. The receiver drains each source until that flag.
+//   - compactGen closes the gaps in each destination region in place (a
+//     forward copy — writes trail reads), and the one §3.3 exchange ships
+//     the compacted counts; the receiver lands regions at their planned
+//     offsets and records actual counts in recvGot, erroring only when a
+//     region exceeds its exact prediction (the filter can only shrink
+//     counts).
 //   - LocalSort derives its layout from a counting scan of the received
 //     tuples (sortLayoutFiltered) instead of the index histograms, and
 //     the radix sort falls back to its counting path (MerHist's per-bin
@@ -232,33 +225,6 @@ func (st *taskState) prefilterScanThread(t int, f *sketch.RepeatFilter,
 	return nil
 }
 
-// genExchangeFiltered is genExchange's prefiltered twin: the same
-// bulk/streaming dispatch, but with dynamic tuple counts flowing through
-// compaction (bulk) or explicit chunk publication (streaming).
-func (st *taskState) genExchangeFiltered(s int, gl genLayout, rl recvLayout) error {
-	if st.p.cfg.ExchangeChunkTuples == 0 {
-		if err := st.kmerGen(s, gl); err != nil {
-			return err
-		}
-		act := st.compactGen(gl)
-		return st.exchangeFiltered(s, gl, rl, act)
-	}
-	ex := st.startStreamPF(s, gl, rl)
-	if err := st.kmerGen(s, gl); err != nil {
-		st.t.Abort()
-		ex.join()
-		return err
-	}
-	genEnd := time.Now()
-	err := ex.join()
-	st.t.Barrier()
-	if err != nil {
-		return err
-	}
-	st.streamTail(ex, genEnd)
-	return nil
-}
-
 // compactGen closes the gaps the prefilter left in kmerOut: within each
 // destination region, every thread's kept prefix slides left so the
 // region's tuples are contiguous from dstOff. The copies move tuples
@@ -285,229 +251,6 @@ func (st *taskState) compactGen(gl genLayout) []uint64 {
 	st.rep.Steps.KmerGen += d
 	st.stepSpan("KmerGen", t0, d)
 	return act
-}
-
-// exchangeFiltered is the bulk all-to-all with actual (post-filter) send
-// counts. Receive offsets stay at their planned positions — regions are
-// simply part-filled — and actual counts land in recvGot for the layout
-// scan. A region larger than the exact prediction is still an error: the
-// filter can only shrink counts, so growth means the input changed.
-func (st *taskState) exchangeFiltered(s int, gl genLayout, rl recvLayout, act []uint64) error {
-	t0 := time.Now()
-	var mismatch error
-	st.t.AllToAll(tagTuples+s,
-		func(dst int) (any, int) {
-			cnt := act[dst]
-			return st.out.msgFor(gl.dstOff[dst], cnt), int(cnt) * st.out.bytesPerTuple()
-		},
-		func(src int, payload any) {
-			var got uint64
-			if st.spill != nil {
-				got = st.spill.receive(payload.(tupleMsg))
-			} else {
-				got = st.in.receive(rl.srcOff[src], payload.(tupleMsg))
-			}
-			st.recvGot[src] = got
-			if st.exchTupleCounters != nil {
-				st.exchTupleCounters[src].Add(got)
-			}
-			if got > rl.srcCnt[src] && mismatch == nil {
-				mismatch = fmt.Errorf("core: task %d received %d tuples from %d, index predicts at most %d — input changed since IndexCreate?",
-					st.rank, got, src, rl.srcCnt[src])
-			}
-		},
-	)
-	st.t.Barrier()
-	d := time.Since(t0) + st.t.TakeCommTime()
-	st.rep.Steps.KmerGenComm += d
-	st.stepSpan("KmerGen-Comm", t0, d)
-	return mismatch
-}
-
-// pfChunk is one kept tuple range a KmerGen worker publishes to the
-// prefiltered streaming sender: [off, off+cnt) of kmerOut, bound for dst.
-// last marks a thread's final contribution to dst (cnt may be 0); the
-// sender closes a destination once all T finals have arrived.
-type pfChunk struct {
-	dst      int
-	off, cnt uint64
-	last     bool
-}
-
-// pfTracker carries published chunks from the KmerGen worker threads to
-// the prefiltered streaming sender. Unlike chunkTracker there are no fill
-// counts to track — a worker's kept tuples are contiguous within its own
-// sub-region, so each publication is a self-describing range.
-type pfTracker struct {
-	chunkTuples uint64
-	pub         chan pfChunk
-}
-
-func newPFTracker(gl genLayout, p, t int) *pfTracker {
-	// Capacity bounds the worst-case publication count so workers never
-	// block: per (dst, thread), ⌈kept/chunkTuples⌉ data chunks plus one
-	// final; summed, at most chunkTotal + 2·P·T.
-	return &pfTracker{
-		chunkTuples: gl.chunkTuples,
-		pub:         make(chan pfChunk, gl.chunkTotal+2*p*t),
-	}
-}
-
-// pfMsg is the streaming prefilter exchange's wire unit: a tuple view plus
-// the end-of-source flag (counts are dynamic, so termination is explicit
-// rather than derived from the index tables).
-type pfMsg struct {
-	tupleMsg
-	last bool
-}
-
-// startStreamPF launches the prefiltered streaming exchange for pass s and
-// installs the publication tracker KmerGen's workers feed.
-func (st *taskState) startStreamPF(s int, gl genLayout, rl recvLayout) *exchStream {
-	ex := &exchStream{st: st, start: time.Now()}
-	st.pfTracker = newPFTracker(gl, st.p.cfg.Tasks, st.p.cfg.Threads)
-	ex.wg.Add(2)
-	go func() {
-		defer ex.wg.Done()
-		err := mpirt.Guard(func() {
-			if e := ex.sendLoopPF(s, gl); e != nil && ex.sendErr == nil {
-				ex.sendErr = e
-			}
-		})
-		if err != nil && ex.sendErr == nil {
-			ex.sendErr = err
-		}
-	}()
-	go func() {
-		defer ex.wg.Done()
-		err := mpirt.Guard(func() {
-			if e := ex.recvLoopPF(s, rl); e != nil && ex.recvErr == nil {
-				ex.recvErr = e
-			}
-		})
-		if err != nil && ex.recvErr == nil {
-			ex.recvErr = err
-		}
-	}()
-	return ex
-}
-
-// sendLoopPF walks the same P-stage schedule as the exact sender (stage i
-// sends to rank+i), shipping published chunks as they arrive. Chunks for
-// later stages are queued; the current stage closes when all T worker
-// finals for its destination have been seen, whereupon one last-flagged
-// (possibly empty) message tells the receiver the source is done. Keeping
-// the stage schedule preserves the bulk path's deadlock-freedom argument:
-// the globally-first undelivered message's sender is blocked only on
-// publication (KmerGen progress) or on strictly earlier sends.
-func (ex *exchStream) sendLoopPF(s int, gl genLayout) error {
-	st := ex.st
-	t := st.t
-	P := t.Size()
-	T := st.p.cfg.Threads
-	tr := st.pfTracker
-	obs := st.obs
-	queued := make([][]pfChunk, P)
-	finals := make([]int, P)
-	var inflight []*mpirt.Request
-	var sent int
-	ship := func(dst int, off, cnt uint64, last bool) {
-		req := t.ISend(dst, tagTuples+s,
-			pfMsg{tupleMsg: st.out.msgFor(off, cnt), last: last},
-			int(cnt)*st.out.bytesPerTuple())
-		inflight = append(inflight, req)
-		sent++
-		if len(inflight) > sendWindow {
-			t.Wait(inflight[0])
-			inflight = inflight[1:]
-		}
-	}
-	for i := 0; i < P; i++ {
-		dst := (st.rank + i) % P
-		for _, c := range queued[dst] {
-			ship(dst, c.off, c.cnt, false)
-		}
-		queued[dst] = nil
-		for finals[dst] < T {
-			var c pfChunk
-			select {
-			case c = <-tr.pub:
-			default:
-				// Block: the chunk we need has not been enumerated yet.
-				w0 := time.Now()
-				select {
-				case c = <-tr.pub:
-				case <-t.Failed():
-					return mpirt.ErrPeerFailed
-				}
-				ex.pubWait += time.Since(w0)
-			}
-			if c.last {
-				finals[c.dst]++
-			}
-			if c.cnt > 0 {
-				if c.dst == dst {
-					ship(dst, c.off, c.cnt, false)
-				} else {
-					queued[c.dst] = append(queued[c.dst], pfChunk{dst: c.dst, off: c.off, cnt: c.cnt})
-				}
-			}
-		}
-		ship(dst, gl.dstOff[dst], 0, true)
-	}
-	t.WaitAll(inflight)
-	if obs != nil {
-		st.counter("exchange/chunks_sent").Add(uint64(sent))
-		st.counter("exchange/publish_wait_us").Add(uint64(ex.pubWait.Microseconds()))
-	}
-	return nil
-}
-
-// recvLoopPF mirrors the schedule (stage i receives from rank-i), landing
-// each source's chunks compactly from its planned region offset until the
-// last-flagged message arrives, and recording the actual count in recvGot.
-func (ex *exchStream) recvLoopPF(s int, rl recvLayout) error {
-	st := ex.st
-	t := st.t
-	P := t.Size()
-	obs := st.obs
-	var mismatch error
-	var landed int
-	for i := 0; i < P; i++ {
-		src := (st.rank - i + P) % P
-		var got uint64
-		for {
-			r0 := time.Now()
-			m := t.Wait(t.IRecv(src, tagTuples+s)).(pfMsg)
-			var n uint64
-			if st.spill != nil {
-				n = st.spill.receive(m.tupleMsg)
-			} else {
-				n = st.in.receive(rl.srcOff[src]+got, m.tupleMsg)
-			}
-			got += n
-			landed++
-			if obs != nil {
-				obs.RecordSpan(st.rank, obsv.TidExchRecv, "detail", "chunk-land", r0, time.Since(r0),
-					map[string]any{"src": src, "tuples": n})
-			}
-			if m.last {
-				break
-			}
-		}
-		st.recvGot[src] = got
-		if st.exchTupleCounters != nil {
-			st.exchTupleCounters[src].Add(got)
-		}
-		if got > rl.srcCnt[src] && mismatch == nil {
-			mismatch = fmt.Errorf("core: task %d received %d tuples from %d, index predicts at most %d — input changed since IndexCreate?",
-				st.rank, got, src, rl.srcCnt[src])
-		}
-	}
-	if obs != nil {
-		st.counter("exchange/chunks_recv").Add(uint64(landed))
-	}
-	return mismatch
 }
 
 // sortLayoutFiltered replaces the plan's histogram-derived sortLayout when

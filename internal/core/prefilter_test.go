@@ -30,7 +30,7 @@ func counterTotal(obs *obsv.Collector, name string) uint64 {
 // k-mers), the tuple volume genuinely shrinks, and the knobs validate.
 
 // TestPrefilterLosslessMinCount2 runs the full parity matrix — 64/128-bit
-// keys × task counts × bulk/streaming exchange × in-RAM/spilled LocalSort —
+// keys × task counts × in-RAM/spilled LocalSort —
 // and checks prefiltered labels against the exact run, plus that the
 // prefiltered run enumerated strictly fewer tuples (the dataset mixes
 // overlapping reads with pure-noise reads, so true singletons abound).
@@ -55,24 +55,21 @@ func TestPrefilterLosslessMinCount2(t *testing.T) {
 			assertSameLabels(t, want, exact.Labels)
 
 			for _, tasks := range []int{1, 3} {
-				for _, stream := range []int{0, 64} {
-					for _, spill := range []int64{0, 1 << 17} {
-						cfg := Default(td.idx)
-						cfg.Tasks = tasks
-						cfg.Threads = 2
-						cfg.Passes = 2
-						cfg.ExchangeChunkTuples = stream
-						cfg.SpillBudgetBytes = spill
-						cfg.Prefilter = Prefilter{BitsPerKmer: 8}
-						res, err := Run(cfg)
-						if err != nil {
-							t.Fatalf("P=%d stream=%d spill=%d: %v", tasks, stream, spill, err)
-						}
-						assertSameLabels(t, want, res.Labels)
-						if res.Tuples >= exact.Tuples {
-							t.Errorf("P=%d stream=%d spill=%d: prefiltered run enumerated %d tuples, exact %d — nothing dropped",
-								tasks, stream, spill, res.Tuples, exact.Tuples)
-						}
+				for _, spill := range []int64{0, 1 << 17} {
+					cfg := Default(td.idx)
+					cfg.Tasks = tasks
+					cfg.Threads = 2
+					cfg.Passes = 2
+					cfg.SpillBudgetBytes = spill
+					cfg.Prefilter = Prefilter{BitsPerKmer: 8}
+					res, err := Run(cfg)
+					if err != nil {
+						t.Fatalf("P=%d spill=%d: %v", tasks, spill, err)
+					}
+					assertSameLabels(t, want, res.Labels)
+					if res.Tuples >= exact.Tuples {
+						t.Errorf("P=%d spill=%d: prefiltered run enumerated %d tuples, exact %d — nothing dropped",
+							tasks, spill, res.Tuples, exact.Tuples)
 					}
 				}
 			}

@@ -19,7 +19,10 @@ import (
 // a partition-sized kmerIn. Each full builder is handed to a spill worker
 // that radix-sorts it in RAM (the §3.4 kernels, with the task's bin range
 // pinning the high bits) and appends it to a per-(rank, pass) temp file as
-// one sorted run, cut into T per-thread-bin segments. LocalCC then replaces
+// one sorted run, cut into T per-thread-bin segments. Runs are written raw:
+// the extsort codec's varint/delta key compression measured slower and
+// larger in RSS on local disk (EXPERIMENTS.md), so spill never uses it;
+// the .mpa artifact's k-mer section still does. LocalCC then replaces
 // the sorted-partition walk with T concurrent loser-tree merges — thread d
 // merging segment d of every run — feeding the shared union–find as a
 // stream. Results are bit-identical to the in-RAM path (TestSpillParity):
@@ -51,7 +54,6 @@ type spillState struct {
 	w    *extsort.Writer
 
 	wide        bool
-	compress    bool
 	runTuples   uint64
 	blockTuples int
 
@@ -91,7 +93,6 @@ func (st *taskState) startSpill(s int, rl recvLayout, dir string) (*spillState, 
 	sp := &spillState{
 		st: st, s: s,
 		wide:        !pl.use64(),
-		compress:    cfg.SpillCompress,
 		runTuples:   pl.runTuples,
 		blockTuples: pl.spillBlockTuples(runs),
 		thrCuts:     pl.pt.ThreadCuts(s, st.rank),
@@ -111,7 +112,7 @@ func (st *taskState) startSpill(s int, rl recvLayout, dir string) (*spillState, 
 		return nil, err
 	}
 	sp.f = f
-	w, err := extsort.NewWriter(f, sp.wide, sp.compress, sp.blockTuples)
+	w, err := extsort.NewWriter(f, sp.wide, false, sp.blockTuples)
 	if err != nil {
 		f.Close()
 		os.Remove(sp.path)
@@ -132,9 +133,8 @@ func (st *taskState) startSpill(s int, rl recvLayout, dir string) (*spillState, 
 
 // receive appends a received exchange message to the current run builder,
 // rotating full builders to the spill worker. It replaces
-// tupleBuf.receive on the spill path and is only ever called from one
-// goroutine at a time (the bulk all-to-all callback or the streaming
-// receiver).
+// tupleBuf.receive on the spill path and is only ever called from the
+// rank's own all-to-all receive callback.
 func (sp *spillState) receive(m tupleMsg) uint64 {
 	cnt := uint64(len(m.lo))
 	var pos uint64
@@ -338,7 +338,7 @@ func (st *taskState) localCCSpill(sp *spillState) error {
 
 		rs := make([]*extsort.SegReader, runs)
 		for i, info := range sp.infos {
-			rs[i] = extsort.NewSegReader(sp.f, info.Segs[d], sp.wide, sp.compress, sp.blockTuples)
+			rs[i] = extsort.NewSegReader(sp.f, info.Segs[d], sp.wide, false, sp.blockTuples)
 		}
 		mg, err := extsort.NewMerger(rs)
 		if err != nil {

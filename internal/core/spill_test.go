@@ -46,8 +46,7 @@ func sameFreqHist(t *testing.T, want, got []uint64) {
 
 // TestSpillParity pins the tentpole guarantee: the out-of-core path is
 // bit-identical to the in-RAM path — labels, edge counts and the frequency
-// spectrum — across task counts, passes, compression and both exchange
-// schedules.
+// spectrum — across task counts, thread counts and passes.
 func TestSpillParity(t *testing.T) {
 	td := spillDataset(t, 91, smallOpts())
 	want := naiveLabels(td, 11, false, Filter{})
@@ -60,20 +59,16 @@ func TestSpillParity(t *testing.T) {
 	assertSameLabels(t, want, ref.Labels)
 
 	cases := []struct {
-		name     string
-		tasks    int
-		threads  int
-		passes   int
-		compress bool
-		stream   int // ExchangeChunkTuples
+		name    string
+		tasks   int
+		threads int
+		passes  int
 	}{
-		{"P1_T2_S1", 1, 2, 1, false, 0},
-		{"P1_T2_S1_compress", 1, 2, 1, true, 0},
-		{"P3_T2_S1", 3, 2, 1, false, 0},
-		{"P3_T2_S2", 3, 2, 2, false, 0},
-		{"P3_T2_S2_compress", 3, 2, 2, true, 0},
-		{"P2_T3_S1_stream", 2, 3, 1, false, 2048},
-		{"P2_T2_S2_stream_compress", 2, 2, 2, true, 2048},
+		{"P1_T2_S1", 1, 2, 1},
+		{"P3_T2_S1", 3, 2, 1},
+		{"P3_T2_S2", 3, 2, 2},
+		{"P2_T3_S1", 2, 3, 1},
+		{"P2_T2_S2", 2, 2, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -82,8 +77,6 @@ func TestSpillParity(t *testing.T) {
 			cfg.Threads = c.threads
 			cfg.Passes = c.passes
 			cfg.SpillBudgetBytes = MinSpillBudgetBytes
-			cfg.SpillCompress = c.compress
-			cfg.ExchangeChunkTuples = c.stream
 			requireSpill(t, cfg)
 			res, err := Run(cfg)
 			if err != nil {
@@ -204,27 +197,6 @@ func TestSpillBudgetCompliance(t *testing.T) {
 	}
 }
 
-// TestSpillCompressShrinksSpill checks the delta/varint codec actually
-// reduces spill volume on sorted keys.
-func TestSpillCompressShrinksSpill(t *testing.T) {
-	td := spillDataset(t, 95, smallOpts())
-	spilled := func(compress bool) uint64 {
-		obs := obsv.New()
-		cfg := Default(td.idx)
-		cfg.SpillBudgetBytes = MinSpillBudgetBytes
-		cfg.SpillCompress = compress
-		cfg.Obs = obs
-		if _, err := Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-		return obs.Counter(0, "extsort/bytes_spilled").Value()
-	}
-	raw, comp := spilled(false), spilled(true)
-	if comp >= raw {
-		t.Errorf("compressed spill %d >= raw spill %d", comp, raw)
-	}
-}
-
 // TestSpillCancelLeavesNoRunFiles cancels spilling runs at several poll
 // depths — landing in the exchange, the spill drain and the k-way merge —
 // and checks that no run files survive in SpillDir, no partial result
@@ -290,12 +262,10 @@ func TestSpillNotTriggeredUnderBudget(t *testing.T) {
 }
 
 // TestSpillConfigValidation covers the typed errors for the out-of-core
-// knobs: budget bounds, spill-dir existence/writability, and the
-// compression × 128-bit-keys exclusion.
+// knobs: budget bounds and spill-dir existence/writability.
 func TestSpillConfigValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	td := genDataset(t, rng, smallOpts(), 1, 10, 30)
-	tdWide := genDataset(t, rng, index.Options{K: 35, M: 4, ChunkSize: 2000}, 1, 10, 60)
 
 	cases := []struct {
 		name  string
@@ -308,13 +278,6 @@ func TestSpillConfigValidation(t *testing.T) {
 		{"budget below minimum",
 			Config{Index: td.idx, Tasks: 1, Threads: 1, Passes: 1, SpillBudgetBytes: MinSpillBudgetBytes - 1},
 			"SpillBudgetBytes"},
-		{"compress without budget",
-			Config{Index: td.idx, Tasks: 1, Threads: 1, Passes: 1, SpillCompress: true},
-			"SpillCompress"},
-		{"compress with 128-bit keys",
-			Config{Index: tdWide.idx, Tasks: 1, Threads: 1, Passes: 1,
-				SpillBudgetBytes: MinSpillBudgetBytes, SpillCompress: true},
-			"SpillCompress"},
 		{"dir without budget",
 			Config{Index: td.idx, Tasks: 1, Threads: 1, Passes: 1, SpillDir: os.TempDir()},
 			"SpillDir"},

@@ -13,16 +13,33 @@ import (
 // exchange (§3.3), the two-stage local sort (§3.4) and the concurrent
 // union–find over sorted runs (§3.5).
 
+// genExchange runs KmerGen and then the tuple exchange for pass s. Exact
+// passes ship the index-predicted region counts; prefiltered passes first
+// compact the part-filled regions and ship what the gate kept.
+func (st *taskState) genExchange(s int, gl genLayout, rl recvLayout) error {
+	if err := st.kmerGen(s, gl); err != nil {
+		return err
+	}
+	if st.keep == nil {
+		return st.exchange(s, gl, rl, gl.dstCnt)
+	}
+	return st.exchange(s, gl, rl, st.compactGen(gl))
+}
+
 // exchange runs the custom all-to-all of §3.3: P stages of point-to-point
-// messages, stage i pairing rank→rank+i. Each received region lands at its
-// precomputed offset in kmerIn; counts are validated against the index's
-// prediction.
-func (st *taskState) exchange(s int, gl genLayout, rl recvLayout) error {
+// messages, stage i pairing rank→rank+i, each shipping sendCnt[dst] tuples
+// from dst's region of kmerOut. Each received region lands at its
+// precomputed offset in kmerIn (or in the spill run builders). Counts are
+// validated against the index's prediction: exactly, or — under the
+// prefilter, which can only shrink them — as an upper bound, with the
+// actual counts recorded in recvGot for sortLayoutFiltered.
+func (st *taskState) exchange(s int, gl genLayout, rl recvLayout, sendCnt []uint64) error {
 	t0 := time.Now()
+	filtered := st.keep != nil
 	var mismatch error
 	st.t.AllToAll(tagTuples+s,
 		func(dst int) (any, int) {
-			cnt := gl.dstCnt[dst]
+			cnt := sendCnt[dst]
 			return st.out.msgFor(gl.dstOff[dst], cnt), int(cnt) * st.out.bytesPerTuple()
 		},
 		func(src int, payload any) {
@@ -41,9 +58,16 @@ func (st *taskState) exchange(s int, gl genLayout, rl recvLayout) error {
 				// fmt.Sprintf out of the receive path.
 				st.exchTupleCounters[src].Add(got)
 			}
-			if got != rl.srcCnt[src] && mismatch == nil {
-				mismatch = fmt.Errorf("core: task %d received %d tuples from %d, index predicts %d",
-					st.rank, got, src, rl.srcCnt[src])
+			if filtered {
+				st.recvGot[src] = got
+			}
+			if mismatch == nil && (got > rl.srcCnt[src] || !filtered && got != rl.srcCnt[src]) {
+				bound := ""
+				if filtered {
+					bound = "at most "
+				}
+				mismatch = fmt.Errorf("core: task %d received %d tuples from %d, index predicts %s%d — input changed since IndexCreate?",
+					st.rank, got, src, bound, rl.srcCnt[src])
 			}
 		},
 	)

@@ -22,12 +22,14 @@ import (
 // fires the terminal side effects.
 func (m *Manager) observeTerminal(j *Job, cfg core.Config, state State,
 	res *core.Result, err error, queued, ran, total time.Duration) {
+	// totalHist goes last: once it counts a job, that job's queue, run and
+	// step observations are all visible.
 	m.queueHist.Observe(queued)
 	m.runHist.Observe(ran)
-	m.totalHist.Observe(total)
 	if state == Done {
 		m.mergeStepHists(j.obs)
 	}
+	m.totalHist.Observe(total)
 
 	// The flight recorder earns its keep here: a failed, cancelled or
 	// SLO-breaching job dumps its last-N-spans window without anyone having

@@ -22,8 +22,8 @@ func ArtifactBytes(w Workload) int64 {
 	}
 	tupleBytes := float64(w.Tuples) * tb
 	if tb <= 12 {
-		// Narrow keys persist through the same varint/delta codec as spill
-		// runs; sorted keys delta-encode well.
+		// Narrow keys persist through the extsort varint/delta codec;
+		// sorted keys delta-encode well.
 		tupleBytes *= SpillCompressRatio
 	}
 	return int64(tupleBytes) + 4*w.Reads + 4096

@@ -143,14 +143,9 @@ func PaperWorkload(name string) Workload {
 }
 
 // Cluster is a machine configuration: P tasks (nodes), T threads each,
-// S passes. ChunkTuples > 0 models the streaming chunked exchange
-// (core.Config.ExchangeChunkTuples): KmerGen-Comm proceeds concurrently
-// with KmerGen, so only the communication KmerGen cannot hide is charged,
-// plus a per-chunk latency overhead. 0 models the bulk post-generation
-// exchange.
+// S passes. The tuple exchange is the bulk post-generation all-to-all.
 type Cluster struct {
-	P, T, S     int
-	ChunkTuples int
+	P, T, S int
 	// SparseDeltaMerge models core.Config.SparseDeltaMerge: the §3.6 merge
 	// ships change-only sparse payloads over a multi-round pipeline instead
 	// of one dense 4R-byte array per tree hop, cutting both wire bytes and
@@ -170,10 +165,6 @@ type Cluster struct {
 	// LocalCC pays the read-back plus a k-way merge term that grows with
 	// log₂(runs). 0 keeps every pass in RAM.
 	SpillBudgetBytes int64
-	// SpillCompress models the varint/delta run codec: spilled bytes shrink
-	// by SpillCompressRatio in both directions for extra encode/decode CPU
-	// folded into the same disk terms.
-	SpillCompress bool
 	// PrefilterBits models core.Config.Prefilter.BitsPerKmer: a pass-1
 	// enumeration-only scan builds a Bloom ladder sized at this many bits
 	// per distinct k-mer, and pass 2's KmerGen drops tuples whose k-mer the
@@ -221,9 +212,11 @@ func (c Cluster) prefilterBytes(w Workload) int64 {
 	return int64(float64(w.Tuples) * float64(c.PrefilterBits) / 8)
 }
 
-// SpillCompressRatio is the modeled compressed/raw size of a spilled run.
-// Sorted tuple keys delta-encode well: neighboring k-mer codes share high
-// bits, so most gaps fit 2-3 varint bytes against 8 raw key bytes.
+// SpillCompressRatio is the modeled compressed/raw size of a sorted run
+// under the extsort varint/delta codec (the .mpa k-mer section; spill runs
+// are written raw). Sorted tuple keys delta-encode well: neighboring k-mer
+// codes share high bits, so most gaps fit 2-3 varint bytes against 8 raw
+// key bytes.
 const SpillCompressRatio = 0.6
 
 // spillRuns returns the modeled sorted-run count per pass, mirroring
@@ -484,26 +477,8 @@ func predictPipeline(cal Calibration, w Workload, c Cluster) Steps {
 	s.KmerGen = sec(S*basesTask/(T*cal.ScanBasesPerSec) + tuplesTask/(T*cal.EmitTuplesPerSec))
 	if c.P > 1 {
 		cross := tuplesTask * float64(w.TupleBytes) * (P - 1) / P
-		comm := sec(cross/cal.CommBW+cross*cal.CommWarmup/S) +
+		s.KmerGenComm = sec(cross/cal.CommBW+cross*cal.CommWarmup/S) +
 			time.Duration(float64(c.P)*S)*cal.Latency
-		if c.ChunkTuples > 0 {
-			// Streaming chunked exchange: tuples ship while KmerGen is
-			// still producing, so the step models max(T_gen, T_comm)
-			// instead of T_gen + T_comm — only the communication KmerGen
-			// cannot hide is exposed, plus ε: one message latency per
-			// chunk and the drain of the last in-flight chunk after
-			// generation ends.
-			chunkBytes := float64(c.ChunkTuples * w.TupleBytes)
-			chunks := math.Ceil(cross / chunkBytes)
-			eps := time.Duration(chunks)*cal.Latency + sec(chunkBytes/cal.CommBW)
-			exposed := comm - s.KmerGen
-			if exposed < 0 {
-				exposed = 0
-			}
-			s.KmerGenComm = exposed + eps
-		} else {
-			s.KmerGenComm = comm
-		}
 	}
 	s.LocalSort = sec(tuplesTask / (T * cal.SortTuplesPerSec))
 	var spillCC time.Duration
@@ -512,9 +487,6 @@ func predictPipeline(cal Calibration, w Workload, c Cluster) Steps {
 		// and written behind the exchange by one dedicated worker, so
 		// LocalSort is charged only what generation + exchange cannot hide.
 		diskBytes := tuplesTask * float64(w.TupleBytes)
-		if c.SpillCompress {
-			diskBytes *= SpillCompressRatio
-		}
 		spillCost := sec(tuplesTask/cal.SortTuplesPerSec + diskBytes/writeBW)
 		if hidden := s.KmerGen + s.KmerGenComm; spillCost > hidden {
 			s.LocalSort = spillCost - hidden

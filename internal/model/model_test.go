@@ -88,44 +88,6 @@ func TestPredictTable3Absolute(t *testing.T) {
 	approx("LocalCC(S=8)", s8.LocalCC, 2.52)
 }
 
-func TestPredictOverlappedExchange(t *testing.T) {
-	// The streaming chunked exchange hides communication behind KmerGen:
-	// the modeled step must shrink versus the bulk exchange, stay positive
-	// (the ε chunking overhead), and grow again as chunks degenerate to
-	// single tuples (one message latency per tuple).
-	w := PaperWorkload("MM")
-	bulk := Predict(Edison(), w, Cluster{P: 4, T: 24, S: 2})
-	stream := Predict(Edison(), w, Cluster{P: 4, T: 24, S: 2, ChunkTuples: 1 << 20})
-	if stream.KmerGenComm >= bulk.KmerGenComm {
-		t.Errorf("streaming KmerGen-Comm %v did not improve on bulk %v",
-			stream.KmerGenComm, bulk.KmerGenComm)
-	}
-	if stream.KmerGenComm <= 0 {
-		t.Errorf("streaming KmerGen-Comm %v, want > 0 (ε overhead)", stream.KmerGenComm)
-	}
-	if stream.Total() >= bulk.Total() {
-		t.Errorf("streaming total %v did not improve on bulk %v", stream.Total(), bulk.Total())
-	}
-	// All other steps are untouched by the exchange schedule.
-	stream.KmerGenComm = bulk.KmerGenComm
-	if stream != bulk {
-		t.Errorf("streaming changed a non-exchange step: %+v vs %+v", stream, bulk)
-	}
-	// Degenerate 1-tuple chunks pay a latency per tuple and must be worse
-	// than sane chunking (and can exceed even the bulk exchange).
-	tiny := Predict(Edison(), w, Cluster{P: 4, T: 24, S: 2, ChunkTuples: 1})
-	big := Predict(Edison(), w, Cluster{P: 4, T: 24, S: 2, ChunkTuples: 1 << 20})
-	if tiny.KmerGenComm <= big.KmerGenComm {
-		t.Errorf("1-tuple chunks %v not worse than 1M-tuple chunks %v",
-			tiny.KmerGenComm, big.KmerGenComm)
-	}
-	// Single node: no exchange either way.
-	p1 := Predict(Edison(), w, Cluster{P: 1, T: 24, S: 2, ChunkTuples: 1 << 20})
-	if p1.KmerGenComm != 0 {
-		t.Errorf("P=1 streaming KmerGen-Comm = %v, want 0", p1.KmerGenComm)
-	}
-}
-
 func TestPredictThreadScaling(t *testing.T) {
 	// Single node: more threads must shrink compute steps and not change
 	// communication.
@@ -349,8 +311,7 @@ func TestMergeWireBytes(t *testing.T) {
 
 // TestPredictSpillKnobs pins the out-of-core model's shape: under-budget
 // runs are untouched, spilling adds overhead that grows as the budget
-// shrinks, compression trades disk bytes down, and the memory inventory is
-// capped at the budget.
+// shrinks, and the memory inventory is capped at the budget.
 func TestPredictSpillKnobs(t *testing.T) {
 	cal := Edison()
 	w := PaperWorkload("MM")
@@ -382,18 +343,8 @@ func TestPredictSpillKnobs(t *testing.T) {
 		prev, prevCC = s.Total(), s.LocalCC
 	}
 
-	// Compression shrinks the disk terms of a spilling run.
 	spill := base
 	spill.SpillBudgetBytes = passBytes / 8
-	comp := spill
-	comp.SpillCompress = true
-	su, sc := Predict(cal, w, spill), Predict(cal, w, comp)
-	if sc.LocalCC >= su.LocalCC {
-		t.Errorf("compressed read-back %v not below raw %v", sc.LocalCC, su.LocalCC)
-	}
-	if sc.Total() >= su.Total() {
-		t.Errorf("compressed total %v not below raw %v", sc.Total(), su.Total())
-	}
 
 	// The memory model honors the cap: resident tuple bytes stop growing at
 	// the budget while the in-RAM inventory keeps the full working set.

@@ -150,8 +150,7 @@ func ExchangeWireBytes(w Workload, c Cluster) int64 {
 
 // SpillBytes returns the model's total out-of-core scratch write volume:
 // when a pass's received tuple bytes exceed the budget, every tuple of the
-// run is spilled once (compressed by SpillCompressRatio under the varint
-// codec); otherwise nothing touches scratch.
+// run is spilled once, raw; otherwise nothing touches scratch.
 func SpillBytes(w Workload, c Cluster) int64 {
 	if c.SpillBudgetBytes <= 0 {
 		return 0
@@ -170,11 +169,7 @@ func SpillBytes(w Workload, c Cluster) int64 {
 	if c.spillRuns(tuplesTask/float64(S)*float64(w.TupleBytes)) == 0 {
 		return 0
 	}
-	total := kept * float64(w.TupleBytes)
-	if c.SpillCompress {
-		total *= SpillCompressRatio
-	}
-	return int64(total)
+	return int64(kept * float64(w.TupleBytes))
 }
 
 // Reconcile predicts the run with the given calibration and compares it

@@ -77,8 +77,7 @@ func TestReconcileStepOrderAndWorst(t *testing.T) {
 }
 
 // TestSpillBytesPrediction checks the out-of-core volume prediction: zero
-// without a budget or within budget, the full tuple volume beyond it, and
-// the codec ratio under compression.
+// without a budget or within budget, the full raw tuple volume beyond it.
 func TestSpillBytesPrediction(t *testing.T) {
 	w := Workload{Tuples: 1 << 20, TupleBytes: 12}
 	if got := SpillBytes(w, Cluster{P: 1, T: 1, S: 1}); got != 0 {
@@ -92,10 +91,6 @@ func TestSpillBytesPrediction(t *testing.T) {
 	raw := int64(w.Tuples) * int64(w.TupleBytes)
 	if got := SpillBytes(w, tight); got != raw {
 		t.Fatalf("over budget: %d, want %d", got, raw)
-	}
-	tight.SpillCompress = true
-	if got := SpillBytes(w, tight); got != int64(float64(raw)*SpillCompressRatio) {
-		t.Fatalf("compressed: %d", got)
 	}
 }
 

@@ -7,8 +7,9 @@ import (
 )
 
 // This file adds nonblocking point-to-point primitives — ISend/IRecv
-// returning request handles plus Wait/WaitAll — used by the streaming tuple
-// exchange to overlap k-mer enumeration with communication.
+// returning request handles plus Wait/WaitAll — used by the collectives
+// (PipelinedTreeMerge, TreeBroadcast) to keep sends in flight while the
+// task folds or relays.
 //
 // Semantics mirror MPI's nonblocking calls, adapted to the in-process
 // runtime:
@@ -23,13 +24,11 @@ import (
 //   - Wait completes the request. For sends, the modeled transfer time is
 //     charged to the task's communication clock at completion, not at the
 //     ISend call: under the NetworkModel, communication cost materializes
-//     when the program actually synchronizes on the transfer, which is what
-//     lets the pipeline observe overlap as max(T_gen, T_comm) instead of a
-//     sum.
+//     when the program actually synchronizes on the transfer.
 //   - Abort/cancel propagation wakes blocked waiters: when the world fails,
 //     flusher goroutines abort their queues and Wait panics with the same
-//     worldAborted sentinel the blocking primitives use (recovered by
-//     RunContext, or by Guard in pipeline-owned goroutines).
+//     worldAborted sentinel the blocking primitives use, recovered by
+//     RunContext — so only the goroutine running the task body may Wait.
 
 // Request is an in-flight nonblocking operation returned by ISend or IRecv
 // and completed by Wait. A Request must be waited by exactly one goroutine.
@@ -151,7 +150,7 @@ func (t *Task) IRecv(src, tag int) *Request {
 // overlapped schedules account cost where the program synchronizes. Wait on
 // an already-completed request is a cheap no-op returning the same payload.
 // If the world was aborted before the request could complete, Wait panics
-// with the abort sentinel (recovered by RunContext, or Guard).
+// with the abort sentinel (recovered by RunContext).
 func (t *Task) Wait(r *Request) any {
 	if r.completed {
 		return r.payload
@@ -204,31 +203,6 @@ func (t *Task) WaitAll(rs []*Request) {
 }
 
 // Abort fails the whole world from inside a task body, waking every peer
-// blocked in a communication call. The pipeline uses it when a local step
-// error must release exchange goroutines that are still blocked on sends or
-// receives before the body can join them and return the error.
+// blocked in a communication call at once rather than when the body
+// returns its error.
 func (t *Task) Abort() { t.world.fail() }
-
-// Failed returns a channel that closes when the world has been aborted
-// (peer error, Abort, or context cancellation). Pipeline-owned goroutines
-// select on it alongside their own work channels so they wake on failure.
-func (t *Task) Failed() <-chan struct{} { return t.world.failed }
-
-// Guard runs f, converting the runtime's abort panic into ErrPeerFailed.
-// Goroutines spawned by a task body (rather than by Run itself) must wrap
-// their communication in Guard: the abort sentinel is unexported, so an
-// unrecovered panic in such a goroutine would crash the process instead of
-// unwinding into RunContext's recovery.
-func Guard(f func()) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if _, ok := rec.(worldAborted); ok {
-				err = ErrPeerFailed
-				return
-			}
-			panic(rec)
-		}
-	}()
-	f()
-	return nil
-}

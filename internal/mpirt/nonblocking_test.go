@@ -127,7 +127,7 @@ func TestCancelWhileInflight(t *testing.T) {
 			task.WaitAll(reqs) // must wake via abort, not deadlock
 			t.Error("WaitAll returned despite receiver never draining")
 		} else {
-			<-task.Failed() // idle until the abort propagates
+			task.Barrier() // rank 0 never arrives: idle until the abort propagates
 		}
 		return nil
 	})
@@ -138,32 +138,24 @@ func TestCancelWhileInflight(t *testing.T) {
 
 // TestWorldAbortWakesWaiters checks a peer error (rather than ctx cancel)
 // wakes both a Wait blocked on an undrained ISend and a Wait blocked on an
-// IRecv that will never be satisfied, and that Guard converts the abort
-// panic in a task-spawned goroutine into ErrPeerFailed.
+// IRecv that will never be satisfied: Run returns the root cause instead of
+// hanging, and neither Wait returns normally.
 func TestWorldAbortWakesWaiters(t *testing.T) {
 	boom := errors.New("rank 2 failed")
 	w := NewWorld(3, nil)
-	guardErr := make(chan error, 1)
 	err := w.Run(func(task *Task) error {
 		switch task.Rank() {
 		case 0:
-			// Sends beyond capacity to a rank that never receives, then
-			// waits from a spawned goroutine under Guard.
+			// Sends beyond capacity to a rank that never receives.
 			reqs := make([]*Request, 0, 32)
 			for i := 0; i < 32; i++ {
 				reqs = append(reqs, task.ISend(1, 5, i, 8))
 			}
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				guardErr <- Guard(func() { task.WaitAll(reqs) })
-			}()
-			<-done
-			// The body itself must still observe the abort for RunContext's
-			// bookkeeping; a blocked Barrier does that.
-			task.Barrier()
+			task.WaitAll(reqs)
+			t.Error("WaitAll returned despite receiver never draining")
 		case 1:
 			task.Wait(task.IRecv(2, 77)) // rank 2 errors instead of sending
+			t.Error("Wait on an unsatisfiable IRecv returned")
 		case 2:
 			return boom
 		}
@@ -171,14 +163,6 @@ func TestWorldAbortWakesWaiters(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("Run: err = %v, want %v", err, boom)
-	}
-	select {
-	case ge := <-guardErr:
-		if !errors.Is(ge, ErrPeerFailed) {
-			t.Fatalf("Guard returned %v, want ErrPeerFailed", ge)
-		}
-	default:
-		t.Fatal("guarded goroutine never reported")
 	}
 }
 

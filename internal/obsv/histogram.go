@@ -51,8 +51,10 @@ func histBucketOf(d time.Duration) int {
 
 // Histogram is a fixed log-bucket latency histogram. Observe is lock-free
 // (one atomic add per bucket/count/sum); snapshots are deterministic for
-// a quiesced histogram. A nil *Histogram — what a nil collector hands out
-// — is a no-op, so instrumentation sites observe unconditionally.
+// a quiesced histogram. count is added last and loaded first, so a
+// snapshot that sees n observations also sees their buckets and sum. A nil
+// *Histogram — what a nil collector hands out — is a no-op, so
+// instrumentation sites observe unconditionally.
 type Histogram struct {
 	buckets [NumHistogramBuckets + 1]atomic.Uint64
 	count   atomic.Uint64
@@ -69,8 +71,8 @@ func (h *Histogram) Observe(d time.Duration) {
 		return
 	}
 	h.buckets[histBucketOf(d)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(int64(d))
+	h.count.Add(1)
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram: per-bucket
@@ -93,10 +95,10 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return s
 	}
+	s.Count = h.count.Load()
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
 	}
-	s.Count = h.count.Load()
 	s.SumNanos = h.sum.Load()
 	return s
 }
@@ -113,8 +115,8 @@ func (h *Histogram) Merge(s HistogramSnapshot) {
 			h.buckets[i].Add(n)
 		}
 	}
-	h.count.Add(s.Count)
 	h.sum.Add(s.SumNanos)
+	h.count.Add(s.Count)
 }
 
 // Quantile returns the upper bound of the bucket containing the q-th

@@ -164,7 +164,6 @@ type SubmitRequest struct {
 	// on disk. Scratch placement is the daemon's concern (-spill-dir), so
 	// there is deliberately no spill_dir field here.
 	SpillBudgetBytes int64 `json:"spill_budget_bytes"`
-	SpillCompress    bool  `json:"spill_compress"`
 	// PrefilterBitsPerKmer enables the two-pass Bloom singleton prefilter
 	// for this job, sized at this many bits per k-mer; PrefilterMinCount is
 	// its count threshold (0 = the lossless default of 2, which requires
@@ -240,7 +239,6 @@ func (s *Server) configFor(req SubmitRequest) (core.Config, error) {
 	cfg.OutDir = req.OutDir
 	cfg.PrefetchChunks = req.PrefetchChunks
 	cfg.SpillBudgetBytes = req.SpillBudgetBytes
-	cfg.SpillCompress = req.SpillCompress
 	switch {
 	case req.PrefilterBitsPerKmer != 0 || req.PrefilterMinCount != 0:
 		// A min count without bits is carried through so validation rejects

@@ -424,6 +424,9 @@ func TestErrorMapping(t *testing.T) {
 		// would otherwise get the default path and never know.
 		{"removed field", fmt.Sprintf(`{"index": %q, "sparse_merge": true}`, idxPath), http.StatusBadRequest, "sparse_merge"},
 		{"removed pointer field", fmt.Sprintf(`{"index": %q, "overlap_output": false}`, idxPath), http.StatusBadRequest, "overlap_output"},
+		// Spill runs are always raw: a client asking for compression must
+		// hear that the knob is gone.
+		{"removed spill_compress", fmt.Sprintf(`{"index": %q, "spill_budget_bytes": 65536, "spill_compress": true}`, idxPath), http.StatusBadRequest, "spill_compress"},
 		{"missing index", `{"tasks": 2}`, http.StatusBadRequest, ""},
 		{"nonexistent index", `{"index": "/nope/missing.idx"}`, http.StatusBadRequest, ""},
 		{"invalid filter", fmt.Sprintf(`{"index": %q, "kf_min": 9, "kf_max": 3}`, idxPath), http.StatusBadRequest, ""},
@@ -569,8 +572,8 @@ func TestIndexCacheReload(t *testing.T) {
 
 // TestSubmitSpillKnobs checks the out-of-core fields flow from the request
 // body into the pipeline config: an invalid budget is rejected at admission
-// with a 400 naming the field, and a valid spill submission (budget + codec,
-// per-job scratch under the manager's spill root) matches the in-RAM run.
+// with a 400 naming the field, and a valid spill submission (per-job
+// scratch under the manager's spill root) matches the in-RAM run.
 func TestSubmitSpillKnobs(t *testing.T) {
 	idxPath := buildIndexFile(t, 13)
 	root := t.TempDir()
@@ -587,7 +590,7 @@ func TestSubmitSpillKnobs(t *testing.T) {
 	}
 
 	body := fmt.Sprintf(
-		`{"index": %q, "tasks": 2, "threads": 2, "spill_budget_bytes": %d, "spill_compress": true}`,
+		`{"index": %q, "tasks": 2, "threads": 2, "spill_budget_bytes": %d}`,
 		idxPath, core.MinSpillBudgetBytes)
 	resp, data = postJSON(t, srv.URL+"/jobs", body)
 	if resp.StatusCode != http.StatusAccepted {
