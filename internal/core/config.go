@@ -136,15 +136,17 @@ type Config struct {
 	// when the host has a single CPU. Each thread holds 1+depth chunk
 	// buffers, which the §3.7 memory accounting charges accordingly.
 	PrefetchChunks int
-	// SpillBudgetBytes, when > 0, caps the sort/union phase's resident
-	// tuple memory per task. When a pass's received partition would exceed
-	// the cap, LocalSort goes out-of-core: the exchange lands tuples into
-	// fixed-size run builders, each full run is radix-sorted in RAM and
-	// spilled raw to a per-rank temp file (write-behind), and LocalCC consumes
-	// a loser-tree k-way merge of the spilled runs as a stream instead of a
-	// materialized partition. Results are bit-identical to the in-RAM path
-	// (the spill parity suite pins this). 0 disables spilling. Budgets
-	// below MinSpillBudgetBytes are a validation error.
+	// SpillBudgetBytes, when > 0, caps the resident tuple memory per task.
+	// When a pass's received partition would exceed the cap, the pass goes
+	// out-of-core: KmerGen and the exchange run in rounds of chunks sized to
+	// one of two budget/8 generation slots (at least one index chunk per
+	// round), the exchange lands tuples into three budget/4 run builders,
+	// each full run is radix-sorted in RAM and spilled raw to a per-rank
+	// temp file (write-behind), and LocalCC consumes a loser-tree k-way
+	// merge of the spilled runs as a stream instead of a materialized
+	// partition. Results are bit-identical to the in-RAM path (the spill
+	// parity suite pins this). 0 disables spilling. Budgets below
+	// MinSpillBudgetBytes are a validation error.
 	SpillBudgetBytes int64
 	// SpillDir is where spill-run temp files go (a per-run directory is
 	// created beneath it and removed on every exit path). Empty uses the
@@ -330,9 +332,9 @@ func (c Config) Validate() error {
 }
 
 // MinSpillBudgetBytes is the smallest accepted SpillBudgetBytes: below it
-// the three circulating run builders plus the merge read buffers degenerate
-// to runs of a handful of tuples and the spill machinery costs more memory
-// in bookkeeping than it saves.
+// the generation buffer, the three circulating run builders and the merge
+// read buffers degenerate to rounds and runs of a handful of tuples and the
+// spill machinery costs more memory in bookkeeping than it saves.
 const MinSpillBudgetBytes = 64 << 10
 
 // checkSpillDir verifies the spill directory exists, is a directory, and is

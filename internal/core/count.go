@@ -113,9 +113,8 @@ func RunCountContext(ctx context.Context, cfg Config) (*CountResult, error) {
 		}()
 
 		for s := 0; s < cfg.Passes; s++ {
-			gl := pl.genLayout(s, st.rank)
-			rl := pl.recvLayout(s, st.rank)
-			if err := st.genExchange(s, gl, rl); err != nil {
+			rl, err := st.genExchange(s)
+			if err != nil {
 				return err
 			}
 			sl := pl.sortLayout(s, st.rank, rl)

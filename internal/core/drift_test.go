@@ -2,10 +2,13 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"metaprep/internal/index"
+	"metaprep/internal/model"
 	"metaprep/internal/obsv"
 )
 
@@ -159,5 +162,45 @@ func TestStepHistogramsPopulated(t *testing.T) {
 		if _, ok := spanCount[k]; !ok {
 			t.Fatalf("%v: histogram without spans", k)
 		}
+	}
+}
+
+// TestModelMemoryMatchesPlan pins the §3.7 memory model to the inventory
+// the pipeline actually plans: model.MemoryPerTask on the run's own
+// workload and cluster shape lands within ±15 % of Result.MemoryPerTask,
+// in RAM and out of core. Before the generation buffer was budgeted the
+// model capped tuple memory at the budget while the plan held a whole
+// pass's generated tuples, and a spilling run was under-charged several
+// times over.
+func TestModelMemoryMatchesPlan(t *testing.T) {
+	td := spillDataset(t, 98, index.Options{K: 11, M: 4, ChunkSize: 600})
+	for _, c := range []struct {
+		name   string
+		budget int64
+	}{
+		{"inram", 0},
+		{"spill", MinSpillBudgetBytes},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Default(td.idx)
+			cfg.Tasks = 2
+			cfg.Threads = 2
+			cfg.Passes = 2
+			cfg.SpillBudgetBytes = c.budget
+			if c.budget > 0 {
+				requireSpill(t, cfg)
+			}
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := model.MemoryPerTask(model.FromIndex(td.idx), cfg.modelCluster())
+			ratio := float64(got) / float64(res.MemoryPerTask)
+			t.Logf("model %d B, plan %d B, ratio %.3f", got, res.MemoryPerTask, ratio)
+			if math.Abs(ratio-1) > 0.15 {
+				t.Errorf("model.MemoryPerTask = %d B, plan charges %d B (ratio %.3f, want within ±15%%)",
+					got, res.MemoryPerTask, ratio)
+			}
+		})
 	}
 }

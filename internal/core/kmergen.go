@@ -21,30 +21,38 @@ import (
 // Chunk input is overlapped with enumeration: each thread owns a small ring
 // of chunk buffers and an asynchronous reader goroutine that fills buffer
 // i+1 while the thread parses buffer i (depth controlled by
-// Config.PrefetchChunks). Records are parsed
+// Config.PrefetchChunks). The fetcher lives for the whole pass and streams
+// the thread's chunks of every round, so a spilling pass's round
+// boundaries do not interrupt the read-ahead. Records are parsed
 // in place by fastq.ChunkScanner — ID/Seq/Qual are sub-slices of the
 // resident chunk buffer, so the hot loop performs no per-record copies.
 // KmerGen-I/O therefore accounts only the *non-overlapped* read time: the
 // wait for a chunk that the prefetcher has not finished yet (the serial
 // single-CPU path still charges full read time).
 
-// kmerGen runs one pass of tuple enumeration on this task. On return,
-// kmerOut holds gl.total tuples grouped by destination task.
-func (st *taskState) kmerGen(s int, gl genLayout) error {
-	cfg := st.p.cfg
-	T := cfg.Threads
-	passLo, passHi := st.p.pt.PassRange(s)
-
-	// owner[bin-passLo] is the destination task of each bin in this pass's
-	// range — a flat lookup so the per-k-mer cost is one array read rather
-	// than a binary search.
+// binOwners returns pass s's bin → destination-task table: owner[bin-passLo]
+// is the task owning each bin of the pass's range — a flat lookup so the
+// per-k-mer cost is one array read rather than a binary search. Built once
+// per pass and shared by its rounds.
+func (p *plan) binOwners(s int) []uint16 {
+	passLo, passHi := p.pt.PassRange(s)
 	owner := make([]uint16, passHi-passLo)
-	cuts := st.p.pt.TaskCuts(s)
-	for dst := 0; dst < cfg.Tasks; dst++ {
+	cuts := p.pt.TaskCuts(s)
+	for dst := 0; dst < p.cfg.Tasks; dst++ {
 		for b := cuts[dst]; b < cuts[dst+1]; b++ {
 			owner[b-passLo] = uint16(dst)
 		}
 	}
+	return owner
+}
+
+// kmerGen runs round r of pass s's tuple enumeration on this task, each
+// thread pulling its round-r chunks from its pass-long fetcher. On return,
+// kmerOut holds gl.total tuples grouped by destination task.
+func (st *taskState) kmerGen(s, r int, gl genLayout, owner []uint16, fetchers []*chunkFetcher) error {
+	cfg := st.p.cfg
+	T := cfg.Threads
+	passLo, passHi := st.p.pt.PassRange(s)
 
 	if st.keep != nil {
 		// Prefiltered passes fill only a prefix of each (dst, thread)
@@ -58,7 +66,8 @@ func (st *taskState) kmerGen(s int, gl genLayout) error {
 	errs := make([]error, T)
 	phaseStart := time.Now()
 	par.Run(T, func(t int) {
-		errs[t] = st.kmerGenThread(s, t, gl, owner, passLo, passHi, &ioTimes[t], &genTimes[t])
+		errs[t] = st.kmerGenThread(s, t, st.p.roundChunks(s, st.rank, r, t), fetchers[t],
+			gl, owner, passLo, passHi, &ioTimes[t], &genTimes[t])
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -88,8 +97,8 @@ func (st *taskState) kmerGen(s int, gl genLayout) error {
 	return nil
 }
 
-func (st *taskState) kmerGenThread(s, t int, gl genLayout, owner []uint16,
-	passLo, passHi int, ioTime, genTime *time.Duration) error {
+func (st *taskState) kmerGenThread(s, t int, chunks []int, fetch *chunkFetcher, gl genLayout,
+	owner []uint16, passLo, passHi int, ioTime, genTime *time.Duration) error {
 
 	cfg := st.p.cfg
 	idx := st.p.idx
@@ -148,10 +157,7 @@ func (st *taskState) kmerGenThread(s, t int, gl genLayout, owner []uint16,
 		cRecords = st.counter("kmergen/records")
 		cChunks = st.counter("kmergen/chunks")
 	}
-	fetch := newChunkFetcher(st.p.threadChunks[st.rank][t], idx, st.files, cfg.prefetchDepth(),
-		obs, st.rank, obsv.TidPrefetch+t)
-	defer fetch.close()
-	for {
+	for range chunks {
 		// Cancellation boundary: one check per chunk keeps a cancelled run's
 		// response time bounded by a single chunk's enumeration, without
 		// touching the per-record hot loop.
@@ -167,9 +173,6 @@ func (st *taskState) kmerGenThread(s, t int, gl genLayout, owner []uint16,
 		*ioTime += wait
 		if err != nil {
 			return err
-		}
-		if buf == nil {
-			break // all chunks consumed
 		}
 		obs.RecordSpan(st.rank, tid, "detail", "chunk-wait", t0, wait, nil)
 		c := &idx.Chunks[ci]

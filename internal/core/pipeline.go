@@ -50,9 +50,10 @@ type taskState struct {
 	// emit, non-nil when ArtifactOut is set, collects this task's sorted
 	// tuple stream into artifact part files as the passes run.
 	emit *artifactEmit
-	// spillCur/spillPeak gauge the spill machinery's resident tuple bytes
-	// (builders plus decoded merge blocks); the peak is exported as the
-	// extsort/peak_tuple_bytes counter the budget-compliance test checks.
+	// spillCur/spillPeak gauge the spill path's resident tuple bytes (the
+	// generation buffer, the run builders and the decoded merge blocks); the
+	// peak is exported as the extsort/peak_tuple_bytes counter the
+	// budget-compliance test checks.
 	spillCur, spillPeak atomic.Int64
 
 	// keep, non-nil when the prefilter is enabled, is the global "seen ≥
@@ -132,8 +133,8 @@ func (st *taskState) counter(name string) *obsv.Counter {
 }
 
 // spillMemAdd moves the spill tuple-memory gauge by delta bytes, tracking
-// its peak. The gauge covers the run builders and the decoded merge blocks
-// — the memory the spill budget governs.
+// its peak. The gauge covers the generation buffer, the run builders and
+// the decoded merge blocks — the memory the spill budget governs.
 func (st *taskState) spillMemAdd(delta int64) {
 	cur := st.spillCur.Add(delta)
 	for {
@@ -337,9 +338,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		st.files = files
 		st.out = cfg.acquireTupleBuf(pl.bufTuples[st.rank], !pl.use64())
-		if !pl.spill {
+		if pl.spill {
 			// Spill mode has no kmerIn: received tuples stream through
-			// the budgeted run builders instead.
+			// the budgeted run builders instead, and kmerOut holds the
+			// two round-sized generation slots the budget also covers.
+			st.spillMemAdd(st.out.memBytes())
+		} else {
 			st.in = cfg.acquireTupleBuf(pl.bufTuples[st.rank], !pl.use64())
 		}
 		defer func() {
@@ -368,14 +372,13 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 
 		for s := 0; s < cfg.Passes; s++ {
-			gl := pl.genLayout(s, st.rank)
-			rl := pl.recvLayout(s, st.rank)
 			if pl.spill {
-				if err := st.runSpillPass(s, gl, rl, spillDir); err != nil {
+				if err := st.runSpillPass(s, spillDir); err != nil {
 					return err
 				}
 			} else {
-				if err := st.genExchange(s, gl, rl); err != nil {
+				rl, err := st.genExchange(s)
+				if err != nil {
 					return err
 				}
 				var sl sortLayout
@@ -552,8 +555,9 @@ func (st *taskState) memoryBytes() int64 {
 	if st.in != nil {
 		mem += st.in.memBytes()
 	} else {
-		// Spill mode: the receive side is budgeted, not partition-sized.
-		mem += st.p.cfg.SpillBudgetBytes
+		// Spill mode: kmerOut is the two-slot generation buffer, and the
+		// receive side is the three budget/4 run builders.
+		mem += 3 * int64(st.p.runTuples*st.p.bytesPerTuple())
 	}
 	mem += 2 * 4 * int64(idx.Reads)
 	buffersPerThread := int64(1 + st.p.cfg.prefetchDepth())

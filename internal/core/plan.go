@@ -22,12 +22,11 @@ type plan struct {
 	// threadChunks[p][t] lists the chunks thread t of task p owns.
 	threadChunks [][][]int
 
-	// bufTuples[p] is the tuple capacity task p must allocate for each of
-	// its two buffers (kmerOut and kmerIn): the maximum over passes of
-	// tuples generated and tuples received, because kmerOut doubles as the
-	// sorted output buffer (§3.4) and kmerIn as radix-sort scratch.
-	// In spill mode only the generation term counts — received tuples land
-	// in the bounded run builders instead of a kmerIn-sized buffer.
+	// bufTuples[p] is the tuple capacity task p allocates for kmerOut and,
+	// in RAM, kmerIn: the maximum over passes of tuples generated and tuples
+	// received, because kmerOut doubles as the sorted output buffer (§3.4)
+	// and kmerIn as radix-sort scratch. In spill mode there is no kmerIn and
+	// kmerOut is the generation buffer: its two slots, end to end.
 	bufTuples []uint64
 
 	// spill is true when the out-of-core LocalSort path is active: a
@@ -36,10 +35,31 @@ type plan struct {
 	// global and uniform — every rank and pass takes the same path — so the
 	// per-pass schedules of all tasks stay identical.
 	spill bool
-	// runTuples is the spill run size: the budget covers three circulating
-	// run builders (two in the receive↔sort-write handoff ring plus the
-	// radix scratch), so each holds budget/(3·bytesPerTuple) tuples.
+	// runTuples is the spill run size: the budget covers four buffers of
+	// budget/4 — the generation buffer plus three circulating run builders
+	// (two in the receive↔sort-write handoff ring and the radix scratch) —
+	// so each holds budget/(4·bytesPerTuple) tuples.
 	runTuples uint64
+
+	// roundCuts[s][rank] cuts task rank's chunk list into the KmerGen →
+	// exchange rounds of pass s: round r enumerates
+	// taskChunks[rank][cuts[r]:cuts[r+1]]. A spilling pass groups
+	// contiguous chunks whose pass-range tuples fit one generation slot (a
+	// chunk that alone exceeds it is a round of its own); an in-RAM pass is
+	// one round of every chunk.
+	roundCuts [][][]int
+	// rounds[s] is the round count every rank runs in pass s: the maximum
+	// over ranks, so a rank with fewer chunk groups sends empty messages in
+	// its trailing rounds and every all-to-all stays matched.
+	rounds []int
+	// slotTuples[p] sizes task p's two spill-mode generation slots: round r
+	// fills slot r%2, so round r+1 generates while peers may still be
+	// copying round r's messages out of the other slot. Each slot holds its
+	// rounds' largest tuple count — at most budget/8, so both share the
+	// generation buffer's quarter, unless a single chunk's pass-range tuples
+	// exceed that (the chunk floor). A rank with one round per pass needs
+	// no second slot.
+	slotTuples [][2]uint64
 }
 
 func newPlan(cfg Config) (*plan, error) {
@@ -70,15 +90,24 @@ func newPlan(cfg Config) (*plan, error) {
 		}
 	}
 
+	// chunkGen[s][ci] is chunk ci's pass-s tuple count: summed per task for
+	// the in-RAM buffer size, grouped into rounds when spilling.
+	chunkGen := make([][]uint64, cfg.Passes)
+	for s := range chunkGen {
+		plo, phi := pt.PassRange(s)
+		chunkGen[s] = make([]uint64, c)
+		for ci := range chunkGen[s] {
+			chunkGen[s][ci] = index.RangeCount(idx.Chunks[ci].Hist, plo, phi)
+		}
+	}
 	maxGen := make([]uint64, cfg.Tasks)
 	maxRecv := make([]uint64, cfg.Tasks)
 	var worstRecv uint64
 	for rank := 0; rank < cfg.Tasks; rank++ {
 		for s := 0; s < cfg.Passes; s++ {
 			var gen uint64
-			plo, phi := pt.PassRange(s)
 			for _, ci := range p.taskChunks[rank] {
-				gen += index.RangeCount(idx.Chunks[ci].Hist, plo, phi)
+				gen += chunkGen[s][ci]
 			}
 			if gen > maxGen[rank] {
 				maxGen[rank] = gen
@@ -94,19 +123,85 @@ func newPlan(cfg Config) (*plan, error) {
 	}
 	if b := cfg.SpillBudgetBytes; b > 0 && worstRecv*p.bytesPerTuple() > uint64(b) {
 		p.spill = true
-		p.runTuples = uint64(b) / (3 * p.bytesPerTuple())
-		if p.runTuples < 1 {
-			p.runTuples = 1
-		}
+		p.runTuples = max(uint64(b)/(4*p.bytesPerTuple()), 1)
 	}
 	p.bufTuples = make([]uint64, cfg.Tasks)
-	for rank := 0; rank < cfg.Tasks; rank++ {
-		p.bufTuples[rank] = maxGen[rank]
-		if !p.spill && maxRecv[rank] > maxGen[rank] {
-			p.bufTuples[rank] = maxRecv[rank]
+	p.slotTuples = make([][2]uint64, cfg.Tasks)
+	p.roundCuts = make([][][]int, cfg.Passes)
+	p.rounds = make([]int, cfg.Passes)
+	for s := range p.roundCuts {
+		p.roundCuts[s] = make([][]int, cfg.Tasks)
+		p.rounds[s] = 1
+		for rank := range p.roundCuts[s] {
+			if !p.spill {
+				p.roundCuts[s][rank] = []int{0, len(p.taskChunks[rank])}
+				p.bufTuples[rank] = max(maxGen[rank], maxRecv[rank])
+				continue
+			}
+			cuts, most := p.groupChunks(rank, chunkGen[s])
+			p.roundCuts[s][rank] = cuts
+			p.rounds[s] = max(p.rounds[s], len(cuts)-1)
+			slots := &p.slotTuples[rank]
+			slots[0], slots[1] = max(slots[0], most[0]), max(slots[1], most[1])
+			p.bufTuples[rank] = slots[0] + slots[1]
 		}
 	}
 	return p, nil
+}
+
+// groupChunks cuts task rank's chunk list into the rounds of a spilling
+// pass: contiguous groups whose pass-range tuples (chunkGen, exact from the
+// chunk histograms) sum to at most runTuples/2, one generation slot. A
+// chunk that alone exceeds that forms a round of its own — the chunk floor,
+// the one case where the generation buffer outgrows budget/4. Returns the
+// cut positions and the largest tuple count of the even and the odd rounds.
+func (p *plan) groupChunks(rank int, chunkGen []uint64) (cuts []int, most [2]uint64) {
+	cuts = []int{0}
+	var sum uint64
+	for i, ci := range p.taskChunks[rank] {
+		n := chunkGen[ci]
+		if i > cuts[len(cuts)-1] && sum+n > p.runTuples/2 {
+			cuts = append(cuts, i)
+			sum = 0
+		}
+		sum += n
+		r := len(cuts) - 1
+		most[r%2] = max(most[r%2], sum)
+	}
+	if n := len(p.taskChunks[rank]); n > cuts[len(cuts)-1] {
+		cuts = append(cuts, n)
+	}
+	return cuts, most
+}
+
+// roundChunks returns the chunks thread t of task rank enumerates in round
+// r of pass s: the thread's block of the round's chunk group, empty once
+// the rank has run out of groups.
+func (p *plan) roundChunks(s, rank, r, t int) []int {
+	cuts := p.roundCuts[s][rank]
+	if r+1 >= len(cuts) {
+		return nil
+	}
+	chunks := p.taskChunks[rank][cuts[r]:cuts[r+1]]
+	lo, hi := par.Block(len(chunks), p.cfg.Threads, t)
+	return chunks[lo:hi]
+}
+
+// passChunks is thread t's chunk list over every round of pass s, in round
+// order: what its chunk fetcher streams, so the prefetcher keeps reading
+// ahead across round boundaries.
+func (p *plan) passChunks(s, rank, t int) []int {
+	var chunks []int
+	for r := 0; r+1 < len(p.roundCuts[s][rank]); r++ {
+		chunks = append(chunks, p.roundChunks(s, rank, r, t)...)
+	}
+	return chunks
+}
+
+// passRecv is the number of tuples task rank receives over all of pass s.
+func (p *plan) passRecv(s, rank int) uint64 {
+	lo, hi := p.pt.TaskRange(s, rank)
+	return index.RangeCount64(p.idx.MerHist, lo, hi)
 }
 
 // bytesPerTuple is the in-memory and on-wire tuple size: the paper's 12
@@ -153,27 +248,28 @@ func (p *plan) spillBlockTuples(runs int) int {
 // use64 reports whether the 64-bit k-mer path applies.
 func (p *plan) use64() bool { return p.idx.Opts.Use64() }
 
-// genLayout describes task rank's kmerOut buffer in pass s: tuples are
-// grouped by destination task (so a destination's tuples ship as one
-// message), and within each destination region by source thread (so each
-// thread writes its own precomputed sub-region without synchronization,
-// §3.2.2).
+// genLayout describes task rank's kmerOut buffer in round r of pass s:
+// tuples are grouped by destination task (so a destination's tuples ship as
+// one message), and within each destination region by source thread (so
+// each thread writes its own precomputed sub-region without
+// synchronization, §3.2.2). A spilling round lays out in generation slot
+// r%2.
 type genLayout struct {
 	// dstOff[dst] / dstCnt[dst]: each destination region within kmerOut.
 	dstOff, dstCnt []uint64
 	// cursor[dst*T+t]: where thread t starts writing tuples bound for dst.
 	cursor []uint64
-	// total is the number of tuples task rank generates this pass.
+	// total is the number of tuples task rank generates this round.
 	total uint64
 }
 
-func (p *plan) genLayout(s, rank int) genLayout {
+func (p *plan) genLayout(s, rank, r int) genLayout {
 	P, T := p.cfg.Tasks, p.cfg.Threads
 	idx := p.idx
 	// count[dst*T+t] = tuples thread t generates for destination dst.
 	count := make([]uint64, P*T)
 	for t := 0; t < T; t++ {
-		for _, ci := range p.threadChunks[rank][t] {
+		for _, ci := range p.roundChunks(s, rank, r, t) {
 			hist := idx.Chunks[ci].Hist
 			for dst := 0; dst < P; dst++ {
 				lo, hi := p.pt.TaskRange(s, dst)
@@ -186,7 +282,8 @@ func (p *plan) genLayout(s, rank int) genLayout {
 		dstCnt: make([]uint64, P),
 		cursor: make([]uint64, P*T),
 	}
-	var off uint64
+	base := uint64(r%2) * p.slotTuples[rank][0]
+	off := base
 	for dst := 0; dst < P; dst++ {
 		l.dstOff[dst] = off
 		for t := 0; t < T; t++ {
@@ -195,14 +292,15 @@ func (p *plan) genLayout(s, rank int) genLayout {
 			l.dstCnt[dst] += count[dst*T+t]
 		}
 	}
-	l.total = off
+	l.total = off - base
 	return l
 }
 
-// recvLayout describes task rank's kmerIn buffer in pass s: one region per
-// source task, in rank order, sized from the source's chunk histograms
-// (§3.3: "each task also calculates the number of tuples to be received
-// from other tasks and the corresponding receive offsets in advance").
+// recvLayout describes what task rank receives in round r of pass s: one
+// region per source task, in rank order, sized from the histograms of the
+// source's round-r chunks (§3.3: "each task also calculates the number of
+// tuples to be received from other tasks and the corresponding receive
+// offsets in advance").
 // Within a source region, tuples arrive ordered by the source's threads.
 type recvLayout struct {
 	srcOff, srcCnt []uint64
@@ -212,7 +310,7 @@ type recvLayout struct {
 	total     uint64
 }
 
-func (p *plan) recvLayout(s, rank int) recvLayout {
+func (p *plan) recvLayout(s, rank, r int) recvLayout {
 	P, T := p.cfg.Tasks, p.cfg.Threads
 	lo, hi := p.pt.TaskRange(s, rank)
 	l := recvLayout{
@@ -225,7 +323,7 @@ func (p *plan) recvLayout(s, rank int) recvLayout {
 		l.srcOff[src] = off
 		for t := 0; t < T; t++ {
 			var cnt uint64
-			for _, ci := range p.threadChunks[src][t] {
+			for _, ci := range p.roundChunks(s, src, r, t) {
 				cnt += index.RangeCount(p.idx.Chunks[ci].Hist, lo, hi)
 			}
 			l.threadCnt[src*T+t] = cnt

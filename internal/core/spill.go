@@ -29,10 +29,14 @@ import (
 // union-by-index makes component roots independent of edge order, and the
 // frequency spectrum and filter see exactly the same runs of equal keys.
 //
-// Memory: the budget covers three circulating run builders during the
-// receive/sort/write phase (two in the handoff ring plus the radix
-// scratch) and, during the merge, up to two decoded blocks per (thread,
-// run) sized by plan.spillBlockTuples to fit in half the budget. Spill
+// Memory: the budget is four buffers of budget/4 — the generation buffer
+// (kmerOut: two budget/8 slots that alternating rounds fill, see
+// plan.groupChunks) and three circulating run builders during the
+// receive/sort/write phase (two in the handoff ring plus the radix scratch)
+// — and, during the merge, the generation buffer plus up to two decoded
+// blocks per (thread, run) sized by plan.spillBlockTuples to fit in half
+// the budget. The builders persist across a pass's KmerGen → exchange
+// rounds, so the worker sorts round r's runs while round r+1 generates. Spill
 // writes ride a write-behind double buffer (extsort.Writer); merge reads
 // ride a per-segment read-ahead ring (extsort.SegReader) — the same
 // overlap idiom as the KmerGen chunk prefetcher.
@@ -86,10 +90,10 @@ type spillState struct {
 // startSpill opens this (rank, pass)'s run file, acquires the builder ring
 // and launches the spill worker. dir is the run-scoped temp directory the
 // pipeline created (and removes on every exit path).
-func (st *taskState) startSpill(s int, rl recvLayout, dir string) (*spillState, error) {
+func (st *taskState) startSpill(s int, dir string) (*spillState, error) {
 	pl := st.p
 	cfg := pl.cfg
-	runs := pl.spillRuns(rl.total)
+	runs := pl.spillRuns(pl.passRecv(s, st.rank))
 	sp := &spillState{
 		st: st, s: s,
 		wide:        !pl.use64(),
@@ -268,16 +272,18 @@ func (sp *spillState) cleanup() {
 	os.Remove(sp.path)
 }
 
-// runSpillPass is the out-of-core body of one pipeline pass: exchange into
-// run builders, drain the spill, then stream the k-way merge into LocalCC.
-func (st *taskState) runSpillPass(s int, gl genLayout, rl recvLayout, dir string) error {
-	sp, err := st.startSpill(s, rl, dir)
+// runSpillPass is the out-of-core body of one pipeline pass: the KmerGen →
+// exchange rounds land in the run builders (the spill worker sorting and
+// writing round r's runs while round r+1 generates), then the spill drains
+// and the k-way merge streams into LocalCC.
+func (st *taskState) runSpillPass(s int, dir string) error {
+	sp, err := st.startSpill(s, dir)
 	if err != nil {
 		return err
 	}
 	defer sp.cleanup()
 	st.spill = sp
-	err = st.genExchange(s, gl, rl)
+	_, err = st.genExchange(s)
 	st.spill = nil
 	if err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
@@ -169,8 +170,11 @@ func TestSpillParityFiltered(t *testing.T) {
 
 // TestSpillBudgetCompliance pins the acceptance criterion: with a budget
 // about an eighth of the partition's tuple bytes, the run completes, spills
-// at least 4 runs, and the measured peak spill tuple memory stays under the
-// budget.
+// at least 4 runs, generates in at least 2 rounds, and the measured peak
+// tuple memory — generation buffer, run builders and merge blocks — stays
+// under the budget. The fixture's chunks are small enough that no single
+// chunk's pass-range tuples exceed a budget/8 generation slot, so the chunk
+// floor never applies and the bound is the budget itself.
 func TestSpillBudgetCompliance(t *testing.T) {
 	td := spillDataset(t, 94, smallOpts())
 	obs := obsv.New()
@@ -179,6 +183,13 @@ func TestSpillBudgetCompliance(t *testing.T) {
 	cfg.SpillBudgetBytes = MinSpillBudgetBytes
 	cfg.Obs = obs
 	requireSpill(t, cfg)
+	pl, err := newPlan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if floor := chunkFloorBytes(pl); floor > uint64(cfg.SpillBudgetBytes)/8 {
+		t.Fatalf("fixture error: a chunk holds %d pass-range tuple bytes, more than budget/8", floor)
+	}
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +198,10 @@ func TestSpillBudgetCompliance(t *testing.T) {
 		t.Fatalf("extsort/peak_tuple_bytes was never recorded")
 	}
 	if peak > uint64(cfg.SpillBudgetBytes) {
-		t.Errorf("peak spill tuple memory %d exceeds budget %d", peak, cfg.SpillBudgetBytes)
+		t.Errorf("peak tuple memory %d exceeds budget %d", peak, cfg.SpillBudgetBytes)
+	}
+	if rounds := obs.Counter(0, "kmergen/rounds").Value(); rounds < 2 {
+		t.Errorf("kmergen/rounds = %d, want >= 2", rounds)
 	}
 	if runs := obs.Counter(0, "extsort/runs").Value(); runs < 4 {
 		t.Errorf("extsort/runs = %d, want >= 4", runs)
@@ -197,25 +211,150 @@ func TestSpillBudgetCompliance(t *testing.T) {
 	}
 }
 
+// chunkFloorBytes is the largest pass-range tuple volume of any one chunk:
+// the smallest generation slot a round of whole chunks can have.
+func chunkFloorBytes(pl *plan) uint64 {
+	var most uint64
+	for s := 0; s < pl.cfg.Passes; s++ {
+		lo, hi := pl.pt.PassRange(s)
+		for ci := range pl.idx.Chunks {
+			most = max(most, index.RangeCount(pl.idx.Chunks[ci].Hist, lo, hi))
+		}
+	}
+	return most * pl.bytesPerTuple()
+}
+
+// TestSpillRoundsMatrix stresses the round loop: small chunks and the
+// minimum budget give every spilling pass many KmerGen → exchange rounds,
+// across task and thread counts, exact and prefiltered generation, and both
+// key widths. Labels must match the independent naiveLabels oracle, and
+// tuples, edges and the frequency spectrum the one-round in-RAM run of the
+// same shape. A prefiltered ladder built by concurrent threads may keep a
+// few extra singletons from run to run, so at T > 1 only the repeated part
+// of the spectrum (and the edges it makes) is compared.
+func TestSpillRoundsMatrix(t *testing.T) {
+	for _, w := range []struct {
+		name string
+		k    int
+	}{{"64bit", 11}, {"128bit", 35}} {
+		td := spillDataset(t, 95, index.Options{K: w.k, M: 4, ChunkSize: 600})
+		want := naiveLabels(td, w.k, false, Filter{})
+		for _, pf := range []Prefilter{{}, {BitsPerKmer: 8, MinCount: 2}} {
+			for _, tasks := range []int{1, 2, 3} {
+				for _, threads := range []int{1, 2} {
+					name := fmt.Sprintf("%s/pf%d/P%d_T%d", w.name, pf.BitsPerKmer, tasks, threads)
+					t.Run(name, func(t *testing.T) {
+						cfg := Default(td.idx)
+						cfg.Tasks, cfg.Threads, cfg.Passes = tasks, threads, 2
+						cfg.Prefilter = pf
+						ref, err := Run(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cfg.SpillBudgetBytes = MinSpillBudgetBytes
+						requireSpill(t, cfg)
+						obs := obsv.New()
+						cfg.Obs = obs
+						res, err := Run(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						assertSameLabels(t, want, res.Labels)
+						if rounds := counterTotal(obs, "kmergen/rounds"); rounds < uint64(2*tasks) {
+							t.Errorf("kmergen/rounds = %d over %d tasks, want >= 2 each", rounds, tasks)
+						}
+						if res.Edges != ref.Edges {
+							t.Errorf("Edges = %d, in-RAM %d", res.Edges, ref.Edges)
+						}
+						from := 0
+						if pf.Enabled() && threads > 1 {
+							from = 2
+						} else if res.Tuples != ref.Tuples {
+							t.Errorf("Tuples = %d, in-RAM %d", res.Tuples, ref.Tuples)
+						}
+						sameFreqHist(t, ref.KmerFreqHist[from:], res.KmerFreqHist[from:])
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestSpillRoundsUneven runs a shape where the ranks plan different round
+// counts — rank 0 owns dense chunks of long reads, rank 1 mostly sparse
+// chunks of short ones — so rank 1 runs trailing empty rounds, sending and
+// receiving empty messages to keep the all-to-alls matched.
+func TestSpillRoundsUneven(t *testing.T) {
+	opts := index.Options{K: 11, M: 4, ChunkSize: 1000}
+	dense := spillDataset(t, 99, opts)
+	sparse := genDataset(t, rand.New(rand.NewSource(99)), opts, 1, 3000, 13)
+	td := &testData{
+		paths: append(append([]string(nil), dense.paths...), sparse.paths...),
+		seqs:  append(append([][]byte(nil), dense.seqs...), sparse.seqs...),
+	}
+	idx, err := index.Build(td.paths, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	td.idx = idx
+	want := naiveLabels(td, 11, false, Filter{})
+
+	cfg := Default(idx)
+	cfg.Tasks, cfg.Threads, cfg.Passes = 2, 2, 2
+	ref, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.SpillBudgetBytes = MinSpillBudgetBytes
+	pl, err := newPlan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uneven := false
+	for s := range pl.roundCuts {
+		if len(pl.roundCuts[s][0]) != len(pl.roundCuts[s][1]) {
+			uneven = true
+		}
+	}
+	if !pl.spill || !uneven {
+		t.Fatalf("fixture error: spill=%v, round cuts %v — want ranks with different round counts", pl.spill, pl.roundCuts)
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameLabels(t, want, res.Labels)
+	if res.Tuples != ref.Tuples || res.Edges != ref.Edges {
+		t.Errorf("tuples/edges = %d/%d, in-RAM %d/%d", res.Tuples, res.Edges, ref.Tuples, ref.Edges)
+	}
+	sameFreqHist(t, ref.KmerFreqHist, res.KmerFreqHist)
+}
+
 // TestSpillCancelLeavesNoRunFiles cancels spilling runs at several poll
-// depths — landing in the exchange, the spill drain and the k-way merge —
-// and checks that no run files survive in SpillDir, no partial result
-// escapes, and no goroutine (spill worker, segment readers, rank bodies)
-// leaks. Run under -race this shakes out the shutdown ordering between the
-// merge readers' stop channels and the pass's deferred cleanup.
+// depths — landing in the first KmerGen round, in a later round (the
+// pass-long chunk fetchers mid-stream, the spill worker holding earlier
+// rounds' runs), and in the k-way merge — and checks that no run files
+// survive in SpillDir, no partial result escapes, and no goroutine (chunk
+// fetchers, spill worker, segment readers, rank bodies) leaks. Run under
+// -race this shakes out the shutdown ordering between the merge readers'
+// stop channels and the pass's deferred cleanup.
 func TestSpillCancelLeavesNoRunFiles(t *testing.T) {
 	td := spillDataset(t, 96, smallOpts())
 	spillDir := t.TempDir()
 	chunks := len(td.idx.Chunks)
+	cfg := Default(td.idx)
+	cfg.Tasks = 2
+	cfg.Threads = 2
+	cfg.Passes = 2
+	cfg.SpillBudgetBytes = MinSpillBudgetBytes
+	cfg.SpillDir = spillDir
+	cfg.PrefetchChunks = 2 // fetcher goroutines run even on a single-CPU host
+	if pl, err := newPlan(cfg); err != nil || pl.rounds[0] < 4 {
+		t.Fatalf("fixture error: want >= 4 rounds in pass 0 so a cancel lands mid-pass (err %v)", err)
+	}
 
 	base := runtime.NumGoroutine()
 	for _, limit := range []int{3, chunks/2 + 2, chunks + 10} {
-		cfg := Default(td.idx)
-		cfg.Tasks = 2
-		cfg.Threads = 2
-		cfg.Passes = 2
-		cfg.SpillBudgetBytes = MinSpillBudgetBytes
-		cfg.SpillDir = spillDir
 		ctx := newChunkCancelCtx(limit)
 		res, err := RunContext(ctx, cfg)
 		if !errors.Is(err, context.Canceled) {

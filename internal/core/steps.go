@@ -13,17 +13,44 @@ import (
 // exchange (§3.3), the two-stage local sort (§3.4) and the concurrent
 // union–find over sorted runs (§3.5).
 
-// genExchange runs KmerGen and then the tuple exchange for pass s. Exact
-// passes ship the index-predicted region counts; prefiltered passes first
-// compact the part-filled regions and ship what the gate kept.
-func (st *taskState) genExchange(s int, gl genLayout, rl recvLayout) error {
-	if err := st.kmerGen(s, gl); err != nil {
-		return err
+// genExchange runs pass s's KmerGen → exchange rounds. Each round fills
+// kmerOut from one group of this task's chunks and ships it in one §3.3
+// all-to-all; a spilling pass has as many rounds as its budget needs, an
+// in-RAM pass exactly one. Exact rounds ship the index-predicted region
+// counts; prefiltered rounds first compact the part-filled regions and ship
+// what the gate kept. Each thread's chunk fetcher lives for the whole pass,
+// so reads keep prefetching across round boundaries. Returns the last
+// round's receive layout: the whole pass's when the pass is in RAM.
+func (st *taskState) genExchange(s int) (recvLayout, error) {
+	pl, T := st.p, st.p.cfg.Threads
+	fetchers := make([]*chunkFetcher, T)
+	for t := range fetchers {
+		fetchers[t] = newChunkFetcher(pl.passChunks(s, st.rank, t), pl.idx, st.files,
+			pl.cfg.prefetchDepth(), st.obs, st.rank, obsv.TidPrefetch+t)
 	}
-	if st.keep == nil {
-		return st.exchange(s, gl, rl, gl.dstCnt)
+	defer func() {
+		for _, f := range fetchers {
+			f.close()
+		}
+	}()
+	owner := pl.binOwners(s)
+	var rl recvLayout
+	for r := 0; r < pl.rounds[s]; r++ {
+		gl := pl.genLayout(s, st.rank, r)
+		if err := st.kmerGen(s, r, gl, owner, fetchers); err != nil {
+			return rl, err
+		}
+		sendCnt := gl.dstCnt
+		if st.keep != nil {
+			sendCnt = st.compactGen(gl)
+		}
+		rl = pl.recvLayout(s, st.rank, r)
+		if err := st.exchange(s, gl, rl, sendCnt, r+1 == pl.rounds[s]); err != nil {
+			return rl, err
+		}
 	}
-	return st.exchange(s, gl, rl, st.compactGen(gl))
+	st.counter("kmergen/rounds").Add(uint64(pl.rounds[s]))
+	return rl, nil
 }
 
 // exchange runs the custom all-to-all of §3.3: P stages of point-to-point
@@ -32,8 +59,9 @@ func (st *taskState) genExchange(s int, gl genLayout, rl recvLayout) error {
 // precomputed offset in kmerIn (or in the spill run builders). Counts are
 // validated against the index's prediction: exactly, or — under the
 // prefilter, which can only shrink them — as an upper bound, with the
-// actual counts recorded in recvGot for sortLayoutFiltered.
-func (st *taskState) exchange(s int, gl genLayout, rl recvLayout, sendCnt []uint64) error {
+// actual counts recorded in recvGot for sortLayoutFiltered. last marks the
+// pass's final round, the only one that ends in a barrier.
+func (st *taskState) exchange(s int, gl genLayout, rl recvLayout, sendCnt []uint64, last bool) error {
 	t0 := time.Now()
 	filtered := st.keep != nil
 	var mismatch error
@@ -71,11 +99,18 @@ func (st *taskState) exchange(s int, gl genLayout, rl recvLayout, sendCnt []uint
 			}
 		},
 	)
-	// Messages are zero-copy views into this task's kmerOut; the barrier
-	// guarantees every peer has copied its message out before LocalSort
-	// reuses the buffer. (A real MPI transfer copies on the wire; this is
-	// the in-process equivalent of waiting on the sends.)
-	st.t.Barrier()
+	// Messages are zero-copy views into this task's kmerOut. After the
+	// pass's last round the barrier guarantees every peer has copied its
+	// message out before LocalSort or the next pass reuses the buffer. (A
+	// real MPI transfer copies on the wire; this is the in-process
+	// equivalent of waiting on the sends.) Earlier rounds need no barrier:
+	// round r+1 writes the other generation slot, and round r+2 — which
+	// reuses this one — starts only after every peer's round r+1 message has
+	// arrived, which each peer sends only after its round r exchange has
+	// copied this task's round r message out.
+	if last {
+		st.t.Barrier()
+	}
 	d := time.Since(t0) + st.t.TakeCommTime()
 	st.rep.Steps.KmerGenComm += d
 	st.stepSpan("KmerGen-Comm", t0, d)

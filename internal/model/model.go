@@ -220,13 +220,14 @@ func (c Cluster) prefilterBytes(w Workload) int64 {
 const SpillCompressRatio = 0.6
 
 // spillRuns returns the modeled sorted-run count per pass, mirroring
-// core's sizing: runs hold budget/3 bytes each (two exchange-facing
-// builders plus sort scratch), so runs = ⌈passBytes / (budget/3)⌉.
+// core's sizing: runs hold budget/4 bytes each (the budget covers the
+// generation buffer, two exchange-facing builders and the sort scratch), so
+// runs = ⌈passBytes / (budget/4)⌉.
 func (c Cluster) spillRuns(passTupleBytes float64) float64 {
 	if c.SpillBudgetBytes <= 0 || passTupleBytes <= float64(c.SpillBudgetBytes) {
 		return 0
 	}
-	return math.Ceil(passTupleBytes / (float64(c.SpillBudgetBytes) / 3))
+	return math.Ceil(passTupleBytes / (float64(c.SpillBudgetBytes) / 4))
 }
 
 // Steps is the model's per-step prediction, aligned with core.StepTimes.
@@ -591,23 +592,37 @@ func MergeWireBytes(w Workload, c Cluster) int64 {
 
 // MemoryPerTask evaluates §3.7's per-task memory inventory in bytes:
 // index tables + T chunk buffers + kmerOut + kmerIn + p + p′. With a spill
-// budget that a pass would exceed, resident tuple memory is the budget
-// itself — that cap is the whole point of the out-of-core path. A
-// prefilter adds its ladder (BitsPerKmer per enumerated k-mer) but scales
-// the resident tuple buffers by the keep fraction — the trade the
-// low-memory mode exists for.
+// budget that a pass's received partition would exceed, resident tuple
+// memory is what core allocates out of core: three run builders of
+// budget/4 plus a generation buffer of two slots, each holding a round of
+// chunks — budget/8 each, or one chunk's pass share of the tuples when a
+// single chunk holds more (the chunk floor). A prefilter adds its ladder
+// (BitsPerKmer per enumerated k-mer) but scales the resident in-RAM tuple
+// buffers by the keep fraction — the trade the low-memory mode exists for.
 func MemoryPerTask(w Workload, c Cluster) int64 {
 	tuples := int64(float64(w.Tuples) * c.prefilterKeepFrac(w))
 	tuples = tuples / int64(c.P) / int64(c.S)
 	tupleBytes := 2 * int64(w.TupleBytes) * tuples
-	if c.SpillBudgetBytes > 0 && tupleBytes > c.SpillBudgetBytes {
-		tupleBytes = c.SpillBudgetBytes
+	// The spill decision sees the unfiltered partition, as core's plan does.
+	if b := c.SpillBudgetBytes; b > 0 && w.Tuples/int64(c.P)/int64(c.S)*int64(w.TupleBytes) > b {
+		tupleBytes = b - b/4 + max(b/4, 2*w.chunkPassBytes(c.S))
 	}
 	return w.IndexBytes +
 		int64(c.T)*w.ChunkBytes +
 		tupleBytes +
 		c.prefilterBytes(w) +
 		8*w.Reads
+}
+
+// chunkPassBytes estimates one chunk's share of a pass's tuple bytes: the
+// smallest generation slot a spilling round can have, since rounds are
+// whole chunks.
+func (w Workload) chunkPassBytes(S int) int64 {
+	if w.DiskBytes <= 0 {
+		return 0
+	}
+	return int64(float64(w.Tuples) * float64(w.ChunkBytes) / float64(w.DiskBytes) /
+		float64(S) * float64(w.TupleBytes))
 }
 
 // PrefilterCrossover returns the minimum SingletonKmerFrac at which the

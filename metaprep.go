@@ -124,8 +124,9 @@ type ConfigError = core.ConfigError
 var ErrInvalidConfig = core.ErrInvalidConfig
 
 // MinSpillBudgetBytes is the smallest accepted Config.SpillBudgetBytes: the
-// out-of-core LocalSort needs room for three bounded run builders plus merge
-// read-ahead blocks, so budgets below 64 KiB are rejected at validation.
+// out-of-core path needs room for a generation buffer and three bounded run
+// builders plus merge read-ahead blocks, so budgets below 64 KiB are
+// rejected at validation.
 const MinSpillBudgetBytes = core.MinSpillBudgetBytes
 
 // AutoSpillBudget discovers a per-rank spill budget from the memory the
