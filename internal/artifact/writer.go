@@ -121,8 +121,8 @@ func (w *Writer) BeginKmers(wide, compress bool, blockTuples int) error {
 
 // CopyBlocks copies n bytes of already-encoded extsort blocks (holding
 // tuples sorted tuples, encoded with the Begin parameters) into the k-mer
-// section. The pipeline uses this to splice spill-run segments and in-RAM
-// run files straight into the artifact without re-encoding.
+// section. The pipeline uses this to splice its per-thread part files
+// straight into the artifact without re-encoding.
 func (w *Writer) CopyBlocks(r io.Reader, n int64, tuples uint64) error {
 	if w.err != nil {
 		return w.err

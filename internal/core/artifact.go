@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -17,24 +16,21 @@ import (
 )
 
 // artifact.go wires the persistent partition artifact (internal/artifact)
-// into the pipeline: the emit path tees the sorted tuple stream off the
-// run's existing data paths into an artifact, the reload path turns a
-// stored artifact back into a Result without re-running the front half of
-// the pipeline, and the incremental path merges a delta run against a
-// stored base.
+// into the pipeline: the emit path tees LocalCC's sorted groups into an
+// artifact, the reload path turns a stored artifact back into a Result
+// without re-running the front half of the pipeline, and the incremental
+// path merges a delta run against a stored base.
 
 // artifactEmit collects the pipeline's sorted tuple stream into per-(pass,
-// rank[, thread]) part files while the run executes, then assembles them —
-// in global key order — into one artifact after the result is known. The
-// parts ride the two existing sorted data paths, so no second enumeration
-// pass happens:
-//
-//   - in-RAM passes: after LocalSort, a rank's sorted partition sits
-//     read-only in kmerOut while LocalCC walks it, so a goroutine encodes
-//     it to a part file concurrently and is joined before the pass barrier
-//     (when kmerOut is reused);
-//   - spill passes: each LocalCC merge thread tees the tuples it streams
-//     out of the k-way run merge into a per-thread part file.
+// rank, thread) part files while the run executes, then assembles them —
+// in global key order — into one artifact after the result is known. There
+// is one tee: each LocalCC thread writes the groups its sorted source
+// yields, whichever sink produced them, so no second enumeration pass
+// happens and every memory shape writes the same parts. Each group's
+// values go out in ascending order, which makes the part bytes a function
+// of the pass, rank and thread cuts alone: the in-RAM and spilling sinks
+// emit identical kmers sections, and at one pass every task and thread
+// count decodes to the same (key, value) stream (TestArtifactShapeContract).
 //
 // Concatenating parts for pass, then rank, then thread replays the global
 // key order (the pass-major/rank-major/bin-major concatenation order that
@@ -51,15 +47,14 @@ type artifactEmit struct {
 	wide        bool
 	compress    bool
 	blockTuples int
-	// parts[pass][rank][thread]; in-RAM passes use a single slot 0 per
-	// rank. Distinct goroutines write distinct slots, so no locking.
+	// parts[pass][rank][thread]. Distinct goroutines write distinct slots,
+	// so no locking.
 	parts [][][]artifactPart
 }
 
 // artifactPart locates one part file's encoded block range.
 type artifactPart struct {
 	path   string
-	off    int64
 	len    int64
 	tuples uint64
 }
@@ -70,10 +65,6 @@ func newArtifactEmit(cfg Config, pl *plan) (*artifactEmit, error) {
 	dir, err := os.MkdirTemp(cfg.SpillDir, "metaprep-artifact-")
 	if err != nil {
 		return nil, err
-	}
-	slots := 1
-	if pl.spill {
-		slots = cfg.Threads
 	}
 	e := &artifactEmit{
 		dir:  dir,
@@ -88,7 +79,7 @@ func newArtifactEmit(cfg Config, pl *plan) (*artifactEmit, error) {
 	for s := range e.parts {
 		e.parts[s] = make([][]artifactPart, cfg.Tasks)
 		for r := range e.parts[s] {
-			e.parts[s][r] = make([]artifactPart, slots)
+			e.parts[s][r] = make([]artifactPart, cfg.Threads)
 		}
 	}
 	return e, nil
@@ -98,46 +89,11 @@ func newArtifactEmit(cfg Config, pl *plan) (*artifactEmit, error) {
 // successful assemble the parts are already copied out.
 func (e *artifactEmit) cleanup() { os.RemoveAll(e.dir) }
 
-// writeRun encodes a rank's pass-s sorted partition (kmerOut[0:n]) into a
-// part file. It runs concurrently with LocalCC — which only reads the same
-// buffer — and the caller joins it before the pass barrier.
-func (e *artifactEmit) writeRun(s, rank int, buf *tupleBuf, n uint64) error {
-	if n == 0 {
-		return nil
-	}
-	path := filepath.Join(e.dir, fmt.Sprintf("s%02d-r%03d.part", s, rank))
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w, err := extsort.NewWriter(f, e.wide, e.compress, e.blockTuples)
-	if err != nil {
-		return err
-	}
-	var hi []uint64
-	if buf.hi != nil {
-		hi = buf.hi[:n]
-	}
-	info, err := w.WriteRun(buf.lo[:n], hi, buf.val[:n], []uint64{0, n})
-	if cerr := w.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	seg := info.Segs[0]
-	e.parts[s][rank][0] = artifactPart{path: path, off: seg.Off, len: seg.Len, tuples: seg.Tuples}
-	return nil
-}
-
-// partTee buffers tuples streaming out of one spill-merge thread and
-// encodes them into a per-thread part file with the artifact's block
-// parameters (independent of the spill file's own).
+// partTee buffers the groups one LocalCC thread consumes and encodes them
+// into its part file in blocks of the artifact's block size.
 type partTee struct {
 	e       *artifactEmit
-	s, rank int
-	thread  int
+	slot    *artifactPart // where close registers the part
 	f       *os.File
 	bw      *bufio.Writer
 	path    string
@@ -147,7 +103,6 @@ type partTee struct {
 	bytes   int64
 	tuples  uint64
 	err     error
-	closed  bool
 }
 
 func (e *artifactEmit) newPartTee(s, rank, thread int) (*partTee, error) {
@@ -157,7 +112,7 @@ func (e *artifactEmit) newPartTee(s, rank, thread int) (*partTee, error) {
 		return nil, err
 	}
 	t := &partTee{
-		e: e, s: s, rank: rank, thread: thread, f: f, path: path,
+		e: e, slot: &e.parts[s][rank][thread], f: f, path: path,
 		bw:  bufio.NewWriterSize(f, 256<<10),
 		lo:  make([]uint64, 0, e.blockTuples),
 		val: make([]uint32, 0, e.blockTuples),
@@ -168,17 +123,17 @@ func (e *artifactEmit) newPartTee(s, rank, thread int) (*partTee, error) {
 	return t, nil
 }
 
-func (t *partTee) add(hi, lo uint64, val uint32) {
-	if t.err != nil {
-		return
-	}
-	t.lo = append(t.lo, lo)
-	if t.hi != nil {
-		t.hi = append(t.hi, hi)
-	}
-	t.val = append(t.val, val)
-	if len(t.lo) >= t.e.blockTuples {
-		t.flush()
+// add appends one group: a tuple (hi, lo, v) for every v in vals.
+func (t *partTee) add(hi, lo uint64, vals []uint32) {
+	for _, v := range vals {
+		t.lo = append(t.lo, lo)
+		if t.hi != nil {
+			t.hi = append(t.hi, hi)
+		}
+		t.val = append(t.val, v)
+		if len(t.lo) >= t.e.blockTuples {
+			t.flush()
+		}
 	}
 }
 
@@ -205,27 +160,20 @@ func (t *partTee) close() error {
 	if t.err == nil {
 		t.err = t.bw.Flush()
 	}
-	t.closed = true
 	if cerr := t.f.Close(); t.err == nil {
 		t.err = cerr
 	}
 	if t.err != nil {
 		return t.err
 	}
-	t.e.parts[t.s][t.rank][t.thread] = artifactPart{
-		path: t.path, off: 0, len: t.bytes, tuples: t.tuples,
-	}
+	*t.slot = artifactPart{path: t.path, len: t.bytes, tuples: t.tuples}
 	return nil
 }
 
 // discard releases the file handle on abort paths (the part directory is
-// removed wholesale by cleanup). No-op after close.
-func (t *partTee) discard() {
-	if !t.closed {
-		t.closed = true
-		t.f.Close()
-	}
-}
+// removed wholesale by cleanup). After close it is a no-op: a second Close
+// only reports os.ErrClosed.
+func (t *partTee) discard() { t.f.Close() }
 
 // assemble stitches the collected parts, the label map and the histogram
 // into the final artifact at cfg.ArtifactOut. Parts are copied verbatim
@@ -250,7 +198,7 @@ func (e *artifactEmit) assemble(cfg Config, pl *plan, res *Result) error {
 				if err != nil {
 					return err
 				}
-				err = w.CopyBlocks(io.NewSectionReader(f, p.off, p.len), p.len, p.tuples)
+				err = w.CopyBlocks(f, p.len, p.tuples)
 				f.Close()
 				if err != nil {
 					return err
@@ -587,8 +535,9 @@ func runIncremental(ctx context.Context, cfg Config, pl *plan) (*Result, error) 
 	// so Algorithm 1's re-verification pass is a no-op and is skipped.
 	dsu := unionfind.NewFromLabels(baseLabels, int(deltaReads))
 	filter := cfg.Filter
-	// Filter.Max is rejected for delta runs at Validate, so streaming edges
-	// is possible whenever Min ≤ 2 — the same rule as localCCSpill.
+	// Filter.Max is rejected for delta runs at Validate, so every run of
+	// length ≥ 2 passes the filter whenever Min ≤ 2, and edges can stream
+	// ahead of the run's end.
 	streaming := filter.Min <= 2
 	hist := make([]uint64, freqHistSize)
 	var (

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -19,6 +21,7 @@ import (
 	"metaprep/internal/artifact"
 	"metaprep/internal/fastq"
 	"metaprep/internal/index"
+	"metaprep/internal/obsv"
 )
 
 // --- helpers ---------------------------------------------------------------
@@ -235,6 +238,156 @@ func TestArtifactReloadParity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestArtifactShapeContract pins "same bytes from every shape" for the
+// .mpa kmers section. Across P ∈ {1,2,3} × T ∈ {1,2} × S ∈ {1,2} and both
+// key widths, an in-RAM run and a spilling run (minimum budget, at least
+// two KmerGen rounds per task) must write kmers sections with the same CRC;
+// at one pass the decoded (key, value) stream must hash the same for every
+// task and thread count; and under Filter{Max} — where a k-mer's reads can
+// sit in different components — the label of each key's first read, which
+// lookup.Build serves, must agree between the two artifacts.
+func TestArtifactShapeContract(t *testing.T) {
+	for _, w := range []struct {
+		name string
+		k    int
+	}{{"64bit", 11}, {"128bit", 35}} {
+		td := spillDataset(t, 41, index.Options{K: w.k, M: 4, ChunkSize: 600})
+		for _, filter := range []Filter{{}, {Max: 20}} {
+			var streamHash [sha256.Size]byte
+			for _, passes := range []int{1, 2} {
+				for _, tasks := range []int{1, 2, 3} {
+					for _, threads := range []int{1, 2} {
+						name := fmt.Sprintf("%s/max%d/P%d_T%d_S%d", w.name, filter.Max, tasks, threads, passes)
+						t.Run(name, func(t *testing.T) {
+							dir := t.TempDir()
+							run := func(budget int64) (string, *Result) {
+								cfg := Default(td.idx)
+								cfg.Tasks, cfg.Threads, cfg.Passes = tasks, threads, passes
+								cfg.Filter = filter
+								cfg.ArtifactOut = filepath.Join(dir, fmt.Sprintf("b%d.mpa", budget))
+								cfg.SpillBudgetBytes = budget
+								obs := obsv.New()
+								cfg.Obs = obs
+								if budget > 0 {
+									requireSpill(t, cfg)
+								}
+								res, err := Run(cfg)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if budget > 0 {
+									for rank := 0; rank < tasks; rank++ {
+										if r := obs.Counter(rank, "kmergen/rounds").Value(); r < 2 {
+											t.Fatalf("rank %d ran %d KmerGen rounds, want >= 2", rank, r)
+										}
+									}
+								}
+								return cfg.ArtifactOut, res
+							}
+							ramPath, ram := run(0)
+							spillPath, spill := run(MinSpillBudgetBytes)
+							if !slicesEqualU32(ram.Labels, spill.Labels) {
+								t.Fatal("labels differ between the in-RAM and spilling runs")
+							}
+
+							if a, b := kmersCRC(t, ramPath), kmersCRC(t, spillPath); a != b {
+								t.Fatalf("kmers CRC %08x in RAM, %08x spilling", a, b)
+							}
+							if passes == 1 {
+								h := kmerStreamHash(t, ramPath)
+								if streamHash == ([sha256.Size]byte{}) {
+									streamHash = h
+								} else if h != streamHash {
+									t.Fatalf("decoded kmers stream differs from the first shape's")
+								}
+							}
+							if filter.Max > 0 {
+								a := firstReadLabels(t, ramPath, ram.Labels)
+								b := firstReadLabels(t, spillPath, spill.Labels)
+								if !slicesEqualU32(a, b) {
+									t.Fatal("first-read labels differ between the in-RAM and spilling artifacts")
+								}
+							}
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
+// kmersCRC returns the CRC of an artifact's kmers section.
+func kmersCRC(t *testing.T, path string) uint32 {
+	t.Helper()
+	info, err := artifact.Info(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range info.Sections {
+		if sec.Name == "kmers" {
+			return sec.CRC
+		}
+	}
+	t.Fatalf("%s has no kmers section", path)
+	return 0
+}
+
+// forEachStoredTuple streams an artifact's decoded kmers section.
+func forEachStoredTuple(t *testing.T, path string, fn func(hi, lo uint64, val uint32)) {
+	t.Helper()
+	r, err := artifact.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	s, err := r.Kmers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for {
+		hi, lo, val, ok, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return
+		}
+		fn(hi, lo, val)
+	}
+}
+
+// kmerStreamHash is the sha256 of the decoded (hi, lo, val) stream.
+func kmerStreamHash(t *testing.T, path string) [sha256.Size]byte {
+	t.Helper()
+	h := sha256.New()
+	var b [20]byte
+	forEachStoredTuple(t, path, func(hi, lo uint64, val uint32) {
+		binary.LittleEndian.PutUint64(b[0:], hi)
+		binary.LittleEndian.PutUint64(b[8:], lo)
+		binary.LittleEndian.PutUint32(b[16:], val)
+		h.Write(b[:])
+	})
+	var sum [sha256.Size]byte
+	copy(sum[:], h.Sum(nil))
+	return sum
+}
+
+// firstReadLabels lists, key by key, the label of the key's first stored
+// value: the component lookup.Build assigns the k-mer.
+func firstReadLabels(t *testing.T, path string, labels []uint32) []uint32 {
+	t.Helper()
+	var out []uint32
+	var prevHi, prevLo uint64
+	forEachStoredTuple(t, path, func(hi, lo uint64, val uint32) {
+		if len(out) == 0 || hi != prevHi || lo != prevLo {
+			out = append(out, labels[val])
+			prevHi, prevLo = hi, lo
+		}
+	})
+	return out
 }
 
 func slicesEqualU32(a, b []uint32) bool {

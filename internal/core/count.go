@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"fmt"
+	"os"
 	"time"
 
 	"metaprep/internal/mpirt"
@@ -11,9 +11,10 @@ import (
 // count.go runs the pipeline as a distributed k-mer counter — the reuse the
 // paper's abstract promises ("efficient implementations of several
 // computational subroutines (e.g., k-mer enumeration and counting …) that
-// occur in other genomic data analysis problems"). The counter is the first
-// three steps verbatim — KmerGen, KmerGen-Comm, LocalSort — with the sorted
-// runs compacted into (k-mer, count) pairs instead of union–find edges.
+// occur in other genomic data analysis problems"). The counter is the pass
+// body verbatim — KmerGen, KmerGen-Comm into the plan's sink, LocalSort by
+// its seal — with each sorted equal-key group compacted into a (k-mer,
+// count) pair instead of union–find edges, in RAM or spilling alike.
 //
 // Because passes and tasks own contiguous, ascending key ranges,
 // concatenating the per-(pass, task) outputs in order yields a globally
@@ -61,12 +62,10 @@ type taskCounts struct {
 	counts []uint32
 }
 
-// RunCount executes the counting pipeline. The counter runs in RAM only: a
-// SpillBudgetBytes that would make the plan spill is rejected with a
-// *ConfigError (Passes is the counter's memory knob). The Filter, CCOpt,
-// OutDir, SplitComponents and Prefilter fields of cfg are ignored (every
-// k-mer is counted); everything else (tasks, threads, passes, network
-// model) applies as in Run.
+// RunCount executes the counting pipeline. The Filter, CCOpt, OutDir,
+// SplitComponents and Prefilter fields of cfg are ignored (every k-mer is
+// counted); everything else (tasks, threads, passes, SpillBudgetBytes,
+// network model) applies as in Run.
 func RunCount(cfg Config) (*CountResult, error) {
 	return RunCountContext(context.Background(), cfg)
 }
@@ -80,12 +79,11 @@ func RunCountContext(ctx context.Context, cfg Config) (*CountResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if pl.spill {
-		// A spilling plan sizes no kmerIn (bufTuples drops the receive
-		// term), and the counter has no run-builder path to land in.
-		return nil, &ConfigError{Field: "SpillBudgetBytes",
-			Reason: fmt.Sprintf("%d would spill, but the k-mer counter runs in RAM only (raise the budget or add Passes)", cfg.SpillBudgetBytes)}
+	spillDir, err := pl.spillScratch()
+	if err != nil {
+		return nil, err
 	}
+	defer os.RemoveAll(spillDir)
 
 	world := mpirt.NewWorld(cfg.Tasks, cfg.Network)
 	world.SetCollector(cfg.Obs)
@@ -98,45 +96,16 @@ func RunCountContext(ctx context.Context, cfg Config) (*CountResult, error) {
 	start := time.Now()
 	err = world.RunContext(ctx, func(task *mpirt.Task) error {
 		st := newTaskState(ctx, pl, task)
-		defer st.closeFiles()
-		files, err := openInputs(pl.idx)
+		sink, err := st.openPasses(spillDir)
+		defer st.closePasses(sink)
 		if err != nil {
 			return err
 		}
-		st.files = files
-		wide := !pl.use64()
-		st.out = cfg.acquireTupleBuf(pl.bufTuples[st.rank], wide)
-		st.in = cfg.acquireTupleBuf(pl.bufTuples[st.rank], wide)
-		defer func() {
-			cfg.releaseTupleBuf(st.out)
-			cfg.releaseTupleBuf(st.in)
-		}()
-
-		for s := 0; s < cfg.Passes; s++ {
-			rl, err := st.genExchange(s)
-			if err != nil {
-				return err
-			}
-			sl := pl.sortLayout(s, st.rank, rl)
-			st.localSort(s, sl)
-
-			// Compact sorted runs into counts. Partitions are ascending
-			// thread ranges, so appending in partition order stays sorted.
-			t0 := time.Now()
-			tc := &perPass[s][st.rank]
-			for d := 0; d < cfg.Threads; d++ {
-				st.out.forRuns(sl.partOff[d], sl.partCnt[d], func(a, b uint64) {
-					tc.lo = append(tc.lo, st.out.lo[a])
-					if wide {
-						tc.hi = append(tc.hi, st.out.hi[a])
-					}
-					tc.counts = append(tc.counts, uint32(b-a))
-				})
-			}
-			d := time.Since(t0)
-			st.rep.Steps.LocalCC += d
-			st.stepSpan("LocalCC", t0, d)
-			task.Barrier()
+		err = st.runPasses(sink, func(s int, srcs []*groupSource) error {
+			return st.countGroups(&perPass[s][st.rank], srcs)
+		})
+		if err != nil {
+			return err
 		}
 		st.rep.BytesSent = task.BytesSent()
 		st.finishObs()
@@ -163,6 +132,36 @@ func RunCountContext(ctx context.Context, cfg Config) (*CountResult, error) {
 		res.Tuples += rep.Tuples
 	}
 	return res, nil
+}
+
+// countGroups is the counter's LocalCC: it compacts every group of the
+// pass's sorted sources into a (k-mer, count) pair. Sources cover ascending
+// thread ranges, so appending them in order stays sorted.
+func (st *taskState) countGroups(tc *taskCounts, srcs []*groupSource) error {
+	defer closeSources(srcs)
+	t0 := time.Now()
+	wide := !st.p.use64()
+	for _, src := range srcs {
+		for {
+			hi, lo, vals, ok := src.next()
+			if !ok {
+				break
+			}
+			tc.lo = append(tc.lo, lo)
+			if wide {
+				tc.hi = append(tc.hi, hi)
+			}
+			tc.counts = append(tc.counts, uint32(len(vals)))
+		}
+		if src.err != nil {
+			return src.err
+		}
+		src.close()
+	}
+	d := time.Since(t0)
+	st.rep.Steps.LocalCC += d
+	st.stepSpan("LocalCC", t0, d)
+	return nil
 }
 
 // closeFiles releases a task's input handles.

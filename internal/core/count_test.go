@@ -98,33 +98,41 @@ func TestRunCount128(t *testing.T) {
 
 // TestRunCountMatchesKMC checks the distributed counter k-mer by k-mer
 // against internal/kmc, the independent KMC 2-style counter the paper's
-// Fig. 9 compares KmerGen with, over every P × T × S shape.
+// Fig. 9 compares KmerGen with, over every P × T × S shape, in RAM and
+// under the minimum spill budget (every shape's plan spills on this
+// dataset, so the counter's groups come out of the run merge).
 func TestRunCountMatchesKMC(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	td := overlappingDataset(t, rng, smallOpts(), 3, 300, 150, 40)
+	td := overlappingDataset(t, rng, smallOpts(), 4, 600, 2000, 50)
 	opts := kmc.Defaults()
 	opts.K = td.idx.Opts.K
 	want, _, err := kmc.CountFiles(td.paths, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tasks := range []int{1, 2, 4} {
-		for _, threads := range []int{1, 2} {
-			for _, passes := range []int{1, 3} {
-				shape := fmt.Sprintf("P%d/T%d/S%d", tasks, threads, passes)
-				cfg := Default(td.idx)
-				cfg.Tasks, cfg.Threads, cfg.Passes = tasks, threads, passes
-				got, err := RunCount(cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", shape, err)
-				}
-				if got.Len() != want.Len() {
-					t.Fatalf("%s: %d distinct k-mers, kmc %d", shape, got.Len(), want.Len())
-				}
-				for i := range want.Kmers {
-					if got.KmersLo[i] != want.Kmers[i] || got.Counts[i] != want.Counts[i] {
-						t.Fatalf("%s: entry %d is (%x, %d), kmc (%x, %d)", shape, i,
-							got.KmersLo[i], got.Counts[i], want.Kmers[i], want.Counts[i])
+	for _, budget := range []int64{0, MinSpillBudgetBytes} {
+		for _, tasks := range []int{1, 2, 4} {
+			for _, threads := range []int{1, 2} {
+				for _, passes := range []int{1, 3} {
+					shape := fmt.Sprintf("P%d/T%d/S%d/budget%d", tasks, threads, passes, budget)
+					cfg := Default(td.idx)
+					cfg.Tasks, cfg.Threads, cfg.Passes = tasks, threads, passes
+					if budget > 0 {
+						cfg.SpillBudgetBytes = budget
+						requireSpill(t, cfg)
+					}
+					got, err := RunCount(cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", shape, err)
+					}
+					if got.Len() != want.Len() {
+						t.Fatalf("%s: %d distinct k-mers, kmc %d", shape, got.Len(), want.Len())
+					}
+					for i := range want.Kmers {
+						if got.KmersLo[i] != want.Kmers[i] || got.Counts[i] != want.Counts[i] {
+							t.Fatalf("%s: entry %d is (%x, %d), kmc (%x, %d)", shape, i,
+								got.KmersLo[i], got.Counts[i], want.Kmers[i], want.Counts[i])
+						}
 					}
 				}
 			}
@@ -132,21 +140,23 @@ func TestRunCountMatchesKMC(t *testing.T) {
 	}
 }
 
-// TestRunCountRejectsSpillBudget: the counter has no out-of-core path, so a
-// budget that makes the plan spill is a typed config error, not a panic in
-// the receive path.
+// TestRunCountRejectsSpillBudget: a spilling budget is a working counter
+// shape (TestRunCountMatchesKMC), but a budget that Config.Validate refuses
+// — negative, or below MinSpillBudgetBytes — is still a typed config error
+// for SpillBudgetBytes from RunCount, with no result and no panic.
 func TestRunCountRejectsSpillBudget(t *testing.T) {
 	td := spillDataset(t, 91, smallOpts())
-	cfg := Default(td.idx)
-	cfg.Tasks = 2
-	cfg.SpillBudgetBytes = MinSpillBudgetBytes
-	requireSpill(t, cfg)
-	res, err := RunCount(cfg)
-	if res != nil || !errors.Is(err, ErrInvalidConfig) {
-		t.Fatalf("RunCount under a spilling budget: res=%v err=%v, want ErrInvalidConfig", res != nil, err)
-	}
-	var ce *ConfigError
-	if !errors.As(err, &ce) || ce.Field != "SpillBudgetBytes" {
-		t.Fatalf("err = %v, want a *ConfigError for SpillBudgetBytes", err)
+	for _, budget := range []int64{-1, 1, MinSpillBudgetBytes - 1} {
+		cfg := Default(td.idx)
+		cfg.Tasks = 2
+		cfg.SpillBudgetBytes = budget
+		res, err := RunCount(cfg)
+		if res != nil || !errors.Is(err, ErrInvalidConfig) {
+			t.Fatalf("budget %d: res=%v err=%v, want ErrInvalidConfig", budget, res != nil, err)
+		}
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Field != "SpillBudgetBytes" {
+			t.Fatalf("budget %d: err = %v, want a *ConfigError for SpillBudgetBytes", budget, err)
+		}
 	}
 }

@@ -37,16 +37,13 @@ type taskState struct {
 	// the same pointer as p.cfg.Obs, cached for the instrumentation sites.
 	obs *obsv.Collector
 
-	// out is kmerOut; in is kmerIn, nil in spill mode (received tuples go
-	// through the run builders instead).
-	out, in *tupleBuf
+	// out is kmerOut: the generation buffer, and the sorted partitions a
+	// partitionSink hands LocalCC.
+	out     *tupleBuf
 	dsu     *unionfind.DSU
 	ufStats *unionfind.Stats
 	files   []*os.File
 
-	// spill, non-nil only while a spill pass's exchange runs, diverts the
-	// receive path into the run builders.
-	spill *spillState
 	// emit, non-nil when ArtifactOut is set, collects this task's sorted
 	// tuple stream into artifact part files as the passes run.
 	emit *artifactEmit
@@ -297,17 +294,14 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	// In spill mode, every rank's run files live in one run-scoped temp
-	// directory, removed on every exit path — success, error and
-	// cancellation alike (TestSpillCancelLeavesNoRunFiles).
-	var spillDir string
-	if pl.spill {
-		spillDir, err = os.MkdirTemp(cfg.SpillDir, "metaprep-spill-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(spillDir)
+	// A spilling plan's run files live in one run-scoped temp directory,
+	// removed on every exit path — success, error and cancellation alike
+	// (TestSpillCancelLeavesNoRunFiles).
+	spillDir, err := pl.spillScratch()
+	if err != nil {
+		return nil, err
 	}
+	defer os.RemoveAll(spillDir)
 	// The artifact emit tees the sorted tuple stream into part files as the
 	// passes run; its scratch directory follows the spill-dir lifecycle
 	// (removed on success, error and cancellation alike).
@@ -331,31 +325,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	err = world.RunContext(ctx, func(task *mpirt.Task) error {
 		st := newTaskState(ctx, pl, task)
 		st.emit = emit
-		defer st.closeFiles()
-		files, err := openInputs(pl.idx)
+		sink, err := st.openPasses(spillDir)
+		defer st.closePasses(sink)
 		if err != nil {
 			return err
 		}
-		st.files = files
-		st.out = cfg.acquireTupleBuf(pl.bufTuples[st.rank], !pl.use64())
-		if pl.spill {
-			// Spill mode has no kmerIn: received tuples stream through
-			// the budgeted run builders instead, and kmerOut holds the
-			// two round-sized generation slots the budget also covers.
-			st.spillMemAdd(st.out.memBytes())
-		} else {
-			st.in = cfg.acquireTupleBuf(pl.bufTuples[st.rank], !pl.use64())
-		}
-		defer func() {
-			// Safe to recycle even on the error path: RunContext joins
-			// every rank before returning, so no peer still holds a
-			// zero-copy view into these buffers when a later run (the
-			// next daemon job) can acquire them.
-			cfg.releaseTupleBuf(st.out)
-			if st.in != nil {
-				cfg.releaseTupleBuf(st.in)
-			}
-		}()
 		st.dsu = unionfind.New(int(pl.idx.Reads))
 		st.dsu.SetStats(st.ufStats)
 		for _, ci := range pl.taskChunks[st.rank] {
@@ -371,54 +345,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}
 
-		for s := 0; s < cfg.Passes; s++ {
-			if pl.spill {
-				if err := st.runSpillPass(s, spillDir); err != nil {
-					return err
-				}
-			} else {
-				rl, err := st.genExchange(s)
-				if err != nil {
-					return err
-				}
-				var sl sortLayout
-				if st.keep != nil {
-					sl = st.sortLayoutFiltered(s, rl)
-				} else {
-					sl = pl.sortLayout(s, st.rank, rl)
-				}
-				st.localSort(s, sl)
-				// The artifact part writer overlaps LocalCC: both only
-				// read the sorted kmerOut. The join below keeps the
-				// buffer from being reused (next pass) while encoding.
-				var emitDone chan error
-				if st.emit != nil {
-					emitDone = make(chan error, 1)
-					go func(s int, n uint64) {
-						t0 := time.Now()
-						err := st.emit.writeRun(s, st.rank, st.out, n)
-						if st.obs != nil {
-							st.obs.RecordSpan(st.rank, obsv.TidArtifact, "detail",
-								"artifact-part", t0, time.Since(t0),
-								map[string]any{"pass": s, "tuples": n})
-						}
-						emitDone <- err
-					}(s, rl.total)
-				}
-				st.localCC(sl)
-				if emitDone != nil {
-					if err := <-emitDone; err != nil {
-						return err
-					}
-				}
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			// Keep passes in lockstep so a fast task cannot start enumerating
-			// pass s+1 component IDs while peers still union pass s edges
-			// (§3.5.1 requires the local DSU to be quiescent at enumeration).
-			task.Barrier()
+		if err := st.runPasses(sink, st.localCC); err != nil {
+			return err
 		}
 
 		// The CC-I/O chunk prefetchers start before the merge so the output
@@ -454,7 +382,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		freqHists[st.rank] = st.freqHist
 		st.rep.BytesSent = task.BytesSent()
 		st.rep.MergeBytes = mergeBytes
-		st.rep.MemoryBytes = st.memoryBytes()
+		st.rep.MemoryBytes = st.memoryBytes(sink)
 		st.finishObs()
 		reports[st.rank] = st.rep
 		return nil
@@ -544,21 +472,16 @@ func stepsOf(reports []TaskReport) []StepTimes {
 }
 
 // memoryBytes tallies this task's planned memory per the §3.7 inventory:
-// index tables (replicated), kmerOut and kmerIn, the component array p and
+// index tables (replicated), kmerOut and the sink (kmerIn, or the spill's
+// run builders), the component array p and
 // the received array p′ (4R each), and the chunk read buffers — with the
 // overlapped-I/O prefetcher, each thread circulates 1+PrefetchChunks
 // buffers instead of one, and the inventory charges them all.
-func (st *taskState) memoryBytes() int64 {
+func (st *taskState) memoryBytes(sink tupleSink) int64 {
 	idx := st.p.idx
 	mem := idx.MemoryBytes()
 	mem += st.out.memBytes()
-	if st.in != nil {
-		mem += st.in.memBytes()
-	} else {
-		// Spill mode: kmerOut is the two-slot generation buffer, and the
-		// receive side is the three budget/4 run builders.
-		mem += 3 * int64(st.p.runTuples*st.p.bytesPerTuple())
-	}
+	mem += sink.memBytes()
 	mem += 2 * 4 * int64(idx.Reads)
 	buffersPerThread := int64(1 + st.p.cfg.prefetchDepth())
 	mem += int64(st.p.cfg.Threads) * buffersPerThread * st.maxChunkBytes

@@ -259,8 +259,9 @@ func (st *taskState) compactGen(gl genLayout) []uint64 {
 // per-(region, partition) counts come from one counting scan of the
 // received tuples. The scan is the price of filtering — O(received) reads,
 // charged to LocalSort, against the 40%+ of tuples that never arrived.
-func (st *taskState) sortLayoutFiltered(s int, rl recvLayout) sortLayout {
+func (ps *partitionSink) sortLayoutFiltered(s int, rl recvLayout) sortLayout {
 	t0 := time.Now()
+	st := ps.st
 	p := st.p
 	P, T := p.cfg.Tasks, p.cfg.Threads
 	l := sortLayout{
@@ -275,16 +276,9 @@ func (st *taskState) sortLayoutFiltered(s int, rl recvLayout) sortLayout {
 	for d := 0; d < T; d++ {
 		l.partBinLo[d], l.partBinHi[d] = p.pt.ThreadRange(s, st.rank, d)
 	}
-	thrCuts := p.pt.ThreadCuts(s, st.rank)
-	binLo := thrCuts[0]
-	lut := make([]uint16, thrCuts[len(thrCuts)-1]-binLo)
-	for d := 0; d < len(thrCuts)-1; d++ {
-		for b := thrCuts[d] - binLo; b < thrCuts[d+1]-binLo; b++ {
-			lut[b] = uint16(d)
-		}
-	}
+	lut, binLo := p.threadLUT(s, st.rank)
 	cnt := make([]uint64, P*T)
-	in := st.in
+	in := ps.in
 	k, m := p.idx.Opts.K, p.idx.Opts.M
 	par.For(T, P, func(r int) {
 		off, n := rl.srcOff[r], st.recvGot[r]

@@ -9,11 +9,9 @@ import (
 
 	"metaprep/internal/extsort"
 	"metaprep/internal/obsv"
-	"metaprep/internal/par"
-	"metaprep/internal/unionfind"
 )
 
-// spill.go implements the out-of-core LocalSort path (Config.
+// spill.go implements runSink, the tupleSink of a spilling plan (Config.
 // SpillBudgetBytes): when a pass's received partition would exceed the
 // budget, the exchange lands tuples into fixed-size run builders instead of
 // a partition-sized kmerIn. Each full builder is handed to a spill worker
@@ -22,12 +20,12 @@ import (
 // one sorted run, cut into T per-thread-bin segments. Runs are written raw:
 // the extsort codec's varint/delta key compression measured slower and
 // larger in RSS on local disk (EXPERIMENTS.md), so spill never uses it;
-// the .mpa artifact's k-mer section still does. LocalCC then replaces
-// the sorted-partition walk with T concurrent loser-tree merges — thread d
-// merging segment d of every run — feeding the shared union–find as a
-// stream. Results are bit-identical to the in-RAM path (TestSpillParity):
-// union-by-index makes component roots independent of edge order, and the
-// frequency spectrum and filter see exactly the same runs of equal keys.
+// the .mpa artifact's k-mer section still does. seal drains the worker and
+// hands LocalCC thread d a groupSource merging segment d of every run with
+// a loser tree. From there the pass is the in-RAM pass: the same localCC
+// consumer sees the same equal-key groups, so labels, edges, the frequency
+// spectrum and the artifact tee match the partition sink's
+// (TestSpillParity, TestArtifactShapeContract).
 //
 // Memory: the budget is four buffers of budget/4 — the generation buffer
 // (kmerOut: two budget/8 slots that alternating rounds fill, see
@@ -40,6 +38,74 @@ import (
 // writes ride a write-behind double buffer (extsort.Writer); merge reads
 // ride a per-segment read-ahead ring (extsort.SegReader) — the same
 // overlap idiom as the KmerGen chunk prefetcher.
+
+// spillScratch creates the run-scoped temp directory every rank's run
+// files live in, or returns "" when the plan does not spill (os.RemoveAll
+// of "" is a no-op, so callers defer the removal unconditionally).
+func (p *plan) spillScratch() (string, error) {
+	if !p.spill {
+		return "", nil
+	}
+	return os.MkdirTemp(p.cfg.SpillDir, "metaprep-spill-")
+}
+
+// runSink serves a task's passes in order: open starts pass s's spill —
+// run file, builders, worker — before the pass's KmerGen, and releases the
+// previous pass's, whose run file LocalCC's merge sources read until then.
+type runSink struct {
+	st  *taskState
+	dir string
+	sp  *spillState
+}
+
+func (r *runSink) open(s int) error {
+	r.cleanup()
+	sp, err := r.st.startSpill(s, r.dir)
+	r.sp = sp
+	return err
+}
+
+func (r *runSink) receive(_ uint64, m tupleMsg) uint64 { return r.sp.receive(m) }
+
+// seal is the spill path's LocalSort step: most of the sorting already ran
+// on the spill worker, hidden behind the exchange; what remains — and what
+// the step is charged — is the drain of the last run(s) and the
+// write-behind flush. It returns one merge source per LocalCC thread.
+func (r *runSink) seal(_ int, _ recvLayout) ([]*groupSource, error) {
+	sp, st := r.sp, r.st
+	t0 := time.Now()
+	err := sp.finish()
+	sp.releaseBufs()
+	d := time.Since(t0)
+	st.rep.Steps.LocalSort += d
+	st.stepSpan("LocalSort", t0, d)
+	if err != nil {
+		return nil, err
+	}
+	st.rep.SpillBytes += sp.w.BytesWritten()
+	st.counter("extsort/bytes_spilled").Add(uint64(sp.w.BytesWritten()))
+	st.counter("extsort/runs").Add(uint64(len(sp.infos)))
+	sp.srcs = make([]*groupSource, len(sp.thrCuts)-1)
+	for d := range sp.srcs {
+		sp.srcs[d] = &groupSource{sp: sp, d: d}
+	}
+	return sp.srcs, nil
+}
+
+// memBytes charges the three budget/4 run builders; kmerOut, the two-slot
+// generation buffer, is charged by memoryBytes itself.
+func (r *runSink) memBytes() int64 {
+	return 3 * int64(r.st.p.runTuples*r.st.p.bytesPerTuple())
+}
+
+// cleanup releases the open pass's spill, if any: merge sources,
+// builders and the run file.
+func (r *runSink) cleanup() {
+	if r.sp != nil {
+		r.sp.cleanup()
+		r.sp = nil
+	}
+}
 
 // spillJob is one filled run builder on its way to the spill worker.
 type spillJob struct {
@@ -65,8 +131,6 @@ type spillState struct {
 	// bin boundaries where runs are cut into per-thread segments.
 	kr      keyRange
 	thrCuts []int
-	k, m    int
-	shift   uint
 
 	// fill is the builder the receive path is appending to; two more
 	// circulate through free (ready) and full (awaiting sort+write), and
@@ -83,6 +147,8 @@ type spillState struct {
 	// after done closes).
 	infos []extsort.RunInfo
 	err   error
+	// srcs are the merge sources seal handed to LocalCC.
+	srcs []*groupSource
 
 	finished bool
 }
@@ -100,15 +166,12 @@ func (st *taskState) startSpill(s int, dir string) (*spillState, error) {
 		runTuples:   pl.runTuples,
 		blockTuples: pl.spillBlockTuples(runs),
 		thrCuts:     pl.pt.ThreadCuts(s, st.rank),
-		k:           pl.idx.Opts.K,
-		m:           pl.idx.Opts.M,
-		shift:       2 * uint(pl.idx.Opts.K-pl.idx.Opts.M),
 		free:        make(chan *tupleBuf, 2),
 		full:        make(chan spillJob, 2),
 		done:        make(chan struct{}),
 	}
 	lo, hi := pl.pt.TaskRange(s, st.rank)
-	sp.kr = keyRange{binLo: lo, binHi: hi, shift: sp.shift}
+	sp.kr = keyRange{binLo: lo, binHi: hi, shift: 2 * uint(pl.idx.Opts.K-pl.idx.Opts.M)}
 
 	sp.path = filepath.Join(dir, fmt.Sprintf("r%03d-p%03d.run", st.rank, s))
 	f, err := os.Create(sp.path)
@@ -136,24 +199,13 @@ func (st *taskState) startSpill(s int, dir string) (*spillState, error) {
 }
 
 // receive appends a received exchange message to the current run builder,
-// rotating full builders to the spill worker. It replaces
-// tupleBuf.receive on the spill path and is only ever called from the
-// rank's own all-to-all receive callback.
+// rotating full builders to the spill worker. It is only ever called from
+// the rank's own all-to-all receive callback.
 func (sp *spillState) receive(m tupleMsg) uint64 {
 	cnt := uint64(len(m.lo))
-	var pos uint64
-	for pos < cnt {
-		n := sp.runTuples - sp.fillLen
-		if rem := cnt - pos; rem < n {
-			n = rem
-		}
-		b, at := sp.fill, sp.fillLen
-		copy(b.lo[at:at+n], m.lo[pos:pos+n])
-		copy(b.val[at:at+n], m.val[pos:pos+n])
-		if b.hi != nil {
-			copy(b.hi[at:at+n], m.hi[pos:pos+n])
-		}
-		sp.fillLen += n
+	for pos := uint64(0); pos < cnt; {
+		n := min(sp.runTuples-sp.fillLen, cnt-pos)
+		sp.fillLen += sp.fill.receive(sp.fillLen, m.slice(pos, pos+n))
 		pos += n
 		if sp.fillLen == sp.runTuples {
 			sp.rotate()
@@ -206,11 +258,12 @@ func (sp *spillState) sortWrite(job spillJob) error {
 	T := len(sp.thrCuts) - 1
 	cuts := make([]uint64, T+1)
 	cuts[T] = n
+	opts := st.p.idx.Opts
 	binOf := func(i int) int {
 		if sp.wide {
-			return binOf128(job.buf.hi[i], job.buf.lo[i], sp.k, sp.m)
+			return binOf128(job.buf.hi[i], job.buf.lo[i], opts.K, opts.M)
 		}
-		return int(job.buf.lo[i] >> sp.shift)
+		return int(job.buf.lo[i] >> sp.kr.shift)
 	}
 	for d := 1; d < T; d++ {
 		bound := sp.thrCuts[d]
@@ -249,7 +302,9 @@ func (sp *spillState) finish() error {
 
 // releaseBufs returns the builder ring to the pool before the merge phase
 // starts, so the sort-phase and merge-phase working sets never coexist and
-// peak tuple memory stays within the budget. Idempotent.
+// peak tuple memory stays within the budget. It runs after finish, so the
+// worker has exited and the free ring holds the builders' last references.
+// Idempotent.
 func (sp *spillState) releaseBufs() {
 	if sp.bufs == nil {
 		return
@@ -257,200 +312,45 @@ func (sp *spillState) releaseBufs() {
 	for _, b := range sp.bufs {
 		sp.st.p.cfg.releaseTupleBuf(b)
 	}
-	sp.bufs, sp.fill, sp.scratch = nil, nil, nil
+	sp.bufs, sp.fill, sp.scratch, sp.free = nil, nil, nil, nil
 	sp.st.spillMemAdd(-3 * int64(sp.runTuples) * int64(sp.st.p.bytesPerTuple()))
 }
 
-// cleanup releases every spill resource: joins the worker if an error path
-// skipped finish, returns the builders, and closes and removes the run
-// file. Deferred on every pass exit path, so no run files outlive their
-// pass — cancellation and failure included.
+// merger opens segment d of every run and primes a loser-tree merge over
+// them, charging its decoded read-ahead blocks to the spill memory gauge
+// (groupSource.close releases them).
+func (sp *spillState) merger(d int) (*extsort.Merger, error) {
+	rs := make([]*extsort.SegReader, len(sp.infos))
+	for i, info := range sp.infos {
+		rs[i] = extsort.NewSegReader(sp.f, info.Segs[d], sp.wide, false, sp.blockTuples)
+	}
+	sp.st.spillMemAdd(sp.mergeBlockBytes())
+	mg, err := extsort.NewMerger(rs)
+	if err != nil {
+		for _, r := range rs {
+			r.Close()
+		}
+		sp.st.spillMemAdd(-sp.mergeBlockBytes())
+		return nil, err
+	}
+	return mg, nil
+}
+
+// mergeBlockBytes is one merge source's decoded read-ahead: up to two
+// blocks per run.
+func (sp *spillState) mergeBlockBytes() int64 {
+	return int64(len(sp.infos)) * 2 * int64(sp.blockTuples) * int64(sp.st.p.bytesPerTuple())
+}
+
+// cleanup releases every spill resource: closes the merge sources, joins
+// the worker if an error path skipped finish, returns the builders, and
+// closes and removes the run file. Runs when the next pass opens and on
+// every exit path, so no run file outlives its task — cancellation and
+// failure included.
 func (sp *spillState) cleanup() {
+	closeSources(sp.srcs)
 	sp.finish()
 	sp.releaseBufs()
 	sp.f.Close()
 	os.Remove(sp.path)
-}
-
-// runSpillPass is the out-of-core body of one pipeline pass: the KmerGen →
-// exchange rounds land in the run builders (the spill worker sorting and
-// writing round r's runs while round r+1 generates), then the spill drains
-// and the k-way merge streams into LocalCC.
-func (st *taskState) runSpillPass(s int, dir string) error {
-	sp, err := st.startSpill(s, dir)
-	if err != nil {
-		return err
-	}
-	defer sp.cleanup()
-	st.spill = sp
-	_, err = st.genExchange(s)
-	st.spill = nil
-	if err != nil {
-		return err
-	}
-	if err := st.localSortSpill(sp); err != nil {
-		return err
-	}
-	return st.localCCSpill(sp)
-}
-
-// localSortSpill is the spill path's LocalSort step: most of the sorting
-// already ran on the spill worker, hidden behind the exchange; what remains
-// — and what the step is charged — is the drain of the last run(s) and the
-// write-behind flush.
-func (st *taskState) localSortSpill(sp *spillState) error {
-	t0 := time.Now()
-	err := sp.finish()
-	sp.releaseBufs()
-	d := time.Since(t0)
-	st.rep.Steps.LocalSort += d
-	st.stepSpan("LocalSort", t0, d)
-	if err != nil {
-		return err
-	}
-	st.rep.SpillBytes += sp.w.BytesWritten()
-	st.counter("extsort/bytes_spilled").Add(uint64(sp.w.BytesWritten()))
-	st.counter("extsort/runs").Add(uint64(len(sp.infos)))
-	return nil
-}
-
-// localCCSpill is the spill path's LocalCC: T concurrent loser-tree merges
-// (thread d over segment d of every run) stream globally sorted tuples, so
-// runs of equal keys are consumed exactly as the in-RAM forRuns walk would
-// — frequency spectrum, filter and star edges included. When no frequency
-// filter is active, edges feed union–find tuple by tuple without buffering
-// a run; with a filter the current run's read IDs are buffered (runs are
-// k-mer frequencies — tiny) until its length is known.
-func (st *taskState) localCCSpill(sp *spillState) error {
-	T := st.p.cfg.Threads
-	filter := st.p.cfg.Filter
-	// With no upper bound and a lower bound of ≤ 2, every run of length ≥ 2
-	// passes the filter, so edges can stream ahead of the run's end.
-	streaming := filter.Max == 0 && filter.Min <= 2
-
-	t0 := time.Now()
-	edgeCounts := make([]uint64, T)
-	retries := make([][]unionfind.Edge, T)
-	hists := make([][]uint64, T)
-	errs := make([]error, T)
-	runs := len(sp.infos)
-	blockBytes := int64(runs) * 2 * int64(sp.blockTuples) * int64(st.p.bytesPerTuple())
-
-	par.Run(T, func(d int) {
-		hist := make([]uint64, freqHistSize)
-		hists[d] = hist
-		st.spillMemAdd(blockBytes)
-		defer st.spillMemAdd(-blockBytes)
-
-		rs := make([]*extsort.SegReader, runs)
-		for i, info := range sp.infos {
-			rs[i] = extsort.NewSegReader(sp.f, info.Segs[d], sp.wide, false, sp.blockTuples)
-		}
-		mg, err := extsort.NewMerger(rs)
-		if err != nil {
-			for _, r := range rs {
-				r.Close()
-			}
-			errs[d] = err
-			return
-		}
-		defer mg.Close()
-
-		// With an artifact emit active, this thread tees every tuple it
-		// streams out of the merge into its per-(pass,rank,thread) part
-		// file — the spill-mode leg of the no-second-pass emit.
-		var tee *partTee
-		if st.emit != nil {
-			tee, err = st.emit.newPartTee(sp.s, st.rank, d)
-			if err != nil {
-				errs[d] = err
-				return
-			}
-			defer tee.discard()
-		}
-
-		m0 := time.Now()
-		var retry []unionfind.Edge
-		var streamed uint64
-		var curHi, curLo uint64
-		var f uint32
-		var v0 uint32
-		var vals []uint32 // buffered run reads (filtered mode only)
-		endRun := func() {
-			if f == 0 {
-				return
-			}
-			if f < freqHistSize {
-				hist[f]++
-			} else {
-				hist[freqHistSize-1]++
-			}
-			if !streaming && f >= 2 && filter.Keep(f) {
-				for _, vi := range vals[1:] {
-					edgeCounts[d]++
-					if st.dsu.Connect(v0, vi) {
-						retry = append(retry, unionfind.Edge{U: v0, V: vi})
-					}
-				}
-			}
-		}
-		for {
-			hi, lo, val, ok, err := mg.Next()
-			if err != nil {
-				errs[d] = err
-				return
-			}
-			if !ok {
-				break
-			}
-			if tee != nil {
-				tee.add(hi, lo, val)
-			}
-			streamed++
-			if streamed&8191 == 0 {
-				if err := st.ctx.Err(); err != nil {
-					errs[d] = err
-					return
-				}
-			}
-			if f > 0 && hi == curHi && lo == curLo {
-				f++
-				if streaming {
-					// Same k-mer as the last tuple: one more star edge,
-					// straight into the DSU.
-					edgeCounts[d]++
-					if st.dsu.Connect(v0, val) {
-						retry = append(retry, unionfind.Edge{U: v0, V: val})
-					}
-				} else {
-					vals = append(vals, val)
-				}
-				continue
-			}
-			endRun()
-			curHi, curLo, v0, f = hi, lo, val, 1
-			if !streaming {
-				vals = append(vals[:0], val)
-			}
-		}
-		endRun()
-		if tee != nil {
-			if err := tee.close(); err != nil {
-				errs[d] = err
-				return
-			}
-		}
-		retries[d] = retry
-		if st.obs != nil {
-			st.obs.RecordSpan(st.rank, obsv.TidWorker+d, "detail", "spill-merge", m0, time.Since(m0),
-				map[string]any{"runs": runs, "tuples": streamed})
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	st.ccFinish(t0, edgeCounts, retries, hists)
-	return nil
 }

@@ -118,9 +118,10 @@ func TestSpillParity128(t *testing.T) {
 	}
 }
 
-// TestSpillParityFiltered exercises the buffered-run merge consumer (a
-// frequency filter makes edge emission wait for the run's end) and checks
-// the partitioned FASTQ output is byte-identical to the in-RAM path's.
+// TestSpillParityFiltered runs the frequency filter over merged groups
+// (a Filter.Max drops whole groups only once their length is known) and
+// checks the partitioned FASTQ output is byte-identical to the in-RAM
+// path's.
 func TestSpillParityFiltered(t *testing.T) {
 	td := spillDataset(t, 93, smallOpts())
 	filter := Filter{Min: 2, Max: 200}

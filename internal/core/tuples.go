@@ -139,28 +139,6 @@ func shift128(v uint64, s uint) (hi, lo uint64) {
 	}
 }
 
-// keyEqual reports whether tuples i and j hold the same k-mer.
-func (b *tupleBuf) keyEqual(i, j uint64) bool {
-	if b.lo[i] != b.lo[j] {
-		return false
-	}
-	return b.hi == nil || b.hi[i] == b.hi[j]
-}
-
-// forRuns calls fn(start, end) for every maximal run [start, end) of equal
-// keys within [off, off+cnt). The range must already be sorted.
-func (b *tupleBuf) forRuns(off, cnt uint64, fn func(start, end uint64)) {
-	end := off + cnt
-	for i := off; i < end; {
-		j := i + 1
-		for j < end && b.keyEqual(i, j) {
-			j++
-		}
-		fn(i, j)
-		i = j
-	}
-}
-
 // tupleMsg is the payload of one all-to-all exchange message: views into
 // the sender's kmerOut region bound for one destination.
 type tupleMsg struct {
@@ -179,6 +157,15 @@ func (b *tupleBuf) msgFor(off, cnt uint64) tupleMsg {
 		m.hi = b.hi[off : off+cnt]
 	}
 	return m
+}
+
+// slice returns the message's tuples [a, b).
+func (m tupleMsg) slice(a, b uint64) tupleMsg {
+	s := tupleMsg{lo: m.lo[a:b], val: m.val[a:b]}
+	if m.hi != nil {
+		s.hi = m.hi[a:b]
+	}
+	return s
 }
 
 // receive copies a message into b at dstOff and returns the tuple count.

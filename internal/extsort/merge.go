@@ -303,6 +303,26 @@ func (m *Merger) Next() (hi, lo uint64, val uint32, ok bool, err error) {
 	return hi, lo, val, true, nil
 }
 
+// NextGroup pulls every remaining tuple that carries the smallest key,
+// appending their values to vals in merge order, and returns the key and
+// the grown slice. ok is false once every segment is exhausted.
+func (m *Merger) NextGroup(vals []uint32) (hi, lo uint64, group []uint32, ok bool, err error) {
+	hi, lo, val, ok, err := m.Next()
+	if !ok {
+		return 0, 0, vals, false, err
+	}
+	vals = append(vals, val)
+	// The tournament's winner is the next tuple: it extends the group while
+	// it is live and carries the same key.
+	for int(m.winRank) < m.k && m.winLo == lo && m.winHi == hi {
+		if _, _, val, _, err = m.Next(); err != nil {
+			return 0, 0, vals, false, err
+		}
+		vals = append(vals, val)
+	}
+	return hi, lo, vals, true, nil
+}
+
 // swapIf returns (b, a) when mask is all ones and (a, b) when it is zero.
 func swapIf(mask, a, b uint64) (uint64, uint64) {
 	x := (a ^ b) & mask

@@ -143,8 +143,9 @@ func (w *Writer) writeErr() error {
 // far — the spill volume counter's source.
 func (w *Writer) BytesWritten() int64 { return w.off }
 
-// Close flushes everything and joins the flusher. It does not close the
-// underlying file (the caller owns it; merge readers still need it).
+// Close flushes everything, joins the flusher and drops the encode
+// buffers. It does not close the underlying file (the caller owns it;
+// merge readers still need it).
 func (w *Writer) Close() error {
 	if w.work == nil {
 		return w.err
@@ -154,5 +155,6 @@ func (w *Writer) Close() error {
 	w.work = nil
 	w.cur = nil
 	<-w.done
+	w.free = nil
 	return w.err
 }

@@ -147,9 +147,8 @@ type PipelineCountResult = core.CountResult
 // CountKmersDistributed runs the pipeline's first three steps (KmerGen,
 // KmerGen-Comm, LocalSort) as a distributed k-mer counter — the subroutine
 // reuse the paper's abstract claims. Compare with CountKmers, the KMC
-// 2-style shared-memory baseline. The counter runs in RAM only: a
-// SpillBudgetBytes that would spill is an ErrInvalidConfig, and Prefilter
-// is ignored.
+// 2-style shared-memory baseline. SpillBudgetBytes applies as in Partition;
+// Prefilter is ignored.
 func CountKmersDistributed(cfg Config) (*PipelineCountResult, error) {
 	return core.RunCount(cfg)
 }
