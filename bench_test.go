@@ -494,47 +494,6 @@ func BenchmarkAblationScatter(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationKmerGen compares the 4-lane generator (§3.2.1, the
-// pipeline's only 64-bit generator) with the scalar rolling one on the same
-// reads, both feeding the same trivial consumer. Mirrors the KmerGen rows of
-// `mpbench -exp ablate`.
-func BenchmarkAblationKmerGen(b *testing.B) {
-	const k = 27
-	rng := rand.New(rand.NewSource(2))
-	seqs := make([][]byte, 2000)
-	var bases int64
-	for i := range seqs {
-		seqs[i] = make([]byte, 100)
-		for j := range seqs[i] {
-			seqs[i][j] = "ACGT"[rng.Intn(4)]
-		}
-		bases += int64(len(seqs[i]))
-	}
-	b.Run("Lane", func(b *testing.B) {
-		b.SetBytes(bases)
-		var buf []kmer.Kmer64
-		for i := 0; i < b.N; i++ {
-			for _, seq := range seqs {
-				buf = kmer.AppendCanonical64(buf[:0], seq, k)
-				for _, km := range buf {
-					kmerSink += uint64(km)
-				}
-			}
-		}
-	})
-	b.Run("Scalar", func(b *testing.B) {
-		b.SetBytes(bases)
-		for i := 0; i < b.N; i++ {
-			for _, seq := range seqs {
-				kmer.ForEach64(seq, k, func(_ int, km kmer.Kmer64) { kmerSink += uint64(km) })
-			}
-		}
-	})
-}
-
-// kmerSink keeps BenchmarkAblationKmerGen's consumer from being optimized away.
-var kmerSink uint64
-
 // BenchmarkAblationCCOptOn vs ...Off measures the §3.5.1 multi-pass
 // component-ID enumeration.
 func BenchmarkAblationCCOptOn(b *testing.B) {

@@ -83,17 +83,7 @@ func cmdLookupQuery(args []string) error {
 			return
 		}
 		if *siblings {
-			sib := uint64(0)
-			if h := lk.Hist(); len(h) > 0 {
-				bin := int(count)
-				if bin >= len(h) {
-					bin = len(h) - 1
-				}
-				if h[bin] > 0 {
-					sib = h[bin] - 1
-				}
-			}
-			fmt.Printf("%s\tlabel=%d count=%d siblings=%d\n", name, label, count, sib)
+			fmt.Printf("%s\tlabel=%d count=%d siblings=%d\n", name, label, count, lk.Siblings(count))
 			return
 		}
 		fmt.Printf("%s\tlabel=%d count=%d\n", name, label, count)
@@ -104,34 +94,21 @@ func cmdLookupQuery(args []string) error {
 			return fmt.Errorf("lookup query: %q is shorter than k=%d", arg, m.K)
 		}
 		if len(arg) == m.K {
-			var hi, lo uint64
-			if m.Wide {
-				km, ok := kmer.Encode128([]byte(arg))
-				if !ok {
-					return fmt.Errorf("lookup query: %q has non-ACGT bases", arg)
-				}
-				c := kmer.Canonical128(km, m.K)
-				hi, lo = c.Hi, c.Lo
-			} else {
-				km, ok := kmer.Encode64([]byte(arg))
-				if !ok {
-					return fmt.Errorf("lookup query: %q has non-ACGT bases", arg)
-				}
-				lo = uint64(kmer.Canonical64(km, m.K))
+			km, ok := kmer.CanonicalKey([]byte(arg), m.K)
+			if !ok {
+				return fmt.Errorf("lookup query: %q has non-ACGT bases", arg)
 			}
-			probe(arg, hi, lo)
+			probe(arg, km.Hi, km.Lo)
 			continue
 		}
 		// A sequence: probe every canonical window, named by offset.
-		if m.Wide {
-			kmer.ForEach128([]byte(arg), m.K, func(pos int, km kmer.Kmer128) {
-				probe(fmt.Sprintf("%s[%d]", arg[:8]+"…", pos), km.Hi, km.Lo)
-			})
-		} else {
-			kmer.ForEach64([]byte(arg), m.K, func(pos int, km kmer.Kmer64) {
-				probe(fmt.Sprintf("%s[%d]", arg[:8]+"…", pos), 0, uint64(km))
-			})
+		name := arg
+		if len(name) > 8 {
+			name = name[:8] + "…"
 		}
+		kmer.ForEachKey([]byte(arg), m.K, func(pos int, km kmer.Kmer128) {
+			probe(fmt.Sprintf("%s[%d]", name, pos), km.Hi, km.Lo)
+		})
 	}
 	return nil
 }

@@ -88,3 +88,28 @@ func TestCLILookupBuildQuery(t *testing.T) {
 		t.Fatal("short probe accepted")
 	}
 }
+
+// TestCLILookupQueryShortSequence probes sequences shorter than the eight
+// bases a window name abbreviates to: at a small k they are still longer
+// than k and must be scanned, named in full, rather than crash the query.
+func TestCLILookupQueryShortSequence(t *testing.T) {
+	dir := t.TempDir()
+	files := writeDataset(t, filepath.Join(dir, "data"))
+	idxPath := filepath.Join(dir, "ds.idx")
+	if err := cmdIndex(append([]string{"-k", "5", "-m", "4", "-out", idxPath}, files...)); err != nil {
+		t.Fatalf("index: %v", err)
+	}
+	art := filepath.Join(dir, "part.mpa")
+	if err := cmdRun([]string{"-index", idxPath, "-artifact-out", art}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	lkPath := filepath.Join(dir, "part.mplk")
+	if err := cmdLookup([]string{"build", "-out", lkPath, art}); err != nil {
+		t.Fatalf("lookup build: %v", err)
+	}
+	for _, seq := range []string{"ACGTAC", "ACGTACG", "ACGTACGT", "ACGTACGTA"} {
+		if err := cmdLookup([]string{"query", "-lookup", lkPath, "-siblings", seq}); err != nil {
+			t.Fatalf("lookup query %s: %v", seq, err)
+		}
+	}
+}

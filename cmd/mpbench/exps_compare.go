@@ -145,8 +145,8 @@ func readGraphEdges(ds *metaprep.Dataset, k int) (int, []unionfind.Edge, error) 
 				return 0, nil, err
 			}
 			readID := uint32(pair + rec/2)
-			kmer.ForEach64(record.Seq, k, func(_ int, m kmer.Kmer64) {
-				byKmer[uint64(m)] = append(byKmer[uint64(m)], readID)
+			kmer.ForEachKey(record.Seq, k, func(_ int, m kmer.Kmer128) {
+				byKmer[m.Lo] = append(byKmer[m.Lo], readID)
 			})
 			rec++
 		}
@@ -383,11 +383,11 @@ func expPurity(e *env) error {
 
 // expAblation runs DESIGN.md's design-decision ablations on MMsim. What the
 // pipeline can still vary is measured end to end (LocalCC-Opt, the task
-// count feeding MergeCC); the two front-half design claims whose alternates
-// the pipeline no longer carries are measured at kernel level, on synthetic
-// reads, by calling the kernels directly: KmerGen's write pattern with
+// count feeding MergeCC); the front-half design claim whose alternate the
+// pipeline no longer carries is measured at kernel level, on synthetic
+// reads, by calling the kernel directly: KmerGen's write pattern with
 // per-thread precomputed cursors against one shared atomic cursor per
-// destination, and the 4-lane generator against the scalar rolling one.
+// destination.
 func expAblation(e *env) error {
 	idx, _, err := e.index("MM", 27)
 	if err != nil {
@@ -436,29 +436,6 @@ func expAblation(e *env) error {
 		for j := range seqs[i] {
 			seqs[i][j] = "ACGT"[rng.Intn(4)]
 		}
-	}
-	// Both generators feed the same consumer (a running sum, standing in
-	// for the bin test + emit), the lane generator through its per-read
-	// buffer exactly as KmerGen drives it.
-	var laneBuf []kmer.Kmer64
-	var laneSum, scalarSum uint64
-	laneDur := bestOf(5, func() {
-		laneSum = 0
-		for _, seq := range seqs {
-			laneBuf = kmer.AppendCanonical64(laneBuf[:0], seq, k)
-			for _, km := range laneBuf {
-				laneSum += uint64(km)
-			}
-		}
-	})
-	scalarDur := bestOf(5, func() {
-		scalarSum = 0
-		for _, seq := range seqs {
-			kmer.ForEach64(seq, k, func(_ int, km kmer.Kmer64) { scalarSum += uint64(km) })
-		}
-	})
-	if scalarSum != laneSum {
-		return fmt.Errorf("ablate: scalar and lane generators disagree (k-mer sums %#x vs %#x)", scalarSum, laneSum)
 	}
 	var keys []kmer.Kmer64
 	for _, seq := range seqs {
@@ -513,8 +490,6 @@ func expAblation(e *env) error {
 
 	per := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(len(keys)) }
 	kt := stats.NewTable("Kernel", "Variant", "ns/k-mer", "vs default")
-	kt.AddRow("KmerGen", "4-lane AppendCanonical64 (default)", per(laneDur), 1.0)
-	kt.AddRow("KmerGen", "scalar ForEach64", per(scalarDur), per(scalarDur)/per(laneDur))
 	kt.AddRow("scatter", "per-thread precomputed cursors (default)", per(perThread), 1.0)
 	kt.AddRow("scatter", "shared atomic cursor per destination", per(shared), per(shared)/per(perThread))
 	if err := e.emit("ablate-kernels", kt); err != nil {

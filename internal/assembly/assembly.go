@@ -129,8 +129,8 @@ func assembleK(seqs, prevContigs [][]byte, k int, opts Options, final bool) ([][
 		m := make(map[uint64]uint32)
 		lo, hi := par.Block(len(seqs), W, w)
 		for _, seq := range seqs[lo:hi] {
-			kmer.ForEach64(seq, k, func(_ int, km kmer.Kmer64) {
-				m[uint64(km)]++
+			kmer.ForEachKey(seq, k, func(_ int, km kmer.Kmer128) {
+				m[km.Lo]++
 			})
 		}
 		partial[w] = m
@@ -151,8 +151,8 @@ func assembleK(seqs, prevContigs [][]byte, k int, opts Options, final bool) ([][
 	}
 	counts = nil
 	for _, c := range prevContigs {
-		kmer.ForEach64(c, k, func(_ int, km kmer.Kmer64) {
-			solid[uint64(km)] = struct{}{}
+		kmer.ForEachKey(c, k, func(_ int, km kmer.Kmer128) {
+			solid[km.Lo] = struct{}{}
 		})
 	}
 

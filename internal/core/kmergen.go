@@ -104,7 +104,6 @@ func (st *taskState) kmerGenThread(s, t int, chunks []int, fetch *chunkFetcher, 
 	idx := st.p.idx
 	T := cfg.Threads
 	k, m := idx.Opts.K, idx.Opts.M
-	use64 := st.p.use64()
 
 	// Per-thread write cursors, one per destination task, with the hard
 	// bound of each exclusive sub-region. If the input changed since
@@ -147,7 +146,6 @@ func (st *taskState) kmerGenThread(s, t int, chunks []int, fetch *chunkFetcher, 
 		}
 	}
 
-	var laneBuf []kmer.Kmer64
 	var scanner fastq.ChunkScanner
 	obs := st.obs
 	tid := obsv.TidWorker + t
@@ -196,22 +194,12 @@ func (st *taskState) kmerGenThread(s, t int, chunks []int, fetch *chunkFetcher, 
 				// component roots.
 				val = st.dsu.Find(readID)
 			}
-			if use64 {
-				laneBuf = kmer.AppendCanonical64(laneBuf[:0], rec.Seq, k)
-				for _, km := range laneBuf {
-					bin := int(kmer.Prefix64(km, k, m))
-					if bin >= passLo && bin < passHi {
-						emit(bin, 0, uint64(km), val)
-					}
+			kmer.ForEachKey(rec.Seq, k, func(_ int, km kmer.Kmer128) {
+				bin := int(kmer.Prefix128(km, k, m))
+				if bin >= passLo && bin < passHi {
+					emit(bin, km.Hi, km.Lo, val)
 				}
-			} else {
-				kmer.ForEach128(rec.Seq, k, func(_ int, km kmer.Kmer128) {
-					bin := int(kmer.Prefix128(km, k, m))
-					if bin >= passLo && bin < passHi {
-						emit(bin, km.Hi, km.Lo, val)
-					}
-				})
-			}
+			})
 		}
 		parse := time.Since(t0)
 		*genTime += parse

@@ -179,8 +179,6 @@ func (st *taskState) prefilterScanThread(t int, f *sketch.RepeatFilter,
 	cfg := st.p.cfg
 	idx := st.p.idx
 	k := idx.Opts.K
-	use64 := st.p.use64()
-	var laneBuf []kmer.Kmer64
 	var scanner fastq.ChunkScanner
 	fetch := newChunkFetcher(st.p.threadChunks[st.rank][t], idx, st.files,
 		cfg.prefetchDepth(), st.obs, st.rank, obsv.TidPrefetch+t)
@@ -206,18 +204,10 @@ func (st *taskState) prefilterScanThread(t int, f *sketch.RepeatFilter,
 			if err != nil {
 				return fmt.Errorf("core: chunk %d record %d: %w", ci, n, err)
 			}
-			if use64 {
-				laneBuf = kmer.AppendCanonical64(laneBuf[:0], rec.Seq, k)
-				for _, km := range laneBuf {
-					h1, h2 := sketch.Hash(0, uint64(km))
-					f.Insert(h1, h2)
-				}
-			} else {
-				kmer.ForEach128(rec.Seq, k, func(_ int, km kmer.Kmer128) {
-					h1, h2 := sketch.Hash(km.Hi, km.Lo)
-					f.Insert(h1, h2)
-				})
-			}
+			kmer.ForEachKey(rec.Seq, k, func(_ int, km kmer.Kmer128) {
+				h1, h2 := sketch.Hash(km.Hi, km.Lo)
+				f.Insert(h1, h2)
+			})
 		}
 		*scanTime += time.Since(t0)
 		fetch.release(buf)

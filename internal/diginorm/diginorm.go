@@ -104,8 +104,8 @@ func (n *Normalizer) insert(km uint64) {
 // caller's policy decision, not coverage's.
 func (n *Normalizer) Keep(seq []byte) bool {
 	n.counts = n.counts[:0]
-	kmer.ForEach64(seq, n.opts.K, func(_ int, m kmer.Kmer64) {
-		n.counts = append(n.counts, int(n.estimate(uint64(m))))
+	kmer.ForEachKey(seq, n.opts.K, func(_ int, m kmer.Kmer128) {
+		n.counts = append(n.counts, int(n.estimate(m.Lo)))
 	})
 	if len(n.counts) == 0 {
 		return true
@@ -114,8 +114,8 @@ func (n *Normalizer) Keep(seq []byte) bool {
 	if n.counts[len(n.counts)/2] >= n.opts.Target {
 		return false
 	}
-	kmer.ForEach64(seq, n.opts.K, func(_ int, m kmer.Kmer64) {
-		n.insert(uint64(m))
+	kmer.ForEachKey(seq, n.opts.K, func(_ int, m kmer.Kmer128) {
+		n.insert(m.Lo)
 	})
 	return true
 }

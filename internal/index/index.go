@@ -314,15 +314,9 @@ func (idx *Index) histogramChunk(ci int) error {
 
 // histSeq adds the canonical k-mer m-mer-prefix counts of one sequence.
 func histSeq(hist []uint32, seq []byte, opts Options) {
-	if opts.Use64() {
-		kmer.ForEach64(seq, opts.K, func(_ int, m kmer.Kmer64) {
-			hist[kmer.Prefix64(m, opts.K, opts.M)]++
-		})
-	} else {
-		kmer.ForEach128(seq, opts.K, func(_ int, m kmer.Kmer128) {
-			hist[kmer.Prefix128(m, opts.K, opts.M)]++
-		})
-	}
+	kmer.ForEachKey(seq, opts.K, func(_ int, m kmer.Kmer128) {
+		hist[kmer.Prefix128(m, opts.K, opts.M)]++
+	})
 }
 
 // readID maps a global record number to its global read ID.

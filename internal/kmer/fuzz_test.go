@@ -2,28 +2,46 @@ package kmer
 
 import "testing"
 
-// FuzzScan64 checks the rolling scanner on arbitrary byte sequences: never
-// panics, and each produced k-mer equals the canonical encoding of its
-// window.
+// FuzzScan64 checks the one enumerator on arbitrary byte sequences and
+// every k in 1..63: it never panics, each window it yields is in range and
+// all ACGT, each key equals CanonicalKey of its window, and it yields
+// exactly the windows CanonicalKey accepts.
 func FuzzScan64(f *testing.F) {
 	f.Add([]byte("ACGTACGTNNNACGT"), 5)
 	f.Add([]byte(""), 3)
 	f.Add([]byte("acgtACGT"), 31)
+	f.Add([]byte("ACGTTGCAACGTTGCAACGTTGCAACGTTGCAACGTTGCAN"), 32)
+	f.Add([]byte("acgtacgtacgtacgtacgtacgtacgtacgtacgtacgtacgtacgtacgtacgtacgtacgtA"), 63)
 	f.Fuzz(func(t *testing.T, seq []byte, k int) {
-		if k < 1 || k > MaxK64 {
+		if k < 1 || k > MaxK128 {
 			return
 		}
-		ForEach64(seq, k, func(pos int, m Kmer64) {
-			if pos < 0 || pos+k > len(seq) {
-				t.Fatalf("window [%d,%d) out of range", pos, pos+k)
+		next := 0 // every window before next was checked or must be rejected
+		ForEachKey(seq, k, func(pos int, km Kmer128) {
+			if pos < next || pos+k > len(seq) {
+				t.Fatalf("window [%d,%d) out of order or range", pos, pos+k)
 			}
-			enc, ok := Encode64(seq[pos : pos+k])
+			for ; next < pos; next++ {
+				if _, ok := CanonicalKey(seq[next:next+k], k); ok {
+					t.Fatalf("k=%d: window %d is all ACGT but was skipped", k, next)
+				}
+			}
+			next = pos + 1
+			ref, ok := CanonicalKey(seq[pos:pos+k], k)
 			if !ok {
-				t.Fatalf("scanner emitted window with invalid bases at %d", pos)
+				t.Fatalf("k=%d: enumerator yielded window %d with invalid bases", k, pos)
 			}
-			if Canonical64(enc, k) != m {
-				t.Fatalf("window %d: scanner %d, reference %d", pos, m, Canonical64(enc, k))
+			if !ref.Equal(km) {
+				t.Fatalf("k=%d window %d: enumerator %+v, CanonicalKey %+v", k, pos, km, ref)
+			}
+			if k <= MaxK64 && km.Hi != 0 {
+				t.Fatalf("k=%d window %d: Hi = %#x, want 0", k, pos, km.Hi)
 			}
 		})
+		for ; next+k <= len(seq); next++ {
+			if _, ok := CanonicalKey(seq[next:next+k], k); ok {
+				t.Fatalf("k=%d: window %d is all ACGT but was skipped", k, next)
+			}
+		}
 	})
 }

@@ -13,6 +13,11 @@
 // numeric order on the packed value. That property is what lets the pipeline
 // radix sort packed k-mers directly and lets an m-mer prefix of the k-mer act
 // as a histogram bin (package index) and as an owner-task selector.
+//
+// The pipeline, IndexCreate and the query paths turn reads and query
+// strings into keys through two width-agnostic entry points, ForEachKey and
+// CanonicalKey. Both derive the representation from k and yield a Kmer128
+// whose Hi word is zero for k ≤ 31.
 package kmer
 
 import (
@@ -66,9 +71,6 @@ func CodeOf(b byte) (uint8, bool) {
 // CharOf returns the upper-case ASCII letter of a 2-bit base code.
 // The code must be in [0, 3].
 func CharOf(code uint8) byte { return baseChar[code&3] }
-
-// ComplementCode returns the complement of a 2-bit base code.
-func ComplementCode(code uint8) uint8 { return ^code & 3 }
 
 // ErrInvalidK reports a k outside the supported range of a representation.
 var ErrInvalidK = errors.New("kmer: k out of range")

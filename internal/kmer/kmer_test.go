@@ -44,15 +44,6 @@ func TestCodeOf(t *testing.T) {
 	}
 }
 
-func TestComplementCode(t *testing.T) {
-	want := map[uint8]uint8{BaseA: BaseT, BaseC: BaseG, BaseG: BaseC, BaseT: BaseA}
-	for in, out := range want {
-		if got := ComplementCode(in); got != out {
-			t.Errorf("ComplementCode(%d) = %d, want %d", in, got, out)
-		}
-	}
-}
-
 func TestEncode64RoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for k := 1; k <= MaxK64; k++ {
@@ -76,6 +67,55 @@ func TestEncode64Rejects(t *testing.T) {
 	}
 	if _, ok := Encode64([]byte(strings.Repeat("A", 32))); ok {
 		t.Error("Encode64 accepted k=32")
+	}
+	for _, c := range []struct {
+		s string
+		k int
+	}{
+		{"ACGN", 4},
+		{strings.Repeat("A", 39) + "N", 40},
+		{"acgn", 4},
+		{"ACG", 4},
+		{"ACGTA", 4},
+		{"", 0},
+		{strings.Repeat("A", 64), 64},
+	} {
+		if _, ok := CanonicalKey([]byte(c.s), c.k); ok {
+			t.Errorf("CanonicalKey(%q, %d) accepted", c.s, c.k)
+		}
+	}
+}
+
+func TestCanonicalKeyMatchesForEachKey(t *testing.T) {
+	// On a length-k string CanonicalKey equals the one key ForEachKey
+	// yields, lower case encodes like upper case, and a k-mer and its
+	// reverse complement share the key.
+	rng := rand.New(rand.NewSource(16))
+	for k := 1; k <= MaxK128; k++ {
+		seq := randSeq(rng, k)
+		got, ok := CanonicalKey(seq, k)
+		if !ok {
+			t.Fatalf("k=%d: CanonicalKey(%q) rejected", k, seq)
+		}
+		n := 0
+		ForEachKey(seq, k, func(_ int, km Kmer128) {
+			n++
+			if !km.Equal(got) {
+				t.Errorf("k=%d: ForEachKey %+v, CanonicalKey %+v", k, km, got)
+			}
+		})
+		if n != 1 {
+			t.Errorf("k=%d: ForEachKey yielded %d keys for a length-k string", k, n)
+		}
+		if lower, ok := CanonicalKey([]byte(strings.ToLower(string(seq))), k); !ok || !lower.Equal(got) {
+			t.Errorf("k=%d: lower case %+v,%v, upper %+v", k, lower, ok, got)
+		}
+		if rc, ok := CanonicalKey([]byte(revCompString(string(seq))), k); !ok || !rc.Equal(got) {
+			t.Errorf("k=%d: reverse complement %+v,%v, forward %+v", k, rc, ok, got)
+		}
+		if k <= MaxK64 && got.Hi != 0 {
+			t.Errorf("k=%d: Hi = %#x, want 0", k, got.Hi)
+		}
 	}
 }
 
@@ -224,6 +264,23 @@ func TestPrefix128MatchesPrefix64(t *testing.T) {
 			t.Fatalf("prefix mismatch k=%d m=%d seq=%q", k, m, seq)
 		}
 	}
+	// KmerGen and IndexCreate bin every key with Prefix128, so a k ≤ 31 key
+	// (Hi = 0, Lo = the Kmer64 value) must land in the Prefix64 bin for
+	// every (k, m) the index accepts, including all-T k-mers.
+	for k := 1; k <= MaxK64; k++ {
+		for m := 1; m <= min(k, 12); m++ {
+			for trial := 0; trial < 8; trial++ {
+				seq := randSeq(rng, k)
+				if trial == 0 {
+					seq = []byte(strings.Repeat("T", k))
+				}
+				m64, _ := Encode64(seq)
+				if got, want := Prefix128(Kmer128{Lo: uint64(m64)}, k, m), Prefix64(m64, k, m); got != want {
+					t.Fatalf("k=%d m=%d seq=%q: Prefix128 %d, Prefix64 %d", k, m, seq, got, want)
+				}
+			}
+		}
+	}
 }
 
 func TestPrefix128LargeK(t *testing.T) {
@@ -312,14 +369,18 @@ func TestForEach128MatchesForEach64(t *testing.T) {
 		seq := randSeq(rng, 150)
 		var a []Kmer64
 		ForEach64(seq, k, func(_ int, m Kmer64) { a = append(a, m) })
-		var b []Kmer128
+		var b, key []Kmer128
 		ForEach128(seq, k, func(_ int, m Kmer128) { b = append(b, m) })
-		if len(a) != len(b) {
-			t.Fatalf("count mismatch: %d vs %d", len(a), len(b))
+		ForEachKey(seq, k, func(_ int, m Kmer128) { key = append(key, m) })
+		if len(a) != len(b) || len(a) != len(key) {
+			t.Fatalf("count mismatch: %d vs %d vs %d", len(a), len(b), len(key))
 		}
 		for i := range a {
 			if b[i].Hi != 0 || b[i].Lo != uint64(a[i]) {
 				t.Fatalf("k=%d window %d: 128=%+v 64=%d", k, i, b[i], a[i])
+			}
+			if !key[i].Equal(b[i]) {
+				t.Fatalf("k=%d window %d: ForEachKey=%+v 128=%+v", k, i, key[i], b[i])
 			}
 		}
 	}
@@ -335,8 +396,12 @@ func TestForEach128LargeKMatchesNaive(t *testing.T) {
 				seq[i] = 'N'
 			}
 		}
-		var got []Kmer128
+		var got, key []Kmer128
 		ForEach128(seq, k, func(_ int, m Kmer128) { got = append(got, m) })
+		ForEachKey(seq, k, func(_ int, m Kmer128) { key = append(key, m) })
+		if len(key) != len(got) {
+			t.Fatalf("k=%d: ForEachKey %d k-mers, ForEach128 %d", k, len(key), len(got))
+		}
 		var want []Kmer128
 		for i := 0; i+k <= len(seq); i++ {
 			if m, ok := Encode128(seq[i : i+k]); ok {
@@ -347,14 +412,16 @@ func TestForEach128LargeKMatchesNaive(t *testing.T) {
 			t.Fatalf("k=%d: got %d want %d", k, len(got), len(want))
 		}
 		for i := range want {
-			if !got[i].Equal(want[i]) {
+			if !got[i].Equal(want[i]) || !key[i].Equal(want[i]) {
 				t.Fatalf("k=%d window %d mismatch", k, i)
 			}
 		}
 	}
 }
 
-func TestCount64(t *testing.T) {
+func TestForEachKeyWindowCount(t *testing.T) {
+	// Exactly the length-k windows of ACGT bases are enumerated, on both
+	// sides of the 64/128-bit boundary.
 	cases := []struct {
 		seq  string
 		k, n int
@@ -364,28 +431,16 @@ func TestCount64(t *testing.T) {
 		{"NNNN", 2, 0},
 		{"AC", 3, 0},
 		{"ACGT", 4, 1},
+		{strings.Repeat("ACGT", 8), 31, 2},
+		{strings.Repeat("ACGT", 8), 32, 1},
+		{strings.Repeat("ACGT", 8) + "N" + strings.Repeat("ACGT", 8), 32, 2},
+		{strings.Repeat("ACGT", 16), 63, 2},
 	}
 	for _, c := range cases {
-		if got := Count64([]byte(c.seq), c.k); got != c.n {
-			t.Errorf("Count64(%q, %d) = %d, want %d", c.seq, c.k, got, c.n)
-		}
-	}
-}
-
-func TestCount64MatchesForEach(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 100; trial++ {
-		k := 2 + rng.Intn(25)
-		seq := randSeq(rng, rng.Intn(300))
-		for i := range seq {
-			if rng.Intn(15) == 0 {
-				seq[i] = 'N'
-			}
-		}
 		n := 0
-		ForEach64(seq, k, func(int, Kmer64) { n++ })
-		if got := Count64(seq, k); got != n {
-			t.Fatalf("Count64 = %d, ForEach64 produced %d", got, n)
+		ForEachKey([]byte(c.seq), c.k, func(int, Kmer128) { n++ })
+		if n != c.n {
+			t.Errorf("ForEachKey(%q, %d) enumerated %d k-mers, want %d", c.seq, c.k, n, c.n)
 		}
 	}
 }
@@ -404,11 +459,11 @@ func TestAppendCanonical64MatchesForEach(t *testing.T) {
 		ForEach64(seq, k, func(_ int, m Kmer64) { want = append(want, m) })
 		got := AppendCanonical64(nil, seq, k)
 		if len(got) != len(want) {
-			t.Fatalf("k=%d: lanes produced %d k-mers, scalar %d", k, len(got), len(want))
+			t.Fatalf("k=%d: appended %d k-mers, ForEach64 produced %d", k, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("k=%d window %d: lanes %s scalar %s", k, i,
+				t.Fatalf("k=%d window %d: appended %s, ForEach64 %s", k, i,
 					String64(got[i], k), String64(want[i], k))
 			}
 		}
@@ -420,46 +475,6 @@ func TestAppendCanonical64AppendsToExisting(t *testing.T) {
 	got := AppendCanonical64(pre, []byte("ACGTACGTACGTACGTACGTACGTACGT"), 5)
 	if len(got) < 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatal("prefix of dst was not preserved")
-	}
-}
-
-func TestMinimizer64(t *testing.T) {
-	// Manually: k-mer GTAC (k=4, m=2). m-mers: GT(0b1011=11), TA(0b1100=12), AC(0b0001=1). Min = AC at pos 2.
-	m, _ := Encode64([]byte("GTAC"))
-	val, pos := Minimizer64(m, 4, 2)
-	if val != 1 || pos != 2 {
-		t.Errorf("Minimizer64(GTAC,2) = %d@%d, want 1@2", val, pos)
-	}
-}
-
-func TestMinimizer64Leftmost(t *testing.T) {
-	// AAAA: all m-mers equal; leftmost (pos 0) must win.
-	m, _ := Encode64([]byte("AAAA"))
-	_, pos := Minimizer64(m, 4, 2)
-	if pos != 0 {
-		t.Errorf("tie position = %d, want 0", pos)
-	}
-}
-
-func TestMinimizer64MatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	for trial := 0; trial < 300; trial++ {
-		k := 2 + rng.Intn(29)
-		m := 1 + rng.Intn(k)
-		seq := randSeq(rng, k)
-		km, _ := Encode64(seq)
-		val, pos := Minimizer64(km, k, m)
-		// Naive: encode every m-mer substring.
-		bestVal, bestPos := ^uint64(0), -1
-		for p := 0; p+m <= k; p++ {
-			mm, _ := Encode64(seq[p : p+m])
-			if uint64(mm) < bestVal {
-				bestVal, bestPos = uint64(mm), p
-			}
-		}
-		if val != bestVal || pos != bestPos {
-			t.Fatalf("k=%d m=%d seq=%q: got %d@%d want %d@%d", k, m, seq, val, pos, bestVal, bestPos)
-		}
 	}
 }
 
@@ -478,16 +493,6 @@ func BenchmarkForEach64(b *testing.B) {
 	b.SetBytes(100)
 	for i := 0; i < b.N; i++ {
 		ForEach64(seq, 27, func(int, Kmer64) {})
-	}
-}
-
-func BenchmarkAppendCanonical64Lanes(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	seq := randSeq(rng, 100)
-	buf := make([]Kmer64, 0, 128)
-	b.SetBytes(100)
-	for i := 0; i < b.N; i++ {
-		buf = AppendCanonical64(buf[:0], seq, 27)
 	}
 }
 

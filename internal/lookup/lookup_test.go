@@ -377,3 +377,27 @@ func TestBatcherZeroAlloc(t *testing.T) {
 		t.Fatalf("Batcher.Run allocates %v per run after warm-up", a)
 	}
 }
+
+// TestSiblings pins the siblings rule the server and the CLI share: the
+// count's histogram bin minus the k-mer itself, the last bin standing for
+// every larger count, and zero when there is nothing to subtract from.
+func TestSiblings(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		hist  []uint64
+		count uint32
+		want  uint64
+	}{
+		{"empty hist", nil, 3, 0},
+		{"zero bin", []uint64{0, 5, 0, 2}, 2, 0},
+		{"in range", []uint64{0, 5, 0, 2}, 1, 4},
+		{"last bin", []uint64{0, 5, 0, 2}, 3, 1},
+		{"clamped to last bin", []uint64{0, 5, 0, 2}, 1000, 1},
+		{"clamped to empty last bin", []uint64{0, 5, 0}, 7, 0},
+	} {
+		l := &Lookup{hist: c.hist}
+		if got := l.Siblings(c.count); got != c.want {
+			t.Errorf("%s: Siblings(%d) over %v = %d, want %d", c.name, c.count, c.hist, got, c.want)
+		}
+	}
+}

@@ -243,6 +243,20 @@ func (l *Lookup) Meta() Meta { return l.meta }
 // clamped), so a serving process needs only the lookup file.
 func (l *Lookup) Hist() []uint64 { return l.hist }
 
+// Siblings reports how many other distinct k-mers share multiplicity count:
+// the histogram bin's population minus the k-mer itself. The last bin
+// aggregates every multiplicity at or beyond it, as the artifact's does.
+func (l *Lookup) Siblings(count uint32) uint64 {
+	if len(l.hist) == 0 {
+		return 0
+	}
+	bin := min(int(count), len(l.hist)-1)
+	if l.hist[bin] == 0 {
+		return 0
+	}
+	return l.hist[bin] - 1
+}
+
 // Path returns the path the lookup was opened from.
 func (l *Lookup) Path() string { return l.path }
 

@@ -103,22 +103,24 @@ func synthSeq(n int) []byte {
 	return s
 }
 
-// measureScan times rolling k-mer enumeration without tuple storage.
+// measureScan times rolling k-mer enumeration without tuple storage, through
+// the enumerator KmerGen calls.
 func measureScan() float64 {
 	seq := synthSeq(1 << 20)
-	var sink kmer.Kmer64
+	var sink uint64
 	start := time.Now()
 	reps := 50
 	for r := 0; r < reps; r++ {
-		kmer.ForEach64(seq, 27, func(_ int, m kmer.Kmer64) { sink ^= m })
+		kmer.ForEachKey(seq, 27, func(_ int, m kmer.Kmer128) { sink ^= m.Lo })
 	}
 	el := time.Since(start).Seconds()
 	_ = sink
 	return float64(reps) * float64(len(seq)) / el
 }
 
-// measureEmit times the 4-lane generator including buffer stores, the
-// closest proxy for KmerGen's per-tuple marginal cost.
+// measureEmit times the scalar canonical roll including buffer stores
+// (AppendCanonical64), the closest proxy for KmerGen's per-tuple marginal
+// cost.
 func measureEmit() float64 {
 	seq := synthSeq(1 << 20)
 	buf := make([]kmer.Kmer64, 0, 1<<20)

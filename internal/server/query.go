@@ -327,17 +327,19 @@ func (t *QueryTier) Execute(req QueryRequest) (*QueryResponse, int, error) {
 				return nil, http.StatusBadRequest,
 					fmt.Errorf("kmers[%d]: length %d, want k=%d", i, len(ks), m.K)
 			}
-			if !encodeCanonical(ks, m.K, m.Wide, &sc.hi[i], &sc.lo[i]) {
+			km, ok := kmer.CanonicalKey([]byte(ks), m.K)
+			if !ok {
 				return nil, http.StatusBadRequest,
 					fmt.Errorf("kmers[%d]: invalid base (ACGT only)", i)
 			}
+			sc.hi[i], sc.lo[i] = km.Hi, km.Lo
 		}
 		t.runBatch(lk, m.Wide, sc, n)
 		resp.Kmers = make([]KmerAnswer, n)
 		for i, r := range sc.res[:n] {
 			a := KmerAnswer{Label: r.Label, Count: r.Count, Found: r.Found}
 			if req.Siblings && r.Found {
-				a.Siblings = siblings(lk.Hist(), r.Count)
+				a.Siblings = lk.Siblings(r.Count)
 			}
 			if !r.Found {
 				misses++
@@ -351,19 +353,11 @@ func (t *QueryTier) Execute(req QueryRequest) (*QueryResponse, int, error) {
 		resp.Sequences = make([]SequenceAnswer, len(req.Sequences))
 		for si, seq := range req.Sequences {
 			n := 0
-			if m.Wide {
-				kmer.ForEach128([]byte(seq), m.K, func(_ int, km kmer.Kmer128) {
-					sc.growTo(n + 1)
-					sc.hi[n], sc.lo[n] = km.Hi, km.Lo
-					n++
-				})
-			} else {
-				kmer.ForEach64([]byte(seq), m.K, func(_ int, km kmer.Kmer64) {
-					sc.growTo(n + 1)
-					sc.hi[n], sc.lo[n] = 0, uint64(km)
-					n++
-				})
-			}
+			kmer.ForEachKey([]byte(seq), m.K, func(_ int, km kmer.Kmer128) {
+				sc.growTo(n + 1)
+				sc.hi[n], sc.lo[n] = km.Hi, km.Lo
+				n++
+			})
 			t.runBatch(lk, m.Wide, sc, n)
 			ans := SequenceAnswer{Kmers: n}
 			sc.labs = sc.labs[:0]
@@ -425,42 +419,6 @@ func (sc *queryScratch) growTo(n int) {
 	copy(nhi, sc.hi)
 	copy(nlo, sc.lo)
 	sc.hi, sc.lo = nhi, nlo
-}
-
-// encodeCanonical parses one k-mer string into its canonical key.
-func encodeCanonical(s string, k int, wide bool, hi, lo *uint64) bool {
-	if wide {
-		km, ok := kmer.Encode128([]byte(s))
-		if !ok {
-			return false
-		}
-		c := kmer.Canonical128(km, k)
-		*hi, *lo = c.Hi, c.Lo
-		return true
-	}
-	km, ok := kmer.Encode64([]byte(s))
-	if !ok {
-		return false
-	}
-	*hi, *lo = 0, uint64(kmer.Canonical64(km, k))
-	return true
-}
-
-// siblings reports how many other distinct k-mers share this multiplicity
-// (frequency-spectrum bin population minus the k-mer itself; the last bin
-// aggregates everything at or beyond it, matching the artifact histogram).
-func siblings(hist []uint64, count uint32) uint64 {
-	if len(hist) == 0 {
-		return 0
-	}
-	bin := int(count)
-	if bin >= len(hist) {
-		bin = len(hist) - 1
-	}
-	if hist[bin] == 0 {
-		return 0
-	}
-	return hist[bin] - 1
 }
 
 // majorityLabel returns the most frequent label (ties break low). labs is
