@@ -183,10 +183,11 @@ type Config struct {
 	// Prefilter type for semantics. Incompatible with the artifact paths (a
 	// filtered tuple stream would not round-trip).
 	Prefilter Prefilter
-	// Pool, when non-nil, supplies and reclaims the two per-task tuple
-	// buffers (kmerOut/kmerIn) so back-to-back runs — the daemon's jobs —
-	// reuse multi-GB slices instead of reallocating them. Never affects
-	// results and is excluded from CanonicalHash.
+	// Pool, when non-nil, supplies and reclaims the per-task tuple buffers
+	// (kmerOut's generation slots, the in-RAM receive buffer, the spill's
+	// run builders) so back-to-back runs — the daemon's jobs — reuse
+	// multi-GB slices instead of reallocating them. Never affects results
+	// and is excluded from CanonicalHash.
 	Pool *TuplePool
 	// Obs, when non-nil, collects per-step spans (exported as a
 	// Perfetto-loadable Chrome trace) and typed counters (bytes read,

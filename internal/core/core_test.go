@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"metaprep/internal/fastq"
@@ -895,9 +899,9 @@ func TestRunFailsCleanlyOnChangedInput(t *testing.T) {
 	if err := os.WriteFile(td.paths[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// With one task, one thread and one pass there is no bin-range
-	// granularity to violate (the pipeline would simply process the new
-	// data); finer configurations must detect the stale index's counts.
+	// Every shape detects the stale index's counts: KmerGen checks each
+	// (task, thread) region, the exchange each message and the receive each
+	// (bin, source) slot, down to one task, one thread and one pass.
 	cfg := Default(td.idx)
 	cfg.Tasks = 3
 	cfg.Threads = 2
@@ -905,6 +909,71 @@ func TestRunFailsCleanlyOnChangedInput(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Error("Run succeeded on input changed since IndexCreate")
 	}
+}
+
+// TestRunFailsOnBinOverflow moves one count between two adjacent bins of
+// one chunk histogram (and of the global histogram, as an index of slightly
+// different input would), keeping every total. Task-level counts still
+// match, so only the receive's per-(bin, source) slot check can catch the
+// bin that now holds one tuple more than the index promised: Run must
+// return the stale-index error, not sort garbage or panic.
+func TestRunFailsOnBinOverflow(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	td := overlappingDataset(t, rng, smallOpts(), 2, 300, 80, 40)
+	for _, shape := range [][3]int{{1, 1, 1}, {2, 2, 2}} {
+		t.Run(fmt.Sprintf("P%d_T%d_S%d", shape[0], shape[1], shape[2]), func(t *testing.T) {
+			idx := staleBinIndex(t, td.idx, shape[0], shape[1], shape[2])
+			cfg := Default(idx)
+			cfg.Tasks, cfg.Threads, cfg.Passes = shape[0], shape[1], shape[2]
+			_, err := Run(cfg)
+			if !errors.Is(err, errStaleIndex) {
+				t.Fatalf("Run on a bin-stale index: err = %v, want the stale-index error", err)
+			}
+			if !strings.Contains(err.Error(), "bin ") {
+				t.Errorf("err = %v, want the receive's bin-slot check to catch it", err)
+			}
+		})
+	}
+}
+
+// staleBinIndex copies idx with one count moved from bin a to bin a+1 in
+// one chunk histogram and in MerHist, choosing a so that both bins stay in
+// one pass and one task range of the P/T/S partition of the moved counts.
+func staleBinIndex(t *testing.T, idx *index.Index, P, T, S int) *index.Index {
+	t.Helper()
+	for ci := range idx.Chunks {
+		for a := 0; a+1 < len(idx.MerHist); a++ {
+			if idx.Chunks[ci].Hist[a] == 0 {
+				continue
+			}
+			mod := *idx
+			mod.MerHist = slices.Clone(idx.MerHist)
+			mod.MerHist[a]--
+			mod.MerHist[a+1]++
+			pt, err := index.NewPartition(mod.MerHist, S, P, T)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := false
+			for s := 0; s < S; s++ {
+				for rank := 0; rank < P; rank++ {
+					lo, hi := pt.TaskRange(s, rank)
+					same = same || lo <= a && a+1 < hi
+				}
+			}
+			if !same {
+				continue
+			}
+			mod.Chunks = slices.Clone(idx.Chunks)
+			hist := slices.Clone(idx.Chunks[ci].Hist)
+			hist[a]--
+			hist[a+1]++
+			mod.Chunks[ci].Hist = hist
+			return &mod
+		}
+	}
+	t.Fatal("no bin pair shares a task range")
+	return nil
 }
 
 func TestRunFailsCleanlyOnMissingInput(t *testing.T) {

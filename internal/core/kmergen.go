@@ -213,8 +213,8 @@ func (st *taskState) kmerGenThread(s, t int, chunks []int, fetch *chunkFetcher, 
 	// bound holds — dropped tuples leave the sub-regions part-filled — so
 	// the end cursors are recorded instead of checked.
 	if overflow {
-		return fmt.Errorf("core: task %d thread %d produced more tuples than the index predicts — input changed since IndexCreate?",
-			st.rank, t)
+		return fmt.Errorf("core: task %d thread %d produced more tuples than the index predicts — %w",
+			st.rank, t, errStaleIndex)
 	}
 	if st.keep != nil {
 		for dst := 0; dst < cfg.Tasks; dst++ {
@@ -223,8 +223,8 @@ func (st *taskState) kmerGenThread(s, t int, chunks []int, fetch *chunkFetcher, 
 	} else {
 		for dst := 0; dst < cfg.Tasks; dst++ {
 			if cur[dst] != lim[dst] {
-				return fmt.Errorf("core: task %d thread %d: wrote %d tuples for task %d, index predicts %d — input changed since IndexCreate?",
-					st.rank, t, cur[dst], dst, lim[dst])
+				return fmt.Errorf("core: task %d thread %d: wrote %d tuples for task %d, index predicts %d — %w",
+					st.rank, t, cur[dst], dst, lim[dst], errStaleIndex)
 			}
 		}
 	}

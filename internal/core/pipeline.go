@@ -23,8 +23,8 @@ const (
 )
 
 // taskState is everything one simulated MPI task owns while the pipeline
-// runs: its rank, communicator endpoint, the two tuple buffers, its local
-// disjoint-set instance, open input files and its accounting.
+// runs: its rank, communicator endpoint, kmerOut, its local disjoint-set
+// instance, open input files and its accounting.
 type taskState struct {
 	p    *plan
 	rank int
@@ -37,8 +37,7 @@ type taskState struct {
 	// the same pointer as p.cfg.Obs, cached for the instrumentation sites.
 	obs *obsv.Collector
 
-	// out is kmerOut: the generation buffer, and the sorted partitions a
-	// partitionSink hands LocalCC.
+	// out is kmerOut: the two generation slots rounds alternate between.
 	out     *tupleBuf
 	dsu     *unionfind.DSU
 	ufStats *unionfind.Stats
@@ -56,12 +55,10 @@ type taskState struct {
 	// keep, non-nil when the prefilter is enabled, is the global "seen ≥
 	// MinCount times" Bloom every KmerGen emit consults; filterBytes is the
 	// pass-1 ladder's memory charge. genKept[dst*T+t] records thread t's
-	// end cursor in dst's send region per pass (kept = end − start cursor);
-	// recvGot[src] the actual tuples landed from src this pass.
+	// end cursor in dst's send region per round (kept = end − start cursor).
 	keep        *sketch.Bloom
 	filterBytes int64
 	genKept     []uint64
-	recvGot     []uint64
 	// exchTupleCounters[src] is the preformatted per-source-rank tuple
 	// counter ("exchange/tuples[src->rank]"), resolved once at task setup
 	// so the receive path never formats counter names (nil when
@@ -183,9 +180,10 @@ type TaskReport struct {
 	// CCIters is the largest Algorithm 1 iteration count across this
 	// task's passes (§3.5 observes the first iteration dominates).
 	CCIters int
-	// MemoryBytes is the task's peak planned memory: index tables, both
-	// tuple buffers, the two component arrays and the FASTQ chunk buffers
-	// (§3.7's inventory).
+	// MemoryBytes is the task's peak planned memory: index tables, the
+	// generation slots, the receive buffer (or the spill's run builders),
+	// the two component arrays and the FASTQ chunk buffers (§3.7's
+	// inventory).
 	MemoryBytes int64
 	// SpillBytes is what the out-of-core LocalSort wrote to scratch on this
 	// task (0 when every pass stayed in RAM) — the measured side of the
@@ -472,11 +470,12 @@ func stepsOf(reports []TaskReport) []StepTimes {
 }
 
 // memoryBytes tallies this task's planned memory per the §3.7 inventory:
-// index tables (replicated), kmerOut and the sink (kmerIn, or the spill's
-// run builders), the component array p and
-// the received array p′ (4R each), and the chunk read buffers — with the
-// overlapped-I/O prefetcher, each thread circulates 1+PrefetchChunks
-// buffers instead of one, and the inventory charges them all.
+// index tables (replicated), kmerOut's two generation slots and the sink
+// (the receive buffer with its slot tables and bin-sort scratch, or the
+// spill's run builders), the component array p and the received array p′
+// (4R each), and the chunk read buffers — with the overlapped-I/O
+// prefetcher, each thread circulates 1+PrefetchChunks buffers instead of
+// one, and the inventory charges them all.
 func (st *taskState) memoryBytes(sink tupleSink) int64 {
 	idx := st.p.idx
 	mem := idx.MemoryBytes()

@@ -22,12 +22,13 @@ type plan struct {
 	// threadChunks[p][t] lists the chunks thread t of task p owns.
 	threadChunks [][][]int
 
-	// bufTuples[p] is the tuple capacity task p allocates for kmerOut and,
-	// in RAM, kmerIn: the maximum over passes of tuples generated and tuples
-	// received, because kmerOut doubles as the sorted output buffer (§3.4)
-	// and kmerIn as radix-sort scratch. In spill mode there is no kmerIn and
-	// kmerOut is the generation buffer: its two slots, end to end.
+	// bufTuples[p] is the capacity of task p's kmerOut: its two generation
+	// slots, end to end.
 	bufTuples []uint64
+	// recvTuples[p] is the capacity of task p's in-RAM receive buffer: the
+	// most tuples it receives in any pass (0 when spilling, where the run
+	// builders receive).
+	recvTuples []uint64
 
 	// spill is true when the out-of-core LocalSort path is active: a
 	// SpillBudgetBytes cap is set and at least one (pass, rank) would
@@ -43,22 +44,20 @@ type plan struct {
 
 	// roundCuts[s][rank] cuts task rank's chunk list into the KmerGen →
 	// exchange rounds of pass s: round r enumerates
-	// taskChunks[rank][cuts[r]:cuts[r+1]]. A spilling pass groups
-	// contiguous chunks whose pass-range tuples fit one generation slot (a
-	// chunk that alone exceeds it is a round of its own); an in-RAM pass is
-	// one round of every chunk.
+	// taskChunks[rank][cuts[r]:cuts[r+1]]. A round groups contiguous chunks
+	// whose pass-range tuples fit one generation slot (see groupChunks).
 	roundCuts [][][]int
 	// rounds[s] is the round count every rank runs in pass s: the maximum
 	// over ranks, so a rank with fewer chunk groups sends empty messages in
 	// its trailing rounds and every all-to-all stays matched.
 	rounds []int
-	// slotTuples[p] sizes task p's two spill-mode generation slots: round r
-	// fills slot r%2, so round r+1 generates while peers may still be
-	// copying round r's messages out of the other slot. Each slot holds its
-	// rounds' largest tuple count — at most budget/8, so both share the
-	// generation buffer's quarter, unless a single chunk's pass-range tuples
-	// exceed that (the chunk floor). A rank with one round per pass needs
-	// no second slot.
+	// slotTuples[p] sizes task p's two generation slots: round r fills slot
+	// r%2, so round r+1 generates while peers may still be copying round
+	// r's messages out of the other slot. Each slot holds its rounds'
+	// largest tuple count — at most slotCap (budget/8 spilling, 1/16 of the
+	// receive buffer in RAM), unless a round's minimum chunks alone exceed
+	// it (the chunk floor). A rank with one round per pass needs no second
+	// slot.
 	slotTuples [][2]uint64
 }
 
@@ -90,8 +89,8 @@ func newPlan(cfg Config) (*plan, error) {
 		}
 	}
 
-	// chunkGen[s][ci] is chunk ci's pass-s tuple count: summed per task for
-	// the in-RAM buffer size, grouped into rounds when spilling.
+	// chunkGen[s][ci] is chunk ci's pass-s tuple count, what groupChunks
+	// packs into rounds.
 	chunkGen := make([][]uint64, cfg.Passes)
 	for s := range chunkGen {
 		plo, phi := pt.PassRange(s)
@@ -100,32 +99,20 @@ func newPlan(cfg Config) (*plan, error) {
 			chunkGen[s][ci] = index.RangeCount(idx.Chunks[ci].Hist, plo, phi)
 		}
 	}
-	maxGen := make([]uint64, cfg.Tasks)
 	maxRecv := make([]uint64, cfg.Tasks)
 	var worstRecv uint64
 	for rank := 0; rank < cfg.Tasks; rank++ {
 		for s := 0; s < cfg.Passes; s++ {
-			var gen uint64
-			for _, ci := range p.taskChunks[rank] {
-				gen += chunkGen[s][ci]
-			}
-			if gen > maxGen[rank] {
-				maxGen[rank] = gen
-			}
-			tlo, thi := pt.TaskRange(s, rank)
-			if recv := index.RangeCount64(idx.MerHist, tlo, thi); recv > maxRecv[rank] {
-				maxRecv[rank] = recv
-			}
+			maxRecv[rank] = max(maxRecv[rank], p.passRecv(s, rank))
 		}
-		if maxRecv[rank] > worstRecv {
-			worstRecv = maxRecv[rank]
-		}
+		worstRecv = max(worstRecv, maxRecv[rank])
 	}
 	if b := cfg.SpillBudgetBytes; b > 0 && worstRecv*p.bytesPerTuple() > uint64(b) {
 		p.spill = true
 		p.runTuples = max(uint64(b)/(4*p.bytesPerTuple()), 1)
 	}
 	p.bufTuples = make([]uint64, cfg.Tasks)
+	p.recvTuples = make([]uint64, cfg.Tasks)
 	p.slotTuples = make([][2]uint64, cfg.Tasks)
 	p.roundCuts = make([][][]int, cfg.Passes)
 	p.rounds = make([]int, cfg.Passes)
@@ -133,12 +120,17 @@ func newPlan(cfg Config) (*plan, error) {
 		p.roundCuts[s] = make([][]int, cfg.Tasks)
 		p.rounds[s] = 1
 		for rank := range p.roundCuts[s] {
+			// A spilling round fills at most budget/8, so both slots share
+			// the generation buffer's quarter of the budget. An in-RAM
+			// round fills at most 1/16 of the receive buffer, so both slots
+			// add at most 1/8 to it, and holds at least T chunks so that no
+			// KmerGen thread idles while the task has chunks left.
+			slotCap, minChunks := p.runTuples/2, 1
 			if !p.spill {
-				p.roundCuts[s][rank] = []int{0, len(p.taskChunks[rank])}
-				p.bufTuples[rank] = max(maxGen[rank], maxRecv[rank])
-				continue
+				p.recvTuples[rank] = maxRecv[rank]
+				slotCap, minChunks = maxRecv[rank]/16, cfg.Threads
 			}
-			cuts, most := p.groupChunks(rank, chunkGen[s])
+			cuts, most := p.groupChunks(rank, chunkGen[s], slotCap, minChunks)
 			p.roundCuts[s][rank] = cuts
 			p.rounds[s] = max(p.rounds[s], len(cuts)-1)
 			slots := &p.slotTuples[rank]
@@ -149,18 +141,19 @@ func newPlan(cfg Config) (*plan, error) {
 	return p, nil
 }
 
-// groupChunks cuts task rank's chunk list into the rounds of a spilling
-// pass: contiguous groups whose pass-range tuples (chunkGen, exact from the
-// chunk histograms) sum to at most runTuples/2, one generation slot. A
-// chunk that alone exceeds that forms a round of its own — the chunk floor,
-// the one case where the generation buffer outgrows budget/4. Returns the
-// cut positions and the largest tuple count of the even and the odd rounds.
-func (p *plan) groupChunks(rank int, chunkGen []uint64) (cuts []int, most [2]uint64) {
+// groupChunks cuts task rank's chunk list into the rounds of a pass:
+// contiguous groups whose pass-range tuples (chunkGen, exact from the chunk
+// histograms) sum to at most slotCap, one generation slot. A round closes
+// only once it holds minChunks chunks, so a round whose first minChunks
+// chunks alone exceed slotCap is a round of exactly those — the chunk
+// floor, the one case where a slot outgrows its cap. Returns the cut
+// positions and the largest tuple count of the even and the odd rounds.
+func (p *plan) groupChunks(rank int, chunkGen []uint64, slotCap uint64, minChunks int) (cuts []int, most [2]uint64) {
 	cuts = []int{0}
 	var sum uint64
 	for i, ci := range p.taskChunks[rank] {
 		n := chunkGen[ci]
-		if i > cuts[len(cuts)-1] && sum+n > p.runTuples/2 {
+		if i-cuts[len(cuts)-1] >= minChunks && sum+n > slotCap {
 			cuts = append(cuts, i)
 			sum = 0
 		}
@@ -252,8 +245,7 @@ func (p *plan) use64() bool { return p.idx.Opts.Use64() }
 // tuples are grouped by destination task (so a destination's tuples ship as
 // one message), and within each destination region by source thread (so
 // each thread writes its own precomputed sub-region without
-// synchronization, §3.2.2). A spilling round lays out in generation slot
-// r%2.
+// synchronization, §3.2.2). Round r lays out in generation slot r%2.
 type genLayout struct {
 	// dstOff[dst] / dstCnt[dst]: each destination region within kmerOut.
 	dstOff, dstCnt []uint64
@@ -293,120 +285,5 @@ func (p *plan) genLayout(s, rank, r int) genLayout {
 		}
 	}
 	l.total = off - base
-	return l
-}
-
-// recvLayout describes what task rank receives in round r of pass s: one
-// region per source task, in rank order, sized from the histograms of the
-// source's round-r chunks (§3.3: "each task also calculates the number of
-// tuples to be received from other tasks and the corresponding receive
-// offsets in advance").
-// Within a source region, tuples arrive ordered by the source's threads.
-type recvLayout struct {
-	srcOff, srcCnt []uint64
-	// threadCnt[src*T+t] splits srcCnt by the source's thread t, needed to
-	// locate scatter work regions for LocalSort.
-	threadCnt []uint64
-	total     uint64
-}
-
-func (p *plan) recvLayout(s, rank, r int) recvLayout {
-	P, T := p.cfg.Tasks, p.cfg.Threads
-	lo, hi := p.pt.TaskRange(s, rank)
-	l := recvLayout{
-		srcOff:    make([]uint64, P),
-		srcCnt:    make([]uint64, P),
-		threadCnt: make([]uint64, P*T),
-	}
-	var off uint64
-	for src := 0; src < P; src++ {
-		l.srcOff[src] = off
-		for t := 0; t < T; t++ {
-			var cnt uint64
-			for _, ci := range p.roundChunks(s, src, r, t) {
-				cnt += index.RangeCount(p.idx.Chunks[ci].Hist, lo, hi)
-			}
-			l.threadCnt[src*T+t] = cnt
-			l.srcCnt[src] += cnt
-			off += cnt
-		}
-	}
-	l.total = off
-	return l
-}
-
-// sortLayout describes the LocalSort range-partitioning of task rank's
-// received tuples in pass s into T thread partitions (§3.4). The scatter's
-// work units are the P×T (source task, source thread) regions of kmerIn;
-// each (region, destination partition) pair gets an exclusive, precomputed
-// slice of the output buffer, so T threads scatter concurrently with no
-// synchronization.
-type sortLayout struct {
-	// partOff/partCnt: the T thread partitions of the sorted buffer.
-	partOff, partCnt []uint64
-	// partBinLo/partBinHi: each partition's m-mer bin range [lo, hi) — the
-	// key range the partitioning has already fixed, which the key-range-
-	// aware radix sort uses to skip passes over the pinned high bits.
-	partBinLo, partBinHi []int
-	// regionOff[r]: where region r (= src*T + srcThread) starts in kmerIn.
-	regionOff []uint64
-	// regionCnt[r]: tuples in region r.
-	regionCnt []uint64
-	// scatter[r*T+d]: write cursor for tuples of region r bound for
-	// partition d.
-	scatter []uint64
-}
-
-func (p *plan) sortLayout(s, rank int, rl recvLayout) sortLayout {
-	P, T := p.cfg.Tasks, p.cfg.Threads
-	idx := p.idx
-	// The scatter's work units are the P×T (source task, source thread)
-	// sub-regions of kmerIn: the precomputed-offset KmerGen keeps each sender
-	// thread's tuples contiguous inside a message.
-	nr := P * T
-	l := sortLayout{
-		partOff:   make([]uint64, T),
-		partCnt:   make([]uint64, T),
-		partBinLo: make([]int, T),
-		partBinHi: make([]int, T),
-		regionOff: make([]uint64, nr),
-		regionCnt: make([]uint64, nr),
-		scatter:   make([]uint64, nr*T),
-	}
-	for d := 0; d < T; d++ {
-		l.partBinLo[d], l.partBinHi[d] = p.pt.ThreadRange(s, rank, d)
-	}
-	// cnt[r*T+d] = tuples of region r that fall in thread partition d.
-	cnt := make([]uint64, nr*T)
-	for src := 0; src < P; src++ {
-		for t := 0; t < T; t++ {
-			r := src*T + t
-			for _, ci := range p.threadChunks[src][t] {
-				hist := idx.Chunks[ci].Hist
-				for d := 0; d < T; d++ {
-					dlo, dhi := p.pt.ThreadRange(s, rank, d)
-					cnt[r*T+d] += index.RangeCount(hist, dlo, dhi)
-				}
-			}
-		}
-	}
-	// Region extents in kmerIn follow the receive layout.
-	var off uint64
-	for r := 0; r < nr; r++ {
-		l.regionOff[r] = off
-		l.regionCnt[r] = rl.threadCnt[r]
-		off += rl.threadCnt[r]
-	}
-	// Partition extents and scatter cursors: partition-major, then region
-	// order (matching the order regions are scanned).
-	var pOff uint64
-	for d := 0; d < T; d++ {
-		l.partOff[d] = pOff
-		for r := 0; r < nr; r++ {
-			l.scatter[r*T+d] = pOff
-			pOff += cnt[r*T+d]
-			l.partCnt[d] += cnt[r*T+d]
-		}
-	}
 	return l
 }

@@ -6,18 +6,33 @@ import (
 	"sync/atomic"
 )
 
-// pool.go implements TuplePool, a size-classed freelist for the two
-// per-task tuple buffers (kmerOut/kmerIn). The daemon's job manager owns
-// one pool and threads it through every job's Config, so back-to-back jobs
+// pool.go implements TuplePool, a size-classed freelist for the per-task
+// tuple buffers: kmerOut (the two generation slots), the in-RAM receive
+// buffer and the spill's run builders. The daemon's job manager owns one
+// pool and threads it through every job's Config, so back-to-back jobs
 // reuse the multi-GB slices instead of reallocating (and re-faulting) them.
 //
-// Reuse is safe without zeroing: every range the pipeline reads is fully
-// written first in the same pass — KmerGen fills kmerOut's [0, gl.total)
-// exactly (the cursor-vs-limit verification enforces it), the exchange
-// lands exactly [0, rl.total) of kmerIn, and LocalSort's scatter rewrites
-// the partitions it then sorts. Within one run all acquisitions happen
-// before any release (a rank cannot finish while a peer has not started:
-// the pass barriers order them), so a buffer never changes owner mid-run.
+// Reuse is safe without zeroing: every range the pipeline reads is written
+// first in the same pass (TestTuplePoolPoisonedBuffers runs every memory
+// shape on all-ones garbage).
+//   - KmerGen fills each round's [0, gl.total) of its generation slot
+//     exactly (the cursor-vs-limit verification enforces it); under the
+//     prefilter compactGen moves the kept prefix of each region together,
+//     and the exchange ships only those counts.
+//   - The receive buffer's (bin, source) slots tile [0, pass total): open
+//     derives their extents from the chunk histograms, and receive
+//     scatters a tuple into a slot only after checking that the slot has
+//     room. On an exact pass the per-source totals match the index and no
+//     slot overflows, so every slot ends exactly full. Under the prefilter
+//     a slot may end part-filled, and LocalSort reads only each slot's
+//     written prefix [off, cur), closing the gaps before it sorts.
+//   - A spill run builder is sorted and written only over its filled
+//     prefix.
+//
+// A buffer goes back to the pool only once nothing can read it: kmerOut and
+// the receive buffer when the task's passes end (the last exchange's
+// barrier has drained every zero-copy view of kmerOut), a run builder at its
+// pass's seal, after the spill worker has written it out.
 
 // poolClassLimit caps retained buffers per size class; beyond it, put drops
 // the buffer for the GC so an unusually large one-off job cannot pin its

@@ -2,7 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"path/filepath"
 	"testing"
+
+	"metaprep/internal/index"
 )
 
 // TestTuplePoolReuse checks the pool recycles buffers by size class and
@@ -69,4 +72,93 @@ func TestTuplePoolRunParity(t *testing.T) {
 		t.Fatalf("second pooled run recorded no hits: buffers were not reused")
 	}
 	assertSameResult(t, want, got)
+}
+
+// TestTuplePoolPoisonedBuffers runs every memory shape on buffers full of
+// garbage: a first pooled run seeds the pool with a buffer of every size
+// class the shape requests, every pooled buffer is then filled with
+// all-ones keys and 0xFFFFFFFF values, and a second run must take every
+// buffer from the pool and still match a pool-less run — labels, edges,
+// tuples and the frequency spectrum, and the .mpa kmers CRC where the shape
+// writes one. The prefiltered shape is the one whose receive slots are only
+// partly filled, so its gap compaction must never read past a slot's
+// cursor into the poison. It runs one thread, where the ladder's kept
+// count is deterministic. The reads cover their genomes about 4×, so many
+// k-mers are singletons and the prefilter leaves real gaps.
+func TestTuplePoolPoisonedBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	td := overlappingDataset(t, rng, index.Options{K: 11, M: 4, ChunkSize: 600}, 4, 4000, 1500, 50)
+	// The spilling shape runs one task: two tasks hold six run builders of
+	// one class at once, more than the pool retains per class.
+	for _, shape := range []struct {
+		name           string
+		tasks, threads int
+		budget         int64
+		pf             Prefilter
+		artifact       bool
+	}{
+		{"inram", 2, 2, 0, Prefilter{}, true},
+		{"prefilter", 2, 1, 0, Prefilter{BitsPerKmer: 8}, false},
+		{"spill", 1, 2, MinSpillBudgetBytes, Prefilter{}, true},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			dir := t.TempDir()
+			run := func(name string, pool *TuplePool) (*Result, string) {
+				cfg := Default(td.idx)
+				cfg.Tasks, cfg.Threads, cfg.Passes = shape.tasks, shape.threads, 2
+				cfg.SpillBudgetBytes = shape.budget
+				cfg.Prefilter = shape.pf
+				cfg.Pool = pool
+				if shape.artifact {
+					cfg.ArtifactOut = filepath.Join(dir, name+".mpa")
+				}
+				if shape.budget > 0 {
+					requireSpill(t, cfg)
+				}
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, cfg.ArtifactOut
+			}
+			want, wantMPA := run("ref", nil)
+			if shape.pf.Enabled() && want.Tuples >= td.idx.TotalKmers {
+				t.Fatalf("the prefilter kept all %d tuples: no receive slot has a gap to close", want.Tuples)
+			}
+
+			pool := NewTuplePool()
+			run("seed", pool)
+			poisoned := 0
+			for _, classes := range pool.free {
+				for _, bufs := range classes {
+					for _, b := range bufs {
+						lo, val := b.lo[:cap(b.lo)], b.val[:cap(b.val)]
+						for i := range lo {
+							lo[i], val[i] = ^uint64(0), 0xFFFFFFFF
+						}
+						if b.hi != nil {
+							for i := range b.hi[:cap(b.hi)] {
+								b.hi[i] = ^uint64(0)
+							}
+						}
+						poisoned++
+					}
+				}
+			}
+			if poisoned == 0 {
+				t.Fatal("the seeding run left no buffers in the pool")
+			}
+			misses := pool.Misses()
+			got, gotMPA := run("poisoned", pool)
+			if pool.Misses() != misses {
+				t.Fatalf("%d acquisitions missed the pool: not every buffer was poisoned", pool.Misses()-misses)
+			}
+			assertSameResult(t, want, got)
+			if shape.artifact {
+				if a, b := kmersCRC(t, wantMPA), kmersCRC(t, gotMPA); a != b {
+					t.Errorf("kmers CRC %08x on poisoned buffers, %08x pool-less", b, a)
+				}
+			}
+		})
+	}
 }

@@ -36,14 +36,11 @@ import (
 //     genKept instead of being validated against the index's counts.
 //   - compactGen closes the gaps in each destination region in place (a
 //     forward copy — writes trail reads), and the one §3.3 exchange ships
-//     the compacted counts; the receiver lands regions at their planned
-//     offsets and records actual counts in recvGot, erroring only when a
-//     region exceeds its exact prediction (the filter can only shrink
-//     counts).
-//   - LocalSort derives its layout from a counting scan of the received
-//     tuples (sortLayoutFiltered) instead of the index histograms, and
-//     the radix sort falls back to its counting path (MerHist's per-bin
-//     counts describe the unfiltered stream).
+//     the compacted counts.
+//   - The receiver's (bin, source) slots, sized from the index, fill only
+//     a prefix each; LocalSort closes those gaps bin by bin before sorting
+//     the bin (binSink.seal). A spill run builder packs messages and never
+//     sees a gap.
 
 // Prefilter message tags, below tagDelta's band (see pipeline.go).
 const (
@@ -147,7 +144,6 @@ func (st *taskState) buildPrefilter() error {
 
 	st.keep = keep
 	st.filterBytes = f.SizeBytes()
-	st.recvGot = make([]uint64, P)
 	if st.obs != nil {
 		st.counter("prefilter/build_us").Add(uint64(time.Since(build0).Microseconds()))
 		st.counter("prefilter/filter_bytes").Add(uint64(f.SizeBytes()))
@@ -241,60 +237,4 @@ func (st *taskState) compactGen(gl genLayout) []uint64 {
 	st.rep.Steps.KmerGen += d
 	st.stepSpan("KmerGen", t0, d)
 	return act
-}
-
-// sortLayoutFiltered replaces the plan's histogram-derived sortLayout when
-// tuple counts are dynamic: regions are the P part-filled source areas of
-// kmerIn (per-thread sub-regions no longer have knowable extents), and the
-// per-(region, partition) counts come from one counting scan of the
-// received tuples. The scan is the price of filtering — O(received) reads,
-// charged to LocalSort, against the 40%+ of tuples that never arrived.
-func (ps *partitionSink) sortLayoutFiltered(s int, rl recvLayout) sortLayout {
-	t0 := time.Now()
-	st := ps.st
-	p := st.p
-	P, T := p.cfg.Tasks, p.cfg.Threads
-	l := sortLayout{
-		partOff:   make([]uint64, T),
-		partCnt:   make([]uint64, T),
-		partBinLo: make([]int, T),
-		partBinHi: make([]int, T),
-		regionOff: rl.srcOff,
-		regionCnt: st.recvGot,
-		scatter:   make([]uint64, P*T),
-	}
-	for d := 0; d < T; d++ {
-		l.partBinLo[d], l.partBinHi[d] = p.pt.ThreadRange(s, st.rank, d)
-	}
-	lut, binLo := p.threadLUT(s, st.rank)
-	cnt := make([]uint64, P*T)
-	in := ps.in
-	k, m := p.idx.Opts.K, p.idx.Opts.M
-	par.For(T, P, func(r int) {
-		off, n := rl.srcOff[r], st.recvGot[r]
-		row := cnt[r*T : r*T+T]
-		if in.wide() {
-			for i := off; i < off+n; i++ {
-				row[lut[binOf128(in.hi[i], in.lo[i], k, m)-binLo]]++
-			}
-		} else {
-			shift := 2 * uint(k-m)
-			for i := off; i < off+n; i++ {
-				row[lut[int(in.lo[i]>>shift)-binLo]]++
-			}
-		}
-	})
-	var pOff uint64
-	for d := 0; d < T; d++ {
-		l.partOff[d] = pOff
-		for r := 0; r < P; r++ {
-			l.scatter[r*T+d] = pOff
-			pOff += cnt[r*T+d]
-			l.partCnt[d] += cnt[r*T+d]
-		}
-	}
-	d := time.Since(t0)
-	st.rep.Steps.LocalSort += d
-	st.stepSpan("LocalSort", t0, d)
-	return l
 }

@@ -14,7 +14,7 @@ import (
 // spill.go implements runSink, the tupleSink of a spilling plan (Config.
 // SpillBudgetBytes): when a pass's received partition would exceed the
 // budget, the exchange lands tuples into fixed-size run builders instead of
-// a partition-sized kmerIn. Each full builder is handed to a spill worker
+// a receive buffer. Each full builder is handed to a spill worker
 // that radix-sorts it in RAM (the §3.4 kernels, with the task's bin range
 // pinning the high bits) and appends it to a per-(rank, pass) temp file as
 // one sorted run, cut into T per-thread-bin segments. Runs are written raw:
@@ -24,7 +24,7 @@ import (
 // hands LocalCC thread d a groupSource merging segment d of every run with
 // a loser tree. From there the pass is the in-RAM pass: the same localCC
 // consumer sees the same equal-key groups, so labels, edges, the frequency
-// spectrum and the artifact tee match the partition sink's
+// spectrum and the artifact tee match the bin sink's
 // (TestSpillParity, TestArtifactShapeContract).
 //
 // Memory: the budget is four buffers of budget/4 — the generation buffer
@@ -65,13 +65,16 @@ func (r *runSink) open(s int) error {
 	return err
 }
 
-func (r *runSink) receive(_ uint64, m tupleMsg) uint64 { return r.sp.receive(m) }
+func (r *runSink) receive(_ int, m tupleMsg) error {
+	r.sp.receive(m)
+	return nil
+}
 
 // seal is the spill path's LocalSort step: most of the sorting already ran
 // on the spill worker, hidden behind the exchange; what remains — and what
 // the step is charged — is the drain of the last run(s) and the
 // write-behind flush. It returns one merge source per LocalCC thread.
-func (r *runSink) seal(_ int, _ recvLayout) ([]*groupSource, error) {
+func (r *runSink) seal(int) ([]*groupSource, error) {
 	sp, st := r.sp, r.st
 	t0 := time.Now()
 	err := sp.finish()
@@ -201,7 +204,7 @@ func (st *taskState) startSpill(s int, dir string) (*spillState, error) {
 // receive appends a received exchange message to the current run builder,
 // rotating full builders to the spill worker. It is only ever called from
 // the rank's own all-to-all receive callback.
-func (sp *spillState) receive(m tupleMsg) uint64 {
+func (sp *spillState) receive(m tupleMsg) {
 	cnt := uint64(len(m.lo))
 	for pos := uint64(0); pos < cnt; {
 		n := min(sp.runTuples-sp.fillLen, cnt-pos)
@@ -211,7 +214,6 @@ func (sp *spillState) receive(m tupleMsg) uint64 {
 			sp.rotate()
 		}
 	}
-	return cnt
 }
 
 // rotate hands the filled builder to the worker and takes a recycled one.

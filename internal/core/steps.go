@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"metaprep/internal/extsort"
 	"metaprep/internal/obsv"
 	"metaprep/internal/par"
+	"metaprep/internal/radix"
 	"metaprep/internal/unionfind"
 )
 
@@ -16,9 +18,14 @@ import (
 // (§3.3), the sink's seal runs LocalSort (§3.4) and hands each LocalCC
 // thread a key-ordered groupSource, and localCC turns the equal-key groups
 // into union–find edges (§3.5). Config.SpillBudgetBytes decides only which
-// sink holds the tuples: partitionSink keeps them in kmerIn and sorts them
-// in RAM, runSink (spill.go) sorts budget-sized runs to disk and merges
-// them back.
+// sink holds the tuples: binSink receives them straight into bin order in
+// RAM and sorts bin by bin, runSink (spill.go) sorts budget-sized runs to
+// disk and merges them back.
+
+// errStaleIndex is wrapped by every error that means the input no longer
+// matches the index's counts: the FASTQ changed after IndexCreate, so the
+// precomputed offsets would misplace tuples.
+var errStaleIndex = errors.New("input changed since IndexCreate?")
 
 // tupleSink is where one task's exchanged tuples live between the exchange
 // and LocalCC. One sink serves every pass of a task, in pass order.
@@ -26,26 +33,25 @@ type tupleSink interface {
 	// open readies the sink for pass s's tuples, before its KmerGen, and
 	// releases what the previous pass's sources needed.
 	open(s int) error
-	// receive lands one message of the current round and returns its
-	// tuple count; off is where the round's receive layout places it.
-	receive(off uint64, m tupleMsg) uint64
-	// seal runs and charges pass s's LocalSort step. rl is the last
-	// round's receive layout. It returns T sorted sources, source d
-	// holding exactly thread d's bin range; the caller drains and closes
-	// every one before the next pass's exchange.
-	seal(s int, rl recvLayout) ([]*groupSource, error)
-	// memBytes is the sink's planned tuple memory, for the §3.7 inventory.
+	// receive lands one message from task src. An error means the index
+	// no longer describes the input; nothing has been written then.
+	receive(src int, m tupleMsg) error
+	// seal runs and charges pass s's LocalSort step. It returns T sorted
+	// sources, source d holding exactly thread d's bin range; the caller
+	// drains and closes every one before the next pass's exchange.
+	seal(s int) ([]*groupSource, error)
+	// memBytes is the sink's planned memory, for the §3.7 inventory.
 	memBytes() int64
 	// cleanup releases the sink's buffers and scratch files on every exit
 	// path.
 	cleanup()
 }
 
-// openPasses readies a task for its passes: the input files, kmerOut and
-// the sink the plan calls for. spillDir is the run-scoped scratch directory
-// a spilling plan's runs go to; that plan's memory gauge starts with
-// kmerOut, since the budget covers the generation slots too. closePasses
-// undoes it on every exit path.
+// openPasses readies a task for its passes: the input files, kmerOut (the
+// two generation slots) and the sink the plan calls for. spillDir is the
+// run-scoped scratch directory a spilling plan's runs go to; that plan's
+// memory gauge starts with kmerOut, since the budget covers the generation
+// slots too. closePasses undoes it on every exit path.
 func (st *taskState) openPasses(spillDir string) (tupleSink, error) {
 	files, err := openInputs(st.p.idx)
 	if err != nil {
@@ -57,7 +63,7 @@ func (st *taskState) openPasses(spillDir string) (tupleSink, error) {
 		st.spillMemAdd(st.out.memBytes())
 		return &runSink{st: st, dir: spillDir}, nil
 	}
-	return &partitionSink{st: st, in: st.p.cfg.acquireTupleBuf(st.p.bufTuples[st.rank], !st.p.use64())}, nil
+	return newBinSink(st), nil
 }
 
 // closePasses releases what openPasses acquired. Recycling the buffers is
@@ -80,11 +86,10 @@ func (st *taskState) runPasses(sink tupleSink, consume func(s int, srcs []*group
 		if err := sink.open(s); err != nil {
 			return err
 		}
-		rl, err := st.genExchange(s, sink)
-		if err != nil {
+		if err := st.genExchange(s, sink); err != nil {
 			return err
 		}
-		srcs, err := sink.seal(s, rl)
+		srcs, err := sink.seal(s)
 		if err != nil {
 			return err
 		}
@@ -103,14 +108,13 @@ func (st *taskState) runPasses(sink tupleSink, consume func(s int, srcs []*group
 }
 
 // genExchange runs pass s's KmerGen → exchange rounds into sink. Each round
-// fills kmerOut from one group of this task's chunks and ships it in one
-// §3.3 all-to-all; a spilling pass has as many rounds as its budget needs,
-// an in-RAM pass exactly one. Exact rounds ship the index-predicted region
+// fills one generation slot of kmerOut from one group of this task's chunks
+// and ships it in one §3.3 all-to-all; the plan sizes the rounds from the
+// index (plan.groupChunks). Exact rounds ship the index-predicted region
 // counts; prefiltered rounds first compact the part-filled regions and ship
 // what the gate kept. Each thread's chunk fetcher lives for the whole pass,
-// so reads keep prefetching across round boundaries. Returns the last
-// round's receive layout: the whole pass's when the pass is in RAM.
-func (st *taskState) genExchange(s int, sink tupleSink) (recvLayout, error) {
+// so reads keep prefetching across round boundaries.
+func (st *taskState) genExchange(s int, sink tupleSink) error {
 	pl, T := st.p, st.p.cfg.Threads
 	fetchers := make([]*chunkFetcher, T)
 	for t := range fetchers {
@@ -123,35 +127,31 @@ func (st *taskState) genExchange(s int, sink tupleSink) (recvLayout, error) {
 		}
 	}()
 	owner := pl.binOwners(s)
-	var rl recvLayout
 	for r := 0; r < pl.rounds[s]; r++ {
 		gl := pl.genLayout(s, st.rank, r)
 		if err := st.kmerGen(s, r, gl, owner, fetchers); err != nil {
-			return rl, err
+			return err
 		}
 		sendCnt := gl.dstCnt
 		if st.keep != nil {
 			sendCnt = st.compactGen(gl)
 		}
-		rl = pl.recvLayout(s, st.rank, r)
-		if err := st.exchange(s, sink, gl, rl, sendCnt, r+1 == pl.rounds[s]); err != nil {
-			return rl, err
+		if err := st.exchange(s, sink, gl, sendCnt, r+1 == pl.rounds[s]); err != nil {
+			return err
 		}
 	}
 	st.counter("kmergen/rounds").Add(uint64(pl.rounds[s]))
-	return rl, nil
+	return nil
 }
 
 // exchange runs the custom all-to-all of §3.3: P stages of point-to-point
 // messages, stage i pairing rank→rank+i, each shipping sendCnt[dst] tuples
-// from dst's region of kmerOut. Each received message lands in sink. Counts
-// are validated against the index's prediction: exactly, or — under the
-// prefilter, which can only shrink them — as an upper bound, with the
-// actual counts recorded in recvGot for sortLayoutFiltered. last marks the
-// pass's final round, the only one that ends in a barrier.
-func (st *taskState) exchange(s int, sink tupleSink, gl genLayout, rl recvLayout, sendCnt []uint64, last bool) error {
+// from dst's region of kmerOut. Each received message lands in sink; the
+// sender's KmerGen has already checked its counts against the index, which
+// every task plans from. last marks the pass's final round, the only one
+// that ends in a barrier.
+func (st *taskState) exchange(s int, sink tupleSink, gl genLayout, sendCnt []uint64, last bool) error {
 	t0 := time.Now()
-	filtered := st.keep != nil
 	var mismatch error
 	st.t.AllToAll(tagTuples+s,
 		func(dst int) (any, int) {
@@ -159,36 +159,31 @@ func (st *taskState) exchange(s int, sink tupleSink, gl genLayout, rl recvLayout
 			return st.out.msgFor(gl.dstOff[dst], cnt), int(cnt) * st.out.bytesPerTuple()
 		},
 		func(src int, payload any) {
-			got := sink.receive(rl.srcOff[src], payload.(tupleMsg))
+			if mismatch != nil {
+				return
+			}
+			m := payload.(tupleMsg)
+			if mismatch = sink.receive(src, m); mismatch != nil {
+				return
+			}
 			if st.exchTupleCounters != nil {
 				// Per-rank-pair volume: the Fig. 8 communication
 				// imbalance quantity, keyed on the receiving task. The
 				// counters were preformatted in newTaskState, keeping
 				// fmt.Sprintf out of the receive path.
-				st.exchTupleCounters[src].Add(got)
-			}
-			if filtered {
-				st.recvGot[src] = got
-			}
-			if mismatch == nil && (got > rl.srcCnt[src] || !filtered && got != rl.srcCnt[src]) {
-				bound := ""
-				if filtered {
-					bound = "at most "
-				}
-				mismatch = fmt.Errorf("core: task %d received %d tuples from %d, index predicts %s%d — input changed since IndexCreate?",
-					st.rank, got, src, bound, rl.srcCnt[src])
+				st.exchTupleCounters[src].Add(uint64(len(m.lo)))
 			}
 		},
 	)
 	// Messages are zero-copy views into this task's kmerOut. After the
 	// pass's last round the barrier guarantees every peer has copied its
-	// message out before LocalSort or the next pass reuses the buffer. (A
-	// real MPI transfer copies on the wire; this is the in-process
-	// equivalent of waiting on the sends.) Earlier rounds need no barrier:
-	// round r+1 writes the other generation slot, and round r+2 — which
-	// reuses this one — starts only after every peer's round r+1 message has
-	// arrived, which each peer sends only after its round r exchange has
-	// copied this task's round r message out.
+	// message out before the next pass reuses the buffer. (A real MPI
+	// transfer copies on the wire; this is the in-process equivalent of
+	// waiting on the sends.) Earlier rounds need no barrier: round r+1
+	// writes the other generation slot, and round r+2 — which reuses this
+	// one — starts only after every peer's round r+1 message has arrived,
+	// which each peer sends only after its round r exchange has copied this
+	// task's round r message out.
 	if last {
 		st.t.Barrier()
 	}
@@ -198,123 +193,212 @@ func (st *taskState) exchange(s int, sink tupleSink, gl genLayout, rl recvLayout
 	return mismatch
 }
 
-// partitionSink keeps a pass's received tuples in RAM: the exchange lands
-// each message at its planned offset in kmerIn, and seal sorts them into
-// kmerOut's T thread partitions, which LocalCC then reads in place.
-type partitionSink struct {
-	st *taskState
-	in *tupleBuf // kmerIn: the receive buffer, then the radix sort's scratch
+// binSink keeps a pass's received tuples in RAM, already in m-mer bin
+// order: one receive buffer holds a slot per (bin, source task), bin-major,
+// sized at open from the chunk histograms of every source's pass chunks
+// (§3.3's receive offsets, refined from tasks to bins). A bin therefore
+// holds its tuples in source-rank order and, within a source, in chunk
+// order — the arrival order LocalSort's stable sort preserves for equal
+// keys. receive scatters each message into its slots (the range partition
+// of §3.4, done on arrival), and seal only has to sort each bin in place.
+type binSink struct {
+	st  *taskState
+	buf *tupleBuf // the receive buffer, every slot of the largest pass
+	P   int
+	// binLo is the task's first bin in the open pass, nb its bin count.
+	binLo, nb int
+	shift     uint
+	// off[(b-binLo)*P+src] is where slot (b, src) starts, off[nb*P] the
+	// end of the last one; cur is each slot's write cursor.
+	off, cur []uint64
+	// cnt[w] is receive worker w's per-bin tuple count over its share of
+	// a message, then its exclusive scatter cursors.
+	cnt [][]uint64
+	// sorters are LocalSort's per-thread bin sorters, their scratch sized
+	// to the largest bin, of largest tuples.
+	sorters []radix.BinSorter
+	largest uint64
 }
 
-func (ps *partitionSink) open(int) error { return nil }
+// recvMinPerWorker is the message share below which receive does not add a
+// scatter worker: a goroutine hand-off costs more than scattering a few
+// thousand tuples.
+const recvMinPerWorker = 1 << 14
 
-func (ps *partitionSink) receive(off uint64, m tupleMsg) uint64 {
-	return ps.in.receive(off, m)
-}
-
-// seal sorts the pass (the prefilter's dynamic counts take the counting-
-// scan layout) and returns a zero-copy view of each sorted partition.
-func (ps *partitionSink) seal(s int, rl recvLayout) ([]*groupSource, error) {
-	st := ps.st
-	var sl sortLayout
-	if st.keep != nil {
-		sl = ps.sortLayoutFiltered(s, rl)
-	} else {
-		sl = st.p.sortLayout(s, st.rank, rl)
+// newBinSink allocates the receive buffer, the slot and cursor tables for
+// the widest bin range any pass gives this task, and the bin sorters.
+func newBinSink(st *taskState) *binSink {
+	pl, T := st.p, st.p.cfg.Threads
+	bs := &binSink{
+		st:      st,
+		buf:     pl.cfg.acquireTupleBuf(pl.recvTuples[st.rank], !pl.use64()),
+		P:       pl.cfg.Tasks,
+		shift:   2 * uint(pl.idx.Opts.K-pl.idx.Opts.M),
+		cnt:     make([][]uint64, T),
+		sorters: make([]radix.BinSorter, T),
 	}
-	ps.localSort(s, sl)
-	srcs := make([]*groupSource, len(sl.partOff))
-	for d := range srcs {
-		srcs[d] = &groupSource{buf: st.out, pos: sl.partOff[d], end: sl.partOff[d] + sl.partCnt[d]}
+	var bins int
+	for s := 0; s < pl.cfg.Passes; s++ {
+		lo, hi := pl.pt.TaskRange(s, st.rank)
+		bins = max(bins, hi-lo)
+		for _, c := range pl.idx.MerHist[lo:hi] {
+			bs.largest = max(bs.largest, c)
+		}
 	}
-	return srcs, nil
+	bs.off = make([]uint64, bins*bs.P+1)
+	bs.cur = make([]uint64, bins*bs.P)
+	for w := range bs.cnt {
+		bs.cnt[w] = make([]uint64, bins)
+	}
+	for d := range bs.sorters {
+		bs.sorters[d].Grow(int(bs.largest), !pl.use64())
+	}
+	return bs
 }
 
-func (ps *partitionSink) memBytes() int64 { return ps.in.memBytes() }
+// open lays out pass s's slots: each source's chunk histograms over the
+// task's bin range give every slot's size, and an exclusive prefix sum
+// over (bin, source) order its offset.
+func (bs *binSink) open(s int) error {
+	pl := bs.st.p
+	lo, hi := pl.pt.TaskRange(s, bs.st.rank)
+	bs.binLo, bs.nb = lo, hi-lo
+	n := bs.nb * bs.P
+	off := bs.off[:n+1]
+	clear(off)
+	for src := 0; src < bs.P; src++ {
+		for _, ci := range pl.taskChunks[src] {
+			for b, c := range pl.idx.Chunks[ci].Hist[lo:hi] {
+				off[b*bs.P+src+1] += uint64(c)
+			}
+		}
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	if off[n] > uint64(len(bs.buf.lo)) {
+		return fmt.Errorf("core: task %d pass %d: chunk histograms promise %d tuples, the index's m-mer histogram %d — index corrupt?",
+			bs.st.rank, s, off[n], len(bs.buf.lo))
+	}
+	copy(bs.cur, off[:n])
+	return nil
+}
 
-func (ps *partitionSink) cleanup() { ps.st.p.cfg.releaseTupleBuf(ps.in) }
+// receive scatters message m from task src into its (bin, src) slots: W
+// workers each count the bins of a contiguous share of m, a serial prefix
+// over (bin, worker) turns the counts into exclusive write cursors — and
+// checks that no slot would overflow before any tuple moves — and the
+// workers then scatter their shares through their own cursors. Shares are
+// scattered in message order, so a slot fills in arrival order.
+func (bs *binSink) receive(src int, m tupleMsg) error {
+	n := len(m.lo)
+	if n == 0 {
+		return nil
+	}
+	W := min(len(bs.cnt), max(1, n/recvMinPerWorker))
+	nb, binLo, shift := bs.nb, bs.binLo, bs.shift
+	k, mm := bs.st.p.idx.Opts.K, bs.st.p.idx.Opts.M
+	wide := m.hi != nil
+	par.Run(W, func(w int) {
+		lo, hi := par.Block(n, W, w)
+		c := bs.cnt[w][:nb]
+		clear(c)
+		if wide {
+			for i := lo; i < hi; i++ {
+				c[binOf128(m.hi[i], m.lo[i], k, mm)-binLo]++
+			}
+			return
+		}
+		for _, key := range m.lo[lo:hi] {
+			c[int(key>>shift)-binLo]++
+		}
+	})
+	for b := 0; b < nb; b++ {
+		slot := b*bs.P + src
+		pos := bs.cur[slot]
+		for w := 0; w < W; w++ {
+			c := bs.cnt[w][b]
+			bs.cnt[w][b] = pos
+			pos += c
+		}
+		if pos > bs.off[slot+1] {
+			return fmt.Errorf("core: task %d: bin %d receives more than the %d tuples the index predicts from task %d — %w",
+				bs.st.rank, binLo+b, bs.off[slot+1]-bs.off[slot], src, errStaleIndex)
+		}
+		bs.cur[slot] = pos
+	}
+	buf := bs.buf
+	par.Run(W, func(w int) {
+		lo, hi := par.Block(n, W, w)
+		c := bs.cnt[w]
+		if wide {
+			for i := lo; i < hi; i++ {
+				b := binOf128(m.hi[i], m.lo[i], k, mm) - binLo
+				j := c[b]
+				c[b] = j + 1
+				buf.hi[j], buf.lo[j], buf.val[j] = m.hi[i], m.lo[i], m.val[i]
+			}
+			return
+		}
+		vals := m.val[lo:hi]
+		for i, key := range m.lo[lo:hi] {
+			b := int(key>>shift) - binLo
+			j := c[b]
+			c[b] = j + 1
+			buf.lo[j], buf.val[j] = key, vals[i]
+		}
+	})
+	return nil
+}
 
-// localSort runs the two stages of §3.4 on the received tuples: a parallel
-// range partition of kmerIn into T thread partitions of kmerOut (each
-// (source region, destination partition) cell writing through its own
-// precomputed cursor), then T concurrent serial radix sorts, one partition
-// per thread, with kmerIn as the out-of-place scratch.
-func (ps *partitionSink) localSort(s int, sl sortLayout) {
-	st := ps.st
-	T := st.p.cfg.Threads
-	nr := len(sl.regionOff)
-
+// seal is LocalSort (§3.4) over bins that are already in place: each
+// LocalCC thread walks its contiguous bin range, first closing the gaps
+// the prefilter left at the end of each slot (a no-op on exact passes,
+// where every slot is full), then sorting the bin in place. It returns a
+// zero-copy view of each thread's now sorted range.
+func (bs *binSink) seal(s int) ([]*groupSource, error) {
+	st := bs.st
 	t0 := time.Now()
-	obs := st.obs
-	// Stage 1: partition. Work units are the P×T source regions of kmerIn.
-	lut, binLo := st.p.threadLUT(s, st.rank)
-	par.For(T, nr, func(r int) {
-		cursor := make([]uint64, T)
-		copy(cursor, sl.scatter[r*T:(r+1)*T])
-		off, cnt := sl.regionOff[r], sl.regionCnt[r]
-		in, out := ps.in, st.out
-		if in.wide() {
-			for i := off; i < off+cnt; i++ {
-				d := lut[binOf128(in.hi[i], in.lo[i], st.p.idx.Opts.K, st.p.idx.Opts.M)-binLo]
-				j := cursor[d]
-				cursor[d]++
-				out.moveTuple(j, in, i)
+	cuts := st.p.pt.ThreadCuts(s, st.rank)
+	srcs := make([]*groupSource, len(cuts)-1)
+	buf, P := bs.buf, bs.P
+	wide := buf.wide()
+	par.Run(len(srcs), func(d int) {
+		b0, b1 := cuts[d]-bs.binLo, cuts[d+1]-bs.binLo
+		start := bs.off[b0*P]
+		w := start
+		for b := b0; b < b1; b++ {
+			bin := w
+			for slot := b * P; slot < (b+1)*P; slot++ {
+				n := bs.cur[slot] - bs.off[slot]
+				if w != bs.off[slot] {
+					buf.copyRange(w, buf, bs.off[slot], n)
+				}
+				w += n
 			}
-		} else {
-			k, m := st.p.idx.Opts.K, st.p.idx.Opts.M
-			shift := 2 * uint(k-m)
-			for i := off; i < off+cnt; i++ {
-				d := lut[int(in.lo[i]>>shift)-binLo]
-				j := cursor[d]
-				cursor[d]++
-				out.moveTuple(j, in, i)
+			if wide {
+				bs.sorters[d].Sort128(buf.hi[bin:w], buf.lo[bin:w], buf.val[bin:w], bs.shift)
+			} else {
+				bs.sorters[d].Sort64(buf.lo[bin:w], buf.val[bin:w], bs.shift)
 			}
 		}
+		srcs[d] = &groupSource{buf: buf, pos: start, end: w}
 	})
-	t1 := time.Now()
-	obs.RecordSpan(st.rank, obsv.TidSteps, "detail", "sort-partition", t0, t1.Sub(t0), nil)
-	// Stage 2: per-thread serial radix sort of each partition, scratch in
-	// the (now consumed) kmerIn. Each partition's bin range bounds its key
-	// range, and merHist holds its exact per-bin counts (every tuple whose
-	// bin falls in a thread range is routed here), so the sort skips the
-	// passes the partitioning already decided.
-	shift := 2 * uint(st.p.idx.Opts.K-st.p.idx.Opts.M)
-	par.Run(T, func(d int) {
-		binCounts := st.p.idx.MerHist[sl.partBinLo[d]:sl.partBinHi[d]]
-		if st.keep != nil {
-			// MerHist describes the unfiltered tuple stream; under the
-			// prefilter the radix sort falls back to its counting path.
-			binCounts = nil
-		}
-		kr := keyRange{
-			binLo:     sl.partBinLo[d],
-			binHi:     sl.partBinHi[d],
-			shift:     shift,
-			binCounts: binCounts,
-		}
-		st.out.sortRange(sl.partOff[d], sl.partCnt[d], kr, ps.in)
-	})
-	obs.RecordSpan(st.rank, obsv.TidSteps, "detail", "sort-radix", t1, time.Since(t1), nil)
 	d := time.Since(t0)
 	st.rep.Steps.LocalSort += d
 	st.stepSpan("LocalSort", t0, d)
+	return srcs, nil
 }
 
-// threadLUT is pass s's bin → LocalSort thread map over task rank's bin
-// range, lut[bin-binLo] (the same shape as KmerGen's owner table), filled
-// by walking the cut list once — cuts are contiguous and ordered, so each
-// thread's bin range [cuts[d], cuts[d+1]) is one contiguous fill.
-func (p *plan) threadLUT(s, rank int) (lut []uint16, binLo int) {
-	thrCuts := p.pt.ThreadCuts(s, rank)
-	binLo = thrCuts[0]
-	lut = make([]uint16, thrCuts[len(thrCuts)-1]-binLo)
-	for d := 0; d < len(thrCuts)-1; d++ {
-		for b := thrCuts[d] - binLo; b < thrCuts[d+1]-binLo; b++ {
-			lut[b] = uint16(d)
-		}
-	}
-	return lut, binLo
+// memBytes charges the receive buffer, the slot and cursor tables and the
+// bin sorters' scratch.
+func (bs *binSink) memBytes() int64 {
+	tables := len(bs.off) + len(bs.cur) + len(bs.cnt)*len(bs.cnt[0])
+	scratch := int64(len(bs.sorters)) * int64(bs.largest*bs.st.p.bytesPerTuple())
+	return bs.buf.memBytes() + 8*int64(tables) + scratch
 }
+
+func (bs *binSink) cleanup() { bs.st.p.cfg.releaseTupleBuf(bs.buf) }
 
 // binOf128 extracts the m-mer prefix bin from a packed 128-bit key.
 func binOf128(hi, lo uint64, k, m int) int {
@@ -329,12 +413,12 @@ func binOf128(hi, lo uint64, k, m int) int {
 }
 
 // groupSource is one LocalCC thread's key-ordered tuple stream, yielded as
-// equal-key groups: either a zero-copy view of a sorted kmerOut partition
+// equal-key groups: either a zero-copy view of a sorted receive-buffer range
 // or, when sp is set, a loser-tree merge of segment d of every spilled run,
 // whose group values are buffered in one reused slice. Both walks are plain
 // loops over concrete types; a group costs one direct call.
 type groupSource struct {
-	// buf[pos:end) is the sorted partition (in-RAM sources).
+	// buf[pos:end) is the sorted range (in-RAM sources).
 	buf      *tupleBuf
 	pos, end uint64
 

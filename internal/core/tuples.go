@@ -55,9 +55,8 @@ func (b *tupleBuf) set(i uint64, hi, lo uint64, val uint32) {
 	}
 }
 
-// copyRange copies cnt tuples from src[srcOff:] into b[dstOff:]. It is the
-// receive side of the tuple exchange: the "transfer" of a message into the
-// receiver's kmerIn buffer at its precomputed offset.
+// copyRange copies cnt tuples from src[srcOff:] into b[dstOff:]; the
+// ranges may overlap.
 func (b *tupleBuf) copyRange(dstOff uint64, src *tupleBuf, srcOff, cnt uint64) {
 	copy(b.lo[dstOff:dstOff+cnt], src.lo[srcOff:srcOff+cnt])
 	copy(b.val[dstOff:dstOff+cnt], src.val[srcOff:srcOff+cnt])
@@ -66,38 +65,21 @@ func (b *tupleBuf) copyRange(dstOff uint64, src *tupleBuf, srcOff, cnt uint64) {
 	}
 }
 
-// moveTuple copies tuple src[i] to b[j].
-func (b *tupleBuf) moveTuple(j uint64, src *tupleBuf, i uint64) {
-	b.lo[j] = src.lo[i]
-	b.val[j] = src.val[i]
-	if b.hi != nil {
-		b.hi[j] = src.hi[i]
-	}
-}
-
-// keyRange bounds the packed keys of one LocalSort thread partition: every
-// key's m-mer prefix bin (key >> shift) lies in [binLo, binHi), so the bits
+// keyRange bounds the packed keys of one spill run: every key's m-mer
+// prefix bin (key >> shift) lies in the task's [binLo, binHi), so the bits
 // above the highest bit the range leaves free never need a radix pass.
-// binCounts, when non-nil, is the global per-bin tuple count slice
-// (merHist[binLo:binHi]) — the exact MSD histogram the index tables already
-// hold, letting the sort scatter into bin order without a counting scan.
 type keyRange struct {
 	binLo, binHi int
 	// shift is the bit position of the bin field: 2(k-m).
-	shift     uint
-	binCounts []uint64
+	shift uint
 }
 
-// sortRange sorts tuples [off, off+cnt) by key ascending using the serial
-// out-of-place radix sort of §3.4, with the corresponding range of scratch
-// as the ping-pong buffer (the pipeline passes kmerIn here, reusing the
-// exchange buffer exactly as the paper does). kr bounds the keys in the
-// range: the sort works only on the bits the partitioning has not already
-// decided (a canonical k-mer has 2k significant bits, and the partition's
-// bin range pins the high-order ones). With exact per-bin counts (the in-RAM
-// partition) one count-free scatter puts the keys in bin order and the
-// MSD-first kernel finishes each bin; without them (a spill run) that kernel
-// sorts the whole range, most-significant digit first.
+// sortRange sorts tuples [off, off+cnt) by key ascending, with the same
+// range of scratch as the ping-pong buffer. kr bounds the keys in the
+// range: the sort works only on the bits the bin range has not already
+// decided (a canonical k-mer has 2k significant bits, and the range pins
+// the high-order ones) — MSD-first for 64-bit keys, LSD over the computed
+// digit count for 128-bit ones.
 func (b *tupleBuf) sortRange(off, cnt uint64, kr keyRange, scratch *tupleBuf) {
 	if cnt < 2 {
 		return
@@ -116,10 +98,6 @@ func (b *tupleBuf) sortRange(off, cnt uint64, kr keyRange, scratch *tupleBuf) {
 		}
 		maxLo--
 		radix.SortPairs128Range(hi, lo, val, sHi, sLo, sVal, minHi, minLo, maxHi, maxLo)
-		return
-	}
-	if kr.binCounts != nil &&
-		radix.SortPairs64Binned(lo, val, sLo, sVal, kr.shift, kr.binLo, kr.binCounts) {
 		return
 	}
 	minK := uint64(kr.binLo) << kr.shift
@@ -168,7 +146,8 @@ func (m tupleMsg) slice(a, b uint64) tupleMsg {
 	return s
 }
 
-// receive copies a message into b at dstOff and returns the tuple count.
+// receive copies a message into b at dstOff and returns the tuple count:
+// how a spill run builder lands a message.
 func (b *tupleBuf) receive(dstOff uint64, m tupleMsg) uint64 {
 	cnt := uint64(len(m.lo))
 	copy(b.lo[dstOff:dstOff+cnt], m.lo)

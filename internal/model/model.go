@@ -58,6 +58,9 @@ type Workload struct {
 	// ChunkBytes the size of one FASTQ chunk, for the memory model.
 	IndexBytes int64
 	ChunkBytes int64
+	// Bins is the m-mer bin count 4^m, which sizes the in-RAM receive
+	// buffer's slot and cursor tables. 0 leaves them out of the model.
+	Bins int64
 	// NonSingletonFrac is f, the fraction of reads whose parent pointer is
 	// non-trivial by merge time — the entries a sparse or delta payload must
 	// carry. 0 means unknown and is treated as 1.0 (every read shares a
@@ -95,6 +98,7 @@ func FromIndex(idx *index.Index) Workload {
 		TupleBytes: tb,
 		IndexBytes: idx.MemoryBytes(),
 		ChunkBytes: chunk,
+		Bins:       int64(idx.Opts.Bins()),
 	}
 }
 
@@ -139,6 +143,7 @@ func PaperWorkload(name string) Workload {
 		// worked example: ≈6 GB for IS's 1536 chunks).
 		IndexBytes: 4<<20 + chunks*(4<<20),
 		ChunkBytes: disk / chunks,
+		Bins:       1 << 20,
 	}
 }
 
@@ -591,38 +596,56 @@ func MergeWireBytes(w Workload, c Cluster) int64 {
 }
 
 // MemoryPerTask evaluates §3.7's per-task memory inventory in bytes:
-// index tables + T chunk buffers + kmerOut + kmerIn + p + p′. With a spill
-// budget that a pass's received partition would exceed, resident tuple
-// memory is what core allocates out of core: three run builders of
-// budget/4 plus a generation buffer of two slots, each holding a round of
-// chunks — budget/8 each, or one chunk's pass share of the tuples when a
-// single chunk holds more (the chunk floor). A prefilter adds its ladder
-// (BitsPerKmer per enumerated k-mer) but scales the resident in-RAM tuple
-// buffers by the keep fraction — the trade the low-memory mode exists for.
+// index tables + T chunk buffers + the resident tuple memory (tupleBytes)
+// + p + p′. A prefilter adds its ladder (BitsPerKmer per enumerated k-mer)
+// but scales the resident in-RAM tuple buffers by the keep fraction — the
+// trade the low-memory mode exists for.
 func MemoryPerTask(w Workload, c Cluster) int64 {
-	tuples := int64(float64(w.Tuples) * c.prefilterKeepFrac(w))
-	tuples = tuples / int64(c.P) / int64(c.S)
-	tupleBytes := 2 * int64(w.TupleBytes) * tuples
-	// The spill decision sees the unfiltered partition, as core's plan does.
-	if b := c.SpillBudgetBytes; b > 0 && w.Tuples/int64(c.P)/int64(c.S)*int64(w.TupleBytes) > b {
-		tupleBytes = b - b/4 + max(b/4, 2*w.chunkPassBytes(c.S))
-	}
 	return w.IndexBytes +
 		int64(c.T)*w.ChunkBytes +
-		tupleBytes +
+		tupleBytes(w, c) +
 		c.prefilterBytes(w) +
 		8*w.Reads
 }
 
-// chunkPassBytes estimates one chunk's share of a pass's tuple bytes: the
-// smallest generation slot a spilling round can have, since rounds are
-// whole chunks.
-func (w Workload) chunkPassBytes(S int) int64 {
+// tupleBytes is a task's resident tuple memory. In RAM it is one receive
+// buffer holding a pass's received tuples, two generation slots and the
+// bin-sort tables: the slots hold rounds of whole chunks up to 1/16 of the
+// receive buffer each, but at least T chunks (the chunk floor); the slot
+// offsets and cursors cost 8 bytes per (bin, source) each and the T receive
+// workers' cursors 8 bytes per bin each; each LocalSort thread's scratch
+// holds one bin (the model charges the mean bin). With a spill budget that a pass's
+// received partition would exceed it is what core allocates out of core:
+// three run builders of budget/4 plus two generation slots of budget/8, or
+// one chunk's pass share of the tuples each when a single chunk holds more.
+func tupleBytes(w Workload, c Cluster) int64 {
+	tb := int64(w.TupleBytes)
+	// The spill decision sees the unfiltered partition, as core's plan does.
+	if b := c.SpillBudgetBytes; b > 0 && w.Tuples/int64(c.P)/int64(c.S)*tb > b {
+		return b - b/4 + max(b/4, 2*w.chunkPassTuples(c.S)*tb)
+	}
+	recv := int64(float64(w.Tuples)*c.prefilterKeepFrac(w)) / int64(c.P) / int64(c.S)
+	slot := recv / 16
+	if chunk := w.chunkPassTuples(c.S); chunk > 0 {
+		slot = min(recv, max(int64(c.T), slot/chunk)*chunk)
+	}
+	var tables, scratch int64
+	if w.Bins > 0 {
+		bins := w.Bins / int64(c.P) / int64(c.S)
+		tables = 8 * int64(2*c.P+c.T) * bins
+		scratch = int64(c.T) * (w.Tuples / w.Bins) * tb
+	}
+	return tb*(recv+2*slot) + tables + scratch
+}
+
+// chunkPassTuples estimates one chunk's share of a pass's tuples: the
+// smallest generation slot a round can have, since rounds are whole
+// chunks.
+func (w Workload) chunkPassTuples(S int) int64 {
 	if w.DiskBytes <= 0 {
 		return 0
 	}
-	return int64(float64(w.Tuples) * float64(w.ChunkBytes) / float64(w.DiskBytes) /
-		float64(S) * float64(w.TupleBytes))
+	return int64(float64(w.Tuples) * float64(w.ChunkBytes) / float64(w.DiskBytes) / float64(S))
 }
 
 // PrefilterCrossover returns the minimum SingletonKmerFrac at which the

@@ -347,10 +347,15 @@ func TestPredictSpillKnobs(t *testing.T) {
 	spill.SpillBudgetBytes = passBytes / 8
 
 	// The memory model honors the cap: resident tuple bytes stop growing at
-	// the budget while the in-RAM inventory keeps the full working set.
+	// the budget while the in-RAM inventory keeps the full working set — a
+	// receive buffer for the whole pass plus the generation slots.
 	memRAM := MemoryPerTask(w, base)
 	memSpill := MemoryPerTask(w, spill)
-	wantDrop := 2*int64(w.TupleBytes)*(w.Tuples/int64(base.P)) - spill.SpillBudgetBytes
+	recvBytes := int64(w.TupleBytes) * (w.Tuples / int64(base.P))
+	if ram := tupleBytes(w, base); ram <= recvBytes {
+		t.Errorf("in-RAM tuple bytes %d do not exceed one receive buffer of %d", ram, recvBytes)
+	}
+	wantDrop := tupleBytes(w, base) - spill.SpillBudgetBytes
 	if memRAM-memSpill != wantDrop {
 		t.Errorf("MemoryPerTask spill cap: got %d, want %d less than %d", memSpill, wantDrop, memRAM)
 	}

@@ -165,6 +165,10 @@ type Task struct {
 	commTime time.Duration
 	// bytesSent accumulates payload bytes this task sent to other ranks.
 	bytesSent int64
+	// stageBytes[i] is the traced AllToAll's stage-i volume counter,
+	// resolved on the first traced call so that later calls format no
+	// counter names.
+	stageBytes []*obsv.Counter
 }
 
 // Rank returns this task's rank in [0, Size).
@@ -338,22 +342,34 @@ func (w *World) RunContext(ctx context.Context, body func(t *Task) error) error 
 // P. Stage 0 is the self-exchange. send must return the payload and wire
 // size destined for dst; recv consumes the payload that arrived from src.
 //
-// The schedule serializes a task's stages, exactly like the paper's
-// implementation, so each task's modeled communication time is the sum of
-// its per-stage transfer costs.
+// Every stage's message is posted before the first receive, as with one
+// nonblocking send per stage: a rank's peers get its data as soon as it is
+// ready, not only after it has consumed its own earlier stages, so a slow
+// recv never holds up the peers. A send cannot block here, because a pair
+// has at most two all-to-all messages in flight (a rank finishes a call
+// only after every peer has posted its messages for it) and its channel
+// holds eight. Receives run in stage order, and each task's modeled
+// communication time is still the sum of its per-stage transfer costs.
 func (t *Task) AllToAll(tag int, send func(dst int) (any, int), recv func(src int, payload any)) {
 	p := t.world.p
-	obs := t.world.obs
+	if obs := t.world.obs; obs != nil && t.stageBytes == nil {
+		// Per-stage volume: the skew across stages is the §3.3 all-to-all's
+		// load-imbalance signal (cf. Fig. 8).
+		t.stageBytes = make([]*obsv.Counter, p)
+		for i := range t.stageBytes {
+			t.stageBytes[i] = obs.Counter(t.rank, fmt.Sprintf("alltoall/stage%03d/bytes", i))
+		}
+	}
 	for i := 0; i < p; i++ {
 		dst := (t.rank + i) % p
-		src := (t.rank - i + p) % p
 		payload, bytes := send(dst)
 		t.Send(dst, tag, payload, bytes)
-		if obs != nil {
-			// Per-stage volume: the skew across stages is the §3.3
-			// all-to-all's load-imbalance signal (cf. Fig. 8).
-			obs.Counter(t.rank, fmt.Sprintf("alltoall/stage%03d/bytes", i)).Add(uint64(bytes))
+		if t.stageBytes != nil {
+			t.stageBytes[i].Add(uint64(bytes))
 		}
+	}
+	for i := 0; i < p; i++ {
+		src := (t.rank - i + p) % p
 		recv(src, t.Recv(src, tag))
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"metaprep/internal/obsv"
 )
 
 func TestSendRecv(t *testing.T) {
@@ -258,5 +260,38 @@ func TestRunAbortReportsPeerFailure(t *testing.T) {
 	})
 	if err == nil || err.Error() != "root cause" {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestAllToAllTracedAllocs pins a traced AllToAll to the allocations of
+// its point-to-point messages alone: the per-stage volume counters are
+// resolved once per task, so a call formats no counter names. The ring
+// collector holds the spans in fixed storage, so the two measurements
+// differ only by what AllToAll itself allocates.
+func TestAllToAllTracedAllocs(t *testing.T) {
+	w := NewWorld(1, nil)
+	obs := obsv.NewRing(64)
+	w.SetCollector(obs)
+	payload := any(&struct{}{})
+	err := w.Run(func(task *Task) error {
+		send := func(int) (any, int) { return payload, 1000 }
+		recv := func(int, any) {}
+		task.AllToAll(1, send, recv) // resolves the stage counters
+		collective := testing.AllocsPerRun(50, func() { task.AllToAll(1, send, recv) })
+		p2p := testing.AllocsPerRun(50, func() {
+			task.Send(0, 1, payload, 1000)
+			task.Recv(0, 1)
+		})
+		if collective != p2p {
+			return fmt.Errorf("traced AllToAll: %.0f allocations per call, its messages alone %.0f", collective, p2p)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One priming call, then AllocsPerRun's warm-up call and 50 runs.
+	if got := obs.Counter(0, "alltoall/stage000/bytes").Value(); got != 52*1000 {
+		t.Errorf("stage counter = %d, want %d", got, 52*1000)
 	}
 }

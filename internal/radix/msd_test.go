@@ -196,39 +196,33 @@ func TestSortPairs64RangeAllocs(t *testing.T) {
 	}
 }
 
-// TestSortPairs64BinnedAllocs pins SortPairs64Binned's finish loop to zero
-// allocations per bin: sorting 64 times as many bins of the same size costs
-// no more allocations, and a warm sorter costs none at all.
-func TestSortPairs64BinnedAllocs(t *testing.T) {
+// TestBinSorterAllocs pins the per-bin entry points to zero allocations on
+// a warm sorter, at both key widths and for bins that reach the scatter
+// levels: LocalSort sorts tens of thousands of bins per pass.
+func TestBinSorterAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
-	const shift, perBin = 38, 300 // bins long enough to reach the scatter levels
-	binned := func(bins int) float64 {
-		n := bins * perBin
-		keys, vals, counts := binnedInput(rng, n, shift, 0, bins)
-		src := append([]uint64(nil), keys...)
-		tmpK, tmpV := make([]uint64, n), make([]uint32, n)
-		return testing.AllocsPerRun(3, func() {
-			copy(keys, src)
-			if !SortPairs64Binned(keys, vals, tmpK, tmpV, shift, 0, counts) {
-				t.Fatal("rejected consistent counts")
+	const n = 3000 // about the largest bin of the benchmark's dataset
+	for _, c := range []struct {
+		wide bool
+		sig  uint
+	}{{false, 38}, {true, 40}, {true, 94}} {
+		srcHi, srcLo, srcV := binInput(rng, n, c.sig)
+		hi, lo, vals := make([]uint64, n), make([]uint64, n), make([]uint32, n)
+		var bs BinSorter
+		run := func() {
+			copy(hi, srcHi)
+			copy(lo, srcLo)
+			copy(vals, srcV)
+			if c.wide {
+				bs.Sort128(hi, lo, vals, c.sig)
+			} else {
+				bs.Sort64(lo, vals, c.sig)
 			}
-		})
-	}
-	if few, many := binned(30), binned(30*64); many > few {
-		t.Errorf("%.0f allocations for 1920 bins, %.0f for 30: the finish loop allocates per bin", many, few)
-	}
-
-	min, max := rangeOf(0, shift)
-	src := dup7Keys(rng, perBin, min, max)
-	keys, vals := make([]uint64, perBin), indexVals(perBin)
-	tmpK, tmpV := make([]uint64, perBin), make([]uint32, perBin)
-	var s sorter64
-	s.sort(append([]uint64(nil), src...), vals, tmpK, tmpV, shift, 0, true)
-	if allocs := testing.AllocsPerRun(10, func() {
-		copy(keys, src)
-		s.sort(keys, vals, tmpK, tmpV, shift, 0, false)
-	}); allocs != 0 {
-		t.Errorf("warm sorter: %.0f allocations per bin, want 0", allocs)
+		}
+		run() // warm: scratch and per-level bucket arrays
+		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+			t.Errorf("wide=%v sig=%d: %.0f allocations per bin on a warm sorter, want 0", c.wide, c.sig, allocs)
+		}
 	}
 }
 

@@ -17,11 +17,10 @@
 // from the [min, max] key interval instead of always sweeping all 16 bytes.
 // SortPairs64Range sorts the undetermined bits most-significant digit
 // first, so that everything after the first scatter happens inside one
-// cache-resident bucket (sorter64). SortPairs64Binned goes further: given
-// exact per-bin tuple counts (the index's merHist slice), it scatters the
-// keys into bin order without any counting scan and then finishes each bin
-// with the same MSD-first kernel over the low-order bits the binning left
-// unsorted.
+// cache-resident bucket (sorter64). BinSorter goes further: the pipeline
+// receives its tuples straight into m-mer bin order, so LocalSort only has
+// to finish each bin in place, over the low-order bits the bin leaves
+// undetermined, with scratch the size of one bin.
 package radix
 
 import "math/bits"
@@ -84,7 +83,7 @@ const msdMaxDigit = 11
 // each bucket's result belongs on, so there is no copy-back pass.
 //
 // The value holds one bucket-boundary array per recursion level, grown on
-// first use, so a caller that sorts many ranges (SortPairs64Binned's bins)
+// first use, so a caller that sorts many ranges (BinSorter's bins)
 // allocates for the first few and never again. Not safe for concurrent use.
 type sorter64 struct {
 	// ≤ 16 scatter levels: each consumes at least 4 of 64 bits.
@@ -164,70 +163,54 @@ func SortPairs128Range(hi, lo []uint64, vals []uint32, tmpHi, tmpLo []uint64, tm
 	SortPairs128(hi, lo, vals, tmpHi, tmpLo, tmpV, passes)
 }
 
-// SortPairs64Binned sorts keys whose high field key>>shift is an m-mer bin
-// in [binLo, binLo+len(binCounts)) with exactly binCounts[b-binLo] keys per
-// bin b — the per-partition guarantee the METAPREP index tables provide.
-// The counts replace the counting scan of an MSD pass: keys are scattered
-// straight into bin order (a stable single pass with precomputed offsets)
-// and each bin's run is then finished over only the shift low-order bits
-// the binning leaves undetermined. The result is identical to a stable LSD
-// sort of the full keys.
-//
-// It returns false without modifying keys or vals when the counts do not
-// describe the input (wrong sum, an out-of-range bin, or a per-bin
-// mismatch), so callers can fall back to a range sort; tmpK and tmpV may
-// hold garbage in that case.
-func SortPairs64Binned(keys []uint64, vals []uint32, tmpK []uint64, tmpV []uint32,
-	shift uint, binLo int, binCounts []uint64) bool {
+// BinSorter sorts the tuples of one m-mer bin in place. Every key of a bin
+// agrees above its low sig bits (the bin field pins them), so only those
+// bits are sorted: 64-bit keys and 128-bit keys whose sig bits fit the low
+// word go through the MSD-first kernel (sorter64), wider 128-bit bins
+// through SortPairs128 over ⌈sig/8⌉ digits. Every path is stable. The
+// scratch grows to the largest bin sorted so far (Grow presizes it), so a
+// warm sorter allocates nothing per bin. Not safe for concurrent use.
+type BinSorter struct {
+	s      sorter64
+	tk, th []uint64
+	tv     []uint32
+}
+
+// Grow presizes the scratch for bins of up to n tuples (wide: 128-bit keys).
+func (b *BinSorter) Grow(n int, wide bool) {
+	if len(b.tk) < n {
+		b.tk, b.tv = make([]uint64, n), make([]uint32, n)
+	}
+	if wide && len(b.th) < n {
+		b.th = make([]uint64, n)
+	}
+}
+
+// Sort64 sorts one bin of 64-bit keys, vals alongside, by their low sig
+// bits.
+func (b *BinSorter) Sort64(keys []uint64, vals []uint32, sig uint) {
 	n := len(keys)
-	var total uint64
-	for _, c := range binCounts {
-		total += c
-	}
-	if total != uint64(n) {
-		return false
-	}
 	if n < 2 {
-		return true
+		return
 	}
-	// Exclusive prefix offsets; start[b] is retained for the post-scatter
-	// verification while cur[b] advances.
-	start := make([]uint64, len(binCounts)+1)
-	cur := make([]uint64, len(binCounts))
-	var off uint64
-	for b, c := range binCounts {
-		start[b] = off
-		cur[b] = off
-		off += c
+	b.Grow(n, false)
+	b.s.sort(keys, vals[:n], b.tk[:n], b.tv[:n], sig, 0, true)
+}
+
+// Sort128 sorts one bin of 128-bit keys held as hi/lo words, vals
+// alongside, by their low sig bits.
+func (b *BinSorter) Sort128(hi, lo []uint64, vals []uint32, sig uint) {
+	n := len(lo)
+	if n < 2 {
+		return
 	}
-	start[len(binCounts)] = off
-	dstK, dstV := tmpK[:n], tmpV[:n]
-	for i, k := range keys {
-		b := int(k>>shift) - binLo
-		if b < 0 || b >= len(binCounts) {
-			return false
-		}
-		j := cur[b]
-		if j >= start[b+1] {
-			// More keys in this bin than promised: the counts are stale.
-			return false
-		}
-		cur[b]++
-		dstK[j] = k
-		dstV[j] = vals[i]
+	if sig <= 64 {
+		// The hi words are all equal: the bin is a 64-bit sort of lo.
+		b.Sort64(lo, vals, sig)
+		return
 	}
-	// Finish each bin's run over the low shift bits, from the scatter's
-	// side back into keys/vals. The kernel is stable, so the overall order
-	// matches a full stable LSD sort; one sorter serves every bin, so the
-	// loop does not allocate per bin.
-	var s sorter64
-	for b := range binCounts {
-		lo, hi := start[b], start[b+1]
-		if hi > lo {
-			s.sort(dstK[lo:hi], dstV[lo:hi], keys[lo:hi], vals[lo:hi], shift, 0, false)
-		}
-	}
-	return true
+	b.Grow(n, true)
+	SortPairs128(hi, lo, vals, b.th[:n], b.tk[:n], b.tv[:n], int(sig+7)/8)
 }
 
 // insertionPairs64 is a stable insertion sort of a short key/value run.

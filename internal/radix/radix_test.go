@@ -1,6 +1,7 @@
 package radix
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -396,96 +397,154 @@ func TestSortPairs64RangePinnedHighBits(t *testing.T) {
 	checkSorted64(t, origK, origV, keys, vals)
 }
 
-// binnedInput builds keys whose top field (key >> shift) is a bin in
-// [binLo, binHi) together with the exact per-bin counts.
-func binnedInput(rng *rand.Rand, n int, shift uint, binLo, binHi int) ([]uint64, []uint32, []uint64) {
-	keys := make([]uint64, n)
-	vals := make([]uint32, n)
-	counts := make([]uint64, binHi-binLo)
+// binInput returns n tuples of one bin: 128-bit keys (hi, lo) that agree
+// above their low sig bits, drawn from n/7+1 distinct values so equal keys
+// are common, with the arrival index as payload. With sig ≤ 64 the hi words
+// are all equal; for a 64-bit bin use lo alone.
+func binInput(rng *rand.Rand, n int, sig uint) (hi, lo []uint64, vals []uint32) {
+	baseHi, baseLo := rng.Uint64(), rng.Uint64()
+	maskHi, maskLo := uint64(0), ^uint64(0)
+	if sig < 64 {
+		maskLo = uint64(1)<<sig - 1
+	} else if sig < 128 {
+		maskHi = uint64(1)<<(sig-64) - 1
+	}
+	distinct := make([][2]uint64, n/7+1)
+	for i := range distinct {
+		distinct[i] = [2]uint64{baseHi&^maskHi | rng.Uint64()&maskHi, baseLo&^maskLo | rng.Uint64()&maskLo}
+	}
+	hi, lo, vals = make([]uint64, n), make([]uint64, n), make([]uint32, n)
+	for i := range lo {
+		d := distinct[rng.Intn(len(distinct))]
+		hi[i], lo[i], vals[i] = d[0], d[1], uint32(i)
+	}
+	return hi, lo, vals
+}
+
+// TestBinSorter checks both entry points against a sort.SliceStable
+// (key, arrival) oracle on bins of 0, 1, 64 (the insertion leaf), 65 (the
+// first scatter) and 2¹⁵+1 tuples (past the in-cache digit width), one
+// sorter serving every bin as LocalSort's threads do.
+func TestBinSorter(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	type tuple struct {
+		hi, lo uint64
+		val    uint32
+	}
+	oracle := func(hi, lo []uint64, vals []uint32) []tuple {
+		ts := make([]tuple, len(lo))
+		for i := range ts {
+			ts[i] = tuple{lo: lo[i], val: vals[i]}
+			if hi != nil {
+				ts[i].hi = hi[i]
+			}
+		}
+		sort.SliceStable(ts, func(i, j int) bool {
+			if ts[i].hi != ts[j].hi {
+				return ts[i].hi < ts[j].hi
+			}
+			return ts[i].lo < ts[j].lo
+		})
+		return ts
+	}
+	check := func(name string, want []tuple, hi, lo []uint64, vals []uint32) {
+		t.Helper()
+		for i, w := range want {
+			got := tuple{lo: lo[i], val: vals[i]}
+			if hi != nil {
+				got.hi = hi[i]
+			}
+			if got != w {
+				t.Fatalf("%s: tuple %d = %+v, want %+v", name, i, got, w)
+			}
+		}
+	}
+	var bs BinSorter
+	for _, n := range []int{0, 1, 64, 65, 1<<15 + 1} {
+		for _, sig := range []uint{0, 10, 38, 54, 62} { // 54: a 27-mer at m = 0
+			_, lo, vals := binInput(rng, n, sig)
+			want := oracle(nil, lo, vals)
+			bs.Sort64(lo, vals, sig)
+			check(fmt.Sprintf("64-bit n=%d sig=%d", n, sig), want, nil, lo, vals)
+		}
+		for _, sig := range []uint{40, 64, 94, 110} { // 94: a 55-mer at m = 8
+			hi, lo, vals := binInput(rng, n, sig)
+			want := oracle(hi, lo, vals)
+			bs.Sort128(hi, lo, vals, sig)
+			check(fmt.Sprintf("128-bit n=%d sig=%d", n, sig), want, hi, lo, vals)
+		}
+	}
+}
+
+// binGrouped returns n 64-bit tuples of a partition's bins [binLo, binHi)
+// (bin field above the low shift bits, arrival index as payload) grouped by
+// bin in arrival order, as the exchange delivers them, with each bin's
+// count. keys and vals are the tuples before grouping.
+func binGrouped(rng *rand.Rand, n int, shift uint, binLo, binHi int) (keys []uint64, vals []uint32, gk []uint64, gv []uint32, counts []int) {
+	keys, vals = make([]uint64, n), make([]uint32, n)
+	counts = make([]int, binHi-binLo)
 	low := uint64(1)<<shift - 1
 	for i := range keys {
 		b := binLo + rng.Intn(binHi-binLo)
-		keys[i] = uint64(b)<<shift | (rng.Uint64() & low)
+		keys[i] = uint64(b)<<shift | rng.Uint64()&low
 		vals[i] = uint32(i)
 		counts[b-binLo]++
 	}
-	return keys, vals, counts
+	off := make([]int, len(counts))
+	for b := 1; b < len(counts); b++ {
+		off[b] = off[b-1] + counts[b-1]
+	}
+	gk, gv = make([]uint64, n), make([]uint32, n)
+	for i, k := range keys {
+		b := int(k>>shift) - binLo
+		gk[off[b]], gv[off[b]] = k, vals[i]
+		off[b]++
+	}
+	return keys, vals, gk, gv, counts
 }
 
+// TestSortPairs64Binned sorts a partition of 64-bit pairs bin by bin with
+// one BinSorter, as LocalSort does, and checks the partition against a
+// stable sort of the ungrouped tuples: few long bins, many short ones, the
+// whole key as the bin (k == m) and the maximal shift for 64-bit k-mers.
 func TestSortPairs64Binned(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
+	var bs BinSorter
 	for _, n := range []int{0, 1, 2, 33, 1000, 20000} {
 		for _, tc := range []struct {
 			shift        uint
 			binLo, binHi int
 		}{
-			{38, 0, 7},      // few bins → long runs (radix finishing path)
-			{38, 100, 5000}, // many bins → short runs (insertion path)
+			{38, 0, 7},      // few bins → long runs (scatter levels)
+			{38, 100, 5000}, // many bins → short runs (insertion leaf)
 			{0, 0, 256},     // k == m: the bin is the whole key
 			{60, 1, 3},      // maximal shift for 64-bit k-mers
 		} {
-			keys, vals, counts := binnedInput(rng, n, tc.shift, tc.binLo, tc.binHi)
-			origK := append([]uint64(nil), keys...)
-			origV := append([]uint32(nil), vals...)
-			if !SortPairs64Binned(keys, vals, make([]uint64, n), make([]uint32, n), tc.shift, tc.binLo, counts) {
-				t.Fatalf("n=%d shift=%d: binned sort rejected consistent counts", n, tc.shift)
+			keys, vals, gk, gv, counts := binGrouped(rng, n, tc.shift, tc.binLo, tc.binHi)
+			off := 0
+			for _, c := range counts {
+				bs.Sort64(gk[off:off+c], gv[off:off+c], tc.shift)
+				off += c
 			}
-			checkSorted64(t, origK, origV, keys, vals)
+			checkSorted64(t, keys, vals, gk, gv)
 		}
 	}
 }
 
+// TestSortPairs64BinnedStability pins that equal keys keep arrival order
+// within a bin, so the per-bin sort is interchangeable with a stable LSD
+// sort of the partition.
 func TestSortPairs64BinnedStability(t *testing.T) {
-	// Equal keys must keep input order through the scatter + finishing
-	// passes, so the binned path is interchangeable with a stable LSD sort.
-	keys := []uint64{5<<38 | 1, 1 << 38, 5<<38 | 1, 1 << 38, 5<<38 | 1}
-	vals := []uint32{0, 1, 2, 3, 4}
-	counts := []uint64{2, 0, 0, 0, 3} // bins 1..5
-	if !SortPairs64Binned(keys, vals, make([]uint64, 5), make([]uint32, 5), 38, 1, counts) {
-		t.Fatal("rejected consistent counts")
-	}
-	wantK := []uint64{1 << 38, 1 << 38, 5<<38 | 1, 5<<38 | 1, 5<<38 | 1}
-	wantV := []uint32{1, 3, 0, 2, 4}
+	keys := []uint64{1<<38 | 2, 1<<38 | 2, 1 << 38, 5<<38 | 3, 5<<38 | 1, 5<<38 | 3, 5<<38 | 1, 5<<38 | 1}
+	vals := []uint32{0, 1, 2, 3, 4, 5, 6, 7}
+	var bs BinSorter
+	bs.Sort64(keys[:3], vals[:3], 38)
+	bs.Sort64(keys[3:], vals[3:], 38)
+	wantK := []uint64{1 << 38, 1<<38 | 2, 1<<38 | 2, 5<<38 | 1, 5<<38 | 1, 5<<38 | 1, 5<<38 | 3, 5<<38 | 3}
+	wantV := []uint32{2, 0, 1, 4, 6, 7, 3, 5}
 	for i := range wantK {
 		if keys[i] != wantK[i] || vals[i] != wantV[i] {
 			t.Fatalf("got %v/%v want %v/%v", keys, vals, wantK, wantV)
-		}
-	}
-}
-
-func TestSortPairs64BinnedRejectsBadCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	keys, vals, counts := binnedInput(rng, 500, 38, 0, 16)
-	origK := append([]uint64(nil), keys...)
-	origV := append([]uint32(nil), vals...)
-
-	// Wrong total.
-	bad := append([]uint64(nil), counts...)
-	bad[0]++
-	if SortPairs64Binned(keys, vals, make([]uint64, 500), make([]uint32, 500), 38, 0, bad) {
-		t.Fatal("accepted counts with wrong sum")
-	}
-	// Right total, wrong distribution: swap weight between two non-empty bins.
-	bad = append([]uint64(nil), counts...)
-	moved := false
-	for i := 0; i+1 < len(bad) && !moved; i++ {
-		if bad[i] > 0 {
-			bad[i]--
-			bad[i+1]++
-			moved = true
-		}
-	}
-	if moved && SortPairs64Binned(keys, vals, make([]uint64, 500), make([]uint32, 500), 38, 0, bad) {
-		t.Fatal("accepted counts with wrong distribution")
-	}
-	// Out-of-range bin: pretend the bin space starts one bin later.
-	if SortPairs64Binned(keys, vals, make([]uint64, 500), make([]uint32, 500), 38, 1, counts) {
-		t.Fatal("accepted out-of-range bins")
-	}
-	// Rejection must leave keys and vals untouched.
-	for i := range keys {
-		if keys[i] != origK[i] || vals[i] != origV[i] {
-			t.Fatal("rejected call modified its input")
 		}
 	}
 }
