@@ -247,6 +247,19 @@ func cmdRun(args []string) error {
 	fmt.Printf("reads=%d tuples=%d edges=%d components=%d largest=%d (%.1f%%) mem/task=%.1fMB\n",
 		res.Reads, res.Tuples, res.Edges, res.Components, res.LargestSize,
 		100*res.LargestFraction(), float64(res.MemoryPerTask)/float64(1<<20))
+	if obs != nil {
+		// The §3.7 plan above is per task and exact; the heap is the
+		// process's, sampled at step boundaries.
+		heap := map[string]uint64{}
+		for _, c := range obs.Counters() {
+			if c.Rank == obsv.RankGlobal {
+				heap[c.Name] = c.Value
+			}
+		}
+		fmt.Printf("heap (process-wide): allocated=%.1fMB live-peak=%.1fMB vs planned %d×%.1fMB\n",
+			float64(heap["mem/alloc_bytes"])/float64(1<<20), float64(heap["mem/heap_live_peak_bytes"])/float64(1<<20),
+			cfg.Tasks, float64(res.MemoryPerTask)/float64(1<<20))
+	}
 	if res.Drift != nil {
 		fmt.Println(res.Drift)
 	}

@@ -162,7 +162,8 @@ type checkMetrics struct {
 }
 
 // cmdCheckTrace validates a -trace file: well-formed Chrome trace events,
-// metadata before spans, monotonically non-decreasing timestamps — and, when
+// metadata before spans and counter samples, monotonically non-decreasing
+// timestamps, numeric counter values — and, when
 // the matching -metrics snapshot is given, that each task's "step" span sum
 // matches its StepTimes total within the tolerance (the ISSUE acceptance
 // bound of 1%).
@@ -189,7 +190,7 @@ func cmdCheckTrace(args []string) error {
 	}
 
 	spanSum := map[int]float64{} // pid -> Σ dur of cat=="step" spans, µs
-	spans, metas := 0, 0
+	spans, metas, samples := 0, 0, 0
 	lastTs := math.Inf(-1)
 	seenSpan := false
 	for i, ev := range tf.TraceEvents {
@@ -217,6 +218,21 @@ func cmdCheckTrace(args []string) error {
 			lastTs = ev.Ts
 			if ev.Cat == "step" {
 				spanSum[ev.Pid] += *ev.Dur
+			}
+		case "C":
+			samples++
+			seenSpan = true
+			if ev.Ts < 0 || ev.Ts < lastTs {
+				return fmt.Errorf("checktrace: event %d (%s): counter ts %g negative or below %g", i, ev.Name, ev.Ts, lastTs)
+			}
+			lastTs = ev.Ts
+			if len(ev.Args) == 0 {
+				return fmt.Errorf("checktrace: event %d (%s): counter sample without values", i, ev.Name)
+			}
+			for k, v := range ev.Args {
+				if x, ok := v.(float64); !ok || x < 0 {
+					return fmt.Errorf("checktrace: event %d (%s): counter value %s = %v is not a non-negative number", i, ev.Name, k, v)
+				}
 			}
 		default:
 			return fmt.Errorf("checktrace: event %d (%s): unexpected phase %q", i, ev.Name, ev.Ph)
@@ -246,10 +262,10 @@ func cmdCheckTrace(args []string) error {
 					task.Rank, gotUs, wantUs, 100*diff/math.Max(wantUs, 1), 100**tol)
 			}
 		}
-		fmt.Printf("checktrace: OK: %d events (%d spans, %d metadata), %d tasks reconciled within %.2f%%\n",
-			len(tf.TraceEvents), spans, metas, len(mf.PerTask), 100**tol)
+		fmt.Printf("checktrace: OK: %d events (%d spans, %d counter samples, %d metadata), %d tasks reconciled within %.2f%%\n",
+			len(tf.TraceEvents), spans, samples, metas, len(mf.PerTask), 100**tol)
 		return nil
 	}
-	fmt.Printf("checktrace: OK: %d events (%d spans, %d metadata)\n", len(tf.TraceEvents), spans, metas)
+	fmt.Printf("checktrace: OK: %d events (%d spans, %d counter samples, %d metadata)\n", len(tf.TraceEvents), spans, samples, metas)
 	return nil
 }

@@ -318,6 +318,7 @@ func outputOnlyRun(ctx context.Context, cfg Config, pl *plan, mr mergeResult) ([
 			return err
 		}
 		st.files = files
+		st.allocChunkBufs()
 		fetchers := st.startOutputFetchers()
 		defer func() {
 			for _, f := range fetchers {

@@ -79,6 +79,7 @@ func RunCountContext(ctx context.Context, cfg Config) (*CountResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer pl.heap.finish()
 	spillDir, err := pl.spillScratch()
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,12 +34,13 @@ func TestPipelineTraceSchema(t *testing.T) {
 	}
 	var tf struct {
 		TraceEvents []struct {
-			Name string   `json:"name"`
-			Ph   string   `json:"ph"`
-			Pid  int      `json:"pid"`
-			Tid  int      `json:"tid"`
-			Ts   float64  `json:"ts"`
-			Dur  *float64 `json:"dur"`
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Pid  int            `json:"pid"`
+			Tid  int            `json:"tid"`
+			Ts   float64        `json:"ts"`
+			Dur  *float64       `json:"dur"`
+			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 		DisplayTimeUnit string `json:"displayTimeUnit"`
 	}
@@ -53,7 +55,7 @@ func TestPipelineTraceSchema(t *testing.T) {
 	}
 	lastTs := -1.0
 	seenSpan := false
-	spans := 0
+	spans, samples := 0, 0
 	for i, ev := range tf.TraceEvents {
 		if ev.Name == "" {
 			t.Fatalf("event %d: empty name", i)
@@ -73,9 +75,25 @@ func TestPipelineTraceSchema(t *testing.T) {
 			if ev.Dur == nil || *ev.Dur < 0 {
 				t.Fatalf("event %d (%s): missing or negative dur", i, ev.Name)
 			}
+		case "C":
+			// The heap samples taken at step boundaries (memwatch.go).
+			seenSpan = true
+			samples++
+			if ev.Ts < lastTs {
+				t.Fatalf("event %d (%s): ts %g < previous %g", i, ev.Name, ev.Ts, lastTs)
+			}
+			lastTs = ev.Ts
+			live, _ := ev.Args["live"].(float64)
+			goal, _ := ev.Args["goal"].(float64)
+			if ev.Name != "heap" || live <= 0 || goal <= 0 {
+				t.Fatalf("event %d: counter sample %q with values %v, want heap live and goal", i, ev.Name, ev.Args)
+			}
 		default:
 			t.Fatalf("event %d (%s): unexpected phase %q", i, ev.Name, ev.Ph)
 		}
+	}
+	if samples == 0 {
+		t.Fatal("no heap samples")
 	}
 	if spans == 0 {
 		t.Fatal("no span events")
@@ -116,6 +134,9 @@ func TestTraceSpansMatchStepTimes(t *testing.T) {
 // TestCounterSnapshotDeterminism runs the identical configuration twice and
 // expects identical counter snapshots. Threads must be 1: with more, lost
 // union CASes (and the path splits that follow them) depend on scheduling.
+// The run-wide mem/ counters measure the process's heap, which no run
+// controls: they must be present and non-zero, and are left out of the
+// comparison.
 func TestCounterSnapshotDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	td := overlappingDataset(t, rng, smallOpts(), 3, 300, 120, 35)
@@ -128,7 +149,22 @@ func TestCounterSnapshotDeterminism(t *testing.T) {
 		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)
 		}
-		return cfg.Obs.Counters()
+		var out []obsv.CounterValue
+		heap := 0
+		for _, c := range cfg.Obs.Counters() {
+			if c.Rank == obsv.RankGlobal && strings.HasPrefix(c.Name, "mem/") {
+				if c.Value == 0 {
+					t.Errorf("run counter %s is 0", c.Name)
+				}
+				heap++
+				continue
+			}
+			out = append(out, c)
+		}
+		if heap != 2 {
+			t.Errorf("%d mem/ run counters, want mem/alloc_bytes and mem/heap_live_peak_bytes", heap)
+		}
+		return out
 	}
 	a, b := snap(), snap()
 	if !reflect.DeepEqual(a, b) {

@@ -69,9 +69,17 @@ type taskState struct {
 	// run. Steps, tuples, edges and iteration counts live only here —
 	// TaskReport is the one per-task report type, consumed by Result,
 	// the metrics snapshot and the load-balance analysis alike.
-	rep           TaskReport
+	rep      TaskReport
+	freqHist [freqHistSize]uint64
+
+	// The task's working set outside the sink, allocated once and reused
+	// by every pass: chunkBufs[t] are thread t's chunk read buffers, each
+	// sized to the task's largest chunk (maxChunkBytes); ccRetry[d] and
+	// ccHist[d] are LocalCC thread d's retry edges and frequency bins.
+	chunkBufs     [][][]byte
 	maxChunkBytes int64
-	freqHist      [freqHistSize]uint64
+	ccRetry       [][]unionfind.Edge
+	ccHist        [][]uint64
 }
 
 // newTaskState wires a task's rank, communicator and collector together,
@@ -110,14 +118,16 @@ func newTaskState(ctx context.Context, pl *plan, task *mpirt.Task) *taskState {
 // folds the duration into the rank's per-step latency histogram. Every
 // call site passes the exact duration it just added to rep.Steps —
 // including modeled network time — so the per-task sum of step spans
-// reconciles with StepTimes.Total (the `metaprep checktrace` invariant).
-// The early return keeps the disabled path free of the name concatenation.
+// reconciles with StepTimes.Total (the `metaprep checktrace` invariant) —
+// and samples the heap at the step's end (memwatch.go). The early return
+// keeps the disabled path free of the name concatenation.
 func (st *taskState) stepSpan(name string, start time.Time, d time.Duration) {
 	if st.obs == nil {
 		return
 	}
 	st.obs.RecordSpan(st.rank, obsv.TidSteps, "step", name, start, d, nil)
 	st.obs.Histogram(st.rank, "step/"+name).Observe(d)
+	st.p.heap.sample(st.rank)
 }
 
 // counter resolves a per-rank counter (nil, a no-op, when observability
@@ -273,6 +283,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer pl.heap.finish()
 	// Artifact-driven paths replace the front half of the pipeline: a
 	// reload turns a stored partition straight into a Result, and a delta
 	// run merges freshly enumerated tuples against the stored base.
@@ -330,11 +341,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		st.dsu = unionfind.New(int(pl.idx.Reads))
 		st.dsu.SetStats(st.ufStats)
-		for _, ci := range pl.taskChunks[st.rank] {
-			if sz := pl.idx.Chunks[ci].Size; sz > st.maxChunkBytes {
-				st.maxChunkBytes = sz
-			}
-		}
 		if cfg.Prefilter.Enabled() {
 			// Pass 1 of the two-pass prefilter: scan, combine, broadcast.
 			// Every later pass's KmerGen consults st.keep.
@@ -495,14 +501,14 @@ func (st *taskState) memoryBytes(sink tupleSink) int64 {
 // startOutputFetchers spins up one chunk prefetcher per thread over that
 // thread's CC-I/O chunk list. Called before mergeCC, so the first
 // prefetch-depth chunks are read while the merge tree and label broadcast
-// run. The fetchers reuse the KmerGen prefetch tracks in
-// the trace (the KmerGen readers are finished by now).
+// run. The fetchers reuse the KmerGen prefetch tracks in the trace and the
+// KmerGen chunk buffers (the KmerGen readers are finished by now).
 func (st *taskState) startOutputFetchers() []*chunkFetcher {
 	cfg := st.p.cfg
 	fs := make([]*chunkFetcher, cfg.Threads)
 	for t := range fs {
 		fs[t] = newChunkFetcher(st.p.threadChunks[st.rank][t], st.p.idx, st.files,
-			cfg.prefetchDepth(), st.obs, st.rank, obsv.TidPrefetch+t)
+			cfg.prefetchDepth(), st.chunkBufs[t], st.obs, st.rank, obsv.TidPrefetch+t)
 	}
 	return fs
 }

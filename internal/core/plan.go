@@ -59,6 +59,10 @@ type plan struct {
 	// it (the chunk floor). A rank with one round per pass needs no second
 	// slot.
 	slotTuples [][2]uint64
+
+	// heap samples the run's heap at step boundaries (nil without a
+	// collector) — the one part of a plan that is not a static schedule.
+	heap *heapWatch
 }
 
 func newPlan(cfg Config) (*plan, error) {
@@ -70,7 +74,7 @@ func newPlan(cfg Config) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &plan{cfg: cfg, idx: idx, pt: pt}
+	p := &plan{cfg: cfg, idx: idx, pt: pt, heap: newHeapWatch(cfg.Obs)}
 
 	c := len(idx.Chunks)
 	p.taskChunks = make([][]int, cfg.Tasks)

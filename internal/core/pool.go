@@ -8,7 +8,7 @@ import (
 
 // pool.go implements TuplePool, a size-classed freelist for the per-task
 // tuple buffers: kmerOut (the two generation slots), the in-RAM receive
-// buffer and the spill's run builders. The daemon's job manager owns one
+// buffer and the spill's run builders (which also back the merge blocks). The daemon's job manager owns one
 // pool and threads it through every job's Config, so back-to-back jobs
 // reuse the multi-GB slices instead of reallocating (and re-faulting) them.
 //
@@ -28,11 +28,19 @@ import (
 //     written prefix [off, cur), closing the gaps before it sorts.
 //   - A spill run builder is sorted and written only over its filled
 //     prefix.
+//   - While a pass merges, the builders back its merge blocks (spill.go's
+//     carve): each (thread, run, slot) block is a fixed view into them, and
+//     a block is read only after its segment reader has decoded a block
+//     into it — decoding sets the block's length from the block's own
+//     count and writes every tuple of it — so whatever a builder held
+//     before, sorted runs or another job's garbage, is never read.
 //
 // A buffer goes back to the pool only once nothing can read it: kmerOut and
 // the receive buffer when the task's passes end (the last exchange's
-// barrier has drained every zero-copy view of kmerOut), a run builder at its
-// pass's seal, after the spill worker has written it out.
+// barrier has drained every zero-copy view of kmerOut), the run builders
+// when the last pass's merge sources have closed — each close joins its
+// segment readers' decode goroutines, so no decode is still writing into a
+// carved block.
 
 // poolClassLimit caps retained buffers per size class; beyond it, put drops
 // the buffer for the GC so an unusually large one-off job cannot pin its

@@ -55,10 +55,19 @@ type chunkFetcher struct {
 
 // newChunkFetcher starts fetching the given chunk list. depth is the number
 // of chunks read ahead of the consumer (0 disables the reader goroutine).
-func newChunkFetcher(chunks []int, idx *index.Index, files []*os.File, depth int,
+// bufs are the depth+1 buffers to read into — the thread's, reused from
+// fetcher to fetcher; a missing or short one is grown as chunks need.
+func newChunkFetcher(chunks []int, idx *index.Index, files []*os.File, depth int, bufs [][]byte,
 	obs *obsv.Collector, pid, tid int) *chunkFetcher {
 	f := &chunkFetcher{chunks: chunks, idx: idx, files: files, obs: obs, pid: pid, tid: tid}
+	buf := func(i int) []byte {
+		if i < len(bufs) {
+			return bufs[i]
+		}
+		return nil
+	}
 	if depth <= 0 || len(chunks) < 2 {
+		f.buf = buf(0)
 		return f
 	}
 	// depth+1 buffers circulate: one being parsed, depth filled or filling.
@@ -66,7 +75,7 @@ func newChunkFetcher(chunks []int, idx *index.Index, files []*os.File, depth int
 	f.free = make(chan []byte, depth+1)
 	f.stop = make(chan struct{})
 	for i := 0; i <= depth; i++ {
-		f.free <- nil
+		f.free <- buf(i)
 	}
 	go f.reader()
 	return f
@@ -79,6 +88,11 @@ func (f *chunkFetcher) reader() {
 	defer close(f.filled)
 	for _, ci := range f.chunks {
 		var buf []byte
+		select {
+		case <-f.stop: // checked first: a closed fetcher reads no more
+			return
+		default:
+		}
 		select {
 		case buf = <-f.free:
 		case <-f.stop:
@@ -144,11 +158,15 @@ func (f *chunkFetcher) release(buf []byte) {
 	f.free <- buf
 }
 
-// close stops the reader goroutine. It is safe to call on any path,
-// including after errors and repeatedly, and leaves the fetcher drained.
+// close stops the reader goroutine and waits for it to exit, so the
+// buffers are free for the thread's next fetcher once close returns. It is
+// safe to call on any path, including after errors and repeatedly, and
+// leaves the fetcher drained.
 func (f *chunkFetcher) close() {
 	if f.stop != nil && !f.stopped {
 		f.stopped = true
 		close(f.stop)
+		for range f.filled {
+		}
 	}
 }

@@ -113,7 +113,7 @@ func TestChunkFetcherSerial(t *testing.T) {
 	if len(chunks) < 3 {
 		t.Fatalf("test needs several chunks, got %d", len(chunks))
 	}
-	f := newChunkFetcher(chunks, td.idx, files, 0, nil, 0, 0)
+	f := newChunkFetcher(chunks, td.idx, files, 0, nil, nil, 0, 0)
 	if f.filled != nil {
 		t.Fatal("depth 0 started the overlapped reader")
 	}
@@ -138,7 +138,7 @@ func TestChunkFetcherSerial(t *testing.T) {
 	if err := os.Truncate(td.paths[0], td.idx.Chunks[len(chunks)-1].Offset+1); err != nil {
 		t.Fatal(err)
 	}
-	f = newChunkFetcher(chunks[:1], td.idx, files, 0, nil, 0, 0)
+	f = newChunkFetcher(chunks[:1], td.idx, files, 0, nil, nil, 0, 0)
 	if _, buf, err := f.next(); err == nil || buf != nil {
 		t.Fatalf("next() on a truncated chunk = (%v, %v), want an error", buf, err)
 	}

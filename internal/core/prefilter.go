@@ -177,7 +177,7 @@ func (st *taskState) prefilterScanThread(t int, f *sketch.RepeatFilter,
 	k := idx.Opts.K
 	var scanner fastq.ChunkScanner
 	fetch := newChunkFetcher(st.p.threadChunks[st.rank][t], idx, st.files,
-		cfg.prefetchDepth(), st.obs, st.rank, obsv.TidPrefetch+t)
+		cfg.prefetchDepth(), st.chunkBufs[t], st.obs, st.rank, obsv.TidPrefetch+t)
 	defer fetch.close()
 	for {
 		if err := st.ctx.Err(); err != nil {

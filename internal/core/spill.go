@@ -5,10 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"metaprep/internal/extsort"
 	"metaprep/internal/obsv"
+	"metaprep/internal/radix"
 )
 
 // spill.go implements runSink, the tupleSink of a spilling plan (Config.
@@ -33,11 +35,16 @@ import (
 // receive/sort/write phase (two in the handoff ring plus the radix scratch)
 // — and, during the merge, the generation buffer plus up to two decoded
 // blocks per (thread, run) sized by plan.spillBlockTuples to fit in half
-// the budget. The builders persist across a pass's KmerGen → exchange
-// rounds, so the worker sorts round r's runs while round r+1 generates. Spill
-// writes ride a write-behind double buffer (extsort.Writer); merge reads
-// ride a per-segment read-ahead ring (extsort.SegReader) — the same
-// overlap idiom as the KmerGen chunk prefetcher.
+// the budget. The merge blocks are views carved from the builders, which
+// sit idle while a pass merges, so the merge adds no memory. A task
+// acquires this working set once — builders, the run writer's encode
+// buffers, the worker's sort tables, the merge readers — and every pass
+// reuses it; a pass allocates nothing proportional to its tuples. The
+// builders persist across a pass's KmerGen → exchange rounds, so the
+// worker sorts round r's runs while round r+1 generates. Spill writes ride
+// a write-behind double buffer (extsort.Writer); merge reads ride a
+// per-segment read-ahead ring (extsort.SegReader) — the same overlap idiom
+// as the KmerGen chunk prefetcher.
 
 // spillScratch creates the run-scoped temp directory every rank's run
 // files live in, or returns "" when the plan does not spill (os.RemoveAll
@@ -49,18 +56,61 @@ func (p *plan) spillScratch() (string, error) {
 	return os.MkdirTemp(p.cfg.SpillDir, "metaprep-spill-")
 }
 
-// runSink serves a task's passes in order: open starts pass s's spill —
-// run file, builders, worker — before the pass's KmerGen, and releases the
-// previous pass's, whose run file LocalCC's merge sources read until then.
+// runSink is a spilling task's working set, acquired once and reused by
+// every pass. open starts pass s's spill — run file and worker — before
+// the pass's KmerGen, and closes the previous pass's, whose run file
+// LocalCC's merge sources read until then.
 type runSink struct {
-	st  *taskState
-	dir string
-	sp  *spillState
+	st   *taskState
+	dir  string
+	wide bool
+
+	// bufs are the three run builders: the receive/sort ring while a pass
+	// spills, the backing of its merge blocks while it merges. Acquired at
+	// the first open, released when the last pass's merge sources close,
+	// so they are not held through MergeCC and CC-I/O.
+	bufs []*tupleBuf
+	// w writes every pass's run file, re-pointed by Reset; sorter and cuts
+	// belong to the spill worker (one pass's worker exits before the
+	// next's starts).
+	w      *extsort.Writer
+	sorter radix.RangeSorter
+	cuts   []uint64
+	// Thread d's merge state: readers[d][i] reads run i's segment d into
+	// blocks[d][2i] and blocks[d][2i+1], and srcs[d] is its group source.
+	// Only thread d touches row d.
+	readers [][]*extsort.SegReader
+	blocks  [][]extsort.Block
+	srcs    []*groupSource
+
+	sp *spillState // the open pass
+}
+
+func newRunSink(st *taskState, dir string) *runSink {
+	T := st.p.cfg.Threads
+	r := &runSink{
+		st: st, dir: dir, wide: !st.p.use64(),
+		cuts:    make([]uint64, T+1),
+		readers: make([][]*extsort.SegReader, T),
+		blocks:  make([][]extsort.Block, T),
+		srcs:    make([]*groupSource, T),
+	}
+	for d := range r.srcs {
+		r.srcs[d] = &groupSource{}
+	}
+	return r
 }
 
 func (r *runSink) open(s int) error {
-	r.cleanup()
-	sp, err := r.st.startSpill(s, r.dir)
+	r.closePass()
+	if r.bufs == nil {
+		pl := r.st.p
+		for i := 0; i < 3; i++ {
+			r.bufs = append(r.bufs, pl.cfg.acquireTupleBuf(pl.runTuples, r.wide))
+		}
+		r.st.spillMemAdd(r.memBytes())
+	}
+	sp, err := r.startSpill(s)
 	r.sp = sp
 	return err
 }
@@ -74,40 +124,67 @@ func (r *runSink) receive(_ int, m tupleMsg) error {
 // on the spill worker, hidden behind the exchange; what remains — and what
 // the step is charged — is the drain of the last run(s) and the
 // write-behind flush. It returns one merge source per LocalCC thread.
-func (r *runSink) seal(int) ([]*groupSource, error) {
+func (r *runSink) seal(s int) ([]*groupSource, error) {
 	sp, st := r.sp, r.st
 	t0 := time.Now()
 	err := sp.finish()
-	sp.releaseBufs()
 	d := time.Since(t0)
 	st.rep.Steps.LocalSort += d
 	st.stepSpan("LocalSort", t0, d)
 	if err != nil {
 		return nil, err
 	}
-	st.rep.SpillBytes += sp.w.BytesWritten()
-	st.counter("extsort/bytes_spilled").Add(uint64(sp.w.BytesWritten()))
+	st.rep.SpillBytes += r.w.BytesWritten()
+	st.counter("extsort/bytes_spilled").Add(uint64(r.w.BytesWritten()))
 	st.counter("extsort/runs").Add(uint64(len(sp.infos)))
-	sp.srcs = make([]*groupSource, len(sp.thrCuts)-1)
-	for d := range sp.srcs {
-		sp.srcs[d] = &groupSource{sp: sp, d: d}
+	sp.last = s == st.p.cfg.Passes-1
+	sp.open.Store(int32(len(r.srcs)))
+	for d, g := range r.srcs {
+		*g = groupSource{sp: sp, d: d, vals: g.vals[:0]}
 	}
-	return sp.srcs, nil
+	return r.srcs, nil
 }
 
 // memBytes charges the three budget/4 run builders; kmerOut, the two-slot
-// generation buffer, is charged by memoryBytes itself.
+// generation buffer, is charged by memoryBytes itself. The merge blocks
+// live inside the builders.
 func (r *runSink) memBytes() int64 {
 	return 3 * int64(r.st.p.runTuples*r.st.p.bytesPerTuple())
 }
 
-// cleanup releases the open pass's spill, if any: merge sources,
-// builders and the run file.
-func (r *runSink) cleanup() {
-	if r.sp != nil {
-		r.sp.cleanup()
+// closePass closes the open pass's spill, if any: its merge sources, its
+// worker and its run file.
+func (r *runSink) closePass() {
+	if sp := r.sp; sp != nil {
+		closeSources(r.srcs)
+		sp.finish()
+		sp.f.Close()
+		os.Remove(sp.path)
 		r.sp = nil
 	}
+}
+
+// releaseBufs returns the builders to the pool. It runs once nothing can
+// read them: after the last pass's merge sources have closed (each joins
+// its readers' decode goroutines) or, on every exit path, from cleanup.
+// Idempotent.
+func (r *runSink) releaseBufs() {
+	if r.bufs == nil {
+		return
+	}
+	for _, b := range r.bufs {
+		r.st.p.cfg.releaseTupleBuf(b)
+	}
+	r.bufs = nil
+	r.st.spillMemAdd(-r.memBytes())
+}
+
+// cleanup releases every spill resource on every exit path — the open
+// pass's sources, worker and run file, then the builders — so no run file
+// outlives its task, cancellation and failure included.
+func (r *runSink) cleanup() {
+	r.closePass()
+	r.releaseBufs()
 }
 
 // spillJob is one filled run builder on its way to the spill worker.
@@ -119,12 +196,12 @@ type spillJob struct {
 // spillState drives one (rank, pass)'s spill: the run file, the builder
 // ring, the sort/write worker and the run directory for the merge phase.
 type spillState struct {
-	st *taskState
-	s  int
+	st   *taskState
+	sink *runSink
+	s    int
 
 	f    *os.File
 	path string
-	w    *extsort.Writer
 
 	wide        bool
 	runTuples   uint64
@@ -144,28 +221,31 @@ type spillState struct {
 	full    chan spillJob
 	done    chan struct{}
 	scratch *tupleBuf
-	bufs    []*tupleBuf
 
 	// infos accumulates one RunInfo per spilled run (worker-written, read
 	// after done closes).
 	infos []extsort.RunInfo
 	err   error
-	// srcs are the merge sources seal handed to LocalCC.
-	srcs []*groupSource
+
+	// open counts the merge sources not yet closed; when the last pass's
+	// last one closes, the builders go back (groupSource.close).
+	open atomic.Int32
+	last bool
 
 	finished bool
 }
 
-// startSpill opens this (rank, pass)'s run file, acquires the builder ring
-// and launches the spill worker. dir is the run-scoped temp directory the
-// pipeline created (and removes on every exit path).
-func (st *taskState) startSpill(s int, dir string) (*spillState, error) {
+// startSpill opens this (rank, pass)'s run file, re-points the task's
+// writer at it and launches the spill worker over the builder ring. The
+// run file lives in the run-scoped temp directory the pipeline created
+// (and removes on every exit path).
+func (r *runSink) startSpill(s int) (*spillState, error) {
+	st := r.st
 	pl := st.p
-	cfg := pl.cfg
 	runs := pl.spillRuns(pl.passRecv(s, st.rank))
 	sp := &spillState{
-		st: st, s: s,
-		wide:        !pl.use64(),
+		st: st, sink: r, s: s,
+		wide:        r.wide,
 		runTuples:   pl.runTuples,
 		blockTuples: pl.spillBlockTuples(runs),
 		thrCuts:     pl.pt.ThreadCuts(s, st.rank),
@@ -176,27 +256,25 @@ func (st *taskState) startSpill(s int, dir string) (*spillState, error) {
 	lo, hi := pl.pt.TaskRange(s, st.rank)
 	sp.kr = keyRange{binLo: lo, binHi: hi, shift: 2 * uint(pl.idx.Opts.K-pl.idx.Opts.M)}
 
-	sp.path = filepath.Join(dir, fmt.Sprintf("r%03d-p%03d.run", st.rank, s))
+	sp.path = filepath.Join(r.dir, fmt.Sprintf("r%03d-p%03d.run", st.rank, s))
 	f, err := os.Create(sp.path)
 	if err != nil {
 		return nil, err
 	}
 	sp.f = f
-	w, err := extsort.NewWriter(f, sp.wide, false, sp.blockTuples)
+	if r.w == nil {
+		r.w, err = extsort.NewWriter(f, sp.wide, false, sp.blockTuples)
+	} else {
+		err = r.w.Reset(f, sp.blockTuples)
+	}
 	if err != nil {
 		f.Close()
 		os.Remove(sp.path)
 		return nil, err
 	}
-	sp.w = w
 
-	for i := 0; i < 3; i++ {
-		sp.bufs = append(sp.bufs, cfg.acquireTupleBuf(sp.runTuples, sp.wide))
-	}
-	sp.fill, sp.scratch = sp.bufs[0], sp.bufs[2]
-	sp.free <- sp.bufs[1]
-	st.spillMemAdd(3 * int64(sp.runTuples) * int64(pl.bytesPerTuple()))
-
+	sp.fill, sp.scratch = r.bufs[0], r.bufs[2]
+	sp.free <- r.bufs[1]
 	go sp.worker()
 	return sp, nil
 }
@@ -241,7 +319,7 @@ func (sp *spillState) worker() {
 		}
 		sp.free <- job.buf
 	}
-	if err := sp.w.Close(); sp.err == nil {
+	if err := sp.sink.w.Close(); sp.err == nil {
 		sp.err = err
 	}
 }
@@ -255,11 +333,11 @@ func (sp *spillState) sortWrite(job spillJob) error {
 	st := sp.st
 	t0 := time.Now()
 	n := job.n
-	job.buf.sortRange(0, n, sp.kr, sp.scratch)
+	job.buf.sortRange(0, n, sp.kr, sp.scratch, &sp.sink.sorter)
 
 	T := len(sp.thrCuts) - 1
-	cuts := make([]uint64, T+1)
-	cuts[T] = n
+	cuts := sp.sink.cuts[:T+1]
+	cuts[0], cuts[T] = 0, n
 	opts := st.p.idx.Opts
 	binOf := func(i int) int {
 		if sp.wide {
@@ -276,7 +354,7 @@ func (sp *spillState) sortWrite(job spillJob) error {
 	if sp.wide {
 		hi = job.buf.hi[:n]
 	}
-	info, err := sp.w.WriteRun(job.buf.lo[:n], hi, job.buf.val[:n], cuts)
+	info, err := sp.sink.w.WriteRun(job.buf.lo[:n], hi, job.buf.val[:n], cuts)
 	if err != nil {
 		return err
 	}
@@ -302,57 +380,55 @@ func (sp *spillState) finish() error {
 	return sp.err
 }
 
-// releaseBufs returns the builder ring to the pool before the merge phase
-// starts, so the sort-phase and merge-phase working sets never coexist and
-// peak tuple memory stays within the budget. It runs after finish, so the
-// worker has exited and the free ring holds the builders' last references.
-// Idempotent.
-func (sp *spillState) releaseBufs() {
-	if sp.bufs == nil {
-		return
+// merger points thread d's readers at segment d of every run, their
+// read-ahead blocks carved from the idle builders, and primes a loser-tree
+// merge over them. over is the read-ahead that did not fit in the builders
+// (see carve), charged to the spill memory gauge until the source closes.
+func (sp *spillState) merger(d int) (mg *extsort.Merger, over int64, err error) {
+	r := sp.sink
+	runs := len(sp.infos)
+	for len(r.readers[d]) < runs {
+		r.readers[d] = append(r.readers[d], new(extsort.SegReader))
 	}
-	for _, b := range sp.bufs {
-		sp.st.p.cfg.releaseTupleBuf(b)
+	if len(r.blocks[d]) < 2*runs {
+		r.blocks[d] = make([]extsort.Block, 2*runs)
 	}
-	sp.bufs, sp.fill, sp.scratch, sp.free = nil, nil, nil, nil
-	sp.st.spillMemAdd(-3 * int64(sp.runTuples) * int64(sp.st.p.bytesPerTuple()))
-}
-
-// merger opens segment d of every run and primes a loser-tree merge over
-// them, charging its decoded read-ahead blocks to the spill memory gauge
-// (groupSource.close releases them).
-func (sp *spillState) merger(d int) (*extsort.Merger, error) {
-	rs := make([]*extsort.SegReader, len(sp.infos))
+	rs, blocks := r.readers[d][:runs], r.blocks[d]
 	for i, info := range sp.infos {
-		rs[i] = extsort.NewSegReader(sp.f, info.Segs[d], sp.wide, false, sp.blockTuples)
+		b0, b1 := &blocks[2*i], &blocks[2*i+1]
+		over += sp.carve(b0, d, i, 0) + sp.carve(b1, d, i, 1)
+		rs[i].Reset(sp.f, info.Segs[d], sp.wide, false, sp.blockTuples, b0, b1)
 	}
-	sp.st.spillMemAdd(sp.mergeBlockBytes())
-	mg, err := extsort.NewMerger(rs)
-	if err != nil {
-		for _, r := range rs {
-			r.Close()
+	if mg, err = extsort.NewMerger(rs); err != nil {
+		for _, rd := range rs {
+			rd.Close()
 		}
-		sp.st.spillMemAdd(-sp.mergeBlockBytes())
-		return nil, err
+		return nil, 0, err
 	}
-	return mg, nil
+	sp.st.spillMemAdd(over)
+	return mg, over, nil
 }
 
-// mergeBlockBytes is one merge source's decoded read-ahead: up to two
-// blocks per run.
-func (sp *spillState) mergeBlockBytes() int64 {
-	return int64(len(sp.infos)) * 2 * int64(sp.blockTuples) * int64(sp.st.p.bytesPerTuple())
-}
-
-// cleanup releases every spill resource: closes the merge sources, joins
-// the worker if an error path skipped finish, returns the builders, and
-// closes and removes the run file. Runs when the next pass opens and on
-// every exit path, so no run file outlives its task — cancellation and
-// failure included.
-func (sp *spillState) cleanup() {
-	closeSources(sp.srcs)
-	sp.finish()
-	sp.releaseBufs()
-	sp.f.Close()
-	os.Remove(sp.path)
+// carve points merge block (thread d, run i, slot j) at its fixed place in
+// the builders: slot q = (d·runs + i)·2 + j is the q-th block-sized piece,
+// counting builder by builder. The plan keeps T·runs·2 blocks within half
+// the budget and the builders hold three quarters of it, so every block
+// fits — unless spillBlockTuples' 16-tuple floor outgrew that share. A
+// block past the builders' end decodes into memory of its own, whose bytes
+// carve returns.
+func (sp *spillState) carve(b *extsort.Block, d, i, j int) int64 {
+	q := (d*len(sp.infos)+i)*2 + j
+	per := int(sp.runTuples) / sp.blockTuples
+	if q >= len(sp.sink.bufs)*per {
+		*b = extsort.Block{}
+		return int64(sp.blockTuples) * int64(sp.st.p.bytesPerTuple())
+	}
+	buf := sp.sink.bufs[q/per]
+	lo := (q % per) * sp.blockTuples
+	hi := lo + sp.blockTuples
+	b.Lo, b.Val, b.Hi = buf.lo[lo:hi:hi], buf.val[lo:hi:hi], nil
+	if sp.wide {
+		b.Hi = buf.hi[lo:hi:hi]
+	}
+	return 0
 }

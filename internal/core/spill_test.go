@@ -454,3 +454,56 @@ func TestSpillConfigValidation(t *testing.T) {
 		t.Errorf("file-as-SpillDir: err = %v, want SpillDir ConfigError", err)
 	}
 }
+
+// TestSpillPassAllocs pins that a spilling task allocates its working set
+// once: builders, chunk buffers, the run writer's encode buffers, the
+// worker's sort tables, the merge readers and LocalCC's retry buffers all
+// live for the whole run, so doubling the passes adds only a small
+// constant per pass to what a warm Run allocates, and a whole Run
+// allocates little beyond its planned memory.
+func TestSpillPassAllocs(t *testing.T) {
+	td := spillDataset(t, 98, smallOpts())
+	run := func(passes int) (uint64, *Result) {
+		cfg := Default(td.idx)
+		cfg.Tasks, cfg.Threads, cfg.Passes = 2, 2, passes
+		cfg.SpillBudgetBytes = MinSpillBudgetBytes
+		cfg.PrefetchChunks = 1
+		requireSpill(t, cfg)
+		if _, err := Run(cfg); err != nil { // warm
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res, err := Run(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, res
+	}
+	a2, res := run(2)
+	a4, _ := run(4)
+	perPass := (int64(a4) - int64(a2)) / 2
+	t.Logf("TotalAlloc: %d B at 2 passes, %d B at 4; %d B per added pass", a2, a4, perPass)
+	if perPass > spillPassAllocBound {
+		t.Errorf("each added pass allocates %d B, more than %d B: a pass re-allocates part of the task's working set",
+			perPass, spillPassAllocBound)
+	}
+	var planned int64
+	for _, rep := range res.PerTask {
+		planned += rep.MemoryBytes
+	}
+	// Beyond the plan: rank 0's flattened labels and component sizes and
+	// the result's component map, each O(R).
+	bound := planned + 16*int64(res.Reads) + 1<<20
+	t.Logf("Run allocates %d B; planned %d B over %d tasks, bound %d B", a2, planned, len(res.PerTask), bound)
+	if int64(a2) > bound {
+		t.Errorf("a 2-pass Run allocates %d B, more than its planned %d B + 16R + 1 MiB = %d B", a2, planned, bound)
+	}
+}
+
+// spillPassAllocBound is what TestSpillPassAllocs lets one added spilling
+// pass allocate: per-pass tables and goroutines, none of it proportional
+// to the pass's tuples.
+const spillPassAllocBound = 64 << 10

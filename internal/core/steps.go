@@ -47,23 +47,43 @@ type tupleSink interface {
 	cleanup()
 }
 
-// openPasses readies a task for its passes: the input files, kmerOut (the
-// two generation slots) and the sink the plan calls for. spillDir is the
-// run-scoped scratch directory a spilling plan's runs go to; that plan's
-// memory gauge starts with kmerOut, since the budget covers the generation
-// slots too. closePasses undoes it on every exit path.
+// openPasses readies a task for its passes: the input files, the chunk
+// buffers, kmerOut (the two generation slots) and the sink the plan calls
+// for. spillDir is the run-scoped scratch directory a spilling plan's runs
+// go to; that plan's memory gauge starts with kmerOut, since the budget
+// covers the generation slots too. closePasses undoes it on every exit
+// path.
 func (st *taskState) openPasses(spillDir string) (tupleSink, error) {
 	files, err := openInputs(st.p.idx)
 	if err != nil {
 		return nil, err
 	}
 	st.files = files
+	st.allocChunkBufs()
 	st.out = st.p.cfg.acquireTupleBuf(st.p.bufTuples[st.rank], !st.p.use64())
 	if st.p.spill {
 		st.spillMemAdd(st.out.memBytes())
-		return &runSink{st: st, dir: spillDir}, nil
+		return newRunSink(st, spillDir), nil
 	}
 	return newBinSink(st), nil
+}
+
+// allocChunkBufs sizes the task's chunk read buffers once, to its largest
+// chunk: each thread's 1+prefetch-depth buffers serve its chunk fetcher in
+// every pass, the prefilter scan and CC-I/O (§3.7 charges exactly these).
+// Every path that reads chunks calls it first.
+func (st *taskState) allocChunkBufs() {
+	pl := st.p
+	for _, ci := range pl.taskChunks[st.rank] {
+		st.maxChunkBytes = max(st.maxChunkBytes, pl.idx.Chunks[ci].Size)
+	}
+	st.chunkBufs = make([][][]byte, pl.cfg.Threads)
+	for t := range st.chunkBufs {
+		st.chunkBufs[t] = make([][]byte, 1+pl.cfg.prefetchDepth())
+		for i := range st.chunkBufs[t] {
+			st.chunkBufs[t][i] = make([]byte, 0, st.maxChunkBytes)
+		}
+	}
 }
 
 // closePasses releases what openPasses acquired. Recycling the buffers is
@@ -119,7 +139,7 @@ func (st *taskState) genExchange(s int, sink tupleSink) error {
 	fetchers := make([]*chunkFetcher, T)
 	for t := range fetchers {
 		fetchers[t] = newChunkFetcher(pl.passChunks(s, st.rank, t), pl.idx, st.files,
-			pl.cfg.prefetchDepth(), st.obs, st.rank, obsv.TidPrefetch+t)
+			pl.cfg.prefetchDepth(), st.chunkBufs[t], st.obs, st.rank, obsv.TidPrefetch+t)
 	}
 	defer func() {
 		for _, f := range fetchers {
@@ -424,10 +444,13 @@ type groupSource struct {
 
 	// Merge sources: the merger is built on the first next, on the
 	// consuming thread, so the T threads prime their runs in parallel.
-	sp   *spillState
-	d    int
-	mg   *extsort.Merger
-	vals []uint32
+	// over is the read-ahead charged beyond the builders (merger).
+	sp     *spillState
+	d      int
+	mg     *extsort.Merger
+	vals   []uint32
+	over   int64
+	closed bool
 
 	err error
 }
@@ -439,7 +462,7 @@ type groupSource struct {
 func (g *groupSource) next() (hi, lo uint64, vals []uint32, ok bool) {
 	if g.sp != nil {
 		if g.mg == nil && g.err == nil {
-			g.mg, g.err = g.sp.merger(g.d)
+			g.mg, g.over, g.err = g.sp.merger(g.d)
 		}
 		if g.err != nil {
 			return 0, 0, nil, false
@@ -468,13 +491,22 @@ func (g *groupSource) next() (hi, lo uint64, vals []uint32, ok bool) {
 	return hi, lo, b.val[i:j], true
 }
 
-// close stops a merge source's segment readers and releases its blocks.
+// close stops a merge source's segment readers, waiting for their decode
+// goroutines, and drops its overflow charge; when it is the last pass's
+// last open source, the builders behind every merge block go back too.
 // Idempotent; a no-op for in-RAM sources.
 func (g *groupSource) close() {
+	if g.sp == nil || g.closed {
+		return
+	}
+	g.closed = true
 	if g.mg != nil {
 		g.mg.Close()
-		g.mg, g.vals = nil, nil
-		g.sp.st.spillMemAdd(-g.sp.mergeBlockBytes())
+		g.mg = nil
+	}
+	g.sp.st.spillMemAdd(-g.over)
+	if g.sp.open.Add(-1) == 0 && g.sp.last {
+		g.sp.sink.releaseBufs()
 	}
 }
 
@@ -488,22 +520,31 @@ func closeSources(srcs []*groupSource) {
 
 // localCC runs §3.5 over pass s's sorted sources, one thread per source
 // (ccThread), then Algorithm 1's re-verification rounds (ccFinish).
+//
+// The per-thread retry buffers and frequency histograms are the task's,
+// allocated at its first pass and reused by every later one.
 func (st *taskState) localCC(s int, srcs []*groupSource) error {
 	T := len(srcs)
 	t0 := time.Now()
+	if st.ccRetry == nil {
+		st.ccRetry = make([][]unionfind.Edge, T)
+		st.ccHist = make([][]uint64, T)
+		for d := range st.ccHist {
+			st.ccHist[d] = make([]uint64, freqHistSize)
+		}
+	}
 	edgeCounts := make([]uint64, T)
-	retries := make([][]unionfind.Edge, T)
-	hists := make([][]uint64, T)
 	errs := make([]error, T)
 	par.Run(T, func(d int) {
-		edgeCounts[d], retries[d], hists[d], errs[d] = st.ccThread(s, d, srcs[d])
+		clear(st.ccHist[d])
+		edgeCounts[d], st.ccRetry[d], errs[d] = st.ccThread(s, d, srcs[d], st.ccRetry[d][:0], st.ccHist[d])
 	})
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
-	st.ccFinish(t0, edgeCounts, retries, hists)
+	st.ccFinish(t0, edgeCounts, st.ccRetry, st.ccHist)
 	return nil
 }
 
@@ -516,17 +557,18 @@ func (st *taskState) localCC(s int, srcs []*groupSource) error {
 // thread's part file with its values in ascending order. The sort runs only
 // for the tee: union-by-index makes components independent of edge order,
 // so runs without an artifact never pay for it.
-func (st *taskState) ccThread(s, d int, src *groupSource) (edges uint64, retry []unionfind.Edge, hist []uint64, err error) {
+//
+// retry is appended to and returned; hist, freqHistSize bins, is added to.
+func (st *taskState) ccThread(s, d int, src *groupSource, retry []unionfind.Edge, hist []uint64) (edges uint64, _ []unionfind.Edge, err error) {
 	defer src.close()
 	var tee *partTee
 	if st.emit != nil {
 		if tee, err = st.emit.newPartTee(s, st.rank, d); err != nil {
-			return 0, nil, nil, err
+			return 0, retry, err
 		}
 		defer tee.discard()
 	}
 	filter := st.p.cfg.Filter
-	hist = make([]uint64, freqHistSize)
 	for n := 1; ; n++ {
 		hi, lo, vals, ok := src.next()
 		if !ok {
@@ -548,18 +590,18 @@ func (st *taskState) ccThread(s, d int, src *groupSource) (edges uint64, retry [
 			edges += uint64(f - 1)
 		}
 		if n&8191 == 0 && st.ctx.Err() != nil {
-			return 0, nil, nil, st.ctx.Err()
+			return 0, retry, st.ctx.Err()
 		}
 	}
 	if src.err != nil {
-		return 0, nil, nil, src.err
+		return 0, retry, src.err
 	}
 	if tee != nil {
 		if err := tee.close(); err != nil {
-			return 0, nil, nil, err
+			return 0, retry, err
 		}
 	}
-	return edges, retry, hist, nil
+	return edges, retry, nil
 }
 
 // ccFinish is LocalCC's tail: fold the per-thread frequency histograms,
@@ -607,6 +649,7 @@ func (st *taskState) ccFinish(t0 time.Time, edgeCounts []uint64, retries [][]uni
 	}
 	st.obs.RecordSpan(st.rank, obsv.TidSteps, "step", "LocalCC", t0, d, args)
 	st.obs.Histogram(st.rank, "step/LocalCC").Observe(d)
+	st.p.heap.sample(st.rank)
 }
 
 func edgesOf(counts []uint64) uint64 {

@@ -79,8 +79,9 @@ type keyRange struct {
 // range: the sort works only on the bits the bin range has not already
 // decided (a canonical k-mer has 2k significant bits, and the range pins
 // the high-order ones) — MSD-first for 64-bit keys, LSD over the computed
-// digit count for 128-bit ones.
-func (b *tupleBuf) sortRange(off, cnt uint64, kr keyRange, scratch *tupleBuf) {
+// digit count for 128-bit ones. rs keeps the 64-bit sort's bucket tables
+// from one call to the next.
+func (b *tupleBuf) sortRange(off, cnt uint64, kr keyRange, scratch *tupleBuf, rs *radix.RangeSorter) {
 	if cnt < 2 {
 		return
 	}
@@ -102,7 +103,7 @@ func (b *tupleBuf) sortRange(off, cnt uint64, kr keyRange, scratch *tupleBuf) {
 	}
 	minK := uint64(kr.binLo) << kr.shift
 	maxK := uint64(kr.binHi)<<kr.shift - 1
-	radix.SortPairs64Range(lo, val, sLo, sVal, minK, maxK)
+	rs.Sort64(lo, val, sLo, sVal, minK, maxK)
 }
 
 // shift128 computes v << s in 128 bits, returned as (hi, lo).

@@ -151,13 +151,7 @@ func AppendBlock(dst []byte, lo, hi []uint64, val []uint32, compress bool) []byt
 // slice must be exactly the block's encoded payload; trailing or missing
 // bytes are corruption.
 func decodePayload(payload []byte, n int, wide, compress bool, b *Block) error {
-	b.Lo = grow64(b.Lo, n)
-	b.Val = growVal(b.Val, n)
-	if wide {
-		b.Hi = grow64(b.Hi, n)
-	} else {
-		b.Hi = nil
-	}
+	b.resize(n, wide)
 	if !compress {
 		if len(payload) != rawPayloadLen(n, wide) {
 			return corrupt("raw payload %d bytes, want %d for %d tuples", len(payload), rawPayloadLen(n, wide), n)
@@ -201,6 +195,18 @@ func decodePayload(payload []byte, n int, wide, compress bool, b *Block) error {
 		b.Val[i] = binary.LittleEndian.Uint32(payload[i*4:])
 	}
 	return nil
+}
+
+// resize sets b to n tuples, reusing its slices' capacity. Hi is nil in
+// 64-bit mode.
+func (b *Block) resize(n int, wide bool) {
+	b.Lo = grow64(b.Lo, n)
+	b.Val = growVal(b.Val, n)
+	if wide {
+		b.Hi = grow64(b.Hi, n)
+	} else {
+		b.Hi = nil
+	}
 }
 
 func grow64(s []uint64, n int) []uint64 {

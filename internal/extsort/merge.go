@@ -8,10 +8,19 @@ import (
 	"os"
 )
 
-// segReadBufBytes sizes each segment reader's file-I/O buffer. It is fixed
-// and small: the budgeted quantity is decoded tuple memory (the Block ring),
-// not this staging buffer.
-const segReadBufBytes = 32 << 10
+// segReadBufBytes caps each segment reader's file-I/O buffer. It is small:
+// the budgeted quantity is decoded tuple memory (the Block ring), not this
+// staging buffer, which holds at most two blocks' encoding and at least
+// segReadMinBytes.
+const (
+	segReadBufBytes = 32 << 10
+	segReadMinBytes = 4 << 10
+)
+
+// readBufSize is the file-I/O buffer size for blocks of maxTuples tuples.
+func readBufSize(maxTuples int, wide, compress bool) int {
+	return min(segReadBufBytes, max(segReadMinBytes, 2*maxBlockLen(maxTuples, wide, compress)))
+}
 
 // fetchedBlock travels from a SegReader's decode goroutine to its consumer.
 type fetchedBlock struct {
@@ -24,45 +33,78 @@ type fetchedBlock struct {
 // KmerGen chunk prefetcher: a ring of 2 decoded Block buffers circulates
 // over free/filled channels, so block i+1 is read and decoded from disk
 // while the merger drains block i.
+//
+// A reader is reusable: Reset re-points it at another segment and another
+// pair of blocks, keeping its buffered file reader (grown only for larger
+// blocks), so a caller that merges many segments allocates the reader's
+// working set once.
 type SegReader struct {
-	filled  chan fetchedBlock
-	free    chan *Block
-	stop    chan struct{}
+	filled chan fetchedBlock
+	free   chan *Block
+	stop   chan struct{}
+	// done closes when the decode goroutine has exited; nil before the
+	// first Reset.
+	done    chan struct{}
 	stopped bool
+
+	sec io.SectionReader
+	br  *bufio.Reader
 }
 
-// NewSegReader starts the decode goroutine for one segment. maxTuples must
-// be at least the writer's blockTuples; it bounds decode allocations.
+// NewSegReader starts the decode goroutine for one segment, decoding into
+// two blocks of its own. maxTuples must be at least the writer's
+// blockTuples; it bounds decode allocations.
 func NewSegReader(f *os.File, seg SegInfo, wide, compress bool, maxTuples int) *SegReader {
-	r := &SegReader{
-		filled: make(chan fetchedBlock, 1),
-		free:   make(chan *Block, 2),
-		stop:   make(chan struct{}),
-	}
-	r.free <- &Block{}
-	r.free <- &Block{}
-	go r.run(f, seg, wide, compress, maxTuples)
+	r := &SegReader{}
+	r.Reset(f, seg, wide, compress, maxTuples, &Block{}, &Block{})
 	return r
 }
 
-// run decodes the segment block by block: the varint block framing is read
-// through a buffered SectionReader, each payload into a reused scratch
-// slice, and each decoded Block ships to the consumer.
-func (r *SegReader) run(f *os.File, seg SegInfo, wide, compress bool, maxTuples int) {
+// Reset closes the reader's current segment, if any, and starts decoding
+// seg into b0 and b1. A block decodes within its slices' capacity and
+// grows them only when a block needs more, so blocks with room for
+// maxTuples tuples are never reallocated: the caller may carve them out of
+// memory it owns. A block Next returned before the Reset must not be read
+// after it.
+func (r *SegReader) Reset(f *os.File, seg SegInfo, wide, compress bool, maxTuples int, b0, b1 *Block) {
+	r.Close()
+	r.filled = make(chan fetchedBlock, 1)
+	r.free = make(chan *Block, 2)
+	r.stop = make(chan struct{})
+	r.done = make(chan struct{})
+	r.stopped = false
+	r.free <- b0
+	r.free <- b1
+	r.sec = *io.NewSectionReader(f, seg.Off, seg.Len)
+	if size := readBufSize(maxTuples, wide, compress); r.br == nil || r.br.Size() < size {
+		r.br = bufio.NewReaderSize(&r.sec, size)
+	} else {
+		r.br.Reset(&r.sec)
+	}
+	go r.run(seg.Tuples, wide, compress, maxTuples)
+}
+
+// run decodes the segment block by block through the buffered section
+// reader and ships each decoded Block to the consumer.
+func (r *SegReader) run(tuples uint64, wide, compress bool, maxTuples int) {
+	defer close(r.done)
 	defer close(r.filled)
-	br := bufio.NewReaderSize(io.NewSectionReader(f, seg.Off, seg.Len), segReadBufBytes)
-	var payload []byte
-	var remaining = seg.Tuples
-	for remaining > 0 {
+	var payload []byte // compressed blocks only
+	for remaining := tuples; remaining > 0; {
 		var b *Block
+		select {
+		case <-r.stop: // checked first: a closed reader decodes no more
+			return
+		default:
+		}
 		select {
 		case b = <-r.free:
 		case <-r.stop:
 			return
 		}
-		err := readBlock(br, wide, compress, maxTuples, &payload, b)
+		err := readBlock(r.br, wide, compress, maxTuples, &payload, b)
 		if err == nil && uint64(b.Len()) > remaining {
-			err = corrupt("segment overruns its %d-tuple extent", seg.Tuples)
+			err = corrupt("segment overruns its %d-tuple extent", tuples)
 		}
 		if err == nil {
 			remaining -= uint64(b.Len())
@@ -78,7 +120,9 @@ func (r *SegReader) run(f *os.File, seg SegInfo, wide, compress bool, maxTuples 
 	}
 }
 
-// readBlock reads and decodes one framed block from br.
+// readBlock reads and decodes one framed block from br. A raw block decodes
+// straight from br's buffer into b; a compressed one goes through the
+// payload scratch, since its length prefix is all that bounds its varints.
 func readBlock(br *bufio.Reader, wide, compress bool, maxTuples int, payload *[]byte, b *Block) error {
 	cnt, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -91,11 +135,25 @@ func readBlock(br *bufio.Reader, wide, compress bool, maxTuples int, payload *[]
 	if err != nil {
 		return corrupt("reading payload length: %v", err)
 	}
-	maxPayload := uint64(rawPayloadLen(int(cnt), wide))
-	if compress {
-		maxPayload = cnt * (binary.MaxVarintLen64 + 4)
+	n := int(cnt)
+	if !compress {
+		if plen != uint64(rawPayloadLen(n, wide)) {
+			return corrupt("raw payload %d bytes, want %d for %d tuples", plen, rawPayloadLen(n, wide), n)
+		}
+		b.resize(n, wide)
+		err := readLE64(br, b.Lo)
+		if err == nil && wide {
+			err = readLE64(br, b.Hi)
+		}
+		if err == nil {
+			err = readLE32(br, b.Val)
+		}
+		if err != nil {
+			return corrupt("payload truncated: %v", err)
+		}
+		return nil
 	}
-	if plen > maxPayload {
+	if plen > cnt*(binary.MaxVarintLen64+4) {
 		return corrupt("payload length %d implausible for %d tuples", plen, cnt)
 	}
 	if uint64(cap(*payload)) < plen {
@@ -105,7 +163,42 @@ func readBlock(br *bufio.Reader, wide, compress bool, maxTuples int, payload *[]
 	if _, err := io.ReadFull(br, *payload); err != nil {
 		return corrupt("payload truncated: %v", err)
 	}
-	return decodePayload(*payload, int(cnt), wide, compress, b)
+	return decodePayload(*payload, n, wide, compress, b)
+}
+
+// readLE64 fills dst with little-endian words decoded in place from br's
+// buffer, refilling it as it drains.
+func readLE64(br *bufio.Reader, dst []uint64) error {
+	for len(dst) > 0 {
+		n := min(len(dst), max(br.Buffered()/8, 1))
+		p, err := br.Peek(8 * n)
+		if err != nil {
+			return err
+		}
+		for i := range dst[:n] {
+			dst[i] = binary.LittleEndian.Uint64(p[8*i:])
+		}
+		br.Discard(8 * n)
+		dst = dst[n:]
+	}
+	return nil
+}
+
+// readLE32 is readLE64 for 32-bit values.
+func readLE32(br *bufio.Reader, dst []uint32) error {
+	for len(dst) > 0 {
+		n := min(len(dst), max(br.Buffered()/4, 1))
+		p, err := br.Peek(4 * n)
+		if err != nil {
+			return err
+		}
+		for i := range dst[:n] {
+			dst[i] = binary.LittleEndian.Uint32(p[4*i:])
+		}
+		br.Discard(4 * n)
+		dst = dst[n:]
+	}
+	return nil
 }
 
 // Next returns the segment's next decoded block, nil at end of segment.
@@ -127,13 +220,18 @@ func (r *SegReader) Release(b *Block) {
 	}
 }
 
-// Close stops the decode goroutine. Idempotent and safe on every path,
-// including mid-stream cancellation.
+// Close stops the decode goroutine and waits for it to exit, so no block
+// is written after Close returns: the caller may reuse the blocks' memory.
+// Idempotent and safe on every path, including mid-stream cancellation.
 func (r *SegReader) Close() {
+	if r.done == nil {
+		return
+	}
 	if !r.stopped {
 		r.stopped = true
 		close(r.stop)
 	}
+	<-r.done
 }
 
 // Merger streams the ascending key order of k segment readers — one per

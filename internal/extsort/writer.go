@@ -1,6 +1,7 @@
 package extsort
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 )
@@ -27,55 +28,89 @@ type RunInfo struct {
 // writeFlushTarget is the encode-buffer size at which the Writer hands the
 // buffer to its flusher goroutine. Two buffers circulate, so encoding run
 // i+1's blocks overlaps writing run i's — the write-behind double buffering
-// that hides spill I/O behind the receive+sort pipeline.
-const writeFlushTarget = 256 << 10
+// that hides spill I/O behind the receive+sort pipeline. Small blocks (a
+// small spill budget) flush sooner, every flushBlocks blocks, so the
+// buffers stay in proportion to the tuple memory they stage.
+const (
+	writeFlushTarget = 256 << 10
+	flushBlocks      = 8
+)
+
+// flushTarget is the flush threshold for blocks of blockTuples tuples.
+func flushTarget(blockTuples int, wide, compress bool) int {
+	return min(writeFlushTarget, flushBlocks*maxBlockLen(blockTuples, wide, compress))
+}
 
 // Writer appends sorted runs to a spill file. It is not safe for concurrent
-// use; the pipeline drives one Writer per (rank, pass) from its spill
-// worker goroutine.
+// use; the pipeline drives one Writer per rank from its spill worker
+// goroutine, re-pointed at each pass's run file with Reset.
 type Writer struct {
 	wide        bool
 	compress    bool
 	blockTuples int
 
-	off  int64 // logical file offset of the next encoded byte
-	cur  []byte
-	free chan []byte
-	work chan []byte
-	done chan struct{}
-	err  error // flusher's first write error, read after done closes
-	f    *os.File
+	off     int64 // logical file offset of the next encoded byte
+	flushAt int   // flushTarget of the current blocks
+	cur     []byte
+	free    chan []byte
+	work    chan []byte
+	done    chan struct{}
+	err     error // flusher's first write error, read after done closes
+	f       *os.File
 }
 
 // NewWriter writes the format header and readies the double-buffered
 // flusher. blockTuples is the maximum tuples per encoded block — the unit
-// of merge read-ahead and of decode memory on the way back in.
+// of merge read-ahead and of decode memory on the way back in. The two
+// encode buffers are sized once, to the flush target plus one block, so
+// appending runs never grows them (a Reset to larger blocks grows them
+// once).
 func NewWriter(f *os.File, wide, compress bool, blockTuples int) (*Writer, error) {
-	if blockTuples < 1 {
-		return nil, fmt.Errorf("extsort: blockTuples %d < 1", blockTuples)
-	}
 	if compress && wide {
 		return nil, fmt.Errorf("extsort: varint/delta compression supports 64-bit keys only")
 	}
-	w := &Writer{
-		wide: wide, compress: compress, blockTuples: blockTuples,
-		free: make(chan []byte, 2),
-		work: make(chan []byte, 2),
-		done: make(chan struct{}),
-		f:    f,
-	}
-	h := EncodeHeader(wide, compress)
-	if _, err := f.Write(h[:]); err != nil {
+	w := &Writer{wide: wide, compress: compress, free: make(chan []byte, 2)}
+	n := max(blockTuples, 1)
+	bufCap := flushTarget(n, wide, compress) + maxBlockLen(n, wide, compress)
+	w.free <- make([]byte, 0, bufCap)
+	w.free <- make([]byte, 0, bufCap)
+	if err := w.Reset(f, blockTuples); err != nil {
 		return nil, err
 	}
-	w.off = HeaderLen
-	w.free <- nil
-	w.free <- nil
+	return w, nil
+}
+
+// Reset closes the current file's stream, if still open (dropping its
+// error: a caller that needs it calls Close first), and starts a new
+// spill file on f with blocks of at most blockTuples tuples, keeping the
+// encode buffers.
+func (w *Writer) Reset(f *os.File, blockTuples int) error {
+	w.Close()
+	if blockTuples < 1 {
+		return fmt.Errorf("extsort: blockTuples %d < 1", blockTuples)
+	}
+	h := EncodeHeader(w.wide, w.compress)
+	if _, err := f.Write(h[:]); err != nil {
+		return err
+	}
+	w.f, w.blockTuples, w.off, w.err = f, blockTuples, HeaderLen, nil
+	w.flushAt = flushTarget(blockTuples, w.wide, w.compress)
+	w.work = make(chan []byte, 2)
+	w.done = make(chan struct{})
 	w.cur = <-w.free
 	// The channel is passed in, not read from the field: Close nils w.work
 	// after closing it, and the goroutine may not have started by then.
 	go w.flusher(w.work)
-	return w, nil
+	return nil
+}
+
+// maxBlockLen bounds the encoded size of one block of n tuples.
+func maxBlockLen(n int, wide, compress bool) int {
+	payload := rawPayloadLen(n, wide)
+	if compress {
+		payload = n * (binary.MaxVarintLen64 + 4)
+	}
+	return 2*binary.MaxVarintLen64 + payload
 }
 
 // flusher drains filled encode buffers to the file in order.
@@ -116,7 +151,7 @@ func (w *Writer) WriteRun(lo, hi []uint64, val []uint32, cuts []uint64) (RunInfo
 			before := len(w.cur)
 			w.cur = AppendBlock(w.cur, lo[p:q], bhi, val[p:q], w.compress)
 			w.off += int64(len(w.cur) - before)
-			if len(w.cur) >= writeFlushTarget {
+			if len(w.cur) >= w.flushAt {
 				w.flush()
 			}
 		}
@@ -143,9 +178,9 @@ func (w *Writer) writeErr() error {
 // far — the spill volume counter's source.
 func (w *Writer) BytesWritten() int64 { return w.off }
 
-// Close flushes everything, joins the flusher and drops the encode
-// buffers. It does not close the underlying file (the caller owns it;
-// merge readers still need it).
+// Close flushes everything and joins the flusher; the encode buffers stay
+// with the Writer for the next Reset. It does not close the underlying
+// file (the caller owns it; merge readers still need it).
 func (w *Writer) Close() error {
 	if w.work == nil {
 		return w.err
@@ -155,6 +190,5 @@ func (w *Writer) Close() error {
 	w.work = nil
 	w.cur = nil
 	<-w.done
-	w.free = nil
 	return w.err
 }

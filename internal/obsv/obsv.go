@@ -41,6 +41,7 @@ const (
 // Span phases of the Chrome trace-event format that the collector emits.
 const (
 	phaseComplete = "X" // a span with ts + dur
+	phaseCounter  = "C" // a sample of one or more named values at ts
 	phaseMeta     = "M" // process/thread naming metadata
 )
 
@@ -61,9 +62,9 @@ type Event struct {
 // Collector gathers spans and counters for one run. Create with New; the
 // nil collector is the valid, allocation-free no-op.
 //
-// Spans are appended under a mutex (span ends are orders of magnitude
-// rarer than the per-tuple work they measure); counters are lock-free
-// atomics after a mutex-guarded first registration.
+// Spans and counter samples are appended under a mutex (both are orders
+// of magnitude rarer than the per-tuple work they measure); counters are
+// lock-free atomics after a mutex-guarded first registration.
 //
 // A collector created with NewRing is a flight recorder: span events live
 // in a fixed-capacity ring, the oldest overwritten once it fills, so an
@@ -190,10 +191,28 @@ func (c *Collector) RecordSpan(pid, tid int, cat, name string, start time.Time, 
 	if dur < 0 {
 		dur = 0
 	}
-	ev := Event{
+	c.record(Event{
 		Name: name, Cat: cat, Phase: phaseComplete,
 		Pid: pid, Tid: tid, Ts: ts, Dur: dur, Args: args,
+	})
+}
+
+// RecordCounter records a counter sample: the values in args (numbers, one
+// per series) under name on pid's counter track at time at. Perfetto draws
+// each name as a step chart per process.
+func (c *Collector) RecordCounter(pid int, name string, at time.Time, args map[string]any) {
+	if c == nil {
+		return
 	}
+	ts := at.Sub(c.epoch)
+	if ts < 0 {
+		ts = 0
+	}
+	c.record(Event{Name: name, Phase: phaseCounter, Pid: pid, Ts: ts, Args: args})
+}
+
+// record appends a span or counter event, to the ring in ring mode.
+func (c *Collector) record(ev Event) {
 	c.mu.Lock()
 	if c.ringCap > 0 {
 		if len(c.ring) < c.ringCap {

@@ -210,3 +210,42 @@ func TestSpanWallClock(t *testing.T) {
 		t.Errorf("args = %v", e.Args)
 	}
 }
+
+// TestRecordCounter checks counter samples: a nil collector ignores them,
+// and the trace writes each as a "C" event with its values as args and no
+// dur, ordered by ts among the spans.
+func TestRecordCounter(t *testing.T) {
+	var nilc *Collector
+	nilc.RecordCounter(0, "heap", time.Now(), map[string]any{"live": 1})
+
+	c := New()
+	t0 := c.Epoch()
+	c.RecordSpan(0, TidSteps, "step", "KmerGen", t0.Add(time.Millisecond), time.Millisecond, nil)
+	c.RecordCounter(0, "heap", t0.Add(2*time.Millisecond), map[string]any{"live": uint64(5), "goal": uint64(9)})
+	var buf bytes.Buffer
+	if err := c.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string             `json:"name"`
+			Ph   string             `json:"ph"`
+			Ts   float64            `json:"ts"`
+			Dur  *float64           `json:"dur"`
+			Args map[string]float64 `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.TraceEvents) != 2 {
+		t.Fatalf("got %d events, want 2", len(doc.TraceEvents))
+	}
+	e := doc.TraceEvents[1]
+	if e.Ph != "C" || e.Name != "heap" || e.Dur != nil || e.Ts != 2000 {
+		t.Fatalf("counter event = %+v, want ph C, name heap, ts 2000, no dur", e)
+	}
+	if e.Args["live"] != 5 || e.Args["goal"] != 9 {
+		t.Fatalf("counter args = %v, want live 5, goal 9", e.Args)
+	}
+}

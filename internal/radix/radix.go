@@ -50,12 +50,25 @@ func SignificantBytes128(minHi, minLo, maxHi, maxLo uint64) int {
 // sort by key, identical to SortPairs64's. Scratch requirements are those
 // of SortPairs64.
 func SortPairs64Range(keys []uint64, vals []uint32, tmpK []uint64, tmpV []uint32, min, max uint64) {
+	var s RangeSorter
+	s.Sort64(keys, vals, tmpK, tmpV, min, max)
+}
+
+// RangeSorter is SortPairs64Range with its per-level bucket tables kept
+// across calls, for a caller that sorts many ranges (the spill worker's
+// runs): the tables are built on the first sort and reused by every later
+// one. The zero value is ready to use. Not safe for concurrent use.
+type RangeSorter struct {
+	s sorter64
+}
+
+// Sort64 is SortPairs64Range on the sorter's tables.
+func (r *RangeSorter) Sort64(keys []uint64, vals []uint32, tmpK []uint64, tmpV []uint32, min, max uint64) {
 	n := len(keys)
 	if n < 2 {
 		return
 	}
-	var s sorter64
-	s.sort(keys, vals[:n], tmpK[:n], tmpV[:n], uint(bits.Len64(min^max)), 0, true)
+	r.s.sort(keys, vals[:n], tmpK[:n], tmpV[:n], uint(bits.Len64(min^max)), 0, true)
 }
 
 // msdInsertionMax is the bucket length at or below which sorter64 stops

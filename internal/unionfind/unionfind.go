@@ -256,7 +256,14 @@ func (d *DSU) Flatten(workers int) []uint32 {
 // changed. Not safe concurrently with itself; concurrent Find/Union are
 // tolerated (atomic loads) but entries mutated mid-scan land in the next
 // delta.
+//
+// A dst too small for the delta is replaced by one allocated at the
+// delta's size, counted in a first scan, so a baseline over R reads costs
+// one allocation rather than the ~2× of append's doubling.
 func (d *DSU) SnapshotDelta(dst []uint32) []uint32 {
+	if n := 2 * d.deltaLen(); cap(dst) < n {
+		dst = make([]uint32, 0, n)
+	}
 	dst = dst[:0]
 	if d.shadow == nil {
 		d.shadow = make([]uint32, len(d.parent))
@@ -277,6 +284,23 @@ func (d *DSU) SnapshotDelta(dst []uint32) []uint32 {
 		}
 	}
 	return dst
+}
+
+// deltaLen counts the entries the next SnapshotDelta reports (entries
+// mutated between the two scans may make it off by a few; append absorbs
+// that).
+func (d *DSU) deltaLen() int {
+	n := 0
+	for i := range d.parent {
+		was := uint32(i)
+		if d.shadow != nil {
+			was = d.shadow[i]
+		}
+		if atomic.LoadUint32(&d.parent[i]) != was {
+			n++
+		}
+	}
+	return n
 }
 
 // ComponentSizesPar returns, for each root, the number of vertices in its
