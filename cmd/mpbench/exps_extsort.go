@@ -63,11 +63,8 @@ func expExtsort(e *env) error {
 	// both generation slots: the bound is then 3/4 of the budget plus two
 	// chunks.
 	var chunkFloor int64
-	for _, c := range idx.Chunks {
-		var n int64
-		for _, h := range c.Hist {
-			n += int64(h)
-		}
+	for ci := range idx.Chunks {
+		n := int64(idx.Chunks[ci].Hist.RangeCount(0, idx.Opts.Bins()))
 		chunkFloor = max(chunkFloor, n*tupleBytes)
 	}
 

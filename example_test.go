@@ -75,7 +75,7 @@ func ExamplePredict() {
 	fmt.Printf("memory per node: %.0f GB\n", float64(mem)/(1<<30))
 	// Output:
 	// predicted total: 51s
-	// memory per node: 21 GB
+	// memory per node: 20 GB
 }
 
 func ExampleFilter_String() {

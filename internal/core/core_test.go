@@ -943,7 +943,7 @@ func staleBinIndex(t *testing.T, idx *index.Index, P, T, S int) *index.Index {
 	t.Helper()
 	for ci := range idx.Chunks {
 		for a := 0; a+1 < len(idx.MerHist); a++ {
-			if idx.Chunks[ci].Hist[a] == 0 {
+			if idx.Chunks[ci].Hist.Count(a) == 0 {
 				continue
 			}
 			mod := *idx
@@ -965,10 +965,13 @@ func staleBinIndex(t *testing.T, idx *index.Index, P, T, S int) *index.Index {
 				continue
 			}
 			mod.Chunks = slices.Clone(idx.Chunks)
-			hist := slices.Clone(idx.Chunks[ci].Hist)
+			hist := make([]uint32, len(idx.MerHist))
+			for b := range hist {
+				hist[b] = idx.Chunks[ci].Hist.Count(b)
+			}
 			hist[a]--
 			hist[a+1]++
-			mod.Chunks[ci].Hist = hist
+			mod.Chunks[ci].Hist = index.NewChunkHist(hist)
 			return &mod
 		}
 	}

@@ -100,7 +100,7 @@ func newPlan(cfg Config) (*plan, error) {
 		plo, phi := pt.PassRange(s)
 		chunkGen[s] = make([]uint64, c)
 		for ci := range chunkGen[s] {
-			chunkGen[s][ci] = index.RangeCount(idx.Chunks[ci].Hist, plo, phi)
+			chunkGen[s][ci] = idx.Chunks[ci].Hist.RangeCount(plo, phi)
 		}
 	}
 	maxRecv := make([]uint64, cfg.Tasks)
@@ -266,10 +266,10 @@ func (p *plan) genLayout(s, rank, r int) genLayout {
 	count := make([]uint64, P*T)
 	for t := 0; t < T; t++ {
 		for _, ci := range p.roundChunks(s, rank, r, t) {
-			hist := idx.Chunks[ci].Hist
+			hist := &idx.Chunks[ci].Hist
 			for dst := 0; dst < P; dst++ {
 				lo, hi := p.pt.TaskRange(s, dst)
-				count[dst*T+t] += index.RangeCount(hist, lo, hi)
+				count[dst*T+t] += hist.RangeCount(lo, hi)
 			}
 		}
 	}

@@ -51,7 +51,7 @@ func testPlanInRAMRounds(t *testing.T, name string, td *testData) {
 								}
 								var gen uint64
 								for _, ci := range chunks {
-									gen += index.RangeCount(pl.idx.Chunks[ci].Hist, lo, hi)
+									gen += pl.idx.Chunks[ci].Hist.RangeCount(lo, hi)
 								}
 								if gen > slots[r%2] {
 									t.Fatalf("pass %d rank %d round %d generates %d tuples into a %d-tuple slot", s, rank, r, gen, slots[r%2])

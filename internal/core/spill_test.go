@@ -219,7 +219,7 @@ func chunkFloorBytes(pl *plan) uint64 {
 	for s := 0; s < pl.cfg.Passes; s++ {
 		lo, hi := pl.pt.PassRange(s)
 		for ci := range pl.idx.Chunks {
-			most = max(most, index.RangeCount(pl.idx.Chunks[ci].Hist, lo, hi))
+			most = max(most, pl.idx.Chunks[ci].Hist.RangeCount(lo, hi))
 		}
 	}
 	return most * pl.bytesPerTuple()

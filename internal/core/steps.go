@@ -288,8 +288,9 @@ func (bs *binSink) open(s int) error {
 	clear(off)
 	for src := 0; src < bs.P; src++ {
 		for _, ci := range pl.taskChunks[src] {
-			for b, c := range pl.idx.Chunks[ci].Hist[lo:hi] {
-				off[b*bs.P+src+1] += uint64(c)
+			hist := &pl.idx.Chunks[ci].Hist
+			for b := range bs.nb {
+				off[b*bs.P+src+1] += uint64(hist.Count(lo + b))
 			}
 		}
 	}

@@ -102,7 +102,7 @@ type Chunk struct {
 	// CC-I/O path uses this to blit record runs without parsing.
 	Canonical bool
 	// Hist counts canonical k-mers in this chunk by m-mer prefix bin.
-	Hist []uint32
+	Hist ChunkHist
 }
 
 // Index is the pair of tables produced by IndexCreate.
@@ -163,29 +163,28 @@ func build(files []string, opts Options, workers int) (*Index, error) {
 	if err := idx.scanChunks(workers == 1); err != nil {
 		return nil, err
 	}
-	if workers == 1 {
-		// Histograms were filled during the scan.
-	} else {
-		var firstErr error
-		errs := make([]error, len(idx.Chunks))
-		par.For(workers, len(idx.Chunks), func(ci int) {
-			errs[ci] = idx.histogramChunk(ci)
+	if workers > 1 {
+		// Each worker histograms a block of chunks into one reused
+		// scratch, compacting it as each chunk ends.
+		n := len(idx.Chunks)
+		workers = min(workers, n)
+		errs := make([]error, n)
+		par.Run(workers, func(w int) {
+			lo, hi := par.Block(n, workers, w)
+			scratch := make([]uint32, opts.Bins())
+			for ci := lo; ci < hi; ci++ {
+				errs[ci] = idx.histogramChunk(ci, scratch)
+			}
 		})
 		for _, err := range errs {
 			if err != nil {
-				firstErr = err
-				break
+				return nil, err
 			}
-		}
-		if firstErr != nil {
-			return nil, firstErr
 		}
 	}
 	idx.MerHist = make([]uint64, opts.Bins())
 	for ci := range idx.Chunks {
-		for b, c := range idx.Chunks[ci].Hist {
-			idx.MerHist[b] += uint64(c)
-		}
+		idx.Chunks[ci].Hist.addTo(idx.MerHist)
 	}
 	for b := range idx.MerHist {
 		idx.TotalKmers += idx.MerHist[b]
@@ -196,10 +195,14 @@ func build(files []string, opts Options, workers int) (*Index, error) {
 // scanChunks performs the sequential pass over all files: it places chunk
 // boundaries at record starts (aligned to pair starts in paired mode),
 // assigns global read IDs, and — when withHist is true — also histograms
-// canonical k-mers into the current chunk.
+// canonical k-mers into one scratch that is compacted into the chunk as it
+// ends.
 func (idx *Index) scanChunks(withHist bool) error {
 	opts := idx.Opts
-	bins := opts.Bins()
+	var scratch []uint32
+	if withHist {
+		scratch = make([]uint32, opts.Bins())
+	}
 	var globalRecord int64
 	// Mate-pair bookkeeping: the pair ID of file fi's record j is
 	// pairBase + j, where pairBase is the pair count of earlier file
@@ -224,6 +227,10 @@ func (idx *Index) scanChunks(withHist bool) error {
 		flush := func(end int64) {
 			if cur != nil {
 				cur.Size = end - cur.Offset
+				if withHist {
+					cur.Hist = NewChunkHist(scratch)
+					clear(scratch)
+				}
 				idx.Chunks = append(idx.Chunks, *cur)
 				cur = nil
 			}
@@ -253,9 +260,6 @@ func (idx *Index) scanChunks(withHist bool) error {
 					FirstRead: first,
 					Canonical: true,
 				}
-				if withHist {
-					cur.Hist = make([]uint32, bins)
-				}
 			}
 			cur.Records++
 			cur.Canonical = cur.Canonical && r.Verbatim()
@@ -264,7 +268,7 @@ func (idx *Index) scanChunks(withHist bool) error {
 			idx.TotalBases += int64(len(rec.Seq))
 			globalRecord++
 			if withHist {
-				histSeq(cur.Hist, rec.Seq, opts)
+				histSeq(scratch, rec.Seq, opts)
 			}
 		}
 		f.Close()
@@ -288,10 +292,11 @@ func (idx *Index) scanChunks(withHist bool) error {
 
 // histogramChunk fills chunk ci's histogram by reading its byte range with
 // one ReadAt and scanning the records in place (chunks are sized to be
-// buffer-resident, so the zero-copy ChunkScanner applies).
-func (idx *Index) histogramChunk(ci int) error {
+// buffer-resident, so the zero-copy ChunkScanner applies). It counts into
+// scratch, a 4^m array, and compacts the counts.
+func (idx *Index) histogramChunk(ci int, scratch []uint32) error {
 	c := &idx.Chunks[ci]
-	c.Hist = make([]uint32, idx.Opts.Bins())
+	clear(scratch)
 	f, err := os.Open(idx.Files[c.File])
 	if err != nil {
 		return err
@@ -307,8 +312,9 @@ func (idx *Index) histogramChunk(ci int) error {
 		if err != nil {
 			return fmt.Errorf("index: chunk %d of %s: %w", ci, idx.Files[c.File], err)
 		}
-		histSeq(c.Hist, rec.Seq, idx.Opts)
+		histSeq(scratch, rec.Seq, idx.Opts)
 	}
+	c.Hist = NewChunkHist(scratch)
 	return nil
 }
 
@@ -342,11 +348,15 @@ func (idx *Index) ReadIDOf(c *Chunk, i int32) uint32 {
 }
 
 // MemoryBytes returns the in-memory size of the index tables: 8·4^m for the
-// global histogram plus 4·4^m per chunk (the paper's 4^{m+1}(C+1) figure,
-// §3.7, with the global table at 64-bit counts).
+// global histogram plus each chunk's compact histogram, 4^m bytes and 8 per
+// overflow entry (the paper's 4^{m+1}(C+1) figure, §3.7, charges 4 bytes a
+// bin everywhere).
 func (idx *Index) MemoryBytes() int64 {
-	bins := int64(idx.Opts.Bins())
-	return 8*bins + 4*bins*int64(len(idx.Chunks))
+	mem := 8 * int64(idx.Opts.Bins())
+	for ci := range idx.Chunks {
+		mem += idx.Chunks[ci].Hist.MemoryBytes()
+	}
+	return mem
 }
 
 // Verify checks that the index still matches the files on disk: every file

@@ -242,8 +242,14 @@ func TestChunkHistsSumToGlobal(t *testing.T) {
 	}
 	sum := make([]uint64, idx.Opts.Bins())
 	for ci := range idx.Chunks {
-		for b, v := range idx.Chunks[ci].Hist {
-			sum[b] += uint64(v)
+		h := &idx.Chunks[ci].Hist
+		var total uint64
+		for b := range sum {
+			sum[b] += uint64(h.Count(b))
+			total += uint64(h.Count(b))
+		}
+		if got := h.RangeCount(0, len(sum)); got != total {
+			t.Errorf("chunk %d: RangeCount over every bin = %d, want %d", ci, got, total)
 		}
 	}
 	if !reflect.DeepEqual(sum, idx.MerHist) {
@@ -343,9 +349,17 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 func TestMemoryBytes(t *testing.T) {
 	idx := &Index{Opts: Options{K: 27, M: 4, ChunkSize: 100}}
+	counts := make([]uint32, 256)
 	idx.Chunks = make([]Chunk, 3)
-	// 8*256 + 4*256*3 = 2048 + 3072.
-	if got := idx.MemoryBytes(); got != 2048+3072 {
+	for ci := range idx.Chunks {
+		// Chunk ci has ci bins at or above 255.
+		for b := 0; b < ci; b++ {
+			counts[10*b] = 255 + uint32(ci)
+		}
+		idx.Chunks[ci].Hist = NewChunkHist(counts)
+	}
+	// 8·4^m + Σ_chunks (4^m + 8·overflow entries) = 2048 + 3·256 + 8·(0+1+2).
+	if got := idx.MemoryBytes(); got != 2048+3*256+8*3 {
 		t.Errorf("MemoryBytes = %d", got)
 	}
 }
@@ -461,14 +475,17 @@ func TestPartitionDegenerate(t *testing.T) {
 }
 
 func TestSegmentCounts(t *testing.T) {
-	hist := []uint32{1, 2, 3, 4, 5, 6, 7, 8}
+	hist := NewChunkHist([]uint32{1, 2, 3, 4, 5, 6, 7, 8})
 	cuts := []int{0, 3, 3, 8}
-	got := SegmentCounts(nil, hist, cuts)
+	var got []uint64
+	for i := 0; i+1 < len(cuts); i++ {
+		got = append(got, hist.RangeCount(cuts[i], cuts[i+1]))
+	}
 	want := []uint64{6, 0, 30}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("SegmentCounts = %v, want %v", got, want)
+		t.Errorf("segment counts = %v, want %v", got, want)
 	}
-	if RangeCount(hist, 2, 5) != 12 {
+	if hist.RangeCount(2, 5) != 12 {
 		t.Error("RangeCount wrong")
 	}
 }

@@ -105,30 +105,6 @@ func (pt *Partition) PassOf(b int) int {
 	return sort.SearchInts(pt.passCut[1:], b+1)
 }
 
-// SegmentCounts sums hist over each of the len(cuts)-1 ranges delimited by
-// cuts, appending results to dst. This is the primitive from which all
-// pipeline buffer offsets are precomputed (per §3.2.2: counts for chunks ×
-// destination ranges, prefix-summed).
-func SegmentCounts(dst []uint64, hist []uint32, cuts []int) []uint64 {
-	for i := 0; i+1 < len(cuts); i++ {
-		var sum uint64
-		for _, c := range hist[cuts[i]:cuts[i+1]] {
-			sum += uint64(c)
-		}
-		dst = append(dst, sum)
-	}
-	return dst
-}
-
-// RangeCount sums hist over the bin range [lo, hi).
-func RangeCount(hist []uint32, lo, hi int) uint64 {
-	var sum uint64
-	for _, c := range hist[lo:hi] {
-		sum += uint64(c)
-	}
-	return sum
-}
-
 // RangeCount64 sums a 64-bit histogram over the bin range [lo, hi).
 func RangeCount64(hist []uint64, lo, hi int) uint64 {
 	var sum uint64
