@@ -96,7 +96,6 @@ func usage() {
                       [-outdir DIR] [-edison-net] [-merge-output]
                       [-prefetch N]
                       [-spill-budget BYTES|auto] [-spill-dir DIR]
-                      [-prefilter-bits N] [-prefilter-min N]
                       [-artifact-out FILE] [-artifact-in FILE] [-delta]
                       [-trace FILE] [-metrics FILE] [-counters FILE|-]
                       [-drift-cal edison|ganga|off] [-trajectory FILE]
@@ -154,8 +153,6 @@ func cmdRun(args []string) error {
 	prefetch := fs.Int("prefetch", 0, "per-thread chunk read-ahead depth (0 = default: 1, or serial reads on a single-CPU host)")
 	spillBudget := fs.String("spill-budget", "", "per-rank tuple memory budget, e.g. 256M or 2G, or 'auto' to probe the cgroup/host memory limit; when the exchange would exceed it LocalSort spills sorted runs to disk and merges them as a stream (empty = all in RAM)")
 	spillDir := fs.String("spill-dir", "", "directory for spill run files (empty = the OS temp dir)")
-	prefilterBits := fs.Int("prefilter-bits", 0, "enable the two-pass Bloom singleton prefilter, sized at this many bits per k-mer (8 is a good default; 0 = off): a cheap extra scan drops tuples for k-mers seen fewer than -prefilter-min times, cutting wire, sort and spill volume")
-	prefilterMin := fs.Int("prefilter-min", 0, "prefilter count threshold (default 2 = drop only singletons, which is lossless; requires -prefilter-bits)")
 	artifactOut := fs.String("artifact-out", "", "persist the partitioning (sorted k-mer runs, labels, histogram, provenance) as a .mpa artifact here")
 	artifactIn := fs.String("artifact-in", "", "reload the partitioning from a .mpa artifact instead of recomputing (must match this index and filter)")
 	delta := fs.Bool("delta", false, "treat -index as a delta read set and merge it incrementally into the -artifact-in base")
@@ -204,7 +201,6 @@ func cmdRun(args []string) error {
 		cfg.SpillBudgetBytes = b
 	}
 	cfg.SpillDir = *spillDir
-	cfg.Prefilter = metaprep.Prefilter{BitsPerKmer: *prefilterBits, MinCount: *prefilterMin}
 	cfg.ArtifactOut = *artifactOut
 	cfg.ArtifactIn = *artifactIn
 	cfg.ArtifactDelta = *delta

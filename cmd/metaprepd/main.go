@@ -120,8 +120,6 @@ func run(args []string, sigc chan os.Signal) error {
 	traceDir := fs.String("trace-dir", "", "directory for automatic flight-recorder dumps of failed, cancelled or SLO-breaching jobs (empty disables dumps)")
 	traceSLO := fs.Duration("trace-slo", 0, "run-time latency SLO: a successful job slower than this dumps its trace to -trace-dir (0 disables)")
 	trajectory := fs.String("trajectory", "", "JSONL perf-trajectory file appended on every completed job (see `metaprep drift`)")
-	prefilterBits := fs.Int("prefilter-bits", 0, "apply the two-pass Bloom singleton prefilter at this many bits per k-mer to every job that doesn't set its own prefilter_bits_per_kmer (0 = off)")
-	prefilterMin := fs.Int("prefilter-min", 0, "default prefilter count threshold (0 = the lossless default of 2; only meaningful with -prefilter-bits)")
 	driftCal := fs.String("drift-cal", "", "model calibration for the per-job drift report: edison (default), ganga, or off")
 	serveArtifact := fs.String("serve-artifact", "", "partition artifact (.mpa) or prebuilt lookup (.mplk) to serve on POST /query from startup (empty = serve nothing until -serve-key matches a commit)")
 	serveKey := fs.String("serve-key", "", "artifact-store name to follow for query hot-swap: every commit under this name rebuilds and atomically swaps the served lookup; 'auto' adopts the first committed partition artifact (empty disables the query tier unless -serve-artifact is set)")
@@ -217,12 +215,10 @@ func run(args []string, sigc chan os.Signal) error {
 		Logger:              lg,
 	})
 	srv := server.New(mgr, server.Options{
-		ProgressInterval:         *progress,
-		OrphansSwept:             len(swept),
-		DefaultPrefilterBits:     *prefilterBits,
-		DefaultPrefilterMinCount: *prefilterMin,
-		Logger:                   lg,
-		Query:                    tier,
+		ProgressInterval: *progress,
+		OrphansSwept:     len(swept),
+		Logger:           lg,
+		Query:            tier,
 	})
 	httpSrv := &http.Server{Handler: srv}
 

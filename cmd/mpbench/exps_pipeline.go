@@ -34,8 +34,9 @@ type pipelineRow struct {
 
 // expPipeline is the observability benchmark: the standard HG dataset run
 // under the always-on flight recorder across representative shapes, printing
-// per-step times next to the §3.7 model's prediction ratios. It seeds
-// BENCH_pipeline.json (-benchjson), the drift baseline CI compares against.
+// per-step times next to the §3.7 model's prediction ratios. With
+// -benchjson it writes the rows to BENCH_pipeline.json; nothing in the tree
+// or in CI reads that file, so a row is a record of one host, not a gate.
 func expPipeline(e *env) error {
 	idx, _, err := e.index("HG", 27)
 	if err != nil {

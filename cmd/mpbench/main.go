@@ -10,7 +10,7 @@
 //	mpbench -list                    # list experiments
 //
 // Experiments: tab2 fig5 fig6 fig7 fig8 tab3 fig9 sort tab4 tab5 tab6 tab7
-// tab8 tab9 purity ablate extsort artifact prefilter backhalf
+// tab8 tab9 purity ablate extsort artifact backhalf
 // pipeline serve stream calib.
 package main
 
@@ -47,7 +47,6 @@ func experiments() []experiment {
 		{"ablate", "DESIGN.md design-decision ablations", expAblation},
 		{"extsort", "extension: out-of-core LocalSort (spill budget sweep, parity-checked)", expExtsort},
 		{"artifact", "extension: persistent partition artifacts (reload >=5x, incremental parity)", expArtifact},
-		{"prefilter", "extension: Bloom singleton prefilter (bits sweep, purity vs exact, wire cut)", expPrefilter},
 		{"backhalf", "extension: delta tree merge, broadcast schedule, overlapped CC-I/O", expBackHalf},
 		{"pipeline", "observability: per-step latency and model drift under the flight recorder", expPipeline},
 		{"serve", "extension: query-tier closed-loop load (batch × concurrency, verified responses)", expServe},

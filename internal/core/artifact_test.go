@@ -243,11 +243,12 @@ func TestArtifactReloadParity(t *testing.T) {
 // TestArtifactShapeContract pins "same bytes from every shape" for the
 // .mpa kmers section. Across P ∈ {1,2,3} × T ∈ {1,2} × S ∈ {1,2} and both
 // key widths, an in-RAM run and a spilling run (minimum budget, at least
-// two KmerGen rounds per task) must write kmers sections with the same CRC;
-// at one pass the decoded (key, value) stream must hash the same for every
-// task and thread count; and under Filter{Max} — where a k-mer's reads can
-// sit in different components — the label of each key's first read, which
-// lookup.Build serves, must agree between the two artifacts.
+// two KmerGen rounds per task) must generate the index's tuple count and
+// write kmers sections with the same CRC; at one pass the decoded (key,
+// value) stream must hash the same for every task and thread count; and
+// under Filter{Max} — where a k-mer's reads can sit in different
+// components — the label of each key's first read, which lookup.Build
+// serves, must agree between the two artifacts.
 func TestArtifactShapeContract(t *testing.T) {
 	for _, w := range []struct {
 		name string
@@ -290,6 +291,9 @@ func TestArtifactShapeContract(t *testing.T) {
 							spillPath, spill := run(MinSpillBudgetBytes)
 							if !slicesEqualU32(ram.Labels, spill.Labels) {
 								t.Fatal("labels differ between the in-RAM and spilling runs")
+							}
+							if ram.Tuples != td.idx.TotalKmers || spill.Tuples != td.idx.TotalKmers {
+								t.Fatalf("Tuples = %d in RAM, %d spilling, index %d", ram.Tuples, spill.Tuples, td.idx.TotalKmers)
 							}
 
 							if a, b := kmersCRC(t, ramPath), kmersCRC(t, spillPath); a != b {

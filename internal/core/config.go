@@ -57,46 +57,6 @@ func (fl Filter) String() string {
 	}
 }
 
-// Prefilter configures the opt-in two-pass probabilistic singleton
-// prefilter: pass 1 is an enumeration-only scan that builds a blocked-Bloom
-// repeat ladder (internal/sketch) over every canonical k-mer, the ranks
-// combine their ladders into one global "seen ≥ MinCount times" bitmap, and
-// the normal pipeline then skips tuple generation for k-mers below the
-// threshold — they never cross the all-to-all, enter LocalSort, or spill.
-// At MinCount 2 the dropped k-mers are exactly the true singletons (modulo
-// Bloom false positives, which only keep extra k-mers — the safe
-// direction), so a k-mer run of length ≥ 2 is never lost and the component
-// labels are identical to the exact run's. Higher MinCount values trade
-// edges for volume and genuinely change labels, which is why the knob is
-// part of CanonicalHash.
-type Prefilter struct {
-	// BitsPerKmer sizes the filter: the pass-1 ladder holds
-	// Index.TotalKmers × BitsPerKmer bits split across MinCount levels
-	// (8 is a good default; 0 disables the prefilter; max 64). Fewer bits
-	// mean more false positives — more singletons kept, never more dropped.
-	BitsPerKmer int
-	// MinCount is the keep threshold: k-mers seen fewer than MinCount times
-	// dataset-wide generate no tuples. 0 defaults to 2 (lossless); 2..8
-	// allowed. Values above 2 drop genuinely shared k-mers and change
-	// component labels — compose with Filter.Min accordingly.
-	MinCount int
-}
-
-// Enabled reports whether the prefilter is configured on.
-func (pf Prefilter) Enabled() bool { return pf.BitsPerKmer > 0 }
-
-// minCount returns the effective keep threshold: the default 2 when the
-// prefilter is on with MinCount unset, 0 when the prefilter is off.
-func (pf Prefilter) minCount() int {
-	if !pf.Enabled() {
-		return 0
-	}
-	if pf.MinCount == 0 {
-		return 2
-	}
-	return pf.MinCount
-}
-
 // Config parameterizes a pipeline run.
 type Config struct {
 	// Index is the prebuilt IndexCreate output for the input files.
@@ -178,11 +138,6 @@ type Config struct {
 	// which a union-only structure cannot express). Delta read IDs follow
 	// the base's: global read r of the delta index becomes base.Reads + r.
 	ArtifactDelta bool
-	// Prefilter, when enabled (BitsPerKmer > 0), runs the two-pass
-	// probabilistic singleton prefilter before tuple generation. See the
-	// Prefilter type for semantics. Incompatible with the artifact paths (a
-	// filtered tuple stream would not round-trip).
-	Prefilter Prefilter
 	// Pool, when non-nil, supplies and reclaims the per-task tuple buffers
 	// (kmerOut's generation slots, the in-RAM receive buffer, the spill's
 	// run builders) so back-to-back runs — the daemon's jobs — reuse
@@ -309,22 +264,6 @@ func (c Config) Validate() error {
 		if err := checkSpillDir(dir); err != nil {
 			return &ConfigError{Field: "ArtifactOut", Reason: err.Error()}
 		}
-	}
-	if c.Prefilter.BitsPerKmer < 0 || c.Prefilter.BitsPerKmer > 64 {
-		return &ConfigError{Field: "Prefilter.BitsPerKmer",
-			Reason: fmt.Sprintf("%d outside 0..64 (0 disables, 8 is a good default)", c.Prefilter.BitsPerKmer)}
-	}
-	if c.Prefilter.MinCount != 0 && !c.Prefilter.Enabled() {
-		return &ConfigError{Field: "Prefilter.MinCount",
-			Reason: "set without Prefilter.BitsPerKmer (nothing is filtered)"}
-	}
-	if mc := c.Prefilter.MinCount; c.Prefilter.Enabled() && mc != 0 && (mc < 2 || mc > 8) {
-		return &ConfigError{Field: "Prefilter.MinCount",
-			Reason: fmt.Sprintf("%d outside 2..8 (1 drops nothing; the ladder caps at 8 levels)", mc)}
-	}
-	if c.Prefilter.Enabled() && (c.ArtifactOut != "" || c.ArtifactIn != "") {
-		return &ConfigError{Field: "Prefilter",
-			Reason: "incompatible with partition artifacts: a prefiltered tuple stream is not the exact sorted stream the artifact format stores"}
 	}
 	if _, _, err := driftCalibration(c.DriftCal); err != nil {
 		return &ConfigError{Field: "DriftCal", Reason: err.Error()}

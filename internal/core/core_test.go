@@ -819,9 +819,10 @@ func TestKmerFreqHist(t *testing.T) {
 
 func TestPipelineRandomizedConfigs(t *testing.T) {
 	// Fuzz-ish sweep: random datasets and random (P, T, S, filter, ccopt,
-	// prefilter, spill budget) must always match the naive reference.
+	// spill budget) must always match the naive reference, and every run
+	// must generate exactly the index's tuple count, summed over passes.
 	rng := rand.New(rand.NewSource(99))
-	spilled, prefiltered := 0, 0
+	spilled := 0
 	for trial := 0; trial < 12; trial++ {
 		genomes := 2 + rng.Intn(4)
 		reads := 60 + rng.Intn(150)
@@ -848,13 +849,6 @@ func TestPipelineRandomizedConfigs(t *testing.T) {
 		cfg.Passes = 1 + rng.Intn(5)
 		cfg.Filter = filter
 		cfg.CCOpt = rng.Intn(2) == 0
-		// About half the trials run the Bloom prefilter at MinCount 2: it
-		// only drops k-mers seen once, whose runs of length 1 form no edge
-		// under any filter, so the naive labels still hold exactly.
-		if rng.Intn(2) == 0 {
-			cfg.Prefilter = Prefilter{BitsPerKmer: 8, MinCount: 2}
-			prefiltered++
-		}
 		if spill {
 			cfg.SpillBudgetBytes = MinSpillBudgetBytes
 		}
@@ -866,10 +860,14 @@ func TestPipelineRandomizedConfigs(t *testing.T) {
 		g := canonLabels(res.Labels)
 		for i := range want {
 			if g[i] != want[i] {
-				t.Fatalf("trial %d (P=%d T=%d S=%d %v ccopt=%v prefilter=%v spill=%d): read %d got %d want %d",
+				t.Fatalf("trial %d (P=%d T=%d S=%d %v ccopt=%v spill=%d): read %d got %d want %d",
 					trial, cfg.Tasks, cfg.Threads, cfg.Passes, filter, cfg.CCOpt,
-					cfg.Prefilter.Enabled(), cfg.SpillBudgetBytes, i, g[i], want[i])
+					cfg.SpillBudgetBytes, i, g[i], want[i])
 			}
+		}
+		if res.Tuples != td.idx.TotalKmers {
+			t.Fatalf("trial %d (P=%d T=%d S=%d spill=%d): %d tuples, index %d",
+				trial, cfg.Tasks, cfg.Threads, cfg.Passes, cfg.SpillBudgetBytes, res.Tuples, td.idx.TotalKmers)
 		}
 		for _, rep := range res.PerTask {
 			if rep.SpillBytes > 0 {
@@ -878,10 +876,10 @@ func TestPipelineRandomizedConfigs(t *testing.T) {
 			}
 		}
 	}
-	// A reseed that stops drawing either dimension should fail, not pass
+	// A reseed that stops drawing spilling trials should fail, not pass
 	// with silently narrower coverage.
-	if spilled == 0 || prefiltered == 0 {
-		t.Fatalf("sweep drew %d spilling and %d prefiltered trials, want both > 0", spilled, prefiltered)
+	if spilled == 0 {
+		t.Fatal("sweep drew no spilling trial, want at least one")
 	}
 }
 

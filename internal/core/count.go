@@ -62,9 +62,9 @@ type taskCounts struct {
 	counts []uint32
 }
 
-// RunCount executes the counting pipeline. The Filter, CCOpt, OutDir,
-// SplitComponents and Prefilter fields of cfg are ignored (every k-mer is
-// counted); everything else (tasks, threads, passes, SpillBudgetBytes,
+// RunCount executes the counting pipeline. The Filter, CCOpt, OutDir and
+// SplitComponents fields of cfg are ignored (every k-mer is counted);
+// everything else (tasks, threads, passes, SpillBudgetBytes,
 // network model) applies as in Run.
 func RunCount(cfg Config) (*CountResult, error) {
 	return RunCountContext(context.Background(), cfg)

@@ -37,7 +37,7 @@ func driftCalibration(name string) (model.Calibration, bool, error) {
 // tree broadcast and the overlapped output are the only paths the pipeline
 // has; the model keeps the alternatives as analytic predictions only.
 func (c Config) modelCluster() model.Cluster {
-	m := model.Cluster{
+	return model.Cluster{
 		P:                c.Tasks,
 		T:                c.Threads,
 		S:                c.Passes,
@@ -45,11 +45,6 @@ func (c Config) modelCluster() model.Cluster {
 		OverlapOutput:    true,
 		SpillBudgetBytes: c.SpillBudgetBytes,
 	}
-	if c.Prefilter.Enabled() {
-		m.PrefilterBits = c.Prefilter.BitsPerKmer
-		m.PrefilterMinCount = c.Prefilter.minCount()
-	}
-	return m
 }
 
 // toModelSteps converts measured StepTimes into the model's aligned Steps.
@@ -80,12 +75,6 @@ func reconcileDrift(cfg Config, res *Result, nonSingletonFrac float64) {
 	w.NonSingletonFrac = nonSingletonFrac
 	if res.Edges > 0 {
 		w.Edges = int64(res.Edges)
-	}
-	if cfg.Prefilter.Enabled() && cfg.Index.TotalKmers > 0 {
-		// Back out the measured droppable mass from the kept tuple count, so
-		// the prediction reconciles against what this run actually shipped
-		// (res.Tuples counts post-gate tuples; the index counts all windows).
-		w.SingletonKmerFrac = 1 - float64(res.Tuples)/float64(cfg.Index.TotalKmers)
 	}
 	c := cfg.modelCluster()
 	var wire, spill int64

@@ -16,7 +16,7 @@ import (
 // canonicalHashVersion is bumped whenever the set of hashed fields or their
 // normalization changes, invalidating every previously cached result rather
 // than silently aliasing old entries.
-const canonicalHashVersion = 8
+const canonicalHashVersion = 9
 
 // CanonicalHash returns a stable hex digest of the run-defining
 // configuration. The encoding is canonical:
@@ -61,13 +61,6 @@ func (c Config) CanonicalHash() string {
 	if c.ArtifactDelta {
 		field("artifact_in", c.ArtifactIn)
 	}
-	// The prefilter is semantic: false positives at any sizing can keep
-	// different k-mers, and MinCount > 2 changes labels outright — so both
-	// knobs are run-defining. MinCount normalizes through minCount(): 0 and
-	// 2 hash identically when the prefilter is on, and a disabled prefilter
-	// always hashes as (0, 0).
-	field("prefilter.bits_per_kmer", c.Prefilter.BitsPerKmer)
-	field("prefilter.min_count", c.Prefilter.minCount())
 	if c.Network == nil || (c.Network.Latency == 0 && c.Network.BandwidthBytesPerSec == 0) {
 		field("network", "none")
 	} else {

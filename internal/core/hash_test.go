@@ -14,7 +14,7 @@ import (
 // and re-pin — never let old cached results alias the new scheme silently.
 func TestCanonicalHashGolden(t *testing.T) {
 	def := Config{Tasks: 1, Threads: 1, Passes: 1, CCOpt: true}
-	const wantDef = "9779a715c629aa488d5b47a8fa96fbc52b7d425e5a45839b5392b6cd9016acde"
+	const wantDef = "8f9d9ff9ad240739af376fd086eb480d8654b1a0edfada250181d1ff4fec2cb8"
 	if got := def.CanonicalHash(); got != wantDef {
 		t.Errorf("CanonicalHash(default) = %s, want %s", got, wantDef)
 	}
@@ -30,7 +30,7 @@ func TestCanonicalHashGolden(t *testing.T) {
 		PrefetchChunks:  4,
 		Network:         &mpirt.NetworkModel{Latency: time.Microsecond, BandwidthBytesPerSec: 8e9},
 	}
-	const wantFull = "76851a9a6ee5826f5e8e6890c0861844ed465581931248f17851ed2d4872298e"
+	const wantFull = "aba05cc993bfca205195a89c9c4fe85e704b980d043a85c30a6c3a7ef2c42f68"
 	if got := full.CanonicalHash(); got != wantFull {
 		t.Errorf("CanonicalHash(full) = %s, want %s", got, wantFull)
 	}
@@ -77,19 +77,6 @@ func TestCanonicalHashEquivalentSpellings(t *testing.T) {
 		t.Errorf("Pool leaked into the hash: %s vs %s", want, got)
 	}
 
-	// MinCount 0 and 2 both mean "drop singletons" when the prefilter is
-	// enabled, and MinCount is irrelevant while it is disabled.
-	pfDefault := base
-	pfDefault.Prefilter = Prefilter{BitsPerKmer: 8}
-	pfSpelled := base
-	pfSpelled.Prefilter = Prefilter{BitsPerKmer: 8, MinCount: 2}
-	if pfDefault.CanonicalHash() != pfSpelled.CanonicalHash() {
-		t.Errorf("Prefilter MinCount 0 vs 2 hash differently")
-	}
-	if pfDefault.CanonicalHash() == want {
-		t.Errorf("Prefilter did not change the hash")
-	}
-
 	// The Index pointer and the Obs collector are not run-defining: the
 	// index is the other half of the cache key, observability never
 	// changes results.
@@ -106,21 +93,16 @@ func TestCanonicalHashEquivalentSpellings(t *testing.T) {
 func TestCanonicalHashSensitivity(t *testing.T) {
 	base := Config{Tasks: 2, Threads: 2, Passes: 1, CCOpt: true}
 	mutations := map[string]func(*Config){
-		"tasks":                   func(c *Config) { c.Tasks = 3 },
-		"threads":                 func(c *Config) { c.Threads = 4 },
-		"passes":                  func(c *Config) { c.Passes = 2 },
-		"filter.min":              func(c *Config) { c.Filter.Min = 2 },
-		"filter.max":              func(c *Config) { c.Filter.Max = 50 },
-		"ccopt":                   func(c *Config) { c.CCOpt = false },
-		"split_components":        func(c *Config) { c.SplitComponents = 2 },
-		"out_dir":                 func(c *Config) { c.OutDir = "d" },
-		"prefetch_depth":          func(c *Config) { c.PrefetchChunks = 3 },
-		"spill_budget_bytes":      func(c *Config) { c.SpillBudgetBytes = 1 << 20 },
-		"prefilter.bits_per_kmer": func(c *Config) { c.Prefilter.BitsPerKmer = 8 },
-		"prefilter.min_count": func(c *Config) {
-			c.Prefilter.BitsPerKmer = 8
-			c.Prefilter.MinCount = 3
-		},
+		"tasks":              func(c *Config) { c.Tasks = 3 },
+		"threads":            func(c *Config) { c.Threads = 4 },
+		"passes":             func(c *Config) { c.Passes = 2 },
+		"filter.min":         func(c *Config) { c.Filter.Min = 2 },
+		"filter.max":         func(c *Config) { c.Filter.Max = 50 },
+		"ccopt":              func(c *Config) { c.CCOpt = false },
+		"split_components":   func(c *Config) { c.SplitComponents = 2 },
+		"out_dir":            func(c *Config) { c.OutDir = "d" },
+		"prefetch_depth":     func(c *Config) { c.PrefetchChunks = 3 },
+		"spill_budget_bytes": func(c *Config) { c.SpillBudgetBytes = 1 << 20 },
 		"network": func(c *Config) {
 			c.Network = &mpirt.NetworkModel{Latency: time.Microsecond, BandwidthBytesPerSec: 1e9}
 		},

@@ -10,7 +10,6 @@ import (
 	"metaprep/internal/kmer"
 	"metaprep/internal/obsv"
 	"metaprep/internal/par"
-	"metaprep/internal/sketch"
 )
 
 // kmergen.go implements the KmerGen step (§3.2): each thread reads its
@@ -54,13 +53,6 @@ func (st *taskState) kmerGen(s, r int, gl genLayout, owner []uint16, fetchers []
 	T := cfg.Threads
 	passLo, passHi := st.p.pt.PassRange(s)
 
-	if st.keep != nil {
-		// Prefiltered passes fill only a prefix of each (dst, thread)
-		// sub-region; the end cursors land here for the compaction and the
-		// kept-count accounting below.
-		st.genKept = make([]uint64, cfg.Tasks*T)
-	}
-
 	ioTimes := make([]time.Duration, T)
 	genTimes := make([]time.Duration, T)
 	errs := make([]error, T)
@@ -80,20 +72,10 @@ func (st *taskState) kmerGen(s, r int, gl genLayout, owner []uint16, fetchers []
 	ioDur, genDur := maxOfDur(ioTimes), maxOfDur(genTimes)
 	st.rep.Steps.KmerGenIO += ioDur
 	st.rep.Steps.KmerGen += genDur
-	kept := gl.total
-	if st.keep != nil {
-		kept = 0
-		for dst := 0; dst < cfg.Tasks; dst++ {
-			for t := 0; t < T; t++ {
-				kept += st.genKept[dst*T+t] - gl.cursor[dst*T+t]
-			}
-		}
-		st.counter("prefilter/tuples_saved").Add(gl.total - kept)
-	}
-	st.rep.Tuples += kept
+	st.rep.Tuples += gl.total
 	st.stepSpan("KmerGen-I/O", phaseStart, ioDur)
 	st.stepSpan("KmerGen", phaseStart.Add(ioDur), genDur)
-	st.counter("kmergen/kmers").Add(kept)
+	st.counter("kmergen/kmers").Add(gl.total)
 	return nil
 }
 
@@ -130,20 +112,6 @@ func (st *taskState) kmerGenThread(s, t int, chunks []int, fetch *chunkFetcher, 
 		}
 		cur[dst]++
 		st.out.set(i, hi, lo, val)
-	}
-	if keep := st.keep; keep != nil {
-		// Prefilter gate, wrapped around the emit: a k-mer outside the
-		// global keep set generates no tuple — it never crosses the wire,
-		// enters LocalSort, or spills. One blocked-Bloom probe (a single
-		// cache line) per enumerated k-mer.
-		write := emit
-		emit = func(bin int, hi, lo uint64, val uint32) {
-			h1, h2 := sketch.Hash(hi, lo)
-			if !keep.Contains(h1, h2) {
-				return
-			}
-			write(bin, hi, lo, val)
-		}
 	}
 
 	var scanner fastq.ChunkScanner
@@ -209,23 +177,16 @@ func (st *taskState) kmerGenThread(s, t int, chunks []int, fetch *chunkFetcher, 
 
 	// The index promised exact counts; verify this thread filled its
 	// sub-regions precisely (a mismatch, like an overflow above, means the
-	// FASTQ changed since IndexCreate). Under the prefilter only the upper
-	// bound holds — dropped tuples leave the sub-regions part-filled — so
-	// the end cursors are recorded instead of checked.
+	// FASTQ changed since IndexCreate).
 	if overflow {
 		return fmt.Errorf("core: task %d thread %d produced more tuples than the index predicts — %w",
 			st.rank, t, errStaleIndex)
 	}
-	if st.keep != nil {
-		for dst := 0; dst < cfg.Tasks; dst++ {
-			st.genKept[dst*T+t] = cur[dst]
-		}
-	} else {
-		for dst := 0; dst < cfg.Tasks; dst++ {
-			if cur[dst] != lim[dst] {
-				return fmt.Errorf("core: task %d thread %d: wrote %d tuples for task %d, index predicts %d — %w",
-					st.rank, t, cur[dst], dst, lim[dst], errStaleIndex)
-			}
+	for dst := 0; dst < cfg.Tasks; dst++ {
+		if cur[dst] != lim[dst] {
+			start := gl.cursor[dst*T+t]
+			return fmt.Errorf("core: task %d thread %d: wrote %d tuples for task %d, index predicts %d — %w",
+				st.rank, t, cur[dst]-start, dst, lim[dst]-start, errStaleIndex)
 		}
 	}
 	return nil

@@ -10,7 +10,6 @@ import (
 	"metaprep/internal/model"
 	"metaprep/internal/mpirt"
 	"metaprep/internal/obsv"
-	"metaprep/internal/sketch"
 	"metaprep/internal/unionfind"
 )
 
@@ -52,13 +51,6 @@ type taskState struct {
 	// budget-compliance test checks.
 	spillCur, spillPeak atomic.Int64
 
-	// keep, non-nil when the prefilter is enabled, is the global "seen ≥
-	// MinCount times" Bloom every KmerGen emit consults; filterBytes is the
-	// pass-1 ladder's memory charge. genKept[dst*T+t] records thread t's
-	// end cursor in dst's send region per round (kept = end − start cursor).
-	keep        *sketch.Bloom
-	filterBytes int64
-	genKept     []uint64
 	// exchTupleCounters[src] is the preformatted per-source-rank tuple
 	// counter ("exchange/tuples[src->rank]"), resolved once at task setup
 	// so the receive path never formats counter names (nil when
@@ -341,13 +333,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		st.dsu = unionfind.New(int(pl.idx.Reads))
 		st.dsu.SetStats(st.ufStats)
-		if cfg.Prefilter.Enabled() {
-			// Pass 1 of the two-pass prefilter: scan, combine, broadcast.
-			// Every later pass's KmerGen consults st.keep.
-			if err := st.buildPrefilter(); err != nil {
-				return err
-			}
-		}
 
 		if err := st.runPasses(sink, st.localCC); err != nil {
 			return err
@@ -492,9 +477,6 @@ func (st *taskState) memoryBytes(sink tupleSink) int64 {
 	mem += int64(st.p.cfg.Threads) * buffersPerThread * st.maxChunkBytes
 	// SnapshotDelta's shadow baseline (lazily allocated on senders).
 	mem += 4 * int64(idx.Reads)
-	// The prefilter ladder (pass-1 peak; the broadcast keep bitmap is one
-	// of its levels).
-	mem += st.filterBytes
 	return mem
 }
 

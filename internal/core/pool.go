@@ -16,16 +16,13 @@ import (
 // first in the same pass (TestTuplePoolPoisonedBuffers runs every memory
 // shape on all-ones garbage).
 //   - KmerGen fills each round's [0, gl.total) of its generation slot
-//     exactly (the cursor-vs-limit verification enforces it); under the
-//     prefilter compactGen moves the kept prefix of each region together,
-//     and the exchange ships only those counts.
+//     exactly (the cursor-vs-limit verification enforces it), and the
+//     exchange ships exactly those counts.
 //   - The receive buffer's (bin, source) slots tile [0, pass total): open
 //     derives their extents from the chunk histograms, and receive
 //     scatters a tuple into a slot only after checking that the slot has
-//     room. On an exact pass the per-source totals match the index and no
-//     slot overflows, so every slot ends exactly full. Under the prefilter
-//     a slot may end part-filled, and LocalSort reads only each slot's
-//     written prefix [off, cur), closing the gaps before it sorts.
+//     room. The per-source totals match the index and no slot overflows,
+//     so every slot ends exactly full.
 //   - A spill run builder is sorted and written only over its filled
 //     prefix.
 //   - While a pass merges, the builders back its merge blocks (spill.go's

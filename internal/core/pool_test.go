@@ -79,12 +79,7 @@ func TestTuplePoolRunParity(t *testing.T) {
 // class the shape requests, every pooled buffer is then filled with
 // all-ones keys and 0xFFFFFFFF values, and a second run must take every
 // buffer from the pool and still match a pool-less run — labels, edges,
-// tuples and the frequency spectrum, and the .mpa kmers CRC where the shape
-// writes one. The prefiltered shape is the one whose receive slots are only
-// partly filled, so its gap compaction must never read past a slot's
-// cursor into the poison. It runs one thread, where the ladder's kept
-// count is deterministic. The reads cover their genomes about 4×, so many
-// k-mers are singletons and the prefilter leaves real gaps.
+// tuples and the frequency spectrum, and the .mpa kmers CRC.
 func TestTuplePoolPoisonedBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	td := overlappingDataset(t, rng, index.Options{K: 11, M: 4, ChunkSize: 600}, 4, 4000, 1500, 50)
@@ -94,12 +89,9 @@ func TestTuplePoolPoisonedBuffers(t *testing.T) {
 		name           string
 		tasks, threads int
 		budget         int64
-		pf             Prefilter
-		artifact       bool
 	}{
-		{"inram", 2, 2, 0, Prefilter{}, true},
-		{"prefilter", 2, 1, 0, Prefilter{BitsPerKmer: 8}, false},
-		{"spill", 1, 2, MinSpillBudgetBytes, Prefilter{}, true},
+		{"inram", 2, 2, 0},
+		{"spill", 1, 2, MinSpillBudgetBytes},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -107,11 +99,8 @@ func TestTuplePoolPoisonedBuffers(t *testing.T) {
 				cfg := Default(td.idx)
 				cfg.Tasks, cfg.Threads, cfg.Passes = shape.tasks, shape.threads, 2
 				cfg.SpillBudgetBytes = shape.budget
-				cfg.Prefilter = shape.pf
 				cfg.Pool = pool
-				if shape.artifact {
-					cfg.ArtifactOut = filepath.Join(dir, name+".mpa")
-				}
+				cfg.ArtifactOut = filepath.Join(dir, name+".mpa")
 				if shape.budget > 0 {
 					requireSpill(t, cfg)
 				}
@@ -122,9 +111,6 @@ func TestTuplePoolPoisonedBuffers(t *testing.T) {
 				return res, cfg.ArtifactOut
 			}
 			want, wantMPA := run("ref", nil)
-			if shape.pf.Enabled() && want.Tuples >= td.idx.TotalKmers {
-				t.Fatalf("the prefilter kept all %d tuples: no receive slot has a gap to close", want.Tuples)
-			}
 
 			pool := NewTuplePool()
 			run("seed", pool)
@@ -154,10 +140,8 @@ func TestTuplePoolPoisonedBuffers(t *testing.T) {
 				t.Fatalf("%d acquisitions missed the pool: not every buffer was poisoned", pool.Misses()-misses)
 			}
 			assertSameResult(t, want, got)
-			if shape.artifact {
-				if a, b := kmersCRC(t, wantMPA), kmersCRC(t, gotMPA); a != b {
-					t.Errorf("kmers CRC %08x on poisoned buffers, %08x pool-less", b, a)
-				}
+			if a, b := kmersCRC(t, wantMPA), kmersCRC(t, gotMPA); a != b {
+				t.Errorf("kmers CRC %08x on poisoned buffers, %08x pool-less", b, a)
 			}
 		})
 	}

@@ -70,7 +70,7 @@ func (st *taskState) openPasses(spillDir string) (tupleSink, error) {
 
 // allocChunkBufs sizes the task's chunk read buffers once, to its largest
 // chunk: each thread's 1+prefetch-depth buffers serve its chunk fetcher in
-// every pass, the prefilter scan and CC-I/O (§3.7 charges exactly these).
+// every pass and CC-I/O (§3.7 charges exactly these).
 // Every path that reads chunks calls it first.
 func (st *taskState) allocChunkBufs() {
 	pl := st.p
@@ -129,11 +129,10 @@ func (st *taskState) runPasses(sink tupleSink, consume func(s int, srcs []*group
 
 // genExchange runs pass s's KmerGen → exchange rounds into sink. Each round
 // fills one generation slot of kmerOut from one group of this task's chunks
-// and ships it in one §3.3 all-to-all; the plan sizes the rounds from the
-// index (plan.groupChunks). Exact rounds ship the index-predicted region
-// counts; prefiltered rounds first compact the part-filled regions and ship
-// what the gate kept. Each thread's chunk fetcher lives for the whole pass,
-// so reads keep prefetching across round boundaries.
+// and ships it, at the index-predicted region counts, in one §3.3
+// all-to-all; the plan sizes the rounds from the index (plan.groupChunks).
+// Each thread's chunk fetcher lives for the whole pass, so reads keep
+// prefetching across round boundaries.
 func (st *taskState) genExchange(s int, sink tupleSink) error {
 	pl, T := st.p, st.p.cfg.Threads
 	fetchers := make([]*chunkFetcher, T)
@@ -152,11 +151,7 @@ func (st *taskState) genExchange(s int, sink tupleSink) error {
 		if err := st.kmerGen(s, r, gl, owner, fetchers); err != nil {
 			return err
 		}
-		sendCnt := gl.dstCnt
-		if st.keep != nil {
-			sendCnt = st.compactGen(gl)
-		}
-		if err := st.exchange(s, sink, gl, sendCnt, r+1 == pl.rounds[s]); err != nil {
+		if err := st.exchange(s, sink, gl, r+1 == pl.rounds[s]); err != nil {
 			return err
 		}
 	}
@@ -165,17 +160,17 @@ func (st *taskState) genExchange(s int, sink tupleSink) error {
 }
 
 // exchange runs the custom all-to-all of §3.3: P stages of point-to-point
-// messages, stage i pairing rank→rank+i, each shipping sendCnt[dst] tuples
+// messages, stage i pairing rank→rank+i, each shipping gl.dstCnt[dst] tuples
 // from dst's region of kmerOut. Each received message lands in sink; the
 // sender's KmerGen has already checked its counts against the index, which
 // every task plans from. last marks the pass's final round, the only one
 // that ends in a barrier.
-func (st *taskState) exchange(s int, sink tupleSink, gl genLayout, sendCnt []uint64, last bool) error {
+func (st *taskState) exchange(s int, sink tupleSink, gl genLayout, last bool) error {
 	t0 := time.Now()
 	var mismatch error
 	st.t.AllToAll(tagTuples+s,
 		func(dst int) (any, int) {
-			cnt := sendCnt[dst]
+			cnt := gl.dstCnt[dst]
 			return st.out.msgFor(gl.dstOff[dst], cnt), int(cnt) * st.out.bytesPerTuple()
 		},
 		func(src int, payload any) {
@@ -372,11 +367,11 @@ func (bs *binSink) receive(src int, m tupleMsg) error {
 	return nil
 }
 
-// seal is LocalSort (§3.4) over bins that are already in place: each
-// LocalCC thread walks its contiguous bin range, first closing the gaps
-// the prefilter left at the end of each slot (a no-op on exact passes,
-// where every slot is full), then sorting the bin in place. It returns a
-// zero-copy view of each thread's now sorted range.
+// seal is LocalSort (§3.4) over bins that are already in place: every slot
+// is exactly full, so bin b is the one contiguous range
+// [off[b·P], off[(b+1)·P]), and each LocalCC thread sorts the bins of its
+// contiguous bin range in place. It returns a zero-copy view of each
+// thread's now sorted range.
 func (bs *binSink) seal(s int) ([]*groupSource, error) {
 	st := bs.st
 	t0 := time.Now()
@@ -386,24 +381,15 @@ func (bs *binSink) seal(s int) ([]*groupSource, error) {
 	wide := buf.wide()
 	par.Run(len(srcs), func(d int) {
 		b0, b1 := cuts[d]-bs.binLo, cuts[d+1]-bs.binLo
-		start := bs.off[b0*P]
-		w := start
 		for b := b0; b < b1; b++ {
-			bin := w
-			for slot := b * P; slot < (b+1)*P; slot++ {
-				n := bs.cur[slot] - bs.off[slot]
-				if w != bs.off[slot] {
-					buf.copyRange(w, buf, bs.off[slot], n)
-				}
-				w += n
-			}
+			lo, hi := bs.off[b*P], bs.off[(b+1)*P]
 			if wide {
-				bs.sorters[d].Sort128(buf.hi[bin:w], buf.lo[bin:w], buf.val[bin:w], bs.shift)
+				bs.sorters[d].Sort128(buf.hi[lo:hi], buf.lo[lo:hi], buf.val[lo:hi], bs.shift)
 			} else {
-				bs.sorters[d].Sort64(buf.lo[bin:w], buf.val[bin:w], bs.shift)
+				bs.sorters[d].Sort64(buf.lo[lo:hi], buf.val[lo:hi], bs.shift)
 			}
 		}
-		srcs[d] = &groupSource{buf: buf, pos: start, end: w}
+		srcs[d] = &groupSource{buf: buf, pos: bs.off[b0*P], end: bs.off[b1*P]}
 	})
 	d := time.Since(t0)
 	st.rep.Steps.LocalSort += d

@@ -55,16 +55,6 @@ func (b *tupleBuf) set(i uint64, hi, lo uint64, val uint32) {
 	}
 }
 
-// copyRange copies cnt tuples from src[srcOff:] into b[dstOff:]; the
-// ranges may overlap.
-func (b *tupleBuf) copyRange(dstOff uint64, src *tupleBuf, srcOff, cnt uint64) {
-	copy(b.lo[dstOff:dstOff+cnt], src.lo[srcOff:srcOff+cnt])
-	copy(b.val[dstOff:dstOff+cnt], src.val[srcOff:srcOff+cnt])
-	if b.hi != nil {
-		copy(b.hi[dstOff:dstOff+cnt], src.hi[srcOff:srcOff+cnt])
-	}
-}
-
 // keyRange bounds the packed keys of one spill run: every key's m-mer
 // prefix bin (key >> shift) lies in the task's [binLo, binHi), so the bits
 // above the highest bit the range leaves free never need a radix pass.

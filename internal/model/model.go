@@ -66,14 +66,6 @@ type Workload struct {
 	// carry. 0 means unknown and is treated as 1.0 (every read shares a
 	// k-mer with another), the conservative bound for metagenome data.
 	NonSingletonFrac float64
-	// SingletonKmerFrac is g, the fraction of enumerated tuples whose k-mer
-	// occurs fewer than the prefilter's MinCount times globally — the mass
-	// the Bloom gate can drop before the exchange. Real metagenomes sit high
-	// (sequencing errors make most distinct k-mers singletons; ~50–80% of
-	// tuple volume on error-rich short reads). 0 means unknown and is
-	// treated as no droppable mass, the bound under which the prefilter is
-	// pure overhead.
-	SingletonKmerFrac float64
 }
 
 // FromIndex derives a Workload from a built index.
@@ -171,51 +163,6 @@ type Cluster struct {
 	// LocalCC pays the read-back plus a k-way merge term that grows with
 	// log₂(runs). 0 keeps every pass in RAM.
 	SpillBudgetBytes int64
-	// PrefilterBits models core.Config.Prefilter.BitsPerKmer: a pass-1
-	// enumeration-only scan builds a Bloom ladder sized at this many bits
-	// per distinct k-mer, and pass 2's KmerGen drops tuples whose k-mer the
-	// ladder never saw MinCount times. The scan re-reads and re-parses the
-	// input once (charged to KmerGen-I/O and KmerGen) and the per-rank
-	// filters combine over the wire (charged to KmerGen-Comm); in exchange
-	// the workload's SingletonKmerFrac of the tuple volume never enters the
-	// exchange, sort, spill, or CC terms. 0 disables the prefilter.
-	PrefilterBits int
-	// PrefilterMinCount is the ladder depth (core MinCount); 0 means the
-	// default of 2. It only affects the modeled filter footprint — the
-	// droppable mass at the chosen threshold is the workload's
-	// SingletonKmerFrac.
-	PrefilterMinCount int
-}
-
-// prefilterKeepFrac returns the modeled fraction of tuples surviving the
-// Bloom gate: 1 with the prefilter off, else the repeated mass plus the
-// false-positive share of the droppable mass. The FP term uses the classic
-// b-bits-per-key Bloom optimum ≈ 0.6185^b — the blocked layout is slightly
-// worse, the ladder's per-level split slightly better; the difference is
-// noise next to the uncertainty in g itself.
-func (c Cluster) prefilterKeepFrac(w Workload) float64 {
-	if c.PrefilterBits <= 0 {
-		return 1
-	}
-	g := w.SingletonKmerFrac
-	if g < 0 {
-		g = 0
-	}
-	if g > 1 {
-		g = 1
-	}
-	fp := math.Pow(0.6185, float64(c.PrefilterBits))
-	return 1 - g*(1-fp)
-}
-
-// prefilterBytes is the modeled ladder footprint: BitsPerKmer for every
-// enumerated tuple (core sizes the filter on idx.TotalKmers — an upper
-// bound on the distinct-key count), split across the MinCount levels.
-func (c Cluster) prefilterBytes(w Workload) int64 {
-	if c.PrefilterBits <= 0 {
-		return 0
-	}
-	return int64(float64(w.Tuples) * float64(c.PrefilterBits) / 8)
 }
 
 // SpillCompressRatio is the modeled compressed/raw size of a sorted run
@@ -358,93 +305,8 @@ func Ganga() Calibration {
 	return c
 }
 
-// Predict evaluates the cost model. With PrefilterBits set, the pipeline
-// terms are evaluated on the gated tuple volume (keepFrac · Tuples) and
-// the pass-1 scan-and-combine cost is added on top of the KmerGen steps.
+// Predict evaluates the cost model.
 func Predict(cal Calibration, w Workload, c Cluster) Steps {
-	if c.PrefilterBits <= 0 {
-		return predictPipeline(cal, w, c)
-	}
-	keep := c.prefilterKeepFrac(w)
-	wf := w
-	wf.Tuples = int64(float64(w.Tuples) * keep)
-	if w.Edges == 0 {
-		// Keep the edge proxy on the unfiltered volume: dropped k-mers are
-		// below the count threshold, so they produced no edges in the exact
-		// run either — LocalCC and the merge shrink by far less than the
-		// tuple volume does. (With measured Edges the caller already knows.)
-		wf.Edges = w.Tuples
-	}
-	s := predictPipeline(cal, wf, c)
-	pre := prefilterCost(cal, w, c)
-	s.KmerGenIO += pre.KmerGenIO
-	s.KmerGen += pre.KmerGen
-	s.KmerGenComm += pre.KmerGenComm
-	return s
-}
-
-// prefilterCost is the pass-1 bill: one extra read and parse of the whole
-// input (at pass-1 the chunk prefetch path runs without tuple emission —
-// inserts cost about one emit each), plus the sub-range cross-rank
-// combine: the ladder's word space is partitioned into P owned ranges, an
-// all-to-all ships each rank only its (P−1)/P share of every peer's
-// ladder, each owner merges its range, rank 0 gathers the merged keep
-// sub-ranges ((P−1)/P of one level), and ⌈log P⌉ broadcast hops return
-// the assembled bitmap. Per-rank combine volume is thus ~fb + kb + log P·kb
-// (kb = one level = fb/L) — flat in P, where the old rank-0 gather paid
-// (P−1)·fb inbound at the root.
-func prefilterCost(cal Calibration, w Workload, c Cluster) Steps {
-	if c.P < 1 {
-		c.P = 1
-	}
-	if c.T < 1 {
-		c.T = 1
-	}
-	P := float64(c.P)
-	T := float64(c.T)
-	if cal.CoreCap > 0 && T > float64(cal.CoreCap) {
-		T = float64(cal.CoreCap)
-	}
-	readBW := cal.ReadBW
-	if cal.IOScalesWithT {
-		readBW = minf(T*cal.PerThreadIOBW, cal.ReadBW)
-	}
-	if cal.AggregateIOBW > 0 {
-		readBW = minf(readBW, cal.AggregateIOBW/P)
-	}
-	var s Steps
-	s.KmerGenIO = sec(float64(w.DiskBytes) / P / readBW)
-	s.KmerGen = sec(float64(w.Bases)/P/(T*cal.ScanBasesPerSec) +
-		float64(w.Tuples)/P/(T*cal.EmitTuplesPerSec))
-	if c.P > 1 {
-		fb := float64(c.prefilterBytes(w))
-		L := float64(c.prefilterLevels())
-		kb := fb / L // one level: the keep bitmap's share of the ladder
-		rounds := 0
-		for step := 1; step < c.P; step <<= 1 {
-			rounds++
-		}
-		s.KmerGenComm = sec((fb*(P-1)/P+kb*(P-1)/P+float64(rounds)*kb)/cal.CommBW) +
-			time.Duration(2*(c.P-1)+rounds)*cal.Latency
-	}
-	return s
-}
-
-// prefilterLevels is the modeled ladder depth L: PrefilterMinCount clamped
-// to the sketch package's [2, 8] range (core defaults unset MinCount to 2).
-func (c Cluster) prefilterLevels() int {
-	L := c.PrefilterMinCount
-	if L < 2 {
-		L = 2
-	}
-	if L > 8 {
-		L = 8
-	}
-	return L
-}
-
-// predictPipeline evaluates the exact-pipeline cost model.
-func predictPipeline(cal Calibration, w Workload, c Cluster) Steps {
 	if c.P < 1 {
 		c.P = 1
 	}
@@ -598,14 +460,11 @@ func MergeWireBytes(w Workload, c Cluster) int64 {
 
 // MemoryPerTask evaluates §3.7's per-task memory inventory in bytes:
 // index tables + T chunk buffers + the resident tuple memory (tupleBytes)
-// + p + p′. A prefilter adds its ladder (BitsPerKmer per enumerated k-mer)
-// but scales the resident in-RAM tuple buffers by the keep fraction — the
-// trade the low-memory mode exists for.
+// + p + p′.
 func MemoryPerTask(w Workload, c Cluster) int64 {
 	return w.IndexBytes +
 		int64(c.T)*w.ChunkBytes +
 		tupleBytes(w, c) +
-		c.prefilterBytes(w) +
 		8*w.Reads
 }
 
@@ -621,11 +480,10 @@ func MemoryPerTask(w Workload, c Cluster) int64 {
 // one chunk's pass share of the tuples each when a single chunk holds more.
 func tupleBytes(w Workload, c Cluster) int64 {
 	tb := int64(w.TupleBytes)
-	// The spill decision sees the unfiltered partition, as core's plan does.
 	if b := c.SpillBudgetBytes; b > 0 && w.Tuples/int64(c.P)/int64(c.S)*tb > b {
 		return b - b/4 + max(b/4, 2*w.chunkPassTuples(c.S)*tb)
 	}
-	recv := int64(float64(w.Tuples)*c.prefilterKeepFrac(w)) / int64(c.P) / int64(c.S)
+	recv := w.Tuples / int64(c.P) / int64(c.S)
 	slot := recv / 16
 	if chunk := w.chunkPassTuples(c.S); chunk > 0 {
 		slot = min(recv, max(int64(c.T), slot/chunk)*chunk)
@@ -647,46 +505,6 @@ func (w Workload) chunkPassTuples(S int) int64 {
 		return 0
 	}
 	return int64(float64(w.Tuples) * float64(w.ChunkBytes) / float64(w.DiskBytes) / float64(S))
-}
-
-// PrefilterCrossover returns the minimum SingletonKmerFrac at which the
-// two-pass prefiltered run is predicted faster than the exact single-scan
-// pipeline — the g* above which paying the extra read pays off. Evaluated
-// at the cluster's PrefilterBits (or the 8-bit default sizing when unset).
-// Returns 0 when the prefilter wins at any droppable mass and 1 when it
-// never does. With the sub-range combine the per-rank wire volume is flat
-// in P (~fb + log P·kb rather than the old (P−1)·fb at rank 0), so the
-// crossover no longer collapses to "never" at high task counts — the
-// prefilter now keeps paying well beyond P=4.
-func PrefilterCrossover(cal Calibration, w Workload, c Cluster) float64 {
-	if c.PrefilterBits <= 0 {
-		c.PrefilterBits = 8
-	}
-	off := c
-	off.PrefilterBits = 0
-	base := Predict(cal, w, off).Total()
-	wins := func(g float64) bool {
-		wg := w
-		wg.SingletonKmerFrac = g
-		return Predict(cal, wg, c).Total() < base
-	}
-	const eps = 1e-3
-	if wins(eps) {
-		return 0
-	}
-	if !wins(1) {
-		return 1
-	}
-	lo, hi := eps, 1.0 // !wins(lo), wins(hi)
-	for hi-lo > eps {
-		mid := (lo + hi) / 2
-		if wins(mid) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return math.Round(hi*1000) / 1000
 }
 
 func sec(x float64) time.Duration {

@@ -136,16 +136,13 @@ func stepList(s Steps) []StepDrift {
 
 // ExchangeWireBytes returns the model's total KmerGen exchange volume in
 // bytes: every tuple not destined for its producing task crosses the wire
-// once, regardless of pass count or chunking. A prefilter shrinks the
-// volume to the keep fraction (this is the headline quantity the Bloom
-// gate exists to cut).
+// once, regardless of pass count or chunking.
 func ExchangeWireBytes(w Workload, c Cluster) int64 {
 	if c.P <= 1 {
 		return 0
 	}
 	P := float64(c.P)
-	tuples := float64(w.Tuples) * c.prefilterKeepFrac(w)
-	return int64(tuples * float64(w.TupleBytes) * (P - 1) / P)
+	return int64(float64(w.Tuples) * float64(w.TupleBytes) * (P - 1) / P)
 }
 
 // SpillBytes returns the model's total out-of-core scratch write volume:
@@ -163,13 +160,11 @@ func SpillBytes(w Workload, c Cluster) int64 {
 	if S < 1 {
 		S = 1
 	}
-	// The out-of-core path only sees tuples the Bloom gate kept.
-	kept := float64(w.Tuples) * c.prefilterKeepFrac(w)
-	tuplesTask := kept / float64(P)
-	if c.spillRuns(tuplesTask/float64(S)*float64(w.TupleBytes)) == 0 {
+	tuples := float64(w.Tuples)
+	if c.spillRuns(tuples/float64(P)/float64(S)*float64(w.TupleBytes)) == 0 {
 		return 0
 	}
-	return int64(kept * float64(w.TupleBytes))
+	return int64(tuples * float64(w.TupleBytes))
 }
 
 // Reconcile predicts the run with the given calibration and compares it

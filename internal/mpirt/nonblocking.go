@@ -201,8 +201,3 @@ func (t *Task) WaitAll(rs []*Request) {
 		t.Wait(r)
 	}
 }
-
-// Abort fails the whole world from inside a task body, waking every peer
-// blocked in a communication call at once rather than when the body
-// returns its error.
-func (t *Task) Abort() { t.world.fail() }

@@ -165,22 +165,3 @@ func TestWorldAbortWakesWaiters(t *testing.T) {
 		t.Fatalf("Run: err = %v, want %v", err, boom)
 	}
 }
-
-// TestAbortReleasesPeers checks Task.Abort fails the world from inside a
-// body: a peer blocked in Recv wakes with ErrPeerFailed while the aborting
-// rank returns its own error, which RunContext prefers.
-func TestAbortReleasesPeers(t *testing.T) {
-	boom := errors.New("local step failed")
-	w := NewWorld(2, nil)
-	err := w.Run(func(task *Task) error {
-		if task.Rank() == 0 {
-			task.Abort()
-			return boom
-		}
-		task.Recv(0, 1) // never sent; must wake via the abort
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("Run: err = %v, want %v", err, boom)
-	}
-}

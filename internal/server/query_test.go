@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -21,7 +23,7 @@ const queryTestK = 21
 // real k-mer strings, so HTTP queries can be issued as sequence text and
 // verified against the labels written here. The same seed yields the same
 // k-mer set, so two artifacts with different labelBase are swap-detectable.
-func writeQueryArtifact(t *testing.T, path string, labelBase uint32, seed int64) (kmers []string, labels []uint32) {
+func writeQueryArtifact(t testing.TB, path string, labelBase uint32, seed int64) (kmers []string, labels []uint32) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	type keyed struct {
@@ -234,6 +236,42 @@ func TestQueryEndpoint(t *testing.T) {
 	if qr.Epoch != 2 || qr.Kmers[0].Label != labsB[5] {
 		t.Fatalf("post-swap answer = %+v, want epoch 2 label %d", qr, labsB[5])
 	}
+}
+
+// FuzzQueryBody drives arbitrary bytes through POST /query against a small
+// served artifact. Whatever the body, the handler must not panic and must
+// answer 200, 400 or 413: a malformed body is the client's fault, never a
+// 5xx.
+func FuzzQueryBody(f *testing.F) {
+	dir := f.TempDir()
+	path := filepath.Join(dir, "q.mpa")
+	kms, _ := writeQueryArtifact(f, path, 0, 7)
+	tier, err := NewQueryTier(QueryOptions{
+		Dir: filepath.Join(dir, "serve"), Artifact: path,
+		MaxBatch: 16, MaxConcurrent: 4, Workers: 2,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(tier.Close)
+	mgr := jobs.NewManager(jobs.Options{Workers: 1})
+	f.Cleanup(mgr.Stop)
+	h := New(mgr, Options{Query: tier})
+
+	f.Add([]byte(fmt.Sprintf(`{"kmers":[%q,%q],"siblings":true}`, kms[0], kms[1])))
+	f.Add([]byte(fmt.Sprintf(`{"sequences":[%q]}`, kms[2]+kms[3])))
+	f.Add([]byte(fmt.Sprintf(`{"kmers":[%q],"bogus":1}`, kms[0])))
+	f.Add([]byte(fmt.Sprintf(`{"kmers":[%q]}`, kms[0][:queryTestK-1])))
+	f.Add([]byte(fmt.Sprintf(`{"kmers":[%q`, kms[0])))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		default:
+			t.Fatalf("POST /query %q: status %d %s", body, rec.Code, rec.Body.Bytes())
+		}
+	})
 }
 
 // TestQueryTierAutoKey: with Key "auto" and no initial artifact, the tier

@@ -60,13 +60,6 @@ type Options struct {
 	// startup sweep removed; /metrics exports it as
 	// metaprepd_orphans_swept_total.
 	OrphansSwept int
-	// DefaultPrefilterBits / DefaultPrefilterMinCount apply the two-pass
-	// Bloom singleton prefilter to every job whose request leaves the
-	// prefilter fields zero — a daemon-wide low-memory policy
-	// (metaprepd -prefilter-bits/-prefilter-min). A request that sets
-	// prefilter_bits_per_kmer overrides both.
-	DefaultPrefilterBits     int
-	DefaultPrefilterMinCount int
 	// Logger receives request-level records (submissions, trace fetches),
 	// stamped with the job correlation ID where one exists. Nil logs
 	// nothing.
@@ -164,13 +157,6 @@ type SubmitRequest struct {
 	// on disk. Scratch placement is the daemon's concern (-spill-dir), so
 	// there is deliberately no spill_dir field here.
 	SpillBudgetBytes int64 `json:"spill_budget_bytes"`
-	// PrefilterBitsPerKmer enables the two-pass Bloom singleton prefilter
-	// for this job, sized at this many bits per k-mer; PrefilterMinCount is
-	// its count threshold (0 = the lossless default of 2, which requires
-	// the bits field). Zero bits falls back to the daemon's -prefilter-bits
-	// default, if any.
-	PrefilterBitsPerKmer int `json:"prefilter_bits_per_kmer"`
-	PrefilterMinCount    int `json:"prefilter_min_count"`
 	// Artifact requires the daemon to persist this job's partition artifact
 	// (400 when the daemon runs without -artifact-dir). With a store
 	// configured the daemon persists and reuses artifacts for every job
@@ -239,21 +225,6 @@ func (s *Server) configFor(req SubmitRequest) (core.Config, error) {
 	cfg.OutDir = req.OutDir
 	cfg.PrefetchChunks = req.PrefetchChunks
 	cfg.SpillBudgetBytes = req.SpillBudgetBytes
-	switch {
-	case req.PrefilterBitsPerKmer != 0 || req.PrefilterMinCount != 0:
-		// A min count without bits is carried through so validation rejects
-		// it with the field name rather than silently ignoring the request.
-		cfg.Prefilter = core.Prefilter{
-			BitsPerKmer: req.PrefilterBitsPerKmer,
-			MinCount:    req.PrefilterMinCount,
-		}
-	case s.opts.DefaultPrefilterBits != 0:
-		// Daemon-wide low-memory policy for requests that don't choose.
-		cfg.Prefilter = core.Prefilter{
-			BitsPerKmer: s.opts.DefaultPrefilterBits,
-			MinCount:    s.opts.DefaultPrefilterMinCount,
-		}
-	}
 	if req.EdisonNet {
 		cfg.Network = mpirt.EdisonNetwork()
 	}

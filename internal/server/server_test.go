@@ -427,6 +427,10 @@ func TestErrorMapping(t *testing.T) {
 		// Spill runs are always raw: a client asking for compression must
 		// hear that the knob is gone.
 		{"removed spill_compress", fmt.Sprintf(`{"index": %q, "spill_budget_bytes": 65536, "spill_compress": true}`, idxPath), http.StatusBadRequest, "spill_compress"},
+		// The Bloom prefilter is gone; Filter.Min (kf_min) is the exact
+		// frequency filter that replaces its lossy MinCount.
+		{"removed prefilter_bits_per_kmer", fmt.Sprintf(`{"index": %q, "prefilter_bits_per_kmer": 8}`, idxPath), http.StatusBadRequest, "prefilter_bits_per_kmer"},
+		{"removed prefilter_min_count", fmt.Sprintf(`{"index": %q, "prefilter_min_count": 2}`, idxPath), http.StatusBadRequest, "prefilter_min_count"},
 		{"missing index", `{"tasks": 2}`, http.StatusBadRequest, ""},
 		{"nonexistent index", `{"index": "/nope/missing.idx"}`, http.StatusBadRequest, ""},
 		{"invalid filter", fmt.Sprintf(`{"index": %q, "kf_min": 9, "kf_max": 3}`, idxPath), http.StatusBadRequest, ""},
@@ -635,69 +639,4 @@ func TestSubmitSpillKnobs(t *testing.T) {
 	if len(ents) != 0 {
 		t.Fatalf("spill root not empty after job done: %v", ents)
 	}
-}
-
-// TestSubmitPrefilterKnobs covers the prefilter request fields and the
-// daemon-wide default: bad knobs 400 with the offending field named, an
-// explicit prefilter_bits_per_kmer produces the exact run's labels with
-// fewer tuples, and a daemon started with DefaultPrefilterBits applies the
-// gate to requests that don't mention it.
-func TestSubmitPrefilterKnobs(t *testing.T) {
-	idxPath := buildIndexFile(t, 17)
-
-	idx, err := index.Load(idxPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.Default(idx)
-	cfg.Tasks, cfg.Threads = 2, 2
-	want, err := core.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(t *testing.T, base, body string) {
-		resp, data := postJSON(t, base+"/jobs", body)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("POST /jobs: %d %s", resp.StatusCode, data)
-		}
-		var sub SubmitResponse
-		if err := json.Unmarshal(data, &sub); err != nil {
-			t.Fatal(err)
-		}
-		if st := pollDone(t, base, sub.ID); st.State != jobs.Done {
-			t.Fatalf("prefilter job finished %s: %+v", st.State, st)
-		}
-		var got core.Result
-		if resp := getJSON(t, base+"/jobs/"+sub.ID+"/result", &got); resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET result: %d", resp.StatusCode)
-		}
-		for i := range got.Labels {
-			if got.Labels[i] != want.Labels[i] {
-				t.Fatalf("labels diverge at read %d: %d vs %d", i, got.Labels[i], want.Labels[i])
-			}
-		}
-		if got.Tuples >= want.Tuples {
-			t.Fatalf("prefiltered job enumerated %d tuples, exact %d — gate never applied", got.Tuples, want.Tuples)
-		}
-	}
-
-	t.Run("explicit", func(t *testing.T) {
-		srv, _ := newTestServer(t, jobs.Options{}, Options{})
-		bad := fmt.Sprintf(`{"index": %q, "prefilter_min_count": 2}`, idxPath)
-		resp, data := postJSON(t, srv.URL+"/jobs", bad)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("POST /jobs with min_count but no bits: %d %s", resp.StatusCode, data)
-		}
-		if !strings.Contains(string(data), "Prefilter.MinCount") {
-			t.Fatalf("400 body does not name the offending field: %s", data)
-		}
-		check(t, srv.URL, fmt.Sprintf(
-			`{"index": %q, "tasks": 2, "threads": 2, "prefilter_bits_per_kmer": 8}`, idxPath))
-	})
-
-	t.Run("daemon default", func(t *testing.T) {
-		srv, _ := newTestServer(t, jobs.Options{}, Options{DefaultPrefilterBits: 8})
-		check(t, srv.URL, fmt.Sprintf(`{"index": %q, "tasks": 2, "threads": 2}`, idxPath))
-	})
 }

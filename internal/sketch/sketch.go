@@ -1,13 +1,11 @@
-// Package sketch holds the probabilistic summaries the pipeline and its
-// satellites share: a blocked Bloom filter, the "seen ≥ n times" repeat
-// ladder behind the singleton prefilter, and the count–min sketch digital
-// normalization uses — all driven by one k-mer hash family.
+// Package sketch holds the count–min sketch digital normalization uses and
+// the k-mer hash family that drives it.
 //
-// Every structure derives its probe positions from a single (h1, h2) pair
-// per key by double hashing (row i probes at h1 + i·h2), so a k-mer is
-// mixed once no matter how many rows or levels consult it. Range reduction
-// uses the multiply-shift trick (the high word of h·N) instead of a modulo,
-// keeping the per-probe cost to a multiply.
+// The sketch derives its probe positions from a single (h1, h2) pair per
+// key by double hashing (row i probes at h1 + i·h2), so a k-mer is mixed
+// once no matter how many rows consult it. Range reduction uses the
+// multiply-shift trick (the high word of h·N) instead of a modulo, keeping
+// the per-probe cost to a multiply.
 package sketch
 
 import "math/bits"

@@ -2,266 +2,8 @@ package sketch
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 )
-
-// TestBloomNoFalseNegatives pins the filter's one-sided error: every added
-// key must be reported present.
-func TestBloomNoFalseNegatives(t *testing.T) {
-	b := NewBloom(10_000, 8)
-	rng := rand.New(rand.NewSource(1))
-	keys := make([][2]uint64, 10_000)
-	for i := range keys {
-		keys[i] = [2]uint64{rng.Uint64(), rng.Uint64()}
-		h1, h2 := Hash(keys[i][0], keys[i][1])
-		b.Add(h1, h2)
-	}
-	for i, k := range keys {
-		h1, h2 := Hash(k[0], k[1])
-		if !b.Contains(h1, h2) {
-			t.Fatalf("key %d missing: false negative", i)
-		}
-	}
-}
-
-// TestBloomFPRate checks the measured false-positive rate against the
-// f^probes estimate within a loose factor — the sizing math the prefilter's
-// est_fp_rate counter relies on.
-func TestBloomFPRate(t *testing.T) {
-	b := NewBloom(50_000, 8)
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 50_000; i++ {
-		h1, h2 := Hash(0, rng.Uint64())
-		b.Add(h1, h2)
-	}
-	probes := 200_000
-	fp := 0
-	for i := 0; i < probes; i++ {
-		h1, h2 := Hash(1, rng.Uint64()) // disjoint key space
-		if b.Contains(h1, h2) {
-			fp++
-		}
-	}
-	measured := float64(fp) / float64(probes)
-	est := b.EstFPRate()
-	if measured > 4*est+0.01 {
-		t.Fatalf("measured FP rate %.4f far above estimate %.4f", measured, est)
-	}
-	if est > 0.2 {
-		t.Fatalf("estimate %.4f implausibly high at 8 bits/key", est)
-	}
-}
-
-// TestRepeatFilterLadder pins the core ladder property: after n inserts of
-// a key, Keep (the top level) contains it iff n ≥ MinCount — with false
-// positives allowed only in the keep direction.
-func TestRepeatFilterLadder(t *testing.T) {
-	const n = 5000
-	f := NewRepeatFilter(3*n, 12, 2)
-	rng := rand.New(rand.NewSource(3))
-	once := make([][2]uint64, n)
-	twice := make([][2]uint64, n)
-	for i := 0; i < n; i++ {
-		once[i] = [2]uint64{0, rng.Uint64()}
-		twice[i] = [2]uint64{0, rng.Uint64()}
-		h1, h2 := Hash(once[i][0], once[i][1])
-		f.Insert(h1, h2)
-		h1, h2 = Hash(twice[i][0], twice[i][1])
-		f.Insert(h1, h2)
-		f.Insert(h1, h2)
-	}
-	// Level-0 FPs can make a first insert climb, so the landing count is
-	// FP-deflated — but never inflated.
-	if got := f.Landed(0); got > 2*n || got < 2*n*95/100 {
-		t.Fatalf("landed level 0 = %d, want ≈%d (first inserts land modulo FPs)", got, 2*n)
-	}
-	f.Normalize()
-	keep := f.Keep()
-	for i, k := range twice {
-		h1, h2 := Hash(k[0], k[1])
-		if !keep.Contains(h1, h2) {
-			t.Fatalf("repeated key %d not in keep set: false negative", i)
-		}
-	}
-	kept := 0
-	for _, k := range once {
-		h1, h2 := Hash(k[0], k[1])
-		if keep.Contains(h1, h2) {
-			kept++
-		}
-	}
-	// FPs may keep some singletons; at 12 bits/key most must be dropped.
-	if kept > n/4 {
-		t.Fatalf("%d/%d singletons survive the filter — FP rate implausible", kept, n)
-	}
-	// The singleton estimate tracks the true count (FPs deflate it only).
-	est := f.Landed(0) - f.Landed(1)
-	if est > uint64(n) || est < uint64(n)*9/10 {
-		t.Fatalf("singleton estimate %d, true %d", est, n)
-	}
-}
-
-// TestRepeatFilterInsertRace exercises concurrent inserts of overlapping
-// key sets under -race: the atomic OR must keep the ladder free of false
-// negatives regardless of interleaving.
-func TestRepeatFilterInsertRace(t *testing.T) {
-	const n = 2000
-	f := NewRepeatFilter(n, 8, 2)
-	keys := make([][2]uint64, n)
-	rng := rand.New(rand.NewSource(4))
-	for i := range keys {
-		keys[i] = [2]uint64{rng.Uint64(), rng.Uint64()}
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, k := range keys {
-				h1, h2 := Hash(k[0], k[1])
-				f.Insert(h1, h2)
-			}
-		}()
-	}
-	wg.Wait()
-	f.Normalize()
-	keep := f.Keep()
-	for i, k := range keys {
-		h1, h2 := Hash(k[0], k[1])
-		if !keep.Contains(h1, h2) {
-			t.Fatalf("key %d inserted 4× missing from keep set", i)
-		}
-	}
-}
-
-// TestRepeatFilterMerge checks the cross-rank combine against a brute-force
-// count: keys are scattered across simulated ranks with known per-rank
-// multiplicities, and the merged keep set must contain exactly the keys
-// whose global count reaches MinCount (plus FPs, in the keep direction
-// only).
-func TestRepeatFilterMerge(t *testing.T) {
-	for _, minCount := range []int{2, 3, 4} {
-		const ranks = 3
-		const n = 3000
-		fs := make([]*RepeatFilter, ranks)
-		for r := range fs {
-			fs[r] = NewRepeatFilter(n, 16, minCount)
-		}
-		rng := rand.New(rand.NewSource(int64(5 + minCount)))
-		type key struct {
-			hi, lo uint64
-			total  int
-		}
-		keys := make([]key, n)
-		for i := range keys {
-			k := key{hi: 0, lo: rng.Uint64()}
-			h1, h2 := Hash(k.hi, k.lo)
-			// Scatter a random multiplicity across ranks.
-			for r := 0; r < ranks; r++ {
-				c := rng.Intn(minCount) // 0..minCount-1: no rank alone decides
-				k.total += c
-				for j := 0; j < c; j++ {
-					fs[r].Insert(h1, h2)
-				}
-			}
-			keys[i] = k
-		}
-		for r := range fs {
-			fs[r].Normalize()
-		}
-		for r := 1; r < ranks; r++ {
-			fs[0].Merge(fs[r].Levels())
-		}
-		keep := fs[0].Keep()
-		fp := 0
-		for i, k := range keys {
-			h1, h2 := Hash(k.hi, k.lo)
-			in := keep.Contains(h1, h2)
-			if k.total >= minCount && !in {
-				t.Fatalf("minCount=%d key %d with global count %d missing from merged keep set",
-					minCount, i, k.total)
-			}
-			if k.total < minCount && in {
-				fp++
-			}
-		}
-		if fp > n/5 {
-			t.Fatalf("minCount=%d: %d/%d below-threshold keys kept — merge inflates too much",
-				minCount, fp, n)
-		}
-	}
-}
-
-// TestMergeRangeParity pins the sub-range combine's correctness claim: P
-// ranks each owning a contiguous word range and MergeRanging only their
-// slice of every peer's ladder yields, once the owned ranges are stitched
-// together, the bit-identical ladder of a single-rank full Merge fold.
-// This is the invariant the prefilter's all-to-all combine relies on.
-func TestMergeRangeParity(t *testing.T) {
-	for _, tc := range []struct {
-		ranks, minCount int
-	}{{2, 2}, {3, 4}, {5, 3}, {7, 2}} {
-		const n = 2000
-		build := func() []*RepeatFilter {
-			fs := make([]*RepeatFilter, tc.ranks)
-			rng := rand.New(rand.NewSource(int64(100*tc.ranks + tc.minCount)))
-			for r := range fs {
-				fs[r] = NewRepeatFilter(n, 16, tc.minCount)
-			}
-			for i := 0; i < n; i++ {
-				hi, lo := rng.Uint64(), rng.Uint64()
-				h1, h2 := Hash(hi, lo)
-				for r := range fs {
-					for c := rng.Intn(tc.minCount + 1); c > 0; c-- {
-						fs[r].Insert(h1, h2)
-					}
-				}
-			}
-			for r := range fs {
-				fs[r].Normalize()
-			}
-			return fs
-		}
-
-		// Reference: full-ladder fold at "rank 0".
-		ref := build()
-		for r := 1; r < tc.ranks; r++ {
-			ref[0].Merge(ref[r].Levels())
-		}
-
-		// Sub-range combine: each rank owns a contiguous word range and
-		// folds only its slice of every peer's ladder.
-		fs := build()
-		nw := fs[0].NWords()
-		cut := func(r int) uint64 { return nw * uint64(r) / uint64(tc.ranks) }
-		for own := range fs {
-			lo, hi := cut(own), cut(own+1)
-			for peer := range fs {
-				if peer == own {
-					continue
-				}
-				sub := make([][]uint64, tc.minCount)
-				for i, lv := range fs[peer].Levels() {
-					sub[i] = append([]uint64(nil), lv[lo:hi]...)
-				}
-				fs[own].MergeRange(sub, lo, hi)
-			}
-		}
-		// Stitch the owned ranges and compare every level word for word.
-		for i := 0; i < tc.minCount; i++ {
-			for own := range fs {
-				lo, hi := cut(own), cut(own+1)
-				for w := lo; w < hi; w++ {
-					if got, want := fs[own].Levels()[i][w], ref[0].Levels()[i][w]; got != want {
-						t.Fatalf("ranks=%d minCount=%d level %d word %d: sub-range %#x != full merge %#x",
-							tc.ranks, tc.minCount, i, w, got, want)
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestCountMinConservative pins the count–min invariants: estimates never
 // undercount, and with a roomy sketch they are exact.

@@ -82,13 +82,6 @@ type (
 	Config = core.Config
 	// Filter is the §4.4 k-mer frequency edge filter.
 	Filter = core.Filter
-	// Prefilter configures the opt-in two-pass probabilistic singleton
-	// prefilter: a cheap enumeration-only scan builds a Bloom ladder, and
-	// the pipeline pass skips tuples for k-mers never seen MinCount times —
-	// they cannot form edges, so at the default MinCount of 2 the labels
-	// are identical while wire, sort and spill volume shrink by the
-	// singleton fraction.
-	Prefilter = core.Prefilter
 	// Result carries component labels, sizes, per-step times and output
 	// file lists.
 	Result = core.Result
@@ -147,8 +140,7 @@ type PipelineCountResult = core.CountResult
 // CountKmersDistributed runs the pipeline's first three steps (KmerGen,
 // KmerGen-Comm, LocalSort) as a distributed k-mer counter — the subroutine
 // reuse the paper's abstract claims. Compare with CountKmers, the KMC
-// 2-style shared-memory baseline. SpillBudgetBytes applies as in Partition;
-// Prefilter is ignored.
+// 2-style shared-memory baseline. SpillBudgetBytes applies as in Partition.
 func CountKmersDistributed(cfg Config) (*PipelineCountResult, error) {
 	return core.RunCount(cfg)
 }
@@ -360,14 +352,6 @@ func PredictIncremental(cal Calibration, base, delta Workload, c ClusterSpec) ti
 // parallelizes while the merge is a single stream.
 func IncrementalCrossover(cal Calibration, w Workload, c ClusterSpec) float64 {
 	return model.IncrementalCrossover(cal, w, c)
-}
-
-// PrefilterCrossover returns the minimum singleton k-mer fraction at which
-// the two-pass Bloom prefilter is predicted faster than the exact
-// single-scan pipeline on this cluster — the g* above which paying the
-// extra read pays off. 0 means it always wins, 1 never.
-func PrefilterCrossover(cal Calibration, w Workload, c ClusterSpec) float64 {
-	return model.PrefilterCrossover(cal, w, c)
 }
 
 // PredictQuerySeconds estimates the service time of one query-tier batch

@@ -282,102 +282,3 @@ func TestSoakFullPreset(t *testing.T) {
 		t.Errorf("filtered partition purity %.2f implausibly low", purity)
 	}
 }
-
-// TestPrefilterCommunitySweep quantifies the probabilistic prefilter on an
-// IS-like community — the paper's most diverse dataset, mimicked here by
-// the IS preset with a soil-like error rate, so a large fraction of the
-// enumerated tuple volume is error-singleton k-mers the Bloom gate can
-// drop. At the default sizing (8 bits/k-mer, MinCount 2) the gate is
-// lossless — identical labels — while cutting the tuple volume by ≥40%.
-// An aggressive MinCount-4 sweep over bits ∈ {4, 8, 12} then measures the
-// false-positive impact: dropped edges only ever split components, so
-// purity against the exact run stays ≥99%, and completeness (how whole
-// the exact components survive) degrades weakly monotonically as bigger
-// filters remove the FPs that were keeping borderline k-mers alive.
-func TestPrefilterCommunitySweep(t *testing.T) {
-	dir := t.TempDir()
-	spec, err := metaprep.Preset("IS", 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Soil communities pair high diversity with sequencing error; at k=27 a
-	// 3% per-base error rate corrupts ~half the windows into near-unique
-	// singletons, which is the regime the prefilter targets.
-	spec.ErrorRate = 0.03
-	ds, err := metaprep.Generate(spec, filepath.Join(dir, "d"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	iopts := metaprep.DefaultIndexOptions()
-	iopts.Paired = true
-	iopts.ChunkSize = 256 << 10
-	idx, err := metaprep.BuildIndex(ds.Files, iopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := metaprep.DefaultConfig(idx)
-	base.Tasks = 2
-	base.Threads = 2
-	base.Passes = 2
-	exact, err := metaprep.Partition(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Default sizing: lossless, and the headline volume cut.
-	def := base
-	def.Prefilter = metaprep.Prefilter{BitsPerKmer: 8}
-	res, err := metaprep.Partition(def)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.Labels {
-		if res.Labels[i] != exact.Labels[i] {
-			t.Fatalf("default prefilter changed label of read %d: %d vs %d",
-				i, res.Labels[i], exact.Labels[i])
-		}
-	}
-	reduction := 1 - float64(res.Tuples)/float64(exact.Tuples)
-	t.Logf("default sizing: %d -> %d tuples (%.1f%% reduction)",
-		exact.Tuples, res.Tuples, 100*reduction)
-	if reduction < 0.40 {
-		t.Errorf("tuple reduction %.1f%% below the 40%% the IS-like community should give",
-			100*reduction)
-	}
-
-	// FP-impact sweep at an aggressive threshold: completeness against the
-	// exact partition improves with filter size only in the weak sense
-	// (more bits -> fewer FPs -> fewer borderline k-mers kept -> exact
-	// components fragment more, never less).
-	exactAsOrigin := make([]int32, len(exact.Labels))
-	for i, l := range exact.Labels {
-		exactAsOrigin[i] = int32(l)
-	}
-	gtExact, _ := metaprep.PartitionPurity(exact.Labels, ds.Origin)
-	prevFrag := 0.0
-	for _, bits := range []int{4, 8, 12} {
-		cfg := base
-		cfg.Prefilter = metaprep.Prefilter{BitsPerKmer: bits, MinCount: 4}
-		res, err := metaprep.Partition(cfg)
-		if err != nil {
-			t.Fatalf("bits=%d: %v", bits, err)
-		}
-		purity, frag := metaprep.PartitionPurity(res.Labels, exactAsOrigin)
-		gt, _ := metaprep.PartitionPurity(res.Labels, ds.Origin)
-		t.Logf("bits=%d mc=4: purity=%.4f fragmentation=%.3f ground-truth purity=%.4f",
-			bits, purity, frag, gt)
-		if purity < 0.99 {
-			t.Errorf("bits=%d: purity vs exact %.4f < 0.99 — dropped edges merged components?",
-				bits, purity)
-		}
-		if frag < prevFrag {
-			t.Errorf("bits=%d: fragmentation %.3f below the smaller filter's %.3f — FPs should only shrink with size",
-				bits, frag, prevFrag)
-		}
-		prevFrag = frag
-		if gt+1e-9 < gtExact {
-			t.Errorf("bits=%d: ground-truth purity %.4f fell below the exact run's %.4f",
-				bits, gt, gtExact)
-		}
-	}
-}
