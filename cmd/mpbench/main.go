@@ -10,8 +10,7 @@
 //	mpbench -list                    # list experiments
 //
 // Experiments: tab2 fig5 fig6 fig7 fig8 tab3 fig9 sort tab4 tab5 tab6 tab7
-// tab8 tab9 purity ablate extsort artifact backhalf
-// pipeline serve stream calib.
+// tab8 tab9 purity ablate artifact backhalf pipeline serve stream calib.
 package main
 
 import (
@@ -45,7 +44,6 @@ func experiments() []experiment {
 		{"tab9", "alias of tab8 (quality prints with timing)", expTables8and9},
 		{"purity", "extension: partition purity vs ground truth", expPurity},
 		{"ablate", "DESIGN.md design-decision ablations", expAblation},
-		{"extsort", "extension: out-of-core LocalSort (spill budget sweep, parity-checked)", expExtsort},
 		{"artifact", "extension: persistent partition artifacts (reload >=5x, incremental parity)", expArtifact},
 		{"backhalf", "extension: delta tree merge, broadcast schedule, overlapped CC-I/O", expBackHalf},
 		{"pipeline", "observability: per-step latency and model drift under the flight recorder", expPipeline},

@@ -42,7 +42,7 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	for _, want := range []string{"tab2", "fig5", "fig6", "fig7", "fig8", "tab3",
 		"fig9", "sort", "tab4", "tab5", "tab6", "tab7", "tab8", "purity", "ablate",
-		"extsort", "artifact", "backhalf", "serve", "stream", "calib"} {
+		"artifact", "backhalf", "serve", "stream", "calib"} {
 		if !seen[want] {
 			t.Errorf("experiment %q missing", want)
 		}

@@ -17,31 +17,25 @@
 //	             uint32 TOC byte length, uint32 CRC32(TOC)
 //	             tail magic "MPAFend1"
 //
-// Every section carries a CRC32 (IEEE) in its TOC entry; readers verify on
-// access. The TOC lives at the end so writers emit sections in one streaming
-// pass — the pipeline writes k-mer blocks while LocalCC is still consuming
-// the same buffers, with no second pass over the data.
+// The framing — magics, section CRCs (CRC32 IEEE here), the trailing TOC
+// and its checks, and the durable commit — is internal/container's; this
+// package holds the section ids, their encodings and Meta. The TOC lives at
+// the end so writers emit sections in one streaming pass — the pipeline
+// writes k-mer blocks while LocalCC is still consuming the same buffers,
+// with no second pass over the data.
 package artifact
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
+	"hash/crc32"
+
+	"metaprep/internal/container"
 )
 
-// Format constants, pinned by TestFormatGolden. Bumping FormatVersion is a
-// breaking change: old readers must reject new files and vice versa.
-const (
-	FormatVersion = 1
-	headerLen     = 8
-	tocEntryLen   = 32
-	trailerLen    = 16 // tocLen u32 + tocCRC u32 + tail magic
-)
-
-var (
-	magic     = [8]byte{'M', 'P', 'A', 'F', FormatVersion, 0, 0, 0}
-	tailMagic = [8]byte{'M', 'P', 'A', 'F', 'e', 'n', 'd', '1'}
-)
+// FormatVersion is the version byte of the head magic, pinned by
+// TestFormatGolden. Bumping it is a breaking change: old readers must reject
+// new files and vice versa.
+const FormatVersion = 1
 
 // Section ids. The ids are part of the format; new section kinds append.
 const (
@@ -74,20 +68,16 @@ var ErrMismatch = errors.New("artifact does not match request")
 
 // FormatError reports a structural defect in an artifact file. It unwraps
 // to ErrBadArtifact.
-type FormatError struct {
-	Path    string // file being read
-	Section string // section name, or "trailer"/"header" for framing errors
-	Reason  string
-}
+type FormatError = container.FormatError
 
-func (e *FormatError) Error() string {
-	return fmt.Sprintf("artifact %s: %s: %s", e.Path, e.Section, e.Reason)
-}
-
-func (e *FormatError) Unwrap() error { return ErrBadArtifact }
-
-func badf(path, section, format string, args ...any) error {
-	return &FormatError{Path: path, Section: section, Reason: fmt.Sprintf(format, args...)}
+// spec is the `.mpa` container format.
+var spec = &container.Spec{
+	Kind:  "artifact",
+	Head:  [8]byte{'M', 'P', 'A', 'F', FormatVersion, 0, 0, 0},
+	Tail:  [8]byte{'M', 'P', 'A', 'F', 'e', 'n', 'd', '1'},
+	Table: crc32.IEEETable,
+	Err:   ErrBadArtifact,
+	Names: []string{secKmers: "kmers", secLabels: "labels", secHist: "hist", secMeta: "meta"},
 }
 
 // Meta is the provenance record stored in the meta section. It is JSON so
@@ -128,49 +118,4 @@ type Meta struct {
 	// Lineage lists the parents of a derived artifact (index digests when
 	// known, file names otherwise).
 	Lineage []string `json:"lineage,omitempty"`
-}
-
-// tocEntry is one 32-byte table-of-contents record.
-type tocEntry struct {
-	id    uint8
-	flags uint8
-	crc   uint32
-	off   int64
-	len   int64
-	items uint64
-}
-
-func (e tocEntry) encode(dst []byte) {
-	dst[0] = e.id
-	dst[1] = e.flags
-	dst[2], dst[3] = 0, 0
-	binary.LittleEndian.PutUint32(dst[4:], e.crc)
-	binary.LittleEndian.PutUint64(dst[8:], uint64(e.off))
-	binary.LittleEndian.PutUint64(dst[16:], uint64(e.len))
-	binary.LittleEndian.PutUint64(dst[24:], e.items)
-}
-
-func decodeTocEntry(src []byte) tocEntry {
-	return tocEntry{
-		id:    src[0],
-		flags: src[1],
-		crc:   binary.LittleEndian.Uint32(src[4:]),
-		off:   int64(binary.LittleEndian.Uint64(src[8:])),
-		len:   int64(binary.LittleEndian.Uint64(src[16:])),
-		items: binary.LittleEndian.Uint64(src[24:]),
-	}
-}
-
-func sectionName(id uint8) string {
-	switch id {
-	case secKmers:
-		return "kmers"
-	case secLabels:
-		return "labels"
-	case secHist:
-		return "hist"
-	case secMeta:
-		return "meta"
-	}
-	return fmt.Sprintf("section#%d", id)
 }

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"metaprep/internal/container"
 )
 
 // testTuples builds a deterministic sorted tuple set: distinct keys with
@@ -254,9 +256,9 @@ func TestOpenErrorsAreTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	secs := map[string]tocEntry{}
-	for id, e := range r.secs {
-		secs[sectionName(id)] = e
+	secs := map[string]container.Entry{}
+	for id, e := range r.toc.Entries {
+		secs[spec.SectionName(id)] = e
 	}
 	r.Close()
 
@@ -301,14 +303,14 @@ func TestOpenErrorsAreTyped(t *testing.T) {
 		}
 	})
 	t.Run("toc-corrupt", func(t *testing.T) {
-		p := write(t, func(b []byte) []byte { b[len(b)-trailerLen-1] ^= 0xff; return b })
+		p := write(t, func(b []byte) []byte { b[len(b)-container.TrailerLen-1] ^= 0xff; return b })
 		if _, err := Open(p); !errors.Is(err, ErrBadArtifact) {
 			t.Fatalf("err = %v, want ErrBadArtifact", err)
 		}
 	})
 	t.Run("meta-corrupt", func(t *testing.T) {
 		e := secs["meta"]
-		p := write(t, func(b []byte) []byte { b[e.off] ^= 0xff; return b })
+		p := write(t, func(b []byte) []byte { b[e.Off] ^= 0xff; return b })
 		var fe *FormatError
 		_, err := Open(p)
 		if !errors.As(err, &fe) || fe.Section != "meta" {
@@ -317,7 +319,7 @@ func TestOpenErrorsAreTyped(t *testing.T) {
 	})
 	t.Run("labels-corrupt", func(t *testing.T) {
 		e := secs["labels"]
-		p := write(t, func(b []byte) []byte { b[e.off+1] ^= 0x01; return b })
+		p := write(t, func(b []byte) []byte { b[e.Off+1] ^= 0x01; return b })
 		r, err := Open(p) // labels verify lazily
 		if err != nil {
 			t.Fatal(err)
@@ -331,7 +333,7 @@ func TestOpenErrorsAreTyped(t *testing.T) {
 	})
 	t.Run("hist-corrupt", func(t *testing.T) {
 		e := secs["hist"]
-		p := write(t, func(b []byte) []byte { b[e.off] ^= 0x80; return b })
+		p := write(t, func(b []byte) []byte { b[e.Off] ^= 0x80; return b })
 		r, err := Open(p)
 		if err != nil {
 			t.Fatal(err)
@@ -343,7 +345,7 @@ func TestOpenErrorsAreTyped(t *testing.T) {
 	})
 	t.Run("kmers-corrupt", func(t *testing.T) {
 		e := secs["kmers"]
-		p := write(t, func(b []byte) []byte { b[e.off+3] ^= 0xff; return b })
+		p := write(t, func(b []byte) []byte { b[e.Off+3] ^= 0xff; return b })
 		r, err := Open(p)
 		if err != nil {
 			t.Fatal(err)

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"metaprep/internal/container"
 )
 
 // fuzzSeed builds a small valid artifact's bytes for seeding.
@@ -59,7 +61,7 @@ func fuzzSeed(tb testing.TB, n int, wide, compress bool) []byte {
 func FuzzArtifactCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("MPAF"))
-	f.Add(make([]byte, headerLen+trailerLen))
+	f.Add(make([]byte, container.HeaderLen+container.TrailerLen))
 	f.Add(fuzzSeed(f, 20, false, true))
 	f.Add(fuzzSeed(f, 20, false, false))
 	f.Add(fuzzSeed(f, 20, true, false))
@@ -137,14 +139,14 @@ func FuzzMetaJSON(f *testing.F) {
 		raw := fuzzSeed(t, 4, false, true)
 		// Locate the meta TOC entry and splice mj in its place, fixing the
 		// entry's length and CRC so only the JSON-decode layer is exercised.
-		tocLen := int64(binary.LittleEndian.Uint32(raw[len(raw)-trailerLen:]))
-		tocOff := int64(len(raw)) - trailerLen - tocLen
+		tocLen := int64(binary.LittleEndian.Uint32(raw[len(raw)-container.TrailerLen:]))
+		tocOff := int64(len(raw)) - container.TrailerLen - tocLen
 		var rebuilt []byte
 		var metaOff, metaLen int64
-		for i := tocOff; i < tocOff+tocLen; i += tocEntryLen {
-			e := decodeTocEntry(raw[i:])
-			if e.id == secMeta {
-				metaOff, metaLen = e.off, e.len
+		for i := tocOff; i < tocOff+tocLen; i += container.EntryLen {
+			e := container.DecodeEntry(raw[i:])
+			if e.ID == secMeta {
+				metaOff, metaLen = e.Off, e.Len
 			}
 		}
 		if metaLen == 0 {
@@ -158,17 +160,17 @@ func FuzzMetaJSON(f *testing.F) {
 		// Patch TOC entries that referenced bytes at or after the meta
 		// section, then the trailer CRC.
 		newTocOff := tocOff + shift
-		for i := newTocOff; i < newTocOff+tocLen; i += tocEntryLen {
-			e := decodeTocEntry(rebuilt[i:])
-			if e.id == secMeta {
-				e.len = int64(len(mj))
-				e.crc = crc32.ChecksumIEEE(mj)
-			} else if e.off >= metaOff {
-				e.off += shift
+		for i := newTocOff; i < newTocOff+tocLen; i += container.EntryLen {
+			e := container.DecodeEntry(rebuilt[i:])
+			if e.ID == secMeta {
+				e.Len = int64(len(mj))
+				e.CRC = crc32.ChecksumIEEE(mj)
+			} else if e.Off >= metaOff {
+				e.Off += shift
 			}
-			e.encode(rebuilt[i:])
+			e.Encode(rebuilt[i:])
 		}
-		trailer := rebuilt[len(rebuilt)-trailerLen:]
+		trailer := rebuilt[len(rebuilt)-container.TrailerLen:]
 		binary.LittleEndian.PutUint32(trailer[4:], crc32.ChecksumIEEE(rebuilt[newTocOff:newTocOff+tocLen]))
 
 		path := filepath.Join(t.TempDir(), "meta.mpa")

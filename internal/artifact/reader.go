@@ -7,12 +7,9 @@ import (
 	"io"
 	"os"
 
+	"metaprep/internal/container"
 	"metaprep/internal/extsort"
 )
-
-// maxTocSections bounds the trailer we are willing to parse; format v1
-// defines four sections, so anything much larger is corruption.
-const maxTocSections = 64
 
 // Reader opens an artifact for random-access section reads and streaming
 // k-mer scans. The trailer, TOC, and meta section are parsed and verified
@@ -23,7 +20,7 @@ type Reader struct {
 	path string
 	size int64
 	meta Meta
-	secs map[uint8]tocEntry
+	toc  *container.TOC
 
 	bytesRead int64
 }
@@ -50,66 +47,24 @@ func (r *Reader) load() error {
 		return err
 	}
 	r.size = st.Size()
-	if r.size < headerLen+trailerLen {
-		return badf(r.path, "header", "file too short (%d bytes)", r.size)
+	if r.toc, err = spec.Parse(r.f, r.size, r.path); err != nil {
+		return err
 	}
-	var hdr [headerLen]byte
-	if _, err := r.f.ReadAt(hdr[:], 0); err != nil {
-		return badf(r.path, "header", "read: %v", err)
-	}
-	if hdr != magic {
-		if string(hdr[:4]) == string(magic[:4]) {
-			return badf(r.path, "header", "format version %d, want %d", hdr[4], FormatVersion)
-		}
-		return badf(r.path, "header", "bad magic %q", hdr[:])
-	}
-	var tr [trailerLen]byte
-	if _, err := r.f.ReadAt(tr[:], r.size-trailerLen); err != nil {
-		return badf(r.path, "trailer", "read: %v", err)
-	}
-	if [8]byte(tr[8:]) != tailMagic {
-		return badf(r.path, "trailer", "bad tail magic (truncated file?)")
-	}
-	tocLen := int64(binary.LittleEndian.Uint32(tr[0:]))
-	tocCRC := binary.LittleEndian.Uint32(tr[4:])
-	if tocLen%tocEntryLen != 0 || tocLen > maxTocSections*tocEntryLen ||
-		headerLen+tocLen+trailerLen > r.size {
-		return badf(r.path, "trailer", "implausible TOC length %d", tocLen)
-	}
-	toc := make([]byte, tocLen)
-	tocOff := r.size - trailerLen - tocLen
-	if _, err := r.f.ReadAt(toc, tocOff); err != nil {
-		return badf(r.path, "trailer", "read TOC: %v", err)
-	}
-	if crc32.ChecksumIEEE(toc) != tocCRC {
-		return badf(r.path, "trailer", "TOC checksum mismatch")
-	}
-	r.secs = make(map[uint8]tocEntry, tocLen/tocEntryLen)
-	for i := int64(0); i < tocLen; i += tocEntryLen {
-		e := decodeTocEntry(toc[i:])
-		if e.off < headerLen || e.len < 0 || e.off+e.len > tocOff {
-			return badf(r.path, sectionName(e.id), "section out of bounds [%d,+%d)", e.off, e.len)
-		}
-		if _, dup := r.secs[e.id]; dup {
-			return badf(r.path, sectionName(e.id), "duplicate section")
-		}
-		r.secs[e.id] = e
-	}
-	r.bytesRead += headerLen + trailerLen + tocLen
+	r.bytesRead += container.HeaderLen + container.TrailerLen + int64(len(r.toc.Entries))*container.EntryLen
 
 	mj, err := r.section(secMeta)
 	if err != nil {
 		return err
 	}
 	if err := json.Unmarshal(mj, &r.meta); err != nil {
-		return badf(r.path, "meta", "bad JSON: %v", err)
+		return spec.Errorf(r.path, "meta", "bad JSON: %v", err)
 	}
 	if r.meta.BlockTuples < 1 {
-		return badf(r.path, "meta", "block_tuples %d < 1", r.meta.BlockTuples)
+		return spec.Errorf(r.path, "meta", "block_tuples %d < 1", r.meta.BlockTuples)
 	}
-	ke, ok := r.secs[secKmers]
-	if !ok {
-		return badf(r.path, "kmers", "section missing")
+	ke, err := r.toc.Section(secKmers)
+	if err != nil {
+		return err
 	}
 	wantFl := uint8(0)
 	if r.meta.Wide {
@@ -118,26 +73,26 @@ func (r *Reader) load() error {
 	if r.meta.Compress {
 		wantFl |= 2
 	}
-	if ke.flags != wantFl {
-		return badf(r.path, "kmers", "section flags %#x disagree with meta %#x", ke.flags, wantFl)
+	if ke.Flags != wantFl {
+		return spec.Errorf(r.path, "kmers", "section flags %#x disagree with meta %#x", ke.Flags, wantFl)
 	}
 	return nil
 }
 
 // section reads and CRC-verifies one section in full.
 func (r *Reader) section(id uint8) ([]byte, error) {
-	e, ok := r.secs[id]
-	if !ok {
-		return nil, badf(r.path, sectionName(id), "section missing")
+	e, err := r.toc.Section(id)
+	if err != nil {
+		return nil, err
 	}
-	buf := make([]byte, e.len)
-	if _, err := r.f.ReadAt(buf, e.off); err != nil {
-		return nil, badf(r.path, sectionName(id), "read: %v", err)
+	buf := make([]byte, e.Len)
+	if _, err := r.f.ReadAt(buf, e.Off); err != nil {
+		return nil, spec.Errorf(r.path, spec.SectionName(id), "read: %v", err)
 	}
-	if crc32.ChecksumIEEE(buf) != e.crc {
-		return nil, badf(r.path, sectionName(id), "checksum mismatch")
+	if err := r.toc.Check(e, buf); err != nil {
+		return nil, err
 	}
-	r.bytesRead += e.len
+	r.bytesRead += e.Len
 	return buf, nil
 }
 
@@ -156,19 +111,19 @@ func (r *Reader) BytesRead() int64 { return r.bytesRead }
 
 // HasLabels reports whether the artifact carries a label section
 // (partitions do, kmersets do not).
-func (r *Reader) HasLabels() bool { _, ok := r.secs[secLabels]; return ok }
+func (r *Reader) HasLabels() bool { _, ok := r.toc.Entries[secLabels]; return ok }
 
 // Labels reads and verifies the component label map.
 func (r *Reader) Labels() ([]uint32, error) {
-	e := r.secs[secLabels]
+	e := r.toc.Entries[secLabels]
 	buf, err := r.section(secLabels)
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(buf)) != e.items*4 {
-		return nil, badf(r.path, "labels", "length %d != 4×%d items", len(buf), e.items)
+	if uint64(len(buf)) != e.Items*4 {
+		return nil, spec.Errorf(r.path, "labels", "length %d != 4×%d items", len(buf), e.Items)
 	}
-	labels := make([]uint32, e.items)
+	labels := make([]uint32, e.Items)
 	for i := range labels {
 		labels[i] = binary.LittleEndian.Uint32(buf[4*i:])
 	}
@@ -177,15 +132,15 @@ func (r *Reader) Labels() ([]uint32, error) {
 
 // Hist reads and verifies the k-mer frequency histogram.
 func (r *Reader) Hist() ([]uint64, error) {
-	e := r.secs[secHist]
+	e := r.toc.Entries[secHist]
 	buf, err := r.section(secHist)
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(buf)) != e.items*8 {
-		return nil, badf(r.path, "hist", "length %d != 8×%d items", len(buf), e.items)
+	if uint64(len(buf)) != e.Items*8 {
+		return nil, spec.Errorf(r.path, "hist", "length %d != 8×%d items", len(buf), e.Items)
 	}
-	hist := make([]uint64, e.items)
+	hist := make([]uint64, e.Items)
 	for i := range hist {
 		hist[i] = binary.LittleEndian.Uint64(buf[8*i:])
 	}
@@ -198,12 +153,12 @@ func (r *Reader) Hist() ([]uint64, error) {
 // while segment readers are live, and note that reads through it are not
 // counted by BytesRead.
 func (r *Reader) KmerSeg() (*os.File, extsort.SegInfo) {
-	e := r.secs[secKmers]
-	return r.f, extsort.SegInfo{Off: e.off, Len: e.len, Tuples: e.items}
+	e := r.toc.Entries[secKmers]
+	return r.f, extsort.SegInfo{Off: e.Off, Len: e.Len, Tuples: e.Items}
 }
 
 // Tuples returns the k-mer section's tuple count.
-func (r *Reader) Tuples() uint64 { return r.secs[secKmers].items }
+func (r *Reader) Tuples() uint64 { return r.toc.Entries[secKmers].Items }
 
 // Kmers opens a streaming scan of the sorted tuple section. Close the
 // stream before closing the Reader.
@@ -217,25 +172,25 @@ func (r *Reader) Kmers() (*Stream, error) {
 // readers skip this (the block framing already catches most damage); batch
 // tools like `metaprep artifact info -verify` call it explicitly.
 func (r *Reader) VerifyKmers() error {
-	e := r.secs[secKmers]
+	e := r.toc.Entries[secKmers]
 	sum := uint32(0)
 	buf := make([]byte, 256<<10)
-	sr := io.NewSectionReader(r.f, e.off, e.len)
+	sr := io.NewSectionReader(r.f, e.Off, e.Len)
 	for {
 		n, err := sr.Read(buf)
 		if n > 0 {
-			sum = crc32.Update(sum, crc32.IEEETable, buf[:n])
+			sum = crc32.Update(sum, spec.Table, buf[:n])
 			r.bytesRead += int64(n)
 		}
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return badf(r.path, "kmers", "read: %v", err)
+			return spec.Errorf(r.path, "kmers", "read: %v", err)
 		}
 	}
-	if sum != e.crc {
-		return badf(r.path, "kmers", "checksum mismatch")
+	if sum != e.CRC {
+		return spec.Errorf(r.path, "kmers", "checksum mismatch")
 	}
 	return nil
 }
@@ -265,11 +220,11 @@ func (s *Stream) Next() (hi, lo uint64, val uint32, ok bool, err error) {
 		}
 		b, err := s.sr.Next()
 		if err != nil {
-			return 0, 0, 0, false, badf(s.r.path, "kmers", "decode: %v", err)
+			return 0, 0, 0, false, spec.Errorf(s.r.path, "kmers", "decode: %v", err)
 		}
 		if b == nil {
 			if s.n != s.r.Tuples() {
-				return 0, 0, 0, false, badf(s.r.path, "kmers",
+				return 0, 0, 0, false, spec.Errorf(s.r.path, "kmers",
 					"section holds %d tuples, TOC says %d", s.n, s.r.Tuples())
 			}
 			return 0, 0, 0, false, nil
@@ -321,12 +276,12 @@ func Info(path string, verify bool) (InfoData, error) {
 	defer r.Close()
 	d := InfoData{Path: path, Size: r.size, Meta: r.meta}
 	for _, id := range []uint8{secKmers, secLabels, secHist, secMeta} {
-		e, ok := r.secs[id]
+		e, ok := r.toc.Entries[id]
 		if !ok {
 			continue
 		}
 		d.Sections = append(d.Sections, SectionInfo{
-			Name: sectionName(id), Bytes: e.len, Items: e.items, CRC: e.crc,
+			Name: spec.SectionName(id), Bytes: e.Len, Items: e.Items, CRC: e.CRC,
 		})
 	}
 	if verify {

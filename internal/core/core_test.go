@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -1109,6 +1111,48 @@ func TestSaveLoadLabels(t *testing.T) {
 	os.WriteFile(path, []byte("nope"), 0o644)
 	if _, err := LoadLabels(path); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// TestLoadLabelsHostileCount feeds a 16-byte file whose header claims 2^34
+// labels: LoadLabels must reject it with ErrBadLabels before allocating.
+func TestLoadLabelsHostileCount(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "labels.bin")
+	hdr := make([]byte, 16)
+	copy(hdr, labelsMagic)
+	binary.LittleEndian.PutUint64(hdr[8:], 1<<34)
+	if err := os.WriteFile(path, hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadLabels(path)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadLabels) {
+		t.Fatalf("err = %v, want ErrBadLabels", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("LoadLabels allocated %d bytes before failing", alloc)
+	}
+}
+
+// TestSaveLabelsOntoDirectoryLeavesNoTemp makes the final rename fail:
+// SaveLabels must return the error and remove its temp file.
+func TestSaveLabelsOntoDirectoryLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, "labels.bin")
+	if err := os.Mkdir(target, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveLabels(target, []uint32{1, 2, 3}); err == nil {
+		t.Fatal("SaveLabels over a directory succeeded")
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "labels.bin" || !ents[0].IsDir() {
+		t.Errorf("after a failed SaveLabels the directory holds %v, want only labels.bin/", ents)
 	}
 }
 

@@ -3,9 +3,12 @@ package core
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+
+	"metaprep/internal/container"
 )
 
 // labels.go persists component label arrays so downstream tools can consume
@@ -16,72 +19,64 @@ import (
 // version.
 const labelsMagic = "MPREPLB1"
 
-// SaveLabels writes a component label array to path atomically.
+// ErrBadLabels is the sentinel wrapped by every structural error LoadLabels
+// returns: wrong magic, a truncated file, or a count the file size does not
+// hold.
+var ErrBadLabels = errors.New("core: bad label file")
+
+// SaveLabels writes a component label array to path atomically and
+// durably (container.WriteFile).
 func SaveLabels(path string, labels []uint32) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	ok := func() error {
-		if _, err := bw.WriteString(labelsMagic); err != nil {
+	return container.WriteFile(path, func(w io.Writer) error {
+		if _, err := io.WriteString(w, labelsMagic); err != nil {
 			return err
 		}
 		var hdr [8]byte
 		binary.LittleEndian.PutUint64(hdr[:], uint64(len(labels)))
-		if _, err := bw.Write(hdr[:]); err != nil {
+		if _, err := w.Write(hdr[:]); err != nil {
 			return err
 		}
 		var b [4]byte
 		for _, l := range labels {
 			binary.LittleEndian.PutUint32(b[:], l)
-			if _, err := bw.Write(b[:]); err != nil {
+			if _, err := w.Write(b[:]); err != nil {
 				return err
 			}
 		}
-		return bw.Flush()
-	}()
-	if ok != nil {
-		f.Close()
-		os.Remove(tmp)
-		return ok
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+		return nil
+	})
 }
 
-// LoadLabels reads a label array written by SaveLabels.
+// LoadLabels reads a label array written by SaveLabels. The header's count
+// must match the file size before anything is allocated.
 func LoadLabels(path string) ([]uint32, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	magic := make([]byte, len(labelsMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("core: reading label magic: %w", err)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
-	if string(magic) != labelsMagic {
-		return nil, fmt.Errorf("core: %s is not a label file", path)
+	var hdr [len(labelsMagic) + 8]byte
+	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+		return nil, fmt.Errorf("%w: %s: reading header: %v", ErrBadLabels, path, err)
 	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("core: truncated label header: %w", err)
+	if string(hdr[:len(labelsMagic)]) != labelsMagic {
+		return nil, fmt.Errorf("%w: %s is not a label file", ErrBadLabels, path)
 	}
-	n := binary.LittleEndian.Uint64(hdr[:])
-	if n > 1<<34 {
-		return nil, fmt.Errorf("core: implausible label count %d", n)
+	n := binary.LittleEndian.Uint64(hdr[len(labelsMagic):])
+	body := st.Size() - int64(len(hdr))
+	if body%4 != 0 || n != uint64(body/4) {
+		return nil, fmt.Errorf("%w: %s: header counts %d labels, file holds %d bytes", ErrBadLabels, path, n, st.Size())
 	}
 	labels := make([]uint32, n)
+	br := bufio.NewReaderSize(f, 1<<20)
 	buf := make([]byte, 4)
 	for i := range labels {
 		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("core: truncated labels at %d: %w", i, err)
+			return nil, fmt.Errorf("%w: %s: truncated at label %d: %v", ErrBadLabels, path, i, err)
 		}
 		labels[i] = binary.LittleEndian.Uint32(buf)
 	}

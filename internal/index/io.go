@@ -8,7 +8,8 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
+
+	"metaprep/internal/container"
 )
 
 // io.go serializes the index tables to disk. The paper writes merHist and
@@ -289,44 +290,11 @@ func readBytes(r io.Reader, n int) ([]byte, error) {
 	}
 }
 
-// Save writes the index to path atomically and durably: the bytes go to a
-// temp file that is fsynced before it is renamed over path, and the
-// directory is fsynced after, so a crash leaves either the old index or the
-// new one. The temp file is removed on any failure.
+// Save writes the index to path atomically and durably through
+// container.WriteFile: a crash leaves either the old index or the new one,
+// and the temp file is removed on any failure.
 func (idx *Index) Save(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = idx.Write(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-// syncDir fsyncs a directory so a rename inside it survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return container.WriteFile(path, idx.Write)
 }
 
 // Load reads an index from path.

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"metaprep/internal/container"
 	"metaprep/internal/core"
 )
 
@@ -89,14 +90,15 @@ func (s *artifactStore) staging(jobID string) string {
 	return filepath.Join(s.dir, "staging-"+jobID+".mpa")
 }
 
-// commit renames a staged artifact into the store under name (an
-// artifactKey or an "i-<jobID>.mpa" incremental name) and evicts until the
-// store is back under budget. Returns the committed path.
+// commit moves a staged artifact into the store under name (an
+// artifactKey or an "i-<jobID>.mpa" incremental name) with container.Commit,
+// so the entry survives a crash, and evicts until the store is back under
+// budget. Returns the committed path; on failure the staged file is gone.
 func (s *artifactStore) commit(staged, name string) (string, error) {
 	path := filepath.Join(s.dir, name)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := os.Rename(staged, path); err != nil {
+	if err := container.Commit(staged, path); err != nil {
 		return "", err
 	}
 	s.evictLocked(path)

@@ -222,6 +222,33 @@ func TestArtifactStoreEviction(t *testing.T) {
 	}
 }
 
+// TestArtifactStoreCommitOntoDirectoryLeavesNoTemp makes the commit's
+// rename fail: commit must return the error and remove the staged file.
+func TestArtifactStoreCommitOntoDirectoryLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	st, err := newArtifactStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "p-a.mpa"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	staged := st.staging("x")
+	if err := os.WriteFile(staged, make([]byte, 10), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.commit(staged, "p-a.mpa"); err == nil {
+		t.Fatal("commit onto a directory succeeded")
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "p-a.mpa" || !ents[0].IsDir() {
+		t.Errorf("after a failed commit the store holds %v, want only p-a.mpa/", ents)
+	}
+}
+
 // TestArtifactStoreListOrder pins the /artifacts listing contract: newest
 // first by the LRU mtime clock, name-ordered within equal timestamps, and
 // every entry carrying size and a non-zero last-access time.

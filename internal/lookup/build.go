@@ -1,14 +1,13 @@
 package lookup
 
 import (
-	"bufio"
 	"encoding/json"
-	"hash/crc32"
+	"io"
 	"math"
-	"os"
 	"path/filepath"
 
 	"metaprep/internal/artifact"
+	"metaprep/internal/container"
 )
 
 // DefaultShards is the shard count used when BuildOptions.Shards is unset.
@@ -36,12 +35,23 @@ type BuildStats struct {
 // on the fly into (key, label, multiplicity) entries and appended to
 // fixed-stride blocks, so nothing but the label map (the serving payload
 // itself) and one block buffer is ever resident. The file is written to a
-// temp name in path's directory and renamed into place on success.
+// temp name in path's directory and committed into place on success
+// (container.WriteFile).
 //
 // Partition artifacts map each key to the component label of its first read
 // and its tuple multiplicity; kmerset artifacts (whose tuple value already
 // is the multiplicity) map to label 0.
 func Build(ar *artifact.Reader, path string, opts BuildOptions) (BuildStats, error) {
+	var stats BuildStats
+	err := container.WriteFile(path, func(f io.Writer) (err error) {
+		stats, err = build(spec.NewWriter(f), ar, opts)
+		return err
+	})
+	return stats, err
+}
+
+// build writes the lookup's sections through w.
+func build(w *container.Writer, ar *artifact.Reader, opts BuildOptions) (BuildStats, error) {
 	am := ar.Meta()
 	partition := am.Kind == artifact.KindPartition
 	var labels []uint32
@@ -55,28 +65,16 @@ func Build(ar *artifact.Reader, path string, opts BuildOptions) (BuildStats, err
 	if err != nil {
 		return BuildStats{}, err
 	}
-
 	blockKeys, stride := geometry(am.Wide)
-	f, err := os.CreateTemp(filepath.Dir(path), ".mplk-*")
-	if err != nil {
-		return BuildStats{}, err
-	}
-	tmp := f.Name()
-	defer func() {
-		if f != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	w := bufio.NewWriterSize(f, 1<<20)
 
-	// Header: magic padded to the first page so the blocks section is
-	// page-aligned from offset pageSize on.
-	var pad [pageSize]byte
-	copy(pad[:], magic[:])
-	if _, err := w.Write(pad[:]); err != nil {
-		return BuildStats{}, err
+	// Pad the head to the first page so the blocks section is page-aligned
+	// from offset pageSize on.
+	w.Write(make([]byte, pageSize-container.HeaderLen))
+	var blkFlags uint8
+	if am.Wide {
+		blkFlags = 1
 	}
+	w.Begin(secBlocks, blkFlags)
 
 	// SoA offsets inside one block.
 	var hiOff, loOff, labOff, cntOff int
@@ -94,34 +92,29 @@ func Build(ar *artifact.Reader, path string, opts BuildOptions) (BuildStats, err
 		kib      int // keys in the current block
 		keys     uint64
 		nblocks  int
-		crcBlk   uint32
 		fenceBuf []byte
 	)
 	emit := func(hi, lo uint64, label uint32, count uint64) error {
 		if kib == 0 {
-			var fe [16]byte
-			putU64(fe[0:], hi)
-			putU64(fe[8:], lo)
-			fenceBuf = append(fenceBuf, fe[:]...)
+			fenceBuf = le.AppendUint64(fenceBuf, hi)
+			fenceBuf = le.AppendUint64(fenceBuf, lo)
 		}
 		if am.Wide {
-			putU64(blk[hiOff+8*kib:], hi)
+			le.PutUint64(blk[hiOff+8*kib:], hi)
 		}
-		putU64(blk[loOff+8*kib:], lo)
-		putU32(blk[labOff+4*kib:], label)
+		le.PutUint64(blk[loOff+8*kib:], lo)
+		le.PutUint32(blk[labOff+4*kib:], label)
 		if count > math.MaxUint32 {
 			count = math.MaxUint32
 		}
-		putU32(blk[cntOff+4*kib:], uint32(count))
+		le.PutUint32(blk[cntOff+4*kib:], uint32(count))
 		kib++
 		keys++
 		if kib == blockKeys {
-			crcBlk = crc32.Update(crcBlk, castagnoli, blk)
-			if _, err := w.Write(blk); err != nil {
-				return err
-			}
 			nblocks++
 			kib = 0
+			_, err := w.Write(blk)
+			return err
 		}
 		return nil
 	}
@@ -133,19 +126,16 @@ func Build(ar *artifact.Reader, path string, opts BuildOptions) (BuildStats, err
 		// valid k-mer) and zero counts, which Get treats as misses.
 		for i := kib; i < blockKeys; i++ {
 			if am.Wide {
-				putU64(blk[hiOff+8*i:], ^uint64(0))
+				le.PutUint64(blk[hiOff+8*i:], ^uint64(0))
 			}
-			putU64(blk[loOff+8*i:], ^uint64(0))
-			putU32(blk[labOff+4*i:], 0)
-			putU32(blk[cntOff+4*i:], 0)
-		}
-		crcBlk = crc32.Update(crcBlk, castagnoli, blk)
-		if _, err := w.Write(blk); err != nil {
-			return err
+			le.PutUint64(blk[loOff+8*i:], ^uint64(0))
+			le.PutUint32(blk[labOff+4*i:], 0)
+			le.PutUint32(blk[cntOff+4*i:], 0)
 		}
 		nblocks++
 		kib = 0
-		return nil
+		_, err := w.Write(blk)
+		return err
 	}
 
 	st, err := ar.Kmers()
@@ -178,7 +168,7 @@ func Build(ar *artifact.Reader, path string, opts BuildOptions) (BuildStats, err
 		if have {
 			if hi < curHi || (hi == curHi && lo < curLo) {
 				st.Close()
-				return BuildStats{}, badf(ar.Path(), "kmers", "tuple stream is not sorted")
+				return BuildStats{}, spec.Errorf(ar.Path(), "kmers", "tuple stream is not sorted")
 			}
 			if err := emit(curHi, curLo, curLabel, curCount); err != nil {
 				st.Close()
@@ -189,7 +179,7 @@ func Build(ar *artifact.Reader, path string, opts BuildOptions) (BuildStats, err
 		if partition {
 			if int(val) >= len(labels) {
 				st.Close()
-				return BuildStats{}, badf(ar.Path(), "kmers", "read id %d outside label map (%d reads)", val, len(labels))
+				return BuildStats{}, spec.Errorf(ar.Path(), "kmers", "read id %d outside label map (%d reads)", val, len(labels))
 			}
 			curLabel, curCount = labels[val], 1
 		} else {
@@ -205,6 +195,7 @@ func Build(ar *artifact.Reader, path string, opts BuildOptions) (BuildStats, err
 	if err := flushPartial(); err != nil {
 		return BuildStats{}, err
 	}
+	w.End(keys)
 
 	shards := opts.Shards
 	if shards <= 0 {
@@ -228,15 +219,15 @@ func Build(ar *artifact.Reader, path string, opts BuildOptions) (BuildStats, err
 		if n > 0 && first+n == nblocks { // last shard owns the partial tail block
 			sk = keys - uint64(first)*uint64(blockKeys)
 		}
-		putU32(shardBuf[16*s:], uint32(first))
-		putU32(shardBuf[16*s+4:], uint32(n))
-		putU64(shardBuf[16*s+8:], sk)
+		le.PutUint32(shardBuf[16*s:], uint32(first))
+		le.PutUint32(shardBuf[16*s+4:], uint32(n))
+		le.PutUint64(shardBuf[16*s+8:], sk)
 		first += n
 	}
 
 	histBuf := make([]byte, 8*len(hist))
 	for i, v := range hist {
-		putU64(histBuf[8*i:], v)
+		le.PutUint64(histBuf[8*i:], v)
 	}
 
 	meta := Meta{
@@ -252,66 +243,22 @@ func Build(ar *artifact.Reader, path string, opts BuildOptions) (BuildStats, err
 		return BuildStats{}, err
 	}
 
-	var blkFlags uint8
-	if am.Wide {
-		blkFlags = 1
+	for _, sec := range []struct {
+		id    uint8
+		buf   []byte
+		items uint64
+	}{
+		{secFence, fenceBuf, uint64(nblocks)},
+		{secShards, shardBuf, uint64(shards)},
+		{secHist, histBuf, uint64(len(hist))},
+		{secMeta, metaBuf, 1},
+	} {
+		w.Begin(sec.id, 0)
+		w.Write(sec.buf)
+		w.End(sec.items)
 	}
-	toc := []tocEntry{
-		{id: secBlocks, flags: blkFlags, crc: crcBlk, off: pageSize, len: int64(nblocks) * int64(stride), items: keys},
-	}
-	off := pageSize + int64(nblocks)*int64(stride)
-	appendSec := func(id uint8, buf []byte, items uint64) error {
-		toc = append(toc, tocEntry{
-			id: id, crc: crc32.Checksum(buf, castagnoli),
-			off: off, len: int64(len(buf)), items: items,
-		})
-		off += int64(len(buf))
-		_, werr := w.Write(buf)
-		return werr
-	}
-	if err := appendSec(secFence, fenceBuf, uint64(nblocks)); err != nil {
+	if err := w.Finish(); err != nil {
 		return BuildStats{}, err
 	}
-	if err := appendSec(secShards, shardBuf, uint64(shards)); err != nil {
-		return BuildStats{}, err
-	}
-	if err := appendSec(secHist, histBuf, uint64(len(hist))); err != nil {
-		return BuildStats{}, err
-	}
-	if err := appendSec(secMeta, metaBuf, 1); err != nil {
-		return BuildStats{}, err
-	}
-
-	tocBuf := make([]byte, tocEntryLen*len(toc))
-	for i, e := range toc {
-		e.encode(tocBuf[tocEntryLen*i:])
-	}
-	var trailer [trailerLen]byte
-	putU32(trailer[0:], uint32(len(tocBuf)))
-	putU32(trailer[4:], crc32.Checksum(tocBuf, castagnoli))
-	copy(trailer[8:], tailMagic[:])
-	if _, err := w.Write(tocBuf); err != nil {
-		return BuildStats{}, err
-	}
-	if _, err := w.Write(trailer[:]); err != nil {
-		return BuildStats{}, err
-	}
-	if err := w.Flush(); err != nil {
-		return BuildStats{}, err
-	}
-	if err := f.Sync(); err != nil {
-		return BuildStats{}, err
-	}
-	size := off + int64(len(tocBuf)) + trailerLen
-	if err := f.Close(); err != nil {
-		f = nil
-		os.Remove(tmp)
-		return BuildStats{}, err
-	}
-	f = nil
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return BuildStats{}, err
-	}
-	return BuildStats{Keys: keys, Blocks: nblocks, Shards: shards, Bytes: size}, nil
+	return BuildStats{Keys: keys, Blocks: nblocks, Shards: shards, Bytes: w.Offset()}, nil
 }

@@ -32,23 +32,26 @@
 // the globally sorted key space, the same balanced-range partitioning the
 // pipeline's k-mer→rank split uses (index.Partition), cut at build time.
 //
-// Unlike `.mpa` (CRC32 IEEE), every section CRC here is CRC32C (Castagnoli),
-// pinned by TestLookupFormatGolden.
+// The framing — magics, section CRCs, the trailing TOC and its checks, and
+// the durable commit — is internal/container's, shared with `.mpa`; this
+// package holds the section ids, the block geometry and Meta. Unlike `.mpa`
+// (CRC32 IEEE), every section CRC here is CRC32C (Castagnoli), pinned by
+// TestLookupFormatGolden. The page padding after the head magic lies
+// outside every section and is not checksummed.
 package lookup
 
 import (
+	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
+
+	"metaprep/internal/container"
 )
 
 // Format constants, pinned by TestLookupFormatGolden. Bumping FormatVersion
 // is a breaking change: old readers must reject new files and vice versa.
 const (
 	FormatVersion = 1
-	headerLen     = 8
-	tocEntryLen   = 32
-	trailerLen    = 16 // tocLen u32 + tocCRC u32 + tail magic
 	pageSize      = 4096
 
 	// Block geometry. Strides are page multiples so every block starts on a
@@ -57,16 +60,6 @@ const (
 	blockStride64  = 4096
 	blockKeys128   = 512 // 512×(8+8+4+4) = 12288 B, three pages
 	blockStride128 = 12288
-	maxTocSections = 64
-)
-
-var (
-	magic     = [8]byte{'M', 'P', 'L', 'K', FormatVersion, 0, 0, 0}
-	tailMagic = [8]byte{'M', 'P', 'L', 'K', 'e', 'n', 'd', '1'}
-
-	// castagnoli is the CRC32C table; the artifact format uses IEEE, the
-	// lookup format uses Castagnoli (hardware-accelerated on amd64/arm64).
-	castagnoli = crc32.MakeTable(crc32.Castagnoli)
 )
 
 // Section ids. Part of the format; new section kinds append.
@@ -85,20 +78,19 @@ var ErrBadLookup = errors.New("bad or corrupt lookup file")
 
 // FormatError reports a structural defect in a lookup file. It unwraps to
 // ErrBadLookup.
-type FormatError struct {
-	Path    string
-	Section string
-	Reason  string
-}
+type FormatError = container.FormatError
 
-func (e *FormatError) Error() string {
-	return fmt.Sprintf("lookup %s: %s: %s", e.Path, e.Section, e.Reason)
-}
+// le decodes every multi-byte field: the format is little-endian.
+var le = binary.LittleEndian
 
-func (e *FormatError) Unwrap() error { return ErrBadLookup }
-
-func badf(path, section, format string, args ...any) error {
-	return &FormatError{Path: path, Section: section, Reason: fmt.Sprintf(format, args...)}
+// spec is the `.mplk` container format.
+var spec = &container.Spec{
+	Kind:  "lookup",
+	Head:  [8]byte{'M', 'P', 'L', 'K', FormatVersion, 0, 0, 0},
+	Tail:  [8]byte{'M', 'P', 'L', 'K', 'e', 'n', 'd', '1'},
+	Table: crc32.MakeTable(crc32.Castagnoli),
+	Err:   ErrBadLookup,
+	Names: []string{secBlocks: "blocks", secFence: "fence", secShards: "shards", secHist: "hist", secMeta: "meta"},
 }
 
 // Meta is the provenance record stored in the meta section (JSON so the
@@ -129,83 +121,10 @@ type Meta struct {
 	SourceTuples uint64 `json:"source_tuples"`
 }
 
-// tocEntry is one 32-byte table-of-contents record (same shape as the
-// artifact TOC).
-type tocEntry struct {
-	id    uint8
-	flags uint8
-	crc   uint32
-	off   int64
-	len   int64
-	items uint64
-}
-
-func (e tocEntry) encode(dst []byte) {
-	dst[0] = e.id
-	dst[1] = e.flags
-	dst[2], dst[3] = 0, 0
-	putU32(dst[4:], e.crc)
-	putU64(dst[8:], uint64(e.off))
-	putU64(dst[16:], uint64(e.len))
-	putU64(dst[24:], e.items)
-}
-
-func decodeTocEntry(src []byte) tocEntry {
-	return tocEntry{
-		id:    src[0],
-		flags: src[1],
-		crc:   getU32(src[4:]),
-		off:   int64(getU64(src[8:])),
-		len:   int64(getU64(src[16:])),
-		items: getU64(src[24:]),
-	}
-}
-
-func sectionName(id uint8) string {
-	switch id {
-	case secBlocks:
-		return "blocks"
-	case secFence:
-		return "fence"
-	case secShards:
-		return "shards"
-	case secHist:
-		return "hist"
-	case secMeta:
-		return "meta"
-	}
-	return fmt.Sprintf("section#%d", id)
-}
-
 // geometry returns the block geometry for a key width.
 func geometry(wide bool) (blockKeys, stride int) {
 	if wide {
 		return blockKeys128, blockStride128
 	}
 	return blockKeys64, blockStride64
-}
-
-// Little-endian helpers, open-coded so the hot Get path stays free of
-// package-level bounds churn (encoding/binary inlines fine, but keeping
-// them local makes the layout arithmetic greppable in one file).
-func putU32(b []byte, v uint32) {
-	_ = b[3]
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func putU64(b []byte, v uint64) {
-	_ = b[7]
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
-}
-
-func getU32(b []byte) uint32 {
-	_ = b[3]
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func getU64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }

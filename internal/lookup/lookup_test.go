@@ -1,6 +1,8 @@
 package lookup
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"os"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"metaprep/internal/artifact"
+	"metaprep/internal/container"
 )
 
 // refEntry is the expected answer for one key.
@@ -255,13 +258,13 @@ func TestEmptyArtifact(t *testing.T) {
 // TestLookupFormatGolden pins the on-disk format: magic bytes, geometry,
 // section ids, and bit-for-bit deterministic output for identical input.
 func TestLookupFormatGolden(t *testing.T) {
-	if magic != [8]byte{'M', 'P', 'L', 'K', 1, 0, 0, 0} {
-		t.Fatalf("magic changed: %v", magic)
+	if spec.Head != [8]byte{'M', 'P', 'L', 'K', 1, 0, 0, 0} {
+		t.Fatalf("magic changed: %v", spec.Head)
 	}
-	if tailMagic != [8]byte{'M', 'P', 'L', 'K', 'e', 'n', 'd', '1'} {
-		t.Fatalf("tail magic changed: %v", tailMagic)
+	if spec.Tail != [8]byte{'M', 'P', 'L', 'K', 'e', 'n', 'd', '1'} {
+		t.Fatalf("tail magic changed: %v", spec.Tail)
 	}
-	if FormatVersion != 1 || headerLen != 8 || tocEntryLen != 32 || trailerLen != 16 || pageSize != 4096 {
+	if FormatVersion != 1 || container.HeaderLen != 8 || container.EntryLen != 32 || container.TrailerLen != 16 || pageSize != 4096 {
 		t.Fatal("framing constants changed")
 	}
 	if blockKeys64 != 256 || blockStride64 != 4096 || blockKeys128 != 512 || blockStride128 != 12288 {
@@ -295,15 +298,47 @@ func TestLookupFormatGolden(t *testing.T) {
 		prev = raw
 	}
 	// Header and trailer framing.
-	if string(prev[:8]) != string(magic[:]) {
+	if string(prev[:8]) != string(spec.Head[:]) {
 		t.Fatalf("header bytes %v", prev[:8])
 	}
-	if string(prev[len(prev)-8:]) != string(tailMagic[:]) {
+	if string(prev[len(prev)-8:]) != string(spec.Tail[:]) {
 		t.Fatalf("trailer bytes %v", prev[len(prev)-8:])
 	}
 	// 700 keys → 3 blocks of 256; blocks at page 1, 5 sections in the TOC.
-	if getU32(prev[len(prev)-16:]) != 5*tocEntryLen {
-		t.Fatalf("TOC length %d, want %d", getU32(prev[len(prev)-16:]), 5*tocEntryLen)
+	if le.Uint32(prev[len(prev)-16:]) != 5*container.EntryLen {
+		t.Fatalf("TOC length %d, want %d", le.Uint32(prev[len(prev)-16:]), 5*container.EntryLen)
+	}
+	// The exact bytes: a byte-level format change requires a version bump.
+	const want = "24cc03ac7568d54c38569e90c0be2381dee01b5deeaaac4b9f5b231847110db0"
+	if got := sha256.Sum256(prev); hex.EncodeToString(got[:]) != want {
+		t.Fatalf("format v1 golden changed:\n got %x\nwant %s (size %d bytes)", got, want, len(prev))
+	}
+}
+
+// TestBuildOntoDirectoryLeavesNoTemp makes the final rename fail: Build
+// must return the error and remove its temp file.
+func TestBuildOntoDirectoryLeavesNoTemp(t *testing.T) {
+	apath := filepath.Join(t.TempDir(), "a.mpa")
+	writeTestArtifact(t, apath, 300, false, 0, 3)
+	ar, err := artifact.Open(apath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ar.Close()
+	dir := t.TempDir()
+	target := filepath.Join(dir, "a.mplk")
+	if err := os.Mkdir(target, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(ar, target, BuildOptions{}); err == nil {
+		t.Fatal("Build over a directory succeeded")
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "a.mplk" || !ents[0].IsDir() {
+		t.Errorf("after a failed Build the directory holds %v, want only a.mplk/", ents)
 	}
 }
 
@@ -321,8 +356,8 @@ func TestOpenRejectsCorruption(t *testing.T) {
 		"truncated": func(b []byte) []byte { return b[:len(b)/2] },
 		"tail":      func(b []byte) []byte { b[len(b)-1] ^= 0xFF; return b },
 		"block":     func(b []byte) []byte { b[pageSize+100] ^= 0xFF; return b },
-		"toc":       func(b []byte) []byte { b[len(b)-trailerLen-10] ^= 0xFF; return b },
-		"late":      func(b []byte) []byte { b[len(b)-trailerLen-tocEntryLen-40] ^= 0xFF; return b },
+		"toc":       func(b []byte) []byte { b[len(b)-container.TrailerLen-10] ^= 0xFF; return b },
+		"late":      func(b []byte) []byte { b[len(b)-container.TrailerLen-container.EntryLen-40] ^= 0xFF; return b },
 	}
 	for name, mut := range cases {
 		buf := append([]byte(nil), raw...)

@@ -1,8 +1,8 @@
 package lookup
 
 import (
+	"bytes"
 	"encoding/json"
-	"hash/crc32"
 	"os"
 	"sync/atomic"
 )
@@ -66,50 +66,18 @@ func Open(path string) (*Lookup, error) {
 
 func (l *Lookup) load() error {
 	data, path := l.data, l.path
-	if int64(len(data)) < headerLen+trailerLen {
-		return badf(path, "header", "file too short (%d bytes)", len(data))
+	toc, err := spec.Parse(bytes.NewReader(data), int64(len(data)), path)
+	if err != nil {
+		return err
 	}
-	if [headerLen]byte(data[:headerLen]) != magic {
-		if string(data[:4]) == string(magic[:4]) {
-			return badf(path, "header", "format version %d, want %d", data[4], FormatVersion)
-		}
-		return badf(path, "header", "bad magic %q", data[:headerLen])
-	}
-	tr := data[len(data)-trailerLen:]
-	if [8]byte(tr[8:]) != tailMagic {
-		return badf(path, "trailer", "bad tail magic (truncated file?)")
-	}
-	tocLen := int64(getU32(tr[0:]))
-	tocCRC := getU32(tr[4:])
-	tocOff := int64(len(data)) - trailerLen - tocLen
-	if tocLen%tocEntryLen != 0 || tocLen > maxTocSections*tocEntryLen || tocOff < headerLen {
-		return badf(path, "trailer", "implausible TOC length %d", tocLen)
-	}
-	toc := data[tocOff : tocOff+tocLen]
-	if crc32.Checksum(toc, castagnoli) != tocCRC {
-		return badf(path, "trailer", "TOC checksum mismatch")
-	}
-	secs := make(map[uint8]tocEntry, tocLen/tocEntryLen)
-	for i := int64(0); i < tocLen; i += tocEntryLen {
-		e := decodeTocEntry(toc[i:])
-		if e.off < headerLen || e.len < 0 || e.off+e.len > tocOff {
-			return badf(path, sectionName(e.id), "section out of bounds [%d,+%d)", e.off, e.len)
-		}
-		if _, dup := secs[e.id]; dup {
-			return badf(path, sectionName(e.id), "duplicate section")
-		}
-		secs[e.id] = e
-	}
+	// section returns a CRC-checked view of the map: no copy.
 	section := func(id uint8) ([]byte, error) {
-		e, ok := secs[id]
-		if !ok {
-			return nil, badf(path, sectionName(id), "section missing")
+		e, err := toc.Section(id)
+		if err != nil {
+			return nil, err
 		}
-		buf := data[e.off : e.off+e.len]
-		if crc32.Checksum(buf, castagnoli) != e.crc {
-			return nil, badf(path, sectionName(id), "checksum mismatch")
-		}
-		return buf, nil
+		buf := data[e.Off : e.Off+e.Len]
+		return buf, toc.Check(e, buf)
 	}
 
 	mj, err := section(secMeta)
@@ -117,27 +85,27 @@ func (l *Lookup) load() error {
 		return err
 	}
 	if err := json.Unmarshal(mj, &l.meta); err != nil {
-		return badf(path, "meta", "bad JSON: %v", err)
+		return spec.Errorf(path, "meta", "bad JSON: %v", err)
 	}
 	m := l.meta
 	blockKeys, stride := geometry(m.Wide)
 	if m.BlockKeys != blockKeys {
-		return badf(path, "meta", "block_keys %d, want %d", m.BlockKeys, blockKeys)
+		return spec.Errorf(path, "meta", "block_keys %d, want %d", m.BlockKeys, blockKeys)
 	}
 	if m.Blocks < 0 || m.Shards < 1 {
-		return badf(path, "meta", "implausible geometry: %d blocks, %d shards", m.Blocks, m.Shards)
+		return spec.Errorf(path, "meta", "implausible geometry: %d blocks, %d shards", m.Blocks, m.Shards)
 	}
 	// Bound the counts by what the file can physically hold before using
 	// them in size arithmetic (overflow safety on corrupt metadata).
 	if int64(m.Blocks) > int64(len(data))/int64(stride) {
-		return badf(path, "meta", "%d blocks exceed file size", m.Blocks)
+		return spec.Errorf(path, "meta", "%d blocks exceed file size", m.Blocks)
 	}
 	if m.Shards > m.Blocks && !(m.Blocks == 0 && m.Shards == 1) {
-		return badf(path, "meta", "%d shards for %d blocks", m.Shards, m.Blocks)
+		return spec.Errorf(path, "meta", "%d shards for %d blocks", m.Shards, m.Blocks)
 	}
 	maxKeys := uint64(m.Blocks) * uint64(blockKeys)
 	if m.Keys > maxKeys || (m.Blocks > 0 && m.Keys <= maxKeys-uint64(blockKeys)) {
-		return badf(path, "meta", "%d keys do not fit %d blocks", m.Keys, m.Blocks)
+		return spec.Errorf(path, "meta", "%d keys do not fit %d blocks", m.Keys, m.Blocks)
 	}
 	l.wide, l.blockKeys, l.stride, l.nblocks = m.Wide, blockKeys, stride, m.Blocks
 	if m.Wide {
@@ -148,42 +116,42 @@ func (l *Lookup) load() error {
 	}
 	l.cntOff = l.labOff + 4*blockKeys
 
-	be, ok := secs[secBlocks]
-	if !ok {
-		return badf(path, "blocks", "section missing")
+	be, err := toc.Section(secBlocks)
+	if err != nil {
+		return err
 	}
 	wantFlags := uint8(0)
 	if m.Wide {
 		wantFlags = 1
 	}
-	if be.flags != wantFlags {
-		return badf(path, "blocks", "section flags %#x disagree with meta %#x", be.flags, wantFlags)
+	if be.Flags != wantFlags {
+		return spec.Errorf(path, "blocks", "section flags %#x disagree with meta %#x", be.Flags, wantFlags)
 	}
-	if be.off%pageSize != 0 {
-		return badf(path, "blocks", "section offset %d not page-aligned", be.off)
+	if be.Off%pageSize != 0 {
+		return spec.Errorf(path, "blocks", "section offset %d not page-aligned", be.Off)
 	}
-	if be.len != int64(m.Blocks)*int64(stride) || be.items != m.Keys {
-		return badf(path, "blocks", "section length %d/%d items disagree with meta", be.len, be.items)
+	if be.Len != int64(m.Blocks)*int64(stride) || be.Items != m.Keys {
+		return spec.Errorf(path, "blocks", "section length %d/%d items disagree with meta", be.Len, be.Items)
 	}
 	if _, err := section(secBlocks); err != nil {
 		return err
 	}
-	l.blocksOff = be.off
+	l.blocksOff = be.Off
 
 	fb, err := section(secFence)
 	if err != nil {
 		return err
 	}
 	if len(fb) != 16*m.Blocks {
-		return badf(path, "fence", "length %d != 16×%d blocks", len(fb), m.Blocks)
+		return spec.Errorf(path, "fence", "length %d != 16×%d blocks", len(fb), m.Blocks)
 	}
 	l.fenceHi = make([]uint64, m.Blocks)
 	l.fenceLo = make([]uint64, m.Blocks)
 	for i := 0; i < m.Blocks; i++ {
-		l.fenceHi[i] = getU64(fb[16*i:])
-		l.fenceLo[i] = getU64(fb[16*i+8:])
+		l.fenceHi[i] = le.Uint64(fb[16*i:])
+		l.fenceLo[i] = le.Uint64(fb[16*i+8:])
 		if i > 0 && keyLess(l.fenceHi[i], l.fenceLo[i], l.fenceHi[i-1], l.fenceLo[i-1]) {
-			return badf(path, "fence", "fence keys not sorted at block %d", i)
+			return spec.Errorf(path, "fence", "fence keys not sorted at block %d", i)
 		}
 	}
 
@@ -192,17 +160,17 @@ func (l *Lookup) load() error {
 		return err
 	}
 	if len(sb) != 16*m.Shards {
-		return badf(path, "shards", "length %d != 16×%d shards", len(sb), m.Shards)
+		return spec.Errorf(path, "shards", "length %d != 16×%d shards", len(sb), m.Shards)
 	}
 	l.shardStart = make([]int32, m.Shards+1)
 	l.shardHi = make([]uint64, m.Shards)
 	l.shardLo = make([]uint64, m.Shards)
 	next := int64(0)
 	for s := 0; s < m.Shards; s++ {
-		first := int64(getU32(sb[16*s:]))
-		n := int64(getU32(sb[16*s+4:]))
+		first := int64(le.Uint32(sb[16*s:]))
+		n := int64(le.Uint32(sb[16*s+4:]))
 		if first != next || first+n > int64(m.Blocks) {
-			return badf(path, "shards", "shard %d range [%d,+%d) not contiguous", s, first, n)
+			return spec.Errorf(path, "shards", "shard %d range [%d,+%d) not contiguous", s, first, n)
 		}
 		l.shardStart[s] = int32(first)
 		if n > 0 {
@@ -212,7 +180,7 @@ func (l *Lookup) load() error {
 		next = first + n
 	}
 	if next != int64(m.Blocks) {
-		return badf(path, "shards", "shards cover %d of %d blocks", next, m.Blocks)
+		return spec.Errorf(path, "shards", "shards cover %d of %d blocks", next, m.Blocks)
 	}
 	l.shardStart[m.Shards] = int32(m.Blocks)
 
@@ -221,11 +189,11 @@ func (l *Lookup) load() error {
 		return err
 	}
 	if len(hb)%8 != 0 {
-		return badf(path, "hist", "length %d not a multiple of 8", len(hb))
+		return spec.Errorf(path, "hist", "length %d not a multiple of 8", len(hb))
 	}
 	l.hist = make([]uint64, len(hb)/8)
 	for i := range l.hist {
-		l.hist[i] = getU64(hb[8*i:])
+		l.hist[i] = le.Uint64(hb[8*i:])
 	}
 	return nil
 }
@@ -326,8 +294,8 @@ func (l *Lookup) GetInShard(shard int, hi, lo uint64) (label, count uint32, ok b
 		hiBase, loBase := base+l.hiOff, base+l.loOff
 		for i < j {
 			m := int(uint(i+j) >> 1)
-			sh := getU64(data[hiBase+8*m:])
-			sl := getU64(data[loBase+8*m:])
+			sh := le.Uint64(data[hiBase+8*m:])
+			sl := le.Uint64(data[loBase+8*m:])
 			if keyLess(sh, sl, hi, lo) {
 				i = m + 1
 			} else {
@@ -335,28 +303,28 @@ func (l *Lookup) GetInShard(shard int, hi, lo uint64) (label, count uint32, ok b
 			}
 		}
 		if i == l.blockKeys ||
-			getU64(data[hiBase+8*i:]) != hi || getU64(data[loBase+8*i:]) != lo {
+			le.Uint64(data[hiBase+8*i:]) != hi || le.Uint64(data[loBase+8*i:]) != lo {
 			return 0, 0, false
 		}
 	} else {
 		loBase := base + l.loOff
 		for i < j {
 			m := int(uint(i+j) >> 1)
-			if getU64(data[loBase+8*m:]) < lo {
+			if le.Uint64(data[loBase+8*m:]) < lo {
 				i = m + 1
 			} else {
 				j = m
 			}
 		}
-		if i == l.blockKeys || getU64(data[loBase+8*i:]) != lo {
+		if i == l.blockKeys || le.Uint64(data[loBase+8*i:]) != lo {
 			return 0, 0, false
 		}
 	}
-	count = getU32(data[base+l.cntOff+4*i:])
+	count = le.Uint32(data[base+l.cntOff+4*i:])
 	if count == 0 { // sentinel padding
 		return 0, 0, false
 	}
-	return getU32(data[base+l.labOff+4*i:]), count, true
+	return le.Uint32(data[base+l.labOff+4*i:]), count, true
 }
 
 // Closed reports whether Close has run — the swap tests use it to verify

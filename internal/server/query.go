@@ -9,7 +9,6 @@ package server
 // log2 histogram (metaprepd_query_seconds).
 
 import (
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -458,10 +457,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, maxQueryBody, &req) {
 		return
 	}
 	resp, code, err := t.Execute(req)

@@ -265,12 +265,32 @@ func (s *Server) loadIndex(path string) (*index.Index, error) {
 	return idx, nil
 }
 
+// maxSubmitBody bounds the POST /jobs body; a submission is a few hundred
+// bytes of JSON.
+const maxSubmitBody = 1 << 20
+
+// decodeBody decodes r's JSON body into v, rejecting unknown fields and any
+// body over limit bytes. On failure it has answered 413 (too large) or 400
+// and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, code, fmt.Errorf("bad request body: %w", err))
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, maxSubmitBody, &req) {
 		return
 	}
 	cfg, err := s.configFor(req)

@@ -405,40 +405,63 @@ func TestAdmissionControl429(t *testing.T) {
 	}
 }
 
-// TestErrorMapping covers the 400/404/409 paths.
+// TestErrorMapping covers the 400/404/409/413 paths.
 func TestErrorMapping(t *testing.T) {
 	idxPath := buildIndexFile(t, 15)
-	srv, _ := newTestServer(t, jobs.Options{}, Options{})
+	apath := filepath.Join(t.TempDir(), "q.mpa")
+	kms, _ := writeQueryArtifact(t, apath, 0, 7)
+	tier, err := NewQueryTier(QueryOptions{Dir: filepath.Join(t.TempDir(), "serve"), Artifact: apath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tier.Close)
+	srv, _ := newTestServer(t, jobs.Options{}, Options{Query: tier})
+	// oversized is a well-formed prefix that runs past limit bytes, so the
+	// body bound trips before any syntax error.
+	oversized := func(field string, limit int) string {
+		return fmt.Sprintf(`{%q: "%s`, field, strings.Repeat("A", limit))
+	}
 
 	cases := []struct {
 		name string
+		path string // "" is POST /jobs
 		body string
 		want int
 		// names, when set, must appear in the error message.
 		names string
 	}{
-		{"malformed json", `{"index":`, http.StatusBadRequest, ""},
-		{"unknown field", `{"index": "x", "bogus": 1}`, http.StatusBadRequest, "bogus"},
+		{"malformed json", "", `{"index":`, http.StatusBadRequest, ""},
+		{"unknown field", "", `{"index": "x", "bogus": 1}`, http.StatusBadRequest, "bogus"},
 		// A path-selection field removed in PR 14 must be rejected by name,
 		// not silently ignored: a client that asked for the reference merge
 		// would otherwise get the default path and never know.
-		{"removed field", fmt.Sprintf(`{"index": %q, "sparse_merge": true}`, idxPath), http.StatusBadRequest, "sparse_merge"},
-		{"removed pointer field", fmt.Sprintf(`{"index": %q, "overlap_output": false}`, idxPath), http.StatusBadRequest, "overlap_output"},
+		{"removed field", "", fmt.Sprintf(`{"index": %q, "sparse_merge": true}`, idxPath), http.StatusBadRequest, "sparse_merge"},
+		{"removed pointer field", "", fmt.Sprintf(`{"index": %q, "overlap_output": false}`, idxPath), http.StatusBadRequest, "overlap_output"},
 		// Spill runs are always raw: a client asking for compression must
 		// hear that the knob is gone.
-		{"removed spill_compress", fmt.Sprintf(`{"index": %q, "spill_budget_bytes": 65536, "spill_compress": true}`, idxPath), http.StatusBadRequest, "spill_compress"},
+		{"removed spill_compress", "", fmt.Sprintf(`{"index": %q, "spill_budget_bytes": 65536, "spill_compress": true}`, idxPath), http.StatusBadRequest, "spill_compress"},
 		// The Bloom prefilter is gone; Filter.Min (kf_min) is the exact
 		// frequency filter that replaces its lossy MinCount.
-		{"removed prefilter_bits_per_kmer", fmt.Sprintf(`{"index": %q, "prefilter_bits_per_kmer": 8}`, idxPath), http.StatusBadRequest, "prefilter_bits_per_kmer"},
-		{"removed prefilter_min_count", fmt.Sprintf(`{"index": %q, "prefilter_min_count": 2}`, idxPath), http.StatusBadRequest, "prefilter_min_count"},
-		{"missing index", `{"tasks": 2}`, http.StatusBadRequest, ""},
-		{"nonexistent index", `{"index": "/nope/missing.idx"}`, http.StatusBadRequest, ""},
-		{"invalid filter", fmt.Sprintf(`{"index": %q, "kf_min": 9, "kf_max": 3}`, idxPath), http.StatusBadRequest, ""},
-		{"negative split", fmt.Sprintf(`{"index": %q, "split_components": -1}`, idxPath), http.StatusBadRequest, ""},
+		{"removed prefilter_bits_per_kmer", "", fmt.Sprintf(`{"index": %q, "prefilter_bits_per_kmer": 8}`, idxPath), http.StatusBadRequest, "prefilter_bits_per_kmer"},
+		{"removed prefilter_min_count", "", fmt.Sprintf(`{"index": %q, "prefilter_min_count": 2}`, idxPath), http.StatusBadRequest, "prefilter_min_count"},
+		{"missing index", "", `{"tasks": 2}`, http.StatusBadRequest, ""},
+		{"nonexistent index", "", `{"index": "/nope/missing.idx"}`, http.StatusBadRequest, ""},
+		{"invalid filter", "", fmt.Sprintf(`{"index": %q, "kf_min": 9, "kf_max": 3}`, idxPath), http.StatusBadRequest, ""},
+		{"negative split", "", fmt.Sprintf(`{"index": %q, "split_components": -1}`, idxPath), http.StatusBadRequest, ""},
+		// Both bodies are bounded, and a body over its bound is a 413, not
+		// a 400.
+		{"submit body too large", "", oversized("index", maxSubmitBody), http.StatusRequestEntityTooLarge, "too large"},
+		{"query malformed json", "/query", `{"kmers":`, http.StatusBadRequest, ""},
+		{"query unknown field", "/query", fmt.Sprintf(`{"kmers": [%q], "bogus": 1}`, kms[0]), http.StatusBadRequest, "bogus"},
+		{"query body too large", "/query", oversized("kmers", maxQueryBody), http.StatusRequestEntityTooLarge, "too large"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			resp, body := postJSON(t, srv.URL+"/jobs", c.body)
+			path := c.path
+			if path == "" {
+				path = "/jobs"
+			}
+			resp, body := postJSON(t, srv.URL+path, c.body)
 			if resp.StatusCode != c.want {
 				t.Fatalf("POST %s: %d %s, want %d", c.body, resp.StatusCode, body, c.want)
 			}
