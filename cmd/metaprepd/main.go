@@ -59,6 +59,7 @@ import (
 	"syscall"
 	"time"
 
+	"metaprep/internal/core"
 	"metaprep/internal/jobs"
 	"metaprep/internal/obsv"
 	"metaprep/internal/server"
@@ -114,7 +115,7 @@ func run(args []string, sigc chan os.Signal) error {
 	retries := fs.Int("retries", 2, "retries for transient job failures")
 	progress := fs.Duration("progress", 200*time.Millisecond, "SSE progress snapshot interval")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to wait for running jobs on shutdown")
-	spillDir := fs.String("spill-dir", "", "root for out-of-core spill scratch: each spilling job gets a private subdirectory, removed when the job ends; orphans from a crashed daemon are swept at startup (empty = the OS temp dir, unmanaged)")
+	spillDir := fs.String("spill-dir", "", "scratch root for every job, created if missing: each run keeps its spill runs and artifact parts in one metaprep-run-* directory beneath it, removed when the run ends; a crashed daemon's are swept at startup (empty = the OS temp dir, unswept)")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
 	ringEvents := fs.Int("ring-events", 0, "flight-recorder capacity in spans per job (0 = default, negative = unbounded)")
 	traceDir := fs.String("trace-dir", "", "directory for automatic flight-recorder dumps of failed, cancelled or SLO-breaching jobs (empty disables dumps)")
@@ -145,20 +146,16 @@ func run(args []string, sigc chan os.Signal) error {
 		return err
 	}
 
-	// Sweep spill orphans before accepting work: scratch under -spill-dir
-	// can only be left behind by a previous daemon that died mid-job. Each
-	// removed path is logged — scratch deletion should never be silent.
+	// Create the spill root every job's run scratch lives under, and sweep
+	// it before accepting work: only a daemon that died mid-job leaves a
+	// run directory there. The store and the query tier sweep their own.
 	var swept []string
 	if *spillDir != "" {
-		swept, err = jobs.SweepSpillDir(*spillDir)
-		if err != nil {
+		if err := os.MkdirAll(*spillDir, 0o755); err != nil {
+			return fmt.Errorf("spill-dir: %w", err)
+		}
+		if swept, err = core.SweepScratch(lg, *spillDir); err != nil {
 			return fmt.Errorf("spill-dir sweep: %w", err)
-		}
-		for _, path := range swept {
-			lg.Info("swept orphaned spill scratch", "path", path)
-		}
-		if len(swept) > 0 {
-			lg.Info("spill-dir sweep complete", "removed", len(swept), "dir", *spillDir)
 		}
 	}
 

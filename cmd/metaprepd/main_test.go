@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"metaprep"
+	"metaprep/internal/core"
 	"metaprep/internal/index"
 )
 
@@ -51,35 +52,27 @@ func buildIndexFile(t *testing.T, dir string) string {
 	return path
 }
 
-// TestDaemonLifecycle boots the daemon, submits a job over HTTP, waits for
-// completion, then delivers SIGTERM and expects a graceful drain.
-func TestDaemonLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	idxPath := buildIndexFile(t, dir)
-	addr := freeAddr(t)
-
-	sigc := make(chan os.Signal, 2)
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-addr", addr, "-workers", "2", "-progress", "20ms"}, sigc)
-	}()
-
-	base := "http://" + addr
-	// Wait for the listener.
+// waitHealthy waits for the daemon at base to answer /healthz.
+func waitHealthy(t *testing.T, base string) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		resp, err := http.Get(base + "/healthz")
 		if err == nil {
 			resp.Body.Close()
-			break
+			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("daemon never became healthy: %v", err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
 
-	body := fmt.Sprintf(`{"index": %q, "tasks": 2, "threads": 2}`, idxPath)
+// runJob submits body to the daemon at base and returns the state the
+// job ends in.
+func runJob(t *testing.T, base, body string) string {
+	t.Helper()
 	resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -95,8 +88,7 @@ func TestDaemonLifecycle(t *testing.T) {
 	if err := json.Unmarshal(data, &sub); err != nil {
 		t.Fatal(err)
 	}
-
-	// Poll to completion.
+	deadline := time.Now().Add(30 * time.Second)
 	for {
 		resp, err := http.Get(base + "/jobs/" + sub.ID)
 		if err != nil {
@@ -107,16 +99,34 @@ func TestDaemonLifecycle(t *testing.T) {
 		}
 		json.NewDecoder(resp.Body).Decode(&st)
 		resp.Body.Close()
-		if st.State == "done" {
-			break
-		}
-		if st.State == "failed" || st.State == "cancelled" {
-			t.Fatalf("job ended %s", st.State)
+		switch st.State {
+		case "done", "failed", "cancelled":
+			return st.State
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("job never finished")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestDaemonLifecycle boots the daemon, submits a job over HTTP, waits for
+// completion, then delivers SIGTERM and expects a graceful drain.
+func TestDaemonLifecycle(t *testing.T) {
+	dir := t.TempDir()
+	idxPath := buildIndexFile(t, dir)
+	addr := freeAddr(t)
+
+	sigc := make(chan os.Signal, 2)
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-addr", addr, "-workers", "2", "-progress", "20ms"}, sigc)
+	}()
+
+	base := "http://" + addr
+	waitHealthy(t, base)
+	if state := runJob(t, base, fmt.Sprintf(`{"index": %q, "tasks": 2, "threads": 2}`, idxPath)); state != "done" {
+		t.Fatalf("job ended %s", state)
 	}
 
 	// Graceful shutdown on SIGTERM.
@@ -128,6 +138,122 @@ func TestDaemonLifecycle(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not drain after SIGTERM")
+	}
+}
+
+// TestDaemonRestartSweep boots the daemon over directories a crashed
+// predecessor left a leftover of every kind in — run scratch and a legacy
+// per-job directory in the spill root, an artifact writer's temp and a
+// legacy staging file in the store, a rebuild temp and a legacy lookup
+// generation in the query tier's lookups/ — plus one unrelated file in
+// each, and a staging-named directory in the spill root, which only the
+// store ever used that name for. Every leftover goes, every
+// unrelated file stays, and /metrics counts what the sweeps removed.
+func TestDaemonRestartSweep(t *testing.T) {
+	spill, store := t.TempDir(), t.TempDir()
+	lookups := filepath.Join(store, "lookups")
+	leftovers := []string{
+		filepath.Join(spill, "metaprep-run-x"),
+		filepath.Join(spill, "job-j1"),
+		filepath.Join(store, ".p-x.mpa.tmp-1"),
+		filepath.Join(store, "staging-j2.mpa"),
+		filepath.Join(lookups, ".served.mplk.tmp-1"),
+		filepath.Join(lookups, "p-x.4.mplk"),
+	}
+	unrelated := []string{
+		filepath.Join(spill, "notes.txt"),
+		filepath.Join(store, "notes.txt"),
+		filepath.Join(lookups, "notes.txt"),
+		filepath.Join(spill, "staging-x"),
+	}
+	for _, d := range []string{leftovers[0], leftovers[1], lookups, unrelated[3]} {
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range append(leftovers[2:], unrelated[:3]...) {
+		if err := os.WriteFile(f, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	addr := freeAddr(t)
+	sigc := make(chan os.Signal, 2)
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-addr", addr, "-spill-dir", spill, "-artifact-dir", store,
+			"-serve-key", "auto"}, sigc)
+	}()
+	base := "http://" + addr
+	var metrics []byte
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(base + "/metrics")
+		if err == nil {
+			metrics, _ = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never served /metrics: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	sigc <- syscall.SIGTERM
+	if err := <-done; err != nil {
+		t.Fatalf("run returned %v", err)
+	}
+
+	want := fmt.Sprintf("metaprepd_orphans_swept_total %d\n", len(leftovers))
+	if !strings.Contains(string(metrics), want) {
+		t.Errorf("/metrics lacks %q", want)
+	}
+	for _, p := range leftovers {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("leftover %s survived the boot sweep (stat err = %v)", p, err)
+		}
+	}
+	for _, p := range unrelated {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("unrelated %s swept: %v", p, err)
+		}
+	}
+}
+
+// TestDaemonFreshSpillRoot boots the daemon on a spill root that does not
+// exist yet: the daemon creates it, and a plain job and a spilling job,
+// both of which keep their run scratch beneath it, end done and leave it
+// empty.
+func TestDaemonFreshSpillRoot(t *testing.T) {
+	dir := t.TempDir()
+	idxPath := buildIndexFile(t, dir)
+	spill := filepath.Join(dir, "fresh", "spill")
+	addr := freeAddr(t)
+	sigc := make(chan os.Signal, 2)
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-addr", addr, "-spill-dir", spill}, sigc)
+	}()
+	base := "http://" + addr
+	waitHealthy(t, base)
+	for _, body := range []string{
+		fmt.Sprintf(`{"index": %q, "tasks": 2, "threads": 2}`, idxPath),
+		fmt.Sprintf(`{"index": %q, "tasks": 2, "threads": 2, "spill_budget_bytes": %d}`, idxPath, core.MinSpillBudgetBytes),
+	} {
+		if state := runJob(t, base, body); state != "done" {
+			t.Errorf("job %s ended %s", body, state)
+		}
+	}
+	sigc <- syscall.SIGTERM
+	if err := <-done; err != nil {
+		t.Fatalf("run returned %v", err)
+	}
+	ents, err := os.ReadDir(spill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 0 {
+		t.Errorf("spill root holds %d entries after the jobs ended, want none", len(ents))
 	}
 }
 

@@ -16,17 +16,23 @@
 //
 // Commit is the durability rule: the temp file is fsynced, renamed onto
 // its target, and the directory is fsynced, so a crash leaves the old file
-// or the new one and never a partial one.
+// or the new one and never a partial one. A crash can leave the temp file
+// itself behind; SweepTemps removes those at the next startup.
 package container
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 )
 
 // Framing constants, pinned by each format's golden test.
@@ -266,10 +272,64 @@ func (t *TOC) Check(e Entry, buf []byte) error {
 	return nil
 }
 
+// tempMark sits between a temp file's target name and its random suffix.
+const tempMark = ".tmp-"
+
 // CreateTemp creates a temp file beside path, named after it, for a writer
 // that later calls Commit.
 func CreateTemp(path string) (*os.File, error) {
-	return os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
+	return os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+tempMark+"*")
+}
+
+// SweepTemps removes from dir the files CreateTemp names — a writer that
+// died before Commit or its own cleanup leaves one — and the files legacy
+// matches, the names an earlier release gave what its owner of dir left
+// behind (nil matches none). It returns the removed paths. Call it at
+// startup, before any writer uses dir.
+func SweepTemps(lg *slog.Logger, dir string, legacy func(name string) bool) ([]string, error) {
+	return sweep(lg, dir, false, func(name string) bool {
+		ok, _ := filepath.Match(".?*"+tempMark+"*", name)
+		return ok || legacy != nil && legacy(name)
+	})
+}
+
+// SweepDirs removes from dir the directories whose names begin with one of
+// prefixes, with their contents, and returns their paths.
+func SweepDirs(lg *slog.Logger, dir string, prefixes ...string) ([]string, error) {
+	return sweep(lg, dir, true, func(name string) bool {
+		return slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(name, p) })
+	})
+}
+
+// sweep removes the directories (dirs) or else the files of dir whose
+// names match, logs each removal to lg (nil logs nothing) and returns the
+// removed paths. A path it cannot remove is logged and left for the next
+// startup; only a dir that cannot be read is an error, and a missing dir
+// is not.
+func sweep(lg *slog.Logger, dir string, dirs bool, match func(string) bool) (removed []string, err error) {
+	ents, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	if lg == nil {
+		lg = slog.New(slog.DiscardHandler)
+	}
+	for _, e := range ents {
+		if e.IsDir() != dirs || !match(e.Name()) {
+			continue
+		}
+		path := filepath.Join(dir, e.Name())
+		if err := os.RemoveAll(path); err != nil {
+			lg.Warn("boot sweep could not remove a leftover", "path", path, "err", err)
+			continue
+		}
+		lg.Info("boot sweep removed a leftover", "path", path)
+		removed = append(removed, path)
+	}
+	return removed, nil
 }
 
 // Commit makes tmp durable as path: it fsyncs tmp, renames it onto path and

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -149,5 +150,46 @@ func TestHostileTrailers(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSweepTemps plants names on both sides of CreateTemp's pattern, a
+// directory that matches it and a file the owner's legacy rule names:
+// only the file CreateTemp made and the legacy file are removed and
+// reported.
+func TestSweepTemps(t *testing.T) {
+	dir := t.TempDir()
+	temp, err := container.CreateTemp(filepath.Join(dir, "p-a.mpa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	temp.Close()
+	legacy := filepath.Join(dir, "old-1")
+	keep := []string{"p-a.mpa", "p-a.mpa.tmp-1", ".tmp-1", ".p-a.mpa", "old-2"}
+	for _, name := range append(keep, filepath.Base(legacy)) {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, ".d.tmp-1"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	removed, err := container.SweepTemps(nil, dir, func(name string) bool { return name == "old-1" })
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(removed)
+	if want := []string{temp.Name(), legacy}; !slices.Equal(removed, want) {
+		t.Fatalf("removed %v, want %v", removed, want)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != len(keep)+1 {
+		t.Fatalf("after the sweep %d entries remain, want %d", len(ents), len(keep)+1)
+	}
+	if removed, err := container.SweepTemps(nil, filepath.Join(dir, "missing"), nil); len(removed) != 0 || err != nil {
+		t.Fatalf("SweepTemps(missing) = %v, %v", removed, err)
 	}
 }

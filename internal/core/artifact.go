@@ -59,13 +59,9 @@ type artifactPart struct {
 	tuples uint64
 }
 
-// newArtifactEmit creates the run-scoped part directory (under SpillDir,
-// like the spill scratch) and the part table.
-func newArtifactEmit(cfg Config, pl *plan) (*artifactEmit, error) {
-	dir, err := os.MkdirTemp(cfg.SpillDir, "metaprep-artifact-")
-	if err != nil {
-		return nil, err
-	}
+// newArtifactEmit sets up the part table; the parts go to dir, the run's
+// scratch directory, which goes with the run.
+func newArtifactEmit(cfg Config, pl *plan, dir string) *artifactEmit {
 	e := &artifactEmit{
 		dir:  dir,
 		wide: !pl.use64(),
@@ -82,12 +78,8 @@ func newArtifactEmit(cfg Config, pl *plan) (*artifactEmit, error) {
 			e.parts[s][r] = make([]artifactPart, cfg.Threads)
 		}
 	}
-	return e, nil
+	return e
 }
-
-// cleanup removes the part directory. Runs on every exit path; after a
-// successful assemble the parts are already copied out.
-func (e *artifactEmit) cleanup() { os.RemoveAll(e.dir) }
 
 // partTee buffers the groups one LocalCC thread consumes and encodes them
 // into its part file in blocks of the artifact's block size.
@@ -170,8 +162,8 @@ func (t *partTee) close() error {
 	return nil
 }
 
-// discard releases the file handle on abort paths (the part directory is
-// removed wholesale by cleanup). After close it is a no-op: a second Close
+// discard releases the file handle on abort paths (the run's scratch
+// directory is removed wholesale). After close it is a no-op: a second Close
 // only reports os.ErrClosed.
 func (t *partTee) discard() { t.f.Close() }
 
@@ -434,7 +426,7 @@ func runFromArtifact(ctx context.Context, cfg Config, pl *plan) (*Result, error)
 //
 // Delta read IDs are rebased: global read r of the delta index becomes
 // base.Reads + r in the combined label space.
-func runIncremental(ctx context.Context, cfg Config, pl *plan) (*Result, error) {
+func runIncremental(ctx context.Context, cfg Config, pl *plan, scratch string) (*Result, error) {
 	start := time.Now()
 	base, err := artifact.Open(cfg.ArtifactIn)
 	if err != nil {
@@ -470,23 +462,17 @@ func runIncremental(ctx context.Context, cfg Config, pl *plan) (*Result, error) 
 			Reason: fmt.Sprintf("combined read space %d+%d overflows 32-bit read IDs", baseReads, deltaReads)}
 	}
 
-	// The temporary delta artifact lives in a run-scoped scratch dir,
-	// removed on every exit path — success, error and cancellation alike.
-	scratch, err := os.MkdirTemp(cfg.SpillDir, "metaprep-delta-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(scratch)
-
 	// Enumerate + sort the delta with a plain recursive pipeline run that
-	// emits its own artifact. Output and artifact knobs are stripped: only
-	// the delta's sorted tuple stream and its accounting are consumed here
+	// emits its own artifact into this run's scratch, and keeps its own
+	// scratch inside it. Output and artifact knobs are stripped: only the
+	// delta's sorted tuple stream and its accounting are consumed here
 	// (its internal DSU is discarded — delta-internal connectivity is
 	// re-derived from the merged stream below).
 	dcfg := cfg
 	dcfg.ArtifactIn, dcfg.ArtifactDelta = "", false
 	dcfg.OutDir = ""
 	dcfg.SplitComponents = 0
+	dcfg.SpillDir = scratch
 	dcfg.ArtifactOut = filepath.Join(scratch, "delta.mpa")
 	dres, err := RunContext(ctx, dcfg)
 	if err != nil {
@@ -635,39 +621,6 @@ func runIncremental(ctx context.Context, cfg Config, pl *plan) (*Result, error) 
 				"edges": edges, "tuples": streamed})
 	}
 
-	if out != nil {
-		if err := out.EndKmers(); err != nil {
-			return nil, err
-		}
-		if err := out.Labels(labels); err != nil {
-			return nil, err
-		}
-		if err := out.Hist(hist); err != nil {
-			return nil, err
-		}
-		baseID := bm.IndexDigest
-		if baseID == "" {
-			baseID = filepath.Base(base.Path())
-		}
-		if err := out.Finish(artifact.Meta{
-			Kind:      artifact.KindPartition,
-			K:         pl.idx.Opts.K,
-			M:         pl.idx.Opts.M,
-			FilterMin: int(filter.Min),
-			FilterMax: int(filter.Max),
-			Reads:     baseReads + deltaReads,
-			Tuples:    base.Tuples() + delta.Tuples(),
-			Edges:     bm.Edges + edges,
-			Op:        "incremental",
-			Lineage:   []string{baseID, dm.IndexDigest},
-		}); err != nil {
-			return nil, err
-		}
-		if obs := cfg.Obs; obs != nil {
-			obs.Counter(obsv.RankGlobal, "artifact/bytes_written").Add(uint64(out.BytesWritten()))
-		}
-	}
-
 	res := &Result{
 		Labels:      labels,
 		LargestRoot: mr.largestRoot,
@@ -706,6 +659,40 @@ func runIncremental(ctx context.Context, cfg Config, pl *plan) (*Result, error) 
 		}
 		res.Steps = MaxOf(stepsOf(res.PerTask))
 		fillOutputFiles(res, outFiles, cfg)
+	}
+	// The merged artifact commits last, after CC-I/O, so a file at
+	// ArtifactOut always comes from a run that succeeded.
+	if out != nil {
+		if err := out.EndKmers(); err != nil {
+			return nil, err
+		}
+		if err := out.Labels(labels); err != nil {
+			return nil, err
+		}
+		if err := out.Hist(hist); err != nil {
+			return nil, err
+		}
+		baseID := bm.IndexDigest
+		if baseID == "" {
+			baseID = filepath.Base(base.Path())
+		}
+		if err := out.Finish(artifact.Meta{
+			Kind:      artifact.KindPartition,
+			K:         pl.idx.Opts.K,
+			M:         pl.idx.Opts.M,
+			FilterMin: int(filter.Min),
+			FilterMax: int(filter.Max),
+			Reads:     baseReads + deltaReads,
+			Tuples:    base.Tuples() + delta.Tuples(),
+			Edges:     bm.Edges + edges,
+			Op:        "incremental",
+			Lineage:   []string{baseID, dm.IndexDigest},
+		}); err != nil {
+			return nil, err
+		}
+		if obs := cfg.Obs; obs != nil {
+			obs.Counter(obsv.RankGlobal, "artifact/bytes_written").Add(uint64(out.BytesWritten()))
+		}
 	}
 	res.Wall = time.Since(start)
 	if cfg.Log != nil {

@@ -836,6 +836,44 @@ func TestIncrementalCancelMidMerge(t *testing.T) {
 	}
 }
 
+// TestIncrementalOutputFailureLeavesNoArtifact fails an incremental run's
+// CC-I/O and checks that no merged artifact appears at ArtifactOut: the
+// artifact commits after the output is written, so a file at its final
+// name always comes from a run that succeeded.
+func TestIncrementalOutputFailureLeavesNoArtifact(t *testing.T) {
+	td := spillDataset(t, 37, smallOpts())
+	dir := t.TempDir()
+	base := filepath.Join(dir, "base.mpa")
+	bcfg := Default(td.idx)
+	bcfg.ArtifactOut = base
+	if _, err := Run(bcfg); err != nil {
+		t.Fatal(err)
+	}
+	blocker := filepath.Join(dir, "not-a-dir")
+	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	scratch := t.TempDir()
+	cfg := Default(td.idx)
+	cfg.ArtifactIn, cfg.ArtifactDelta = base, true
+	cfg.ArtifactOut = filepath.Join(dir, "merged.mpa")
+	cfg.OutDir = filepath.Join(blocker, "parts")
+	cfg.SpillBudgetBytes = MinSpillBudgetBytes
+	cfg.SpillDir = scratch
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("run with an unwritable OutDir succeeded")
+	}
+	if _, err := os.Stat(cfg.ArtifactOut); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("merged artifact exists after a failed CC-I/O (stat err = %v)", err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 2 {
+		t.Fatalf("ArtifactOut's directory holds %d entries, want base.mpa and not-a-dir", len(ents))
+	}
+	if ents, _ := os.ReadDir(scratch); len(ents) != 0 {
+		t.Fatalf("scratch not empty after a failed run: %v", ents)
+	}
+}
+
 // TestArtifactEmitCancelLeavesNoParts cancels a run that is emitting an
 // artifact and checks the part directory is removed.
 func TestArtifactEmitCancelLeavesNoParts(t *testing.T) {

@@ -108,11 +108,12 @@ type Config struct {
 	// parity suite pins this). 0 disables spilling. Budgets below
 	// MinSpillBudgetBytes are a validation error.
 	SpillBudgetBytes int64
-	// SpillDir is where spill-run temp files go (a per-run directory is
-	// created beneath it and removed on every exit path). Empty uses the
-	// OS temp dir. Setting it without SpillBudgetBytes is a validation
-	// error. Like Pool, it never affects results and is excluded from
-	// CanonicalHash.
+	// SpillDir is the root of the run's scratch: a run that has scratch to
+	// hold (spill runs, ArtifactOut's parts, an ArtifactDelta run's delta
+	// artifact) creates one metaprep-run-* directory beneath it and removes
+	// it on every exit path; SweepScratch reclaims what a crashed process
+	// left behind. Empty uses the OS temp dir. Like Pool, it never affects
+	// results and is excluded from CanonicalHash.
 	SpillDir string
 	// ArtifactOut, when set, writes a persistent partition artifact
 	// (internal/artifact format v1) to this path: the globally sorted
@@ -241,9 +242,6 @@ func (c Config) Validate() error {
 				c.SpillBudgetBytes, MinSpillBudgetBytes)}
 	}
 	if c.SpillDir != "" {
-		if c.SpillBudgetBytes == 0 {
-			return &ConfigError{Field: "SpillDir", Reason: "set without SpillBudgetBytes (nothing is spilled)"}
-		}
 		if err := checkSpillDir(c.SpillDir); err != nil {
 			return &ConfigError{Field: "SpillDir", Reason: err.Error()}
 		}

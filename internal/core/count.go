@@ -80,11 +80,11 @@ func RunCountContext(ctx context.Context, cfg Config) (*CountResult, error) {
 		return nil, err
 	}
 	defer pl.heap.finish()
-	spillDir, err := pl.spillScratch()
+	scratch, err := pl.runScratch()
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(spillDir)
+	defer os.RemoveAll(scratch)
 
 	world := mpirt.NewWorld(cfg.Tasks, cfg.Network)
 	world.SetCollector(cfg.Obs)
@@ -97,7 +97,7 @@ func RunCountContext(ctx context.Context, cfg Config) (*CountResult, error) {
 	start := time.Now()
 	err = world.RunContext(ctx, func(task *mpirt.Task) error {
 		st := newTaskState(ctx, pl, task)
-		sink, err := st.openPasses(spillDir)
+		sink, err := st.openPasses(scratch)
 		defer st.closePasses(sink)
 		if err != nil {
 			return err

@@ -276,12 +276,20 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer pl.heap.finish()
+	// The run's scratch — spill runs, artifact parts, a delta artifact —
+	// lives in one directory, removed on every exit path: success, error,
+	// cancellation and panic unwind alike (TestSpillCancelLeavesNoRunFiles).
+	scratch, err := pl.runScratch()
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(scratch)
 	// Artifact-driven paths replace the front half of the pipeline: a
 	// reload turns a stored partition straight into a Result, and a delta
 	// run merges freshly enumerated tuples against the stored base.
 	if cfg.ArtifactIn != "" {
 		if cfg.ArtifactDelta {
-			return runIncremental(ctx, cfg, pl)
+			return runIncremental(ctx, cfg, pl, scratch)
 		}
 		return runFromArtifact(ctx, cfg, pl)
 	}
@@ -295,24 +303,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	// A spilling plan's run files live in one run-scoped temp directory,
-	// removed on every exit path — success, error and cancellation alike
-	// (TestSpillCancelLeavesNoRunFiles).
-	spillDir, err := pl.spillScratch()
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(spillDir)
-	// The artifact emit tees the sorted tuple stream into part files as the
-	// passes run; its scratch directory follows the spill-dir lifecycle
-	// (removed on success, error and cancellation alike).
+	// The artifact emit tees the sorted tuple stream into part files in
+	// the run's scratch as the passes run.
 	var emit *artifactEmit
 	if cfg.ArtifactOut != "" {
-		emit, err = newArtifactEmit(cfg, pl)
-		if err != nil {
-			return nil, err
-		}
-		defer emit.cleanup()
+		emit = newArtifactEmit(cfg, pl, scratch)
 	}
 
 	world := mpirt.NewWorld(cfg.Tasks, cfg.Network)
@@ -326,7 +321,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	err = world.RunContext(ctx, func(task *mpirt.Task) error {
 		st := newTaskState(ctx, pl, task)
 		st.emit = emit
-		sink, err := st.openPasses(spillDir)
+		sink, err := st.openPasses(scratch)
 		defer st.closePasses(sink)
 		if err != nil {
 			return err

@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync/atomic"
 	"time"
 
+	"metaprep/internal/container"
 	"metaprep/internal/extsort"
 	"metaprep/internal/obsv"
 	"metaprep/internal/radix"
@@ -46,14 +48,31 @@ import (
 // per-segment read-ahead ring (extsort.SegReader) — the same overlap idiom
 // as the KmerGen chunk prefetcher.
 
-// spillScratch creates the run-scoped temp directory every rank's run
-// files live in, or returns "" when the plan does not spill (os.RemoveAll
-// of "" is a no-op, so callers defer the removal unconditionally).
-func (p *plan) spillScratch() (string, error) {
-	if !p.spill {
+// runScratchPrefix names a run's one scratch directory.
+const runScratchPrefix = "metaprep-run-"
+
+// runScratch creates the run's one scratch directory under cfg.SpillDir
+// (the OS temp dir when empty): every spill run file, artifact part and
+// delta artifact of the run lives in it. It returns "" when the run has
+// nothing to hold (os.RemoveAll of "" is a no-op, so callers defer the
+// removal unconditionally and the directory goes on every exit path).
+func (p *plan) runScratch() (string, error) {
+	c := p.cfg
+	if !c.ArtifactDelta && (c.ArtifactIn != "" || !p.spill && c.ArtifactOut == "") {
 		return "", nil
 	}
-	return os.MkdirTemp(p.cfg.SpillDir, "metaprep-spill-")
+	return os.MkdirTemp(c.SpillDir, runScratchPrefix)
+}
+
+// SweepScratch removes the run scratch directories under root, and those
+// an earlier release named (its per-job "job-" and per-run
+// "metaprep-spill-" directories), logging each to lg, and returns their
+// paths. Only a run that died with its process leaves one behind (every
+// live exit path removes its own), so call it at startup, before any run
+// uses root. Entries with other names and plain files are left alone:
+// root may be a shared scratch filesystem. A missing root is not an error.
+func SweepScratch(lg *slog.Logger, root string) ([]string, error) {
+	return container.SweepDirs(lg, root, runScratchPrefix, "job-", "metaprep-spill-")
 }
 
 // runSink is a spilling task's working set, acquired once and reused by

@@ -5,9 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -409,9 +413,6 @@ func TestSpillConfigValidation(t *testing.T) {
 		{"budget below minimum",
 			Config{Index: td.idx, Tasks: 1, Threads: 1, Passes: 1, SpillBudgetBytes: MinSpillBudgetBytes - 1},
 			"SpillBudgetBytes"},
-		{"dir without budget",
-			Config{Index: td.idx, Tasks: 1, Threads: 1, Passes: 1, SpillDir: os.TempDir()},
-			"SpillDir"},
 		{"dir does not exist",
 			Config{Index: td.idx, Tasks: 1, Threads: 1, Passes: 1,
 				SpillBudgetBytes: MinSpillBudgetBytes, SpillDir: "/nonexistent/metaprep-spill"},
@@ -508,4 +509,129 @@ func counterTotal(obs *obsv.Collector, name string) uint64 {
 		}
 	}
 	return n
+}
+
+// scratchAtStart is a slog.Handler that lists SpillDir's entries each time
+// a pipeline logs its start — after the run's scratch directory exists.
+type scratchAtStart struct {
+	root string
+	seen [][]string
+}
+
+func (h *scratchAtStart) Enabled(context.Context, slog.Level) bool { return true }
+func (h *scratchAtStart) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "pipeline start" {
+		h.seen = append(h.seen, dirNames(h.root))
+	}
+	return nil
+}
+func (h *scratchAtStart) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h *scratchAtStart) WithGroup(string) slog.Handler      { return h }
+
+func dirNames(dir string) []string {
+	ents, _ := os.ReadDir(dir)
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestRunScratchOneDirectory pins the scratch lifecycle: a run with
+// scratch to hold (a spilling plan, ArtifactOut, a delta run) keeps all
+// of it in one metaprep-run-* directory under SpillDir — a delta run's
+// nested run inside its parent's — and a run with none creates nothing.
+// SpillDir is empty again once the run returns.
+func TestRunScratchOneDirectory(t *testing.T) {
+	td := spillDataset(t, 31, smallOpts())
+	base := filepath.Join(t.TempDir(), "base.mpa")
+	bcfg := Default(td.idx)
+	bcfg.ArtifactOut = base
+	if _, err := Run(bcfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		edit  func(*Config)
+		nruns int // pipeline starts that see one run directory
+	}{
+		{"plain", func(*Config) {}, 0},
+		{"spill", func(c *Config) { c.SpillBudgetBytes = MinSpillBudgetBytes }, 1},
+		{"artifact", func(c *Config) { c.ArtifactOut = filepath.Join(t.TempDir(), "a.mpa") }, 1},
+		{"delta", func(c *Config) { c.ArtifactIn, c.ArtifactDelta = base, true }, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			root := t.TempDir()
+			h := &scratchAtStart{root: root}
+			cfg := Default(td.idx)
+			cfg.Tasks, cfg.Threads = 2, 2
+			cfg.SpillDir = root
+			cfg.Log = slog.New(h)
+			c.edit(&cfg)
+			if c.name == "spill" {
+				requireSpill(t, cfg)
+			}
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if len(h.seen) != 1 {
+				t.Fatalf("%d pipeline starts, want 1", len(h.seen))
+			}
+			got := h.seen[0]
+			if len(got) != c.nruns || c.nruns == 1 && !strings.HasPrefix(got[0], runScratchPrefix) {
+				t.Fatalf("SpillDir while running = %v, want %d %s* directory", got, c.nruns, runScratchPrefix)
+			}
+			if names := dirNames(root); len(names) != 0 {
+				t.Fatalf("SpillDir after the run = %v, want empty", names)
+			}
+		})
+	}
+}
+
+// TestSweepScratch checks the startup sweep removes exactly the run
+// scratch directories — this release's and the names an earlier release
+// used — and leaves foreign entries in a shared scratch root alone.
+func TestSweepScratch(t *testing.T) {
+	root := t.TempDir()
+	for _, d := range []string{"metaprep-run-1234", "job-j12", "metaprep-spill-8842"} {
+		if err := os.MkdirAll(filepath.Join(root, d, "nested"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// staging- was an earlier release's artifact-store file name, never a
+	// scratch directory: a directory so named is foreign here.
+	for _, d := range []string{"unrelated", "staging-x"} {
+		if err := os.MkdirAll(filepath.Join(root, d), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A plain file that happens to share a prefix must survive: the sweep
+	// only ever removes directories.
+	if err := os.WriteFile(filepath.Join(root, "job-notes.txt"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	removed, err := SweepScratch(nil, root)
+	if err != nil {
+		t.Fatalf("SweepScratch: %v", err)
+	}
+	if len(removed) != 3 {
+		t.Fatalf("removed %v, want 3 orphans", removed)
+	}
+	// The returned paths are the full paths removed — what the daemon logs,
+	// so scratch deletion is never silent.
+	for _, p := range removed {
+		if filepath.Dir(p) != root {
+			t.Errorf("removed path %q not under %q", p, root)
+		}
+	}
+	if names := dirNames(root); !slices.Equal(names, []string{"job-notes.txt", "staging-x", "unrelated"}) {
+		t.Fatalf("survivors = %v, want [job-notes.txt staging-x unrelated]", names)
+	}
+
+	// Sweeping a directory that does not exist is a no-op, not an error:
+	// the daemon may start before its spill root is first used.
+	if paths, err := SweepScratch(nil, filepath.Join(root, "missing")); len(paths) != 0 || err != nil {
+		t.Fatalf("SweepScratch(missing) = %v, %v", paths, err)
+	}
 }

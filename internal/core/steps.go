@@ -49,11 +49,11 @@ type tupleSink interface {
 
 // openPasses readies a task for its passes: the input files, the chunk
 // buffers, kmerOut (the two generation slots) and the sink the plan calls
-// for. spillDir is the run-scoped scratch directory a spilling plan's runs
-// go to; that plan's memory gauge starts with kmerOut, since the budget
+// for. scratch is the run's scratch directory, where a spilling plan's runs
+// go; that plan's memory gauge starts with kmerOut, since the budget
 // covers the generation slots too. closePasses undoes it on every exit
 // path.
-func (st *taskState) openPasses(spillDir string) (tupleSink, error) {
+func (st *taskState) openPasses(scratch string) (tupleSink, error) {
 	files, err := openInputs(st.p.idx)
 	if err != nil {
 		return nil, err
@@ -63,7 +63,7 @@ func (st *taskState) openPasses(spillDir string) (tupleSink, error) {
 	st.out = st.p.cfg.acquireTupleBuf(st.p.bufTuples[st.rank], !st.p.use64())
 	if st.p.spill {
 		st.spillMemAdd(st.out.memBytes())
-		return newRunSink(st, spillDir), nil
+		return newRunSink(st, scratch), nil
 	}
 	return newBinSink(st), nil
 }

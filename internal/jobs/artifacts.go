@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -35,28 +36,28 @@ import (
 type artifactStore struct {
 	dir    string
 	budget int64 // <= 0 means unbounded
+	swept  int   // files the boot sweep removed
 
 	mu     sync.Mutex
 	hits   uint64
 	misses uint64
 }
 
-// newArtifactStore roots a store at dir, creating it if needed and
-// sweeping stale staging files from a previous daemon process.
-func newArtifactStore(dir string, budget int64) (*artifactStore, error) {
+// newArtifactStore roots a store at dir, creating it if needed, and
+// sweeps what a previous daemon process left mid-write: the artifact
+// writer's temp files, and the staging files an earlier release committed
+// from (container.SweepTemps).
+func newArtifactStore(lg *slog.Logger, dir string, budget int64) (*artifactStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	ents, err := os.ReadDir(dir)
+	swept, err := container.SweepTemps(lg, dir, func(name string) bool {
+		return strings.HasPrefix(name, "staging-")
+	})
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), "staging-") {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
-	}
-	return &artifactStore{dir: dir, budget: budget}, nil
+	return &artifactStore{dir: dir, budget: budget, swept: len(swept)}, nil
 }
 
 // key names the store entry a configuration's partition artifact lives at.
@@ -83,26 +84,18 @@ func (s *artifactStore) lookup(cfg core.Config) (string, bool) {
 	return path, true
 }
 
-// staging returns a private path a job writes its artifact to before
-// commit; the file is removed by the caller on failure (and swept at
-// startup if the process dies first).
-func (s *artifactStore) staging(jobID string) string {
-	return filepath.Join(s.dir, "staging-"+jobID+".mpa")
-}
-
-// commit moves a staged artifact into the store under name (an
-// artifactKey or an "i-<jobID>.mpa" incremental name) with container.Commit,
-// so the entry survives a crash, and evicts until the store is back under
-// budget. Returns the committed path; on failure the staged file is gone.
-func (s *artifactStore) commit(staged, name string) (string, error) {
-	path := filepath.Join(s.dir, name)
+// admit takes a committed artifact at path (written there by the run,
+// through the artifact writer's commit) into the store: it evicts until
+// the store is back under budget, never evicting path itself. It reports
+// false when no file is at path — a Runner that did not write one.
+func (s *artifactStore) admit(path string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := container.Commit(staged, path); err != nil {
-		return "", err
+	if _, err := os.Stat(path); err != nil {
+		return false
 	}
 	s.evictLocked(path)
-	return path, nil
+	return true
 }
 
 // drop removes a store entry (a corrupt or mismatched artifact discovered
@@ -114,7 +107,7 @@ func (s *artifactStore) drop(path string) {
 }
 
 // evictLocked removes oldest-first .mpa entries until total size fits the
-// budget, never evicting keep (the entry just committed — a store whose
+// budget, never evicting keep (the entry just admitted — a store whose
 // budget is smaller than one artifact still serves that artifact).
 func (s *artifactStore) evictLocked(keep string) {
 	if s.budget <= 0 {
@@ -167,7 +160,7 @@ func (s *artifactStore) listLocked() []ArtifactEntry {
 	var out []ArtifactEntry
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".mpa") || strings.HasPrefix(name, "staging-") {
+		if e.IsDir() || !strings.HasSuffix(name, ".mpa") {
 			continue
 		}
 		fi, err := e.Info()

@@ -188,18 +188,17 @@ func TestArtifactStoreDropsBadArtifact(t *testing.T) {
 
 func TestArtifactStoreEviction(t *testing.T) {
 	dir := t.TempDir()
-	st, err := newArtifactStore(dir, 100)
+	st, err := newArtifactStore(nil, dir, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	write := func(name string, size int) string {
-		staged := st.staging("x")
-		if err := os.WriteFile(staged, make([]byte, size), 0o644); err != nil {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, make([]byte, size), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		p, err := st.commit(staged, name)
-		if err != nil {
-			t.Fatal(err)
+		if !st.admit(p) {
+			t.Fatalf("admit(%s) found no file", p)
 		}
 		return p
 	}
@@ -222,22 +221,24 @@ func TestArtifactStoreEviction(t *testing.T) {
 	}
 }
 
-// TestArtifactStoreCommitOntoDirectoryLeavesNoTemp makes the commit's
-// rename fail: commit must return the error and remove the staged file.
+// TestArtifactStoreCommitOntoDirectoryLeavesNoTemp makes the store's one
+// commit — artifact.Writer.Finish onto a store path — fail at the rename:
+// Finish must return the error and leave no temp file in the store.
 func TestArtifactStoreCommitOntoDirectoryLeavesNoTemp(t *testing.T) {
 	dir := t.TempDir()
-	st, err := newArtifactStore(dir, 0)
+	if _, err := newArtifactStore(nil, dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "p-a.mpa")
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	w, err := artifact.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Mkdir(filepath.Join(dir, "p-a.mpa"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	staged := st.staging("x")
-	if err := os.WriteFile(staged, make([]byte, 10), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.commit(staged, "p-a.mpa"); err == nil {
+	defer w.Abort()
+	if err := w.Finish(artifact.Meta{Kind: artifact.KindPartition}); err == nil {
 		t.Fatal("commit onto a directory succeeded")
 	}
 	ents, err := os.ReadDir(dir)
@@ -254,19 +255,16 @@ func TestArtifactStoreCommitOntoDirectoryLeavesNoTemp(t *testing.T) {
 // every entry carrying size and a non-zero last-access time.
 func TestArtifactStoreListOrder(t *testing.T) {
 	dir := t.TempDir()
-	st, err := newArtifactStore(dir, 0)
+	st, err := newArtifactStore(nil, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	write := func(name string, size int) string {
-		staged := st.staging(name)
-		if err := os.WriteFile(staged, make([]byte, size), 0o644); err != nil {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, make([]byte, size), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		p, err := st.commit(staged, name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		st.admit(p)
 		return p
 	}
 	// c and b share one timestamp (name breaks the tie), a is strictly
@@ -355,16 +353,35 @@ func TestIncrementalJobArtifact(t *testing.T) {
 	}
 }
 
+// TestArtifactStoreSweepsStaging plants a staging file an earlier release
+// left behind and an artifact writer's temp abandoned mid-write — an
+// artifact.Writer on a store path dropped without Finish or Abort, as a
+// daemon that dies mid-run leaves it — and reopens the store: both are
+// swept and reported, and an unrelated file survives.
 func TestArtifactStoreSweepsStaging(t *testing.T) {
 	dir := t.TempDir()
 	stale := filepath.Join(dir, "staging-j9.mpa")
-	if err := os.WriteFile(stale, []byte("x"), 0o644); err != nil {
+	keep := filepath.Join(dir, "notes.txt")
+	for _, p := range []string{stale, keep} {
+		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := artifact.Create(filepath.Join(dir, artifactKey(testConfig()))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newArtifactStore(dir, 0); err != nil {
+	st, err := newArtifactStore(nil, dir, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("stale staging file survived startup sweep")
+	if st.swept != 2 {
+		t.Fatalf("swept %d files, want the temp and the staging file", st.swept)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "notes.txt" {
+		t.Fatalf("store after the boot sweep holds %v, want only notes.txt", ents)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
@@ -100,13 +99,12 @@ type Options struct {
 	Transient func(error) bool
 	// Runner executes jobs; nil uses core.RunContext.
 	Runner Runner
-	// SpillDir, when set, roots the out-of-core scratch space: every job
-	// submitted with SpillBudgetBytes > 0 (and no explicit SpillDir of its
-	// own) runs with a private job-<ID> directory beneath it, removed when
-	// the job reaches any terminal state — done, failed and cancelled alike.
-	// Pair with SweepSpillDir at startup to reclaim scratch a previous
-	// daemon process left behind. Empty leaves spill placement to the
-	// job's Config (the OS temp dir by default).
+	// SpillDir, when set, is the scratch root of every job that sets no
+	// SpillDir of its own, spilling or not: core keeps each run's scratch
+	// in one directory beneath it and removes it before the run returns.
+	// The root must exist; pair with core.SweepScratch at startup to
+	// reclaim scratch a previous daemon process left behind. Empty leaves
+	// scratch placement to the job's Config (the OS temp dir by default).
 	SpillDir string
 	// RingEvents sizes each job's flight recorder: the per-job collector
 	// keeps the most recent RingEvents spans in a bounded ring, cheap enough
@@ -289,7 +287,7 @@ func NewManager(opts Options) *Manager {
 		stepHists: make(map[string]*obsv.Histogram),
 	}
 	if opts.ArtifactDir != "" {
-		st, err := newArtifactStore(opts.ArtifactDir, opts.ArtifactBudgetBytes)
+		st, err := newArtifactStore(opts.Logger, opts.ArtifactDir, opts.ArtifactBudgetBytes)
 		if err != nil {
 			if lg := opts.Logger; lg != nil {
 				lg.Error("artifact store disabled", "dir", opts.ArtifactDir, "err", err)
@@ -424,54 +422,40 @@ func (m *Manager) runJob(j *Job) {
 			"queue_wait", j.started.Sub(j.submitted), "key", j.Key)
 	}
 
-	// Per-job scratch (spill directory, artifact staging file) is removed
-	// before the terminal state is published — a client that sees the job
-	// finished must not find its scratch — and again by defer, as the net
-	// under a panicking Runner.
-	var scratch []string
-	removeScratch := func() {
-		for _, p := range scratch {
-			os.RemoveAll(p)
-		}
-	}
-	defer removeScratch()
-
-	// Spill scratch is an executor concern too (SpillDir is excluded from
-	// the cache key): give a spilling job a private directory under the
-	// manager's spill root and remove it on every exit path, so cancelled
-	// and failed jobs cannot strand run files.
-	if m.opts.SpillDir != "" && cfg.SpillBudgetBytes > 0 && cfg.SpillDir == "" {
-		dir := filepath.Join(m.opts.SpillDir, "job-"+j.ID)
-		if mkErr := os.MkdirAll(dir, 0o755); mkErr == nil {
-			cfg.SpillDir = dir
-			scratch = append(scratch, dir)
-		}
+	// Scratch placement is an executor concern too (SpillDir is excluded
+	// from the cache key): every run roots its scratch at the manager's
+	// spill root, and core removes the run's directory before the runner
+	// returns — on success, failure, cancellation and panic unwind alike.
+	if cfg.SpillDir == "" {
+		cfg.SpillDir = m.opts.SpillDir
 	}
 
 	// Artifact-store participation is an executor concern the same way
 	// (absent from the cache key). A job with its own artifact settings is
 	// left alone; otherwise a stored artifact for the same (index, filter)
 	// key is reloaded instead of recomputed, and a miss emits one for later
-	// jobs. Incremental (delta) jobs stage their merged artifact so it can
-	// be fetched via the API and chained as a further delta's base.
+	// jobs. Incremental (delta) jobs emit their merged artifact so it can
+	// be fetched via the API and chained as a further delta's base. The
+	// run writes straight to the final store name: the artifact writer's
+	// commit is the only one, and core commits only once the run has
+	// succeeded.
 	var artifactIn string // store path injected as the reload source
-	var commitName string // store name the staged artifact commits under
+	var commitName string // store name the run's artifact commits under
 	if st := m.artifacts; st != nil {
 		switch {
 		case cfg.ArtifactDelta && cfg.ArtifactOut == "":
 			commitName = "i-" + j.ID + ".mpa"
-			cfg.ArtifactOut = st.staging(j.ID)
 		case !cfg.ArtifactDelta && cfg.ArtifactIn == "" && cfg.ArtifactOut == "":
 			if p, ok := st.lookup(cfg); ok {
 				artifactIn = p
 				cfg.ArtifactIn = p
 			} else {
 				commitName = artifactKey(cfg)
-				cfg.ArtifactOut = st.staging(j.ID)
 			}
 		}
-		// No-op after a successful commit (the rename moved it away).
-		scratch = append(scratch, st.staging(j.ID))
+		if commitName != "" {
+			cfg.ArtifactOut = filepath.Join(st.dir, commitName)
+		}
 	}
 
 	var res *core.Result
@@ -493,7 +477,7 @@ func (m *Manager) runJob(j *Job) {
 			cfg.ArtifactIn = ""
 			artifactIn = ""
 			commitName = artifactKey(cfg)
-			cfg.ArtifactOut = m.artifacts.staging(j.ID)
+			cfg.ArtifactOut = filepath.Join(m.artifacts.dir, commitName)
 			continue
 		}
 		if err == nil || ctx.Err() != nil || attempt > m.opts.Retries || !m.opts.Transient(err) {
@@ -501,21 +485,16 @@ func (m *Manager) runJob(j *Job) {
 		}
 	}
 
-	// Commit the staged artifact before touching job state (the store has
-	// its own lock; never nested under m.mu).
+	// Admit the committed artifact before touching job state (the store
+	// has its own lock; never nested under m.mu).
 	var committed string
-	if err == nil && commitName != "" {
-		if p, cErr := m.artifacts.commit(cfg.ArtifactOut, commitName); cErr == nil {
-			committed = p
-			if cb := m.opts.OnArtifactCommit; cb != nil {
-				cb(commitName, p)
-			}
-		} else if lg := m.opts.Logger; lg != nil {
-			lg.WarnContext(ctx, "artifact commit failed", "err", cErr)
+	if err == nil && commitName != "" && m.artifacts.admit(cfg.ArtifactOut) {
+		committed = cfg.ArtifactOut
+		if cb := m.opts.OnArtifactCommit; cb != nil {
+			cb(commitName, committed)
 		}
 	}
 
-	removeScratch()
 	m.mu.Lock()
 	j.finished = time.Now()
 	delete(m.inflight, j.Key)
@@ -749,6 +728,15 @@ func (m *Manager) Artifacts() []ArtifactEntry {
 // ArtifactStoreEnabled reports whether the manager persists artifacts.
 func (m *Manager) ArtifactStoreEnabled() bool { return m.artifacts != nil }
 
+// ArtifactsSwept is how many leftovers the artifact store's boot sweep
+// removed (0 when the store is disabled).
+func (m *Manager) ArtifactsSwept() int {
+	if m.artifacts == nil {
+		return 0
+	}
+	return m.artifacts.swept
+}
+
 // Drain stops admission (Submit returns ErrDraining) and waits for every
 // queued and running job to finish, or for ctx to expire — the graceful
 // half of SIGTERM handling. On ctx expiry the remaining jobs keep running;
@@ -805,38 +793,3 @@ func IsTransient(err error) bool {
 // ErrTransient marks an error as retryable when wrapped
 // (fmt.Errorf("...: %w", jobs.ErrTransient)).
 var ErrTransient = errors.New("jobs: transient failure")
-
-// SweepSpillDir removes orphaned spill scratch under dir, returning the
-// paths it removed: the per-job "job-*" directories this package creates
-// and the "metaprep-spill-*" run directories the pipeline creates beneath
-// them. Orphans can only exist if a previous daemon process died mid-job
-// (every live code path removes its own scratch), so the daemon calls this
-// once at startup before accepting work — and logs each returned path,
-// since deleting scratch silently is how shared filesystems get haunted. A
-// missing dir is not an error. Files and directories with other names are
-// left untouched — the spill root may be a shared scratch filesystem.
-func SweepSpillDir(dir string) (removed []string, err error) {
-	ents, readErr := os.ReadDir(dir)
-	if readErr != nil {
-		if os.IsNotExist(readErr) {
-			return nil, nil
-		}
-		return nil, readErr
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if !e.IsDir() ||
-			(!strings.HasPrefix(name, "job-") && !strings.HasPrefix(name, "metaprep-spill-")) {
-			continue
-		}
-		path := filepath.Join(dir, name)
-		if rmErr := os.RemoveAll(path); rmErr != nil {
-			if err == nil {
-				err = rmErr
-			}
-			continue
-		}
-		removed = append(removed, path)
-	}
-	return removed, err
-}

@@ -1,18 +1,24 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"metaprep/internal/core"
+	"metaprep/internal/fastq"
 	"metaprep/internal/index"
+	"metaprep/internal/obsv"
 )
 
 // testConfig returns a valid config over a synthetic in-memory index.
@@ -593,92 +599,172 @@ func TestBufferPoolThreadedThroughJobs(t *testing.T) {
 	}
 }
 
-// TestSpillDirPerJobLifecycle checks the executor-concern contract for spill
-// scratch: a spilling job runs with a private job-<ID> directory under the
-// manager's spill root, the stored Config stays clean, and the directory is
-// gone once the job is terminal — for success, failure and cancellation.
+// realIndex writes reads drawn from three random genomes to a FASTQ file
+// and indexes it: enough tuples that a MinSpillBudgetBytes run spills.
+func realIndex(t *testing.T, seed int64) *index.Index {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	genomes := make([][]byte, 3)
+	for g := range genomes {
+		genomes[g] = make([]byte, 600)
+		for i := range genomes[g] {
+			genomes[g][i] = "ACGT"[rng.Intn(4)]
+		}
+	}
+	path := filepath.Join(t.TempDir(), "reads.fastq")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := fastq.NewWriter(f)
+	const readLen = 50
+	for i := 0; i < 1500; i++ {
+		g := genomes[rng.Intn(len(genomes))]
+		pos := rng.Intn(len(g) - readLen)
+		if err := w.Write(fastq.Record{ID: []byte("r"), Seq: g[pos : pos+readLen],
+			Qual: bytes.Repeat([]byte("I"), readLen)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	idx, err := index.Build([]string{path}, index.Options{K: 11, M: 4, ChunkSize: 1500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
+// scratchProbe is a slog.Handler on the manager's logger. When a pipeline
+// logs its start — the run's scratch directory exists by then — it records
+// what the spill root holds and whether the plan spills; for the job named
+// block it then waits for that job's cancellation, so Cancel lands while
+// the run holds scratch.
+type scratchProbe struct {
+	root    string
+	block   string
+	started chan struct{}
+
+	mu    sync.Mutex
+	roots map[string][]string // spill root entries at pipeline start, by job
+	spill map[string]bool
+}
+
+func (h *scratchProbe) Enabled(context.Context, slog.Level) bool { return true }
+func (h *scratchProbe) Handle(ctx context.Context, r slog.Record) error {
+	if r.Message != "pipeline start" {
+		return nil
+	}
+	id := obsv.JobIDFrom(ctx)
+	var names []string
+	ents, _ := os.ReadDir(h.root)
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	h.mu.Lock()
+	h.roots[id] = names
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key == "spill" {
+			h.spill[id] = a.Value.Bool()
+		}
+		return true
+	})
+	h.mu.Unlock()
+	if id == h.block {
+		close(h.started)
+		<-ctx.Done()
+	}
+	return nil
+}
+func (h *scratchProbe) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h *scratchProbe) WithGroup(string) slog.Handler      { return h }
+
+// TestSpillDirPerJobLifecycle runs the real runner for a done, a failed
+// and a cancelled spilling job under a manager spill root. Each run keeps
+// its scratch in one directory under the root, the stored Config stays
+// clean, and the root is empty again at every terminal state: core
+// removes the run directory before the runner returns.
 func TestSpillDirPerJobLifecycle(t *testing.T) {
 	root := t.TempDir()
-	type seen struct {
-		dir    string
-		exists bool
-	}
-	outcomes := map[int]error{1: nil, 2: errors.New("pass 1: disk on fire")}
-	var mu sync.Mutex
-	dirs := map[int]seen{}
-	block := make(chan struct{})
-	m := NewManager(Options{Workers: 1, SpillDir: root,
-		Runner: func(ctx context.Context, cfg core.Config) (*core.Result, error) {
-			_, statErr := os.Stat(cfg.SpillDir)
-			mu.Lock()
-			dirs[cfg.SplitComponents] = seen{cfg.SpillDir, statErr == nil}
-			mu.Unlock()
-			if cfg.SplitComponents == 3 {
-				<-ctx.Done()
-				return nil, ctx.Err()
-			}
-			<-block
-			return &core.Result{}, outcomes[cfg.SplitComponents]
-		}})
+	probe := &scratchProbe{root: root, block: "j3", started: make(chan struct{}),
+		roots: map[string][]string{}, spill: map[string]bool{}}
+	m := NewManager(Options{Workers: 1, SpillDir: root, Logger: slog.New(probe)})
 	defer m.Stop()
 
-	submit := func(i int) *Job {
-		cfg := testConfig()
-		cfg.SplitComponents = i
-		cfg.SpillBudgetBytes = 1 << 20
+	submit := func(idx *index.Index, passes int) *Job {
+		cfg := core.Default(idx)
+		cfg.Tasks, cfg.Threads, cfg.Passes = 2, 2, passes
+		cfg.SpillBudgetBytes = core.MinSpillBudgetBytes
 		j, _, err := m.Submit(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return j
 	}
-	done := submit(1)
-	failed := submit(2)
-	waitState(t, m, done.ID, Running)
-	close(block)
-	waitDone(t, done, 5*time.Second)
-	waitDone(t, failed, 5*time.Second)
-
-	cancelled := submit(3)
-	waitState(t, m, cancelled.ID, Running)
-	if err := m.Cancel(cancelled.ID); err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, cancelled, 5*time.Second)
-
-	jobsByKey := map[int]*Job{1: done, 2: failed, 3: cancelled}
-	mu.Lock()
-	defer mu.Unlock()
-	for key, j := range jobsByKey {
-		s, ok := dirs[key]
-		if !ok {
-			t.Fatalf("job %d never ran", key)
-		}
-		want := filepath.Join(root, "job-"+j.ID)
-		if s.dir != want {
-			t.Errorf("job %d ran with SpillDir %q, want %q", key, s.dir, want)
-		}
-		if !s.exists {
-			t.Errorf("job %d: spill dir did not exist while running", key)
-		}
-		if _, err := os.Stat(s.dir); !os.IsNotExist(err) {
-			t.Errorf("job %d: spill dir survived terminal state: stat err = %v", key, err)
-		}
-		if j.Config.SpillDir != "" {
-			t.Errorf("job %d: spill dir leaked into the stored Config: %q", key, j.Config.SpillDir)
+	rootEmpty := func(j *Job) {
+		t.Helper()
+		if ents, _ := os.ReadDir(root); len(ents) != 0 {
+			t.Fatalf("job %s: spill root holds %v at its terminal state", j.ID, ents)
 		}
 	}
-	ents, err := os.ReadDir(root)
+
+	good := realIndex(t, 1)
+	done := submit(good, 1)
+	waitDone(t, done, 10*time.Second)
+	rootEmpty(done)
+
+	// Blank every A after indexing: the file keeps its size, so the run
+	// starts and fails mid-KmerGen on the stale index.
+	stale := realIndex(t, 2)
+	data, err := os.ReadFile(stale.Files[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ents) != 0 {
-		t.Fatalf("spill root not empty after all jobs terminal: %v", ents)
+	if err := os.WriteFile(stale.Files[0], bytes.ReplaceAll(data, []byte("A"), []byte("N")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	failed := submit(stale, 1)
+	waitDone(t, failed, 10*time.Second)
+	rootEmpty(failed)
+
+	cancelled := submit(good, 2)
+	select {
+	case <-probe.started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled job's pipeline never started")
+	}
+	if err := m.Cancel(cancelled.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, cancelled, 10*time.Second)
+	rootEmpty(cancelled)
+
+	want := map[*Job]State{done: Done, failed: Failed, cancelled: Cancelled}
+	probe.mu.Lock()
+	defer probe.mu.Unlock()
+	for j, state := range want {
+		st, _ := m.Status(j.ID)
+		if st.State != state {
+			t.Errorf("job %s ended %s (%s), want %s", j.ID, st.State, st.Error, state)
+		}
+		names := probe.roots[j.ID]
+		if len(names) != 1 || !strings.HasPrefix(names[0], "metaprep-run-") {
+			t.Errorf("job %s: spill root while running = %v, want one metaprep-run-* directory", j.ID, names)
+		}
+		if !probe.spill[j.ID] {
+			t.Errorf("job %s did not spill", j.ID)
+		}
+		if j.Config.SpillDir != "" {
+			t.Errorf("job %s: spill dir leaked into the stored Config: %q", j.ID, j.Config.SpillDir)
+		}
 	}
 }
 
 // TestSpillDirRespectsExplicitConfig checks the manager never overrides a
-// job-supplied SpillDir and injects nothing for non-spilling jobs.
+// job-supplied SpillDir and roots every other job's scratch at its spill
+// root, spilling or not.
 func TestSpillDirRespectsExplicitConfig(t *testing.T) {
 	root := t.TempDir()
 	own := t.TempDir()
@@ -715,62 +801,52 @@ func TestSpillDirRespectsExplicitConfig(t *testing.T) {
 	if got[1] != own {
 		t.Errorf("explicit SpillDir overridden: got %q, want %q", got[1], own)
 	}
-	if got[2] != "" {
-		t.Errorf("non-spilling job got a spill dir: %q", got[2])
+	if got[2] != root {
+		t.Errorf("non-spilling job ran with SpillDir %q, want the root %q", got[2], root)
 	}
 	if _, err := os.Stat(own); err != nil {
 		t.Errorf("manager removed a directory it did not create: %v", err)
 	}
 }
 
-// TestSweepSpillDir checks the startup sweep removes exactly the orphan
-// shapes this package and the pipeline create, leaving foreign entries in a
-// shared scratch directory alone.
-func TestSweepSpillDir(t *testing.T) {
-	root := t.TempDir()
-	for _, d := range []string{"job-j12", "job-j9", "metaprep-spill-8842"} {
-		if err := os.MkdirAll(filepath.Join(root, d, "nested"), 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.MkdirAll(filepath.Join(root, "unrelated"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	// A plain file that happens to share the prefix must survive: the sweep
-	// only ever removes directories.
-	if err := os.WriteFile(filepath.Join(root, "job-notes.txt"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	removed, err := SweepSpillDir(root)
-	if err != nil {
-		t.Fatalf("SweepSpillDir: %v", err)
-	}
-	if len(removed) != 3 {
-		t.Fatalf("removed %v, want 3 orphans", removed)
-	}
-	// The returned paths are the full paths removed — what the daemon logs,
-	// so scratch deletion is never silent.
-	for _, p := range removed {
-		if filepath.Dir(p) != root {
-			t.Errorf("removed path %q not under %q", p, root)
-		}
-	}
-	ents, err := os.ReadDir(root)
+// TestIncrementalJobOutputFailureLeavesNoArtifact runs a real delta job
+// whose CC-I/O fails: the job fails, and the store holds neither an
+// i-<job>.mpa nor a temp file — the run writes at the final store name
+// and commits only once it has succeeded.
+func TestIncrementalJobOutputFailureLeavesNoArtifact(t *testing.T) {
+	store := t.TempDir()
+	m := NewManager(Options{ArtifactDir: store, SpillDir: t.TempDir()})
+	defer m.Stop()
+	j1, _, err := m.Submit(core.Default(realIndex(t, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
-	for _, e := range ents {
-		names = append(names, e.Name())
-	}
-	if len(names) != 2 || names[0] != "job-notes.txt" || names[1] != "unrelated" {
-		t.Fatalf("survivors = %v, want [job-notes.txt unrelated]", names)
+	waitDone(t, j1, 10*time.Second)
+	base, err := m.ArtifactPath(j1.ID)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// Sweeping a directory that does not exist is a no-op, not an error:
-	// the daemon may start before its spill root is first used.
-	if paths, err := SweepSpillDir(filepath.Join(root, "missing")); len(paths) != 0 || err != nil {
-		t.Fatalf("SweepSpillDir(missing) = %v, %v", paths, err)
+	blocker := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Default(realIndex(t, 4))
+	cfg.ArtifactIn, cfg.ArtifactDelta = base, true
+	cfg.OutDir = filepath.Join(blocker, "parts")
+	j2, _, err := m.Submit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j2, 10*time.Second)
+	if st, _ := m.Status(j2.ID); st.State != Failed || st.Artifact {
+		t.Fatalf("delta job with a failing CC-I/O: %+v", st)
+	}
+	ents, err := os.ReadDir(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != filepath.Base(base) {
+		t.Fatalf("store holds %v, want only the base %s", ents, filepath.Base(base))
 	}
 }

@@ -50,8 +50,12 @@ func (s *Server) writeMetrics(w io.Writer) {
 		family(w, "metaprepd_artifact_misses_total", "Store lookups that fell through to a full pipeline run.", "counter")
 		fmt.Fprintf(w, "metaprepd_artifact_misses_total %d\n", st.ArtifactMisses)
 	}
-	family(w, "metaprepd_orphans_swept_total", "Orphaned spill scratch directories removed by the startup sweep.", "counter")
-	fmt.Fprintf(w, "metaprepd_orphans_swept_total %d\n", s.opts.OrphansSwept)
+	swept := s.opts.OrphansSwept + s.mgr.ArtifactsSwept()
+	if s.opts.Query != nil {
+		swept += s.opts.Query.swept
+	}
+	family(w, "metaprepd_orphans_swept_total", "Leftovers of a previous daemon process (run scratch directories, temp, staging and lookup-generation files) removed by the startup sweeps.", "counter")
+	fmt.Fprintf(w, "metaprepd_orphans_swept_total %d\n", swept)
 	family(w, "metaprepd_traces_dumped_total", "Automatic flight-recorder dumps written for failed, cancelled or SLO-breaching jobs.", "counter")
 	fmt.Fprintf(w, "metaprepd_traces_dumped_total %d\n", st.TracesDumped)
 

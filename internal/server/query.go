@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"metaprep/internal/artifact"
+	"metaprep/internal/container"
 	"metaprep/internal/jobs"
 	"metaprep/internal/kmer"
 	"metaprep/internal/lookup"
@@ -31,7 +32,9 @@ import (
 
 // QueryOptions configures the query tier.
 type QueryOptions struct {
-	// Dir is where built lookup files (.mplk) are written (required).
+	// Dir holds the lookup the tier builds from an artifact, served.mplk
+	// (required). Temp files a dead rebuild left there, and the lookup
+	// generations an earlier release built there, are swept at start.
 	Dir string
 	// Artifact, when set, is served from startup: a .mpa is converted to a
 	// lookup first, a .mplk is mapped in place. Startup fails if it cannot
@@ -82,8 +85,7 @@ type QueryTier struct {
 	rebuildC chan string
 	quit     chan struct{}
 	wg       sync.WaitGroup
-	prevFile string // lookup file of the previous epoch, removed on swap
-	buildSeq atomic.Uint64
+	swept    int // files the boot sweep removed from Dir
 
 	scratch sync.Pool
 }
@@ -102,6 +104,18 @@ func NewQueryTier(opts QueryOptions) (*QueryTier, error) {
 		return nil, fmt.Errorf("query tier: Dir is required")
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+		return nil, err
+	}
+	// A rebuild that died with its process leaves its temp file in Dir;
+	// an earlier release also left its per-rebuild generations there,
+	// "<artifact>.<n>.mplk". A .mplk served in place is never swept.
+	inPlace, _ := filepath.Abs(opts.Artifact)
+	swept, err := container.SweepTemps(opts.Logger, opts.Dir, func(name string) bool {
+		gen, _ := filepath.Match("*.[0-9]*.mplk", name)
+		path, _ := filepath.Abs(filepath.Join(opts.Dir, name))
+		return gen && path != inPlace
+	})
+	if err != nil {
 		return nil, err
 	}
 	if opts.Shards <= 0 {
@@ -126,17 +140,17 @@ func NewQueryTier(opts QueryOptions) (*QueryTier, error) {
 		key:      opts.Key,
 		rebuildC: make(chan string, 1),
 		quit:     make(chan struct{}),
+		swept:    len(swept),
 	}
 	t.scratch.New = func() any { return new(queryScratch) }
 	if opts.Artifact != "" {
-		lk, file, err := t.buildLookup(opts.Artifact)
+		lk, err := t.buildLookup(opts.Artifact)
 		if err != nil {
 			t.batcher.Close()
 			return nil, err
 		}
 		t.swap.Swap(lk)
 		t.swaps.Add(1)
-		t.prevFile = file
 		if t.lg != nil {
 			t.lg.Info("query tier serving", "source", lk.Meta().Source,
 				"keys", lk.Keys(), "shards", lk.Shards(), "bytes", lk.Size())
@@ -147,33 +161,24 @@ func NewQueryTier(opts QueryOptions) (*QueryTier, error) {
 	return t, nil
 }
 
-// buildLookup turns src (.mpa or .mplk) into an open Lookup. For
-// artifacts it runs the offline builder into Dir under a unique name and
-// returns that file's path so the swap loop can unlink the previous
-// generation (the mapping keeps the old file alive until its epoch
-// drains). For .mplk inputs the file is served in place ("" path: never
-// unlinked).
-func (t *QueryTier) buildLookup(src string) (*lookup.Lookup, string, error) {
+// buildLookup turns src (.mpa or .mplk) into an open Lookup. An artifact
+// is built into Dir's one served file, served.mplk: each rebuild commits
+// over it, and the previous epoch's mapping keeps the old file's bytes
+// alive until that epoch drains. A .mplk input is served in place.
+func (t *QueryTier) buildLookup(src string) (*lookup.Lookup, error) {
 	if strings.HasSuffix(src, ".mplk") {
-		lk, err := lookup.Open(src)
-		return lk, "", err
+		return lookup.Open(src)
 	}
 	ar, err := artifact.Open(src)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	defer ar.Close()
-	base := strings.TrimSuffix(filepath.Base(src), ".mpa")
-	out := filepath.Join(t.opts.Dir, fmt.Sprintf("%s.%d.mplk", base, t.buildSeq.Add(1)))
+	out := filepath.Join(t.opts.Dir, "served.mplk")
 	if _, err := lookup.Build(ar, out, lookup.BuildOptions{Shards: t.opts.Shards}); err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	lk, err := lookup.Open(out)
-	if err != nil {
-		os.Remove(out)
-		return nil, "", err
-	}
-	return lk, out, nil
+	return lookup.Open(out)
 }
 
 // ArtifactCommitted is the jobs.Options.OnArtifactCommit hook: when the
@@ -222,7 +227,7 @@ func (t *QueryTier) rebuildLoop() {
 			return
 		case p := <-t.rebuildC:
 			start := time.Now()
-			lk, file, err := t.buildLookup(p)
+			lk, err := t.buildLookup(p)
 			if err != nil {
 				if t.lg != nil {
 					t.lg.Warn("query tier rebuild failed", "artifact", p, "err", err)
@@ -231,12 +236,6 @@ func (t *QueryTier) rebuildLoop() {
 			}
 			t.swap.Swap(lk)
 			t.swaps.Add(1)
-			if t.prevFile != "" && t.prevFile != file {
-				// Safe while the old epoch still maps it: the mapping pins
-				// the inode until the last in-flight query drains.
-				os.Remove(t.prevFile)
-			}
-			t.prevFile = file
 			if t.lg != nil {
 				t.lg.Info("query tier swapped", "source", lk.Meta().Source,
 					"keys", lk.Keys(), "build", time.Since(start))

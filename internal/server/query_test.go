@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -309,6 +310,73 @@ func TestQueryTierAutoKey(t *testing.T) {
 	if !resp.Kmers[0].Found || resp.Kmers[0].Label != labsA[0] {
 		t.Fatalf("answer = %+v, want label %d", resp.Kmers[0], labsA[0])
 	}
+}
+
+// TestQueryTierRestartKeepsOneFile swaps the served lookup several times,
+// closes the tier and starts a new one on the same Dir: Dir holds one
+// .mplk, and the new tier's boot sweep removes a rebuild temp a dead
+// process left and a generation an earlier release built, reporting
+// both, while an unrelated file survives. A lookup served in place from
+// Dir is never swept, whatever its name.
+func TestQueryTierRestartKeepsOneFile(t *testing.T) {
+	dir := t.TempDir()
+	paths := []string{filepath.Join(dir, "a.mpa"), filepath.Join(dir, "b.mpa")}
+	writeQueryArtifact(t, paths[0], 0, 7)
+	writeQueryArtifact(t, paths[1], 100, 7)
+	opts := QueryOptions{Dir: filepath.Join(dir, "serve"), Artifact: paths[0], Key: "p-test.mpa"}
+	tier, err := NewQueryTier(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		tier.ArtifactCommitted("p-test.mpa", paths[i%2])
+		waitSwaps(t, tier, uint64(i+1))
+	}
+	tier.Close()
+
+	temp := filepath.Join(opts.Dir, ".served.mplk.tmp-1")
+	legacy := filepath.Join(opts.Dir, "p-test.4.mplk")
+	notes := filepath.Join(opts.Dir, "notes.txt")
+	for _, p := range []string{temp, legacy, notes} {
+		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tier, err = NewQueryTier(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tier.Close)
+	if tier.swept != 2 {
+		t.Errorf("boot sweep removed %d files, want 2", tier.swept)
+	}
+	files, err := filepath.Glob(filepath.Join(opts.Dir, "*.mplk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 {
+		t.Fatalf("Dir holds %v after a restart, want one .mplk", files)
+	}
+	if _, err := os.Stat(temp); !os.IsNotExist(err) {
+		t.Errorf("rebuild temp survived the boot sweep (stat err = %v)", err)
+	}
+	if _, err := os.Stat(notes); err != nil {
+		t.Errorf("unrelated file swept: %v", err)
+	}
+
+	served, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	inPlace := filepath.Join(opts.Dir, "keep.7.mplk")
+	if err := os.WriteFile(inPlace, served, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	third, err := NewQueryTier(QueryOptions{Dir: opts.Dir, Artifact: inPlace})
+	if err != nil {
+		t.Fatalf("serving a lookup in place from Dir: %v", err)
+	}
+	third.Close()
 }
 
 func getBody(t *testing.T, url string) string {

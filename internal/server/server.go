@@ -56,9 +56,10 @@ type Options struct {
 	ProgressInterval time.Duration
 	// RetryAfter is the Retry-After hint returned with 429 (default 1 s).
 	RetryAfter time.Duration
-	// OrphansSwept is how many orphaned spill directories the daemon's
-	// startup sweep removed; /metrics exports it as
-	// metaprepd_orphans_swept_total.
+	// OrphansSwept is how many run scratch directories the daemon's
+	// startup sweep of its spill root removed (core.SweepScratch);
+	// /metrics exports it, plus what the artifact store's and the query
+	// tier's own boot sweeps removed, as metaprepd_orphans_swept_total.
 	OrphansSwept int
 	// Logger receives request-level records (submissions, trace fetches),
 	// stamped with the job correlation ID where one exists. Nil logs
