@@ -2,8 +2,10 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"metaprep"
@@ -217,5 +219,36 @@ func TestCLIDriftLoop(t *testing.T) {
 	}
 	if err := cmdRun([]string{"-index", idxPath, "-drift-cal", "cray"}); !errors.Is(err, metaprep.ErrInvalidConfig) {
 		t.Errorf("run -drift-cal cray: err = %v, want ErrInvalidConfig", err)
+	}
+}
+
+// TestCheckTraceRecvScatter pins checktrace's receive check: a task's
+// recv-scatter spans may sum to at most its KmerGen-Comm steps, on each
+// task separately.
+func TestCheckTraceRecvScatter(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.json")
+	check := func(recv0, recv1 float64) error {
+		trace := fmt.Sprintf(`{"traceEvents":[
+{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"task 0"}},
+{"name":"KmerGen-Comm","cat":"step","ph":"X","pid":0,"tid":0,"ts":0,"dur":10},
+{"name":"KmerGen-Comm","cat":"step","ph":"X","pid":1,"tid":0,"ts":0,"dur":10},
+{"name":"recv-scatter","cat":"detail","ph":"X","pid":0,"tid":1,"ts":1,"dur":%g,"args":{"src":1,"tuples":5}},
+{"name":"recv-scatter","cat":"detail","ph":"X","pid":1,"tid":1,"ts":1,"dur":%g,"args":{"src":0,"tuples":5}},
+{"name":"KmerGen-Comm","cat":"step","ph":"X","pid":0,"tid":0,"ts":20,"dur":10},
+{"name":"recv-scatter","cat":"detail","ph":"X","pid":0,"tid":1,"ts":21,"dur":%g,"args":{"src":0,"tuples":5}}]}`,
+			recv0, recv1, recv0)
+		if err := os.WriteFile(path, []byte(trace), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return cmdCheckTrace([]string{"-trace", path})
+	}
+	if err := check(8, 10); err != nil {
+		t.Errorf("recv-scatter within KmerGen-Comm: %v", err)
+	}
+	if err := check(8, 11); err == nil || !strings.Contains(err.Error(), "task 1: recv-scatter") {
+		t.Errorf("task 1's recv-scatter over its KmerGen-Comm: err = %v", err)
+	}
+	if err := check(11, 1); err == nil || !strings.Contains(err.Error(), "task 0: recv-scatter") {
+		t.Errorf("task 0's recv-scatter over its KmerGen-Comm: err = %v", err)
 	}
 }

@@ -163,7 +163,9 @@ type checkMetrics struct {
 
 // cmdCheckTrace validates a -trace file: well-formed Chrome trace events,
 // metadata before spans and counter samples, monotonically non-decreasing
-// timestamps, numeric counter values — and, when
+// timestamps, numeric counter values, each task's receive-scatter detail
+// spans ("recv-scatter") summing to no more than its KmerGen-Comm step
+// spans they lie within — and, when
 // the matching -metrics snapshot is given, that each task's "step" span sum
 // matches its StepTimes total within the tolerance (the ISSUE acceptance
 // bound of 1%).
@@ -190,6 +192,9 @@ func cmdCheckTrace(args []string) error {
 	}
 
 	spanSum := map[int]float64{} // pid -> Σ dur of cat=="step" spans, µs
+	// pid -> Σ dur of the receive's detail spans and of the exchange steps
+	// that contain them, µs.
+	recvSum, commSum := map[int]float64{}, map[int]float64{}
 	spans, metas, samples := 0, 0, 0
 	lastTs := math.Inf(-1)
 	seenSpan := false
@@ -219,6 +224,12 @@ func cmdCheckTrace(args []string) error {
 			if ev.Cat == "step" {
 				spanSum[ev.Pid] += *ev.Dur
 			}
+			switch {
+			case ev.Cat == "step" && ev.Name == "KmerGen-Comm":
+				commSum[ev.Pid] += *ev.Dur
+			case ev.Cat == "detail" && ev.Name == "recv-scatter":
+				recvSum[ev.Pid] += *ev.Dur
+			}
 		case "C":
 			samples++
 			seenSpan = true
@@ -236,6 +247,14 @@ func cmdCheckTrace(args []string) error {
 			}
 		default:
 			return fmt.Errorf("checktrace: event %d (%s): unexpected phase %q", i, ev.Name, ev.Ph)
+		}
+	}
+
+	for pid, r := range recvSum {
+		// The nanosecond slack absorbs float rounding of the µs encoding.
+		if r > commSum[pid]+1e-3 {
+			return fmt.Errorf("checktrace: task %d: recv-scatter spans sum to %.1fµs, more than the %.1fµs of the KmerGen-Comm steps that contain them",
+				pid, r, commSum[pid])
 		}
 	}
 

@@ -122,8 +122,8 @@ func run(args []string, sigc chan os.Signal) error {
 	traceSLO := fs.Duration("trace-slo", 0, "run-time latency SLO: a successful job slower than this dumps its trace to -trace-dir (0 disables)")
 	trajectory := fs.String("trajectory", "", "JSONL perf-trajectory file appended on every completed job (see `metaprep drift`)")
 	driftCal := fs.String("drift-cal", "", "model calibration for the per-job drift report: edison (default), ganga, or off")
-	serveArtifact := fs.String("serve-artifact", "", "partition artifact (.mpa) or prebuilt lookup (.mplk) to serve on POST /query from startup (empty = serve nothing until -serve-key matches a commit)")
-	serveKey := fs.String("serve-key", "", "artifact-store name to follow for query hot-swap: every commit under this name rebuilds and atomically swaps the served lookup; 'auto' adopts the first committed partition artifact (empty disables the query tier unless -serve-artifact is set)")
+	serveArtifact := fs.String("serve-artifact", "", "partition artifact (.mpa) or prebuilt lookup (.mplk) to serve on POST /query from startup (empty = serve nothing until -serve-key matches a commit). The served lookup is built in <artifact-dir>/lookups, else <spill-dir>/lookups, which the next boot reuses and sweeps; with neither flag set, in a per-process OS temp dir, unswept.")
+	serveKey := fs.String("serve-key", "", "artifact-store name to follow for query hot-swap: every commit under this name rebuilds and atomically swaps the served lookup; 'auto' adopts the first committed partition artifact (empty disables the query tier unless -serve-artifact is set). The served lookup is built in <artifact-dir>/lookups, else <spill-dir>/lookups, which the next boot reuses and sweeps; with neither flag set, in a per-process OS temp dir, unswept.")
 	serveShards := fs.Int("serve-shards", 0, "lookup shard count for query parallelism (0 = default)")
 	queryMaxBatch := fs.Int("query-max-batch", 4096, "max items (k-mers + sequences) per /query request")
 	queryConcurrency := fs.Int("query-concurrency", 64, "max /query requests in flight; excess is rejected 429")
@@ -165,10 +165,19 @@ func run(args []string, sigc chan os.Signal) error {
 	// job on.
 	var tier *server.QueryTier
 	if *serveArtifact != "" || *serveKey != "" {
-		lkDir := filepath.Join(os.TempDir(), fmt.Sprintf("metaprepd-lookups-%d", os.Getpid()))
-		if *artifactDir != "" {
+		// The tier's directory lives under a root the next boot reuses, so
+		// its sweep finds what a killed daemon left there: the store, else
+		// the spill root. With neither, it is a per-process temp directory,
+		// removed on a clean exit and, like the temp-dir run scratch,
+		// unswept after a crash.
+		var lkDir string
+		switch {
+		case *artifactDir != "":
 			lkDir = filepath.Join(*artifactDir, "lookups")
-		} else {
+		case *spillDir != "":
+			lkDir = filepath.Join(*spillDir, "lookups")
+		default:
+			lkDir = filepath.Join(os.TempDir(), fmt.Sprintf("metaprepd-lookups-%d", os.Getpid()))
 			defer os.RemoveAll(lkDir)
 		}
 		tier, err = server.NewQueryTier(server.QueryOptions{

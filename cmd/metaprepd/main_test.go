@@ -149,29 +149,51 @@ func TestDaemonLifecycle(t *testing.T) {
 // each, and a staging-named directory in the spill root, which only the
 // store ever used that name for. Every leftover goes, every
 // unrelated file stays, and /metrics counts what the sweeps removed.
+// Without a store the query tier lives in the spill root's lookups/, and
+// its leftovers are swept there.
 func TestDaemonRestartSweep(t *testing.T) {
+	for _, withStore := range []bool{true, false} {
+		name := "store"
+		if !withStore {
+			name = "spill-only"
+		}
+		t.Run(name, func(t *testing.T) { testRestartSweep(t, withStore) })
+	}
+}
+
+func testRestartSweep(t *testing.T, withStore bool) {
 	spill, store := t.TempDir(), t.TempDir()
-	lookups := filepath.Join(store, "lookups")
+	args := []string{"-spill-dir", spill, "-serve-key", "auto"}
+	lookups := filepath.Join(spill, "lookups")
 	leftovers := []string{
 		filepath.Join(spill, "metaprep-run-x"),
 		filepath.Join(spill, "job-j1"),
-		filepath.Join(store, ".p-x.mpa.tmp-1"),
-		filepath.Join(store, "staging-j2.mpa"),
 		filepath.Join(lookups, ".served.mplk.tmp-1"),
 		filepath.Join(lookups, "p-x.4.mplk"),
 	}
 	unrelated := []string{
-		filepath.Join(spill, "notes.txt"),
-		filepath.Join(store, "notes.txt"),
-		filepath.Join(lookups, "notes.txt"),
 		filepath.Join(spill, "staging-x"),
+		filepath.Join(spill, "notes.txt"),
+		filepath.Join(lookups, "notes.txt"),
 	}
-	for _, d := range []string{leftovers[0], leftovers[1], lookups, unrelated[3]} {
+	if withStore {
+		args = append(args, "-artifact-dir", store)
+		lookups = filepath.Join(store, "lookups")
+		leftovers = append(leftovers[:2],
+			filepath.Join(store, ".p-x.mpa.tmp-1"),
+			filepath.Join(store, "staging-j2.mpa"),
+			filepath.Join(lookups, ".served.mplk.tmp-1"),
+			filepath.Join(lookups, "p-x.4.mplk"))
+		unrelated = append(unrelated[:2],
+			filepath.Join(store, "notes.txt"),
+			filepath.Join(lookups, "notes.txt"))
+	}
+	for _, d := range []string{leftovers[0], leftovers[1], lookups, unrelated[0]} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, f := range append(leftovers[2:], unrelated[:3]...) {
+	for _, f := range append(leftovers[2:], unrelated[1:]...) {
 		if err := os.WriteFile(f, []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -181,8 +203,7 @@ func TestDaemonRestartSweep(t *testing.T) {
 	sigc := make(chan os.Signal, 2)
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-addr", addr, "-spill-dir", spill, "-artifact-dir", store,
-			"-serve-key", "auto"}, sigc)
+		done <- run(append([]string{"-addr", addr}, args...), sigc)
 	}()
 	base := "http://" + addr
 	var metrics []byte

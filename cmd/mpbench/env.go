@@ -21,6 +21,8 @@ type env struct {
 	// benchDir, when set, receives machine-readable BENCH_<name>.json files
 	// from experiments that publish one (see emitBench).
 	benchDir string
+	// emitted lists every table name emit has filed, in order.
+	emitted []string
 
 	mu       sync.Mutex
 	datasets map[string]*metaprep.Dataset
@@ -103,6 +105,7 @@ func (e *env) runDir(tag string) string {
 // emit prints a table and, when -csv is set, also writes it as name.csv.
 func (e *env) emit(name string, t *stats.Table) error {
 	fmt.Print(t.String())
+	e.emitted = append(e.emitted, name)
 	if e.csvDir == "" {
 		return nil
 	}

@@ -226,7 +226,7 @@ func expTable6(e *env) error {
 		t.AddRow(k, s.KmerGenIO+s.KmerGen, s.LocalSort, s.LocalCC, s.CCIO, s.Total(),
 			float64(res.Tuples)/1e6, tb, float64(res.Tuples)*float64(2*tb)/float64(1<<20))
 	}
-	if err := e.emit("tab5", t); err != nil {
+	if err := e.emit("tab6", t); err != nil {
 		return err
 	}
 	fmt.Println("(paper, MM full scale: 63-mers give fewer tuples (4.12B vs 8.4B) so every step except LocalSort speeds up; LocalSort needs 16 radix passes instead of 8)")
@@ -263,7 +263,7 @@ func expTable7(e *env) error {
 			t.AddRow(row...)
 		}
 	}
-	if err := e.emit("tab6", t); err != nil {
+	if err := e.emit("tab7", t); err != nil {
 		return err
 	}
 	return nil
@@ -348,7 +348,7 @@ func expCalib(e *env) error {
 	t.AddRow("read BW", fmt.Sprintf("%.2f GB/s", c.ReadBW/1e9))
 	t.AddRow("write BW", fmt.Sprintf("%.2f GB/s", c.WriteBW/1e9))
 	t.AddRow("copy/comm BW", fmt.Sprintf("%.2f GB/s", c.CommBW/1e9))
-	if err := e.emit("tab7", t); err != nil {
+	if err := e.emit("calib", t); err != nil {
 		return err
 	}
 	return nil

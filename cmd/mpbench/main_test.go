@@ -1,6 +1,9 @@
 package main
 
 import (
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -45,6 +48,48 @@ func TestExperimentRegistry(t *testing.T) {
 		"artifact", "backhalf", "serve", "stream", "calib"} {
 		if !seen[want] {
 			t.Errorf("experiment %q missing", want)
+		}
+	}
+}
+
+// TestExperimentCSVNames runs every experiment's emitter at a tiny scale and
+// checks the names its tables are filed under (`-csv` writes <name>.csv):
+// each starts with the experiment's own name, or with another name the same
+// experiment is registered under (tab8 and tab9), and no two tables share a
+// name, so one table can never overwrite another's file. An experiment's
+// own gate failing at this scale (the artifact reload speedup needs a larger
+// dataset) is logged, not failed: experiments emit every table before
+// their gates run, and each but stream must emit at least one.
+func TestExperimentCSVNames(t *testing.T) {
+	e := newEnv(t.TempDir(), 0.02)
+	names := map[uintptr][]string{} // run function → its registry names
+	for _, x := range experiments() {
+		fn := reflect.ValueOf(x.run).Pointer()
+		names[fn] = append(names[fn], x.name)
+	}
+	owner := map[string]string{}
+	ran := map[uintptr]bool{}
+	for _, x := range experiments() {
+		fn := reflect.ValueOf(x.run).Pointer()
+		if ran[fn] {
+			continue
+		}
+		ran[fn] = true
+		e.emitted = nil
+		if err := x.run(e); err != nil {
+			t.Logf("%s: %v", x.name, err)
+		}
+		if len(e.emitted) == 0 && x.name != "stream" {
+			t.Errorf("%s emitted no table", x.name)
+		}
+		for _, name := range e.emitted {
+			if prev, dup := owner[name]; dup {
+				t.Errorf("%s and %s both emit %q", prev, x.name, name)
+			}
+			owner[name] = x.name
+			if !slices.ContainsFunc(names[fn], func(n string) bool { return strings.HasPrefix(name, n) }) {
+				t.Errorf("%s emits %q, which does not start with %s", x.name, name, strings.Join(names[fn], " or "))
+			}
 		}
 	}
 }

@@ -941,9 +941,17 @@ func TestRunFailsOnBinOverflow(t *testing.T) {
 // one pass and one task range of the P/T/S partition of the moved counts.
 func staleBinIndex(t *testing.T, idx *index.Index, P, T, S int) *index.Index {
 	t.Helper()
+	mod, _ := staleMoveIndex(t, idx, P, T, S, func(int) bool { return true })
+	return mod
+}
+
+// staleMoveIndex is staleBinIndex for the first such a that also passes
+// pick, which it returns too.
+func staleMoveIndex(t *testing.T, idx *index.Index, P, T, S int, pick func(a int) bool) (*index.Index, int) {
+	t.Helper()
 	for ci := range idx.Chunks {
 		for a := 0; a+1 < len(idx.MerHist); a++ {
-			if idx.Chunks[ci].Hist.Count(a) == 0 {
+			if idx.Chunks[ci].Hist.Count(a) == 0 || !pick(a) {
 				continue
 			}
 			mod := *idx
@@ -972,11 +980,11 @@ func staleBinIndex(t *testing.T, idx *index.Index, P, T, S int) *index.Index {
 			hist[a]--
 			hist[a+1]++
 			mod.Chunks[ci].Hist = index.NewChunkHist(hist)
-			return &mod
+			return &mod, a
 		}
 	}
 	t.Fatal("no bin pair shares a task range")
-	return nil
+	return nil, 0
 }
 
 func TestRunFailsCleanlyOnMissingInput(t *testing.T) {

@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"metaprep/internal/index"
 	"metaprep/internal/obsv"
 )
 
@@ -128,6 +130,61 @@ func TestTraceSpansMatchStepTimes(t *testing.T) {
 		if got, want := sums[rep.Rank], rep.Steps.Total(); got != want {
 			t.Errorf("task %d: step spans sum to %v, StepTimes.Total is %v", rep.Rank, got, want)
 		}
+	}
+}
+
+// TestRecvScatterSpans checks the receive's detail spans: one
+// "recv-scatter" span per received message on each rank's comm track,
+// carrying its source and tuple count, in RAM and spilling. The messages'
+// tuples add up to every tuple the run generated, and each rank's spans
+// sum to no more than its KmerGen-Comm steps, which contain them (what
+// `metaprep checktrace` checks).
+func TestRecvScatterSpans(t *testing.T) {
+	td := spillDataset(t, 31, index.Options{K: 11, M: 4, ChunkSize: 600})
+	for _, budget := range []int64{0, MinSpillBudgetBytes} {
+		t.Run(fmt.Sprintf("budget%d", budget), func(t *testing.T) {
+			cfg := Default(td.idx)
+			cfg.Tasks, cfg.Threads, cfg.Passes = 2, 2, 2
+			cfg.SpillBudgetBytes = budget
+			cfg.Obs = obsv.New()
+			if budget > 0 {
+				requireSpill(t, cfg)
+			}
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tuples uint64
+			recv, comm := map[int]time.Duration{}, map[int]time.Duration{}
+			for _, ev := range cfg.Obs.Events() {
+				switch {
+				case ev.Cat == "step" && ev.Name == "KmerGen-Comm":
+					comm[ev.Pid] += ev.Dur
+				case ev.Name == "recv-scatter":
+					if ev.Cat != "detail" || ev.Tid != obsv.TidComm {
+						t.Fatalf("recv-scatter span on cat %q tid %d, want detail on the comm track", ev.Cat, ev.Tid)
+					}
+					src, ok := ev.Args["src"].(int)
+					if !ok || src < 0 || src >= cfg.Tasks {
+						t.Fatalf("recv-scatter span src = %v", ev.Args["src"])
+					}
+					n, ok := ev.Args["tuples"].(int)
+					if !ok || n < 0 {
+						t.Fatalf("recv-scatter span tuples = %v, want a message's count", ev.Args["tuples"])
+					}
+					tuples += uint64(n)
+					recv[ev.Pid] += ev.Dur
+				}
+			}
+			if tuples != res.Tuples {
+				t.Errorf("recv-scatter spans carry %d tuples, the run generated %d", tuples, res.Tuples)
+			}
+			for rank := 0; rank < cfg.Tasks; rank++ {
+				if recv[rank] == 0 || recv[rank] > comm[rank] {
+					t.Errorf("task %d: recv-scatter spans sum to %v, KmerGen-Comm to %v", rank, recv[rank], comm[rank])
+				}
+			}
+		})
 	}
 }
 

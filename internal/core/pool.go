@@ -18,7 +18,7 @@ import (
 //   - KmerGen fills each round's [0, gl.total) of its generation slot
 //     exactly (the cursor-vs-limit verification enforces it), and the
 //     exchange ships exactly those counts.
-//   - The receive buffer's (bin, source) slots tile [0, pass total): open
+//   - The receive buffer's (group, source) slots tile [0, pass total): open
 //     derives their extents from the chunk histograms, and receive
 //     scatters a tuple into a slot only after checking that the slot has
 //     room. The per-source totals match the index and no slot overflows,

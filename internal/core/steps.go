@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"metaprep/internal/extsort"
+	"metaprep/internal/index"
+	"metaprep/internal/model"
 	"metaprep/internal/obsv"
 	"metaprep/internal/par"
 	"metaprep/internal/radix"
@@ -18,9 +20,9 @@ import (
 // (§3.3), the sink's seal runs LocalSort (§3.4) and hands each LocalCC
 // thread a key-ordered groupSource, and localCC turns the equal-key groups
 // into union–find edges (§3.5). Config.SpillBudgetBytes decides only which
-// sink holds the tuples: binSink receives them straight into bin order in
-// RAM and sorts bin by bin, runSink (spill.go) sorts budget-sized runs to
-// disk and merges them back.
+// sink holds the tuples: binSink receives them into groups of consecutive
+// bins in RAM and sorts group by group, runSink (spill.go) sorts
+// budget-sized runs to disk and merges them back.
 
 // errStaleIndex is wrapped by every error that means the input no longer
 // matches the index's counts: the FASTQ changed after IndexCreate, so the
@@ -178,10 +180,16 @@ func (st *taskState) exchange(s int, sink tupleSink, gl genLayout, last bool) er
 				return
 			}
 			m := payload.(tupleMsg)
+			r0 := time.Now()
 			if mismatch = sink.receive(src, m); mismatch != nil {
 				return
 			}
-			if st.exchTupleCounters != nil {
+			if st.obs != nil {
+				// The receive's own share of the step (the scatter into
+				// group slots, or the copy into run builders), on the
+				// rank's comm track.
+				st.obs.RecordSpan(st.rank, obsv.TidComm, "detail", "recv-scatter", r0, time.Since(r0),
+					map[string]any{"src": src, "tuples": len(m.lo)})
 				// Per-rank-pair volume: the Fig. 8 communication
 				// imbalance quantity, keyed on the receiving task. The
 				// counters were preformatted in newTaskState, keeping
@@ -208,29 +216,41 @@ func (st *taskState) exchange(s int, sink tupleSink, gl genLayout, last bool) er
 	return mismatch
 }
 
-// binSink keeps a pass's received tuples in RAM, already in m-mer bin
-// order: one receive buffer holds a slot per (bin, source task), bin-major,
-// sized at open from the chunk histograms of every source's pass chunks
-// (§3.3's receive offsets, refined from tasks to bins). A bin therefore
-// holds its tuples in source-rank order and, within a source, in chunk
-// order — the arrival order LocalSort's stable sort preserves for equal
-// keys. receive scatters each message into its slots (the range partition
-// of §3.4, done on arrival), and seal only has to sort each bin in place.
+// binSink keeps a pass's received tuples in RAM, in m-mer bin order once
+// sealed. One receive buffer holds a slot per (group, source task),
+// group-major, where a group is 2^g consecutive bins aligned on the absolute
+// bin index (model.RecvGroupShift of the task's widest bin range, so a
+// source scatters into about 1 024 slots whose write cursors stay in
+// cache). open sizes every slot, and every bin's final offset, from the
+// chunk histograms of every source's pass chunks (§3.3's receive offsets,
+// refined from tasks to bins). A group therefore holds its tuples in
+// source-rank order and, within a source, in chunk order — the arrival
+// order LocalSort's stable sort preserves for equal keys. receive scatters
+// each message into its group slots (the range partition of §3.4, done on
+// arrival, one group of bins at a time), and seal sorts each group in place,
+// in cache, which also lays out its bins.
 type binSink struct {
 	st  *taskState
 	buf *tupleBuf // the receive buffer, every slot of the largest pass
 	P   int
-	// binLo is the task's first bin in the open pass, nb its bin count.
-	binLo, nb int
-	shift     uint
-	// off[(b-binLo)*P+src] is where slot (b, src) starts, off[nb*P] the
-	// end of the last one; cur is each slot's write cursor.
+	// g is the group shift: a group holds the 2^g bins that agree above
+	// bit g of the bin index.
+	g uint
+	// binLo is the task's first bin in the open pass and nb its bin count;
+	// grpLo is binLo's group and ng the pass's group count.
+	binLo, nb, grpLo, ng int
+	shift                uint
+	// off[(gi-grpLo)*P+src] is where slot (group gi, src) starts, off[ng*P]
+	// the end of the last one; cur is each slot's write cursor.
 	off, cur []uint64
-	// cnt[w] is receive worker w's per-bin tuple count over its share of
+	// binOff[b-binLo] is where bin b starts once its group is sorted,
+	// binOff[nb] the end of the last bin.
+	binOff []uint64
+	// cnt[w] is receive worker w's per-group tuple count over its share of
 	// a message, then its exclusive scatter cursors.
 	cnt [][]uint64
-	// sorters are LocalSort's per-thread bin sorters, their scratch sized
-	// to the largest bin, of largest tuples.
+	// sorters are LocalSort's per-thread group sorters, their scratch sized
+	// to the largest group, of largest tuples.
 	sorters []radix.BinSorter
 	largest uint64
 }
@@ -240,8 +260,8 @@ type binSink struct {
 // thousand tuples.
 const recvMinPerWorker = 1 << 14
 
-// newBinSink allocates the receive buffer, the slot and cursor tables for
-// the widest bin range any pass gives this task, and the bin sorters.
+// newBinSink allocates the receive buffer, the slot, cursor and bin tables
+// for the widest bin range any pass gives this task, and the group sorters.
 func newBinSink(st *taskState) *binSink {
 	pl, T := st.p, st.p.cfg.Threads
 	bs := &binSink{
@@ -252,18 +272,27 @@ func newBinSink(st *taskState) *binSink {
 		cnt:     make([][]uint64, T),
 		sorters: make([]radix.BinSorter, T),
 	}
-	var bins int
+	var bins, groups int
 	for s := 0; s < pl.cfg.Passes; s++ {
 		lo, hi := pl.pt.TaskRange(s, st.rank)
 		bins = max(bins, hi-lo)
-		for _, c := range pl.idx.MerHist[lo:hi] {
-			bs.largest = max(bs.largest, c)
-		}
 	}
-	bs.off = make([]uint64, bins*bs.P+1)
-	bs.cur = make([]uint64, bins*bs.P)
+	bs.g = model.RecvGroupShift(bins)
+	for s := 0; s < pl.cfg.Passes; s++ {
+		lo, hi := pl.pt.TaskRange(s, st.rank)
+		n := 0
+		for b := lo; b < hi; n++ {
+			end := min(hi, (b>>bs.g+1)<<bs.g)
+			bs.largest = max(bs.largest, index.RangeCount64(pl.idx.MerHist, b, end))
+			b = end
+		}
+		groups = max(groups, n)
+	}
+	bs.off = make([]uint64, groups*bs.P+1)
+	bs.cur = make([]uint64, groups*bs.P)
+	bs.binOff = make([]uint64, bins+1)
 	for w := range bs.cnt {
-		bs.cnt[w] = make([]uint64, bins)
+		bs.cnt[w] = make([]uint64, groups)
 	}
 	for d := range bs.sorters {
 		bs.sorters[d].Grow(int(bs.largest), !pl.use64())
@@ -272,25 +301,34 @@ func newBinSink(st *taskState) *binSink {
 }
 
 // open lays out pass s's slots: each source's chunk histograms over the
-// task's bin range give every slot's size, and an exclusive prefix sum
-// over (bin, source) order its offset.
+// task's bin range give every slot's size and every bin's, and exclusive
+// prefix sums over (group, source) order and over bin order their offsets.
 func (bs *binSink) open(s int) error {
 	pl := bs.st.p
 	lo, hi := pl.pt.TaskRange(s, bs.st.rank)
-	bs.binLo, bs.nb = lo, hi-lo
-	n := bs.nb * bs.P
-	off := bs.off[:n+1]
+	bs.binLo, bs.nb, bs.grpLo, bs.ng = lo, hi-lo, lo>>bs.g, 0
+	if hi > lo {
+		bs.ng = (hi-1)>>bs.g - bs.grpLo + 1
+	}
+	n := bs.ng * bs.P
+	off, binOff := bs.off[:n+1], bs.binOff[:bs.nb+1]
 	clear(off)
+	clear(binOff)
 	for src := 0; src < bs.P; src++ {
 		for _, ci := range pl.taskChunks[src] {
 			hist := &pl.idx.Chunks[ci].Hist
 			for b := range bs.nb {
-				off[b*bs.P+src+1] += uint64(hist.Count(lo + b))
+				c := uint64(hist.Count(lo + b))
+				off[((lo+b)>>bs.g-bs.grpLo)*bs.P+src+1] += c
+				binOff[b+1] += c
 			}
 		}
 	}
 	for i := 1; i <= n; i++ {
 		off[i] += off[i-1]
+	}
+	for b := 1; b <= bs.nb; b++ {
+		binOff[b] += binOff[b-1]
 	}
 	if off[n] > uint64(len(bs.buf.lo)) {
 		return fmt.Errorf("core: task %d pass %d: chunk histograms promise %d tuples, the index's m-mer histogram %d — index corrupt?",
@@ -300,46 +338,56 @@ func (bs *binSink) open(s int) error {
 	return nil
 }
 
-// receive scatters message m from task src into its (bin, src) slots: W
-// workers each count the bins of a contiguous share of m, a serial prefix
-// over (bin, worker) turns the counts into exclusive write cursors — and
-// checks that no slot would overflow before any tuple moves — and the
-// workers then scatter their shares through their own cursors. Shares are
-// scattered in message order, so a slot fills in arrival order.
+// receive scatters message m from task src into its (group, src) slots: W
+// workers each count the groups of a contiguous share of m, a serial pass
+// checks that no slot would overflow — before any tuple or cursor moves —
+// a serial prefix over (group, worker) turns the counts into exclusive
+// write cursors, and the workers then scatter their shares through their
+// own cursors. Shares are scattered in message order, so a slot fills in
+// arrival order.
 func (bs *binSink) receive(src int, m tupleMsg) error {
 	n := len(m.lo)
 	if n == 0 {
 		return nil
 	}
 	W := min(len(bs.cnt), max(1, n/recvMinPerWorker))
-	nb, binLo, shift := bs.nb, bs.binLo, bs.shift
+	ng, grpLo, g, gshift := bs.ng, bs.grpLo, bs.g, bs.shift+bs.g
 	k, mm := bs.st.p.idx.Opts.K, bs.st.p.idx.Opts.M
 	wide := m.hi != nil
 	par.Run(W, func(w int) {
 		lo, hi := par.Block(n, W, w)
-		c := bs.cnt[w][:nb]
+		c := bs.cnt[w][:ng]
 		clear(c)
 		if wide {
 			for i := lo; i < hi; i++ {
-				c[binOf128(m.hi[i], m.lo[i], k, mm)-binLo]++
+				c[binOf128(m.hi[i], m.lo[i], k, mm)>>g-grpLo]++
 			}
 			return
 		}
 		for _, key := range m.lo[lo:hi] {
-			c[int(key>>shift)-binLo]++
+			c[int(key>>gshift)-grpLo]++
 		}
 	})
-	for b := 0; b < nb; b++ {
-		slot := b*bs.P + src
+	for gi := 0; gi < ng; gi++ {
+		slot := gi*bs.P + src
 		pos := bs.cur[slot]
 		for w := 0; w < W; w++ {
-			c := bs.cnt[w][b]
-			bs.cnt[w][b] = pos
-			pos += c
+			pos += bs.cnt[w][gi]
 		}
 		if pos > bs.off[slot+1] {
-			return fmt.Errorf("core: task %d: bin %d receives more than the %d tuples the index predicts from task %d — %w",
-				bs.st.rank, binLo+b, bs.off[slot+1]-bs.off[slot], src, errStaleIndex)
+			b0 := max(bs.binLo, (grpLo+gi)<<g)
+			b1 := min(bs.binLo+bs.nb, (grpLo+gi+1)<<g) - 1
+			return fmt.Errorf("core: task %d: bin group %d–%d receives more than the %d tuples the index predicts from task %d — %w",
+				bs.st.rank, b0, b1, bs.off[slot+1]-bs.off[slot], src, errStaleIndex)
+		}
+	}
+	for gi := 0; gi < ng; gi++ {
+		slot := gi*bs.P + src
+		pos := bs.cur[slot]
+		for w := 0; w < W; w++ {
+			c := bs.cnt[w][gi]
+			bs.cnt[w][gi] = pos
+			pos += c
 		}
 		bs.cur[slot] = pos
 	}
@@ -349,58 +397,102 @@ func (bs *binSink) receive(src int, m tupleMsg) error {
 		c := bs.cnt[w]
 		if wide {
 			for i := lo; i < hi; i++ {
-				b := binOf128(m.hi[i], m.lo[i], k, mm) - binLo
-				j := c[b]
-				c[b] = j + 1
+				gi := binOf128(m.hi[i], m.lo[i], k, mm)>>g - grpLo
+				j := c[gi]
+				c[gi] = j + 1
 				buf.hi[j], buf.lo[j], buf.val[j] = m.hi[i], m.lo[i], m.val[i]
 			}
 			return
 		}
 		vals := m.val[lo:hi]
 		for i, key := range m.lo[lo:hi] {
-			b := int(key>>shift) - binLo
-			j := c[b]
-			c[b] = j + 1
+			gi := int(key>>gshift) - grpLo
+			j := c[gi]
+			c[gi] = j + 1
 			buf.lo[j], buf.val[j] = key, vals[i]
 		}
 	})
 	return nil
 }
 
-// seal is LocalSort (§3.4) over bins that are already in place: every slot
-// is exactly full, so bin b is the one contiguous range
-// [off[b·P], off[(b+1)·P]), and each LocalCC thread sorts the bins of its
-// contiguous bin range in place. It returns a zero-copy view of each
-// thread's now sorted range.
+// seal is LocalSort (§3.4) over groups that are already in place: every
+// slot is exactly full, so group gi is the one contiguous range
+// [off[gi·P], off[(gi+1)·P]). Each LocalCC thread sorts, in place and in
+// cache, every group whose first bin in the task's range lies in its bin
+// range — a group may run on into the next thread's bins — and checks that
+// each bin of it starts and ends at the offset the chunk histograms
+// predict: a count moved between two bins of one group passes the
+// receive's slot check and is caught here. Once every group is sorted, a
+// thread's bin range is the one contiguous range of its bins' offsets, and
+// seal returns a zero-copy view of each.
 func (bs *binSink) seal(s int) ([]*groupSource, error) {
 	st := bs.st
 	t0 := time.Now()
 	cuts := st.p.pt.ThreadCuts(s, st.rank)
 	srcs := make([]*groupSource, len(cuts)-1)
-	buf, P := bs.buf, bs.P
+	errs := make([]error, len(srcs))
+	buf, g := bs.buf, bs.g
 	wide := buf.wide()
+	// groupEnd is the end of the task's part of the group holding bin b,
+	// both relative to binLo.
+	groupEnd := func(b int) int { return min(bs.nb, ((bs.binLo+b)>>g+1)<<g-bs.binLo) }
 	par.Run(len(srcs), func(d int) {
 		b0, b1 := cuts[d]-bs.binLo, cuts[d+1]-bs.binLo
-		for b := b0; b < b1; b++ {
-			lo, hi := bs.off[b*P], bs.off[(b+1)*P]
-			if wide {
-				bs.sorters[d].Sort128(buf.hi[lo:hi], buf.lo[lo:hi], buf.val[lo:hi], bs.shift)
-			} else {
-				bs.sorters[d].Sort64(buf.lo[lo:hi], buf.val[lo:hi], bs.shift)
-			}
+		b := b0
+		if b > 0 && (bs.binLo+b)>>g == (bs.binLo+b-1)>>g {
+			b = groupEnd(b) // the previous thread sorts this group
 		}
-		srcs[d] = &groupSource{buf: buf, pos: bs.off[b0*P], end: bs.off[b1*P]}
+		for b < b1 && errs[d] == nil {
+			end := groupEnd(b)
+			lo, hi := bs.binOff[b], bs.binOff[end]
+			if wide {
+				bs.sorters[d].Sort128(buf.hi[lo:hi], buf.lo[lo:hi], buf.val[lo:hi], bs.shift+g)
+			} else {
+				bs.sorters[d].Sort64(buf.lo[lo:hi], buf.val[lo:hi], bs.shift+g)
+			}
+			errs[d] = bs.checkBins(b, end)
+			b = end
+		}
+		srcs[d] = &groupSource{buf: buf, pos: bs.binOff[b0], end: bs.binOff[b1]}
 	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 	d := time.Since(t0)
 	st.rep.Steps.LocalSort += d
 	st.stepSpan("LocalSort", t0, d)
 	return srcs, nil
 }
 
-// memBytes charges the receive buffer, the slot and cursor tables and the
-// bin sorters' scratch.
+// checkBins checks that the bins [b0, b1) of one sorted group each fill
+// exactly their predicted range [binOff[b], binOff[b+1]): the first and
+// last tuple of every non-empty range carry its bin, and the ranges tile
+// the group.
+func (bs *binSink) checkBins(b0, b1 int) error {
+	for b := b0; b < b1; b++ {
+		lo, hi := bs.binOff[b], bs.binOff[b+1]
+		if lo < hi && (bs.binAt(lo) != bs.binLo+b || bs.binAt(hi-1) != bs.binLo+b) {
+			return fmt.Errorf("core: task %d: bin %d does not hold the %d tuples the index predicts — %w",
+				bs.st.rank, bs.binLo+b, hi-lo, errStaleIndex)
+		}
+	}
+	return nil
+}
+
+// binAt is the bin of the receive buffer's tuple i.
+func (bs *binSink) binAt(i uint64) int {
+	if bs.buf.hi != nil {
+		return binOf128(bs.buf.hi[i], bs.buf.lo[i], bs.st.p.idx.Opts.K, bs.st.p.idx.Opts.M)
+	}
+	return int(bs.buf.lo[i] >> bs.shift)
+}
+
+// memBytes charges the receive buffer, the slot, cursor and bin tables and
+// the group sorters' scratch.
 func (bs *binSink) memBytes() int64 {
-	tables := len(bs.off) + len(bs.cur) + len(bs.cnt)*len(bs.cnt[0])
+	tables := len(bs.off) + len(bs.cur) + len(bs.binOff) + len(bs.cnt)*len(bs.cnt[0])
 	scratch := int64(len(bs.sorters)) * int64(bs.largest*bs.st.p.bytesPerTuple())
 	return bs.buf.memBytes() + 8*int64(tables) + scratch
 }

@@ -470,14 +470,16 @@ func MemoryPerTask(w Workload, c Cluster) int64 {
 
 // tupleBytes is a task's resident tuple memory. In RAM it is one receive
 // buffer holding a pass's received tuples, two generation slots and the
-// bin-sort tables: the slots hold rounds of whole chunks up to 1/16 of the
+// receive tables: the slots hold rounds of whole chunks up to 1/16 of the
 // receive buffer each, but at least T chunks (the chunk floor); the slot
-// offsets and cursors cost 8 bytes per (bin, source) each and the T receive
-// workers' cursors 8 bytes per bin each; each LocalSort thread's scratch
-// holds one bin (the model charges the mean bin). With a spill budget that a pass's
-// received partition would exceed it is what core allocates out of core:
-// three run builders of budget/4 plus two generation slots of budget/8, or
-// one chunk's pass share of the tuples each when a single chunk holds more.
+// offsets and cursors cost 8 bytes per (group, source) each, the T receive
+// workers' cursors 8 bytes per group each and the bin offsets 8 bytes per
+// bin, a group being 2^RecvGroupShift(bins) bins; each LocalSort thread's
+// scratch holds one group (the model charges the mean group). With a spill
+// budget that a pass's received partition would exceed it is what core
+// allocates out of core: three run builders of budget/4 plus two generation
+// slots of budget/8, or one chunk's pass share of the tuples each when a
+// single chunk holds more.
 func tupleBytes(w Workload, c Cluster) int64 {
 	tb := int64(w.TupleBytes)
 	if b := c.SpillBudgetBytes; b > 0 && w.Tuples/int64(c.P)/int64(c.S)*tb > b {
@@ -491,10 +493,31 @@ func tupleBytes(w Workload, c Cluster) int64 {
 	var tables, scratch int64
 	if w.Bins > 0 {
 		bins := w.Bins / int64(c.P) / int64(c.S)
-		tables = 8 * int64(2*c.P+c.T) * bins
-		scratch = int64(c.T) * (w.Tuples / w.Bins) * tb
+		g := RecvGroupShift(int(bins))
+		groups := (bins + 1<<g - 1) >> g
+		tables = 8 * (int64(2*c.P+c.T)*groups + bins)
+		scratch = int64(c.T) * (w.Tuples / w.Bins << g) * tb
 	}
 	return tb*(recv+2*slot) + tables + scratch
+}
+
+// recvGroupSlots bounds the receive slots one source gets in a task's
+// in-RAM receive buffer (one more when the task's bin range does not start
+// on a group boundary): few enough that each slot's write cursor stays in
+// cache while a message scatters.
+const recvGroupSlots = 1 << 10
+
+// RecvGroupShift returns g for a task that receives bins m-mer bins in a
+// pass: its receive scatters into groups of 2^g consecutive bins, aligned
+// on the absolute bin index, and LocalSort sorts each group in cache. g is
+// the smallest shift with bins ≤ 1 024·2^g, so it is 0 (one group per bin)
+// for a task with at most 1 024 bins and 5 for half of the 4^8 bins.
+func RecvGroupShift(bins int) uint {
+	var g uint
+	for bins > recvGroupSlots<<g {
+		g++
+	}
+	return g
 }
 
 // chunkPassTuples estimates one chunk's share of a pass's tuples: the

@@ -18,9 +18,9 @@
 // SortPairs64Range sorts the undetermined bits most-significant digit
 // first, so that everything after the first scatter happens inside one
 // cache-resident bucket (sorter64). BinSorter goes further: the pipeline
-// receives its tuples straight into m-mer bin order, so LocalSort only has
-// to finish each bin in place, over the low-order bits the bin leaves
-// undetermined, with scratch the size of one bin.
+// receives its tuples straight into groups of consecutive m-mer bins, so
+// LocalSort only has to finish each group in place, over the low-order bits
+// the group leaves undetermined, with scratch the size of one group.
 package radix
 
 import "math/bits"
@@ -176,13 +176,15 @@ func SortPairs128Range(hi, lo []uint64, vals []uint32, tmpHi, tmpLo []uint64, tm
 	SortPairs128(hi, lo, vals, tmpHi, tmpLo, tmpV, passes)
 }
 
-// BinSorter sorts the tuples of one m-mer bin in place. Every key of a bin
-// agrees above its low sig bits (the bin field pins them), so only those
-// bits are sorted: 64-bit keys and 128-bit keys whose sig bits fit the low
-// word go through the MSD-first kernel (sorter64), wider 128-bit bins
-// through SortPairs128 over ⌈sig/8⌉ digits. Every path is stable. The
-// scratch grows to the largest bin sorted so far (Grow presizes it), so a
-// warm sorter allocates nothing per bin. Not safe for concurrent use.
+// BinSorter sorts the tuples of one m-mer bin, or of one group of
+// consecutive bins, in place. Every key of a bin agrees above its low sig
+// bits (the bin field pins them, and a group's shared high bin bits), so
+// only those bits are sorted: 64-bit keys and 128-bit keys whose sig bits
+// fit the low word go through the MSD-first kernel (sorter64), wider
+// 128-bit bins through SortPairs128 over ⌈sig/8⌉ digits. Every path is
+// stable. The scratch grows to the largest bin sorted so far (Grow presizes
+// it), so a warm sorter allocates nothing per bin. Not safe for concurrent
+// use.
 type BinSorter struct {
 	s      sorter64
 	tk, th []uint64
