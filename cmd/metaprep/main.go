@@ -151,8 +151,8 @@ func cmdRun(args []string) error {
 	mergeOut := fs.Bool("merge-output", false, "also concatenate per-thread outputs into lc.fastq/other.fastq")
 	split := fs.Int("split", 0, "write the N largest components to separate file sets (0 = largest vs rest)")
 	prefetch := fs.Int("prefetch", 0, "per-thread chunk read-ahead depth (0 = default: 1, or serial reads on a single-CPU host)")
-	spillBudget := fs.String("spill-budget", "", "per-rank tuple memory budget, e.g. 256M or 2G, or 'auto' to probe the cgroup/host memory limit; when the exchange would exceed it LocalSort spills sorted runs to disk and merges them as a stream (empty = all in RAM)")
-	spillDir := fs.String("spill-dir", "", "scratch root: the run keeps its spill runs and artifact parts in one directory beneath it, removed when the run ends (empty = the OS temp dir)")
+	spillBudget := fs.String("spill-budget", "", "per-rank tuple memory budget, e.g. 256M or 2G, or 'auto' to probe the cgroup/host memory limit; when the exchange would exceed it the tuples spill into bin buckets on disk that LocalSort loads and sorts one at a time (empty = all in RAM)")
+	spillDir := fs.String("spill-dir", "", "scratch root: the run keeps its spill files and artifact parts in one directory beneath it, removed when the run ends (empty = the OS temp dir)")
 	artifactOut := fs.String("artifact-out", "", "persist the partitioning (sorted k-mer runs, labels, histogram, provenance) as a .mpa artifact here")
 	artifactIn := fs.String("artifact-in", "", "reload the partitioning from a .mpa artifact instead of recomputing (must match this index and filter)")
 	delta := fs.Bool("delta", false, "treat -index as a delta read set and merge it incrementally into the -artifact-in base")

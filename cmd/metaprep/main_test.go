@@ -252,3 +252,33 @@ func TestCheckTraceRecvScatter(t *testing.T) {
 		t.Errorf("task 0's recv-scatter over its KmerGen-Comm: err = %v", err)
 	}
 }
+
+// TestCheckTraceBucketSort pins checktrace's bucket check: on each task,
+// each thread's bucket-sort spans may sum to at most the task's LocalSort
+// steps, which charge the slowest thread's bucket loads.
+func TestCheckTraceBucketSort(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.json")
+	check := func(t0, t1 float64) error {
+		trace := fmt.Sprintf(`{"traceEvents":[
+{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"task 0"}},
+{"name":"LocalSort","cat":"step","ph":"X","pid":0,"tid":0,"ts":0,"dur":2},
+{"name":"bucket-sort","cat":"detail","ph":"X","pid":0,"tid":0,"ts":2,"dur":%g,"args":{"thread":0,"bucket":0,"tuples":5}},
+{"name":"bucket-sort","cat":"detail","ph":"X","pid":0,"tid":0,"ts":2,"dur":%g,"args":{"thread":1,"bucket":3,"tuples":5}},
+{"name":"LocalSort","cat":"step","ph":"X","pid":0,"tid":0,"ts":20,"dur":8},
+{"name":"bucket-sort","cat":"detail","ph":"X","pid":0,"tid":0,"ts":21,"dur":%g,"args":{"thread":0,"bucket":1,"tuples":5}}]}`,
+			t0, t1, t0)
+		if err := os.WriteFile(path, []byte(trace), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return cmdCheckTrace([]string{"-trace", path})
+	}
+	if err := check(5, 10); err != nil {
+		t.Errorf("each thread's bucket-sort within LocalSort: %v", err)
+	}
+	if err := check(4, 11); err == nil || !strings.Contains(err.Error(), "task 0: thread 1's bucket-sort") {
+		t.Errorf("thread 1's bucket-sort over LocalSort: err = %v", err)
+	}
+	if err := check(6, 1); err == nil || !strings.Contains(err.Error(), "task 0: thread 0's bucket-sort") {
+		t.Errorf("thread 0's bucket-sort over LocalSort: err = %v", err)
+	}
+}

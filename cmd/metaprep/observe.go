@@ -165,10 +165,11 @@ type checkMetrics struct {
 // metadata before spans and counter samples, monotonically non-decreasing
 // timestamps, numeric counter values, each task's receive-scatter detail
 // spans ("recv-scatter") summing to no more than its KmerGen-Comm step
-// spans they lie within — and, when
-// the matching -metrics snapshot is given, that each task's "step" span sum
-// matches its StepTimes total within the tolerance (the ISSUE acceptance
-// bound of 1%).
+// spans they lie within, each task's bucket loads ("bucket-sort", one per
+// spilled bucket) summing, thread by thread, to no more than its LocalSort
+// steps, which charge the slowest thread's — and, when the matching
+// -metrics snapshot is given, that each task's "step" span sum matches its
+// StepTimes total within the tolerance (1% by default).
 func cmdCheckTrace(args []string) error {
 	fs := flag.NewFlagSet("checktrace", flag.ExitOnError)
 	tracePath := fs.String("trace", "", "trace JSON from 'metaprep run -trace' (required)")
@@ -195,6 +196,9 @@ func cmdCheckTrace(args []string) error {
 	// pid -> Σ dur of the receive's detail spans and of the exchange steps
 	// that contain them, µs.
 	recvSum, commSum := map[int]float64{}, map[int]float64{}
+	// pid -> thread -> Σ dur of its bucket loads, and pid -> Σ dur of the
+	// LocalSort steps they are charged to, µs.
+	bucketSum, sortSum := map[int]map[float64]float64{}, map[int]float64{}
 	spans, metas, samples := 0, 0, 0
 	lastTs := math.Inf(-1)
 	seenSpan := false
@@ -229,6 +233,14 @@ func cmdCheckTrace(args []string) error {
 				commSum[ev.Pid] += *ev.Dur
 			case ev.Cat == "detail" && ev.Name == "recv-scatter":
 				recvSum[ev.Pid] += *ev.Dur
+			case ev.Cat == "step" && ev.Name == "LocalSort":
+				sortSum[ev.Pid] += *ev.Dur
+			case ev.Cat == "detail" && ev.Name == "bucket-sort":
+				thread, _ := ev.Args["thread"].(float64)
+				if bucketSum[ev.Pid] == nil {
+					bucketSum[ev.Pid] = map[float64]float64{}
+				}
+				bucketSum[ev.Pid][thread] += *ev.Dur
 			}
 		case "C":
 			samples++
@@ -255,6 +267,15 @@ func cmdCheckTrace(args []string) error {
 		if r > commSum[pid]+1e-3 {
 			return fmt.Errorf("checktrace: task %d: recv-scatter spans sum to %.1fµs, more than the %.1fµs of the KmerGen-Comm steps that contain them",
 				pid, r, commSum[pid])
+		}
+	}
+
+	for pid, threads := range bucketSum {
+		for thread, b := range threads {
+			if b > sortSum[pid]+1e-3 {
+				return fmt.Errorf("checktrace: task %d: thread %g's bucket-sort spans sum to %.1fµs, more than the %.1fµs of its LocalSort steps",
+					pid, thread, b, sortSum[pid])
+			}
 		}
 	}
 

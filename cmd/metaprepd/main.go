@@ -115,7 +115,7 @@ func run(args []string, sigc chan os.Signal) error {
 	retries := fs.Int("retries", 2, "retries for transient job failures")
 	progress := fs.Duration("progress", 200*time.Millisecond, "SSE progress snapshot interval")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to wait for running jobs on shutdown")
-	spillDir := fs.String("spill-dir", "", "scratch root for every job, created if missing: each run keeps its spill runs and artifact parts in one metaprep-run-* directory beneath it, removed when the run ends; a crashed daemon's are swept at startup (empty = the OS temp dir, unswept)")
+	spillDir := fs.String("spill-dir", "", "scratch root for every job, created if missing: each run keeps its spill files and artifact parts in one metaprep-run-* directory beneath it, removed when the run ends; a crashed daemon's are swept at startup (empty = the OS temp dir, unswept)")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
 	ringEvents := fs.Int("ring-events", 0, "flight-recorder capacity in spans per job (0 = default, negative = unbounded)")
 	traceDir := fs.String("trace-dir", "", "directory for automatic flight-recorder dumps of failed, cancelled or SLO-breaching jobs (empty disables dumps)")

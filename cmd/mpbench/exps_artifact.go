@@ -85,7 +85,8 @@ func labelsEqual(a, b []uint32) bool {
 
 // expArtifact measures the persistent-artifact surface: a full run that
 // tees its partitioning into a .mpa artifact, a reload run satisfied
-// entirely from that artifact (asserted ≥5× faster and bit-identical), and
+// entirely from that artifact (each the fastest of artifactReps; the reload
+// asserted ≥5× faster and bit-identical), and
 // an incremental run that merges a 10% delta into a stored 90% base
 // (asserted label-isomorphic to the full run). The dataset is split at
 // paired-record boundaries so base ∪ delta is exactly the full read set.
@@ -146,12 +147,15 @@ func expArtifact(e *env) error {
 		return fi.Size()
 	}
 
+	// The full run and the reload are each timed as the fastest of a few
+	// repetitions: at small scales a reload takes well under a millisecond,
+	// and one sample of it measures timer and scheduler noise.
 	fullArt := filepath.Join(dir, "full.mpa")
-	full, err := run(fullIdx, "", fullArt, false)
+	full, err := fastest(artifactReps, func() (*metaprep.Result, error) { return run(fullIdx, "", fullArt, false) })
 	if err != nil {
 		return fmt.Errorf("full: %w", err)
 	}
-	reload, err := run(fullIdx, fullArt, "", false)
+	reload, err := fastest(artifactReps, func() (*metaprep.Result, error) { return run(fullIdx, fullArt, "", false) })
 	if err != nil {
 		return fmt.Errorf("reload: %w", err)
 	}
@@ -219,6 +223,25 @@ func expArtifact(e *env) error {
 		return fmt.Errorf("artifact reload only %.1fx faster than the full run (want >=5x)", speedup)
 	}
 	return nil
+}
+
+// artifactReps is how many times expArtifact repeats the full run and the
+// reload.
+const artifactReps = 5
+
+// fastest runs fn n times and returns the result of the fastest run.
+func fastest(n int, fn func() (*metaprep.Result, error)) (*metaprep.Result, error) {
+	var best *metaprep.Result
+	for range n {
+		r, err := fn()
+		if err != nil {
+			return nil, err
+		}
+		if best == nil || r.Wall < best.Wall {
+			best = r
+		}
+	}
+	return best, nil
 }
 
 func ms(r *metaprep.Result) float64  { return float64(r.Wall.Microseconds()) / 1e3 }

@@ -1,10 +1,10 @@
 // Package artifact defines the versioned on-disk partition artifact: the
 // durable product of a pipeline run (ROADMAP item 2). An artifact holds the
 // globally sorted canonical k-mer tuple stream (encoded with the
-// internal/extsort block codec, so spill runs can be copied in verbatim and
-// merge readers can stream it back without a decode detour), the component
-// label map, the k-mer frequency histogram, and provenance tying the file to
-// the exact index and configuration that produced it.
+// internal/extsort block codec, so per-thread parts can be copied in
+// verbatim and merge readers can stream it back without a decode detour),
+// the component label map, the k-mer frequency histogram, and provenance
+// tying the file to the exact index and configuration that produced it.
 //
 // File layout (format v1):
 //

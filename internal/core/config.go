@@ -100,16 +100,17 @@ type Config struct {
 	// When a pass's received partition would exceed the cap, the pass goes
 	// out-of-core: KmerGen and the exchange run in rounds of chunks sized to
 	// one of two budget/8 generation slots (at least one index chunk per
-	// round), the exchange lands tuples into three budget/4 run builders,
-	// each full run is radix-sorted in RAM and spilled raw to a per-rank
-	// temp file (write-behind), and LocalCC consumes a loser-tree k-way
-	// merge of the spilled runs as a stream instead of a materialized
-	// partition. Results are bit-identical to the in-RAM path (the spill
-	// parity suite pins this). 0 disables spilling. Budgets below
-	// MinSpillBudgetBytes are a validation error.
+	// round), the exchange appends every tuple, raw, to its bucket — a run
+	// of consecutive m-mer bins whose exact count the index gives — in a
+	// per-rank spill file, and each LocalCC thread loads its buckets one at
+	// a time, sorts each in cache and consumes it in place. A bin larger
+	// than a bucket area (the bin floor) exceeds the cap by the excess.
+	// Results are bit-identical to the in-RAM path (the spill parity suite
+	// pins this). 0 disables spilling. Budgets below MinSpillBudgetBytes are
+	// a validation error.
 	SpillBudgetBytes int64
 	// SpillDir is the root of the run's scratch: a run that has scratch to
-	// hold (spill runs, ArtifactOut's parts, an ArtifactDelta run's delta
+	// hold (spill files, ArtifactOut's parts, an ArtifactDelta run's delta
 	// artifact) creates one metaprep-run-* directory beneath it and removes
 	// it on every exit path; SweepScratch reclaims what a crashed process
 	// left behind. Empty uses the OS temp dir. Like Pool, it never affects
@@ -141,7 +142,7 @@ type Config struct {
 	ArtifactDelta bool
 	// Pool, when non-nil, supplies and reclaims the per-task tuple buffers
 	// (kmerOut's generation slots, the in-RAM receive buffer, the spill's
-	// run builders) so back-to-back runs — the daemon's jobs — reuse
+	// bucket arena) so back-to-back runs — the daemon's jobs — reuse
 	// multi-GB slices instead of reallocating them. Never affects results
 	// and is excluded from CanonicalHash.
 	Pool *TuplePool
@@ -238,7 +239,7 @@ func (c Config) Validate() error {
 	}
 	if c.SpillBudgetBytes > 0 && c.SpillBudgetBytes < MinSpillBudgetBytes {
 		return &ConfigError{Field: "SpillBudgetBytes",
-			Reason: fmt.Sprintf("%d below the %d-byte minimum (run builders and merge read buffers cannot fit a smaller cap)",
+			Reason: fmt.Sprintf("%d below the %d-byte minimum (generation slots, write buffers and bucket areas cannot fit a smaller cap)",
 				c.SpillBudgetBytes, MinSpillBudgetBytes)}
 	}
 	if c.SpillDir != "" {
@@ -270,9 +271,9 @@ func (c Config) Validate() error {
 }
 
 // MinSpillBudgetBytes is the smallest accepted SpillBudgetBytes: below it
-// the generation buffer, the three circulating run builders and the merge
-// read buffers degenerate to rounds and runs of a handful of tuples and the
-// spill machinery costs more memory in bookkeeping than it saves.
+// the generation slots, the bucket write buffers and the bucket areas
+// degenerate to rounds and buckets of a handful of tuples and the spill
+// machinery costs more memory in bookkeeping than it saves.
 const MinSpillBudgetBytes = 64 << 10
 
 // checkSpillDir verifies the spill directory exists, is a directory, and is

@@ -142,6 +142,9 @@ func (st *taskState) countGroups(tc *taskCounts, srcs []*groupSource) error {
 	defer closeSources(srcs)
 	t0 := time.Now()
 	wide := !st.p.use64()
+	// One goroutine drains the sources in turn, so their bucket loads add
+	// up.
+	var loads time.Duration
 	for _, src := range srcs {
 		for {
 			hi, lo, vals, ok := src.next()
@@ -158,8 +161,9 @@ func (st *taskState) countGroups(tc *taskCounts, srcs []*groupSource) error {
 			return src.err
 		}
 		src.close()
+		loads += src.loadTime
 	}
-	d := time.Since(t0)
+	t0, d := st.chargeSort(t0, time.Since(t0), loads)
 	st.rep.Steps.LocalCC += d
 	st.stepSpan("LocalCC", t0, d)
 	return nil

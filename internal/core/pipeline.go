@@ -46,7 +46,7 @@ type taskState struct {
 	// tuple stream into artifact part files as the passes run.
 	emit *artifactEmit
 	// spillCur/spillPeak gauge the spill path's resident tuple bytes (the
-	// generation buffer, the run builders and the decoded merge blocks); the
+	// generation buffer and the bucket sink's arena); the
 	// peak is exported as the extsort/peak_tuple_bytes counter the
 	// budget-compliance test checks.
 	spillCur, spillPeak atomic.Int64
@@ -84,9 +84,6 @@ func newTaskState(ctx context.Context, pl *plan, task *mpirt.Task) *taskState {
 		st.obs.SetProcessName(st.rank, fmt.Sprintf("task %d", st.rank))
 		st.obs.SetThreadName(st.rank, obsv.TidSteps, "steps")
 		st.obs.SetThreadName(st.rank, obsv.TidComm, "mpirt comm")
-		if pl.spill {
-			st.obs.SetThreadName(st.rank, obsv.TidSpill, "spill writer")
-		}
 		if pl.cfg.ArtifactOut != "" || pl.cfg.ArtifactIn != "" {
 			st.obs.SetThreadName(st.rank, obsv.TidArtifact, "artifact")
 		}
@@ -129,8 +126,8 @@ func (st *taskState) counter(name string) *obsv.Counter {
 }
 
 // spillMemAdd moves the spill tuple-memory gauge by delta bytes, tracking
-// its peak. The gauge covers the generation buffer, the run builders and
-// the decoded merge blocks — the memory the spill budget governs.
+// its peak. The gauge covers the generation buffer and the bucket sink's
+// arena — the memory the spill budget governs.
 func (st *taskState) spillMemAdd(delta int64) {
 	cur := st.spillCur.Add(delta)
 	for {
@@ -183,7 +180,7 @@ type TaskReport struct {
 	// task's passes (§3.5 observes the first iteration dominates).
 	CCIters int
 	// MemoryBytes is the task's peak planned memory: index tables, the
-	// generation slots, the receive buffer (or the spill's run builders),
+	// generation slots, the receive buffer (or the spill's bucket arena),
 	// the two component arrays and the FASTQ chunk buffers (§3.7's
 	// inventory).
 	MemoryBytes int64
@@ -224,7 +221,7 @@ type Result struct {
 	CCIterations int
 	// KmerFreqHist is the k-mer frequency spectrum: KmerFreqHist[f] counts
 	// distinct canonical k-mers of frequency f (the last bin aggregates the
-	// tail). It falls out of the sorted runs and is the input to choosing
+	// tail). It falls out of the sorted groups and is the input to choosing
 	// the §4.4 filter bounds.
 	KmerFreqHist []uint64
 	// MemoryPerTask is the maximum per-task memory figure.
@@ -276,7 +273,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer pl.heap.finish()
-	// The run's scratch — spill runs, artifact parts, a delta artifact —
+	// The run's scratch — spill files, artifact parts, a delta artifact —
 	// lives in one directory, removed on every exit path: success, error,
 	// cancellation and panic unwind alike (TestSpillCancelLeavesNoRunFiles).
 	scratch, err := pl.runScratch()
@@ -458,7 +455,8 @@ func stepsOf(reports []TaskReport) []StepTimes {
 // memoryBytes tallies this task's planned memory per the §3.7 inventory:
 // index tables (replicated), kmerOut's two generation slots and the sink
 // (the receive buffer with its slot tables and bin-sort scratch, or the
-// spill's run builders), the component array p and the received array p′
+// spill's bucket arena and bucket tables), the component
+// array p and the received array p′
 // (4R each), and the chunk read buffers — with the overlapped-I/O
 // prefetcher, each thread circulates 1+PrefetchChunks buffers instead of
 // one, and the inventory charges them all.

@@ -26,8 +26,8 @@ type plan struct {
 	// slots, end to end.
 	bufTuples []uint64
 	// recvTuples[p] is the capacity of task p's in-RAM receive buffer: the
-	// most tuples it receives in any pass (0 when spilling, where the run
-	// builders receive).
+	// most tuples it receives in any pass (0 when spilling, where the
+	// bucket sink receives).
 	recvTuples []uint64
 
 	// spill is true when the out-of-core LocalSort path is active: a
@@ -36,11 +36,10 @@ type plan struct {
 	// global and uniform — every rank and pass takes the same path — so the
 	// per-pass schedules of all tasks stay identical.
 	spill bool
-	// runTuples is the spill run size: the budget covers four buffers of
-	// budget/4 — the generation buffer plus three circulating run builders
-	// (two in the receive↔sort-write handoff ring and the radix scratch) —
-	// so each holds budget/(4·bytesPerTuple) tuples.
-	runTuples uint64
+	// budgetTuples is SpillBudgetBytes in tuples when spilling: the
+	// generation buffer takes a quarter of it, the bucket sink the rest
+	// (spill.go).
+	budgetTuples uint64
 
 	// roundCuts[s][rank] cuts task rank's chunk list into the KmerGen →
 	// exchange rounds of pass s: round r enumerates
@@ -113,7 +112,7 @@ func newPlan(cfg Config) (*plan, error) {
 	}
 	if b := cfg.SpillBudgetBytes; b > 0 && worstRecv*p.bytesPerTuple() > uint64(b) {
 		p.spill = true
-		p.runTuples = max(uint64(b)/(4*p.bytesPerTuple()), 1)
+		p.budgetTuples = uint64(b) / p.bytesPerTuple()
 	}
 	p.bufTuples = make([]uint64, cfg.Tasks)
 	p.recvTuples = make([]uint64, cfg.Tasks)
@@ -129,7 +128,7 @@ func newPlan(cfg Config) (*plan, error) {
 			// round fills at most 1/16 of the receive buffer, so both slots
 			// add at most 1/8 to it, and holds at least T chunks so that no
 			// KmerGen thread idles while the task has chunks left.
-			slotCap, minChunks := p.runTuples/2, 1
+			slotCap, minChunks := p.budgetTuples/8, 1
 			if !p.spill {
 				p.recvTuples[rank] = maxRecv[rank]
 				slotCap, minChunks = maxRecv[rank]/16, cfg.Threads
@@ -208,38 +207,6 @@ func (p *plan) bytesPerTuple() uint64 {
 		return 12
 	}
 	return 20
-}
-
-// spillRuns returns how many runs a pass with recvTotal received tuples
-// spills.
-func (p *plan) spillRuns(recvTotal uint64) int {
-	if recvTotal == 0 {
-		return 0
-	}
-	return int((recvTotal + p.runTuples - 1) / p.runTuples)
-}
-
-// spillBlockTuples sizes the encode blocks of a pass's spill file — the unit
-// of merge read-ahead. During the merge every one of T threads holds up to
-// two decoded blocks per run (one draining, one prefetching), so the block
-// size is chosen to keep T·runs·2·block·bytesPerTuple within half the
-// budget, clamped to [16, 4096] tuples and to the run size.
-func (p *plan) spillBlockTuples(runs int) int {
-	if runs < 1 {
-		runs = 1
-	}
-	b := uint64(p.cfg.SpillBudgetBytes) /
-		(4 * uint64(p.cfg.Threads) * uint64(runs) * p.bytesPerTuple())
-	if b < 16 {
-		b = 16
-	}
-	if b > 4096 {
-		b = 4096
-	}
-	if b > p.runTuples {
-		b = p.runTuples
-	}
-	return int(b)
 }
 
 // use64 reports whether the 64-bit k-mer path applies.

@@ -8,7 +8,7 @@ import (
 
 // pool.go implements TuplePool, a size-classed freelist for the per-task
 // tuple buffers: kmerOut (the two generation slots), the in-RAM receive
-// buffer and the spill's run builders (which also back the merge blocks). The daemon's job manager owns one
+// buffer and the spill's bucket arena. The daemon's job manager owns one
 // pool and threads it through every job's Config, so back-to-back jobs
 // reuse the multi-GB slices instead of reallocating (and re-faulting) them.
 //
@@ -23,21 +23,17 @@ import (
 //     scatters a tuple into a slot only after checking that the slot has
 //     room. The per-source totals match the index and no slot overflows,
 //     so every slot ends exactly full.
-//   - A spill run builder is sorted and written only over its filled
-//     prefix.
-//   - While a pass merges, the builders back its merge blocks (spill.go's
-//     carve): each (thread, run, slot) block is a fixed view into them, and
-//     a block is read only after its segment reader has decoded a block
-//     into it — decoding sets the block's length from the block's own
-//     count and writes every tuple of it — so whatever a builder held
-//     before, sorted runs or another job's garbage, is never read.
+//   - A bucket write buffer is flushed only over the tuples receive put in
+//     it, a bucket area is read only over the prefix its load read from
+//     the spill file, and the sort scratch is scratch, so whatever the
+//     arena held before, another pass's buckets or another job's garbage,
+//     is never read.
 //
 // A buffer goes back to the pool only once nothing can read it: kmerOut and
 // the receive buffer when the task's passes end (the last exchange's
-// barrier has drained every zero-copy view of kmerOut), the run builders
-// when the last pass's merge sources have closed — each close joins its
-// segment readers' decode goroutines, so no decode is still writing into a
-// carved block.
+// barrier has drained every zero-copy view of kmerOut), the bucket arena
+// when the last pass's sources have closed, the last of them on the
+// LocalCC thread that drained it.
 
 // poolClassLimit caps retained buffers per size class; beyond it, put drops
 // the buffer for the GC so an unusually large one-off job cannot pin its

@@ -83,8 +83,8 @@ func TestTuplePoolRunParity(t *testing.T) {
 func TestTuplePoolPoisonedBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	td := overlappingDataset(t, rng, index.Options{K: 11, M: 4, ChunkSize: 600}, 4, 4000, 1500, 50)
-	// The spilling shape runs one task: two tasks hold six run builders of
-	// one class at once, more than the pool retains per class.
+	// The spilling shape runs one task, so that every buffer it holds at
+	// once fits the pool's per-class retention.
 	for _, shape := range []struct {
 		name           string
 		tasks, threads int

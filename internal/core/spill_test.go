@@ -102,8 +102,8 @@ func TestSpillParity(t *testing.T) {
 	}
 }
 
-// TestSpillParity128 covers the 128-bit key path (k > 31): 20-byte tuples,
-// the two-word loser-tree comparisons and the wide run codec.
+// TestSpillParity128 covers the 128-bit key path (k > 31): 20-byte tuples
+// spilled and read back, and buckets sorted over both key words.
 func TestSpillParity128(t *testing.T) {
 	td := spillDataset(t, 92, index.Options{K: 35, M: 4, ChunkSize: 2000})
 	want := naiveLabels(td, 35, false, Filter{})
@@ -122,7 +122,7 @@ func TestSpillParity128(t *testing.T) {
 	}
 }
 
-// TestSpillParityFiltered runs the frequency filter over merged groups
+// TestSpillParityFiltered runs the frequency filter over bucket groups
 // (a Filter.Max drops whole groups only once their length is known) and
 // checks the partitioned FASTQ output is byte-identical to the in-RAM
 // path's.
@@ -175,9 +175,9 @@ func TestSpillParityFiltered(t *testing.T) {
 
 // TestSpillBudgetCompliance pins the acceptance criterion: with a budget
 // about an eighth of the partition's tuple bytes, the run completes, spills
-// at least 4 runs, generates in at least 2 rounds, and the measured peak
-// tuple memory — generation buffer, run builders and merge blocks — stays
-// under the budget. The fixture's chunks are small enough that no single
+// into at least 4 buckets, generates in at least 2 rounds, and the measured
+// peak tuple memory — generation buffer, bucket arena and staging buffers —
+// stays under the budget. The fixture's chunks are small enough that no single
 // chunk's pass-range tuples exceed a budget/8 generation slot, so the chunk
 // floor never applies and the bound is the budget itself.
 func TestSpillBudgetCompliance(t *testing.T) {
@@ -208,8 +208,8 @@ func TestSpillBudgetCompliance(t *testing.T) {
 	if rounds := obs.Counter(0, "kmergen/rounds").Value(); rounds < 2 {
 		t.Errorf("kmergen/rounds = %d, want >= 2", rounds)
 	}
-	if runs := obs.Counter(0, "extsort/runs").Value(); runs < 4 {
-		t.Errorf("extsort/runs = %d, want >= 4", runs)
+	if buckets := obs.Counter(0, "extsort/buckets").Value(); buckets < 4 {
+		t.Errorf("extsort/buckets = %d, want >= 4", buckets)
 	}
 	if spilled := obs.Counter(0, "extsort/bytes_spilled").Value(); spilled == 0 {
 		t.Errorf("extsort/bytes_spilled = 0")
@@ -328,12 +328,12 @@ func TestSpillRoundsUneven(t *testing.T) {
 
 // TestSpillCancelLeavesNoRunFiles cancels spilling runs at several poll
 // depths — landing in the first KmerGen round, in a later round (the
-// pass-long chunk fetchers mid-stream, the spill worker holding earlier
-// rounds' runs), and in the k-way merge — and checks that no run files
-// survive in SpillDir, no partial result escapes, and no goroutine (chunk
-// fetchers, spill worker, segment readers, rank bodies) leaks. Run under
-// -race this shakes out the shutdown ordering between the merge readers'
-// stop channels and the pass's deferred cleanup.
+// pass-long chunk fetchers mid-stream, earlier rounds' tuples already in
+// their buckets), and while LocalCC loads buckets — and checks that no
+// spill files survive in SpillDir, no partial result escapes, and no
+// goroutine (chunk fetchers, rank bodies) leaks. Run under -race this
+// shakes out the ordering between the bucket loads, the arena's release
+// and the pass's deferred cleanup.
 func TestSpillCancelLeavesNoRunFiles(t *testing.T) {
 	td := spillDataset(t, 96, smallOpts())
 	spillDir := t.TempDir()

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"metaprep/internal/extsort"
 	"metaprep/internal/index"
 	"metaprep/internal/model"
 	"metaprep/internal/obsv"
@@ -21,8 +20,10 @@ import (
 // thread a key-ordered groupSource, and localCC turns the equal-key groups
 // into union–find edges (§3.5). Config.SpillBudgetBytes decides only which
 // sink holds the tuples: binSink receives them into groups of consecutive
-// bins in RAM and sorts group by group, runSink (spill.go) sorts
-// budget-sized runs to disk and merges them back.
+// bins in RAM and sorts group by group, bucketSink (spill.go) spills them
+// into buckets of consecutive bins on disk and loads and sorts bucket by
+// bucket. Both lay their bins out by the index's m-mer histogram
+// (binOffsets) and check every sorted bin against it (checkBins).
 
 // errStaleIndex is wrapped by every error that means the input no longer
 // matches the index's counts: the FASTQ changed after IndexCreate, so the
@@ -51,10 +52,10 @@ type tupleSink interface {
 
 // openPasses readies a task for its passes: the input files, the chunk
 // buffers, kmerOut (the two generation slots) and the sink the plan calls
-// for. scratch is the run's scratch directory, where a spilling plan's runs
-// go; that plan's memory gauge starts with kmerOut, since the budget
-// covers the generation slots too. closePasses undoes it on every exit
-// path.
+// for. scratch is the run's scratch directory, where a spilling plan's
+// buckets go; that plan's memory gauge starts with kmerOut, since the
+// budget covers the generation slots too. closePasses undoes it on every
+// exit path.
 func (st *taskState) openPasses(scratch string) (tupleSink, error) {
 	files, err := openInputs(st.p.idx)
 	if err != nil {
@@ -65,7 +66,7 @@ func (st *taskState) openPasses(scratch string) (tupleSink, error) {
 	st.out = st.p.cfg.acquireTupleBuf(st.p.bufTuples[st.rank], !st.p.use64())
 	if st.p.spill {
 		st.spillMemAdd(st.out.memBytes())
-		return newRunSink(st, scratch), nil
+		return newBucketSink(st, scratch), nil
 	}
 	return newBinSink(st), nil
 }
@@ -186,8 +187,8 @@ func (st *taskState) exchange(s int, sink tupleSink, gl genLayout, last bool) er
 			}
 			if st.obs != nil {
 				// The receive's own share of the step (the scatter into
-				// group slots, or the copy into run builders), on the
-				// rank's comm track.
+				// group slots, or into bucket write buffers and their
+				// appends to disk), on the rank's comm track.
 				st.obs.RecordSpan(st.rank, obsv.TidComm, "detail", "recv-scatter", r0, time.Since(r0),
 					map[string]any{"src": src, "tuples": len(m.lo)})
 				// Per-rank-pair volume: the Fig. 8 communication
@@ -300,9 +301,10 @@ func newBinSink(st *taskState) *binSink {
 	return bs
 }
 
-// open lays out pass s's slots: each source's chunk histograms over the
-// task's bin range give every slot's size and every bin's, and exclusive
-// prefix sums over (group, source) order and over bin order their offsets.
+// open lays out pass s's slots: every bin's offset comes from the index's
+// m-mer histogram (binOffsets), and every slot's size from one range count
+// of each source chunk's histogram over each group. The two must agree on
+// the pass's total.
 func (bs *binSink) open(s int) error {
 	pl := bs.st.p
 	lo, hi := pl.pt.TaskRange(s, bs.st.rank)
@@ -311,31 +313,37 @@ func (bs *binSink) open(s int) error {
 		bs.ng = (hi-1)>>bs.g - bs.grpLo + 1
 	}
 	n := bs.ng * bs.P
-	off, binOff := bs.off[:n+1], bs.binOff[:bs.nb+1]
+	off := bs.off[:n+1]
 	clear(off)
-	clear(binOff)
+	pl.binOffsets(bs.binOff, lo, hi)
 	for src := 0; src < bs.P; src++ {
 		for _, ci := range pl.taskChunks[src] {
 			hist := &pl.idx.Chunks[ci].Hist
-			for b := range bs.nb {
-				c := uint64(hist.Count(lo + b))
-				off[((lo+b)>>bs.g-bs.grpLo)*bs.P+src+1] += c
-				binOff[b+1] += c
+			for gi := range bs.ng {
+				b0, b1 := max(lo, (bs.grpLo+gi)<<bs.g), min(hi, (bs.grpLo+gi+1)<<bs.g)
+				off[gi*bs.P+src+1] += hist.RangeCount(b0, b1)
 			}
 		}
 	}
 	for i := 1; i <= n; i++ {
 		off[i] += off[i-1]
 	}
-	for b := 1; b <= bs.nb; b++ {
-		binOff[b] += binOff[b-1]
-	}
-	if off[n] > uint64(len(bs.buf.lo)) {
+	if total := bs.binOff[bs.nb]; off[n] != total || total > uint64(len(bs.buf.lo)) {
 		return fmt.Errorf("core: task %d pass %d: chunk histograms promise %d tuples, the index's m-mer histogram %d — index corrupt?",
-			bs.st.rank, s, off[n], len(bs.buf.lo))
+			bs.st.rank, s, off[n], total)
 	}
 	copy(bs.cur, off[:n])
 	return nil
+}
+
+// binOffsets fills off[:hi-lo+1] with the exclusive prefix sums of the
+// index's m-mer histogram over bins [lo, hi): once a task's pass is sorted
+// in bin order, bin lo+i fills its tuples [off[i], off[i+1]).
+func (p *plan) binOffsets(off []uint64, lo, hi int) {
+	off[0] = 0
+	for b := lo; b < hi; b++ {
+		off[b-lo+1] = off[b-lo] + p.idx.MerHist[b]
+	}
 }
 
 // receive scatters message m from task src into its (group, src) slots: W
@@ -467,26 +475,33 @@ func (bs *binSink) seal(s int) ([]*groupSource, error) {
 }
 
 // checkBins checks that the bins [b0, b1) of one sorted group each fill
-// exactly their predicted range [binOff[b], binOff[b+1]): the first and
-// last tuple of every non-empty range carry its bin, and the ranges tile
-// the group.
+// exactly their predicted range.
 func (bs *binSink) checkBins(b0, b1 int) error {
+	return bs.st.checkBins(bs.buf, bs.binOff, 0, bs.binLo, bs.binLo+b0, bs.binLo+b1)
+}
+
+// checkBins checks that bins [b0, b1) of a sorted range of buf each fill
+// exactly the range binOffsets predicts: bin b holds buf's tuples
+// [binOff[b-binLo]-base, binOff[b-binLo+1]-base), so the first and last
+// tuple of every non-empty bin must carry it, and the bins tile the range.
+func (st *taskState) checkBins(buf *tupleBuf, binOff []uint64, base uint64, binLo, b0, b1 int) error {
+	k, m := st.p.idx.Opts.K, st.p.idx.Opts.M
 	for b := b0; b < b1; b++ {
-		lo, hi := bs.binOff[b], bs.binOff[b+1]
-		if lo < hi && (bs.binAt(lo) != bs.binLo+b || bs.binAt(hi-1) != bs.binLo+b) {
+		lo, hi := binOff[b-binLo]-base, binOff[b-binLo+1]-base
+		if lo < hi && (buf.binAt(lo, k, m) != b || buf.binAt(hi-1, k, m) != b) {
 			return fmt.Errorf("core: task %d: bin %d does not hold the %d tuples the index predicts — %w",
-				bs.st.rank, bs.binLo+b, hi-lo, errStaleIndex)
+				st.rank, b, hi-lo, errStaleIndex)
 		}
 	}
 	return nil
 }
 
-// binAt is the bin of the receive buffer's tuple i.
-func (bs *binSink) binAt(i uint64) int {
-	if bs.buf.hi != nil {
-		return binOf128(bs.buf.hi[i], bs.buf.lo[i], bs.st.p.idx.Opts.K, bs.st.p.idx.Opts.M)
+// binAt is the m-mer bin of tuple i.
+func (b *tupleBuf) binAt(i uint64, k, m int) int {
+	if b.hi != nil {
+		return binOf128(b.hi[i], b.lo[i], k, m)
 	}
-	return int(bs.buf.lo[i] >> bs.shift)
+	return int(b.lo[i] >> (2 * uint(k-m)))
 }
 
 // memBytes charges the receive buffer, the slot, cursor and bin tables and
@@ -512,24 +527,19 @@ func binOf128(hi, lo uint64, k, m int) int {
 }
 
 // groupSource is one LocalCC thread's key-ordered tuple stream, yielded as
-// equal-key groups: either a zero-copy view of a sorted receive-buffer range
-// or, when sp is set, a loser-tree merge of segment d of every spilled run,
-// whose group values are buffered in one reused slice. Both walks are plain
-// loops over concrete types; a group costs one direct call.
+// equal-key groups from a zero-copy view of a sorted range: the thread's
+// part of the receive buffer or, on a spilling pass, each of the thread's
+// buckets in turn, which bl loads when the one before is drained. The walk
+// is a plain loop over concrete types; a group costs one direct call.
 type groupSource struct {
-	// buf[pos:end) is the sorted range (in-RAM sources).
+	// buf[pos:end) is the sorted range.
 	buf      *tupleBuf
 	pos, end uint64
 
-	// Merge sources: the merger is built on the first next, on the
-	// consuming thread, so the T threads prime their runs in parallel.
-	// over is the read-ahead charged beyond the builders (merger).
-	sp     *spillState
-	d      int
-	mg     *extsort.Merger
-	vals   []uint32
-	over   int64
-	closed bool
+	// bl loads the next bucket (spilling passes); loadTime is what its
+	// loads and sorts have taken, LocalSort work run inside the consumer.
+	bl       *bucketLoader
+	loadTime time.Duration
 
 	err error
 }
@@ -537,22 +547,14 @@ type groupSource struct {
 // next returns the next group: its key and the values of every tuple that
 // carries it, in stream order. vals is valid until the following call and
 // may be reordered in place by the caller. ok is false at the end of the
-// stream or on a read error (reported by err).
+// stream or on a load error (reported by err).
 func (g *groupSource) next() (hi, lo uint64, vals []uint32, ok bool) {
-	if g.sp != nil {
-		if g.mg == nil && g.err == nil {
-			g.mg, g.over, g.err = g.sp.merger(g.d)
-		}
-		if g.err != nil {
+	for g.pos >= g.end {
+		if g.bl == nil || g.err != nil || !g.bl.load(g) {
 			return 0, 0, nil, false
 		}
-		hi, lo, g.vals, ok, g.err = g.mg.NextGroup(g.vals[:0])
-		return hi, lo, g.vals, ok
 	}
 	i, end := g.pos, g.end
-	if i >= end {
-		return 0, 0, nil, false
-	}
 	b := g.buf
 	lo = b.lo[i]
 	j := i + 1
@@ -570,31 +572,33 @@ func (g *groupSource) next() (hi, lo uint64, vals []uint32, ok bool) {
 	return hi, lo, b.val[i:j], true
 }
 
-// close stops a merge source's segment readers, waiting for their decode
-// goroutines, and drops its overflow charge; when it is the last pass's
-// last open source, the builders behind every merge block go back too.
-// Idempotent; a no-op for in-RAM sources.
+// close marks a spilling source done, so the bucket sink can release its
+// arena after the last pass. Idempotent; a no-op for in-RAM sources.
 func (g *groupSource) close() {
-	if g.sp == nil || g.closed {
-		return
-	}
-	g.closed = true
-	if g.mg != nil {
-		g.mg.Close()
-		g.mg = nil
-	}
-	g.sp.st.spillMemAdd(-g.over)
-	if g.sp.open.Add(-1) == 0 && g.sp.last {
-		g.sp.sink.releaseBufs()
+	if g.bl != nil {
+		g.bl.done()
+		g.bl = nil
 	}
 }
 
-// closeSources closes every source, so that no merge reader outlives its
-// pass on any exit path.
+// closeSources closes every source.
 func closeSources(srcs []*groupSource) {
 	for _, g := range srcs {
 		g.close()
 	}
+}
+
+// chargeSort moves loads, the bucket loads and sorts a consumer step ran
+// inside it, from that step into LocalSort: the consumer started at t0 and
+// ran d in all. It records the LocalSort span and returns the consumer's
+// own start and duration.
+func (st *taskState) chargeSort(t0 time.Time, d, loads time.Duration) (time.Time, time.Duration) {
+	if loads == 0 {
+		return t0, d
+	}
+	st.rep.Steps.LocalSort += loads
+	st.stepSpan("LocalSort", t0, loads)
+	return t0.Add(loads), d - loads
 }
 
 // localCC runs §3.5 over pass s's sorted sources, one thread per source
@@ -623,7 +627,13 @@ func (st *taskState) localCC(s int, srcs []*groupSource) error {
 			return err
 		}
 	}
-	st.ccFinish(t0, edgeCounts, st.ccRetry, st.ccHist)
+	// The threads load their buckets in parallel: the slowest one's loads
+	// are what LocalSort adds to the pass.
+	var loads time.Duration
+	for _, g := range srcs {
+		loads = max(loads, g.loadTime)
+	}
+	st.ccFinish(t0, loads, edgeCounts, st.ccRetry, st.ccHist)
 	return nil
 }
 
@@ -685,8 +695,8 @@ func (st *taskState) ccThread(s, d int, src *groupSource, retry []unionfind.Edge
 
 // ccFinish is LocalCC's tail: fold the per-thread frequency histograms,
 // run Algorithm 1's outer re-verification loop over the buffered edges, and
-// charge the step.
-func (st *taskState) ccFinish(t0 time.Time, edgeCounts []uint64, retries [][]unionfind.Edge, hists [][]uint64) {
+// charge the step, less loads, the bucket loads it ran, to LocalCC.
+func (st *taskState) ccFinish(t0 time.Time, loads time.Duration, edgeCounts []uint64, retries [][]unionfind.Edge, hists [][]uint64) {
 	T := st.p.cfg.Threads
 	for _, h := range hists {
 		for f, c := range h {
@@ -720,7 +730,7 @@ func (st *taskState) ccFinish(t0 time.Time, edgeCounts []uint64, retries [][]uni
 		st.rep.CCIters = iters
 	}
 	st.rep.Edges += edgesOf(edgeCounts)
-	d := time.Since(t0)
+	t0, d := st.chargeSort(t0, time.Since(t0), loads)
 	st.rep.Steps.LocalCC += d
 	var args map[string]any
 	if st.obs != nil { // avoid the map allocation on the disabled path

@@ -1,10 +1,11 @@
-// Package extsort implements the on-disk machinery behind the pipeline's
-// out-of-core LocalSort (Config.SpillBudgetBytes): fixed-size sorted runs of
-// (k-mer, value) tuples are encoded into per-rank spill files, and a
-// loser-tree k-way merge streams the globally sorted tuple order back out
-// without ever materializing the full partition in memory.
+// Package extsort implements the sorted-run codec and k-way merge the
+// partition artifact builds on: the .mpa kmers section is a sequence of
+// extsort blocks, and an incremental run (Config.ArtifactDelta) merges a
+// stored artifact's sorted tuples with a delta's through a loser tree. The
+// pipeline's own out-of-core LocalSort does not use it: it spills into
+// exact bin buckets (internal/core/spill.go) and needs no merge.
 //
-// A spill file is a fixed 8-byte header followed by runs. Each run is a
+// A run file is a fixed 8-byte header followed by runs. Each run is a
 // sequence of segments (one per LocalCC thread, cut at the partition's
 // thread bin boundaries so equal keys never straddle a segment), and each
 // segment is a sequence of blocks:
@@ -29,12 +30,12 @@ import (
 	"fmt"
 )
 
-// FormatVersion is the on-disk spill-run format version, stored in every
+// FormatVersion is the on-disk run format version, stored in every
 // file header. Readers reject any other version, so a format change can
-// never silently misparse old spill files (TestFormatVersionPinned).
+// never silently misparse old run files (TestFormatVersionPinned).
 const FormatVersion = 1
 
-// HeaderLen is the fixed spill-file header size in bytes.
+// HeaderLen is the fixed run-file header size in bytes.
 const HeaderLen = 8
 
 // Header flag bits.
@@ -44,14 +45,14 @@ const (
 )
 
 // ErrCorrupt is the sentinel every decode failure wraps, so callers can
-// classify damaged spill data with one errors.Is.
+// classify damaged run data with one errors.Is.
 var ErrCorrupt = errors.New("extsort: corrupt run data")
 
 func corrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// EncodeHeader renders the spill-file header for the given tuple shape.
+// EncodeHeader renders the run-file header for the given tuple shape.
 func EncodeHeader(wide, compress bool) [HeaderLen]byte {
 	var h [HeaderLen]byte
 	copy(h[:], "MPRN")
@@ -65,7 +66,7 @@ func EncodeHeader(wide, compress bool) [HeaderLen]byte {
 	return h
 }
 
-// ParseHeader validates a spill-file header and returns the tuple shape.
+// ParseHeader validates a run-file header and returns the tuple shape.
 func ParseHeader(b []byte) (wide, compress bool, err error) {
 	if len(b) < HeaderLen {
 		return false, false, corrupt("header truncated at %d bytes", len(b))
@@ -134,7 +135,7 @@ func AppendBlock(dst []byte, lo, hi []uint64, val []uint32, compress bool) []byt
 			payload = binary.AppendUvarint(payload, k)
 		} else {
 			// Unsigned wraparound difference: round-trips any key order,
-			// though spilled blocks are always sorted and deltas tiny.
+			// though written blocks are always sorted and deltas tiny.
 			payload = binary.AppendUvarint(payload, k-prev)
 		}
 		prev = k

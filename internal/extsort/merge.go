@@ -29,25 +29,17 @@ type fetchedBlock struct {
 }
 
 // SegReader streams one run segment's blocks in order, decoding ahead of
-// the consumer on its own goroutine — the merge-side counterpart of the
-// KmerGen chunk prefetcher: a ring of 2 decoded Block buffers circulates
-// over free/filled channels, so block i+1 is read and decoded from disk
-// while the merger drains block i.
-//
-// A reader is reusable: Reset re-points it at another segment and another
-// pair of blocks, keeping its buffered file reader (grown only for larger
-// blocks), so a caller that merges many segments allocates the reader's
-// working set once.
+// the consumer on its own goroutine: a ring of 2 decoded Block buffers
+// circulates over free/filled channels, so block i+1 is read and decoded
+// from disk while the merger drains block i.
 type SegReader struct {
-	filled chan fetchedBlock
-	free   chan *Block
-	stop   chan struct{}
-	// done closes when the decode goroutine has exited; nil before the
-	// first Reset.
-	done    chan struct{}
+	filled  chan fetchedBlock
+	free    chan *Block
+	stop    chan struct{}
+	done    chan struct{} // closes when the decode goroutine has exited
 	stopped bool
 
-	sec io.SectionReader
+	sec *io.SectionReader
 	br  *bufio.Reader
 }
 
@@ -55,33 +47,18 @@ type SegReader struct {
 // two blocks of its own. maxTuples must be at least the writer's
 // blockTuples; it bounds decode allocations.
 func NewSegReader(f *os.File, seg SegInfo, wide, compress bool, maxTuples int) *SegReader {
-	r := &SegReader{}
-	r.Reset(f, seg, wide, compress, maxTuples, &Block{}, &Block{})
-	return r
-}
-
-// Reset closes the reader's current segment, if any, and starts decoding
-// seg into b0 and b1. A block decodes within its slices' capacity and
-// grows them only when a block needs more, so blocks with room for
-// maxTuples tuples are never reallocated: the caller may carve them out of
-// memory it owns. A block Next returned before the Reset must not be read
-// after it.
-func (r *SegReader) Reset(f *os.File, seg SegInfo, wide, compress bool, maxTuples int, b0, b1 *Block) {
-	r.Close()
-	r.filled = make(chan fetchedBlock, 1)
-	r.free = make(chan *Block, 2)
-	r.stop = make(chan struct{})
-	r.done = make(chan struct{})
-	r.stopped = false
-	r.free <- b0
-	r.free <- b1
-	r.sec = *io.NewSectionReader(f, seg.Off, seg.Len)
-	if size := readBufSize(maxTuples, wide, compress); r.br == nil || r.br.Size() < size {
-		r.br = bufio.NewReaderSize(&r.sec, size)
-	} else {
-		r.br.Reset(&r.sec)
+	r := &SegReader{
+		filled: make(chan fetchedBlock, 1),
+		free:   make(chan *Block, 2),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
+		sec:    io.NewSectionReader(f, seg.Off, seg.Len),
 	}
+	r.br = bufio.NewReaderSize(r.sec, readBufSize(maxTuples, wide, compress))
+	r.free <- &Block{}
+	r.free <- &Block{}
 	go r.run(seg.Tuples, wide, compress, maxTuples)
+	return r
 }
 
 // run decodes the segment block by block through the buffered section
@@ -221,12 +198,9 @@ func (r *SegReader) Release(b *Block) {
 }
 
 // Close stops the decode goroutine and waits for it to exit, so no block
-// is written after Close returns: the caller may reuse the blocks' memory.
-// Idempotent and safe on every path, including mid-stream cancellation.
+// is written after Close returns. Idempotent and safe on every path,
+// including mid-stream cancellation.
 func (r *SegReader) Close() {
-	if r.done == nil {
-		return
-	}
 	if !r.stopped {
 		r.stopped = true
 		close(r.stop)
@@ -235,7 +209,7 @@ func (r *SegReader) Close() {
 }
 
 // Merger streams the ascending key order of k segment readers — one per
-// spilled run — via a loser tree: an internal node holds the loser of its
+// sorted run — via a loser tree: an internal node holds the loser of its
 // subtree's match, so replacing the winner after each pull replays exactly
 // one leaf-to-root path (⌈log₂k⌉ comparisons) instead of re-scanning all k
 // heads. Ties break on run index, making the merged order deterministic.
@@ -399,26 +373,6 @@ func (m *Merger) Next() (hi, lo uint64, val uint32, ok bool, err error) {
 		return 0, 0, 0, false, err
 	}
 	return hi, lo, val, true, nil
-}
-
-// NextGroup pulls every remaining tuple that carries the smallest key,
-// appending their values to vals in merge order, and returns the key and
-// the grown slice. ok is false once every segment is exhausted.
-func (m *Merger) NextGroup(vals []uint32) (hi, lo uint64, group []uint32, ok bool, err error) {
-	hi, lo, val, ok, err := m.Next()
-	if !ok {
-		return 0, 0, vals, false, err
-	}
-	vals = append(vals, val)
-	// The tournament's winner is the next tuple: it extends the group while
-	// it is live and carries the same key.
-	for int(m.winRank) < m.k && m.winLo == lo && m.winHi == hi {
-		if _, _, val, _, err = m.Next(); err != nil {
-			return 0, 0, vals, false, err
-		}
-		vals = append(vals, val)
-	}
-	return hi, lo, vals, true, nil
 }
 
 // swapIf returns (b, a) when mask is all ones and (a, b) when it is zero.

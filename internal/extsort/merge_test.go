@@ -84,8 +84,7 @@ func mergeOracle(runs [][]tup, wide bool) []tup {
 }
 
 // checkMerge drains a merger over runs and compares every tuple, and the
-// run Src reports for it, with the oracle; then drains a second merger
-// group by group.
+// run Src reports for it, with the oracle.
 func checkMerge(t *testing.T, runs [][]tup, wide bool, blockTuples int) {
 	t.Helper()
 	m := openMerger(t, runs, wide, blockTuples)
@@ -104,34 +103,10 @@ func checkMerge(t *testing.T, runs [][]tup, wide bool, blockTuples int) {
 		}
 	}
 
-	// NextGroup yields the same stream cut at every key change.
-	m = openMerger(t, runs, wide, blockTuples)
-	want := mergeOracle(runs, wide)
-	var vals []uint32
-	for g := 0; len(want) > 0; g++ {
-		n := 1
-		for n < len(want) && want[n].hi == want[0].hi && want[n].lo == want[0].lo {
-			n++
-		}
-		hi, lo, got, ok, err := m.NextGroup(vals[:0])
-		if err != nil || !ok || hi != want[0].hi || lo != want[0].lo || len(got) != n {
-			t.Fatalf("group %d: (%x, %x) of %d, ok=%v err=%v; want (%x, %x) of %d",
-				g, hi, lo, len(got), ok, err, want[0].hi, want[0].lo, n)
-		}
-		for i, v := range got {
-			if v != want[i].val {
-				t.Fatalf("group %d value %d: %d, want %d", g, i, v, want[i].val)
-			}
-		}
-		vals, want = got, want[n:]
-	}
-	if _, _, _, ok, err := m.NextGroup(vals[:0]); ok || err != nil {
-		t.Fatalf("after the last group: ok=%v err=%v", ok, err)
-	}
 }
 
 // sortedRun draws n tuples from a small key domain — duplicates inside the
-// run and across runs are the rule — and sorts them as a spilled run is.
+// run and across runs are the rule — and sorts them as a written run is.
 func sortedRun(rng *rand.Rand, n int, wide bool) []tup {
 	const ones = ^uint64(0)
 	run := make([]tup, n)

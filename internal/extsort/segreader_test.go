@@ -86,36 +86,21 @@ func TestSegReaderTruncatedSegment(t *testing.T) {
 	}
 }
 
-// TestSegReaderCallerBlocksDoNotAllocate pins the reusable reader's steady
-// state: decoding into caller-supplied blocks through a Reset reader, a
-// Next/Release loop allocates nothing — in the loop or in the decode
-// goroutine — and the blocks' backing arrays are the caller's.
-func TestSegReaderCallerBlocksDoNotAllocate(t *testing.T) {
+// TestSegReaderSteadyStateDoesNotAllocate pins the reader's steady state:
+// once its two blocks have grown to the segment's block size, a
+// Next/Release loop allocates nothing, in the loop or in the decode
+// goroutine.
+func TestSegReaderSteadyStateDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for _, wide := range []bool{false, true} {
 		const blockTuples = 64
 		run := sortedRun(rng, 1100*blockTuples, wide)
 		f, seg := writeSegment(t, run, wide, blockTuples)
-		backLo, backVal := make([]uint64, 2*blockTuples), make([]uint32, 2*blockTuples)
-		var b0, b1 Block
-		b0.Lo, b0.Val = backLo[:blockTuples:blockTuples], backVal[:blockTuples:blockTuples]
-		b1.Lo, b1.Val = backLo[blockTuples:], backVal[blockTuples:]
-		if wide {
-			backHi := make([]uint64, 2*blockTuples)
-			b0.Hi, b1.Hi = backHi[:blockTuples:blockTuples], backHi[blockTuples:]
-		}
-		var r SegReader
-		// A first Reset allocates the reader's buffered file reader; a
-		// second reuses it.
-		r.Reset(f, seg, wide, false, blockTuples, &Block{}, &Block{})
-		r.Reset(f, seg, wide, false, blockTuples, &b0, &b1)
+		r := NewSegReader(f, seg, wide, false, blockTuples)
 		pull := func() {
 			b, err := r.Next()
 			if b == nil || err != nil {
 				t.Fatalf("wide=%v: block %v, err %v", wide, b, err)
-			}
-			if &b.Lo[0] != &backLo[0] && &b.Lo[0] != &backLo[blockTuples] {
-				t.Fatalf("wide=%v: block decoded outside the caller's memory", wide)
 			}
 			r.Release(b)
 		}
@@ -126,67 +111,5 @@ func TestSegReaderCallerBlocksDoNotAllocate(t *testing.T) {
 			t.Errorf("wide=%v: %.2f allocations per Next/Release, want 0", wide, allocs)
 		}
 		r.Close()
-	}
-}
-
-// TestWriterReset re-points one Writer at a second spill file, as the
-// pipeline does pass after pass: each file gets its own header and offsets,
-// and each decodes back to exactly its own run.
-func TestWriterReset(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	dir := t.TempDir()
-	runs := [][]tup{sortedRun(rng, 1000, false), sortedRun(rng, 700, false)}
-	var w *Writer
-	for i, run := range runs {
-		f, err := os.Create(filepath.Join(dir, "pass.run"+string(rune('0'+i))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		blockTuples := 64 << i
-		if w == nil {
-			w, err = NewWriter(f, false, false, blockTuples)
-		} else {
-			err = w.Reset(f, blockTuples)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		lo, val := make([]uint64, len(run)), make([]uint32, len(run))
-		for j, x := range run {
-			lo[j], val[j] = x.lo, x.val
-		}
-		info, err := w.WriteRun(lo, nil, val, []uint64{0, uint64(len(run))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if info.Segs[0].Off != HeaderLen {
-			t.Fatalf("file %d: run starts at %d, want %d", i, info.Segs[0].Off, HeaderLen)
-		}
-		r := NewSegReader(f, info.Segs[0], false, false, blockTuples)
-		pos := 0
-		for {
-			b, err := r.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b == nil {
-				break
-			}
-			for k := range b.Lo {
-				if b.Lo[k] != run[pos+k].lo || b.Val[k] != run[pos+k].val {
-					t.Fatalf("file %d: tuple %d decoded wrong", i, pos+k)
-				}
-			}
-			pos += b.Len()
-			r.Release(b)
-		}
-		r.Close()
-		if pos != len(run) {
-			t.Fatalf("file %d: read %d tuples, want %d", i, pos, len(run))
-		}
 	}
 }

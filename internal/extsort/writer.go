@@ -6,10 +6,9 @@ import (
 	"os"
 )
 
-// SegInfo locates one run segment inside a spill file: segment d of a run
-// holds the run's tuples whose keys fall in LocalCC thread d's bin range,
-// so the merge phase can hand each thread an independently decodable byte
-// range per run.
+// SegInfo locates one run segment inside a run file: a run is cut into
+// segments at caller-chosen tuple positions (key-range boundaries), each
+// an independently decodable byte range.
 type SegInfo struct {
 	// Off is the absolute file offset of the segment's first block.
 	Off int64
@@ -19,7 +18,7 @@ type SegInfo struct {
 	Tuples uint64
 }
 
-// RunInfo describes one spilled run: its segments in thread order. Segments
+// RunInfo describes one written run: its segments in order. Segments
 // may be empty (Len 0) when a run holds no keys in a thread's bin range.
 type RunInfo struct {
 	Segs []SegInfo
@@ -27,10 +26,9 @@ type RunInfo struct {
 
 // writeFlushTarget is the encode-buffer size at which the Writer hands the
 // buffer to its flusher goroutine. Two buffers circulate, so encoding run
-// i+1's blocks overlaps writing run i's — the write-behind double buffering
-// that hides spill I/O behind the receive+sort pipeline. Small blocks (a
-// small spill budget) flush sooner, every flushBlocks blocks, so the
-// buffers stay in proportion to the tuple memory they stage.
+// i+1's blocks overlaps writing run i's (write-behind double buffering).
+// Small blocks flush sooner, every flushBlocks blocks, so the buffers stay
+// in proportion to the tuple memory they stage.
 const (
 	writeFlushTarget = 256 << 10
 	flushBlocks      = 8
@@ -41,16 +39,15 @@ func flushTarget(blockTuples int, wide, compress bool) int {
 	return min(writeFlushTarget, flushBlocks*maxBlockLen(blockTuples, wide, compress))
 }
 
-// Writer appends sorted runs to a spill file. It is not safe for concurrent
-// use; the pipeline drives one Writer per rank from its spill worker
-// goroutine, re-pointed at each pass's run file with Reset.
+// Writer appends sorted runs to a run file. It is not safe for concurrent
+// use.
 type Writer struct {
 	wide        bool
 	compress    bool
 	blockTuples int
 
 	off     int64 // logical file offset of the next encoded byte
-	flushAt int   // flushTarget of the current blocks
+	flushAt int   // flushTarget of the blocks
 	cur     []byte
 	free    chan []byte
 	work    chan []byte
@@ -59,49 +56,34 @@ type Writer struct {
 	f       *os.File
 }
 
-// NewWriter writes the format header and readies the double-buffered
+// NewWriter writes the format header and starts the double-buffered
 // flusher. blockTuples is the maximum tuples per encoded block — the unit
 // of merge read-ahead and of decode memory on the way back in. The two
 // encode buffers are sized once, to the flush target plus one block, so
-// appending runs never grows them (a Reset to larger blocks grows them
-// once).
+// appending runs never grows them.
 func NewWriter(f *os.File, wide, compress bool, blockTuples int) (*Writer, error) {
 	if compress && wide {
 		return nil, fmt.Errorf("extsort: varint/delta compression supports 64-bit keys only")
 	}
-	w := &Writer{wide: wide, compress: compress, free: make(chan []byte, 2)}
-	n := max(blockTuples, 1)
-	bufCap := flushTarget(n, wide, compress) + maxBlockLen(n, wide, compress)
-	w.free <- make([]byte, 0, bufCap)
-	w.free <- make([]byte, 0, bufCap)
-	if err := w.Reset(f, blockTuples); err != nil {
+	if blockTuples < 1 {
+		return nil, fmt.Errorf("extsort: blockTuples %d < 1", blockTuples)
+	}
+	h := EncodeHeader(wide, compress)
+	if _, err := f.Write(h[:]); err != nil {
 		return nil, err
 	}
-	return w, nil
-}
-
-// Reset closes the current file's stream, if still open (dropping its
-// error: a caller that needs it calls Close first), and starts a new
-// spill file on f with blocks of at most blockTuples tuples, keeping the
-// encode buffers.
-func (w *Writer) Reset(f *os.File, blockTuples int) error {
-	w.Close()
-	if blockTuples < 1 {
-		return fmt.Errorf("extsort: blockTuples %d < 1", blockTuples)
+	w := &Writer{
+		wide: wide, compress: compress, blockTuples: blockTuples,
+		off: HeaderLen, flushAt: flushTarget(blockTuples, wide, compress), f: f,
+		free: make(chan []byte, 2), work: make(chan []byte, 2), done: make(chan struct{}),
 	}
-	h := EncodeHeader(w.wide, w.compress)
-	if _, err := f.Write(h[:]); err != nil {
-		return err
-	}
-	w.f, w.blockTuples, w.off, w.err = f, blockTuples, HeaderLen, nil
-	w.flushAt = flushTarget(blockTuples, w.wide, w.compress)
-	w.work = make(chan []byte, 2)
-	w.done = make(chan struct{})
-	w.cur = <-w.free
+	bufCap := w.flushAt + maxBlockLen(blockTuples, wide, compress)
+	w.cur = make([]byte, 0, bufCap)
+	w.free <- make([]byte, 0, bufCap)
 	// The channel is passed in, not read from the field: Close nils w.work
 	// after closing it, and the goroutine may not have started by then.
 	go w.flusher(w.work)
-	return nil
+	return w, nil
 }
 
 // maxBlockLen bounds the encoded size of one block of n tuples.
@@ -134,7 +116,7 @@ func (w *Writer) flush() {
 
 // WriteRun appends one sorted run, cut into len(cuts)-1 segments: segment d
 // covers tuples [cuts[d], cuts[d+1]). hi must be nil exactly in 64-bit
-// mode. The returned RunInfo locates every segment for the merge phase.
+// mode. The returned RunInfo locates every segment for its readers.
 func (w *Writer) WriteRun(lo, hi []uint64, val []uint32, cuts []uint64) (RunInfo, error) {
 	info := RunInfo{Segs: make([]SegInfo, len(cuts)-1)}
 	for d := 0; d+1 < len(cuts); d++ {
@@ -175,12 +157,12 @@ func (w *Writer) writeErr() error {
 }
 
 // BytesWritten returns the total encoded bytes (header included) queued so
-// far — the spill volume counter's source.
+// far.
 func (w *Writer) BytesWritten() int64 { return w.off }
 
-// Close flushes everything and joins the flusher; the encode buffers stay
-// with the Writer for the next Reset. It does not close the underlying
-// file (the caller owns it; merge readers still need it).
+// Close flushes everything and joins the flusher. It does not close the
+// underlying file (the caller owns it; merge readers still need it).
+// Idempotent.
 func (w *Writer) Close() error {
 	if w.work == nil {
 		return w.err

@@ -157,30 +157,33 @@ type Cluster struct {
 	// charged to CC-I/O.
 	OverlapOutput bool
 	// SpillBudgetBytes models core.Config.SpillBudgetBytes: when a pass's
-	// received tuple bytes exceed it, LocalSort runs out of core — sorted
-	// runs stream to disk during the exchange (write-behind on a dedicated
-	// worker, so only the cost generation cannot hide is charged) and
-	// LocalCC pays the read-back plus a k-way merge term that grows with
-	// log₂(runs). 0 keeps every pass in RAM.
+	// received tuple bytes exceed it, LocalSort runs out of core — the
+	// exchange appends every tuple to its bin bucket on disk (the write is
+	// charged to KmerGen-Comm) and LocalSort reads each bucket back and
+	// sorts it in cache at the in-RAM rate (the read is charged to
+	// LocalSort). There is no merge. 0 keeps every pass in RAM.
 	SpillBudgetBytes int64
 }
 
 // SpillCompressRatio is the modeled compressed/raw size of a sorted run
-// under the extsort varint/delta codec (the .mpa k-mer section; spill runs
-// are written raw). Sorted tuple keys delta-encode well: neighboring k-mer
+// under the extsort varint/delta codec (the .mpa k-mer section; spill
+// buckets are written raw). Sorted tuple keys delta-encode well: neighboring k-mer
 // codes share high bits, so most gaps fit 2-3 varint bytes against 8 raw
 // key bytes.
 const SpillCompressRatio = 0.6
 
-// spillRuns returns the modeled sorted-run count per pass, mirroring
-// core's sizing: runs hold budget/4 bytes each (the budget covers the
-// generation buffer, two exchange-facing builders and the sort scratch), so
-// runs = ⌈passBytes / (budget/4)⌉.
-func (c Cluster) spillRuns(passTupleBytes float64) float64 {
+// spillBuckets returns the modeled bucket count per pass, mirroring core's
+// sizing: the generation buffer takes a quarter of the budget and the
+// staging buffers a sixteenth, and each of the T threads loads a bucket
+// into half of its share of the rest, so a bucket holds up to
+// 11/32 · budget / T bytes and buckets = ⌈passBytes / that⌉. 0 when the
+// pass fits the budget.
+func (c Cluster) spillBuckets(passTupleBytes float64) float64 {
 	if c.SpillBudgetBytes <= 0 || passTupleBytes <= float64(c.SpillBudgetBytes) {
 		return 0
 	}
-	return math.Ceil(passTupleBytes / (float64(c.SpillBudgetBytes) / 4))
+	T := float64(max(c.T, 1))
+	return math.Ceil(passTupleBytes / (float64(c.SpillBudgetBytes) * 11 / 32 / T))
 }
 
 // Steps is the model's per-step prediction, aligned with core.StepTimes.
@@ -350,21 +353,13 @@ func Predict(cal Calibration, w Workload, c Cluster) Steps {
 			time.Duration(float64(c.P)*S)*cal.Latency
 	}
 	s.LocalSort = sec(tuplesTask / (T * cal.SortTuplesPerSec))
-	var spillCC time.Duration
-	if runs := c.spillRuns(tuplesTask / S * float64(w.TupleBytes)); runs > 0 {
-		// Out of core: each pass's tuples are sorted into `runs` bounded runs
-		// and written behind the exchange by one dedicated worker, so
-		// LocalSort is charged only what generation + exchange cannot hide.
+	if c.spillBuckets(tuplesTask/S*float64(w.TupleBytes)) > 0 {
+		// Out of core: every tuple is written once, raw, into its bucket
+		// as it arrives, and read back once, bucket by bucket, before the
+		// same in-cache sort the in-RAM pass runs.
 		diskBytes := tuplesTask * float64(w.TupleBytes)
-		spillCost := sec(tuplesTask/cal.SortTuplesPerSec + diskBytes/writeBW)
-		if hidden := s.KmerGen + s.KmerGenComm; spillCost > hidden {
-			s.LocalSort = spillCost - hidden
-		} else {
-			s.LocalSort = 0
-		}
-		// LocalCC consumes the merged order straight off disk: the read-back
-		// plus one loser-tree comparison path (log₂ runs) per tuple.
-		spillCC = sec(diskBytes/readBW + tuplesTask*math.Log2(runs)/(T*cal.SortTuplesPerSec))
+		s.KmerGenComm += sec(diskBytes / writeBW)
+		s.LocalSort += sec(diskBytes / readBW)
 	}
 	edgesTask := edges / P
 	if c.S > 1 {
@@ -374,7 +369,6 @@ func Predict(cal Calibration, w Workload, c Cluster) Steps {
 	} else {
 		s.LocalCC = sec(edgesTask / (T * cal.CCEdgesPerSec))
 	}
-	s.LocalCC += spillCC
 	if c.P > 1 {
 		rounds := 0
 		for step := 1; step < c.P; step <<= 1 {
@@ -477,9 +471,10 @@ func MemoryPerTask(w Workload, c Cluster) int64 {
 // bin, a group being 2^RecvGroupShift(bins) bins; each LocalSort thread's
 // scratch holds one group (the model charges the mean group). With a spill
 // budget that a pass's received partition would exceed it is what core
-// allocates out of core: three run builders of budget/4 plus two generation
-// slots of budget/8, or one chunk's pass share of the tuples each when a
-// single chunk holds more.
+// allocates out of core: the bucket arena and staging buffers, three
+// quarters of the budget, plus two generation slots of budget/8, or one
+// chunk's pass share of the tuples each when a single chunk holds more.
+// The bin floor — a bin larger than a bucket area — is not modeled.
 func tupleBytes(w Workload, c Cluster) int64 {
 	tb := int64(w.TupleBytes)
 	if b := c.SpillBudgetBytes; b > 0 && w.Tuples/int64(c.P)/int64(c.S)*tb > b {

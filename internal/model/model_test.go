@@ -310,8 +310,10 @@ func TestMergeWireBytes(t *testing.T) {
 }
 
 // TestPredictSpillKnobs pins the out-of-core model's shape: under-budget
-// runs are untouched, spilling adds overhead that grows as the budget
-// shrinks, and the memory inventory is capped at the budget.
+// runs are untouched, spilling adds the bucket write to KmerGen-Comm and
+// the read-back to LocalSort whatever the budget (there is no merge term,
+// so LocalCC stays the in-RAM figure), and the memory inventory is capped
+// at the budget.
 func TestPredictSpillKnobs(t *testing.T) {
 	cal := Edison()
 	w := PaperWorkload("MM")
@@ -329,7 +331,6 @@ func TestPredictSpillKnobs(t *testing.T) {
 
 	// Halving the budget can only slow the run down, monotonically.
 	prev := inRAM.Total()
-	prevCC := inRAM.LocalCC
 	for _, div := range []int64{4, 8, 16, 64} {
 		c := base
 		c.SpillBudgetBytes = passBytes / div
@@ -337,10 +338,14 @@ func TestPredictSpillKnobs(t *testing.T) {
 		if s.Total() < prev {
 			t.Errorf("budget 1/%d: total %v faster than larger budget %v", div, s.Total(), prev)
 		}
-		if s.LocalCC <= prevCC {
-			t.Errorf("budget 1/%d: LocalCC %v not above %v (read-back + log(runs) merge term)", div, s.LocalCC, prevCC)
+		if s.KmerGenComm <= inRAM.KmerGenComm || s.LocalSort <= inRAM.LocalSort {
+			t.Errorf("budget 1/%d: KmerGen-Comm %v, LocalSort %v not above the in-RAM %v, %v (bucket write, read-back)",
+				div, s.KmerGenComm, s.LocalSort, inRAM.KmerGenComm, inRAM.LocalSort)
 		}
-		prev, prevCC = s.Total(), s.LocalCC
+		if s.LocalCC != inRAM.LocalCC {
+			t.Errorf("budget 1/%d: LocalCC %v, want the in-RAM %v (no merge)", div, s.LocalCC, inRAM.LocalCC)
+		}
+		prev = s.Total()
 	}
 
 	spill := base

@@ -161,7 +161,7 @@ func SpillBytes(w Workload, c Cluster) int64 {
 		S = 1
 	}
 	tuples := float64(w.Tuples)
-	if c.spillRuns(tuples/float64(P)/float64(S)*float64(w.TupleBytes)) == 0 {
+	if c.spillBuckets(tuples/float64(P)/float64(S)*float64(w.TupleBytes)) == 0 {
 		return 0
 	}
 	return int64(tuples * float64(w.TupleBytes))

@@ -32,7 +32,6 @@ import (
 const (
 	TidSteps    = 0   // the per-task step timeline
 	TidComm     = 1   // mpirt point-to-point communication
-	TidSpill    = 4   // out-of-core LocalSort: the spill sort/write worker
 	TidArtifact = 5   // persistent-artifact emit/assembly and reload
 	TidWorker   = 10  // + thread index: worker threads
 	TidPrefetch = 100 // + thread index: prefetch reader goroutines

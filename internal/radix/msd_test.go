@@ -226,10 +226,10 @@ func TestBinSorterAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkSortPairs64RangeRun is the out-of-core path's run sort as
-// batch-bounded executes it: one ~190 000-tuple spill run of 27-mers within
-// a task's bin range (53 significant bits), each distinct key ~7 times, in
-// arrival order.
+// BenchmarkSortPairs64RangeRun sorts one ~190 000-tuple range of 27-mers
+// within a task's bin range (53 significant bits), each distinct key ~7
+// times, in arrival order: the run size the retired spill runs had, kept
+// so the kernel's numbers stay comparable across releases.
 func BenchmarkSortPairs64RangeRun(b *testing.B) {
 	const n = 190000
 	min, max := rangeOf(0, 53)

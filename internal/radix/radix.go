@@ -13,12 +13,11 @@
 // On top of the fixed-pass sorts, the package provides key-range-aware
 // entry points: a canonical k-mer has only 2k significant bits, and each
 // LocalSort thread partition owns a contiguous m-mer bin range that pins
-// the high-order bits besides. SortPairs128Range derives the LSD pass count
-// from the [min, max] key interval instead of always sweeping all 16 bytes.
-// SortPairs64Range sorts the undetermined bits most-significant digit
-// first, so that everything after the first scatter happens inside one
-// cache-resident bucket (sorter64). BinSorter goes further: the pipeline
-// receives its tuples straight into groups of consecutive m-mer bins, so
+// the high-order bits besides. SortPairs64Range sorts the undetermined bits
+// most-significant digit first, so that everything after the first scatter
+// happens inside one cache-resident bucket (sorter64). BinSorter goes
+// further: the pipeline receives its tuples straight into groups of
+// consecutive m-mer bins (or spills them into buckets of such bins), so
 // LocalSort only has to finish each group in place, over the low-order bits
 // the group leaves undetermined, with scratch the size of one group.
 package radix
@@ -50,25 +49,12 @@ func SignificantBytes128(minHi, minLo, maxHi, maxLo uint64) int {
 // sort by key, identical to SortPairs64's. Scratch requirements are those
 // of SortPairs64.
 func SortPairs64Range(keys []uint64, vals []uint32, tmpK []uint64, tmpV []uint32, min, max uint64) {
-	var s RangeSorter
-	s.Sort64(keys, vals, tmpK, tmpV, min, max)
-}
-
-// RangeSorter is SortPairs64Range with its per-level bucket tables kept
-// across calls, for a caller that sorts many ranges (the spill worker's
-// runs): the tables are built on the first sort and reused by every later
-// one. The zero value is ready to use. Not safe for concurrent use.
-type RangeSorter struct {
-	s sorter64
-}
-
-// Sort64 is SortPairs64Range on the sorter's tables.
-func (r *RangeSorter) Sort64(keys []uint64, vals []uint32, tmpK []uint64, tmpV []uint32, min, max uint64) {
 	n := len(keys)
 	if n < 2 {
 		return
 	}
-	r.s.sort(keys, vals[:n], tmpK[:n], tmpV[:n], uint(bits.Len64(min^max)), 0, true)
+	var s sorter64
+	s.sort(keys, vals[:n], tmpK[:n], tmpV[:n], uint(bits.Len64(min^max)), 0, true)
 }
 
 // msdInsertionMax is the bucket length at or below which sorter64 stops
@@ -96,8 +82,8 @@ const msdMaxDigit = 11
 // each bucket's result belongs on, so there is no copy-back pass.
 //
 // The value holds one bucket-boundary array per recursion level, grown on
-// first use, so a caller that sorts many ranges (BinSorter's bins)
-// allocates for the first few and never again. Not safe for concurrent use.
+// first use, so a caller that sorts many ranges (BinSorter's bins and
+// buckets) allocates for the first few and never again. Not safe for concurrent use.
 type sorter64 struct {
 	// ≤ 16 scatter levels: each consumes at least 4 of 64 bits.
 	bounds [16][]int
@@ -168,23 +154,15 @@ func (s *sorter64) sort(k []uint64, v []uint32, tk []uint64, tv []uint32, sig ui
 	}
 }
 
-// SortPairs128Range is SortPairs64Range for 128-bit keys: it derives the
-// pass count from the key interval and runs SortPairs128 with it.
-func SortPairs128Range(hi, lo []uint64, vals []uint32, tmpHi, tmpLo []uint64, tmpV []uint32,
-	minHi, minLo, maxHi, maxLo uint64) {
-	passes := SignificantBytes128(minHi, minLo, maxHi, maxLo)
-	SortPairs128(hi, lo, vals, tmpHi, tmpLo, tmpV, passes)
-}
-
-// BinSorter sorts the tuples of one m-mer bin, or of one group of
-// consecutive bins, in place. Every key of a bin agrees above its low sig
-// bits (the bin field pins them, and a group's shared high bin bits), so
-// only those bits are sorted: 64-bit keys and 128-bit keys whose sig bits
-// fit the low word go through the MSD-first kernel (sorter64), wider
-// 128-bit bins through SortPairs128 over ⌈sig/8⌉ digits. Every path is
-// stable. The scratch grows to the largest bin sorted so far (Grow presizes
-// it), so a warm sorter allocates nothing per bin. Not safe for concurrent
-// use.
+// BinSorter sorts the tuples of one m-mer bin, or of one run of
+// consecutive bins (a receive group, a spill bucket), in place. Every key
+// of such a range agrees above its low sig bits (the bin field pins them,
+// and the range's shared high bin bits), so only those bits are sorted:
+// 64-bit keys and 128-bit keys whose sig bits fit the low word go through
+// the MSD-first kernel (sorter64), wider 128-bit ranges through
+// SortPairs128 over ⌈sig/8⌉ digits. Every path is stable. The scratch grows
+// to the largest range sorted so far (Grow presizes it, Use lends it), so a
+// warm sorter allocates nothing per range. Not safe for concurrent use.
 type BinSorter struct {
 	s      sorter64
 	tk, th []uint64
@@ -199,6 +177,14 @@ func (b *BinSorter) Grow(n int, wide bool) {
 	if wide && len(b.th) < n {
 		b.th = make([]uint64, n)
 	}
+}
+
+// Use lends the sorter caller-owned scratch: key words tk (and th, for
+// 128-bit ranges wider than one word) and values tv, all of one length.
+// Ranges up to that length sort without allocating; Use(nil, nil, nil)
+// drops the loan.
+func (b *BinSorter) Use(tk, th []uint64, tv []uint32) {
+	b.tk, b.th, b.tv = tk, th, tv
 }
 
 // Sort64 sorts one bin of 64-bit keys, vals alongside, by their low sig

@@ -154,7 +154,7 @@ type SubmitRequest struct {
 	EdisonNet       bool   `json:"edison_net"`
 	PrefetchChunks  int    `json:"prefetch_chunks"`
 	// SpillBudgetBytes caps resident tuple memory per rank; when the
-	// exchange would exceed it, LocalSort runs out of core via sorted runs
+	// exchange would exceed it, LocalSort runs out of core via bin buckets
 	// on disk. Scratch placement is the daemon's concern (-spill-dir), so
 	// there is deliberately no spill_dir field here.
 	SpillBudgetBytes int64 `json:"spill_budget_bytes"`
