@@ -3,12 +3,14 @@ package main
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"metaprep"
+	"metaprep/internal/model"
 	"metaprep/internal/traj"
 )
 
@@ -204,7 +206,7 @@ func TestCLIDriftLoop(t *testing.T) {
 		t.Fatalf("trajectory records = %d (drift %v, %v), want drifted then undrifted",
 			len(recs), recs[0].Drift != nil, recs[1].Drift != nil)
 	}
-	if !recs[0].Drift.Finite() {
+	if !finiteDrift(*recs[0].Drift) {
 		t.Fatalf("recorded drift not finite: %s", recs[0].Drift)
 	}
 
@@ -281,4 +283,19 @@ func TestCheckTraceBucketSort(t *testing.T) {
 	if err := check(6, 1); err == nil || !strings.Contains(err.Error(), "task 0: thread 0's bucket-sort") {
 		t.Errorf("thread 0's bucket-sort over LocalSort: err = %v", err)
 	}
+}
+
+// finiteDrift reports whether every ratio of d is a positive finite number,
+// the invariant the drift report's ε-smoothing guarantees.
+func finiteDrift(d model.DriftReport) bool {
+	ratios := []float64{d.TotalRatio, d.WireRatio, d.SpillRatio}
+	for _, s := range d.Steps {
+		ratios = append(ratios, s.Ratio)
+	}
+	for _, x := range ratios {
+		if !(x > 0 && x < math.Inf(1)) { // false for NaN too
+			return false
+		}
+	}
+	return true
 }

@@ -18,9 +18,6 @@ type env struct {
 	scale float64
 	// csvDir, when set, receives each printed table as <name>.csv.
 	csvDir string
-	// benchDir, when set, receives machine-readable BENCH_<name>.json files
-	// from experiments that publish one (see emitBench).
-	benchDir string
 	// emitted lists every table name emit has filed, in order.
 	emitted []string
 

@@ -10,20 +10,19 @@ import (
 	"metaprep/internal/stats"
 )
 
-// artifactRow is one BENCH_artifact.json measurement: a run variant against
-// the full compute-and-emit reference on the same dataset.
+// artifactRow is one row of the artifact table: a run variant against the
+// full compute-and-emit reference on the same dataset.
 type artifactRow struct {
-	Variant string  `json:"variant"`
-	WallMS  float64 `json:"wall_ms"`
-	TotalMS float64 `json:"total_ms"`
+	Variant string
+	WallMS  float64
 	// ArtifactBytes is the size of the artifact the variant wrote (0 for
 	// reload, which only reads one).
-	ArtifactBytes int64 `json:"artifact_bytes"`
+	ArtifactBytes int64
 	// SpeedupVsFull is fullWall/variantWall (1 for the reference row).
-	SpeedupVsFull float64 `json:"speedup_vs_full"`
+	SpeedupVsFull float64
 	// LabelsMatch records the parity check against the full run: bit-identical
 	// for reload, label-isomorphic for incremental.
-	LabelsMatch bool `json:"labels_match"`
+	LabelsMatch bool
 }
 
 // splitFastq splits an interleaved paired-end FASTQ at a paired-record
@@ -171,12 +170,12 @@ func expArtifact(e *env) error {
 
 	speedup := float64(full.Wall) / float64(reload.Wall)
 	rows := []artifactRow{
-		{Variant: "full+emit", WallMS: ms(full), TotalMS: tot(full),
+		{Variant: "full+emit", WallMS: ms(full),
 			ArtifactBytes: artBytes(fullArt), SpeedupVsFull: 1, LabelsMatch: true},
-		{Variant: "reload", WallMS: ms(reload), TotalMS: tot(reload),
+		{Variant: "reload", WallMS: ms(reload),
 			SpeedupVsFull: speedup,
 			LabelsMatch:   labelsEqual(full.Labels, reload.Labels)},
-		{Variant: "incremental", WallMS: ms(inc), TotalMS: tot(inc),
+		{Variant: "incremental", WallMS: ms(inc),
 			ArtifactBytes: artBytes(mergedArt),
 			SpeedupVsFull: float64(full.Wall) / float64(inc.Wall),
 			LabelsMatch:   labelsEqual(canonLabelSeq(full.Labels), canonLabelSeq(inc.Labels))},
@@ -187,7 +186,7 @@ func expArtifact(e *env) error {
 			float64(r.ArtifactBytes)/float64(1<<20),
 			fmt.Sprintf("%.1fx", r.SpeedupVsFull), r.LabelsMatch)
 	}
-	if err := e.emitBench("artifact", t, rows); err != nil {
+	if err := e.emit("artifact", t); err != nil {
 		return err
 	}
 	// The model's planning view at paper scale: what an artifact costs to
@@ -244,5 +243,4 @@ func fastest(n int, fn func() (*metaprep.Result, error)) (*metaprep.Result, erro
 	return best, nil
 }
 
-func ms(r *metaprep.Result) float64  { return float64(r.Wall.Microseconds()) / 1e3 }
-func tot(r *metaprep.Result) float64 { return float64(r.Steps.Total().Microseconds()) / 1e3 }
+func ms(r *metaprep.Result) float64 { return float64(r.Wall.Microseconds()) / 1e3 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"reflect"
 	"slices"
 	"strings"
@@ -11,9 +12,8 @@ import (
 // scale, verifying the harness plumbing (env caching, dataset reuse, table
 // rendering) without the cost of the full evaluation. ablate and backhalf
 // are in the list because they are the experiments that set Config fields
-// per row: ablate sat broken on a Validate cross-check (SparseMerge on top of
-// Default's SparseDeltaMerge) that nothing ran, so a config interaction now
-// fails here.
+// per row, so a Config validation interaction fails here rather than in a
+// full evaluation run.
 func TestExperimentsSmoke(t *testing.T) {
 	e := newEnv(t.TempDir(), 0.02)
 	for _, name := range []string{"tab2", "tab5", "stream", "ablate", "backhalf"} {
@@ -45,10 +45,33 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	for _, want := range []string{"tab2", "fig5", "fig6", "fig7", "fig8", "tab3",
 		"fig9", "sort", "tab4", "tab5", "tab6", "tab7", "tab8", "purity", "ablate",
-		"artifact", "backhalf", "serve", "stream", "calib"} {
+		"artifact", "backhalf", "stream", "calib"} {
 		if !seen[want] {
 			t.Errorf("experiment %q missing", want)
 		}
+	}
+}
+
+// TestRunAllContinuesPastFailure checks that one experiment's failure does
+// not stop the rest: the second experiment still runs after the first
+// fails, and the returned error names the failed one and only it.
+func TestRunAllContinuesPastFailure(t *testing.T) {
+	ran := false
+	exps := []experiment{
+		{"bad", "fails its gate", func(*env) error { return errors.New("gate failed") }},
+		{"good", "passes", func(*env) error { ran = true; return nil }},
+	}
+	err := runAll(newEnv(t.TempDir(), 0.02), exps, []string{"bad", "good"})
+	if !ran {
+		t.Fatal("the experiment after a failing one did not run")
+	}
+	if err == nil || !strings.Contains(err.Error(), "bad") || strings.Contains(err.Error(), "good") {
+		t.Fatalf("runAll error = %v, want one naming bad and not good", err)
+	}
+	// Names are resolved before anything runs.
+	ran = false
+	if err := runAll(newEnv(t.TempDir(), 0.02), exps, []string{"good", "nope"}); err == nil || !strings.Contains(err.Error(), "nope") || ran {
+		t.Fatalf("unknown experiment: err = %v, ran = %v", err, ran)
 	}
 }
 

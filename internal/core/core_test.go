@@ -406,7 +406,7 @@ func TestOutputPartition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n, err := fastq.CountRecords(f)
+			n, err := countRecords(f)
 			f.Close()
 			if err != nil {
 				t.Fatalf("%s: %v", p, err)
@@ -455,7 +455,7 @@ func TestOutputPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	f, _ := os.Open(lcPath)
-	n, err := fastq.CountRecords(f)
+	n, err := countRecords(f)
 	f.Close()
 	if err != nil || int(n) != lcRecs {
 		t.Fatalf("merged LC: %d records (%v), want %d", n, err, lcRecs)
@@ -479,7 +479,7 @@ func TestPairedOutputKeepsMatesTogether(t *testing.T) {
 	var lcRecs int64
 	for _, p := range res.LCFiles {
 		f, _ := os.Open(p)
-		n, _ := fastq.CountRecords(f)
+		n, _ := countRecords(f)
 		f.Close()
 		lcRecs += n
 	}
@@ -526,6 +526,15 @@ func TestStepTimesAndReports(t *testing.T) {
 	}
 }
 
+// componentSizes returns the size of every component keyed by label.
+func componentSizes(labels []uint32) map[uint32]int {
+	sizes := make(map[uint32]int)
+	for _, l := range labels {
+		sizes[l]++
+	}
+	return sizes
+}
+
 func TestComponentAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	td := overlappingDataset(t, rng, smallOpts(), 4, 300, 160, 40)
@@ -533,7 +542,7 @@ func TestComponentAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes := res.ComponentSizes()
+	sizes := componentSizes(res.Labels)
 	if len(sizes) != res.Components {
 		t.Errorf("Components=%d, sizes map has %d", res.Components, len(sizes))
 	}
@@ -642,7 +651,7 @@ func TestMoreTasksThanChunks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n, _ := fastq.CountRecords(f)
+			n, _ := countRecords(f)
 			f.Close()
 			total += int(n)
 		}
@@ -735,7 +744,7 @@ func TestSplitComponents(t *testing.T) {
 		t.Fatalf("got %d groups, want 4", len(res.SplitFiles))
 	}
 	// Group sizes: descending for the top components; everything accounted.
-	sizes := res.ComponentSizes()
+	sizes := componentSizes(res.Labels)
 	counts := make([]int, len(res.SplitFiles))
 	total := 0
 	for g, paths := range res.SplitFiles {
@@ -744,7 +753,7 @@ func TestSplitComponents(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n, _ := fastq.CountRecords(f)
+			n, _ := countRecords(f)
 			f.Close()
 			counts[g] += int(n)
 			total += int(n)
@@ -1180,5 +1189,18 @@ func TestMemoryShrinksWithPasses(t *testing.T) {
 			t.Fatalf("S=%d memory %d not below S-previous %d", s, res.MemoryPerTask, prev)
 		}
 		prev = res.MemoryPerTask
+	}
+}
+
+// countRecords reads r to the end as FASTQ and returns its record count.
+func countRecords(r io.Reader) (int64, error) {
+	fr := fastq.NewReader(r)
+	for {
+		if _, err := fr.Next(); err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return fr.Count(), err
+		}
 	}
 }

@@ -30,7 +30,7 @@ func TestRunAttachesDriftReport(t *testing.T) {
 	if d == nil {
 		t.Fatal("no drift report on default config")
 	}
-	if !d.Finite() {
+	if !finiteDrift(*d) {
 		t.Fatalf("non-finite drift report: %+v", d)
 	}
 	if d.Calibration != "edison" {
@@ -109,7 +109,7 @@ func TestDriftMeasuresSpill(t *testing.T) {
 	if res.Drift.SpillPredicted <= 0 {
 		t.Fatalf("model predicted no spill for an over-budget run")
 	}
-	if !res.Drift.Finite() {
+	if !finiteDrift(*res.Drift) {
 		t.Fatalf("non-finite spill drift: %+v", res.Drift)
 	}
 }
@@ -203,4 +203,19 @@ func TestModelMemoryMatchesPlan(t *testing.T) {
 			}
 		})
 	}
+}
+
+// finiteDrift reports whether every ratio of d is a positive finite number,
+// the invariant the drift report's ε-smoothing guarantees.
+func finiteDrift(d model.DriftReport) bool {
+	ratios := []float64{d.TotalRatio, d.WireRatio, d.SpillRatio}
+	for _, s := range d.Steps {
+		ratios = append(ratios, s.Ratio)
+	}
+	for _, x := range ratios {
+		if !(x > 0 && x < math.Inf(1)) { // false for NaN too
+			return false
+		}
+	}
+	return true
 }

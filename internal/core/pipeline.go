@@ -249,15 +249,6 @@ func (r *Result) LargestFraction() float64 {
 	return float64(r.LargestSize) / float64(r.Reads)
 }
 
-// ComponentSizes returns the size of every component keyed by root.
-func (r *Result) ComponentSizes() map[uint32]int {
-	sizes := make(map[uint32]int)
-	for _, l := range r.Labels {
-		sizes[l]++
-	}
-	return sizes
-}
-
 // Run executes the full METAPREP pipeline under the given configuration.
 func Run(cfg Config) (*Result, error) {
 	return RunContext(context.Background(), cfg)

@@ -398,8 +398,8 @@ func (bk *bucketSink) flushAll() error {
 	return nil
 }
 
-// memBytes charges the arena and the bin and bucket tables; kmerOut, the two-slot generation buffer, is charged by
-// memoryBytes itself.
+// memBytes charges the arena and the bin and bucket tables; kmerOut, the
+// two-slot generation buffer, is charged by memoryBytes itself.
 func (bk *bucketSink) memBytes() int64 {
 	return bk.mem + 8*int64(len(bk.binOff)+3*len(bk.got)) + 4*int64(len(bk.bucketOf))
 }
@@ -413,9 +413,9 @@ func (bk *bucketSink) closePass() {
 	}
 }
 
-// release returns the arena to the pool and drops every view into it. It runs once nothing can read them: after the last
-// pass's sources have closed or, on every exit path, from cleanup.
-// Idempotent.
+// release returns the arena to the pool and drops every view into it. It
+// runs once nothing can read them: after the last pass's sources have
+// closed or, on every exit path, from cleanup. Idempotent.
 func (bk *bucketSink) release() {
 	if bk.arena == nil {
 		return

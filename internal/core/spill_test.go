@@ -448,11 +448,12 @@ func TestSpillConfigValidation(t *testing.T) {
 }
 
 // TestSpillPassAllocs pins that a spilling task allocates its working set
-// once: builders, chunk buffers, the run writer's encode buffers, the
-// worker's sort tables, the merge readers and LocalCC's retry buffers all
-// live for the whole run, so doubling the passes adds only a small
-// constant per pass to what a warm Run allocates, and a whole Run
-// allocates little beyond its planned memory.
+// once: builders, chunk buffers, the bucket sink's arena (write buffers
+// while receiving, bucket areas and sort scratch while loading), its bin
+// and bucket tables and LocalCC's retry buffers all live for the whole
+// run, so doubling the passes adds only a small constant per pass to what
+// a warm Run allocates, and a whole Run allocates little beyond its
+// planned memory.
 func TestSpillPassAllocs(t *testing.T) {
 	td := spillDataset(t, 98, smallOpts())
 	run := func(passes int) (uint64, *Result) {

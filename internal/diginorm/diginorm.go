@@ -120,26 +120,6 @@ func (n *Normalizer) Keep(seq []byte) bool {
 	return true
 }
 
-// NormalizeSeqs filters a sequence set, returning the kept indices.
-func NormalizeSeqs(seqs [][]byte, opts Options) ([]int, Stats, error) {
-	n, err := New(opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	var kept []int
-	var stats Stats
-	for i, seq := range seqs {
-		if n.Keep(seq) {
-			kept = append(kept, i)
-			stats.Kept++
-			stats.KeptBases += int64(len(seq))
-		} else {
-			stats.Dropped++
-		}
-	}
-	return kept, stats, nil
-}
-
 // NormalizeFiles streams FASTQ files through the filter into outPath.
 // Paired mode keeps or drops mates together (records 2i, 2i+1): the pair
 // survives if either mate is below coverage, preserving pairing for the

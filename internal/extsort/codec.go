@@ -66,23 +66,6 @@ func EncodeHeader(wide, compress bool) [HeaderLen]byte {
 	return h
 }
 
-// ParseHeader validates a run-file header and returns the tuple shape.
-func ParseHeader(b []byte) (wide, compress bool, err error) {
-	if len(b) < HeaderLen {
-		return false, false, corrupt("header truncated at %d bytes", len(b))
-	}
-	if string(b[:4]) != "MPRN" {
-		return false, false, corrupt("bad magic %q", b[:4])
-	}
-	if b[4] != FormatVersion {
-		return false, false, corrupt("format version %d, want %d", b[4], FormatVersion)
-	}
-	if b[5]&^(flagWide|flagCompress) != 0 || b[6] != 0 || b[7] != 0 {
-		return false, false, corrupt("unknown header flags %x %x %x", b[5], b[6], b[7])
-	}
-	return b[5]&flagWide != 0, b[5]&flagCompress != 0, nil
-}
-
 // Block is one decoded block of tuples in structure-of-arrays form (Hi is
 // nil in 64-bit mode). Blocks circulate through a SegReader's buffer ring.
 type Block struct {
@@ -222,39 +205,4 @@ func growVal(s []uint32, n int) []uint32 {
 		return make([]uint32, n)
 	}
 	return s[:n]
-}
-
-// DecodeBlock decodes the block at the front of src into b, returning the
-// remaining bytes. maxTuples bounds the accepted block size (the writer's
-// block size); anything larger is corruption, which caps every allocation
-// a damaged stream can cause.
-func DecodeBlock(src []byte, wide, compress bool, maxTuples int, b *Block) (rest []byte, err error) {
-	cnt, w := binary.Uvarint(src)
-	if w <= 0 {
-		return nil, corrupt("truncated block count")
-	}
-	src = src[w:]
-	if cnt == 0 || cnt > uint64(maxTuples) {
-		return nil, corrupt("block count %d outside (0, %d]", cnt, maxTuples)
-	}
-	plen, w := binary.Uvarint(src)
-	if w <= 0 {
-		return nil, corrupt("truncated payload length")
-	}
-	src = src[w:]
-	maxPayload := uint64(rawPayloadLen(int(cnt), wide))
-	if compress {
-		// Worst case per tuple: a maximal key varint plus the raw value.
-		maxPayload = cnt * (binary.MaxVarintLen64 + 4)
-	}
-	if plen > maxPayload {
-		return nil, corrupt("payload length %d implausible for %d tuples", plen, cnt)
-	}
-	if uint64(len(src)) < plen {
-		return nil, corrupt("payload truncated: %d of %d bytes", len(src), plen)
-	}
-	if err := decodePayload(src[:plen], int(cnt), wide, compress, b); err != nil {
-		return nil, err
-	}
-	return src[plen:], nil
 }

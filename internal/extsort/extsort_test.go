@@ -12,7 +12,7 @@ import (
 
 // TestFormatVersionPinned pins the on-disk header encoding: any format
 // change must bump FormatVersion and update this golden, never silently
-// alias old spill files.
+// alias old run files.
 func TestFormatVersionPinned(t *testing.T) {
 	if FormatVersion != 1 {
 		t.Fatalf("FormatVersion = %d; bumping it requires new header goldens here", FormatVersion)
@@ -30,30 +30,22 @@ func TestFormatVersionPinned(t *testing.T) {
 		if !bytes.Equal(h[:], c.want) {
 			t.Errorf("EncodeHeader(%v, %v) = %v, want %v", c.wide, c.compress, h, c.want)
 		}
-		wide, compress, err := ParseHeader(h[:])
-		if err != nil || wide != c.wide || compress != c.compress {
-			t.Errorf("ParseHeader round-trip: got (%v, %v, %v)", wide, compress, err)
-		}
-	}
-	// A foreign version must be rejected.
-	h := EncodeHeader(false, false)
-	h[4] = FormatVersion + 1
-	if _, _, err := ParseHeader(h[:]); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("future version accepted: %v", err)
 	}
 }
 
-func TestHeaderRejectsGarbage(t *testing.T) {
-	for _, b := range [][]byte{
-		nil,
-		[]byte("MPRN"),
-		[]byte("XXXX\x01\x00\x00\x00"),
-		[]byte("MPRN\x01\x08\x00\x00"), // unknown flag
-		[]byte("MPRN\x01\x00\x01\x00"), // nonzero reserved
-	} {
-		if _, _, err := ParseHeader(b); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("ParseHeader(%q) = %v, want ErrCorrupt", b, err)
+// decodeSeg streams data as one segment of the given tuple count through a
+// SegReader, the package's one decode path, and returns the tuples it
+// decoded before the end of the segment or the first error.
+func decodeSeg(data []byte, wide, compress bool, maxTuples int, tuples uint64) (lo, hi []uint64, val []uint32, err error) {
+	r := NewSegReader(bytes.NewReader(data), SegInfo{Len: int64(len(data)), Tuples: tuples}, wide, compress, maxTuples)
+	defer r.Close()
+	for {
+		b, err := r.Next()
+		if err != nil || b == nil {
+			return lo, hi, val, err
 		}
+		lo, hi, val = append(lo, b.Lo...), append(hi, b.Hi...), append(val, b.Val...)
+		r.Release(b)
 	}
 }
 
@@ -80,16 +72,15 @@ func TestBlockRoundTrip(t *testing.T) {
 				}
 			}
 			enc := AppendBlock(nil, lo, hi, val, compress)
-			var b Block
-			rest, err := DecodeBlock(enc, wide, compress, n, &b)
+			gotLo, gotHi, gotVal, err := decodeSeg(enc, wide, compress, n, uint64(n))
 			if err != nil {
 				t.Fatalf("wide=%v compress=%v: %v", wide, compress, err)
 			}
-			if len(rest) != 0 {
-				t.Fatalf("decode left %d bytes", len(rest))
+			if len(gotLo) != n {
+				t.Fatalf("decoded %d tuples, want %d", len(gotLo), n)
 			}
 			for i := range lo {
-				if b.Lo[i] != lo[i] || b.Val[i] != val[i] || (wide && b.Hi[i] != hi[i]) {
+				if gotLo[i] != lo[i] || gotVal[i] != val[i] || (wide && gotHi[i] != hi[i]) {
 					t.Fatalf("tuple %d mismatch", i)
 				}
 			}
@@ -100,20 +91,22 @@ func TestBlockRoundTrip(t *testing.T) {
 func TestDecodeBlockRejectsCorruption(t *testing.T) {
 	lo := []uint64{1, 2, 3}
 	val := []uint32{10, 20, 30}
-	enc := AppendBlock(nil, lo, nil, val, false)
-	var b Block
-	// Truncations at every length must error, not panic.
-	for cut := 0; cut < len(enc); cut++ {
-		if _, err := DecodeBlock(enc[:cut], false, false, 4, &b); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("truncation at %d: err = %v, want ErrCorrupt", cut, err)
+	for _, compress := range []bool{false, true} {
+		enc := AppendBlock(nil, lo, nil, val, compress)
+		// Truncations at every length must error, not panic.
+		for cut := 0; cut < len(enc); cut++ {
+			if _, _, _, err := decodeSeg(enc[:cut], false, compress, 4, 3); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("compress=%v truncation at %d: err = %v, want ErrCorrupt", compress, cut, err)
+			}
+		}
+		// A count beyond the writer's block size is rejected.
+		if _, _, _, err := decodeSeg(enc, false, compress, 2, 3); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("compress=%v oversized count: err = %v", compress, err)
 		}
 	}
-	// A count beyond the writer's block size is rejected.
-	if _, err := DecodeBlock(enc, false, false, 2, &b); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("oversized count: err = %v", err)
-	}
 	// Decoding under the wrong shape is rejected.
-	if _, err := DecodeBlock(enc, true, false, 4, &b); !errors.Is(err, ErrCorrupt) {
+	enc := AppendBlock(nil, lo, nil, val, false)
+	if _, _, _, err := decodeSeg(enc, true, false, 4, 3); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("wrong width: err = %v", err)
 	}
 }

@@ -3,14 +3,16 @@ package extsort
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 )
 
-// FuzzRunCodec fuzzes the block codec from both directions. Forward: bytes
-// are reinterpreted as tuples, encoded raw and delta-compressed, and both
-// encodings must decode back bit-identically. Backward: the raw fuzz input
-// is fed straight to the decoder, which must either succeed or return an
-// error wrapping ErrCorrupt — never panic, hang, or over-allocate.
+// FuzzRunCodec fuzzes the block codec from both directions, decoding through
+// a SegReader. Forward: bytes are reinterpreted as tuples, encoded raw and
+// delta-compressed, and both encodings must decode back bit-identically.
+// Backward: the raw fuzz input is fed straight to the decoder as a segment,
+// which must either succeed or return an error wrapping ErrCorrupt — never
+// panic, hang, or over-allocate.
 func FuzzRunCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
@@ -21,7 +23,6 @@ func FuzzRunCodec(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxTuples = 512
-		var b Block
 
 		// Backward: arbitrary bytes through every decoder shape.
 		for _, wide := range []bool{false, true} {
@@ -29,9 +30,12 @@ func FuzzRunCodec(f *testing.F) {
 				if wide && compress {
 					continue
 				}
-				rest, err := DecodeBlock(data, wide, compress, maxTuples, &b)
-				if err == nil && len(rest) > len(data) {
-					t.Fatalf("decode produced more rest than input")
+				lo, _, _, err := decodeSeg(data, wide, compress, maxTuples, maxTuples)
+				if err != nil && !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("wide=%v compress=%v: untyped decode error %v", wide, compress, err)
+				}
+				if err == nil && len(lo) != maxTuples {
+					t.Fatalf("wide=%v compress=%v: segment decoded %d tuples, want %d", wide, compress, len(lo), maxTuples)
 				}
 			}
 		}
@@ -53,18 +57,15 @@ func FuzzRunCodec(f *testing.F) {
 		}
 		for _, compress := range []bool{false, true} {
 			enc := AppendBlock(nil, lo, nil, val, compress)
-			rest, err := DecodeBlock(enc, false, compress, n, &b)
+			gotLo, _, gotVal, err := decodeSeg(enc, false, compress, n, uint64(n))
 			if err != nil {
 				t.Fatalf("compress=%v: round-trip decode failed: %v", compress, err)
 			}
-			if len(rest) != 0 {
-				t.Fatalf("compress=%v: %d bytes left over", compress, len(rest))
-			}
-			if b.Len() != n {
-				t.Fatalf("compress=%v: %d tuples back, want %d", compress, b.Len(), n)
+			if len(gotLo) != n {
+				t.Fatalf("compress=%v: %d tuples back, want %d", compress, len(gotLo), n)
 			}
 			for i := 0; i < n; i++ {
-				if b.Lo[i] != lo[i] || b.Val[i] != val[i] {
+				if gotLo[i] != lo[i] || gotVal[i] != val[i] {
 					t.Fatalf("compress=%v: tuple %d mismatch", compress, i)
 				}
 			}
@@ -77,7 +78,9 @@ func FuzzRunCodec(f *testing.F) {
 			mut := bytes.Clone(enc)
 			i := int(val[0]) % len(mut)
 			mut[i] ^= 0xff
-			DecodeBlock(mut, false, true, n, &b)
+			if _, _, _, err := decodeSeg(mut, false, true, n, uint64(n)); err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("flipped byte %d: untyped decode error %v", i, err)
+			}
 		}
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"io"
 	"math/bits"
-	"os"
 )
 
 // segReadBufBytes caps each segment reader's file-I/O buffer. It is small:
@@ -43,10 +42,10 @@ type SegReader struct {
 	br  *bufio.Reader
 }
 
-// NewSegReader starts the decode goroutine for one segment, decoding into
-// two blocks of its own. maxTuples must be at least the writer's
-// blockTuples; it bounds decode allocations.
-func NewSegReader(f *os.File, seg SegInfo, wide, compress bool, maxTuples int) *SegReader {
+// NewSegReader starts the decode goroutine for one segment of f (a run or
+// artifact file), decoding into two blocks of its own. maxTuples must be at
+// least the writer's blockTuples; it bounds decode allocations.
+func NewSegReader(f io.ReaderAt, seg SegInfo, wide, compress bool, maxTuples int) *SegReader {
 	r := &SegReader{
 		filled: make(chan fetchedBlock, 1),
 		free:   make(chan *Block, 2),

@@ -57,11 +57,6 @@ func (r Record) Bytes(dst []byte) []byte {
 	return dst
 }
 
-// EncodedLen returns the number of bytes Bytes would append.
-func (r Record) EncodedLen() int {
-	return 1 + len(r.ID) + 1 + len(r.Seq) + 3 + len(r.Qual) + 1
-}
-
 // ErrFormat reports malformed FASTQ input.
 var ErrFormat = errors.New("fastq: malformed input")
 
@@ -206,15 +201,11 @@ func (w *Writer) Write(rec Record) error {
 	return err
 }
 
-// WriteRaw appends one record's pre-serialized bytes verbatim — the
-// zero-copy CC-I/O path. raw must be exactly one record in canonical form
-// (ChunkScanner.NextRaw's verbatim contract), so Count and BytesWritten stay
-// consistent with the Write path.
-func (w *Writer) WriteRaw(raw []byte) error { return w.WriteRawN(raw, 1) }
-
 // WriteRawN appends a contiguous span of n canonical records in one write —
 // the run-coalesced blit of the zero-copy CC-I/O path, which batches every
-// adjacent record bound for the same output file into a single copy.
+// adjacent record bound for the same output file into a single copy. raw
+// must be exactly n records in canonical form (ChunkScanner.NextRaw's
+// verbatim contract), so Count and BytesWritten stay consistent with Write.
 func (w *Writer) WriteRawN(raw []byte, n int64) error {
 	w.n += n
 	m, err := w.bw.Write(raw)
@@ -265,40 +256,9 @@ func Interleave(mate1, mate2 io.Reader, w io.Writer) (int64, error) {
 	}
 }
 
-// CountRecords scans r and returns the number of FASTQ records it holds.
-func CountRecords(r io.Reader) (int64, error) {
-	fr := NewReader(r)
-	for {
-		_, err := fr.Next()
-		if err == io.EOF {
-			return fr.Count(), nil
-		}
-		if err != nil {
-			return fr.Count(), err
-		}
-	}
-}
-
 // Equal reports whether two records have identical ID, sequence and quality.
 func Equal(a, b Record) bool {
 	return bytes.Equal(a.ID, b.ID) && bytes.Equal(a.Seq, b.Seq) && bytes.Equal(a.Qual, b.Qual)
-}
-
-// TrimQuality trims low-quality tails from a record in place, the standard
-// pre-assembly cleanup: scanning from each end, bases whose Phred score
-// (Qual byte − 33) is below minQ are removed until a passing base is found.
-// It returns the trimmed record (views into the same backing arrays).
-func TrimQuality(rec Record, minQ int) Record {
-	lo, hi := 0, len(rec.Seq)
-	for lo < hi && int(rec.Qual[lo])-33 < minQ {
-		lo++
-	}
-	for hi > lo && int(rec.Qual[hi-1])-33 < minQ {
-		hi--
-	}
-	rec.Seq = rec.Seq[lo:hi]
-	rec.Qual = rec.Qual[lo:hi]
-	return rec
 }
 
 // Open opens a FASTQ file for streaming, transparently decompressing

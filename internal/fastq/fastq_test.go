@@ -156,7 +156,7 @@ func TestWriterRoundTrip(t *testing.T) {
 		if err := w.Write(rec); err != nil {
 			t.Fatal(err)
 		}
-		total += rec.EncodedLen()
+		total += len(rec.Bytes(nil))
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestWriterRoundTrip(t *testing.T) {
 		t.Errorf("writer Count = %d", w.Count())
 	}
 	if buf.Len() != total {
-		t.Errorf("encoded size = %d, EncodedLen sum = %d", buf.Len(), total)
+		t.Errorf("encoded size = %d, Bytes sum = %d", buf.Len(), total)
 	}
 	r := NewReader(&buf)
 	for i, want := range recs {
@@ -243,14 +243,27 @@ func TestInterleaveMismatchedCounts(t *testing.T) {
 	}
 }
 
-func TestCountRecords(t *testing.T) {
-	n, err := CountRecords(strings.NewReader(sample))
-	if err != nil || n != 2 {
-		t.Errorf("CountRecords = %d, %v", n, err)
+// countRecords reads r to the end as FASTQ and returns Reader.Count.
+func countRecords(r io.Reader) (int64, error) {
+	fr := NewReader(r)
+	for {
+		if _, err := fr.Next(); err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return fr.Count(), err
+		}
 	}
-	n, err = CountRecords(strings.NewReader(""))
+}
+
+func TestCountRecords(t *testing.T) {
+	n, err := countRecords(strings.NewReader(sample))
+	if err != nil || n != 2 {
+		t.Errorf("countRecords = %d, %v", n, err)
+	}
+	n, err = countRecords(strings.NewReader(""))
 	if err != nil || n != 0 {
-		t.Errorf("CountRecords(empty) = %d, %v", n, err)
+		t.Errorf("countRecords(empty) = %d, %v", n, err)
 	}
 }
 
@@ -280,37 +293,13 @@ func BenchmarkWriter(b *testing.B) {
 	seq := bytes.Repeat([]byte("ACGT"), 25)
 	qual := bytes.Repeat([]byte("I"), 100)
 	rec := Record{ID: []byte("read"), Seq: seq, Qual: qual}
-	b.SetBytes(int64(rec.EncodedLen()))
+	b.SetBytes(int64(len(rec.Bytes(nil))))
 	w := NewWriter(io.Discard)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = w.Write(rec)
 	}
 	_ = w.Flush()
-}
-
-func TestTrimQuality(t *testing.T) {
-	cases := []struct {
-		seq, qual string
-		minQ      int
-		want      string
-	}{
-		{"ACGTACGT", "IIIIIIII", 20, "ACGTACGT"}, // all high quality
-		{"ACGTACGT", "##IIII##", 20, "GTAC"},     // both tails trimmed ('#'=Q2)
-		{"ACGTACGT", "########", 20, ""},         // everything trimmed
-		{"ACGT", "II#I", 20, "ACGT"},             // interior low-quality kept
-		{"ACGT", "#III", 20, "CGT"},              // leading only
-		{"ACGT", "III#", 20, "ACG"},              // trailing only
-	}
-	for _, c := range cases {
-		got := TrimQuality(Record{Seq: []byte(c.seq), Qual: []byte(c.qual)}, c.minQ)
-		if string(got.Seq) != c.want {
-			t.Errorf("TrimQuality(%q,%q,%d) = %q, want %q", c.seq, c.qual, c.minQ, got.Seq, c.want)
-		}
-		if len(got.Seq) != len(got.Qual) {
-			t.Errorf("trim broke seq/qual parity: %d vs %d", len(got.Seq), len(got.Qual))
-		}
-	}
 }
 
 func TestOpenPlainAndGzip(t *testing.T) {
@@ -330,7 +319,7 @@ func TestOpenPlainAndGzip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		n, err := CountRecords(f)
+		n, err := countRecords(f)
 		f.Close()
 		if err != nil || n != 2 {
 			t.Fatalf("%s: %d records, %v", path, n, err)

@@ -98,24 +98,3 @@ func FuzzScannerParity(f *testing.F) {
 		}
 	})
 }
-
-// FuzzTrimQuality checks the trimmer's invariants on arbitrary inputs.
-func FuzzTrimQuality(f *testing.F) {
-	f.Add([]byte("ACGT"), []byte("IIII"), 20)
-	f.Add([]byte(""), []byte(""), 5)
-	f.Fuzz(func(t *testing.T, seq, qual []byte, minQ int) {
-		if len(seq) != len(qual) {
-			return
-		}
-		got := TrimQuality(Record{Seq: seq, Qual: qual}, minQ)
-		if len(got.Seq) != len(got.Qual) {
-			t.Fatal("seq/qual parity broken")
-		}
-		if len(got.Seq) > len(seq) {
-			t.Fatal("trim grew the read")
-		}
-		for i := range got.Seq {
-			_ = got.Seq[i]
-		}
-	})
-}

@@ -271,7 +271,7 @@ func TestNextRawVerbatimFlags(t *testing.T) {
 }
 
 // TestWriteRawMatchesWrite checks the two writer paths produce identical
-// output and identical accounting for canonical input.
+// output and identical accounting for canonical input, one record at a time.
 func TestWriteRawMatchesWrite(t *testing.T) {
 	input := []byte("@r1 pair/1\nACGTACGT\n+\nIIIIJJJJ\n@r2\nGG\n+\nKK\n")
 
@@ -295,7 +295,7 @@ func TestWriteRawMatchesWrite(t *testing.T) {
 		if err := wr.Write(rec); err != nil {
 			t.Fatal(err)
 		}
-		if err := rw.WriteRaw(raw); err != nil {
+		if err := rw.WriteRawN(raw, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -55,7 +56,7 @@ func naiveHist(seqs [][]byte, k, m int) []uint64 {
 	hist := make([]uint64, 1<<(2*uint(m)))
 	for _, seq := range seqs {
 		kmer.ForEach64(seq, k, func(_ int, km kmer.Kmer64) {
-			hist[kmer.Prefix64(km, k, m)]++
+			hist[uint64(km)>>(2*uint(k-m))]++
 		})
 	}
 	return hist
@@ -399,14 +400,50 @@ func TestPartitionStructure(t *testing.T) {
 			}
 			for pi := 0; pi < p; pi++ {
 				alo, ahi := pt.TaskRange(si, pi)
-				wlo, _ := pt.ThreadRange(si, pi, 0)
-				_, whi := pt.ThreadRange(si, pi, tt-1)
-				if wlo != alo || whi != ahi {
+				cuts := pt.ThreadCuts(si, pi)
+				if cuts[0] != alo || cuts[tt] != ahi {
 					t.Fatal("thread ranges do not tile the task")
 				}
 			}
 		}
 	}
+}
+
+// checkTiling walks the partition tables in (pass, task, thread) order and
+// checks that they tile [0, bins): every level's ranges are monotone,
+// contiguous and exactly cover the range above them, so each bin has
+// exactly one owner at every level.
+func checkTiling(pt *Partition, bins int) error {
+	next := 0 // the first bin no task range has covered yet
+	for s := 0; s < pt.S; s++ {
+		plo, phi := pt.PassRange(s)
+		if plo != next {
+			return fmt.Errorf("pass %d starts at bin %d, want %d", s, plo, next)
+		}
+		for p := 0; p < pt.P; p++ {
+			lo, hi := pt.TaskRange(s, p)
+			if lo != next || hi < lo {
+				return fmt.Errorf("pass %d task %d owns [%d,%d), want a range from %d", s, p, lo, hi, next)
+			}
+			cuts := pt.ThreadCuts(s, p)
+			if len(cuts) != pt.T+1 || cuts[0] != lo || cuts[pt.T] != hi {
+				return fmt.Errorf("pass %d task %d: thread cuts %v do not span [%d,%d)", s, p, cuts, lo, hi)
+			}
+			for th := 0; th < pt.T; th++ {
+				if cuts[th+1] < cuts[th] {
+					return fmt.Errorf("pass %d task %d: thread cuts %v not monotone", s, p, cuts)
+				}
+			}
+			next = hi
+		}
+		if next != phi {
+			return fmt.Errorf("pass %d: tasks end at bin %d, pass at %d", s, next, phi)
+		}
+	}
+	if next != bins {
+		return fmt.Errorf("partition covers %d bins, want %d", next, bins)
+	}
+	return nil
 }
 
 func TestPartitionOwnership(t *testing.T) {
@@ -419,22 +456,8 @@ func TestPartitionOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for b := 0; b < 1024; b++ {
-		s := pt.PassOf(b)
-		lo, hi := pt.PassRange(s)
-		if b < lo || b >= hi {
-			t.Fatalf("bin %d: PassOf=%d but range [%d,%d)", b, s, lo, hi)
-		}
-		p := pt.TaskOf(s, b)
-		lo, hi = pt.TaskRange(s, p)
-		if b < lo || b >= hi {
-			t.Fatalf("bin %d: TaskOf=%d but range [%d,%d)", b, p, lo, hi)
-		}
-		th := pt.ThreadOf(s, p, b)
-		lo, hi = pt.ThreadRange(s, p, th)
-		if b < lo || b >= hi {
-			t.Fatalf("bin %d: ThreadOf=%d but range [%d,%d)", b, th, lo, hi)
-		}
+	if err := checkTiling(pt, len(hist)); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -462,12 +485,8 @@ func TestPartitionDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for b := 0; b < 2; b++ {
-		p := pt.TaskOf(0, b)
-		lo, hi := pt.TaskRange(0, p)
-		if b < lo || b >= hi {
-			t.Fatalf("bin %d misowned by task %d [%d,%d)", b, p, lo, hi)
-		}
+	if err := checkTiling(pt, len(hist)); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := NewPartition(hist, 0, 1, 1); err == nil {
 		t.Error("accepted S=0")
@@ -612,9 +631,8 @@ func TestBuildRejectsGzip(t *testing.T) {
 }
 
 func TestPartitionPropertyQuick(t *testing.T) {
-	// Property: for random histograms and dimensions, every bin is owned by
-	// exactly the (pass, task, thread) whose ranges contain it, and ranges
-	// tile each level.
+	// Property: for random histograms and dimensions, the ranges tile each
+	// level, so every bin is owned by exactly one (pass, task, thread).
 	f := func(weights []uint16, sRaw, pRaw, tRaw uint8) bool {
 		if len(weights) == 0 {
 			weights = []uint16{1}
@@ -633,30 +651,7 @@ func TestPartitionPropertyQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for b := range hist {
-			si := pt.PassOf(b)
-			lo, hi := pt.PassRange(si)
-			if b < lo || b >= hi {
-				return false
-			}
-			pi := pt.TaskOf(si, b)
-			lo, hi = pt.TaskRange(si, pi)
-			if b < lo || b >= hi {
-				return false
-			}
-			ti := pt.ThreadOf(si, pi, b)
-			lo, hi = pt.ThreadRange(si, pi, ti)
-			if b < lo || b >= hi {
-				return false
-			}
-		}
-		if lo, _ := pt.PassRange(0); lo != 0 {
-			return false
-		}
-		if _, hi := pt.PassRange(s - 1); hi != len(hist) {
-			return false
-		}
-		return true
+		return checkTiling(pt, len(hist)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -1,16 +1,13 @@
 package index
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Partition is a three-level balanced split of the m-mer bin space
 // [0, 4^m): first into S pass ranges, each pass range into P task ranges,
 // and each task range into T thread ranges. All ranges are contiguous, so a
-// k-mer's owner at every level is found by binary search on its prefix bin,
-// and every range corresponds to a contiguous slice of the sorted tuple
-// space (§3.1.1).
+// k-mer's owner at every level is found by binary search of the level's
+// cuts (TaskCuts, ThreadCuts) for its prefix bin, and every range
+// corresponds to a contiguous slice of the sorted tuple space (§3.1.1).
 type Partition struct {
 	S, P, T int
 	// passCut has S+1 monotone bin boundaries; pass s owns bins
@@ -79,30 +76,6 @@ func (pt *Partition) PassRange(s int) (lo, hi int) {
 // TaskRange returns the bin range of task p within pass s.
 func (pt *Partition) TaskRange(s, p int) (lo, hi int) {
 	return pt.taskCut[s][p], pt.taskCut[s][p+1]
-}
-
-// ThreadRange returns the bin range of thread t of task p within pass s.
-func (pt *Partition) ThreadRange(s, p, t int) (lo, hi int) {
-	return pt.threadCut[s][p][t], pt.threadCut[s][p][t+1]
-}
-
-// TaskOf returns which task owns bin b in pass s. The bin must lie inside
-// the pass range.
-func (pt *Partition) TaskOf(s, b int) int {
-	cuts := pt.taskCut[s]
-	// Find the last boundary ≤ b.
-	return sort.SearchInts(cuts[1:], b+1)
-}
-
-// ThreadOf returns which thread of task p owns bin b in pass s.
-func (pt *Partition) ThreadOf(s, p, b int) int {
-	cuts := pt.threadCut[s][p]
-	return sort.SearchInts(cuts[1:], b+1)
-}
-
-// PassOf returns which pass owns bin b.
-func (pt *Partition) PassOf(b int) int {
-	return sort.SearchInts(pt.passCut[1:], b+1)
 }
 
 // RangeCount64 sums a 64-bit histogram over the bin range [lo, hi).

@@ -44,9 +44,6 @@ const (
 	Cancelled State = "cancelled"
 )
 
-// Terminal reports whether the state is final.
-func (s State) Terminal() bool { return s == Done || s == Failed || s == Cancelled }
-
 // Typed admission errors, mapped by the HTTP layer onto status codes.
 var (
 	// ErrQueueFull rejects a submission when the bounded queue is at

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -225,7 +226,7 @@ func TestTrajectoryAppend(t *testing.T) {
 	if r.Wall() != 2*time.Second || r.Components != 3 {
 		t.Fatalf("record outcome = %+v", r)
 	}
-	if r.Drift == nil || !r.Drift.Finite() {
+	if r.Drift == nil || !finiteDrift(*r.Drift) {
 		t.Fatalf("drift lost in trajectory: %+v", r.Drift)
 	}
 	if r.Time.IsZero() {
@@ -348,4 +349,19 @@ func TestJobLogsCarryJobID(t *testing.T) {
 			t.Fatalf("record %q never logged", msg)
 		}
 	}
+}
+
+// finiteDrift reports whether every ratio of d is a positive finite number,
+// the invariant the drift report's ε-smoothing guarantees.
+func finiteDrift(d model.DriftReport) bool {
+	ratios := []float64{d.TotalRatio, d.WireRatio, d.SpillRatio}
+	for _, s := range d.Steps {
+		ratios = append(ratios, s.Ratio)
+	}
+	for _, x := range ratios {
+		if !(x > 0 && x < math.Inf(1)) { // false for NaN too
+			return false
+		}
+	}
+	return true
 }

@@ -371,14 +371,3 @@ func expandBin(b *bin, k int) []uint64 {
 	}
 	return keys
 }
-
-// unpackBases decodes n bases from packed data into ASCII.
-func unpackBases(dst, data []byte, n int) []byte {
-	for i := 0; i < n; i++ {
-		byteIdx := i / 4
-		shift := 2 * uint(3-i%4)
-		code := data[byteIdx] >> shift & 3
-		dst = append(dst, kmer.CharOf(code))
-	}
-	return dst
-}

@@ -175,6 +175,18 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
+// unpackBases decodes n bases from packed data into ASCII, the inverse
+// packBases is checked against.
+func unpackBases(dst, data []byte, n int) []byte {
+	for i := 0; i < n; i++ {
+		byteIdx := i / 4
+		shift := 2 * uint(3-i%4)
+		code := data[byteIdx] >> shift & 3
+		dst = append(dst, kmer.CharOf(code))
+	}
+	return dst
+}
+
 func TestPackUnpackRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 50; trial++ {

@@ -61,12 +61,6 @@ func Canonical64(m Kmer64, k int) Kmer64 {
 	return m
 }
 
-// Prefix64 returns the m-mer prefix of a length-k Kmer64 as an integer bin
-// in [0, 4^m). It requires m ≤ k.
-func Prefix64(km Kmer64, k, m int) uint32 {
-	return uint32(uint64(km) >> (2 * uint(k-m)))
-}
-
 // Mask64 returns the low-2k-bit mask used by rolling k-mer updates.
 func Mask64(k int) uint64 {
 	return (uint64(1) << (2 * uint(k))) - 1

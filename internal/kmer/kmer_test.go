@@ -172,14 +172,20 @@ func TestCanonical64(t *testing.T) {
 	}
 }
 
+// prefix64 is the 64-bit m-mer prefix bin, the oracle Prefix128 is checked
+// against: the top 2m bits of a length-k Kmer64. It requires m ≤ k.
+func prefix64(km Kmer64, k, m int) uint32 {
+	return uint32(uint64(km) >> (2 * uint(k-m)))
+}
+
 func TestPrefix64(t *testing.T) {
 	m, _ := Encode64([]byte("ACGTACGT"))
 	// Prefix of length 2 is "AC" = 0b0001 = 1.
-	if got := Prefix64(m, 8, 2); got != 1 {
-		t.Errorf("Prefix64 = %d, want 1", got)
+	if got := prefix64(m, 8, 2); got != 1 {
+		t.Errorf("prefix64 = %d, want 1", got)
 	}
 	// Prefix of full length is the k-mer itself.
-	if got := Prefix64(m, 8, 8); uint64(got) != uint64(m)&0xFFFF_FFFF {
+	if got := prefix64(m, 8, 8); uint64(got) != uint64(m)&0xFFFF_FFFF {
 		t.Errorf("full prefix = %d, want low bits of %d", got, m)
 	}
 }
@@ -260,12 +266,12 @@ func TestPrefix128MatchesPrefix64(t *testing.T) {
 		seq := randSeq(rng, k)
 		m64, _ := Encode64(seq)
 		m128, _ := Encode128(seq)
-		if Prefix64(m64, k, m) != Prefix128(m128, k, m) {
+		if prefix64(m64, k, m) != Prefix128(m128, k, m) {
 			t.Fatalf("prefix mismatch k=%d m=%d seq=%q", k, m, seq)
 		}
 	}
 	// KmerGen and IndexCreate bin every key with Prefix128, so a k ≤ 31 key
-	// (Hi = 0, Lo = the Kmer64 value) must land in the Prefix64 bin for
+	// (Hi = 0, Lo = the Kmer64 value) must land in the prefix64 bin for
 	// every (k, m) the index accepts, including all-T k-mers.
 	for k := 1; k <= MaxK64; k++ {
 		for m := 1; m <= min(k, 12); m++ {
@@ -275,8 +281,8 @@ func TestPrefix128MatchesPrefix64(t *testing.T) {
 					seq = []byte(strings.Repeat("T", k))
 				}
 				m64, _ := Encode64(seq)
-				if got, want := Prefix128(Kmer128{Lo: uint64(m64)}, k, m), Prefix64(m64, k, m); got != want {
-					t.Fatalf("k=%d m=%d seq=%q: Prefix128 %d, Prefix64 %d", k, m, seq, got, want)
+				if got, want := Prefix128(Kmer128{Lo: uint64(m64)}, k, m), prefix64(m64, k, m); got != want {
+					t.Fatalf("k=%d m=%d seq=%q: Prefix128 %d, prefix64 %d", k, m, seq, got, want)
 				}
 			}
 		}

@@ -327,10 +327,6 @@ func (l *Lookup) GetInShard(shard int, hi, lo uint64) (label, count uint32, ok b
 	return le.Uint32(data[base+l.labOff+4*i:]), count, true
 }
 
-// Closed reports whether Close has run — the swap tests use it to verify
-// the old epoch's memory is released once the last in-flight query drains.
-func (l *Lookup) Closed() bool { return l.closed.Load() }
-
 // Close unmaps the file. Idempotent; must not race with queries (the
 // Swapper guarantees this by refcounting epochs).
 func (l *Lookup) Close() error {

@@ -76,7 +76,7 @@ func TestSwapTorture(t *testing.T) {
 					return
 				}
 				lk := ep.Lookup()
-				if lk.Closed() {
+				if lk.closed.Load() {
 					t.Error("acquired a closed lookup")
 					ep.Release()
 					return
@@ -122,7 +122,7 @@ func TestSwapTorture(t *testing.T) {
 	// Every epoch, including the last (released by Stop), must be closed
 	// once its readers drained.
 	for i, lk := range old {
-		if !lk.Closed() {
+		if !lk.closed.Load() {
 			t.Fatalf("epoch %d not closed after drain", i)
 		}
 	}

@@ -144,10 +144,12 @@ func PaperWorkload(name string) Workload {
 // S passes. The tuple exchange is the bulk post-generation all-to-all.
 type Cluster struct {
 	P, T, S int
-	// SparseDeltaMerge models core.Config.SparseDeltaMerge: the §3.6 merge
-	// ships change-only sparse payloads over a multi-round pipeline instead
-	// of one dense 4R-byte array per tree hop, cutting both wire bytes and
-	// absorb work by the workload's NonSingletonFrac.
+	// SparseDeltaMerge models the pipeline's §3.6 merge (mpirt's
+	// PipelinedTreeMerge, the only merge core runs): change-only sparse
+	// payloads over a multi-round pipeline instead of one dense 4R-byte
+	// array per tree hop, cutting both wire bytes and absorb work by the
+	// workload's NonSingletonFrac. False models the paper's dense one-shot
+	// tree merge, kept as an analytic baseline.
 	SparseDeltaMerge bool
 	// StarBroadcast models the flat P−1-send label broadcast ablation; the
 	// default is the ⌈log P⌉-hop binomial TreeBroadcast.

@@ -84,23 +84,6 @@ func (r DriftReport) Worst() StepDrift {
 	return worst
 }
 
-// Finite reports whether every ratio in the report is a positive finite
-// number — the invariant the ε-smoothing guarantees and CI asserts.
-func (r DriftReport) Finite() bool {
-	ok := func(x float64) bool {
-		return x > 0 && !math.IsInf(x, 0) && !math.IsNaN(x)
-	}
-	if !ok(r.TotalRatio) || !ok(r.WireRatio) || !ok(r.SpillRatio) {
-		return false
-	}
-	for _, s := range r.Steps {
-		if !ok(s.Ratio) {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the report as a compact one-line summary for logs.
 func (r DriftReport) String() string {
 	w := r.Worst()

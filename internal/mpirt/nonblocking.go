@@ -1,13 +1,12 @@
 package mpirt
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
 
-// This file adds nonblocking point-to-point primitives — ISend/IRecv
-// returning request handles plus Wait/WaitAll — used by the collectives
+// This file adds the nonblocking send — ISend returning a request handle,
+// completed by Wait/WaitAll — used by the collectives
 // (PipelinedTreeMerge, TreeBroadcast) to keep sends in flight while the
 // task folds or relays.
 //
@@ -18,38 +17,29 @@ import (
 //     destination channel immediately when it has room; otherwise it is
 //     appended to a per-(src,dst) outbox drained in FIFO order by a flusher
 //     goroutine, so per-pair message ordering matches blocking Send.
-//   - IRecv is lazy: the matching channel receive happens inside Wait.
-//     Because each (src,dst) pair is a FIFO channel, this is equivalent to
-//     posting the receive eagerly — the channel itself is the posted buffer.
-//   - Wait completes the request. For sends, the modeled transfer time is
-//     charged to the task's communication clock at completion, not at the
-//     ISend call: under the NetworkModel, communication cost materializes
-//     when the program actually synchronizes on the transfer.
+//   - Receives stay blocking (Recv): each (src,dst) pair is a FIFO
+//     channel, so the channel itself is the posted receive buffer.
+//   - Wait completes the request. The modeled transfer time is charged to
+//     the task's communication clock at completion, not at the ISend call:
+//     under the NetworkModel, communication cost materializes when the
+//     program actually synchronizes on the transfer.
 //   - Abort/cancel propagation wakes blocked waiters: when the world fails,
 //     flusher goroutines abort their queues and Wait panics with the same
 //     worldAborted sentinel the blocking primitives use, recovered by
 //     RunContext — so only the goroutine running the task body may Wait.
 
-// Request is an in-flight nonblocking operation returned by ISend or IRecv
-// and completed by Wait. A Request must be waited by exactly one goroutine.
+// Request is an in-flight nonblocking send returned by ISend and completed
+// by Wait. A Request must be waited by exactly one goroutine.
 type Request struct {
-	// Send-side fields.
-	msg  message
-	dst  int
-	cost time.Duration
+	msg   message
+	dst   int
+	bytes int
+	cost  time.Duration
 	// done closes when the message has been handed to the destination
 	// channel (or the request was aborted). Closed-with-aborted-set is
 	// ordered before Wait's read by the channel-close happens-before edge.
-	done    chan struct{}
-	aborted bool
-
-	// Recv-side fields.
-	isRecv bool
-	src    int
-	tag    int
-
-	bytes     int
-	payload   any
+	done      chan struct{}
+	aborted   bool
 	completed bool
 }
 
@@ -136,48 +126,18 @@ func (w *World) flushOutbox(ob *outbox, dst, src int) {
 	}
 }
 
-// IRecv posts a nonblocking receive for the next message from src with the
-// given tag. The actual channel receive happens in Wait; the per-pair FIFO
-// channel is the posted buffer, so matching order is identical to eager
-// posting.
-func (t *Task) IRecv(src, tag int) *Request {
-	return &Request{isRecv: true, src: src, tag: tag}
-}
-
-// Wait blocks until the request completes and returns the received payload
-// (nil for sends). For sends, the modeled transfer time and byte count are
-// charged to this task's communication clock here — at completion — so
-// overlapped schedules account cost where the program synchronizes. Wait on
-// an already-completed request is a cheap no-op returning the same payload.
-// If the world was aborted before the request could complete, Wait panics
-// with the abort sentinel (recovered by RunContext).
-func (t *Task) Wait(r *Request) any {
+// Wait blocks until the send completes. The modeled transfer time and byte
+// count are charged to this task's communication clock here — at
+// completion — so overlapped schedules account cost where the program
+// synchronizes. Wait on an already-completed request is a no-op. If the
+// world was aborted before the request could complete, Wait panics with the
+// abort sentinel (recovered by RunContext).
+func (t *Task) Wait(r *Request) {
 	if r.completed {
-		return r.payload
+		return
 	}
 	r.completed = true
 	w := t.world
-	if r.isRecv {
-		var m message
-		select {
-		case m = <-w.chans[t.rank][r.src]:
-		case <-w.failed:
-			// A message may have raced in just as the world failed;
-			// prefer completing over aborting if one is ready.
-			select {
-			case m = <-w.chans[t.rank][r.src]:
-			default:
-				panic(worldAborted{})
-			}
-		}
-		if m.tag != r.tag {
-			panic(fmt.Sprintf("mpirt: rank %d expected tag %d from %d, got %d",
-				t.rank, r.tag, r.src, m.tag))
-		}
-		r.payload = m.payload
-		r.bytes = m.bytes
-		return m.payload
-	}
 	select {
 	case <-r.done:
 	case <-w.failed:
@@ -192,7 +152,6 @@ func (t *Task) Wait(r *Request) any {
 		t.commTime += r.cost
 		t.bytesSent += int64(r.bytes)
 	}
-	return nil
 }
 
 // WaitAll completes every request in order.

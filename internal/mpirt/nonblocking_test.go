@@ -39,9 +39,9 @@ func TestISendBeyondChannelCapacity(t *testing.T) {
 	}
 }
 
-// TestIRecvMatchesISend pairs the two nonblocking primitives and checks
-// payloads, tags, and the self-send path.
-func TestIRecvMatchesISend(t *testing.T) {
+// TestISendMatchesRecv pairs nonblocking sends with blocking receives and
+// checks payloads, tags, and the self-send path.
+func TestISendMatchesRecv(t *testing.T) {
 	w := NewWorld(3, nil)
 	err := w.Run(func(task *Task) error {
 		p := task.Size()
@@ -49,8 +49,7 @@ func TestIRecvMatchesISend(t *testing.T) {
 			dst := (task.Rank() + i) % p
 			src := (task.Rank() - i + p) % p
 			sr := task.ISend(dst, 40+i, task.Rank()*100+dst, 8)
-			rr := task.IRecv(src, 40+i)
-			got := task.Wait(rr).(int)
+			got := task.Recv(src, 40+i).(int)
 			if want := src*100 + task.Rank(); got != want {
 				t.Errorf("rank %d stage %d: payload = %d, want %d", task.Rank(), i, got, want)
 			}
@@ -89,7 +88,7 @@ func TestWaitChargesCommTimeAtCompletion(t *testing.T) {
 			}
 			// Self-sends are free.
 			sr := task.ISend(0, 4, "y", 500)
-			task.Wait(task.IRecv(0, 4))
+			task.Recv(0, 4)
 			task.Wait(sr)
 			if d := task.TakeCommTime(); d != 0 {
 				t.Errorf("self-send charged commTime %v", d)
@@ -137,9 +136,9 @@ func TestCancelWhileInflight(t *testing.T) {
 }
 
 // TestWorldAbortWakesWaiters checks a peer error (rather than ctx cancel)
-// wakes both a Wait blocked on an undrained ISend and a Wait blocked on an
-// IRecv that will never be satisfied: Run returns the root cause instead of
-// hanging, and neither Wait returns normally.
+// wakes both a Wait blocked on an undrained ISend and a Recv blocked on a
+// message that will never come: Run returns the root cause instead of
+// hanging, and neither returns normally.
 func TestWorldAbortWakesWaiters(t *testing.T) {
 	boom := errors.New("rank 2 failed")
 	w := NewWorld(3, nil)
@@ -154,8 +153,8 @@ func TestWorldAbortWakesWaiters(t *testing.T) {
 			task.WaitAll(reqs)
 			t.Error("WaitAll returned despite receiver never draining")
 		case 1:
-			task.Wait(task.IRecv(2, 77)) // rank 2 errors instead of sending
-			t.Error("Wait on an unsatisfiable IRecv returned")
+			task.Recv(2, 77) // rank 2 errors instead of sending
+			t.Error("Recv of a message never sent returned")
 		case 2:
 			return boom
 		}

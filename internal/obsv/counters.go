@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"encoding/json"
 	"io"
 	"sort"
 	"sync/atomic"
@@ -105,17 +104,6 @@ func (c *Collector) CountersTable() *stats.Table {
 		t.AddRow(cv.Name, rank, cv.Value)
 	}
 	return t
-}
-
-// WriteCountersJSON writes the counter snapshot as a JSON array.
-func (c *Collector) WriteCountersJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	snapshot := c.Counters()
-	if snapshot == nil {
-		snapshot = []CounterValue{}
-	}
-	return enc.Encode(snapshot)
 }
 
 // WriteCountersCSV writes the counter snapshot as CSV with a header row.

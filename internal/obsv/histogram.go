@@ -119,35 +119,6 @@ func (h *Histogram) Merge(s HistogramSnapshot) {
 	h.count.Add(s.Count)
 }
 
-// Quantile returns the upper bound of the bucket containing the q-th
-// quantile observation (0 for an empty histogram, the last finite bound
-// for the +Inf bucket) — the scrape-free way to read p50/p99 locally.
-func (s HistogramSnapshot) Quantile(q float64) time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	target := uint64(q * float64(s.Count))
-	if target < 1 {
-		target = 1
-	}
-	var cum uint64
-	for i, n := range s.Buckets {
-		cum += n
-		if cum >= target {
-			if i >= NumHistogramBuckets {
-				return histBucket0 << uint(NumHistogramBuckets-1)
-			}
-			return histBucket0 << uint(i)
-		}
-	}
-	return histBucket0 << uint(NumHistogramBuckets-1)
-}
-
 // Histogram returns the histogram registered under (rank, name), creating
 // it on first use — the same registration pattern as Counter. A nil
 // collector returns a nil (no-op) histogram.

@@ -131,9 +131,6 @@ func (c *Collector) Dropped() uint64 {
 	return c.dropped
 }
 
-// Enabled reports whether the collector records anything (false for nil).
-func (c *Collector) Enabled() bool { return c != nil }
-
 // Epoch returns the collector's time origin (zero time for nil).
 func (c *Collector) Epoch() time.Time {
 	if c == nil {

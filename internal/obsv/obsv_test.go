@@ -15,9 +15,6 @@ import (
 // branch-only.
 func TestNilCollectorNoOps(t *testing.T) {
 	var c *Collector
-	if c.Enabled() {
-		t.Fatal("nil collector reports enabled")
-	}
 	sp := c.StartSpan(0, 0, "step", "x")
 	sp.End()
 	sp.EndArgs(map[string]any{"k": 1})
@@ -81,17 +78,6 @@ func TestCounters(t *testing.T) {
 	}
 	if !strings.Contains(csv.String(), "beta,-,7") {
 		t.Errorf("CSV missing run-global beta row:\n%s", csv.String())
-	}
-	var js bytes.Buffer
-	if err := c.WriteCountersJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	var back []CounterValue
-	if err := json.Unmarshal(js.Bytes(), &back); err != nil {
-		t.Fatalf("counters JSON round-trip: %v", err)
-	}
-	if len(back) != len(want) {
-		t.Fatalf("JSON snapshot has %d entries, want %d", len(back), len(want))
 	}
 }
 

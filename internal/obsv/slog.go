@@ -69,9 +69,3 @@ func NewLogger(w io.Writer, format string, level slog.Level) (*slog.Logger, erro
 	}
 	return slog.New(jobIDHandler{h}), nil
 }
-
-// NopLogger returns a logger that discards every record — the nil-safe
-// default for layers whose callers did not configure logging.
-func NopLogger() *slog.Logger {
-	return slog.New(slog.DiscardHandler)
-}

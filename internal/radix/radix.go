@@ -24,25 +24,6 @@ package radix
 
 import "math/bits"
 
-// SignificantBytes64 returns the number of low-order 8-bit digits in which
-// keys drawn from the contiguous interval [min, max] can differ — the pass
-// count an LSD radix sort needs for such keys. Because the interval is
-// contiguous, every key in it shares the common high-order bits of min and
-// max, so only the bytes below the highest differing bit participate.
-func SignificantBytes64(min, max uint64) int {
-	return (bits.Len64(min^max) + 7) / 8
-}
-
-// SignificantBytes128 is SignificantBytes64 for 128-bit keys held as hi/lo
-// word pairs. The result counts 8-bit digits across both words (0..16) and
-// is the pass count for SortPairs128.
-func SignificantBytes128(minHi, minLo, maxHi, maxLo uint64) int {
-	if x := minHi ^ maxHi; x != 0 {
-		return (64 + bits.Len64(x) + 7) / 8
-	}
-	return (bits.Len64(minLo^maxLo) + 7) / 8
-}
-
 // SortPairs64Range sorts keys known to lie in the contiguous interval
 // [min, max] with the MSD-first kernel (sorter64), which touches only the
 // bits that interval leaves undetermined. The result is that of a stable
@@ -342,7 +323,7 @@ func SortPairs64Digit16(keys []uint64, vals []uint32, tmpK []uint64, tmpV []uint
 // 8 passes over lo then 8 over hi, 16 passes total as in the paper's
 // 63-mer configuration (§4.4). passes selects how many low-order bytes of
 // the 128-bit key participate (16 covers the full key; a canonical k-mer
-// needs only ⌈2k/8⌉, see SignificantBytes128). Scratch slices must be ≥
+// needs only ⌈2k/8⌉). Scratch slices must be ≥
 // len(lo).
 func SortPairs128(hi, lo []uint64, vals []uint32, tmpHi, tmpLo []uint64, tmpV []uint32, passes int) {
 	n := len(lo)

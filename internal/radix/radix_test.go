@@ -321,49 +321,6 @@ func TestSortKeys64(t *testing.T) {
 
 // --- key-range-aware entry points -----------------------------------------
 
-func TestSignificantBytes64(t *testing.T) {
-	cases := []struct {
-		min, max uint64
-		want     int
-	}{
-		{0, 0, 0},
-		{7, 7, 0},
-		{0, 1, 1},
-		{0, 255, 1},
-		{0, 256, 2},
-		{0, 1<<54 - 1, 7},
-		{0, ^uint64(0), 8},
-		{1 << 53, 1<<54 - 1, 7},     // shared top bit region still spans 53 low bits
-		{1 << 60, 1<<60 | 0xFF, 1},  // high bits pinned, one live byte
-		{1 << 60, 1<<60 | 0x1FF, 2}, // 9 live bits
-	}
-	for _, c := range cases {
-		if got := SignificantBytes64(c.min, c.max); got != c.want {
-			t.Errorf("SignificantBytes64(%#x, %#x) = %d, want %d", c.min, c.max, got, c.want)
-		}
-	}
-}
-
-func TestSignificantBytes128(t *testing.T) {
-	cases := []struct {
-		minHi, minLo, maxHi, maxLo uint64
-		want                       int
-	}{
-		{0, 0, 0, 0, 0},
-		{0, 0, 0, ^uint64(0), 8},
-		{0, 0, 1, 0, 9},
-		{0, 0, 1<<62 - 1, ^uint64(0), 16},
-		{3, 0, 3, 255, 1},
-		{1 << 40, 0, 1<<40 | 1, 0, 9}, // hi words differ in bit 0 → 64+1 bits
-	}
-	for _, c := range cases {
-		if got := SignificantBytes128(c.minHi, c.minLo, c.maxHi, c.maxLo); got != c.want {
-			t.Errorf("SignificantBytes128(%#x,%#x, %#x,%#x) = %d, want %d",
-				c.minHi, c.minLo, c.maxHi, c.maxLo, got, c.want)
-		}
-	}
-}
-
 func TestSortPairs64Range(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, n := range []int{0, 1, 2, 100, 3000, 1<<16 + 1} {

@@ -209,16 +209,6 @@ func (t *QueryTier) ArtifactCommitted(name, path string) {
 	}
 }
 
-// FollowedKey returns the store key the tier currently follows.
-func (t *QueryTier) FollowedKey() string {
-	t.keyMu.Lock()
-	defer t.keyMu.Unlock()
-	return t.key
-}
-
-// Swaps returns how many times a lookup has been (re)published.
-func (t *QueryTier) Swaps() uint64 { return t.swaps.Load() }
-
 func (t *QueryTier) rebuildLoop() {
 	defer t.wg.Done()
 	for {

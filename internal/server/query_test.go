@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -10,10 +11,13 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"metaprep/internal/artifact"
+	"metaprep/internal/core"
+	"metaprep/internal/index"
 	"metaprep/internal/jobs"
 	"metaprep/internal/kmer"
 )
@@ -114,9 +118,9 @@ func absentKmer(t *testing.T, present []string) string {
 func waitSwaps(t *testing.T, tier *QueryTier, want uint64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for tier.Swaps() < want {
+	for tier.swaps.Load() < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("tier never reached %d swaps (at %d)", want, tier.Swaps())
+			t.Fatalf("tier never reached %d swaps (at %d)", want, tier.swaps.Load())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -294,12 +298,17 @@ func TestQueryTierAutoKey(t *testing.T) {
 		t.Fatalf("expected 503 before first artifact, got %d %v", code, err)
 	}
 	// Incremental artifacts never get adopted.
+	followed := func() string {
+		tier.keyMu.Lock()
+		defer tier.keyMu.Unlock()
+		return tier.key
+	}
 	tier.ArtifactCommitted("i-job1.mpa", pathA)
-	if k := tier.FollowedKey(); k != "auto" {
+	if k := followed(); k != "auto" {
 		t.Fatalf("adopted incremental artifact: key %q", k)
 	}
 	tier.ArtifactCommitted("p-first.mpa", pathA)
-	if k := tier.FollowedKey(); k != "p-first.mpa" {
+	if k := followed(); k != "p-first.mpa" {
 		t.Fatalf("key = %q, want p-first.mpa", k)
 	}
 	waitSwaps(t, tier, 1)
@@ -396,4 +405,108 @@ func getBody(t *testing.T, url string) string {
 		}
 	}
 	return sb.String()
+}
+
+// TestQueryMatchesPartition checks POST /query against the pipeline's own
+// partition: a real 2-task run writes an artifact, the tier serves it, and
+// four concurrent clients ask for every distinct k-mer in batches of 16 and
+// of 256. Every k-mer must be found, with the label Result.Labels gives the
+// reads that hold it and the count of its run in the artifact's stream.
+func TestQueryMatchesPartition(t *testing.T) {
+	idx, err := index.Load(buildIndexFile(t, 47))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cfg := core.Default(idx)
+	cfg.Tasks, cfg.Threads = 2, 2
+	cfg.ArtifactOut = filepath.Join(dir, "run.mpa")
+	res, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The reference: each distinct k-mer once, with the pipeline's label for
+	// the reads in its run (they must agree) and the run's length.
+	type want struct {
+		kmer         string
+		label, count uint32
+	}
+	var refs []want
+	ar, err := artifact.Open(cfg.ArtifactOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ar.Close()
+	st, err := ar.Kmers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := ar.Meta().K
+	for {
+		_, lo, read, ok, err := st.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		km := kmer.String64(kmer.Kmer64(lo), k)
+		if n := len(refs); n > 0 && refs[n-1].kmer == km {
+			if label := res.Labels[read]; label != refs[n-1].label {
+				t.Fatalf("k-mer %s: reads in components %d and %d", km, refs[n-1].label, label)
+			}
+			refs[n-1].count++
+			continue
+		}
+		refs = append(refs, want{km, res.Labels[read], 1})
+	}
+	const clients, maxBatch = 4, 256
+	if len(refs) <= (clients-1)*maxBatch {
+		t.Fatalf("only %d distinct k-mers: some client would get no batch of %d", len(refs), maxBatch)
+	}
+
+	tier, err := NewQueryTier(QueryOptions{Dir: filepath.Join(dir, "lookups"), Artifact: cfg.ArtifactOut})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier.Close()
+	srv, _ := newTestServer(t, jobs.Options{Workers: 1}, Options{Query: tier})
+
+	for _, batch := range []int{16, maxBatch} {
+		var wg sync.WaitGroup
+		for c := range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// Client c asks batches c, c+clients, c+2·clients, …
+				for lo := c * batch; lo < len(refs); lo += clients * batch {
+					part := refs[lo:min(lo+batch, len(refs))]
+					req := QueryRequest{}
+					for _, r := range part {
+						req.Kmers = append(req.Kmers, r.kmer)
+					}
+					body, _ := json.Marshal(req)
+					resp, err := http.Post(srv.URL+"/query", "application/json", bytes.NewReader(body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					var qr QueryResponse
+					err = json.NewDecoder(resp.Body).Decode(&qr)
+					resp.Body.Close()
+					if err != nil || resp.StatusCode != http.StatusOK || len(qr.Kmers) != len(part) {
+						t.Errorf("batch %d at %d: status %d, %d answers, err %v", batch, lo, resp.StatusCode, len(qr.Kmers), err)
+						return
+					}
+					for i, a := range qr.Kmers {
+						if r := part[i]; !a.Found || a.Label != r.label || a.Count != r.count {
+							t.Errorf("batch %d: %s answered %+v, want label %d count %d", batch, r.kmer, a, r.label, r.count)
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
 }

@@ -134,9 +134,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// SetReady flips the /readyz signal (false at drain start).
-func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
-
 // SubmitRequest is the POST /jobs body. Index is the path to an index file
 // built with `metaprep index`; the rest mirror core.Config (zero values
 // default to a single-task, single-pass run with CCOpt on, like

@@ -125,7 +125,7 @@ func pollDone(t *testing.T, base, id string) jobs.Status {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET /jobs/%s: %d", id, resp.StatusCode)
 		}
-		if st.State.Terminal() {
+		if st.State == jobs.Done || st.State == jobs.Failed || st.State == jobs.Cancelled {
 			return st
 		}
 		if time.Now().After(deadline) {

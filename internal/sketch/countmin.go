@@ -50,6 +50,3 @@ func (c *CountMin) Add(h1, h2 uint64) {
 		}
 	}
 }
-
-// SizeBytes is the counter array's memory footprint.
-func (c *CountMin) SizeBytes() int64 { return int64(len(c.rows)) }
