@@ -17,6 +17,16 @@ import (
 // current pass directly into its precomputed sub-regions of the task's
 // kmerOut buffer — no locks, no atomics.
 //
+// Each read runs one loop per key width (k ≤ 31 and k > 31) in three
+// stages, with no call per k-mer and no branch on the pass test:
+// kmer.Roller rolls a block of up to BlockKeys canonical keys into the
+// thread's block; the block is compacted in place to the keys whose m-mer
+// bin lies in the pass's range (keys[n] = key; n += InRange(bin), so a
+// pass that keeps half its k-mers mispredicts nothing); and the survivors
+// are scattered through the bin → owner table into their destinations'
+// regions of kmerOut's columns, each store bounds-checked against the
+// thread's region.
+//
 // Chunk input is overlapped with enumeration: each thread owns a small ring
 // of chunk buffers and an asynchronous reader goroutine that fills buffer
 // i+1 while the thread parses buffer i (depth controlled by
@@ -103,16 +113,17 @@ func (st *taskState) kmerGenThread(s, t int, chunks []int, fetch *chunkFetcher, 
 		}
 	}
 	overflow := false
-	emit := func(bin int, hi, lo uint64, val uint32) {
-		dst := int(owner[bin-passLo])
-		i := cur[dst]
-		if i >= lim[dst] {
-			overflow = true
-			return
-		}
-		cur[dst]++
-		st.out.set(i, hi, lo, val)
-	}
+
+	// The enumeration state and the hoisted output columns: keys roll into
+	// per-thread blocks, and tuples go straight into kmerOut's slices.
+	wide := k > kmer.MaxK64
+	var roll kmer.Roller
+	var hiBlock, loBlock kmer.Block
+	outHi, outLo, outVal := st.out.hi, st.out.lo, st.out.val
+	binLo, binHi := uint64(passLo), uint64(passHi)
+	// A narrow key's bin is key >> shift; shift ≤ 60, and the mask drops the
+	// compiler's guard for shifts of 64 and more.
+	shift := 2 * uint(k-m) & 63
 
 	var scanner fastq.ChunkScanner
 	obs := st.obs
@@ -162,12 +173,48 @@ func (st *taskState) kmerGenThread(s, t int, chunks []int, fetch *chunkFetcher, 
 				// component roots.
 				val = st.dsu.Find(readID)
 			}
-			kmer.ForEachKey(rec.Seq, k, func(_ int, km kmer.Kmer128) {
-				bin := int(kmer.Prefix128(km, k, m))
-				if bin >= passLo && bin < passHi {
-					emit(bin, km.Hi, km.Lo, val)
+			roll.Reset(rec.Seq, k)
+			if !wide {
+				for _, keys := roll.Next64(&loBlock); len(keys) > 0; _, keys = roll.Next64(&loBlock) {
+					// Compact the block to the pass's k-mers in place, then
+					// scatter the survivors to their owners' regions.
+					kept := 0
+					for _, key := range keys {
+						keys[kept] = key
+						kept += kmer.InRange(key>>shift, binLo, binHi)
+					}
+					for _, key := range keys[:kept] {
+						dst := owner[key>>shift-binLo]
+						i := cur[dst]
+						if i >= lim[dst] {
+							overflow = true
+							continue
+						}
+						cur[dst] = i + 1
+						outLo[i], outVal[i] = key, val
+					}
 				}
-			})
+				continue
+			}
+			for _, his, los := roll.Next128(&hiBlock, &loBlock); len(los) > 0; _, his, los = roll.Next128(&hiBlock, &loBlock) {
+				kept := 0
+				for j := range los {
+					km := kmer.Kmer128{Hi: his[j], Lo: los[j]}
+					his[kept], los[kept] = km.Hi, km.Lo
+					kept += kmer.InRange(uint64(kmer.Prefix128(km, k, m)), binLo, binHi)
+				}
+				for j := range los[:kept] {
+					km := kmer.Kmer128{Hi: his[j], Lo: los[j]}
+					dst := owner[uint64(kmer.Prefix128(km, k, m))-binLo]
+					i := cur[dst]
+					if i >= lim[dst] {
+						overflow = true
+						continue
+					}
+					cur[dst] = i + 1
+					outHi[i], outLo[i], outVal[i] = km.Hi, km.Lo, val
+				}
+			}
 		}
 		parse := time.Since(t0)
 		*genTime += parse

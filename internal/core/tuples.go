@@ -44,15 +44,6 @@ func (b *tupleBuf) memBytes() int64 {
 	return n * per
 }
 
-// set stores a tuple at index i.
-func (b *tupleBuf) set(i uint64, hi, lo uint64, val uint32) {
-	b.lo[i] = lo
-	b.val[i] = val
-	if b.hi != nil {
-		b.hi[i] = hi
-	}
-}
-
 // view returns t's tuples [a, b) as a tupleBuf of their own.
 func (t *tupleBuf) view(a, b uint64) tupleBuf {
 	v := tupleBuf{lo: t.lo[a:b:b], val: t.val[a:b:b]}

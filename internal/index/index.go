@@ -165,15 +165,15 @@ func build(files []string, opts Options, workers int) (*Index, error) {
 	}
 	if workers > 1 {
 		// Each worker histograms a block of chunks into one reused
-		// scratch, compacting it as each chunk ends.
+		// binHist, compacting its counts as each chunk ends.
 		n := len(idx.Chunks)
 		workers = min(workers, n)
 		errs := make([]error, n)
 		par.Run(workers, func(w int) {
 			lo, hi := par.Block(n, workers, w)
-			scratch := make([]uint32, opts.Bins())
+			h := newBinHist(opts)
 			for ci := lo; ci < hi; ci++ {
-				errs[ci] = idx.histogramChunk(ci, scratch)
+				errs[ci] = idx.histogramChunk(ci, h)
 			}
 		})
 		for _, err := range errs {
@@ -195,13 +195,13 @@ func build(files []string, opts Options, workers int) (*Index, error) {
 // scanChunks performs the sequential pass over all files: it places chunk
 // boundaries at record starts (aligned to pair starts in paired mode),
 // assigns global read IDs, and — when withHist is true — also histograms
-// canonical k-mers into one scratch that is compacted into the chunk as it
-// ends.
+// canonical k-mers into one binHist whose counts are compacted into the
+// chunk as it ends.
 func (idx *Index) scanChunks(withHist bool) error {
 	opts := idx.Opts
-	var scratch []uint32
+	var h *binHist
 	if withHist {
-		scratch = make([]uint32, opts.Bins())
+		h = newBinHist(opts)
 	}
 	var globalRecord int64
 	// Mate-pair bookkeeping: the pair ID of file fi's record j is
@@ -228,8 +228,8 @@ func (idx *Index) scanChunks(withHist bool) error {
 			if cur != nil {
 				cur.Size = end - cur.Offset
 				if withHist {
-					cur.Hist = NewChunkHist(scratch)
-					clear(scratch)
+					cur.Hist = NewChunkHist(h.counts)
+					clear(h.counts)
 				}
 				idx.Chunks = append(idx.Chunks, *cur)
 				cur = nil
@@ -268,7 +268,7 @@ func (idx *Index) scanChunks(withHist bool) error {
 			idx.TotalBases += int64(len(rec.Seq))
 			globalRecord++
 			if withHist {
-				histSeq(scratch, rec.Seq, opts)
+				h.add(rec.Seq)
 			}
 		}
 		f.Close()
@@ -293,10 +293,10 @@ func (idx *Index) scanChunks(withHist bool) error {
 // histogramChunk fills chunk ci's histogram by reading its byte range with
 // one ReadAt and scanning the records in place (chunks are sized to be
 // buffer-resident, so the zero-copy ChunkScanner applies). It counts into
-// scratch, a 4^m array, and compacts the counts.
-func (idx *Index) histogramChunk(ci int, scratch []uint32) error {
+// h and compacts the counts.
+func (idx *Index) histogramChunk(ci int, h *binHist) error {
 	c := &idx.Chunks[ci]
-	clear(scratch)
+	clear(h.counts)
 	f, err := os.Open(idx.Files[c.File])
 	if err != nil {
 		return err
@@ -312,17 +312,42 @@ func (idx *Index) histogramChunk(ci int, scratch []uint32) error {
 		if err != nil {
 			return fmt.Errorf("index: chunk %d of %s: %w", ci, idx.Files[c.File], err)
 		}
-		histSeq(scratch, rec.Seq, idx.Opts)
+		h.add(rec.Seq)
 	}
-	c.Hist = NewChunkHist(scratch)
+	c.Hist = NewChunkHist(h.counts)
 	return nil
 }
 
-// histSeq adds the canonical k-mer m-mer-prefix counts of one sequence.
-func histSeq(hist []uint32, seq []byte, opts Options) {
-	kmer.ForEachKey(seq, opts.K, func(_ int, m kmer.Kmer128) {
-		hist[kmer.Prefix128(m, opts.K, opts.M)]++
-	})
+// binHist counts the m-mer bins of canonical k-mers into a 4^m array,
+// rolling each sequence a block at a time through blocks it keeps.
+type binHist struct {
+	counts []uint32
+	k, m   int
+	roll   kmer.Roller
+	hi, lo kmer.Block
+}
+
+func newBinHist(opts Options) *binHist {
+	return &binHist{counts: make([]uint32, opts.Bins()), k: opts.K, m: opts.M}
+}
+
+// add counts the bins of seq's canonical k-mers.
+func (h *binHist) add(seq []byte) {
+	h.roll.Reset(seq, h.k)
+	if h.k > kmer.MaxK64 {
+		for _, his, los := h.roll.Next128(&h.hi, &h.lo); len(los) > 0; _, his, los = h.roll.Next128(&h.hi, &h.lo) {
+			for j := range los {
+				h.counts[kmer.Prefix128(kmer.Kmer128{Hi: his[j], Lo: los[j]}, h.k, h.m)]++
+			}
+		}
+		return
+	}
+	shift := 2 * uint(h.k-h.m)
+	for _, keys := h.roll.Next64(&h.lo); len(keys) > 0; _, keys = h.roll.Next64(&h.lo) {
+		for _, key := range keys {
+			h.counts[key>>shift]++
+		}
+	}
 }
 
 // readID maps a global record number to its global read ID.

@@ -14,10 +14,13 @@
 // radix sort packed k-mers directly and lets an m-mer prefix of the k-mer act
 // as a histogram bin (package index) and as an owner-task selector.
 //
-// The pipeline, IndexCreate and the query paths turn reads and query
-// strings into keys through two width-agnostic entry points, ForEachKey and
-// CanonicalKey. Both derive the representation from k and yield a Kmer128
-// whose Hi word is zero for k ≤ 31.
+// Reads become keys through one scalar roll per width, in block form:
+// Roller.Next64 (k ≤ 31) and Roller.Next128 fill a block of consecutive
+// windows' canonical keys at a time. KmerGen and IndexCreate loop over the
+// blocks; the query paths and other per-key callers use ForEachKey, a loop
+// over them, and CanonicalKey for one k-mer string. Both derive the
+// representation from k and yield a Kmer128 whose Hi word is zero for
+// k ≤ 31.
 package kmer
 
 import (

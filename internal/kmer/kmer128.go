@@ -123,6 +123,15 @@ func Prefix128(km Kmer128, k, m int) uint32 {
 	return uint32(km.Lo>>shift | km.Hi<<(64-shift))
 }
 
+// InRange is 1 when bin lies in [lo, hi) and 0 otherwise, computed without
+// a branch, so a loop that keeps the k-mers of one bin range costs the
+// same whichever way each goes: bin−lo has its top bit clear exactly when
+// bin ≥ lo, and bin−hi has it set exactly when bin < hi. All three values
+// must be below 2^63, as bins and their bounds are.
+func InRange(bin, lo, hi uint64) int {
+	return int((^(bin - lo) & (bin - hi)) >> 63)
+}
+
 // OrBaseAt ORs a 2-bit base code into the most significant base position of
 // a length-k k-mer (the rolling reverse-complement update and the de Bruijn
 // predecessor step both prepend bases).

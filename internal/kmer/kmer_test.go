@@ -510,3 +510,38 @@ func BenchmarkForEach128(b *testing.B) {
 		ForEach128(seq, 55, func(int, Kmer128) {})
 	}
 }
+
+func BenchmarkKeyBlock64(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	seq := randSeq(rng, 100)
+	b.SetBytes(100)
+	var r Roller
+	var block Block
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		r.Reset(seq, 27)
+		for _, keys := r.Next64(&block); len(keys) > 0; _, keys = r.Next64(&block) {
+			sink ^= keys[len(keys)-1]
+		}
+	}
+	blockSink = sink
+}
+
+func BenchmarkKeyBlock128(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	seq := randSeq(rng, 100)
+	b.SetBytes(100)
+	var r Roller
+	var hi, lo Block
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		r.Reset(seq, 55)
+		for _, _, keys := r.Next128(&hi, &lo); len(keys) > 0; _, _, keys = r.Next128(&hi, &lo) {
+			sink ^= keys[len(keys)-1]
+		}
+	}
+	blockSink = sink
+}
+
+// blockSink keeps the benchmarks' block reads live.
+var blockSink uint64

@@ -103,34 +103,60 @@ func synthSeq(n int) []byte {
 	return s
 }
 
-// measureScan times rolling k-mer enumeration without tuple storage, through
-// the enumerator KmerGen calls.
+// measureScan times what KmerGen spends, every pass, on the k-mers the pass
+// filters out: the block roll (Roller.Next64) and the branch-free
+// selection that compacts each block to the pass's bins, here over a bin
+// range that keeps nothing. That is the §3.7 S·scan term.
 func measureScan() float64 {
+	const k, m = 27, 12
 	seq := synthSeq(1 << 20)
-	var sink uint64
+	var r kmer.Roller
+	var block kmer.Block
+	shift := uint(2 * (k - m))
+	empty := uint64(1) << (2 * m) // [4^m, 4^m) holds no bin
+	kept := 0
 	start := time.Now()
 	reps := 50
-	for r := 0; r < reps; r++ {
-		kmer.ForEachKey(seq, 27, func(_ int, m kmer.Kmer128) { sink ^= m.Lo })
+	for rep := 0; rep < reps; rep++ {
+		r.Reset(seq, k)
+		for _, keys := r.Next64(&block); len(keys) > 0; _, keys = r.Next64(&block) {
+			n := 0
+			for _, key := range keys {
+				keys[n] = key
+				n += kmer.InRange(key>>shift, empty, empty)
+			}
+			kept += n
+		}
 	}
 	el := time.Since(start).Seconds()
-	_ = sink
+	_ = kept
 	return float64(reps) * float64(len(seq)) / el
 }
 
-// measureEmit times the scalar canonical roll including buffer stores
-// (AppendCanonical64), the closest proxy for KmerGen's per-tuple marginal
-// cost.
+// measureEmit times the block roll that stores every key with a 32-bit
+// value into flat columns, as KmerGen stores a pass's tuples in kmerOut:
+// the closest proxy for KmerGen's per-tuple cost.
 func measureEmit() float64 {
 	seq := synthSeq(1 << 20)
-	buf := make([]kmer.Kmer64, 0, 1<<20)
+	lo := make([]uint64, len(seq))
+	val := make([]uint32, len(seq))
+	var r kmer.Roller
+	var block kmer.Block
+	n := 0
 	start := time.Now()
 	reps := 50
-	for r := 0; r < reps; r++ {
-		buf = kmer.AppendCanonical64(buf[:0], seq, 27)
+	for rep := 0; rep < reps; rep++ {
+		r.Reset(seq, 27)
+		n = 0
+		for _, keys := r.Next64(&block); len(keys) > 0; _, keys = r.Next64(&block) {
+			for _, key := range keys {
+				lo[n], val[n] = key, uint32(rep)
+				n++
+			}
+		}
 	}
 	el := time.Since(start).Seconds()
-	return float64(reps) * float64(len(buf)) / el
+	return float64(reps) * float64(n) / el
 }
 
 func measureSort() float64 {

@@ -24,6 +24,12 @@
 //	CC-I/O       = re-read + write of the partition output; with
 //	               OverlapOutput the re-read hides behind Merge+Broadcast
 //
+// KmerGen's two rates are what the code pays per pass: scan is the block
+// roll of every base plus the branch-free selection of the pass's k-mers,
+// which every pass runs over the whole input (hence S·M), and emit is the
+// store of each k-mer into kmerOut, which each tuple costs once over all
+// passes. Calibrate measures both on KmerGen's own loops.
+//
 // The KmerGen-Comm warmup term models the paper's observation that the
 // first pass's exchange is much more expensive than later passes (Table 3:
 // 20.9 s at S=1 falling to 8.6 s at S=8 for constant total bytes) — the
@@ -211,9 +217,10 @@ func (s Steps) Total() time.Duration {
 type Calibration struct {
 	// Name labels the machine ("edison", "ganga", "host").
 	Name string
-	// ScanBasesPerSec is FASTQ parsing + k-mer rolling throughput.
+	// ScanBasesPerSec is the per-pass enumeration throughput: the block
+	// roll of every base and the branch-free pass selection.
 	ScanBasesPerSec float64
-	// EmitTuplesPerSec is the marginal cost of binning and storing tuples.
+	// EmitTuplesPerSec is the rate of rolling and storing tuples.
 	EmitTuplesPerSec float64
 	// SortTuplesPerSec covers the partition plus 8-pass radix sort.
 	SortTuplesPerSec float64
