@@ -481,6 +481,7 @@ func (l *bucketLoader) load(g *groupSource) bool {
 	} else {
 		bk.sorters[l.d].Sort64(l.cur.lo, l.cur.val, sig)
 	}
+	bk.st.tallySort(&bk.sorters[l.d])
 	if g.err = bk.st.checkBins(&l.cur, bk.binOff, lo, bk.binLo, b0, b1); g.err != nil {
 		return false
 	}

@@ -502,6 +502,37 @@ func TestSpillPassAllocs(t *testing.T) {
 const spillPassAllocBound = 64 << 10
 
 // counterTotal sums a counter over every rank.
+// TestLocalSortDistinctCounters checks that both LocalSort paths report
+// their sorters' distinct-key finishes: the fixture's reads cover each
+// genome ~30 times, so its groups and buckets hold sort buckets of a few
+// keys seen many times each, which the finish must take, and the labels
+// must not depend on the path.
+func TestLocalSortDistinctCounters(t *testing.T) {
+	td := spillDataset(t, 95, smallOpts())
+	var labels [][]uint32
+	for _, budget := range []int64{0, MinSpillBudgetBytes} {
+		obs := obsv.New()
+		cfg := Default(td.idx)
+		cfg.Threads = 2
+		cfg.SpillBudgetBytes = budget
+		cfg.Obs = obs
+		if budget > 0 {
+			requireSpill(t, cfg)
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels = append(labels, res.Labels)
+		if fin := counterTotal(obs, "localsort/distinct_finishes"); fin == 0 {
+			t.Errorf("budget %d: localsort/distinct_finishes = 0, want the finish to fire", budget)
+		}
+	}
+	if !slices.Equal(labels[0], labels[1]) {
+		t.Errorf("labels differ between the in-RAM and spilling runs")
+	}
+}
+
 func counterTotal(obs *obsv.Collector, name string) uint64 {
 	var n uint64
 	for _, cv := range obs.Counters() {

@@ -461,6 +461,7 @@ func (bs *binSink) seal(s int) ([]*groupSource, error) {
 			errs[d] = bs.checkBins(b, end)
 			b = end
 		}
+		st.tallySort(&bs.sorters[d])
 		srcs[d] = &groupSource{buf: buf, pos: bs.binOff[b0], end: bs.binOff[b1]}
 	})
 	for _, err := range errs {
@@ -472,6 +473,17 @@ func (bs *binSink) seal(s int) ([]*groupSource, error) {
 	st.rep.Steps.LocalSort += d
 	st.stepSpan("LocalSort", t0, d)
 	return srcs, nil
+}
+
+// tallySort adds the buckets a LocalSort sorter finished by their distinct
+// keys, and those it handed back to a radix digit, since its last tally to
+// the task's counters.
+func (st *taskState) tallySort(s *radix.BinSorter) {
+	fin, fb := s.Tally()
+	if st.obs != nil {
+		st.counter("localsort/distinct_finishes").Add(uint64(fin))
+		st.counter("localsort/distinct_fallbacks").Add(uint64(fb))
+	}
 }
 
 // checkBins checks that the bins [b0, b1) of one sorted group each fill

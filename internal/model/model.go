@@ -222,7 +222,8 @@ type Calibration struct {
 	ScanBasesPerSec float64
 	// EmitTuplesPerSec is the rate of rolling and storing tuples.
 	EmitTuplesPerSec float64
-	// SortTuplesPerSec covers the partition plus 8-pass radix sort.
+	// SortTuplesPerSec is LocalSort's in-cache finish of a receive group
+	// or a spill bucket (radix.BinSorter).
 	SortTuplesPerSec float64
 	// CCEdgesPerSec is union–find edge processing.
 	CCEdgesPerSec float64

@@ -3,6 +3,7 @@ package radix
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -203,10 +204,14 @@ func TestBinSorterAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	const n = 3000 // about the largest bin of the benchmark's dataset
 	for _, c := range []struct {
-		wide bool
-		sig  uint
-	}{{false, 38}, {true, 40}, {true, 94}} {
+		wide, clustered bool
+		sig             uint
+	}{{false, false, 38}, {true, false, 40}, {true, false, 94}, {false, true, 42}} {
 		srcHi, srcLo, srcV := binInput(rng, n, c.sig)
+		if c.clustered {
+			// Repeat clusters: the distinct-key finish's scratch is fixed.
+			srcLo, srcV = repeatClusters(rng, n, c.sig)
+		}
 		hi, lo, vals := make([]uint64, n), make([]uint64, n), make([]uint32, n)
 		var bs BinSorter
 		run := func() {
@@ -221,8 +226,212 @@ func TestBinSorterAllocs(t *testing.T) {
 		}
 		run() // warm: scratch and per-level bucket arrays
 		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
-			t.Errorf("wide=%v sig=%d: %.0f allocations per bin on a warm sorter, want 0", c.wide, c.sig, allocs)
+			t.Errorf("wide=%v clustered=%v sig=%d: %.0f allocations per bin on a warm sorter, want 0",
+				c.wide, c.clustered, c.sig, allocs)
 		}
+	}
+}
+
+// repeatClusters returns n keys that agree above their low sig bits, with
+// the arrival index as payload, shaped like a metagenome's receive group:
+// half the tuples are families of 1–8 keys that share all but their low 8
+// bits (a repeat, or a family of homologs), each key seen 20–300 times,
+// and the rest are keys seen 1–7 times each. Arrival order is shuffled.
+func repeatClusters(rng *rand.Rand, n int, sig uint) ([]uint64, []uint32) {
+	base, mask := rng.Uint64(), ^uint64(0)
+	if sig < 64 {
+		mask = uint64(1)<<sig - 1
+	}
+	keys := make([]uint64, 0, n)
+	add := func(x uint64, copies, upTo int) {
+		for ; copies > 0 && len(keys) < upTo; copies-- {
+			keys = append(keys, base&^mask|x&mask)
+		}
+	}
+	for len(keys) < n/2 {
+		prefix := rng.Uint64() &^ 0xFF
+		for f := 1 + rng.Intn(8); f > 0; f-- {
+			add(prefix|uint64(rng.Intn(256)), 20+rng.Intn(281), n/2)
+		}
+	}
+	for len(keys) < n {
+		add(rng.Uint64(), 1+rng.Intn(7), n)
+	}
+	rng.Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	return keys, indexVals(n)
+}
+
+// TestBinSorterRepeatClusters drives the distinct-key finish against the
+// stable oracle: whole groups and a spill-sized bucket of repeat clusters
+// through Sort64 and Sort128, and hand-built buckets below the top level —
+// exactly distinctMax distinct keys (finished) and one more (the fallback),
+// keys that share a home slot of the table, with the probe wrapping past
+// its last slot, and an all-equal bucket — with the result wanted on
+// either side of the ping-pong.
+func TestBinSorterRepeatClusters(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	var bs BinSorter
+	for _, c := range []struct {
+		n   int
+		sig uint
+	}{{15279, 42}, {15279, 20}, {4096, 54}, {1<<15 + 1, 42}, {200000, 46}} {
+		if testing.Short() && c.n > 1<<15+1 {
+			continue
+		}
+		keys, vals := repeatClusters(rng, c.n, c.sig)
+		origK := append([]uint64(nil), keys...)
+		bs.Sort64(keys, vals, c.sig)
+		if i := stableMismatch(origK, keys, vals); i >= 0 {
+			t.Fatalf("Sort64 n=%d sig=%d: index %d holds (%#x, arrival %d), not the stable order's tuple",
+				c.n, c.sig, i, keys[i], vals[i])
+		}
+		if fin, _ := bs.Tally(); fin == 0 {
+			t.Errorf("Sort64 n=%d sig=%d: no bucket finished by its distinct keys", c.n, c.sig)
+		}
+		keys, vals = repeatClusters(rng, c.n, c.sig)
+		origK = append(origK[:0], keys...)
+		hi := make([]uint64, c.n)
+		bs.Sort128(hi, keys, vals, c.sig)
+		if i := stableMismatch(origK, keys, vals); i >= 0 {
+			t.Fatalf("Sort128 n=%d sig=%d: index %d holds (%#x, arrival %d), not the stable order's tuple",
+				c.n, c.sig, i, keys[i], vals[i])
+		}
+	}
+
+	// Buckets below the top level, sorted as the recursion's level 1 does.
+	const sig = 20
+	base := rng.Uint64() &^ (1<<sig - 1)
+	distinct := func(nd, copies int) []uint64 {
+		var keys []uint64
+		for i := 0; i < nd; i++ {
+			x := base | uint64(rng.Intn(1<<sig))
+			for slices.Contains(keys, x) {
+				x = base | uint64(rng.Intn(1<<sig))
+			}
+			keys = append(keys, slices.Repeat([]uint64{x}, copies)...)
+		}
+		return keys
+	}
+	// sameSlot returns n distinct keys of the range whose home slot is h.
+	sameSlot := func(h uint, n int) []uint64 {
+		var keys []uint64
+		for x := base; len(keys) < n; x++ {
+			if distinctSlot(x) == h {
+				keys = append(keys, x)
+			}
+		}
+		return keys
+	}
+	collide := append(sameSlot(distinctSlots-1, 30), sameSlot(0, 30)...)
+	// Eight keys with distinct top 3 bits, too many tuples for the index:
+	// a digit splits them, and each key's own bucket is then finished.
+	var long []uint64
+	for i := range uint64(8) {
+		long = append(long, slices.Repeat([]uint64{base | i<<(sig-3) | uint64(rng.Intn(1<<(sig-3)))}, distinctTuplesMax/8+1)...)
+	}
+	for _, c := range []struct {
+		name                string
+		keys                []uint64
+		finishes, fallbacks int
+	}{
+		{"64 distinct", distinct(distinctMax, 3), 1, 0},
+		{"65 distinct", distinct(distinctMax+1, 3), 0, 1},
+		{"one home slot", slices.Concat(collide, collide, collide), 1, 0},
+		{"all equal", distinct(1, 500), 1, 0},
+		{"longer than the index", long, 8, 0},
+	} {
+		for _, inPlace := range []bool{true, false} {
+			n := len(c.keys)
+			keys := append([]uint64(nil), c.keys...)
+			rng.Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+			origK := append([]uint64(nil), keys...)
+			vals := indexVals(n)
+			tk, tv := make([]uint64, n), make([]uint32, n)
+			var s sorter64
+			s.sort(keys, vals, tk, tv, sig, 1, inPlace)
+			if !inPlace {
+				keys, vals = tk, tv
+			}
+			if i := stableMismatch(origK, keys, vals); i >= 0 {
+				t.Fatalf("%s, in place %v: index %d holds (%#x, arrival %d), not the stable order's tuple",
+					c.name, inPlace, i, keys[i], vals[i])
+			}
+			if s.finishes != c.finishes || s.fallbacks != c.fallbacks {
+				t.Errorf("%s, in place %v: %d finishes and %d fallbacks, want %d and %d",
+					c.name, inPlace, s.finishes, s.fallbacks, c.finishes, c.fallbacks)
+			}
+		}
+	}
+}
+
+// FuzzBinSorter sorts a pool of distinct keys, each repeated, through
+// BinSorter.Sort64 against the stable oracle. The fuzzer picks the pool's
+// size, each key's multiplicity, the significant bits and how many low bits
+// the pool's keys may differ in, so it reaches buckets of one key, of a
+// few, of exactly distinctMax and of more.
+func FuzzBinSorter(f *testing.F) {
+	f.Add(int64(1), uint8(7), uint16(300), uint8(42), uint8(8))
+	f.Add(int64(2), uint8(64), uint16(40), uint8(20), uint8(20))
+	f.Add(int64(3), uint8(65), uint16(40), uint8(20), uint8(20))
+	f.Add(int64(4), uint8(200), uint16(3), uint8(54), uint8(54))
+	f.Add(int64(5), uint8(1), uint16(5000), uint8(64), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, pool uint8, mult uint16, sigRaw, spreadRaw uint8) {
+		sig := uint(sigRaw) % 65
+		spread := uint(spreadRaw) % (sig + 1)
+		copies := 1 + int(mult)%2000
+		if int(pool)*copies > 1<<16 {
+			copies = 1 << 16 / max(1, int(pool))
+		}
+		rng := rand.New(rand.NewSource(seed))
+		min, max := rangeOf(rng.Uint64(), sig)
+		prefix := min | rng.Uint64()&(max-min)
+		low := uint64(1)<<spread - 1
+		var keys []uint64
+		for range pool {
+			x := prefix&^low | rng.Uint64()&low
+			for range copies {
+				keys = append(keys, x)
+			}
+		}
+		n := len(keys)
+		rng.Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		origK := append([]uint64(nil), keys...)
+		vals := indexVals(n)
+		var bs BinSorter
+		bs.Sort64(keys, vals, sig)
+		if i := stableMismatch(origK, keys, vals); i >= 0 {
+			t.Fatalf("n=%d sig=%d spread=%d: index %d holds (%#x, arrival %d), not the stable order's tuple",
+				n, sig, spread, i, keys[i], vals[i])
+		}
+	})
+}
+
+// BenchmarkBinSorterGroup sorts, with one warm BinSorter, the two range
+// sizes LocalSort meets: a ~15 K-tuple receive group and a 424 K-tuple
+// spill bucket, both of repeat clusters (half the tuples in families of
+// keys seen 20–300 times), in arrival order.
+func BenchmarkBinSorterGroup(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n    int
+		sig  uint
+	}{{"group", 15279, 42}, {"spill", 424000, 46}} {
+		b.Run(c.name, func(b *testing.B) {
+			keys, vals := repeatClusters(rand.New(rand.NewSource(1)), c.n, c.sig)
+			work, workV := make([]uint64, c.n), make([]uint32, c.n)
+			var bs BinSorter
+			bs.Grow(c.n, false)
+			b.SetBytes(int64(c.n) * 12)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(work, keys)
+				copy(workV, vals)
+				b.StartTimer()
+				bs.Sort64(work, workV, c.sig)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.n), "ns/tuple")
+		})
 	}
 }
 

@@ -20,6 +20,18 @@
 // consecutive m-mer bins (or spills them into buckets of such bins), so
 // LocalSort only has to finish each group in place, over the low-order bits
 // the group leaves undetermined, with scratch the size of one group.
+//
+// Below the first scatter, a metagenome's buckets are lopsided: shared
+// repeats and families of homologs pile hundreds of copies of a few keys
+// into one bucket, which a further digit would move again to split very few
+// keys. The MSD-first kernel therefore finishes a bucket below the top
+// level that is longer than its insertion leaf by the bucket's distinct
+// keys when it has at most 64 of them: a fixed 128-slot table indexes every
+// tuple's key, the distinct keys are insertion-sorted, and one stable
+// scatter in arrival order places every tuple, straight onto the side of
+// the ping-pong the recursion wants it on. At the 65th distinct key it falls
+// back to the next radix digit. The order is the same stable order, and
+// BinSorter.Tally reports how often each happened.
 package radix
 
 import "math/bits"
@@ -39,10 +51,25 @@ func SortPairs64Range(keys []uint64, vals []uint32, tmpK []uint64, tmpV []uint32
 }
 
 // msdInsertionMax is the bucket length at or below which sorter64 stops
-// scattering and finishes with a stable insertion sort. Pipeline keys are
-// k-mers seen ~7 times each, so a bucket this small holds a handful of
-// distinct keys and insertion over it is near-linear.
+// scattering and finishes with a stable insertion sort.
 const msdInsertionMax = 64
+
+// The distinct-key finish (finishDistinct) takes buckets of at most
+// distinctTuplesMax tuples, so its per-tuple index is a fixed 4 KiB, and of
+// at most distinctMax distinct keys, so a distinct index fits a uint8. The
+// table has twice as many slots as keys, so probe runs stay short.
+const (
+	distinctMax       = 64
+	distinctSlots     = 2 * distinctMax
+	distinctTuplesMax = 4096
+)
+
+// distinctSlot is key x's home slot in the distinct-key table: the top 7
+// bits of a Fibonacci hash, which every bit of x reaches, so keys that
+// differ only in their low bits spread over the table.
+func distinctSlot(x uint64) uint {
+	return uint(x * 0x9E3779B97F4A7C15 >> 57)
+}
 
 // msdTopLen is the length above which a scatter level uses a plain 8-bit
 // digit: the level's source and destination no longer sit in cache
@@ -62,12 +89,32 @@ const msdMaxDigit = 11
 // input and the scratch; a flag carried down the recursion says which side
 // each bucket's result belongs on, so there is no copy-back pass.
 //
+// A bucket below the top level still longer than msdInsertionMax is first
+// offered to finishDistinct, which sorts it by its distinct keys when it
+// has few (a repeat's copies, piled into one bucket).
+//
 // The value holds one bucket-boundary array per recursion level, grown on
 // first use, so a caller that sorts many ranges (BinSorter's bins and
-// buckets) allocates for the first few and never again. Not safe for concurrent use.
+// buckets) allocates for the first few and never again; the distinct-key
+// finish's scratch is fixed-size. Not safe for concurrent use.
 type sorter64 struct {
 	// ≤ 16 scatter levels: each consumes at least 4 of 64 bits.
 	bounds [16][]int
+	// slotID[h] is 1 + the distinct index of the key in slot h, 0 when the
+	// slot is empty; slotKey[h] is that key.
+	slotKey [distinctSlots]uint64
+	slotID  [distinctSlots]uint8
+	// dKey and dCnt are the bucket's distinct keys, in order of first
+	// arrival, and their counts, then their output cursors; dOrd lists the
+	// distinct indexes in key order.
+	dKey [distinctMax]uint64
+	dCnt [distinctMax]int
+	dOrd [distinctMax]uint8
+	// tupleID[i] is the distinct index of the bucket's tuple i.
+	tupleID [distinctTuplesMax]uint8
+	// finishes and fallbacks count the buckets finishDistinct sorted and
+	// those it handed back to the radix digit.
+	finishes, fallbacks int
 }
 
 // sort orders the pairs in (k, v) by their low sig bits — the bits above
@@ -76,6 +123,10 @@ type sorter64 struct {
 // per-level boundary arrays.
 func (s *sorter64) sort(k []uint64, v []uint32, tk []uint64, tv []uint32, sig uint, level int, inPlace bool) {
 	n := len(k)
+	if level > 0 && n > msdInsertionMax && n <= distinctTuplesMax && sig > 0 &&
+		s.finishDistinct(k, v, tk, tv, inPlace) {
+		return
+	}
 	for n > msdInsertionMax && sig > 0 {
 		b := uint(8)
 		if n <= msdTopLen {
@@ -135,6 +186,73 @@ func (s *sorter64) sort(k []uint64, v []uint32, tk []uint64, tv []uint32, sig ui
 	}
 }
 
+// finishDistinct sorts a bucket of at most distinctTuplesMax tuples by its
+// distinct keys, if it has at most distinctMax of them: one pass indexes
+// every tuple's key in the slot table and counts it, an insertion sort
+// orders the distinct keys, and one stable scatter in arrival order moves
+// the values to their key's cursor while the keys are written as runs. The
+// result lands on the side inPlace names, as sort's does. At the
+// (distinctMax+1)th distinct key it stops and returns false, having moved
+// nothing.
+func (s *sorter64) finishDistinct(k []uint64, v []uint32, tk []uint64, tv []uint32, inPlace bool) bool {
+	clear(s.slotID[:])
+	ids := s.tupleID[:len(k)]
+	nd := 0
+	for i, x := range k {
+		h := distinctSlot(x)
+		for {
+			id := s.slotID[h]
+			if id == 0 {
+				if nd == distinctMax {
+					s.fallbacks++
+					return false
+				}
+				s.slotKey[h], s.dKey[nd], s.dCnt[nd] = x, x, 0
+				nd++
+				id = uint8(nd)
+				s.slotID[h] = id
+			} else if s.slotKey[h] != x {
+				h = (h + 1) % distinctSlots
+				continue
+			}
+			ids[i] = id - 1
+			s.dCnt[id-1]++
+			break
+		}
+	}
+	s.finishes++
+	ord := s.dOrd[:nd]
+	for i := range ord {
+		d := uint8(i)
+		j := i - 1
+		for ; j >= 0 && s.dKey[ord[j]] > s.dKey[d]; j-- {
+			ord[j+1] = ord[j]
+		}
+		ord[j+1] = d
+	}
+	dstK, dstV, srcV := tk, tv, v
+	if inPlace {
+		// The values scatter back into v, so they are read from a copy.
+		copy(tv, v)
+		dstK, dstV, srcV = k, v, tv
+	}
+	pos := 0
+	for _, d := range ord {
+		run := dstK[pos : pos+s.dCnt[d]]
+		for j := range run {
+			run[j] = s.dKey[d]
+		}
+		s.dCnt[d] = pos
+		pos += len(run)
+	}
+	for i, d := range ids {
+		j := s.dCnt[d]
+		s.dCnt[d] = j + 1
+		dstV[j] = srcV[i]
+	}
+	return true
+}
+
 // BinSorter sorts the tuples of one m-mer bin, or of one run of
 // consecutive bins (a receive group, a spill bucket), in place. Every key
 // of such a range agrees above its low sig bits (the bin field pins them,
@@ -166,6 +284,16 @@ func (b *BinSorter) Grow(n int, wide bool) {
 // drops the loan.
 func (b *BinSorter) Use(tk, th []uint64, tv []uint32) {
 	b.tk, b.th, b.tv = tk, th, tv
+}
+
+// Tally returns how many buckets the sorter has finished by their distinct
+// keys, and how many it tried to and handed back to a radix digit at the
+// (distinctMax+1)th distinct key, since the last call, and restarts both
+// counts.
+func (b *BinSorter) Tally() (finishes, fallbacks int) {
+	finishes, fallbacks = b.s.finishes, b.s.fallbacks
+	b.s.finishes, b.s.fallbacks = 0, 0
+	return finishes, fallbacks
 }
 
 // Sort64 sorts one bin of 64-bit keys, vals alongside, by their low sig
