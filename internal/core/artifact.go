@@ -518,8 +518,10 @@ func runIncremental(ctx context.Context, cfg Config, pl *plan, scratch string) (
 
 	// The base labels are valid DSU parent state (flattened, root = max
 	// read ID per component), so the union-by-index invariant holds from
-	// the first Connect. The merge is single-goroutine: unions never race,
-	// so Algorithm 1's re-verification pass is a no-op and is skipped.
+	// the first Connect. The merge runs on one goroutine, so no Union CAS
+	// can lose a race and Connect's result needs no retry buffer. A
+	// parallel merge must buffer those edges and hand them to unionfind's
+	// Reverify, as LocalCC does.
 	dsu := unionfind.NewFromLabels(baseLabels, int(deltaReads))
 	filter := cfg.Filter
 	// Filter.Max is rejected for delta runs at Validate, so every run of

@@ -61,7 +61,7 @@ func (st *taskState) mergeCC() mergeResult {
 		},
 		func(src, round int, payload any) {
 			t0 := time.Now()
-			st.dsu.AbsorbPairs(payload.([]uint32), T)
+			st.unionAttempts += st.dsu.AbsorbPairs(payload.([]uint32), T)
 			mergeTime += time.Since(t0)
 		},
 	)

@@ -37,10 +37,13 @@ type taskState struct {
 	obs *obsv.Collector
 
 	// out is kmerOut: the two generation slots rounds alternate between.
-	out     *tupleBuf
-	dsu     *unionfind.DSU
-	ufStats *unionfind.Stats
-	files   []*os.File
+	out   *tupleBuf
+	dsu   *unionfind.DSU
+	files []*os.File
+	// unionAttempts sums the union attempts (retry-buffer lengths) that
+	// LocalCC's and MergeCC's re-verification rounds reported, the basis
+	// of the unionfind/union_races counter.
+	unionAttempts uint64
 
 	// emit, non-nil when ArtifactOut is set, collects this task's sorted
 	// tuple stream into artifact part files as the passes run.
@@ -74,13 +77,11 @@ type taskState struct {
 	ccHist        [][]uint64
 }
 
-// newTaskState wires a task's rank, communicator and collector together,
-// attaching union–find operation counting when observability is on.
+// newTaskState wires a task's rank, communicator and collector together.
 func newTaskState(ctx context.Context, pl *plan, task *mpirt.Task) *taskState {
 	st := &taskState{p: pl, rank: task.Rank(), t: task, ctx: ctx, obs: pl.cfg.Obs}
 	st.rep.Rank = st.rank
 	if st.obs != nil {
-		st.ufStats = &unionfind.Stats{}
 		st.obs.SetProcessName(st.rank, fmt.Sprintf("task %d", st.rank))
 		st.obs.SetThreadName(st.rank, obsv.TidSteps, "steps")
 		st.obs.SetThreadName(st.rank, obsv.TidComm, "mpirt comm")
@@ -139,7 +140,8 @@ func (st *taskState) spillMemAdd(delta int64) {
 }
 
 // finishObs registers the end-of-run counters that fall out of the task's
-// accounting: volumes, memory and the union–find operation mix.
+// accounting: volumes, memory and, when the task built a DSU, its unions
+// and lost union races.
 func (st *taskState) finishObs() {
 	if st.obs == nil {
 		return
@@ -149,10 +151,13 @@ func (st *taskState) finishObs() {
 	st.counter("pipeline/bytes_sent").Add(uint64(st.rep.BytesSent))
 	st.counter("mergecc/bytes_sent").Add(uint64(st.rep.MergeBytes))
 	st.counter("memory/planned_bytes").Add(uint64(st.rep.MemoryBytes))
-	st.counter("unionfind/finds").Add(st.ufStats.Finds.Load())
-	st.counter("unionfind/path_splits").Add(st.ufStats.PathSplits.Load())
-	st.counter("unionfind/unions").Add(st.ufStats.Unions.Load())
-	st.counter("unionfind/union_races").Add(st.ufStats.UnionRaces.Load())
+	if st.dsu != nil {
+		// Every successful union removes one root; every attempt, won or
+		// lost, was buffered for re-verification.
+		unions := uint64(st.dsu.Len() - st.dsu.Roots())
+		st.counter("unionfind/unions").Add(unions)
+		st.counter("unionfind/union_races").Add(st.unionAttempts - unions)
+	}
 	if peak := st.spillPeak.Load(); peak > 0 {
 		st.counter("extsort/peak_tuple_bytes").Add(uint64(peak))
 	}
@@ -315,7 +320,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			return err
 		}
 		st.dsu = unionfind.New(int(pl.idx.Reads))
-		st.dsu.SetStats(st.ufStats)
 
 		if err := st.runPasses(sink, st.localCC); err != nil {
 			return err

@@ -706,38 +706,18 @@ func (st *taskState) ccThread(s, d int, src *groupSource, retry []unionfind.Edge
 }
 
 // ccFinish is LocalCC's tail: fold the per-thread frequency histograms,
-// run Algorithm 1's outer re-verification loop over the buffered edges, and
-// charge the step, less loads, the bucket loads it ran, to LocalCC.
+// run Algorithm 1's re-verification rounds (Reverify) over the buffered
+// edges, and charge the step, less loads, the bucket loads it ran, to
+// LocalCC.
 func (st *taskState) ccFinish(t0 time.Time, loads time.Duration, edgeCounts []uint64, retries [][]unionfind.Edge, hists [][]uint64) {
-	T := st.p.cfg.Threads
 	for _, h := range hists {
 		for f, c := range h {
 			st.freqHist[f] += c
 		}
 	}
-	// Algorithm 1's outer loop: re-verify buffered edges until none remain.
-	iters := 1
-	for {
-		any := false
-		for d := range retries {
-			if len(retries[d]) > 0 {
-				any = true
-			}
-		}
-		if !any {
-			break
-		}
-		iters++
-		par.Run(T, func(d int) {
-			buf := retries[d][:0]
-			for _, e := range retries[d] {
-				if st.dsu.Connect(e.U, e.V) {
-					buf = append(buf, e)
-				}
-			}
-			retries[d] = buf
-		})
-	}
+	rounds, attempts := st.dsu.Reverify(retries)
+	iters := 1 + rounds
+	st.unionAttempts += attempts
 	if iters > st.rep.CCIters {
 		st.rep.CCIters = iters
 	}

@@ -17,6 +17,13 @@
 //     resulting in a union operation on each thread and verify them after
 //     processing all edges".
 //
+// Every caller runs its own first round, because the input layouts differ
+// (an edge list, a parent array, a delta payload, LocalCC's sorted groups),
+// and hands its per-worker retry buffers to Reverify, the one driver of
+// Algorithm 1's re-verification rounds. Nothing is counted per operation:
+// a DSU built by New has made exactly Len() − Roots() successful unions,
+// and the union attempts are the buffer lengths Reverify reports.
+//
 // All parent-pointer accesses are atomic, so the structure is safe under the
 // Go race detector while keeping the paper's synchronization-free structure.
 package unionfind
@@ -27,25 +34,10 @@ import (
 	"metaprep/internal/par"
 )
 
-// Stats counts DSU operations when attached with SetStats: Find calls,
-// grandparent redirects (the path-splitting writes), successful Unions
-// and lost Union CASes (the races Algorithm 1 re-verifies). The counters
-// are atomics shared by every thread touching the DSU, so enabling them
-// perturbs the very contention they measure — they are an observability
-// opt-in, not an always-on feature; a detached DSU pays one predictable
-// nil-check branch per operation.
-type Stats struct {
-	Finds      atomic.Uint64
-	PathSplits atomic.Uint64
-	Unions     atomic.Uint64
-	UnionRaces atomic.Uint64
-}
-
 // DSU is a concurrent disjoint-set (union–find) structure over the vertex
 // set {0, …, n-1}. Vertices are reads in the pipeline's read graph.
 type DSU struct {
 	parent []uint32
-	stats  *Stats
 
 	// shadow holds each entry's value as of the previous SnapshotDelta call
 	// (the delta epoch baseline). It is allocated lazily on the first
@@ -53,10 +45,6 @@ type DSU struct {
 	// never touched by the hot Find/Union path.
 	shadow []uint32
 }
-
-// SetStats attaches an operation-count recorder (nil detaches). Attach
-// before concurrent use; the pointer itself is not synchronized.
-func (d *DSU) SetStats(s *Stats) { d.stats = s }
 
 // New returns a DSU with every vertex its own component root.
 func New(n int) *DSU {
@@ -87,13 +75,23 @@ func NewFromLabels(labels []uint32, extra int) *DSU {
 // Len returns the number of vertices.
 func (d *DSU) Len() int { return len(d.parent) }
 
+// Roots returns the number of component roots. Each successful Union turns
+// exactly one root into a non-root and path splitting rewrites non-roots
+// only, so on a DSU built by New, Len() − Roots() is the number of unions
+// made, in any thread schedule. Call after concurrent mutation is done.
+func (d *DSU) Roots() int {
+	n := 0
+	for i := range d.parent {
+		if atomic.LoadUint32(&d.parent[i]) == uint32(i) {
+			n++
+		}
+	}
+	return n
+}
+
 // Find returns the root of x's component, applying path splitting along the
 // way. It is safe to call concurrently with other Find and Union calls.
 func (d *DSU) Find(x uint32) uint32 {
-	s := d.stats
-	if s != nil {
-		s.Finds.Add(1)
-	}
 	for {
 		p := atomic.LoadUint32(&d.parent[x])
 		if p == x {
@@ -106,9 +104,6 @@ func (d *DSU) Find(x uint32) uint32 {
 		// Path splitting: point x at its grandparent. A lost CAS just means
 		// another thread improved the path first.
 		atomic.CompareAndSwapUint32(&d.parent[x], p, gp)
-		if s != nil {
-			s.PathSplits.Add(1)
-		}
 		x = gp
 	}
 }
@@ -125,15 +120,7 @@ func (d *DSU) Union(ru, rv uint32) bool {
 	if ru > rv {
 		ru, rv = rv, ru
 	}
-	ok := atomic.CompareAndSwapUint32(&d.parent[ru], ru, rv)
-	if s := d.stats; s != nil {
-		if ok {
-			s.Unions.Add(1)
-		} else {
-			s.UnionRaces.Add(1)
-		}
-	}
-	return ok
+	return atomic.CompareAndSwapUint32(&d.parent[ru], ru, rv)
 }
 
 // Connect processes one edge (u, v) following Algorithm 1's loop body: find
@@ -154,48 +141,64 @@ type Edge struct{ U, V uint32 }
 
 // ProcessEdges runs Algorithm 1 over the edge list with the given number of
 // worker threads: each worker processes a static block of edges, buffering
-// union-producing edges into a private list; buffered lists are re-processed
-// until a pass produces no unions. It returns the number of iterations,
-// which is dominated by the first (as observed in §3.5).
+// union-producing edges into a private list, and Reverify re-processes the
+// lists until a round produces no unions. It returns the number of
+// iterations, which is dominated by the first (as observed in §3.5). The
+// buffers are the workers' own, so edges is never written.
 func (d *DSU) ProcessEdges(edges []Edge, workers int) int {
 	if workers < 1 {
 		workers = 1
 	}
-	in := make([][]Edge, workers)
-	for w := 0; w < workers; w++ {
+	retry := make([][]Edge, workers)
+	par.Run(workers, func(w int) {
 		lo, hi := par.Block(len(edges), workers, w)
-		in[w] = edges[lo:hi]
-	}
-	out := make([][]Edge, workers)
-	iters := 0
+		var buf []Edge
+		for _, e := range edges[lo:hi] {
+			if d.Connect(e.U, e.V) {
+				buf = append(buf, e)
+			}
+		}
+		retry[w] = buf
+	})
+	rounds, _ := d.Reverify(retry)
+	return 1 + rounds
+}
+
+// Reverify is Algorithm 1's outer loop, run after a caller's first round:
+// while any buffer in retry is non-empty, worker w re-processes retry[w]
+// and keeps, compacted in place, the edges that again produced a union
+// attempt. It returns the rounds it ran (0 when every buffer is empty) and
+// attempts, the union attempts behind the buffers it was handed and
+// refilled: every edge whose Connect reported true, the first round's
+// included. Attempts less successful unions are the CASes that lost a race.
+// The buffers come back empty with their capacity kept.
+func (d *DSU) Reverify(retry [][]Edge) (rounds int, attempts uint64) {
 	for {
-		iters++
-		any := false
-		par.Run(workers, func(w int) {
-			buf := out[w][:0]
-			for _, e := range in[w] {
+		n := 0
+		for _, buf := range retry {
+			n += len(buf)
+		}
+		if n == 0 {
+			return rounds, attempts
+		}
+		rounds++
+		attempts += uint64(n)
+		par.Run(len(retry), func(w int) {
+			buf := retry[w][:0]
+			for _, e := range retry[w] {
 				if d.Connect(e.U, e.V) {
 					buf = append(buf, e)
 				}
 			}
-			out[w] = buf
+			retry[w] = buf
 		})
-		for w := range out {
-			if len(out[w]) > 0 {
-				any = true
-			}
-			in[w], out[w] = out[w], in[w][:0:0]
-		}
-		if !any {
-			return iters
-		}
 	}
 }
 
 // Absorb merges another parent array into d, the MergeCC receive step
 // (§3.6): element i of p is treated as an edge (i, p[i]) because those two
 // vertices were in one component on the sending task. Work is split across
-// workers; conflicting unions are retried via Algorithm 1 buffering.
+// workers; conflicting unions are retried by Reverify.
 func (d *DSU) Absorb(p []uint32, workers int) {
 	if workers < 1 {
 		workers = 1
@@ -212,26 +215,7 @@ func (d *DSU) Absorb(p []uint32, workers int) {
 		}
 		retry[w] = buf
 	})
-	for {
-		any := false
-		par.Run(workers, func(w int) {
-			buf := retry[w][:0]
-			for _, e := range retry[w] {
-				if d.Connect(e.U, e.V) {
-					buf = append(buf, e)
-				}
-			}
-			retry[w] = buf
-		})
-		for w := range retry {
-			if len(retry[w]) > 0 {
-				any = true
-			}
-		}
-		if !any {
-			return
-		}
-	}
+	d.Reverify(retry)
 }
 
 // Flatten fully compresses every path so parent[i] is i's component root,
@@ -334,9 +318,9 @@ func (d *DSU) ComponentSizesPar(workers int) map[uint32]int {
 }
 
 // AbsorbPairs folds a SnapshotDelta payload (interleaved vertex/parent
-// pairs) into d, splitting the work across workers with Algorithm 1
-// buffering.
-func (d *DSU) AbsorbPairs(pairs []uint32, workers int) {
+// pairs) into d, splitting the work across workers; conflicting unions are
+// retried by Reverify. It returns Reverify's union attempts.
+func (d *DSU) AbsorbPairs(pairs []uint32, workers int) (attempts uint64) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -353,24 +337,6 @@ func (d *DSU) AbsorbPairs(pairs []uint32, workers int) {
 		}
 		retry[w] = buf
 	})
-	for {
-		any := false
-		par.Run(workers, func(w int) {
-			buf := retry[w][:0]
-			for _, e := range retry[w] {
-				if d.Connect(e.U, e.V) {
-					buf = append(buf, e)
-				}
-			}
-			retry[w] = buf
-		})
-		for w := range retry {
-			if len(retry[w]) > 0 {
-				any = true
-			}
-		}
-		if !any {
-			return
-		}
-	}
+	_, attempts = d.Reverify(retry)
+	return attempts
 }

@@ -2,8 +2,11 @@ package unionfind
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"metaprep/internal/par"
 )
 
 // naiveComponents computes component labels by repeated relabeling — slow
@@ -152,6 +155,104 @@ func TestProcessEdgesEmpty(t *testing.T) {
 	d := New(10)
 	if iters := d.ProcessEdges(nil, 4); iters != 1 {
 		t.Errorf("iterations on empty input = %d, want 1", iters)
+	}
+}
+
+// blockLocalChains returns, for w workers, w reversed path graphs of k
+// edges each over disjoint vertex ranges, laid out so that par.Block hands
+// worker i exactly chain i: no two workers touch one vertex, so no union
+// CAS can lose a race and the round count is schedule-free.
+func blockLocalChains(w, k int) []Edge {
+	edges := make([]Edge, 0, w*k)
+	for i := 0; i < w; i++ {
+		base := uint32(i * (k + 1))
+		for j := k; j > 0; j-- {
+			edges = append(edges, Edge{base + uint32(j-1), base + uint32(j)})
+		}
+	}
+	return edges
+}
+
+// TestProcessEdgesPreservesInput pins ProcessEdges' contract with its
+// caller: the edge list, and the backing array beyond its length, are never
+// written, and the returned round count is Algorithm 1's. That count is 1
+// when no edge unions anything and 2 when every union wins its CAS (the
+// second round finds each buffered edge inside one component), which holds
+// at one worker for every input and at any worker count when the workers'
+// blocks share no vertex.
+func TestProcessEdgesPreservesInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	chain := make([]Edge, 0, 4999)
+	for i := 4999; i > 0; i-- {
+		chain = append(chain, Edge{uint32(i - 1), uint32(i)})
+	}
+	for _, w := range []int{1, 4, 8} {
+		cases := []struct {
+			name  string
+			n     int
+			edges []Edge
+			want  int  // the round count when no union CAS loses a race
+			racy  bool // workers' blocks share vertices: at w > 1 a lost CAS may add rounds
+		}{
+			{"empty", 10, nil, 1, false},
+			{"self-loops", 3, []Edge{{1, 1}, {2, 2}}, 1, false},
+			{"block-local", 8 * 101, blockLocalChains(w, 100), 2, false},
+			{"chain", 5000, chain, 2, true},
+			{"random", 2000, randEdges(rng, 2000, 3000), 2, true},
+		}
+		for _, c := range cases {
+			// Guard elements after len(edges) catch a write through the
+			// spare capacity as well as one into the edges themselves.
+			backing := append(append([]Edge(nil), c.edges...), Edge{7, 7}, Edge{9, 9})
+			edges := backing[:len(c.edges)]
+			before := append([]Edge(nil), backing...)
+			d := New(c.n)
+			iters := d.ProcessEdges(edges, w)
+			if !slices.Equal(backing, before) {
+				t.Errorf("w=%d %s: ProcessEdges wrote into its input", w, c.name)
+			}
+			if iters != c.want && !(c.racy && w > 1 && iters > c.want) {
+				t.Errorf("w=%d %s: %d rounds, want %d", w, c.name, iters, c.want)
+			}
+			sameParts(t, c.n, c.edges, d.Flatten(w))
+		}
+	}
+}
+
+// TestReverifyAttempts checks the driver's accounting: empty buffers run no
+// round, and the attempts it reports — every buffered edge — are at least
+// the successful unions, Len() − Roots(), with equality at one worker where
+// no CAS can lose a race.
+func TestReverifyAttempts(t *testing.T) {
+	d := New(4)
+	if rounds, attempts := d.Reverify(make([][]Edge, 3)); rounds != 0 || attempts != 0 {
+		t.Errorf("empty buffers: %d rounds, %d attempts", rounds, attempts)
+	}
+	rng := rand.New(rand.NewSource(37))
+	for _, w := range []int{1, 4} {
+		n := 3000
+		edges := randEdges(rng, n, 2*n)
+		d := New(n)
+		retry := make([][]Edge, w)
+		par.Run(w, func(i int) {
+			lo, hi := par.Block(len(edges), w, i)
+			for _, e := range edges[lo:hi] {
+				if d.Connect(e.U, e.V) {
+					retry[i] = append(retry[i], e)
+				}
+			}
+		})
+		rounds, attempts := d.Reverify(retry)
+		unions := uint64(d.Len() - d.Roots())
+		if rounds < 1 || attempts < unions || (w == 1 && (rounds != 1 || attempts != unions)) {
+			t.Errorf("w=%d: %d rounds, %d attempts, %d unions", w, rounds, attempts, unions)
+		}
+		for i, buf := range retry {
+			if len(buf) != 0 {
+				t.Errorf("w=%d: buffer %d not drained", w, i)
+			}
+		}
+		sameParts(t, n, edges, d.Flatten(w))
 	}
 }
 
